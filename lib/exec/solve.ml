@@ -10,10 +10,16 @@
    - fr: derived, [fr(r,w') <- rf(w,r) /\ co(w,w')];
    - the sc-per-location check (acyclic po-loc | rf | co | fr), which
      doubles as the coherence prefilter and the native model's Scpv;
-   - the final-state condition, Tseitin-encoded over the co-maximality
-     literals of each location's writes;
+   - the final-state condition's undecided residue, Tseitin-encoded
+     over the co-maximality literals of each location's writes;
    - the model's axioms, contributed by an [axioms] callback over the
      {!Sym} combinators (native LKMM: [Lkmm.Symbolic]).
+
+   None of it is built for a structure the condition refutes: the
+   condition is first evaluated over the skeleton's constants in
+   three-valued logic ({!asserted_cond}), and a structure whose
+   asserted polarity is statically false is unsatisfiable outright —
+   the case that would otherwise end in the empty clause.
 
    Every derived relation of the LK chain is *monotone* in rf and co
    (nothing negates a dynamic relation — only static relations are
@@ -404,27 +410,91 @@ let encode_structure ~scpv (sk : Execution.skeleton) =
 (* Condition                                                           *)
 (* ------------------------------------------------------------------ *)
 
-(* The condition is evaluated over the structure's constants (register
-   values are fixed once the skeleton fixes its read values; init
-   values are static) and the co-maximality of each location's writes:
-   the final value of [x] is the value of its co-maximal write.
-   Two-sided encoding — conditions sit under negation. *)
-let encode_cond (enc : encoded) =
-  let { e; sk; _ } = enc in
-  let ctx = e.ctx in
-  let rep = e.rep in
+(* The condition over one skeleton, in three-valued logic.  The
+   skeleton fixes every register value (an unset register reads 0) and
+   much of the final memory: a location with no non-init write keeps
+   its initial value, a value no write stores is never final, and a
+   lone write is co-last.  [Known b] is a statically decided formula;
+   what stays open is a residue over [Final] atoms, which only the
+   coherence order decides. *)
+type cond3 =
+  | Known of bool
+  | Final of int list * int
+      (* some write of [ws] (a location's non-init writes, at least two)
+         storing [v] is co-maximal *)
+  | Not3 of cond3
+  | And3 of cond3 * cond3
+  | Or3 of cond3 * cond3
+
+let not3 = function Known b -> Known (not b) | c -> Not3 c
+
+let and3 a b =
+  match (a, b) with
+  | Known false, _ | _, Known false -> Known false
+  | Known true, c | c, Known true -> c
+  | a, b -> And3 (a, b)
+
+let or3 a b =
+  match (a, b) with
+  | Known true, _ | _, Known true -> Known true
+  | Known false, c | c, Known false -> c
+  | a, b -> Or3 (a, b)
+
+(* The polarity the encoder asserts — the condition for [exists] and
+   [~exists] (both ask whether it is observable), its negation for
+   [forall] — evaluated over the skeleton's constants.  [Known false]
+   refutes the structure before anything is encoded. *)
+let asserted_cond (sk : Execution.skeleton) =
   let test = sk.Execution.sk_test in
-  let of_bool b = if b then T else F in
   let final_is x v =
     match
       List.find_opt
         (fun (x', _, _) -> String.equal x x')
         sk.Execution.sk_co_writes
     with
-    | None | Some (_, _, []) -> of_bool (Litmus.Ast.init_value test x = v)
+    | None | Some (_, _, []) -> Known (Litmus.Ast.init_value test x = v)
     | Some (_, _, ws) ->
-        (* w is co-maximal iff every other write of the location comes
-           co-before it; the init write never is (it is co-first) *)
+        (* the init write is co-first, so never final here *)
+        if
+          not
+            (List.exists (fun w -> sk.Execution.sk_events.(w).Event.v = v) ws)
+        then Known false
+        else if List.compare_length_with ws 1 = 0 then Known true
+        else Final (ws, v)
+  in
+  let atom = function
+    | Litmus.Ast.Reg_eq (tid, r, cv) ->
+        let v =
+          List.find_map
+            (fun (tid', r', v) -> if tid = tid' && r = r' then Some v else None)
+            sk.Execution.sk_final_regs
+        in
+        Known (Option.value ~default:0 v = Litmus.Ast.cvalue_to_int test cv)
+    | Litmus.Ast.Mem_eq (x, cv) ->
+        final_is x (Litmus.Ast.cvalue_to_int test cv)
+  in
+  let rec go = function
+    | Litmus.Ast.Atom a -> atom a
+    | Litmus.Ast.Not c -> not3 (go c)
+    | Litmus.Ast.And (a, b) -> and3 (go a) (go b)
+    | Litmus.Ast.Or (a, b) -> or3 (go a) (go b)
+    | Litmus.Ast.Ctrue -> Known true
+  in
+  let cond = go test.Litmus.Ast.cond in
+  match test.Litmus.Ast.quant with
+  | Litmus.Ast.Q_exists | Litmus.Ast.Q_not_exists -> cond
+  | Litmus.Ast.Q_forall -> not3 cond
+
+(* Assert the residue of {!asserted_cond}.  A [Final] atom holds iff
+   one of its writes storing the value is co-maximal, i.e. every other
+   write comes co-before it.  Two-sided encoding — residues sit under
+   negation. *)
+let encode_cond (enc : encoded) cond =
+  let { e; sk; _ } = enc in
+  let ctx = e.ctx in
+  let rec lit = function
+    | Known b -> if b then T else F
+    | Final (ws, v) ->
         or_full ctx
           (List.filter_map
              (fun w ->
@@ -437,28 +507,11 @@ let encode_cond (enc : encoded) =
                            if w' = w then None else Some e.co.(w').(w))
                          ws)))
              ws)
+    | Not3 c -> neg (lit c)
+    | And3 (a, b) -> and_full ctx [ lit a; lit b ]
+    | Or3 (a, b) -> or_full ctx [ lit a; lit b ]
   in
-  let atom = function
-    | Litmus.Ast.Reg_eq (tid, r, cv) ->
-        let expected = Litmus.Ast.cvalue_to_int test cv in
-        let v =
-          match Execution.reg_value rep tid r with Some v -> v | None -> 0
-        in
-        of_bool (v = expected)
-    | Litmus.Ast.Mem_eq (x, cv) ->
-        final_is x (Litmus.Ast.cvalue_to_int test cv)
-  in
-  let rec go = function
-    | Litmus.Ast.Atom a -> atom a
-    | Litmus.Ast.Not c -> neg (go c)
-    | Litmus.Ast.And (a, b) -> and_full ctx [ go a; go b ]
-    | Litmus.Ast.Or (a, b) -> or_full ctx [ go a; go b ]
-    | Litmus.Ast.Ctrue -> T
-  in
-  let cond = go test.Litmus.Ast.cond in
-  match test.Litmus.Ast.quant with
-  | Litmus.Ast.Q_exists | Litmus.Ast.Q_not_exists -> assert_lit ctx cond
-  | Litmus.Ast.Q_forall -> assert_lit ctx (neg cond)
+  assert_lit ctx (lit cond)
 
 (* ------------------------------------------------------------------ *)
 (* Decoding                                                            *)
@@ -502,6 +555,8 @@ let c_structures = Obs.Counter.make "solve.structures"
 let c_conflicts = Obs.Counter.make "solve.conflicts"
 let c_sat = Obs.Counter.make "solve.sat"
 let c_unsat = Obs.Counter.make "solve.unsat"
+let c_cond_refuted = Obs.Counter.make "solve.cond_refuted"
+let c_encoded = Obs.Counter.make "solve.encoded"
 let c_spurious = Obs.Counter.make "solve.spurious"
 let c_propagations = Obs.Counter.make "solve.propagations"
 let c_restarts = Obs.Counter.make "solve.restarts"
@@ -562,14 +617,21 @@ let run_exn ?budget ~conflicts ~decisions ~axioms (module M : Check.MODEL)
           };
     }
   in
-  (* Solve one structure under a configuration; [`Sat x] decodes the
-     model (re-validation is the caller's business). *)
-  let solve_structure ~scpv ~with_axioms sk =
-    match encode_structure ~scpv sk with
+  (* Solve one unrefuted structure, [cond] its {!asserted_cond}, under
+     a configuration; [`Sat x] decodes the model (re-validation is the
+     caller's business). *)
+  let solve_structure ~scpv ~with_axioms sk cond =
+    match
+      Obs.with_span "solve.encode" (fun () ->
+          Option.map
+            (fun enc ->
+              encode_cond enc cond;
+              if with_axioms then axioms enc.e;
+              enc)
+            (encode_structure ~scpv sk))
+    with
     | None -> `Unsat
     | Some enc -> (
-        encode_cond enc;
-        if with_axioms then axioms enc.e;
         let s = enc.e.ctx.s in
         (* CDCL shape, surfaced in obs_report's symbolic table: learned
            clause lengths and conflict decision levels as histograms,
@@ -586,29 +648,39 @@ let run_exn ?budget ~conflicts ~decisions ~axioms (module M : Check.MODEL)
             (Sat.Solver.stats s).Sat.Solver.propagations
         in
         match
-          Fun.protect ~finally:count_propagations (fun () ->
-              Sat.Solver.solve ~on_conflict ~on_decision ~on_learnt
-                ~on_restart s)
+          Obs.with_span "solve.search" (fun () ->
+              Fun.protect ~finally:count_propagations (fun () ->
+                  Sat.Solver.solve ~on_conflict ~on_decision ~on_learnt
+                    ~on_restart s))
         with
         | Sat.Solver.Unsat -> `Unsat
-        | Sat.Solver.Sat -> `Sat (decode enc))
+        | Sat.Solver.Sat ->
+            `Sat (Obs.with_span "solve.decode" (fun () -> decode enc)))
   in
   Obs.with_span ~item:test.Litmus.Ast.name "solve" (fun () ->
       let found = ref None in
-      (* retained for the forensic pass: skeletons are cheap relative
-         to solving, and re-running Sem would double-charge the budget *)
+      (* Structures the condition refutes are done here: encoding one
+         would only end in the empty clause.  The rest are retained for
+         the forensic pass when an explainer will read them (re-running
+         Sem would double-charge the budget). *)
       let seen = ref [] in
       (try
          Seq.iter
            (fun sk ->
              Obs.Counter.incr c_structures;
-             seen := sk :: !seen;
-             match solve_structure ~scpv:true ~with_axioms:true sk with
-             | `Unsat -> Obs.Counter.incr c_unsat
-             | `Sat x ->
-                 Obs.Counter.incr c_sat;
-                 found := Some x;
-                 raise Exit)
+             match asserted_cond sk with
+             | Known false ->
+                 Obs.Counter.incr c_cond_refuted;
+                 Obs.Counter.incr c_unsat
+             | cond -> (
+                 Obs.Counter.incr c_encoded;
+                 if explainer <> None then seen := (sk, cond) :: !seen;
+                 match solve_structure ~scpv:true ~with_axioms:true sk cond with
+                 | `Unsat -> Obs.Counter.incr c_unsat
+                 | `Sat x ->
+                     Obs.Counter.incr c_sat;
+                     found := Some x;
+                     raise Exit))
            (Execution.skeletons ?budget test)
        with Exit -> ());
       match !found with
@@ -637,14 +709,15 @@ let run_exn ?budget ~conflicts ~decisions ~axioms (module M : Check.MODEL)
              the model: the axioms are the only constraints dropped),
              falling back to an incoherent one (the class the scalar
              path's prefilter kills) — and run the scalar explainer on
-             it. *)
+             it.  Only unrefuted structures were retained: a refuted one
+             has no condition-satisfying candidate, axioms or not. *)
           match explainer with
           | None -> sat_result Check.Forbid None None []
           | Some explain ->
               let rec first_sat ~scpv = function
                 | [] -> None
-                | sk :: rest -> (
-                    match solve_structure ~scpv ~with_axioms:false sk with
+                | (sk, cond) :: rest -> (
+                    match solve_structure ~scpv ~with_axioms:false sk cond with
                     | `Sat x -> Some x
                     | `Unsat -> first_sat ~scpv rest)
               in

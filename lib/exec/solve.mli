@@ -111,6 +111,15 @@ type solve_fn =
     are refuted (Forbid).  [M] is the *scalar* model the decoded
     witness is re-validated against — it must agree with [axioms].
 
+    The condition is evaluated on each structure first, in three-valued
+    logic over the values the structure fixes (registers, and memory
+    where no coherence choice matters); a structure whose asserted
+    condition is statically false is refuted without building any CNF
+    ([solve.cond_refuted] counts these, [solve.encoded] the rest), and
+    only the undecided residue of the condition is encoded.  Per encoded
+    structure the [solve.encode], [solve.search] and [solve.decode]
+    spans split the time.
+
     Budgets map onto solver work: each conflict counts as a candidate
     (so [max_candidates] bounds total conflicts) and each conflict or
     decision probes the wall clock; a tripped budget yields the same

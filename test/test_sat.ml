@@ -5,7 +5,10 @@
      validity, learned-clause entailment);
    - the encoder end-to-end against the enumerative engines: verdict
      agreement over the whole golden corpus, through the public
-     {!Exec.Oracle.run} entry the harness uses;
+     {!Exec.Oracle.run} entry the harness uses, and over every
+     quantifier with conditions the condition gate decides true, false
+     or leaves to the solver; the forensic re-solve on every corpus
+     Forbid;
    - the re-validation contract: tampered axioms must surface as a
      classified [Spurious] error, never as a verdict; and the two
      budget-breaking tests the enumerative engines give up on must come
@@ -144,6 +147,149 @@ let test_corpus_agreement () =
         entries
 
 (* ------------------------------------------------------------------ *)
+(* The condition gate                                                  *)
+(* ------------------------------------------------------------------ *)
+
+(* [f ()] with the collector on; returns its result and the counters it
+   left behind. *)
+let with_counters f =
+  Obs.set_enabled true;
+  Obs.reset ();
+  Fun.protect
+    ~finally:(fun () ->
+      Obs.set_enabled false;
+      Obs.reset ())
+    (fun () ->
+      let r = f () in
+      let counters = Obs.counters () in
+      let count name = Option.value ~default:0 (List.assoc_opt name counters) in
+      (r, count))
+
+(* MP with a second writer of x, so a condition on x's final value is
+   left to the coherence order.  z is written by no thread and r9 is
+   set by no thread. *)
+let gate_test quant cond =
+  Litmus.parse
+    (Printf.sprintf
+       "C gate\n\
+        { }\n\
+        P0(int *x, int *y) { WRITE_ONCE(*x, 1); smp_wmb(); WRITE_ONCE(*y, 1); }\n\
+        P1(int *x, int *y) { int r0 = READ_ONCE(*y); smp_rmb(); int r1 = \
+        READ_ONCE(*x); }\n\
+        P2(int *x) { WRITE_ONCE(*x, 2); }\n\
+        %s (%s)\n"
+       quant cond)
+
+(* Each quantifier over a condition the gate decides true on every
+   structure, one it decides false on every structure, and ones it
+   leaves to the solver: the SAT verdict must equal the batched
+   engine's, and the counters must show the gate deciding as claimed. *)
+let test_quantifiers () =
+  let conds =
+    [
+      (`True, "z=0 /\\ 1:r9=0");
+      (`False, "x=5 \\/ 1:r9=1");
+      (`Residual, "1:r0=1 /\\ x=2");
+      (`Residual, "1:r0=1 /\\ 1:r1=0 /\\ ~(x=1)");
+      (`Residual, "x=1 \\/ 1:r1=2");
+    ]
+  in
+  List.iter
+    (fun quant ->
+      List.iter
+        (fun (kind, cond) ->
+          let name = Printf.sprintf "%s (%s)" quant cond in
+          let t = gate_test quant cond in
+          let r, count = with_counters (fun () -> sat_check t) in
+          let b = sat_check ~backend:Exec.Check.Batch t in
+          Alcotest.(check string) (name ^ ": sat = batch")
+            (Exec.Check.verdict_to_string b.Exec.Check.verdict)
+            (Exec.Check.verdict_to_string r.Exec.Check.verdict);
+          let structures = count "solve.structures"
+          and refuted = count "solve.cond_refuted"
+          and encoded = count "solve.encoded" in
+          Alcotest.(check int) (name ^ ": refuted + encoded = structures")
+            structures (refuted + encoded);
+          (* forall asserts the negation *)
+          let asserted_false =
+            match (kind, quant) with
+            | `False, ("exists" | "~exists") | `True, "forall" -> Some true
+            | `True, ("exists" | "~exists") | `False, "forall" -> Some false
+            | _ -> None
+          in
+          match asserted_false with
+          | Some true ->
+              Alcotest.(check int) (name ^ ": every structure refuted")
+                structures refuted
+          | Some false ->
+              Alcotest.(check int) (name ^ ": no structure refuted") 0 refuted
+          | None ->
+              Alcotest.(check bool) (name ^ ": some structure encoded") true
+                (encoded > 0))
+        conds)
+    [ "exists"; "~exists"; "forall" ]
+
+(* MP's relaxed outcome fixes both registers, so most structures are
+   refuted by their read values alone. *)
+let test_mp_refutes () =
+  let mp = Litmus.parse (Harness.Battery.find "MP").Harness.Battery.source in
+  let r, count = with_counters (fun () -> sat_check mp) in
+  let b = sat_check ~backend:Exec.Check.Batch mp in
+  Alcotest.(check string) "MP sat = batch"
+    (Exec.Check.verdict_to_string b.Exec.Check.verdict)
+    (Exec.Check.verdict_to_string r.Exec.Check.verdict);
+  Alcotest.(check bool) "some structure refuted" true
+    (count "solve.cond_refuted" > 0);
+  Alcotest.(check int) "refuted + encoded = structures"
+    (count "solve.structures")
+    (count "solve.cond_refuted" + count "solve.encoded")
+
+(* ------------------------------------------------------------------ *)
+(* The forensic pass                                                   *)
+(* ------------------------------------------------------------------ *)
+
+(* Every corpus Forbid, explained through the SAT backend: the
+   re-solve without the axioms must find a candidate that matches the
+   quantified condition and that the model or coherence rejects, and
+   the explainer must say why. *)
+let test_forensic_pass () =
+  match corpus_dir with
+  | None -> Alcotest.fail "corpus directory not found"
+  | Some dir ->
+      let forbids =
+        List.filter (fun (_, lk) -> lk = "Forbid") (manifest dir)
+      in
+      Alcotest.(check bool) "corpus has Forbid tests" true (forbids <> []);
+      List.iter
+        (fun (file, _) ->
+          let t =
+            Litmus.parse (Harness.Runner.read_file (Filename.concat dir file))
+          in
+          let r =
+            Exec.Oracle.run ~budget:(Exec.Budget.start Exec.Budget.default)
+              ~backend:Exec.Check.Sat ~explainer:Lkmm.Explain.explainer
+              Lkmm.oracle t
+          in
+          Alcotest.(check string) (file ^ " verdict") "Forbid"
+            (Exec.Check.verdict_to_string r.Exec.Check.verdict);
+          match r.Exec.Check.counterexample with
+          | None -> Alcotest.failf "%s: no counterexample" file
+          | Some x ->
+              let holds = Exec.satisfies_cond x in
+              let matches =
+                match t.Litmus.Ast.quant with
+                | Litmus.Ast.Q_exists | Litmus.Ast.Q_not_exists -> holds
+                | Litmus.Ast.Q_forall -> not holds
+              in
+              Alcotest.(check bool) (file ^ " matches the condition") true
+                matches;
+              Alcotest.(check bool) (file ^ " is rejected") true
+                ((not (Lkmm.consistent x)) || not (Exec.coherent x));
+              Alcotest.(check bool) (file ^ " is explained") true
+                (r.Exec.Check.explanations <> []))
+        forbids
+
+(* ------------------------------------------------------------------ *)
 (* Budget-breakers: Unknown enumeratively, decided symbolically        *)
 (* ------------------------------------------------------------------ *)
 
@@ -243,6 +389,18 @@ let () =
         [
           Alcotest.test_case "sat agrees with golden + batch" `Slow
             test_corpus_agreement;
+        ] );
+      ( "condition gate",
+        [
+          Alcotest.test_case "quantifiers agree with batch" `Quick
+            test_quantifiers;
+          Alcotest.test_case "MP refutes by read values" `Quick
+            test_mp_refutes;
+        ] );
+      ( "forensics",
+        [
+          Alcotest.test_case "every corpus Forbid explained" `Slow
+            test_forensic_pass;
         ] );
       ( "budget-breakers",
         [ Alcotest.test_case "solver decides what enum cannot" `Quick

@@ -217,7 +217,13 @@ let profile path =
          let sat = Option.value ~default:0 (counter "solve.sat")
          and unsat = Option.value ~default:0 (counter "solve.unsat") in
          Printf.printf "  %-28s %12d (sat %d, unsat %d)\n"
-           "structures solved" s sat unsat
+           "structures solved" s sat unsat;
+         (* refuted by the condition before encoding, or encoded *)
+         let refuted = Option.value ~default:0 (counter "solve.cond_refuted")
+         and encoded = Option.value ~default:0 (counter "solve.encoded") in
+         Printf.printf "  %-28s %12d / %d (%.1f%% refuted)\n"
+           "refuted / encoded" refuted encoded
+           (100. *. float_of_int refuted /. float_of_int (Stdlib.max 1 s))
      | None -> ());
      (match counter "solve.conflicts" with
      | Some c -> Printf.printf "  %-28s %12d\n" "conflicts" c
