@@ -120,6 +120,17 @@ let of_list ps =
 
 let singleton x y = add x y empty
 
+let init n f =
+  if n < 0 then invalid_arg "Rel.init: negative size";
+  let w = words n in
+  let bits = Array.make (n * w) 0 in
+  for x = 0 to n - 1 do
+    for y = 0 to n - 1 do
+      if f x y then set_bit bits w x y
+    done
+  done;
+  { n; w; bits }
+
 (* Iterate the successors of row [i] in increasing order. *)
 let iter_row f t i =
   let base = i * t.w in
@@ -258,8 +269,8 @@ let set_row_from ~src j i t =
   Array.blit src.bits (j * src.w) bits (i * t.w) t.w;
   { t with bits }
 
-let id_of_set s = Iset.fold (fun x acc -> add x x acc) s empty
-let id_of_list xs = List.fold_left (fun acc x -> add x x acc) empty xs
+let id_of_list xs = of_list (List.map (fun x -> (x, x)) xs)
+let id_of_set s = id_of_list (Iset.to_list s)
 
 (* The bit-vector mask of an integer set, at [w] words. *)
 let mask_of_set w s =

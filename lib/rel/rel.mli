@@ -40,6 +40,10 @@ val remove : int -> int -> t -> t
 val singleton : int -> int -> t
 val of_list : (int * int) list -> t
 
+(** [init n f] is [{(x, y) | 0 <= x, y < n, f x y}], built in one pass
+    (no per-pair copy, unlike repeated {!add}). *)
+val init : int -> (int -> int -> bool) -> t
+
 (** Pairs in lexicographic order. *)
 val to_list : t -> (int * int) list
 

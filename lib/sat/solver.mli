@@ -1,6 +1,7 @@
 (** A dependency-free CDCL SAT solver: two-watched-literal propagation,
     first-UIP conflict-driven clause learning, VSIDS-style variable
-    activity with phase saving, and Luby restarts.
+    activity (branching from an activity-ordered heap, ties to the
+    lowest index) with phase saving, and Luby restarts.
 
     Variables are positive integers allocated with {!new_var}; a literal
     is a non-zero integer whose sign is its polarity (DIMACS
@@ -30,9 +31,15 @@ val new_var : t -> int
 val nvars : t -> int
 
 val add_clause : t -> lit list -> unit
-(** Add a clause over already-allocated variables.  Tautologies are
-    dropped, duplicate literals merged; an empty (or all-false) clause
-    marks the instance unsatisfiable.  Must be called before {!solve}. *)
+(** Add a clause over already-allocated variables.  Tautologies and
+    clauses true at level 0 are dropped, duplicate literals merged and
+    literals false at level 0 removed; an empty (or all-false) clause
+    marks the instance unsatisfiable.  Must be called before {!solve}.
+    Raises [Invalid_argument] on a literal that is 0 or names a
+    variable not yet allocated. *)
+
+val nclauses : t -> int
+(** Clauses handed to {!add_clause} so far, simplified away or not. *)
 
 val solve :
   ?on_conflict:(unit -> unit) ->

@@ -225,6 +225,17 @@ let profile path =
            "refuted / encoded" refuted encoded
            (100. *. float_of_int refuted /. float_of_int (Stdlib.max 1 s))
      | None -> ());
+     (* CNF size over the encoded structures *)
+     (match (counter "solve.vars", counter "solve.clauses") with
+     | Some v, Some c ->
+         let encoded =
+           Stdlib.max 1 (Option.value ~default:0 (counter "solve.encoded"))
+         in
+         Printf.printf "  %-28s %12d / %d (%.0f / %.0f per structure)\n"
+           "CNF variables / clauses" v c
+           (float_of_int v /. float_of_int encoded)
+           (float_of_int c /. float_of_int encoded)
+     | _ -> ());
      (match counter "solve.conflicts" with
      | Some c -> Printf.printf "  %-28s %12d\n" "conflicts" c
      | None -> ());
