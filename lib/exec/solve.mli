@@ -1,7 +1,9 @@
 (** The symbolic checking backend: a litmus test's candidate space,
     one event structure at a time, rendered as CNF over one-hot rf
     choices and per-location boolean coherence orders, and decided by
-    the CDCL core in [lib/sat].
+    the CDCL core in [lib/sat].  Sc-per-location is asserted as the
+    five two-access coherence patterns over each po-loc pair, directly
+    over the rf/co literals.
 
     The whole LK derivation chain is monotone in rf and co, so derived
     relations carry one-sided "support" clauses only, and the

@@ -70,6 +70,10 @@ let prop_ops_agree =
       && Iset.equal (D.range d1) (S.range s1)
       && Iset.equal (D.field d1) (S.field s1)
       && agree (D.id_of_set half) (S.id_of_set half)
+      && agree
+           (D.id_of_list [ n - 1; 0; n - 1 ])
+           (S.id_of_list [ n - 1; 0; n - 1 ])
+      && agree (D.init n (fun a b -> S.mem a b s1 && p a b)) (S.filter p s1)
       && agree (D.cartesian half u) (S.cartesian half u)
       && agree (D.restrict_domain half d1) (S.restrict_domain half s1)
       && agree (D.restrict_range half d1) (S.restrict_range half s1)
