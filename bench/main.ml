@@ -231,7 +231,9 @@ let timings () =
         (Staged.stage (fun () -> ignore (Lkmm.check mp)));
       Test.make ~name:"table5:lk-cat-verdict(MP+wmb+rmb)"
         (Staged.stage (fun () ->
-             ignore (Exec.Check.run (Cat.to_check_model ~name:"LK" lk_cat) mp)));
+             ignore
+               (Exec.Oracle.run ~backend:Exec.Check.Enum
+                  (Cat.to_oracle ~name:"LK" lk_cat) mp)));
       Test.make ~name:"table5:c11-verdict(MP+wmb+rmb)"
         (Staged.stage (fun () ->
              ignore (Exec.Check.run (module Models.C11) mp)));
@@ -307,8 +309,7 @@ let ablation_variants () =
   in
   let verdict model test =
     Exec.Check.verdict_to_string
-      (Exec.Check.run (Cat.to_check_model ~name:"v" model) test)
-        .Exec.Check.verdict
+      (Exec.Oracle.run (Cat.to_oracle ~name:"v" model) test).Exec.Check.verdict
   in
   let lk = Cat.parse Cat.Stdmodels.lk in
   let no_alpha =

@@ -11,9 +11,8 @@
 open Cmdliner
 
 let main size sample seed_range verdicts outdir timeout max_candidates
-    max_events jobs journal resume json backend_opt trace metrics =
+    max_events jobs journal resume json backend trace metrics =
   Harness.Cli.with_obs ~trace ~metrics @@ fun () ->
-  let backend = Harness.Cli.backend ~backend:backend_opt ~no_batch:false in
   (* with --json, stdout carries the report; the listing moves to stderr *)
   let ppf = if json then Fmt.stderr else Fmt.stdout in
   let t_start = Unix.gettimeofday () in

@@ -249,10 +249,9 @@ let shrink_failures ~limits ~backend ~oracle ~pool_config
 
 let main model verbose outcomes dot explain explain_diff_spec builtin timeout
     max_candidates max_events json jobs mem_limit journal resume shrink
-    no_batch backend_opt trace metrics files =
+    backend trace metrics files =
   Harness.Cli.with_obs ~trace ~metrics @@ fun () ->
   let oracle = oracle_of_name model in
-  let backend = Harness.Cli.backend ~backend:backend_opt ~no_batch in
   let mname = model_display_name model in
   let limits =
     Exec.Budget.limits ?timeout ?max_events ?max_candidates ()
@@ -421,7 +420,7 @@ let cmd =
       $ explain_arg $ explain_diff_arg
       $ builtin_arg $ C.timeout_arg $ C.max_candidates_arg $ C.max_events_arg
       $ C.json_arg $ C.jobs_arg $ C.mem_limit_arg $ C.journal_arg
-      $ C.resume_arg $ shrink_arg $ C.no_batch_arg $ C.backend_arg
+      $ C.resume_arg $ shrink_arg $ C.backend_arg
       $ C.trace_arg $ C.metrics_arg $ files_arg)
 
 let () = Harness.Cli.eval ~name:"herd_lk" cmd

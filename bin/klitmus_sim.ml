@@ -65,9 +65,8 @@ let run_one ppf archs runs seed check stable limits backend test =
   (!errors, !budget_outs, !budget_reason)
 
 let main archs runs seed check stable timeout max_candidates journal resume
-    json backend_opt trace metrics files builtin =
+    json backend trace metrics files builtin =
   Harness.Cli.with_obs ~trace ~metrics @@ fun () ->
-  let backend = Harness.Cli.backend ~backend:backend_opt ~no_batch:false in
   let module R = Harness.Runner in
   let module J = Harness.Journal in
   (* with --json, stdout carries the report; progress moves to stderr *)

@@ -145,8 +145,7 @@ let emit_report ~json ~out rep =
 
 let run_main dir size (seed_lo, seed_hi) shard_size jobs models archs hw_runs
     timeout max_candidates max_events lease_timeout max_rows explain out
-    poison wedge flight metrics_interval quiet json backend_opt trace metrics
-    =
+    poison wedge flight metrics_interval quiet json backend trace metrics =
   C.with_obs ~trace ~metrics @@ fun () ->
   let limits =
     (* flag-less runs keep the deterministic candidate/event caps; any
@@ -172,7 +171,7 @@ let run_main dir size (seed_lo, seed_hi) shard_size jobs models archs hw_runs
       lease_timeout;
       max_rows;
       explain;
-      backend = C.backend ~backend:backend_opt ~no_batch:false;
+      backend;
       poison;
       wedge;
       flight;

@@ -256,7 +256,7 @@ let client_main socket model timeout_ms stats metrics_dump prom shutdown files
       code
 
 let main socket workers queue default_timeout wedge_grace cache_journal fsync
-    chaos_ops max_line timeout no_batch backend_opt trace metrics flight_dir
+    chaos_ops max_line timeout backend trace metrics flight_dir
     flight_interval client client_files model timeout_ms stats metrics_dump
     prom shutdown =
   if client || stats || metrics_dump || shutdown then
@@ -291,7 +291,7 @@ let main socket workers queue default_timeout wedge_grace cache_journal fsync
               chaos_ops;
               retries = 1;
               backoff = 0.05;
-              backend = Harness.Cli.backend ~backend:backend_opt ~no_batch;
+              backend;
               flight_dir;
               flight_interval;
             }
@@ -304,8 +304,8 @@ let cmd =
     Term.(
       const main $ socket_arg $ workers_arg $ queue_arg $ default_timeout_arg
       $ wedge_grace_arg $ cache_journal_arg $ fsync_arg $ chaos_ops_arg
-      $ max_line_arg $ Harness.Cli.timeout_arg $ Harness.Cli.no_batch_arg
-      $ Harness.Cli.backend_arg $ Harness.Cli.trace_arg
+      $ max_line_arg $ Harness.Cli.timeout_arg $ Harness.Cli.backend_arg
+      $ Harness.Cli.trace_arg
       $ Harness.Cli.metrics_arg $ flight_dir_arg $ flight_interval_arg
       $ client_flag $ client_arg $ model_arg $ timeout_ms_arg $ stats_flag
       $ metrics_dump_flag $ prom_flag $ shutdown_flag)

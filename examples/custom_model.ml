@@ -27,7 +27,7 @@ let replace ~what ~with_ src =
 
 let verdict model test =
   Exec.Check.verdict_to_string
-    (Exec.Check.run (Cat.to_check_model ~name:"custom" model) test)
+    (Exec.Oracle.run (Cat.to_oracle ~name:"custom" model) test)
       .Exec.Check.verdict
 
 let battery name = Harness.Battery.test_of (Harness.Battery.find name)

@@ -61,8 +61,10 @@ let () =
   ignore (check mp_fenced);
   Fmt.pr "%a@." Lkmm.Explain.pp_test_verdict (Litmus.parse mp_fenced);
 
-  (* The same model is executable from its cat source, like herd does. *)
+  (* The same model is executable from its cat source, like herd does:
+     [Cat.to_oracle] packages it for the same checker. *)
   Fmt.pr "== The same verdicts from the cat-interpreted model (lk.cat) ==@.";
-  let cat_result = Cat.check_lk (Litmus.parse mp_fenced) in
+  let lk_cat = Cat.to_oracle ~name:"LK(cat)" (Lazy.force Cat.lk) in
+  let cat_result = Exec.Oracle.run lk_cat (Litmus.parse mp_fenced) in
   Fmt.pr "MP+wmb+rmb under lk.cat: %a@." Exec.Check.pp_verdict
     cat_result.Exec.Check.verdict

@@ -39,112 +39,29 @@ let outcomes ?budget (model : model) (x : Exec.t) =
 let consistent ?budget (model : model) (x : Exec.t) =
   List.for_all (fun (o : Interp.outcome) -> o.holds) (outcomes ?budget model x)
 
-(** [to_check_model ~name ?budget ?cache model] packages a cat model for
-    {!Exec.Check.run}.  Pass the same running budget to {!Exec.Check.run}
-    so the fixpoint interpreter shares the test's deadline.
-
-    With [?cache] (default [true]), the model is compiled once
-    ({!Interp.compile}) and its static prefix — every binding depending
-    only on the event structure, not on the rf/co witness — is evaluated
-    once per event structure and reused across the candidates sharing
-    it.  The enumeration yields all witnesses of one event structure
-    consecutively with a physically shared [events] array, so a one-slot
-    cache keyed on that array's identity hits for all but the first
-    candidate of each structure.  Caching is observationally transparent
-    (prefix replay reproduces {!Interp.run} exactly); [~cache:false]
-    recovers the direct interpreter, e.g. for benchmarking. *)
 let c_cache_hits = Obs.Counter.make "cat.cache.hits"
 let c_cache_misses = Obs.Counter.make "cat.cache.misses"
 let h_replay = Obs.Histogram.make "cat.replay_us"
 
-let to_check_model ~name ?budget ?(cache = true) (model : model) :
-    (module Exec.Check.MODEL) =
-  if not cache then
-    (module struct
-      let name = name
-      let consistent = consistent ?budget model
-    end)
-  else begin
-    let compiled = Interp.compile model in
-    let slot : (Exec.Event.t array * Interp.prefix) option ref = ref None in
-    (module struct
-      let name = name
-
-      let consistent (x : Exec.t) =
-        let env = Interp.env_of_execution x in
-        let prefix =
-          match !slot with
-          | Some (ev, p) when ev == x.Exec.events ->
-              Obs.Counter.incr c_cache_hits;
-              p
-          | _ ->
-              Obs.Counter.incr c_cache_misses;
-              let p = Interp.prefix ?budget compiled env in
-              slot := Some (x.Exec.events, p);
-              p
-        in
-        let t0 = if Obs.enabled () then Obs.now_us () else 0. in
-        let outcomes = Interp.run_with_prefix ?budget prefix env in
-        if Obs.enabled () then
-          Obs.Histogram.observe h_replay (Obs.now_us () -. t0);
-        List.for_all (fun (o : Interp.outcome) -> o.holds) outcomes
-    end)
-  end
-
-(** [to_batched_model ~name ?budget model] packages a cat model for the
-    batched path of {!Exec.Check.run}: a scalar {!Exec.Check.MODEL} plus
-    a {!Exec.Check.batch_fn} deciding up to 63 pairwise
-    static-compatible witnesses per word-parallel pass
-    ({!Interp.run_with_prefix_batched}); statics come from the first
-    candidate, which the compatibility contract makes representative.
-    Both share one compiled model and one static-prefix slot, so mixing
-    them (the batch loop never calls the scalar module, but callers may)
-    stays cheap.  [~coherent] is ignored — cat models re-check their
-    coherence axiom even on prefiltered candidates, which is sound and
-    keeps the evaluator oblivious to which checks encode coherence. *)
-let to_batched_model ~name ?budget (model : model) :
-    (module Exec.Check.MODEL) * Exec.Check.batch_fn =
-  let compiled = Interp.compile model in
-  let slot : (Exec.Event.t array * Interp.prefix) option ref = ref None in
-  let prefix_of (x : Exec.t) =
-    match !slot with
-    | Some (ev, p) when ev == x.Exec.events ->
-        Obs.Counter.incr c_cache_hits;
-        p
-    | _ ->
-        Obs.Counter.incr c_cache_misses;
-        let p = Interp.prefix ?budget compiled (Interp.env_of_execution x) in
-        slot := Some (x.Exec.events, p);
-        p
-  in
-  let scalar : (module Exec.Check.MODEL) =
-    (module struct
-      let name = name
-
-      let consistent (x : Exec.t) =
-        let env = Interp.env_of_execution x in
-        let prefix = prefix_of x in
-        let t0 = if Obs.enabled () then Obs.now_us () else 0. in
-        let outcomes = Interp.run_with_prefix ?budget prefix env in
-        if Obs.enabled () then
-          Obs.Histogram.observe h_replay (Obs.now_us () -. t0);
-        List.for_all (fun (o : Interp.outcome) -> o.holds) outcomes
-    end)
-  in
-  let batch ~coherent:_ ~mask (xs : Exec.t array) =
-    let prefix = prefix_of xs.(0) in
-    let benv = Interp.benv_of_executions ~mask xs in
-    Interp.run_with_prefix_batched ?budget prefix benv
-  in
-  (scalar, batch)
-
 (** [to_oracle ~name model] packages a cat model as an
-    {!Exec.Oracle.t}: the scalar and bit-plane batched engines of
-    {!to_batched_model} sharing one compiled model and one
-    static-prefix slot, budget-indexed per request (the fixpoint
-    interpreter shares the test's deadline).  No symbolic engine yet —
-    a [Sat] request falls back enumeratively, counted, per
-    {!Exec.Oracle.run}. *)
+    {!Exec.Oracle.t} with a scalar and a bit-plane batched engine,
+    budget-indexed per request (the fixpoint interpreter shares the
+    test's deadline).
+
+    The model is compiled once ({!Interp.compile}) and its static
+    prefix — every binding depending only on the event structure, not
+    on the rf/co witness — is evaluated once per event structure and
+    reused across the candidates sharing it.  The enumeration yields
+    all witnesses of one event structure consecutively with a physically
+    shared [events] array, so one slot keyed on that array's identity,
+    shared by both engines, hits for all but the first candidate of
+    each structure.  Prefix replay reproduces {!Interp.run} exactly.
+    The batched engine decides up to 63 pairwise static-compatible
+    witnesses per pass ({!Interp.run_with_prefix_batched}), taking
+    statics from the first; it ignores [~coherent], since cat models
+    re-check their coherence axiom even on prefiltered candidates.  No
+    symbolic engine yet — a [Sat] request falls back enumeratively,
+    counted, per {!Exec.Oracle.run}. *)
 let to_oracle ~name (model : model) : Exec.Oracle.t =
   let compiled = Interp.compile model in
   let slot : (Exec.Event.t array * Interp.prefix) option ref = ref None in
@@ -190,14 +107,7 @@ let check_names = Explain.check_names
 (** The shipped LK model (lk.cat), parsed. *)
 let lk = lazy (parse Stdmodels.lk)
 
-(** [check_lk test] runs [test] against the cat-interpreted LK model,
-    batched ([?batched], default [true]: the bit-plane path,
-    observationally identical to the scalar one). *)
-let check_lk ?(batched = true) test =
-  if batched then
-    let m, batch = to_batched_model ~name:"LK(cat)" (Lazy.force lk) in
-    Exec.Check.run ~batch m test
-  else
-    Exec.Check.run ~delta:false
-      (to_check_model ~name:"LK(cat)" (Lazy.force lk))
-      test
+(** [check_lk test] runs [test] against the cat-interpreted LK model
+    through {!to_oracle}'s batched engine. *)
+let check_lk test =
+  Exec.Oracle.run (to_oracle ~name:"LK(cat)" (Lazy.force lk)) test

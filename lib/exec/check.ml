@@ -121,8 +121,8 @@ let h_model = Obs.Histogram.make "check.model_us"
 let c_batch_flushes = Obs.Counter.make "check.batch.flushes"
 let h_occupancy = Obs.Histogram.make "check.batch.occupancy"
 
-let run_exn ?budget ?(prefilter = true) ?delta ?batch ?explainer
-    (module M : MODEL) (test : Litmus.Ast.t) =
+let run_exn ?budget ?batch ?explainer (module M : MODEL) (test : Litmus.Ast.t)
+    =
   let satisfies x =
     match test.quant with
     | Litmus.Ast.Q_exists | Litmus.Ast.Q_not_exists -> Execution.satisfies_cond x
@@ -143,11 +143,7 @@ let run_exn ?budget ?(prefilter = true) ?delta ?batch ?explainer
   let track_cex = explainer <> None in
   let cex = ref None and cex_prefiltered = ref None in
   (* When tracing, the prefilter test and the model run are each timed
-     per candidate (two clock reads each); the branch structure below is
-     semantically identical to the untraced
-       if prefilter && not coherent then ... else if consistent then ...
-     including the short-circuit that skips [coherent] entirely when the
-     prefilter is off. *)
+     per candidate (two clock reads each). *)
   let tracing = Obs.enabled () in
   (* Per-candidate tallies, shared verbatim between the scalar loop and
      the batched flush: the flush walks its buffer in enumeration order
@@ -175,7 +171,7 @@ let run_exn ?budget ?(prefilter = true) ?delta ?batch ?explainer
   in
   Obs.with_span ~item:test.name "check" (fun () ->
       Obs.with_span ~item:test.name "enumerate" (fun () ->
-          let stream = Execution.of_test_seq ?budget ?delta test in
+          let stream = Execution.of_test_seq ?budget test in
           match batch with
           | None ->
               Seq.iter
@@ -187,8 +183,8 @@ let run_exn ?budget ?(prefilter = true) ?delta ?batch ?explainer
                   Obs.Counter.incr c_candidates;
                   Option.iter Budget.tick budget;
                   let t0 = if tracing then Obs.now_us () else 0. in
-                  let keep = (not prefilter) || Execution.coherent x in
-                  if tracing && prefilter then
+                  let keep = Execution.coherent x in
+                  if tracing then
                     Obs.Histogram.observe h_prefilter (Obs.now_us () -. t0);
                   if not keep then prefiltered x
                   else begin
@@ -235,13 +231,9 @@ let run_exn ?budget ?(prefilter = true) ?delta ?batch ?explainer
                   let full = Rel.Batch.full_mask k in
                   Obs.Counter.incr c_batch_flushes;
                   Obs.Histogram.observe h_occupancy (float_of_int k);
-                  let live =
-                    if prefilter then Execution.coherent_mask ~mask:full xs
-                    else full
-                  in
+                  let live = Execution.coherent_mask ~mask:full xs in
                   let consistent =
-                    if live = 0 then 0
-                    else batch_fn ~coherent:prefilter ~mask:live xs
+                    if live = 0 then 0 else batch_fn ~coherent:true ~mask:live xs
                   in
                   Array.iteri
                     (fun c x ->
@@ -319,80 +311,21 @@ let unknown ?budget ?(backend = Enum) ?sat reason =
    [Unknown] results carrying the partial candidate count — a check under
    a budget never raises.  Without a budget, behaviour (and exceptions)
    are exactly the pre-budget ones. *)
-let run ?budget ?prefilter ?delta ?batch ?explainer (module M : MODEL)
-    (test : Litmus.Ast.t) =
+let run ?budget ?batch ?explainer (module M : MODEL) (test : Litmus.Ast.t) =
   let backend = match batch with None -> Enum | Some _ -> Batch in
   match budget with
-  | None -> run_exn ?prefilter ?delta ?batch ?explainer (module M) test
+  | None -> run_exn ?batch ?explainer (module M) test
   | Some b -> (
-      try run_exn ~budget:b ?prefilter ?delta ?batch ?explainer (module M) test
-      with
+      try run_exn ~budget:b ?batch ?explainer (module M) test with
       | Budget.Exceeded r -> unknown ~budget:b ~backend (Budget_exceeded r)
       | Stack_overflow ->
           unknown ~budget:b ~backend (Model_error Stack_overflow)
       | exn -> unknown ~budget:b ~backend (Model_error exn))
 
-(* The set of observable outcomes under the model, ignoring the condition:
-   used to compare models with operational simulators.  May raise
-   {!Budget.Exceeded} when budgeted.  [?batch] routes the consistency
-   decisions through the same bit-plane buffering as {!run}. *)
-let allowed_outcomes ?budget ?(prefilter = true) ?delta ?batch
-    (module M : MODEL) (test : Litmus.Ast.t) =
-  let acc = ref [] in
-  let stream = Execution.of_test_seq ?budget ?delta test in
-  (match batch with
-  | None ->
-      Seq.iter
-        (fun x ->
-          Option.iter Budget.tick budget;
-          if prefilter && not (Execution.coherent x) then ()
-          else if M.consistent x then acc := Execution.outcome x :: !acc)
-        stream
-  | Some batch_fn ->
-      let memo = ref None in
-      let compatible (y : Execution.t) (x : Execution.t) =
-        y.Execution.events == x.Execution.events
-        ||
-        match !memo with
-        | Some (ea, eb, r)
-          when ea == y.Execution.events && eb == x.Execution.events ->
-            r
-        | _ ->
-            let r = Execution.static_compatible y x in
-            memo := Some (y.Execution.events, x.Execution.events, r);
-            r
-      in
-      let buf = ref [] and len = ref 0 in
-      let flush () =
-        if !len > 0 then begin
-          let xs = Array.of_list (List.rev !buf) in
-          buf := [];
-          len := 0;
-          let full = Rel.Batch.full_mask (Array.length xs) in
-          let live =
-            if prefilter then Execution.coherent_mask ~mask:full xs else full
-          in
-          let consistent =
-            if live = 0 then 0
-            else batch_fn ~coherent:prefilter ~mask:live xs
-          in
-          Array.iteri
-            (fun c x ->
-              let bit = 1 lsl c in
-              if live land bit <> 0 && consistent land bit <> 0 then
-                acc := Execution.outcome x :: !acc)
-            xs
-        end
-      in
-      Seq.iter
-        (fun x ->
-          Option.iter Budget.tick budget;
-          (match !buf with
-          | y :: _ when not (compatible y x) -> flush ()
-          | _ -> ());
-          buf := x :: !buf;
-          incr len;
-          if !len = Rel.Batch.width then flush ())
-        stream;
-      flush ());
-  List.sort_uniq compare !acc
+(* The set of observable outcomes under the model, ignoring the
+   condition (used to compare models with operational simulators): the
+   outcome projection of {!run_exn}'s loop.  May raise {!Budget.Exceeded}
+   when budgeted. *)
+let allowed_outcomes ?budget ?batch (module M : MODEL) (test : Litmus.Ast.t) =
+  (run_exn ?budget ?batch (module M) test).outcomes
+  |> List.map fst |> List.sort_uniq compare

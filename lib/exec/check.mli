@@ -97,12 +97,10 @@ val unknown :
     time as the enumeration produces them (nothing retains the full
     list), and [n_candidates] counts them as consumed.
 
-    With [?prefilter] (default [true]), candidates failing the
-    sc-per-location check ({!Execution.coherent}) are rejected — and
-    tallied in [n_prefiltered] — without running the model.  This is
-    sound for any model that enforces coherence, which every shipped
-    model does; pass [~prefilter:false] for an exotic model that allows
-    incoherent executions.
+    Candidates failing the sc-per-location check ({!Execution.coherent})
+    are rejected — and tallied in [n_prefiltered] — without running the
+    model.  This is sound for any model that enforces coherence, which
+    every shipped model does.
 
     With [?budget], the check never raises: budget violations and model
     failures yield an [Unknown] verdict whose [n_candidates] counts the
@@ -125,22 +123,21 @@ val unknown :
     and decided by word-parallel passes over candidate-major bit
     planes: the sc-per-location prefilter through
     {!Execution.coherent_mask} and the model through the given
-    {!batch_fn}; the buffer is then tallied in enumeration order, so
-    every observable of the result (counters, outcomes, witness and
-    counterexample identity) matches the scalar path's.  [?delta]
-    (default on) is forwarded to {!Execution.of_test_seq}'s incremental
-    re-evaluation; both default paths are toggled off together by the
-    CLIs' [--no-batch]. *)
+    {!batch_fn} (called with [~coherent:true]); the buffer is then
+    tallied in enumeration order, so every observable of the result
+    (counters, outcomes, witness and counterexample identity) matches
+    the scalar path's. *)
 val run :
-  ?budget:Budget.t -> ?prefilter:bool -> ?delta:bool -> ?batch:batch_fn ->
+  ?budget:Budget.t -> ?batch:batch_fn ->
   ?explainer:(Execution.t -> Explain.t list) -> (module MODEL) ->
   Litmus.Ast.t -> result
 
-(** The observable outcomes allowed by the model, ignoring the condition;
-    used to compare models with the operational simulators.  Streams and
-    prefilters like {!run}.  Raises {!Budget.Exceeded} when a budget is
-    given and trips (callers decide how to report partial soundness
+(** The observable outcomes allowed by the model, ignoring the
+    condition; used to compare models with the operational simulators.
+    The outcome projection of {!run}'s loop, so it streams, prefilters
+    and batches alike.  Raises {!Budget.Exceeded} when a budget is given
+    and trips (callers decide how to report partial soundness
     information). *)
 val allowed_outcomes :
-  ?budget:Budget.t -> ?prefilter:bool -> ?delta:bool -> ?batch:batch_fn ->
-  (module MODEL) -> Litmus.Ast.t -> Execution.outcome list
+  ?budget:Budget.t -> ?batch:batch_fn -> (module MODEL) -> Litmus.Ast.t ->
+  Execution.outcome list

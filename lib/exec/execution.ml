@@ -138,13 +138,16 @@ let structure_of (events : Event.t array) po =
     st_init_ws = set_of events Event.is_init;
   }
 
-let build ?fr ?coi ?coe test events st po addr data ctrl rmw rf co final_regs =
+(* fr = rf⁻¹;co minus identity, built row by row: rf gives each read
+   exactly one writer, so a read's from-reads row is its writer's
+   coherence row.  The identity never meets it: a read is not a write,
+   and co relates writes only. *)
+let fr_of ~co rf =
+  Rel.fold (fun w r fr -> Rel.set_row_from ~src:co w r fr) rf Rel.empty
+
+let build ?coi ?coe test events st po addr data ctrl rmw rf co final_regs =
   let int_r = st.st_int_r and ext_r = st.st_ext_r in
-  let fr =
-    match fr with
-    | Some fr -> fr
-    | None -> Rel.diff (Rel.seq (Rel.inverse rf) co) st.st_id_r
-  in
+  let fr = fr_of ~co rf in
   let rfi = Rel.inter rf int_r in
   let rfe = Rel.inter rf ext_r in
   let coi = match coi with Some r -> r | None -> Rel.inter co int_r in
@@ -330,8 +333,6 @@ let seq_product ?(tick = fun () -> ()) lists =
 
 let c_structures = Obs.Counter.make "exec.structures"
 let c_events = Obs.Counter.make "exec.events"
-let c_delta_patched = Obs.Counter.make "exec.delta.patched"
-let c_delta_full = Obs.Counter.make "exec.delta.full"
 
 (* The per-structure skeleton: everything the enumeration derives from
    one event structure before any rf/co witness is chosen.  Both
@@ -516,7 +517,7 @@ let co_of_orders sk orders =
           pairs acc order)
     Rel.empty sk.sk_co_writes
 
-let of_test_seq ?budget ?(delta = true) (test : Litmus.Ast.t) =
+let of_test_seq ?budget (test : Litmus.Ast.t) =
   let tick () = Option.iter Budget.tick budget in
   Seq.concat_map
     (fun sk ->
@@ -542,10 +543,8 @@ let of_test_seq ?budget ?(delta = true) (test : Litmus.Ast.t) =
       (* Per-location coherence orders are few (factorial in the writes
          per location, which the claim above already bounded), so their
          product is materialised once; the rf choices stream.  The co
-         choices are the *outer* loop: within one coherence order,
-         enumeration-adjacent candidates differ only in the writers of
-         a suffix of the reads (usually just the last one), which is
-         what the delta re-evaluation below patches. *)
+         choices are the *outer* loop, so coi/coe are computed once per
+         coherence order. *)
       let co_choices =
         cartesian_product ~tick
           (List.map
@@ -565,46 +564,17 @@ let of_test_seq ?budget ?(delta = true) (test : Litmus.Ast.t) =
           let co = List.fold_left Rel.union Rel.empty co_parts in
           let coi = Rel.inter co st.st_int_r
           and coe = Rel.inter co st.st_ext_r in
-          (* Incremental re-evaluation: rf is functional per read, so
-             the from-reads row of a read is exactly the coherence row
-             of its writer ((rf⁻¹;co) restricted to one read; the
-             diagonal never intersects it, reads not being writes).
-             When only some reads change writer between adjacent rf
-             choices, patch those rf edges and fr rows instead of
-             recomputing the inverse-and-compose from scratch.  [prev]
-             holds the previous candidate's rf pair list — positionally
-             aligned with [per_read_writes] — and its rf/fr. *)
-          let prev = ref None in
           Seq.map
             (fun rf_pairs ->
               Option.iter Budget.count_candidate budget;
-              let rf, fr =
-                match !prev with
-                | Some (prev_pairs, prev_rf, prev_fr) when delta ->
-                    Obs.Counter.incr c_delta_patched;
-                    let rf = ref prev_rf and fr = ref prev_fr in
-                    List.iter2
-                      (fun (w, r) (w', _) ->
-                        if w <> w' then begin
-                          rf := Rel.add w' r (Rel.remove w r !rf);
-                          fr := Rel.set_row_from ~src:co w' r !fr
-                        end)
-                      prev_pairs rf_pairs;
-                    (!rf, !fr)
-                | _ ->
-                    Obs.Counter.incr c_delta_full;
-                    let rf = Rel.of_list rf_pairs in
-                    (rf, Rel.diff (Rel.seq (Rel.inverse rf) co) st.st_id_r)
-              in
-              prev := Some (rf_pairs, rf, fr);
-              build ~fr ~coi ~coe sk.sk_test sk.sk_events st sk.sk_po
-                sk.sk_addr sk.sk_data sk.sk_ctrl sk.sk_rmw rf co
+              build ~coi ~coe sk.sk_test sk.sk_events st sk.sk_po sk.sk_addr
+                sk.sk_data sk.sk_ctrl sk.sk_rmw (Rel.of_list rf_pairs) co
                 sk.sk_final_regs)
             (seq_product ~tick per_read_writes))
         (List.to_seq co_choices))
     (skeletons ?budget test)
 
-let of_test ?budget ?delta test = List.of_seq (of_test_seq ?budget ?delta test)
+let of_test ?budget test = List.of_seq (of_test_seq ?budget test)
 
 (* ------------------------------------------------------------------ *)
 (* Coherence prefilter                                                 *)

@@ -95,8 +95,9 @@ type skeleton = {
 val skeletons : ?budget:Budget.t -> Litmus.Ast.t -> skeleton Seq.t
 
 (** [instantiate sk ~rf ~co] builds the candidate execution of [sk]
-    with the given witness; derived statics are shared with every other
-    candidate of the same skeleton. *)
+    with the given witness, in which [rf] gives each read exactly one
+    writer; derived statics are shared with every other candidate of
+    the same skeleton. *)
 val instantiate : skeleton -> rf:Rel.t -> co:Rel.t -> t
 
 (** [co_of_orders sk orders] assembles a coherence relation from
@@ -113,17 +114,14 @@ val co_of_orders : skeleton -> (string * int list) list -> Rel.t
     pre-check on the rf/co product size fails explosions before anything
     is materialised).
 
-    Within one coherence choice, enumeration-adjacent candidates differ
-    only in the writers of a suffix of the reads; with [?delta] (default
-    [true]) the enumerator patches rf and the affected from-reads rows
-    between adjacent candidates instead of recomputing them (rf being
-    functional per read, a read's fr row is exactly its writer's co
-    row).  [~delta:false] recovers the from-scratch construction; the
-    candidates produced, and their order, are identical either way. *)
-val of_test_seq : ?budget:Budget.t -> ?delta:bool -> Litmus.Ast.t -> t Seq.t
+    Coherence choices are the outer loop and rf choices the inner one.
+    Each candidate's from-reads relation is built row by row: rf being
+    functional per read, a read's fr row is exactly its writer's co row
+    (the same construction {!instantiate} uses). *)
+val of_test_seq : ?budget:Budget.t -> Litmus.Ast.t -> t Seq.t
 
 (** [of_test ?budget test] is [of_test_seq], fully materialised. *)
-val of_test : ?budget:Budget.t -> ?delta:bool -> Litmus.Ast.t -> t list
+val of_test : ?budget:Budget.t -> Litmus.Ast.t -> t list
 
 (** [coherent t] holds iff [po-loc ∪ rf ∪ co ∪ fr] is acyclic —
     sc-per-location.  Every shipped model constrains a superset of this

@@ -31,21 +31,11 @@ let make ~name ~model ?batch ?solve () = { name; model; batch; solve }
 
 let name t = t.name
 let model t ?budget () = t.model budget
-let has_batch t = Option.is_some t.batch
-let has_solve t = Option.is_some t.solve
 
-(* The engine actually selected for a request: the oracle's best match
-   for the requested backend.  [Sat] falls back (counted) when no
-   solver is shipped; [Batch] silently degrades to the scalar engine —
-   batched evaluation is an optimisation of the same enumeration, not
-   a different engine family, and scalar-only models are common. *)
-let resolve t (req : backend_request) : Check.backend =
-  match req with
-  | Check.Sat -> if has_solve t then Check.Sat else Check.Enum
-  | Check.Batch -> if has_batch t then Check.Batch else Check.Enum
-  | Check.Enum -> Check.Enum
-
-let run ?budget ?prefilter ?delta ?explainer ?(backend = Check.Batch) t test =
+let run ?budget ?explainer ?(backend = Check.Batch) t test =
+  let enumerate batch =
+    Check.run ?budget ?batch ?explainer (t.model budget) test
+  in
   match backend with
   | Check.Sat -> (
       match t.solve with
@@ -54,40 +44,21 @@ let run ?budget ?prefilter ?delta ?explainer ?(backend = Check.Batch) t test =
           (* requested symbolically, shipped enumeratively: fall back,
              loudly enough for reports to show it *)
           Obs.Counter.incr c_fallback;
-          let r =
-            Check.run ?budget ?prefilter ?delta ?explainer (t.model budget)
-              test
-          in
           {
-            r with
+            (enumerate None) with
             Check.sat =
               Some { Check.conflicts = 0; decisions = 0; fallback = true };
           })
-  | Check.Batch -> (
-      match t.batch with
-      | Some mk ->
-          Check.run ?budget ?prefilter ?delta ~batch:(mk budget) ?explainer
-            (t.model budget) test
-      | None ->
-          Check.run ?budget ?prefilter ?delta ?explainer (t.model budget) test)
-  | Check.Enum ->
-      Check.run ?budget ?prefilter ~delta:false ?explainer (t.model budget)
-        test
+  | Check.Batch -> enumerate (Option.map (fun mk -> mk budget) t.batch)
+  | Check.Enum -> enumerate None
 
 (* Model-allowed outcomes, through the oracle's enumerative engines
    (the symbolic engine answers the per-test existential question, not
    the all-outcomes one; [Sat] requests degrade to the batched path). *)
-let allowed_outcomes ?budget ?prefilter ?delta ?(backend = Check.Batch) t test
-    =
-  match backend with
-  | Check.Enum ->
-      Check.allowed_outcomes ?budget ?prefilter ~delta:false (t.model budget)
-        test
-  | Check.Batch | Check.Sat -> (
-      match t.batch with
-      | Some mk ->
-          Check.allowed_outcomes ?budget ?prefilter ?delta ~batch:(mk budget)
-            (t.model budget) test
-      | None ->
-          Check.allowed_outcomes ?budget ?prefilter ?delta (t.model budget)
-            test)
+let allowed_outcomes ?budget ?(backend = Check.Batch) t test =
+  let batch =
+    match backend with
+    | Check.Enum -> None
+    | Check.Batch | Check.Sat -> Option.map (fun mk -> mk budget) t.batch
+  in
+  Check.allowed_outcomes ?budget ?batch (t.model budget) test

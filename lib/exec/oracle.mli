@@ -41,14 +41,6 @@ val make :
 
 val name : t -> string
 val model : t -> ?budget:Budget.t -> unit -> (module Check.MODEL)
-val has_batch : t -> bool
-val has_solve : t -> bool
-
-(** The engine a request would actually run: [Sat] degrades to [Enum]
-    when no solver is shipped (the counted fallback), [Batch] to [Enum]
-    when no batch engine is shipped (a plain optimisation miss — not
-    counted). *)
-val resolve : t -> backend_request -> Check.backend
 
 (** [run t test] checks [test] through the requested backend (default
     [Batch], matching the CLIs' default engine):
@@ -56,16 +48,13 @@ val resolve : t -> backend_request -> Check.backend
       path runs, the [sat.fallback] counter ticks, and the result
       carries [sat = Some {fallback = true; _}];
     - [Batch]: the batched enumerative path if present, scalar
-      otherwise;
-    - [Enum]: the scalar path with delta re-evaluation off — the
-      reference engine.
+      otherwise (the same observables, by {!Check.run}'s contract);
+    - [Enum]: the scalar path — the reference engine.
 
-    [?prefilter]/[?delta]/[?explainer] forward to {!Check.run} on the
-    enumerative paths; the symbolic engine takes [?explainer] only. *)
+    [?explainer] forwards to {!Check.run} on the enumerative paths and
+    to the symbolic engine. *)
 val run :
   ?budget:Budget.t ->
-  ?prefilter:bool ->
-  ?delta:bool ->
   ?explainer:(Execution.t -> Explain.t list) ->
   ?backend:backend_request ->
   t ->
@@ -73,13 +62,11 @@ val run :
   Check.result
 
 (** Model-allowed outcomes through the oracle (enumerative engines
-    only: the symbolic engine answers the per-test existential
-    question, not the all-outcomes one, so [Sat] requests use the
-    batched path). *)
+    only: the symbolic engine answers the per-test existential question,
+    not the all-outcomes one, so [Sat] requests use the batched path).
+    Raises {!Budget.Exceeded} like {!Check.allowed_outcomes}. *)
 val allowed_outcomes :
   ?budget:Budget.t ->
-  ?prefilter:bool ->
-  ?delta:bool ->
   ?backend:backend_request ->
   t ->
   Litmus.Ast.t ->

@@ -86,16 +86,6 @@ let json_arg =
           "Emit the batch report as JSON on stdout (the unified \
            schema-versioned report; see README).")
 
-let no_batch_arg =
-  Arg.(
-    value & flag
-    & info [ "no-batch" ]
-        ~doc:
-          "Alias for $(b,--backend enum): evaluate candidates one at a \
-           time on the scalar reference path — no bit-plane batching, no \
-           incremental (delta) re-checking.  Ignored when $(b,--backend) \
-           is given explicitly.")
-
 let backend_conv =
   Arg.enum
     [
@@ -107,24 +97,17 @@ let backend_conv =
 let backend_arg =
   Arg.(
     value
-    & opt (some backend_conv) None
+    & opt backend_conv Exec.Check.Batch
     & info [ "backend" ] ~docv:"ENGINE"
         ~doc:
           "Checking engine: $(b,batch) (default) evaluates candidates in \
            word-parallel bit planes, $(b,enum) one at a time on the scalar \
-           reference path (no delta re-checking), $(b,sat) solves the \
-           candidate space symbolically (CDCL over a CNF encoding; decoded \
-           witnesses are re-validated through the scalar model).  Verdicts \
+           reference path, $(b,sat) solves the candidate space \
+           symbolically (CDCL over a CNF encoding; decoded witnesses are \
+           re-validated through the scalar model).  Verdicts \
            are identical across engines; a model without the requested \
            engine falls back enumeratively (counted as sat.fallback for \
            $(b,sat)).")
-
-(* One resolution rule for every binary: an explicit [--backend] wins;
-   the legacy [--no-batch] flag selects the scalar engine. *)
-let backend ~backend ~no_batch =
-  match backend with
-  | Some b -> b
-  | None -> if no_batch then Exec.Check.Enum else Exec.Check.Batch
 
 (* A..B, half-open: the deterministic seed intervals of generated
    sweeps and campaign shards. *)

@@ -35,18 +35,10 @@ val resume_arg : string option Term.t
 val json_arg : bool Term.t
 (** [--json] — emit the unified {!Report} JSON on stdout. *)
 
-val no_batch_arg : bool Term.t
-(** [--no-batch] — alias for [--backend enum] (scalar reference
-    evaluation); ignored when [--backend] is given explicitly. *)
-
-val backend_arg : Exec.Check.backend option Term.t
+val backend_arg : Exec.Check.backend Term.t
 (** [--backend enum|batch|sat] — the checking engine
-    ({!Exec.Oracle.run}); verdicts are identical across engines. *)
-
-val backend :
-  backend:Exec.Check.backend option -> no_batch:bool -> Exec.Check.backend
-(** The one resolution rule: an explicit [--backend] wins; otherwise
-    [--no-batch] selects [Enum], and the default is [Batch]. *)
+    ({!Exec.Oracle.run}), [batch] by default; verdicts are identical
+    across engines. *)
 
 val seed_range_conv : (int * int) Arg.conv
 (** ["A..B"], half-open, [A < B] — deterministic seed intervals. *)

@@ -410,7 +410,7 @@ let run_queue cfg ~worker ~on_entry ~(drain_sig : int option ref)
    so an interrupted [--journal] run is always resumable with no item
    half-recorded.  The previous handlers are restored on a normal
    return, so library callers outside a run keep their own behavior. *)
-let run ?(config = default) ?worker ?journal ?resume ?explainer ?delta ?backend
+let run ?(config = default) ?worker ?journal ?resume ?explainer ?backend
     ?(oracle = Lkmm.oracle) (items : Runner.item list) =
   let t0 = Unix.gettimeofday () in
   let config = { config with jobs = max 1 config.jobs } in
@@ -425,8 +425,8 @@ let run ?(config = default) ?worker ?journal ?resume ?explainer ?delta ?backend
     | Some w -> w
     | None ->
         fun it ->
-          Runner.run_item ~limits ~lint:config.lint ?explainer ?delta ?backend
-            ~oracle it
+          Runner.run_item ~limits ~lint:config.lint ?explainer ?backend ~oracle
+            it
   in
   let recycled =
     match resume with

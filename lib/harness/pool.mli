@@ -63,7 +63,6 @@ val run :
   ?journal:string ->
   ?resume:string ->
   ?explainer:(Exec.t -> Exec.Explain.t list) ->
-  ?delta:bool ->
   ?backend:Exec.Check.backend ->
   ?oracle:Exec.Oracle.t ->
   Runner.item list ->
@@ -78,7 +77,6 @@ val run :
     explanations and the counterexample marshal back over the result
     pipe with the entry.  [oracle] (default {!Lkmm.oracle}) and
     [backend] (default [Batch]) select the checking oracle and engine
-    through {!Exec.Oracle.run}; [delta] forwards to the enumerative
-    paths.  [journal] appends each completed entry; [resume] recycles
+    through {!Exec.Oracle.run}.  [journal] appends each completed entry; [resume] recycles
     entries from an existing journal and runs only the missing items
     (pass the same path as [journal] to extend it in place). *)

@@ -91,36 +91,6 @@ type report = Report.t = {
 
 let is_crash = Report.is_crash
 
-(* Deprecation shims, one release: the budget-indexed (model, batch)
-   pairing predating {!Exec.Oracle.t}.  Kept so out-of-tree callers
-   keep compiling (with an alert pointing at [Oracle.t], see the mli);
-   in-tree, engine selection flows through oracles only. *)
-type model_factory = Exec.Budget.t option -> (module Exec.Check.MODEL)
-
-let static_model m : model_factory = fun _ -> m
-
-type batch_factory = Exec.Budget.t option -> Exec.Check.batch_fn
-
-let static_batch b : batch_factory = fun _ -> b
-
-(* The compatibility funnel: an explicit oracle wins; a legacy (model,
-   batch) pair is wrapped into an anonymous oracle (named after the
-   model, batch engine iff one came along); nothing at all means the
-   native LK oracle with all three engines. *)
-let resolve_oracle ?oracle ?model ?batch () =
-  match oracle with
-  | Some o -> o
-  | None -> (
-      match (model, batch) with
-      | None, None -> Lkmm.oracle
-      | Some m, b ->
-          let (module M : Exec.Check.MODEL) = m None in
-          Exec.Oracle.make ~name:M.name ~model:m ?batch:b ()
-      | None, Some b ->
-          Exec.Oracle.make ~name:Lkmm.name
-            ~model:(fun _ -> (module Lkmm : Exec.Check.MODEL))
-            ~batch:b ())
-
 let of_battery (entries : Battery.entry list) =
   List.map
     (fun (e : Battery.entry) ->
@@ -140,9 +110,7 @@ let read_file path =
 exception Lint_failed of string
 
 let run_item ?(limits = Exec.Budget.default) ?deadline ?(lint = true) ?explainer
-    ?delta ?backend ?(batch : batch_factory option)
-    ?(model : model_factory option) ?oracle (item : item) =
-  let oracle = resolve_oracle ?oracle ?model ?batch () in
+    ?backend ?(oracle = Lkmm.oracle) (item : item) =
   let t0 = Unix.gettimeofday () in
   let budget =
     match deadline with
@@ -190,7 +158,7 @@ let run_item ?(limits = Exec.Budget.default) ?deadline ?(lint = true) ?explainer
                              (fun (i : Litmus.Lint.issue) ->
                                i.Litmus.Lint.message)
                              issues))));
-        let r = Exec.Oracle.run ?budget ?delta ?explainer ?backend oracle test in
+        let r = Exec.Oracle.run ?budget ?explainer ?backend oracle test in
         match r.Exec.Check.verdict with
         | Exec.Check.Unknown (Exec.Check.Budget_exceeded reason) ->
             finish (Gave_up reason)
@@ -215,12 +183,10 @@ let run_item ?(limits = Exec.Budget.default) ?deadline ?(lint = true) ?explainer
 
 let summarise = Report.summarise
 
-let run ?limits ?lint ?explainer ?delta ?backend ?model ?batch ?oracle
-    (items : item list) =
-  let oracle = resolve_oracle ?oracle ?model ?batch () in
+let run ?limits ?lint ?explainer ?backend ?oracle (items : item list) =
   let t0 = Unix.gettimeofday () in
   let entries =
-    List.map (run_item ?limits ?lint ?explainer ?delta ?backend ~oracle) items
+    List.map (run_item ?limits ?lint ?explainer ?backend ?oracle) items
   in
   summarise ~wall:(Unix.gettimeofday () -. t0) entries
 

@@ -83,27 +83,6 @@ type report = Report.t = {
 (** Whether an entry records a worker crash. *)
 val is_crash : entry -> bool
 
-(** {b Deprecated} (kept one release): the budget-indexed
-    (model, batch) pairing that predates {!Exec.Oracle.t}.  Construct
-    an oracle ([Exec.Oracle.make], [Lkmm.oracle], [Cat.to_oracle]) and
-    pass it as [?oracle] instead; a legacy pair given to {!run_item} or
-    {!run} is wrapped into an anonymous oracle internally. *)
-type model_factory = Exec.Budget.t option -> (module Exec.Check.MODEL)
-
-val static_model : (module Exec.Check.MODEL) -> model_factory
-[@@ocaml.deprecated
-  "construct an Exec.Oracle.t (Exec.Oracle.of_model, Lkmm.oracle, \
-   Cat.to_oracle) and pass it as ?oracle"]
-
-(** {b Deprecated} alongside {!model_factory}: a model's batched
-    consistency oracle, budget-indexed the same way. *)
-type batch_factory = Exec.Budget.t option -> Exec.Check.batch_fn
-
-val static_batch : Exec.Check.batch_fn -> batch_factory
-[@@ocaml.deprecated
-  "construct an Exec.Oracle.t carrying the batch engine and pass it as \
-   ?oracle"]
-
 (** Battery entries as runner items, expecting the battery's LK verdict. *)
 val of_battery : Battery.entry list -> item list
 
@@ -125,21 +104,15 @@ val read_file : string -> string
 
     Engine selection: the item is checked through [oracle] (default:
     {!Lkmm.oracle}) via {!Exec.Oracle.run} under the requested
-    [backend] (default [Batch]; [Enum] is the scalar reference path
-    with delta re-checking off — what [--no-batch] selects; [Sat] runs
-    the symbolic engine, falling back counted when the oracle ships
-    none).  The legacy [?model]/[?batch] pair is deprecated: it is
-    wrapped into an anonymous oracle, and an explicit [?oracle] wins
-    over it. *)
+    [backend] (default [Batch]; [Enum] is the scalar reference path —
+    what [--backend enum] selects; [Sat] runs the symbolic engine,
+    falling back counted when the oracle ships none). *)
 val run_item :
   ?limits:Exec.Budget.limits ->
   ?deadline:float ->
   ?lint:bool ->
   ?explainer:(Exec.t -> Exec.Explain.t list) ->
-  ?delta:bool ->
   ?backend:Exec.Check.backend ->
-  ?batch:batch_factory ->
-  ?model:model_factory ->
   ?oracle:Exec.Oracle.t ->
   item ->
   entry
@@ -151,10 +124,7 @@ val run :
   ?limits:Exec.Budget.limits ->
   ?lint:bool ->
   ?explainer:(Exec.t -> Exec.Explain.t list) ->
-  ?delta:bool ->
   ?backend:Exec.Check.backend ->
-  ?model:model_factory ->
-  ?batch:batch_factory ->
   ?oracle:Exec.Oracle.t ->
   item list ->
   report

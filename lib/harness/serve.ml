@@ -65,7 +65,7 @@ type config = {
   backoff : float; (* seconds before the first retry, doubling *)
   backend : Exec.Check.backend;
       (* checking engine for every job: [Enum] is the scalar reference
-         evaluation (no planes, no delta — the old --no-batch) *)
+         evaluation (no planes) *)
   flight_dir : string option;
       (* arm the crash flight recorder: periodic + per-job checkpoints
          of the obs ring land in <dir>/flight-<pid>.jsonl, so a kill -9,

@@ -43,8 +43,8 @@ type config = {
   backend : Exec.Check.backend;
       (** checking engine for every job ({!Exec.Oracle.run}): [Batch]
           by default; [Enum] is the scalar reference evaluation (the
-          CLI's [--backend enum] / [--no-batch]); [Sat] the symbolic
-          engine, falling back counted where a model ships none *)
+          CLI's [--backend enum]); [Sat] the symbolic engine, falling
+          back counted where a model ships none *)
   flight_dir : string option;
       (** arm the crash flight recorder ({!Obs.flight_start}): periodic
           and per-job checkpoints land in [<dir>/flight-<pid>.jsonl],

@@ -38,14 +38,10 @@ let oracle : Exec.Oracle.t =
     ~batch:(fun _ -> consistent_mask)
     ~solve ()
 
-(** [check ?budget test] runs a litmus test against the LK model; with a
-    budget the result may be [Unknown] instead of raising/hanging.
-    Candidates are evaluated batched ([?batched], default [true]: the
-    bit-plane path, observationally identical to the scalar one). *)
-let check ?budget ?(batched = true) test =
-  if batched then
-    Exec.Check.run ?budget ~batch:consistent_mask (module Model) test
-  else Exec.Check.run ?budget ~delta:false (module Model) test
+(** [check ?budget test] runs a litmus test against the LK model on its
+    batched engine; with a budget the result may be [Unknown] instead of
+    raising/hanging. *)
+let check ?budget test = Exec.Oracle.run ?budget oracle test
 
 (** [verdict ?budget test] is the LK verdict for [test]. *)
 let verdict ?budget test = (check ?budget test).Exec.Check.verdict

@@ -258,9 +258,8 @@ let rec seqs = function
   | t :: ts -> seq t (seqs ts)
 
 (* [set_row_from ~src j i t]: [t] with the successor row of [i] replaced
-   wholesale by row [j] of [src] — the delta-patch primitive: when a
-   read's writer changes from [w] to [w'], its from-reads row becomes
-   exactly the coherence row of [w']. *)
+   wholesale by row [j] of [src] — the from-reads primitive: a read's
+   fr row is exactly the coherence row of its writer. *)
 let set_row_from ~src j i t =
   check_ids i j;
   let c = max (max src.n t.n) (max i j + 1) in

@@ -83,10 +83,9 @@ val seq : t -> t -> t
 val seqs : t list -> t
 
 (** [set_row_from ~src j i t] is [t] with the successor row of [i]
-    replaced wholesale by row [j] of [src] — the delta-patch primitive
-    of the incremental enumerator: when a read's writer changes from
-    [w] to [w'], its from-reads row becomes exactly the coherence row
-    of [w']. *)
+    replaced wholesale by row [j] of [src] — the from-reads primitive
+    of the enumerator: a read's fr row is exactly the coherence row of
+    its writer. *)
 val set_row_from : src:t -> int -> int -> t -> t
 
 (** [id_of_set s] is the identity relation restricted to [s] — the cat

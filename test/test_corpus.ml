@@ -84,8 +84,8 @@ let test_corpus () =
             end)
           entries
       in
-      let model _budget : (module Exec.Check.MODEL) = (module Models.C11) in
-      check_report "C11" (Harness.Runner.run ~model c11_items)
+      let oracle = Exec.Oracle.of_model (module Models.C11) in
+      check_report "C11" (Harness.Runner.run ~oracle c11_items)
 
 let test_corpus_lints_clean () =
   match corpus_dir with

@@ -16,9 +16,9 @@ let run_explained ?(native = false) test =
     Exec.Check.run ~explainer:Lkmm.Explain.explainer (module Lkmm) test
   else
     let model = Lazy.force lk_cat in
-    Exec.Check.run
+    Exec.Oracle.run ~backend:Exec.Check.Enum
       ~explainer:(Cat.Explain.explainer model)
-      (Cat.to_check_model ~name:"LK(cat)" model)
+      (Cat.to_oracle ~name:"LK(cat)" model)
       test
 
 (* ------------------------------------------------------------------ *)

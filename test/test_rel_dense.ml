@@ -1,17 +1,18 @@
 (* Differential tests: the dense bitset kernel ({!Rel}) against the
    retained pair-set specification ({!Rel.Reference}), operator by
    operator, on randomized relations — plus end-to-end agreement checks
-   on a corpus sample (verdicts with the coherence prefilter and the
-   static-prefix cache on and off), and the soundness argument for the
-   prefilter made executable: candidates it rejects never satisfy the
-   model.
+   on a corpus sample (verdicts against an unfiltered reference loop and
+   the direct cat interpreter), the soundness argument for the prefilter
+   made executable (candidates it rejects never satisfy the model), and
+   fr = rf^-1;co on enumerated and SAT-decoded candidates.
 
    The candidate-major bit-plane kernel ({!Rel.Batch}) gets the same
    treatment: every batched operator and decision mask against a scalar
    loop over the planes, randomized over universe size, plane count and
-   mask — plus corpus-wide agreement of {!Exec.Check.run} results with
-   batching on/off × prefilter on/off, for the native LKMM and the cat
-   interpreter (witness identity included, not just verdicts).
+   mask — plus corpus-wide agreement of the batched and scalar engines,
+   for the native LKMM and the cat interpreter (witness identity
+   included, not just verdicts), and of each batch engine with its
+   scalar model on candidates the prefilter would have removed.
 
    Trial tally: the operator suite alone draws 2 relations per trial ×
    4000 trials, the closure/sort/cycle suites another 2000 + 2000 +
@@ -252,43 +253,78 @@ let sample_tests stride =
                Litmus.parse (Harness.Runner.read_file (Filename.concat dir file))
              ))
 
+(* A seeded diygen set: generated shapes beyond the hand-written corpus
+   (fences, dependencies, release/acquire). *)
+let diygen_tests =
+  lazy
+    (Diygen.sample ~rng:(Random.State.make [| 15 |]) ~count:60 5
+    |> List.map (fun (t : Litmus.Ast.t) -> (t.Litmus.Ast.name, t)))
+
 let result_key (r : Exec.Check.result) =
   (r.verdict, r.n_candidates, r.n_consistent, r.n_matching, r.outcomes)
 
-(* The prefilter and both caches must be invisible in the results (only
-   n_prefiltered differs by construction, so compare everything else). *)
+(* The checker's definition with no prefilter and no batching: every
+   candidate through the scalar model, keyed like {!result_key}. *)
+let reference_key (module M : Exec.Check.MODEL) (test : Litmus.Ast.t) =
+  let satisfies x =
+    match test.Litmus.Ast.quant with
+    | Litmus.Ast.Q_forall -> not (Exec.satisfies_cond x)
+    | Litmus.Ast.Q_exists | Litmus.Ast.Q_not_exists -> Exec.satisfies_cond x
+  in
+  let n = ref 0 and consistent = ref 0 and matching = ref 0 in
+  let outcomes = ref [] in
+  Seq.iter
+    (fun x ->
+      incr n;
+      if M.consistent x then begin
+        incr consistent;
+        let sat = satisfies x in
+        if sat then incr matching;
+        outcomes := (Exec.outcome x, sat) :: !outcomes
+      end)
+    (Exec.of_test_seq test);
+  ( (if !matching > 0 then Exec.Check.Allow else Exec.Check.Forbid),
+    !n,
+    !consistent,
+    !matching,
+    List.sort_uniq compare !outcomes )
+
+let cat_oracle = lazy (Cat.to_oracle ~name:"LK(cat)" (Lazy.force Cat.lk))
+
+(* The direct cat interpreter, no compiled model and no prefix cache. *)
+let cat_direct : (module Exec.Check.MODEL) =
+  (module struct
+    let name = "LK(cat), direct"
+    let consistent x = Cat.consistent (Lazy.force Cat.lk) x
+  end)
+
+(* The prefilter and the static-prefix cache must be invisible in the
+   results: the native check against {!reference_key}, and the cat
+   oracle's cached scalar engine (one oracle across the whole sample, so
+   a prefix slot that outlived its structure would show) against the
+   direct interpreter. *)
 let test_corpus_agreement () =
-  let lk_cat = Lazy.force Cat.lk in
+  let cat = Lazy.force cat_oracle in
   List.iter
     (fun (file, test) ->
-      let native_on = Exec.Check.run (module Lkmm) test in
-      let native_off = Exec.Check.run ~prefilter:false (module Lkmm) test in
+      let native = Exec.Check.run (module Lkmm) test in
       Alcotest.(check bool)
-        (file ^ ": native verdicts agree with prefilter off")
+        (file ^ ": native verdicts agree with the unfiltered reference")
         true
-        (result_key native_on = result_key native_off
-        && native_off.n_prefiltered = 0);
-      let cat_cached =
-        Exec.Check.run (Cat.to_check_model ~name:"LK(cat)" lk_cat) test
-      in
-      let cat_plain =
-        Exec.Check.run
-          (Cat.to_check_model ~name:"LK(cat)" ~cache:false lk_cat)
-          test
-      in
+        (result_key native = reference_key (module Lkmm) test);
+      let cat_cached = Exec.Oracle.run ~backend:Exec.Check.Enum cat test in
       Alcotest.(check bool)
-        (file ^ ": cat verdicts agree with static-prefix cache off")
+        (file ^ ": cat verdicts agree with the direct interpreter")
         true
-        (result_key cat_cached = result_key cat_plain);
+        (result_key cat_cached = result_key (Exec.Check.run cat_direct test));
       Alcotest.(check bool)
         (file ^ ": native and cat verdicts agree")
         true
-        (native_on.verdict = cat_cached.verdict))
+        (native.verdict = cat_cached.verdict))
     (sample_tests 11)
 
-(* Batched evaluation (bit planes + delta re-checking) must be invisible
-   in the results, down to witness identity — the correctness contract of
-   the batched path.  Exercised batch on/off × prefilter on/off, for the
+(* Batched evaluation must be invisible in the results, down to witness
+   identity — the correctness contract of the batched path — for the
    native axioms and the cat interpreter. *)
 let witness_rels (x : Exec.t option) =
   Option.map (fun (x : Exec.t) -> (Rel.to_list x.rf, Rel.to_list x.co)) x
@@ -297,36 +333,110 @@ let full_key (r : Exec.Check.result) =
   (result_key r, r.n_prefiltered, witness_rels r.witness)
 
 let test_batched_agreement () =
-  let lk_cat = Lazy.force Cat.lk in
-  let cat_scalar_m = Cat.to_check_model ~name:"LK(cat)" lk_cat in
-  let cat_batched_m, cat_batch = Cat.to_batched_model ~name:"LK(cat)" lk_cat in
   List.iter
     (fun (file, test) ->
-      let pair what scalar batched =
-        Alcotest.(check bool)
-          (Printf.sprintf "%s: %s agrees batched vs scalar" file what)
-          true
-          (full_key scalar = full_key batched)
-      in
-      (* the scalar reference path is what --no-batch selects: batching
-         off AND delta re-evaluation off *)
-      let native_scalar = Exec.Check.run ~delta:false (module Lkmm) test in
-      pair "native"
-        native_scalar
-        (Exec.Check.run ~batch:Lkmm.consistent_mask (module Lkmm) test);
-      pair "native (delta only)" native_scalar
-        (Exec.Check.run (module Lkmm) test);
-      pair "native, prefilter off"
-        (Exec.Check.run ~prefilter:false ~delta:false (module Lkmm) test)
-        (Exec.Check.run ~prefilter:false ~batch:Lkmm.consistent_mask
-           (module Lkmm) test);
-      pair "cat"
-        (Exec.Check.run ~delta:false cat_scalar_m test)
-        (Exec.Check.run ~batch:cat_batch cat_batched_m test);
-      pair "cat, prefilter off"
-        (Exec.Check.run ~prefilter:false ~delta:false cat_scalar_m test)
-        (Exec.Check.run ~prefilter:false ~batch:cat_batch cat_batched_m test))
+      List.iter
+        (fun (what, oracle) ->
+          let on backend = full_key (Exec.Oracle.run ~backend oracle test) in
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: %s agrees batched vs scalar" file what)
+            true
+            (on Exec.Check.Enum = on Exec.Check.Batch))
+        [ ("native", Lkmm.oracle); ("cat", Lazy.force cat_oracle) ])
     (sample_tests 11)
+
+(* The candidates of [test] in enumeration order, cut into the chunks a
+   batch engine may take: one event structure each (a shared events
+   array), at most {!Rel.Batch.width} long. *)
+let structure_chunks test =
+  let chunks = ref [] and cur = ref [] and len = ref 0 in
+  let cut () =
+    if !cur <> [] then chunks := Array.of_list (List.rev !cur) :: !chunks;
+    cur := [];
+    len := 0
+  in
+  Seq.iter
+    (fun (x : Exec.t) ->
+      (match !cur with
+      | (y : Exec.t) :: _ when y.events != x.events -> cut ()
+      | _ -> ());
+      cur := x :: !cur;
+      incr len;
+      if !len = Rel.Batch.width then cut ())
+    (Exec.of_test_seq test);
+  cut ();
+  List.rev !chunks
+
+(* A batch engine not told that its candidates are coherent must decide
+   coherence itself: with [~coherent:false] and every candidate live,
+   incoherent ones included, each bit equals the scalar model's
+   verdict.  For the native oracle this is the only route into
+   [Relations.consistent_mask]'s Scpv branch. *)
+let test_batch_decides_coherence () =
+  List.iter
+    (fun (what, oracle) ->
+      let (module M : Exec.Check.MODEL) = Exec.Oracle.model oracle () in
+      let batch = Option.get oracle.Exec.Oracle.batch None in
+      let incoherent = ref 0 in
+      List.iter
+        (fun (file, test) ->
+          let disagree = ref 0 in
+          List.iter
+            (fun xs ->
+              let mask = Rel.Batch.full_mask (Array.length xs) in
+              let got = batch ~coherent:false ~mask xs in
+              Array.iteri
+                (fun c x ->
+                  if not (Exec.coherent x) then incr incoherent;
+                  if M.consistent x <> (got land (1 lsl c) <> 0) then
+                    incr disagree)
+                xs)
+            (structure_chunks test);
+          Alcotest.(check int)
+            (Printf.sprintf "%s: %s planes disagreeing with the scalar model"
+               file what)
+            0 !disagree)
+        (sample_tests 3 @ Lazy.force diygen_tests);
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %d incoherent candidates reach the batch engine"
+           what !incoherent)
+        true (!incoherent > 100))
+    [ ("native", Lkmm.oracle); ("cat", Lazy.force cat_oracle) ]
+
+(* fr = rf⁻¹;co minus identity, the definition the library builds row by
+   row instead: on every enumerated candidate, and on every witness the
+   SAT backend decodes. *)
+let fr_reference (x : Exec.t) =
+  Rel.diff (Rel.seq (Rel.inverse x.rf) x.co) x.id_r
+
+let test_fr_definition () =
+  let candidates = ref 0 and witnesses = ref 0 in
+  let wrong (x : Exec.t) = not (Rel.equal x.fr (fr_reference x)) in
+  List.iter
+    (fun (file, test) ->
+      let bad = ref 0 in
+      Seq.iter
+        (fun x ->
+          incr candidates;
+          if wrong x then incr bad)
+        (Exec.of_test_seq test);
+      Alcotest.(check int)
+        (file ^ ": enumerated candidates whose fr is not rf^-1;co")
+        0 !bad;
+      let r = Exec.Oracle.run ~backend:Exec.Check.Sat Lkmm.oracle test in
+      Option.iter
+        (fun w ->
+          incr witnesses;
+          Alcotest.(check bool) (file ^ ": decoded fr is rf^-1;co") false
+            (wrong w))
+        r.witness)
+    (sample_tests 3 @ Lazy.force diygen_tests);
+  Alcotest.(check bool)
+    (Printf.sprintf "%d candidates checked" !candidates)
+    true (!candidates > 500);
+  Alcotest.(check bool)
+    (Printf.sprintf "%d SAT witnesses checked" !witnesses)
+    true (!witnesses > 50)
 
 (* Run the model anyway on every candidate the prefilter rejects: none
    may be consistent, under the native axioms or the cat interpreter —
@@ -374,5 +484,8 @@ let () =
             test_batched_agreement;
           Alcotest.test_case "prefilter soundness" `Quick
             test_prefilter_soundness;
+          Alcotest.test_case "batch engines decide coherence" `Quick
+            test_batch_decides_coherence;
+          Alcotest.test_case "fr is rf^-1;co" `Quick test_fr_definition;
         ] );
     ]

@@ -1,9 +1,8 @@
-(* Benchmarks for the batched bit-plane candidate-evaluation path:
-   per-layer attribution of the PR-8 hot-path changes (delta rf
-   re-checking in the enumerator, the Rel.Batch bit-plane kernel in the
-   native LKMM axioms and the cat interpreter's replay, the batched
-   coherence prefilter) over the full-corpus battery, against both a
-   freshly measured scalar run and the committed BENCH_rel baseline.
+(* Benchmarks for the batched bit-plane candidate-evaluation path: the
+   Rel.Batch bit-plane kernel in the native LKMM axioms and the cat
+   interpreter's replay, with the batched coherence prefilter, over the
+   full-corpus battery, against both a freshly measured scalar run and
+   the committed BENCH_rel baseline.
    Writes BENCH_batch.json.
 
      dune exec tools/bench_batch.exe [-- OUT.json]
@@ -14,8 +13,8 @@
    takes more than twice the committed baseline's [smoke.total_s].
 
    The scalar reference numbers are re-measured in the same process
-   (same machine, same best-of-3 battery loop), so the per-layer deltas
-   are apples-to-apples; the committed BENCH_rel corpus numbers are
+   (same machine, same best-of-3 battery loop), so the comparison is
+   apples-to-apples; the committed BENCH_rel corpus numbers are
    also quoted so the cross-PR speedup claim stays attached to the
    measurement it came from. *)
 
@@ -61,50 +60,25 @@ let battery tests f =
 
 let lk_cat = lazy (Lazy.force Cat.lk)
 
-(* Each layer toggles exactly one thing against its neighbour, so the
-   deltas attribute cleanly:
-     native scalar        — delta off, no batch (the BENCH_rel config)
-     native +delta        — delta rf re-checking in the enumerator only
-     native batch         — bit-plane axioms, delta off
-     native batch+delta   — the default production path
-     native batch, no pf  — batched with the coherence prefilter off
-   and for the cat path scalar vs batched replay. *)
+(* Scalar against batched evaluation, for the native and the cat path;
+   the batched configurations are the default production path. *)
 
 type corpus_times = {
   native_scalar : float;
-  native_delta : float;
   native_batch : float;
-  native_batch_delta : float;
-  native_batch_no_prefilter : float;
   cat_scalar : float;
   cat_batch : float;
 }
 
+let cat_oracle () = Cat.to_oracle ~name:"LK(cat)" (Lazy.force lk_cat)
+
 let corpus_configs tests =
-  let lk_batch = Lkmm.consistent_mask in
-  let cat_scalar_model =
-    Cat.to_check_model ~name:"LK(cat)" (Lazy.force lk_cat)
-  in
-  let cat_batched_model, cat_batch =
-    Cat.to_batched_model ~name:"LK(cat)" (Lazy.force lk_cat)
-  in
+  let on backend oracle t = Exec.Oracle.run ~backend oracle t in
   {
-    native_scalar =
-      battery tests (fun t -> Exec.Check.run ~delta:false (module Lkmm) t);
-    native_delta = battery tests (fun t -> Exec.Check.run (module Lkmm) t);
-    native_batch =
-      battery tests (fun t ->
-          Exec.Check.run ~delta:false ~batch:lk_batch (module Lkmm) t);
-    native_batch_delta =
-      battery tests (fun t -> Exec.Check.run ~batch:lk_batch (module Lkmm) t);
-    native_batch_no_prefilter =
-      battery tests (fun t ->
-          Exec.Check.run ~prefilter:false ~batch:lk_batch (module Lkmm) t);
-    cat_scalar =
-      battery tests (fun t -> Exec.Check.run ~delta:false cat_scalar_model t);
-    cat_batch =
-      battery tests (fun t ->
-          Exec.Check.run ~batch:cat_batch cat_batched_model t);
+    native_scalar = battery tests (on Exec.Check.Enum Lkmm.oracle);
+    native_batch = battery tests (on Exec.Check.Batch Lkmm.oracle);
+    cat_scalar = battery tests (on Exec.Check.Enum (cat_oracle ()));
+    cat_batch = battery tests (on Exec.Check.Batch (cat_oracle ()));
   }
 
 (* ------------------------------------------------------------------ *)
@@ -114,14 +88,10 @@ let corpus_configs tests =
 let smoke_stride = 5
 
 let run_smoke tests =
-  let cat_model, cat_batch =
-    Cat.to_batched_model ~name:"LK(cat)" (Lazy.force lk_cat)
-  in
+  let cat = cat_oracle () in
   battery tests (fun t ->
-      ignore
-        (Sys.opaque_identity
-           (Exec.Check.run ~batch:Lkmm.consistent_mask (module Lkmm) t));
-      Exec.Check.run ~batch:cat_batch cat_model t)
+      ignore (Sys.opaque_identity (Exec.Oracle.run Lkmm.oracle t));
+      Exec.Oracle.run cat t)
 
 (* Pull a float field out of the committed baseline without a JSON
    dependency: the file is machine-written, so a textual scan is safe. *)
@@ -185,17 +155,11 @@ let full out =
   let json =
     Printf.sprintf
       {|{
-  "description": "batched bit-plane candidate evaluation (Rel.Batch) with delta rf re-checking, per-layer attribution over best-of-3 full-corpus battery passes; scalar reference re-measured in-process, BENCH_rel corpus numbers quoted for the cross-PR comparison",
+  "description": "batched bit-plane candidate evaluation (Rel.Batch) against the scalar path over best-of-3 full-corpus battery passes; scalar reference re-measured in-process, BENCH_rel corpus numbers quoted for the cross-PR comparison",
   "corpus": {
     "n_tests": %d,
     "bench_rel_baseline": { "native_lk_s": %.4f, "cat_lk_s": %.4f },
-    "native_lk": {
-      "scalar_s": %.4f,
-      "delta_s": %.4f,
-      "batch_s": %.4f,
-      "batch_delta_s": %.4f,
-      "batch_no_prefilter_s": %.4f
-    },
+    "native_lk": { "scalar_s": %.4f, "batch_s": %.4f },
     "cat_lk": { "scalar_s": %.4f, "batch_s": %.4f },
     "speedup_native_batch_vs_scalar": %.2f,
     "speedup_cat_batch_vs_scalar": %.2f,
@@ -203,25 +167,23 @@ let full out =
     "speedup_cat_vs_bench_rel": %.2f
   },
   "smoke": { "stride": %d, "total_s": %.4f },
-  "notes": "per-layer attribution — delta: native scalar %.4fs -> %.4fs is the enumerator re-ordering that patches rf/fr between adjacent candidates instead of rebuilding the witness; batch kernel: %.4fs -> %.4fs (delta off on both sides) is the bit-plane evaluation of the native axioms over up to 63 candidates per pass, including the batched coherence prefilter; batch+delta %.4fs is the default production path; batch with the prefilter disabled comes to %.4fs — near a wash on the native model, whose first batched axiom (Scpv) is the same sc-per-location test word-parallel, so the batched prefilter's value is for models that do not front-load coherence; cat %.4fs -> %.4fs is the word-parallel run_with_prefix replay.  Speedups vs BENCH_rel compare the batched default against that file's committed corpus numbers (same machine class, earlier commit)."
+  "notes": "native scalar %.4fs -> %.4fs is the bit-plane evaluation of the native axioms over up to 63 candidates per pass, including the batched coherence prefilter; cat %.4fs -> %.4fs is the word-parallel run_with_prefix replay.  Speedups vs BENCH_rel compare the batched default against that file's committed corpus numbers (same machine class, earlier commit)."
 }
 |}
-      (List.length tests) rel_native rel_cat c.native_scalar c.native_delta
-      c.native_batch c.native_batch_delta c.native_batch_no_prefilter
+      (List.length tests) rel_native rel_cat c.native_scalar c.native_batch
       c.cat_scalar c.cat_batch
-      (c.native_scalar /. c.native_batch_delta)
+      (c.native_scalar /. c.native_batch)
       (c.cat_scalar /. c.cat_batch)
-      (rel_native /. c.native_batch_delta)
+      (rel_native /. c.native_batch)
       (rel_cat /. c.cat_batch) smoke_stride smoke_total c.native_scalar
-      c.native_delta c.native_scalar c.native_batch c.native_batch_delta
-      c.native_batch_no_prefilter c.cat_scalar c.cat_batch
+      c.native_batch c.cat_scalar c.cat_batch
   in
   let oc = open_out out in
   output_string oc json;
   close_out oc;
   print_string json;
   if
-    c.native_scalar /. c.native_batch_delta < 1.5
+    c.native_scalar /. c.native_batch < 1.5
     && c.cat_scalar /. c.cat_batch < 1.5
   then
     prerr_endline

@@ -60,7 +60,7 @@ let lk_cat = lazy (Lazy.force Cat.lk)
    cat LK per test; [explain] adds the explainers. *)
 let battery ~explain tests =
   let model = Lazy.force lk_cat in
-  let cat_model = Cat.to_check_model ~name:"LK(cat)" model in
+  let cat = Cat.to_oracle ~name:"LK(cat)" model in
   let native_ex = if explain then Some Lkmm.Explain.explainer else None in
   let cat_ex = if explain then Some (Cat.explainer model) else None in
   best_of 3 (fun () ->
@@ -71,7 +71,8 @@ let battery ~explain tests =
                (Exec.Check.run ?explainer:native_ex (module Lkmm) t));
           ignore
             (Sys.opaque_identity
-               (Exec.Check.run ?explainer:cat_ex cat_model t)))
+               (Exec.Oracle.run ~backend:Exec.Check.Enum ?explainer:cat_ex cat
+                  t)))
         tests)
 
 (* The committed BENCH_obs numbers for the same battery (the pre-forensics

@@ -55,12 +55,14 @@ let lk_cat = lazy (Lazy.force Cat.lk)
 
 (* The same battery BENCH_rel times: native LK + cached cat LK per test. *)
 let battery tests =
-  let cat_model = Cat.to_check_model ~name:"LK(cat)" (Lazy.force lk_cat) in
+  let cat = Cat.to_oracle ~name:"LK(cat)" (Lazy.force lk_cat) in
   best_of 3 (fun () ->
       List.iter
         (fun t ->
           ignore (Sys.opaque_identity (Exec.Check.run (module Lkmm) t));
-          ignore (Sys.opaque_identity (Exec.Check.run cat_model t)))
+          ignore
+            (Sys.opaque_identity
+               (Exec.Oracle.run ~backend:Exec.Check.Enum cat t)))
         tests)
 
 let timed_pair tests =

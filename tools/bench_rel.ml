@@ -1,7 +1,7 @@
 (* Benchmarks for the dense relation kernel and the enumeration-path
    optimisations: microbenchmarks of the bitset kernel against the
-   retained pair-set reference, and the full-corpus battery with each
-   layer (coherence prefilter, static-prefix cache) toggled.  Writes
+   retained pair-set reference, and the full-corpus battery under the
+   native and cat-interpreted LK models on the scalar path.  Writes
    BENCH_rel.json.
 
      dune exec tools/bench_rel.exe [-- OUT.json]
@@ -112,20 +112,15 @@ let battery tests f =
 
 let lk_cat = lazy (Lazy.force Cat.lk)
 
+(* The cat-interpreted LK model on its scalar (cached) engine. *)
+let cat_scalar () =
+  let oracle = Cat.to_oracle ~name:"LK(cat)" (Lazy.force lk_cat) in
+  fun t -> Exec.Oracle.run ~backend:Exec.Check.Enum oracle t
+
 let corpus_configs tests =
-  let cat ?cache () =
-    Cat.to_check_model ~name:"LK(cat)" ?cache (Lazy.force lk_cat)
-  in
-  let native_off =
-    battery tests (fun t -> Exec.Check.run ~prefilter:false (module Lkmm) t)
-  and native_on = battery tests (fun t -> Exec.Check.run (module Lkmm) t)
-  and cat_off_off =
-    battery tests (fun t ->
-        Exec.Check.run ~prefilter:false (cat ~cache:false ()) t)
-  and cat_off_on =
-    battery tests (fun t -> Exec.Check.run (cat ~cache:false ()) t)
-  and cat_on_on = battery tests (fun t -> Exec.Check.run (cat ()) t) in
-  (native_off, native_on, cat_off_off, cat_off_on, cat_on_on)
+  let native = battery tests (fun t -> Exec.Check.run (module Lkmm) t)
+  and cat = battery tests (cat_scalar ()) in
+  (native, cat)
 
 (* ------------------------------------------------------------------ *)
 (* Smoke mode                                                          *)
@@ -134,10 +129,10 @@ let corpus_configs tests =
 let smoke_stride = 5
 
 let run_smoke tests =
-  let cat_model = Cat.to_check_model ~name:"LK(cat)" (Lazy.force lk_cat) in
+  let cat = cat_scalar () in
   battery tests (fun t ->
       ignore (Sys.opaque_identity (Exec.Check.run (module Lkmm) t));
-      Exec.Check.run cat_model t)
+      cat t)
 
 (* Pull a float field out of the committed baseline without a JSON
    dependency: the file is machine-written, so a textual scan is safe. *)
@@ -187,9 +182,7 @@ let smoke baseline_file =
 let full out =
   let micros = micro_suite () in
   let tests = load_corpus () in
-  let native_off, native_on, cat_off_off, cat_off_on, cat_on_on =
-    corpus_configs tests
-  in
+  let native, cat = corpus_configs tests in
   let smoke_total = run_smoke (load_corpus ~stride:smoke_stride ()) in
   let micro_json =
     micros
@@ -210,27 +203,24 @@ let full out =
   "corpus": {
     "n_tests": %d,
     "seed_baseline": { "commit": %S, "native_lk_s": %.4f, "cat_lk_s": %.4f },
-    "native_lk": { "prefilter_off_s": %.4f, "prefilter_on_s": %.4f },
-    "cat_lk": { "cache_off_prefilter_off_s": %.4f, "cache_off_s": %.4f, "cache_on_s": %.4f },
+    "native_lk": { "prefilter_on_s": %.4f },
+    "cat_lk": { "cache_on_s": %.4f },
     "speedup_native_vs_seed": %.2f,
     "speedup_cat_vs_seed": %.2f
   },
   "smoke": { "stride": %d, "total_s": %.4f },
-  "notes": "per-layer attribution — kernel: seed %.4fs -> %.4fs native (prefilter off) and %.4fs -> %.4fs cat (cache+prefilter off) is the dense bitset kernel plus the once-per-structure hoisting of witness-independent candidate parts (loc/int/ext/crit/event sets), on identical checking logic; prefilter: native %.4fs -> %.4fs, the sc-per-location acyclicity test skipping the full axioms on incoherent candidates; prefix cache: cat %.4fs -> %.4fs, witness-independent cat bindings evaluated once per event structure instead of once per candidate (the native model's mirrored static split is part of its kernel-off-to-on delta).  Micro speedups are ref_s/dense_s per op."
+  "notes": "seed %.4fs -> %.4fs native and %.4fs -> %.4fs cat: the dense bitset kernel, the once-per-structure hoisting of witness-independent candidate parts (loc/int/ext/crit/event sets), the sc-per-location prefilter skipping the full axioms on incoherent candidates, and (cat) witness-independent bindings evaluated once per event structure.  Micro speedups are ref_s/dense_s per op."
 }
 |}
       seed_commit micro_json (List.length tests) seed_commit seed_native_s
-      seed_cat_s native_off native_on cat_off_off cat_off_on cat_on_on
-      (seed_native_s /. native_on)
-      (seed_cat_s /. cat_on_on) smoke_stride smoke_total seed_native_s
-      native_off seed_cat_s cat_off_off native_off native_on cat_off_on
-      cat_on_on
+      seed_cat_s native cat (seed_native_s /. native) (seed_cat_s /. cat)
+      smoke_stride smoke_total seed_native_s native seed_cat_s cat
   in
   let oc = open_out out in
   output_string oc json;
   close_out oc;
   print_string json;
-  if seed_native_s /. native_on < 3.0 && seed_cat_s /. cat_on_on < 3.0 then
+  if seed_native_s /. native < 3.0 && seed_cat_s /. cat < 3.0 then
     prerr_endline "bench_rel: WARNING: overall speedup below 3x on both paths"
 
 let () =

@@ -175,8 +175,7 @@ let profile path =
   let occupancy =
     List.find_opt (fun (n, _, _, _) -> n = "check.batch.occupancy") !hists
   in
-  (if occupancy <> None || counter "check.batch.flushes" <> None
-      || counter "exec.delta.patched" <> None then begin
+  (if occupancy <> None || counter "check.batch.flushes" <> None then begin
      Printf.printf "\nBatched evaluation:\n";
      (match (counter "check.batch.flushes", occupancy) with
      | Some f, Some (_, c, sum, max_occ) ->
@@ -187,24 +186,14 @@ let profile path =
            max_occ
      | Some f, None -> Printf.printf "  %-28s %12d\n" "flushes" f
      | None, _ -> ());
-     (match (counter "lkmm.batch.early_exit", counter "cat.batch.early_exit")
-      with
+     match (counter "lkmm.batch.early_exit", counter "cat.batch.early_exit")
+     with
      | None, None -> ()
      | lk, cat ->
          let lk = Option.value ~default:0 lk
          and cat = Option.value ~default:0 cat in
          Printf.printf "  %-28s %12d (native %d, cat %d)\n"
-           "planes decided early" (lk + cat) lk cat);
-     match (counter "exec.delta.patched", counter "exec.delta.full") with
-     | None, None -> ()
-     | patched, full ->
-         let patched = Option.value ~default:0 patched
-         and full = Option.value ~default:0 full in
-         Printf.printf "  %-28s %12d (full recomputes %d, %.1f%% patched)\n"
-           "delta rf patches" patched full
-           (100.
-           *. float_of_int patched
-           /. float_of_int (Stdlib.max 1 (patched + full)))
+           "planes decided early" (lk + cat) lk cat
    end);
   (* the symbolic backend's own table: per-structure sat/unsat split,
      conflict totals, and the two "should be zero" columns (spurious
