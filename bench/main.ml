@@ -1,5 +1,6 @@
-(* The benchmark harness: regenerates every table and figure of the
-   paper's evaluation and times each experiment with Bechamel.
+(* The evaluation harness: regenerates every table and figure of the
+   paper's evaluation, each with its shape check.  Speed is measured
+   by lkbench, not here.
 
      dune exec bench/main.exe             # everything
      dune exec bench/main.exe -- quick    # smaller simulation counts
@@ -11,8 +12,7 @@
      theorem1       law <=> axiom equivalence sweep
      fig15          the RCU implementation study (Theorem 2) + ablations
      diy_sweep      generated-test sweep: soundness + model comparisons
-     c11_delta      LK vs C11 disagreement quantification
-     timings        Bechamel micro-benchmarks, one per experiment *)
+     c11_delta      LK vs C11 disagreement quantification *)
 
 let quick = Array.exists (fun a -> a = "quick") Sys.argv
 
@@ -215,84 +215,6 @@ let ablation_cat () =
     Harness.Battery.all;
   Fmt.pr "%d executions, %d native/cat disagreements@." !execs !mismatches
 
-(* ------------------------------------------------------------------ *)
-(* Bechamel timings                                                    *)
-(* ------------------------------------------------------------------ *)
-
-let timings () =
-  section "Bechamel timings (one per experiment)";
-  let open Bechamel in
-  let mp = Harness.Battery.test_of (Harness.Battery.find "MP+wmb+rmb") in
-  let rcu = Harness.Battery.test_of (Harness.Battery.find "RCU-MP") in
-  let lk_cat = Cat.parse Cat.Stdmodels.lk in
-  let tests =
-    [
-      Test.make ~name:"table5:lk-verdict(MP+wmb+rmb)"
-        (Staged.stage (fun () -> ignore (Lkmm.check mp)));
-      Test.make ~name:"table5:lk-cat-verdict(MP+wmb+rmb)"
-        (Staged.stage (fun () ->
-             ignore
-               (Exec.Oracle.run ~backend:Exec.Check.Enum
-                  (Cat.to_oracle ~name:"LK" lk_cat) mp)));
-      Test.make ~name:"table5:c11-verdict(MP+wmb+rmb)"
-        (Staged.stage (fun () ->
-             ignore (Exec.Check.run (module Models.C11) mp)));
-      Test.make ~name:"table5:sim-100-runs(MP,Power8)"
-        (Staged.stage (fun () ->
-             ignore
-               (Hwsim.run_test Hwsim.Arch.power8 ~runs:100 ~seed:1
-                  (Harness.Battery.test_of (Harness.Battery.find "MP")))));
-      Test.make ~name:"fig10:rcu-axiom(RCU-MP)"
-        (Staged.stage (fun () -> ignore (Lkmm.check rcu)));
-      Test.make ~name:"theorem1:law-check(RCU-MP)"
-        (Staged.stage (fun () ->
-             List.iter
-               (fun x -> ignore (Lkmm.Rcu.theorem1_holds x))
-               (Exec.of_test rcu)));
-      Test.make ~name:"fig15:impl-run(RCU-MP,Power8)"
-        (Staged.stage (fun () ->
-             ignore
-               (Hwsim.run_program Hwsim.Arch.power8 ~runs:5 ~seed:1
-                  (Kir.Rcu_impl.transform (Kir.of_litmus rcu)))));
-      Test.make ~name:"diy:realize-one-cycle"
-        (Staged.stage (fun () ->
-             ignore
-               (Diygen.Realize.test_of_cycle
-                  [
-                    Diygen.Edge.Fenced (Wmb, W, W);
-                    Diygen.Edge.Rfe;
-                    Diygen.Edge.Fenced (Rmb, R, R);
-                    Diygen.Edge.Fre;
-                  ])));
-      Test.make ~name:"exec:enumerate(MP+wmb+rmb)"
-        (Staged.stage (fun () -> ignore (Exec.of_test mp)));
-    ]
-  in
-  let benchmark test =
-    let quota = Time.second 0.3 in
-    Benchmark.all
-      (Benchmark.cfg ~quota ~kde:(Some 10) ())
-      Toolkit.Instance.[ monotonic_clock ]
-      test
-  in
-  let analyze results =
-    Analyze.all
-      (Analyze.ols ~bootstrap:0 ~r_square:false
-         ~predictors:[| Measure.run |])
-      Toolkit.Instance.monotonic_clock results
-  in
-  List.iter
-    (fun test ->
-      let results = benchmark test in
-      let res = analyze results in
-      Hashtbl.iter
-        (fun name ols ->
-          match Analyze.OLS.estimates ols with
-          | Some [ est ] -> Fmt.pr "  %-42s %12.0f ns/run@." name est
-          | _ -> Fmt.pr "  %-42s (no estimate)@." name)
-        res)
-    tests
-
 (* Model-variant ablations: surgical edits to lk.cat flip exactly the
    verdicts they should (see examples/custom_model.ml). *)
 let ablation_variants () =
@@ -339,5 +261,4 @@ let () =
   c11_delta tests;
   ablation_cat ();
   ablation_variants ();
-  timings ();
   Fmt.pr "@.bench: all experiments complete@."

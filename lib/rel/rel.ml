@@ -8,8 +8,8 @@
    Warshall's algorithm at O(n³/63); acyclicity is a DFS that never
    materialises the closure.  Every operation is persistent — arrays are
    copied, never shared mutably — so the functional interface of the
-   original pair-set implementation (retained as {!Reference}) is
-   unchanged.
+   original pair-set implementation (test/rel_ref.ml, the test suite's
+   reference) is unchanged.
 
    Capacity is an implementation detail: a relation knows the smallest
    universe [0, n) enclosing every pair ever added, rows grow on demand,
@@ -17,7 +17,6 @@
    independent. *)
 
 module Iset = Iset
-module Reference = Rel_ref
 
 let bpw = 63 (* usable bits in an OCaml int *)
 

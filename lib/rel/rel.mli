@@ -10,16 +10,11 @@
 
     The implementation is a dense bit matrix (a row of bits per source
     event), so the bulk operations are word-parallel and transitive
-    closure runs in O(n³/63); the original pair-set implementation is
-    retained as {!Reference} and checked against this one by the
-    differential property suite.  Event ids must be non-negative. *)
+    closure runs in O(n³/63); the original pair-set implementation
+    lives on in the test suite (test/rel_ref.ml), which checks this one
+    against it.  Event ids must be non-negative. *)
 
 module Iset = Iset
-
-(** The retained pair-set implementation: the same algebra on the same
-    pair-list interface, kept as the executable specification of this
-    module (and exercised against it by test/test_rel_dense.ml). *)
-module Reference = Rel_ref
 
 type t
 (** A finite binary relation over event ids. *)

@@ -5,6 +5,8 @@
    differential property suite (test/test_rel_dense.ml) checks the dense
    kernel against, op by op. *)
 
+module Iset = Rel.Iset
+
 module Pair = struct
   type t = int * int
 

@@ -4,6 +4,8 @@
     differential property suite and as a readable statement of what each
     operator means; not used on any hot path. *)
 
+module Iset = Rel.Iset
+
 type t
 
 val empty : t

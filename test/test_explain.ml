@@ -2,8 +2,9 @@
    three canonical forbidden tests (message passing, store buffering,
    RCU), the property that every explanation produced over the whole
    battery re-validates edge-by-edge against an independently built
-   resolver, tamper-detection of the validator, and the counterexample/
-   explanations plumbing of Exec.Check.
+   resolver, tamper-detection of the validator, the counterexample/
+   explanations plumbing of Exec.Check, and the CPU cost of turning the
+   explainers on.
 
    Goldens live in test/goldens/; regenerate with
      UPDATE_GOLDENS=1 dune runtest *)
@@ -245,6 +246,33 @@ let test_json_shape () =
       let events = match field "events" with J.Arr l -> l | _ -> [] in
       Alcotest.(check bool) "events present" true (events <> [])
 
+(* ------------------------------------------------------------------ *)
+(* Overhead                                                            *)
+(* ------------------------------------------------------------------ *)
+
+(* The explainers run once per Forbid verdict, never per candidate: with
+   them on, the corpus slice under native LK and lk.cat may cost at most
+   3x its CPU time with them off. *)
+let test_explain_overhead () =
+  let battery ~explain =
+    let native_ex = if explain then Some Lkmm.Explain.explainer else None
+    and cat_ex =
+      if explain then Some (Cat.Explain.explainer (Lazy.force lk_cat))
+      else None
+    in
+    Cpu_ratio.battery
+      ~native:(Exec.Check.run ?explainer:native_ex (module Lkmm))
+      ~cat:
+        (Exec.Oracle.run ~backend:Exec.Check.Enum ?explainer:cat_ex
+           (Lazy.force Cpu_ratio.lk_cat))
+  in
+  let r =
+    Cpu_ratio.median ~base:(battery ~explain:false) (battery ~explain:true)
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "explain on/off CPU %.3f <= 3" r)
+    true (r <= 3.)
+
 let () =
   Alcotest.run "explain"
     [
@@ -275,5 +303,10 @@ let () =
           Alcotest.test_case "counterexample shape" `Quick
             test_counterexample_shape;
           Alcotest.test_case "json shape" `Quick test_json_shape;
+        ] );
+      ( "overhead",
+        [
+          Alcotest.test_case "explain costs at most 3x" `Slow
+            test_explain_overhead;
         ] );
     ]

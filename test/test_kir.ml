@@ -134,7 +134,7 @@ let test_faithful_impl_clean () =
             (name ^ " faithful impl on " ^ arch.Hwsim.Arch.name)
             0
             (run_variant Kir.Rcu_impl.Full arch 250 17 name))
-        [ Hwsim.Arch.power8; Hwsim.Arch.x86 ])
+        [ Hwsim.Arch.power8; Hwsim.Arch.armv8; Hwsim.Arch.x86 ])
     [ "RCU-MP"; "RCU-deferred-free" ]
 
 let test_broken_impls_caught () =

@@ -100,6 +100,8 @@ let test_strengthened_fences () =
     (verdict (module Models.C11) (battery "RWC+mbs") = allow);
   Alcotest.(check bool) "RWC+mbs: psc forbids" true
     (verdict (module Models.C11.Strengthened) (battery "RWC+mbs") = forbid);
+  Alcotest.(check bool) "SB+mbs: psc forbids" true
+    (verdict (module Models.C11.Strengthened) (battery "SB+mbs") = forbid);
   Alcotest.(check bool) "PeterZ: orig allows" true
     (verdict (module Models.C11) (battery "PeterZ") = allow);
   Alcotest.(check bool) "PeterZ: psc forbids" true

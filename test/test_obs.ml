@@ -2,8 +2,8 @@
    exception safety, ring overflow, fork-style merge), the structural
    golden shape of the JSONL and Chrome exports on a fixed battery
    test (spans well-nested, counters agreeing with the check result),
-   and a -j 2 pool run merging every worker's spans into the parent
-   collector. *)
+   a -j 2 pool run merging every worker's spans into the parent
+   collector, and the CPU cost of enabling the collector. *)
 
 let with_collector f =
   Obs.reset ();
@@ -505,6 +505,32 @@ let test_report_metrics_object () =
   | Some (J.Obj _) -> ()
   | _ -> Alcotest.fail "metrics object missing from enabled-collector report"
 
+(* ------------------------------------------------------------------ *)
+(* Overhead                                                            *)
+(* ------------------------------------------------------------------ *)
+
+(* Enabling the collector may cost at most 1.25x the CPU time of the
+   corpus slice under native LK and lk.cat on the scalar engine: a
+   probe that landed on a per-word inner loop costs far more. *)
+let test_enabled_overhead () =
+  let battery =
+    Cpu_ratio.battery
+      ~native:(Exec.Check.run (module Lkmm))
+      ~cat:
+        (Exec.Oracle.run ~backend:Exec.Check.Enum
+           (Lazy.force Cpu_ratio.lk_cat))
+  in
+  let traced () =
+    Obs.reset ();
+    Obs.set_enabled true;
+    Fun.protect ~finally:(fun () -> Obs.set_enabled false) battery
+  in
+  let r = Cpu_ratio.median ~base:battery traced in
+  Obs.reset ();
+  Alcotest.(check bool)
+    (Printf.sprintf "enabled/disabled CPU %.3f <= 1.25" r)
+    true (r <= 1.25)
+
 let () =
   Alcotest.run "obs"
     [
@@ -532,6 +558,11 @@ let () =
             test_pool_merges_workers;
           Alcotest.test_case "flight post-mortem survives SIGKILL" `Quick
             test_pool_flight_postmortem;
+        ] );
+      ( "overhead",
+        [
+          Alcotest.test_case "enabled costs at most 1.25x" `Slow
+            test_enabled_overhead;
         ] );
       (* last: Unix.fork is forbidden once another domain has existed,
          so the domain-spawning test must follow every forking one *)

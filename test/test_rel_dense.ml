@@ -1,6 +1,6 @@
 (* Differential tests: the dense bitset kernel ({!Rel}) against the
-   retained pair-set specification ({!Rel.Reference}), operator by
-   operator, on randomized relations — plus end-to-end agreement checks
+   pair-set specification in test/rel_ref.ml, operator by operator, on
+   randomized relations — plus end-to-end agreement checks
    on a corpus sample (verdicts against an unfiltered reference loop and
    the direct cat interpreter), the soundness argument for the prefilter
    made executable (candidates it rejects never satisfy the model), and
@@ -12,7 +12,8 @@
    mask — plus corpus-wide agreement of the batched and scalar engines,
    for the native LKMM and the cat interpreter (witness identity
    included, not just verdicts), and of each batch engine with its
-   scalar model on candidates the prefilter would have removed.
+   scalar model on candidates the prefilter would have removed; and the
+   scalar engine's CPU time against the batched one's.
 
    Trial tally: the operator suite alone draws 2 relations per trial ×
    4000 trials, the closure/sort/cycle suites another 2000 + 2000 +
@@ -21,7 +22,7 @@
    relations the acceptance criteria ask for. *)
 
 module D = Rel
-module S = Rel.Reference
+module S = Rel_ref
 module Iset = Rel.Iset
 
 (* ------------------------------------------------------------------ *)
@@ -345,6 +346,28 @@ let test_batched_agreement () =
         [ ("native", Lkmm.oracle); ("cat", Lazy.force cat_oracle) ])
     (sample_tests 11)
 
+(* lkbench times only the batched engine, so the scalar one is gated
+   here, by its CPU time relative to batched on the corpus slice under
+   native LK and lk.cat.  The ratio may at most double from its value
+   at commit d1e640f: 1.76, the median of 15 runs of this case there on
+   an idle 2-vCPU host (range 1.72-1.87). *)
+let enum_over_batch = 1.76
+
+let test_scalar_speed () =
+  let battery backend =
+    Cpu_ratio.battery
+      ~native:(Exec.Oracle.run ~backend Lkmm.oracle)
+      ~cat:(Exec.Oracle.run ~backend (Lazy.force cat_oracle))
+  in
+  let r =
+    Cpu_ratio.median ~base:(battery Exec.Check.Batch)
+      (battery Exec.Check.Enum)
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "Enum/Batch CPU %.3f <= 2 x %.2f" r enum_over_batch)
+    true
+    (r <= 2. *. enum_over_batch)
+
 (* The candidates of [test] in enumeration order, cut into the chunks a
    batch engine may take: one event structure each (a shared events
    array), at most {!Rel.Batch.width} long. *)
@@ -482,6 +505,8 @@ let () =
             test_corpus_agreement;
           Alcotest.test_case "batched vs scalar agreement" `Quick
             test_batched_agreement;
+          Alcotest.test_case "scalar at most 2x its Enum/Batch ratio" `Slow
+            test_scalar_speed;
           Alcotest.test_case "prefilter soundness" `Quick
             test_prefilter_soundness;
           Alcotest.test_case "batch engines decide coherence" `Quick

@@ -2,7 +2,8 @@
    taxonomy — oversized request lines, duplicate ids, malformed JSON,
    mid-request disconnects, deadline-zero requests, chaos-killed and
    wedged workers (supervision, retry, quarantine), graceful SIGTERM
-   drain, and verdict-cache recovery across a kill -9 restart.
+   drain, verdict-cache recovery across a kill -9 restart, and the
+   warm/cold throughput ratio that shows cache hits pay.
 
    The daemon runs as a forked child of the test process (the same
    pattern as test_journal's resume-after-SIGKILL test), so kill -9
@@ -117,6 +118,52 @@ let test_check_and_cache () =
       Alcotest.(check (option bool)) "also served from cache" (Some true)
         r3.Pr.rsp_cache_hit;
       S.Client.close c)
+
+(* A verdict-cache hit must be clearly cheaper than a fresh check.  The
+   corpus is cut into eleven interleaved slices.  Each slice goes to the
+   daemon one test at a time, twice: a cold pass (its tests are new, so
+   every answer is a miss), then a warm pass (every answer a hit).  The
+   median over the slices of warm throughput / cold throughput must be
+   at least 3.  The daemon is a forked child, so this is wall-clock
+   time; the median drops the slices a burst of host load split. *)
+let test_cache_pays () =
+  let dir = "../../../corpus" in
+  let files =
+    Sys.readdir dir |> Array.to_list |> List.sort compare
+    |> List.filter (fun f -> Filename.check_suffix f ".litmus")
+  in
+  let slices =
+    List.init 11 (fun k ->
+        files
+        |> List.filteri (fun i _ -> i mod 11 = k)
+        |> List.map (fun f -> (f, R.read_file (Filename.concat dir f))))
+  in
+  with_daemon (fun socket _pid ->
+      let c = connect_retry socket in
+      let pass hit tests =
+        let t0 = Unix.gettimeofday () in
+        let rs = List.map (fun (_, source) -> S.Client.check c source) tests in
+        let wall = Unix.gettimeofday () -. t0 in
+        List.iter2
+          (fun (name, _) r ->
+            Alcotest.(check (option bool)) (name ^ " cache") (Some hit)
+              (ok_response name r).Pr.rsp_cache_hit)
+          tests rs;
+        wall
+      in
+      let ratios =
+        List.map
+          (fun tests ->
+            let cold = pass false tests in
+            cold /. pass true tests)
+          slices
+        |> List.sort Float.compare
+      in
+      S.Client.close c;
+      let r = List.nth ratios 5 in
+      Alcotest.(check bool)
+        (Printf.sprintf "warm/cold throughput %.2f >= 3" r)
+        true (r >= 3.))
 
 let test_parse_error_classified () =
   with_daemon (fun socket _pid ->
@@ -454,6 +501,8 @@ let () =
         [
           Alcotest.test_case "check, cache hit, re-judged expectation" `Slow
             test_check_and_cache;
+          Alcotest.test_case "cache hits pay at least 3x" `Slow
+            test_cache_pays;
           Alcotest.test_case "parse error classified" `Slow
             test_parse_error_classified;
           Alcotest.test_case "deadline zero is unknown" `Slow
