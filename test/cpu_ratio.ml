@@ -9,21 +9,25 @@
    over the pairs drops the ones a burst of load split.  The order
    within a pair alternates, so neither side always runs second. *)
 
-let slice =
-  lazy
-    (let dir =
-       match List.find_opt Sys.file_exists [ "../../../corpus"; "corpus" ] with
-       | Some dir -> dir
-       | None -> failwith "corpus directory not found"
-     in
-     Harness.Runner.read_file (Filename.concat dir "MANIFEST")
-     |> String.split_on_char '\n'
-     |> List.filter (fun l -> l <> "" && l.[0] <> '#')
-     |> List.filteri (fun i _ -> i mod 5 = 0)
-     |> List.map (fun line ->
-            let file = List.hd (String.split_on_char ' ' line) in
-            Litmus.parse (Harness.Runner.read_file (Filename.concat dir file))))
+(* Every [stride]-th manifest entry with its file name — a fixed,
+   spread-out sample. *)
+let sample_tests stride =
+  let dir =
+    (* tests run from _build/default/test *)
+    match List.find_opt Sys.file_exists [ "../../../corpus"; "corpus" ] with
+    | Some dir -> dir
+    | None -> failwith "corpus directory not found"
+  in
+  Harness.Runner.read_file (Filename.concat dir "MANIFEST")
+  |> String.split_on_char '\n'
+  |> List.filter (fun l -> l <> "" && l.[0] <> '#')
+  |> List.filteri (fun i _ -> i mod stride = 0)
+  |> List.map (fun line ->
+         let file = List.hd (String.split_on_char ' ' line) in
+         ( file,
+           Litmus.parse (Harness.Runner.read_file (Filename.concat dir file)) ))
 
+let slice = lazy (List.map snd (sample_tests 5))
 let lk_cat = lazy (Cat.to_oracle ~name:"LK(cat)" (Lazy.force Cat.lk))
 
 (* One pass over the slice: [native] then [cat] on each test. *)
@@ -39,9 +43,9 @@ let cpu f =
   f ();
   Sys.time () -. t0
 
-(* The median over [pairs] adjacent pairs of cpu [slow] / cpu [base],
-   after one untimed run of each. *)
-let median ?(pairs = 11) ~base slow =
+(* The median over 11 adjacent pairs of cpu [slow] / cpu [base], after
+   one untimed run of each. *)
+let median ~base slow =
   base ();
   slow ();
   let ratio i =
@@ -52,6 +56,6 @@ let median ?(pairs = 11) ~base slow =
       let s = cpu slow in
       s /. cpu base
   in
-  let ratios = Array.init pairs ratio in
+  let ratios = Array.init 11 ratio in
   Array.sort Float.compare ratios;
-  ratios.(pairs / 2)
+  ratios.(5)

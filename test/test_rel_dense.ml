@@ -235,25 +235,6 @@ let prop_batch_masks_agree =
 (* Corpus sample: end-to-end agreement and prefilter soundness         *)
 (* ------------------------------------------------------------------ *)
 
-let corpus_dir =
-  (* tests run from _build/default/test *)
-  List.find_opt Sys.file_exists [ "../../../corpus"; "corpus" ]
-
-(* Every [stride]-th manifest entry — a fixed, spread-out sample. *)
-let sample_tests stride =
-  match corpus_dir with
-  | None -> Alcotest.fail "corpus directory not found"
-  | Some dir ->
-      Harness.Runner.read_file (Filename.concat dir "MANIFEST")
-      |> String.split_on_char '\n'
-      |> List.filter (fun l -> l <> "" && l.[0] <> '#')
-      |> List.filteri (fun i _ -> i mod stride = 0)
-      |> List.map (fun line ->
-             let file = List.hd (String.split_on_char ' ' line) in
-             ( file,
-               Litmus.parse (Harness.Runner.read_file (Filename.concat dir file))
-             ))
-
 (* A seeded diygen set: generated shapes beyond the hand-written corpus
    (fences, dependencies, release/acquire). *)
 let diygen_tests =
@@ -290,8 +271,6 @@ let reference_key (module M : Exec.Check.MODEL) (test : Litmus.Ast.t) =
     !matching,
     List.sort_uniq compare !outcomes )
 
-let cat_oracle = lazy (Cat.to_oracle ~name:"LK(cat)" (Lazy.force Cat.lk))
-
 (* The direct cat interpreter, no compiled model and no prefix cache. *)
 let cat_direct : (module Exec.Check.MODEL) =
   (module struct
@@ -305,7 +284,7 @@ let cat_direct : (module Exec.Check.MODEL) =
    a prefix slot that outlived its structure would show) against the
    direct interpreter. *)
 let test_corpus_agreement () =
-  let cat = Lazy.force cat_oracle in
+  let cat = Lazy.force Cpu_ratio.lk_cat in
   List.iter
     (fun (file, test) ->
       let native = Exec.Check.run (module Lkmm) test in
@@ -322,7 +301,7 @@ let test_corpus_agreement () =
         (file ^ ": native and cat verdicts agree")
         true
         (native.verdict = cat_cached.verdict))
-    (sample_tests 11)
+    (Cpu_ratio.sample_tests 11)
 
 (* Batched evaluation must be invisible in the results, down to witness
    identity — the correctness contract of the batched path — for the
@@ -343,8 +322,8 @@ let test_batched_agreement () =
             (Printf.sprintf "%s: %s agrees batched vs scalar" file what)
             true
             (on Exec.Check.Enum = on Exec.Check.Batch))
-        [ ("native", Lkmm.oracle); ("cat", Lazy.force cat_oracle) ])
-    (sample_tests 11)
+        [ ("native", Lkmm.oracle); ("cat", Lazy.force Cpu_ratio.lk_cat) ])
+    (Cpu_ratio.sample_tests 11)
 
 (* lkbench times only the batched engine, so the scalar one is gated
    here, by its CPU time relative to batched on the corpus slice under
@@ -357,7 +336,7 @@ let test_scalar_speed () =
   let battery backend =
     Cpu_ratio.battery
       ~native:(Exec.Oracle.run ~backend Lkmm.oracle)
-      ~cat:(Exec.Oracle.run ~backend (Lazy.force cat_oracle))
+      ~cat:(Exec.Oracle.run ~backend (Lazy.force Cpu_ratio.lk_cat))
   in
   let r =
     Cpu_ratio.median ~base:(battery Exec.Check.Batch)
@@ -419,12 +398,12 @@ let test_batch_decides_coherence () =
             (Printf.sprintf "%s: %s planes disagreeing with the scalar model"
                file what)
             0 !disagree)
-        (sample_tests 3 @ Lazy.force diygen_tests);
+        (Cpu_ratio.sample_tests 3 @ Lazy.force diygen_tests);
       Alcotest.(check bool)
         (Printf.sprintf "%s: %d incoherent candidates reach the batch engine"
            what !incoherent)
         true (!incoherent > 100))
-    [ ("native", Lkmm.oracle); ("cat", Lazy.force cat_oracle) ]
+    [ ("native", Lkmm.oracle); ("cat", Lazy.force Cpu_ratio.lk_cat) ]
 
 (* fr = rf⁻¹;co minus identity, the definition the library builds row by
    row instead: on every enumerated candidate, and on every witness the
@@ -453,7 +432,7 @@ let test_fr_definition () =
           Alcotest.(check bool) (file ^ ": decoded fr is rf^-1;co") false
             (wrong w))
         r.witness)
-    (sample_tests 3 @ Lazy.force diygen_tests);
+    (Cpu_ratio.sample_tests 3 @ Lazy.force diygen_tests);
   Alcotest.(check bool)
     (Printf.sprintf "%d candidates checked" !candidates)
     true (!candidates > 500);
@@ -483,7 +462,7 @@ let test_prefilter_soundness () =
               (Cat.consistent lk_cat x)
           end)
         (Exec.of_test_seq test))
-    (sample_tests 9);
+    (Cpu_ratio.sample_tests 9);
   Alcotest.(check bool) "sample exercises the prefilter" true (!rejected > 20)
 
 let () =
