@@ -15,60 +15,6 @@
 
 open Cmdliner
 
-(* One oracle per model name: the native LK value carries its batch and
-   SAT engines, cat-interpreted models their batch engine, and the
-   operational simulators stay scalar.  {!Exec.Oracle.run} falls back
-   enumeratively when the selected backend is missing. *)
-let oracle_of_name name : Exec.Oracle.t =
-  match String.lowercase_ascii name with
-  | "lk" | "lkmm" | "linux" -> Lkmm.oracle
-  | "lk-cat" -> Cat.to_oracle ~name:"LK(cat)" (Cat.parse Cat.Stdmodels.lk)
-  | "sc" -> Exec.Oracle.of_model (module Models.Sc)
-  | "tso" | "x86" -> Exec.Oracle.of_model (module Models.Tso)
-  | "c11" -> Exec.Oracle.of_model (module Models.C11)
-  | "c11-psc" | "rc11" -> Exec.Oracle.of_model (module Models.C11.Strengthened)
-  | _ when Filename.check_suffix name ".cat" ->
-      Cat.to_oracle ~name (Cat.load_file name)
-  | other -> failwith ("unknown model: " ^ other)
-
-let model_display_name name =
-  match String.lowercase_ascii name with
-  | "lk" | "lkmm" | "linux" -> "LK"
-  | "lk-cat" -> "LK(cat)"
-  | "sc" -> "SC"
-  | "tso" | "x86" -> "TSO"
-  | "c11" -> "C11"
-  | "c11-psc" | "rc11" -> "C11+psc"
-  | other -> other
-
-(* Verdict forensics (--explain, --explain-diff).  The native LK model
-   has its own explainer (which delegates decomposition to lk.cat);
-   every other model is explained by the generic cat engine on its own
-   source — the shipped twins for the built-in names, or the given
-   file. *)
-let cat_model_of_name name =
-  match String.lowercase_ascii name with
-  | "lk" | "lkmm" | "linux" | "lk-cat" -> Some (Lazy.force Cat.lk)
-  | "sc" -> Some (Cat.parse Cat.Stdmodels.sc)
-  | "tso" | "x86" -> Some (Cat.parse Cat.Stdmodels.tso)
-  | "c11" -> Some (Cat.parse Cat.Stdmodels.c11)
-  | "c11-psc" | "rc11" -> Some (Cat.parse Cat.Stdmodels.c11_psc)
-  | _ when Filename.check_suffix name ".cat" -> Some (Cat.load_file name)
-  | _ -> None
-
-let explainer_of_name name =
-  match String.lowercase_ascii name with
-  | "lk" | "lkmm" | "linux" -> Some Lkmm.Explain.explainer
-  | _ -> Option.map Cat.explainer (cat_model_of_name name)
-
-let check_names_of_name name =
-  match String.lowercase_ascii name with
-  | "lk" | "lkmm" | "linux" -> Lkmm.Explain.check_names
-  | _ -> (
-      match cat_model_of_name name with
-      | Some m -> Cat.check_names m
-      | None -> [])
-
 (* Per-entry console output, preserving the classic verdict line for
    completed checks. *)
 let print_entry model_name outcomes (e : Harness.Runner.entry) =
@@ -142,9 +88,11 @@ let explain_diff ~limits ~backend spec (items : Harness.Runner.item list) =
         failwith
           (Printf.sprintf "--explain-diff expects MODEL,MODEL (got %S)" spec)
   in
-  let run m i =
-    R.run_item ~limits ~backend ?explainer:(explainer_of_name m)
-      ~oracle:(oracle_of_name m)
+  let a = Harness.Model_table.find a and b = Harness.Model_table.find b in
+  let run (m : Harness.Model_table.t) i =
+    R.run_item ~limits ~backend
+      ~explainer:(Harness.Model_table.explainer m)
+      ~oracle:m.oracle
       { i with R.expected = None }
   in
   let entries =
@@ -167,7 +115,7 @@ let explain_diff ~limits ~backend spec (items : Harness.Runner.item list) =
                    r.Exec.Check.explanations)
           | None -> []
         in
-        let na = model_display_name a and nb = model_display_name b in
+        let na = a.display and nb = b.display in
         Fmt.pr "Test %s: %s=%s, %s=%s@." i.R.id na (verdict ea) nb
           (verdict eb);
         let fa = failing ea and fb = failing eb in
@@ -181,9 +129,9 @@ let explain_diff ~limits ~backend spec (items : Harness.Runner.item list) =
               else Fmt.pr "  %s fails %s — not a check of %s@." n c other_name)
             f
         in
-        side na fa nb fb (check_names_of_name b);
+        side na fa nb fb (Harness.Model_table.check_names b);
         side nb (List.filter (fun c -> not (List.mem c fa)) fb) na fa
-          (check_names_of_name a);
+          (Harness.Model_table.check_names a);
         if fa = [] && fb = [] then
           Fmt.pr "  no failing checks under either model@.";
         [ ea; eb ])
@@ -251,8 +199,8 @@ let main model verbose outcomes dot explain explain_diff_spec builtin timeout
     max_candidates max_events json jobs mem_limit journal resume shrink
     backend trace metrics files =
   Harness.Cli.with_obs ~trace ~metrics @@ fun () ->
-  let oracle = oracle_of_name model in
-  let mname = model_display_name model in
+  let model = Harness.Model_table.find model in
+  let oracle = model.oracle and mname = model.display in
   let limits =
     Exec.Budget.limits ?timeout ?max_events ?max_candidates ()
   in
@@ -299,7 +247,9 @@ let main model verbose outcomes dot explain explain_diff_spec builtin timeout
     let use_pool =
       jobs > 1 || mem_limit <> None || journal <> None || resume <> None
     in
-    let explainer = if explain then explainer_of_name model else None in
+    let explainer =
+      if explain then Some (Harness.Model_table.explainer model) else None
+    in
     let report =
       if use_pool then
         Harness.Pool.run ~config:pool_config ?journal ?resume ?explainer

@@ -321,62 +321,44 @@ let summarise config ~lo ~hi (cells : (int, cell) Hashtbl.t) :
 (* Worker (child process)                                              *)
 (* ------------------------------------------------------------------ *)
 
-let worker_exit_uncaught = 3
-
 (* Orchestrator service histograms.  Unconditional (observe_always) so
    the metrics journal carries real shard percentiles even when the
    tracing collector is off. *)
 let h_shard_wall = Obs.Histogram.make "campaign.shard_wall_us"
 let h_shard_pending = Obs.Histogram.make "campaign.shard_pending_us"
 
-(* Resume within the shard: seeds already journalled (by this worker's
-   predecessor, any attempt) are skipped, so a retried shard pays only
-   for the seeds the crash lost.  Never returns. *)
-let run_worker config ~lo ~hi ~attempt =
-  let code =
-    try
-      (* Flight recorder: armed post-fork (the orchestrator never arms
-         its own), checkpointed at every seed start, so the poison and
-         wedge chaos hooks — like any real crash — leave a post-mortem
-         whose open [campaign.seed] span names the victim seed.  [last]
-         is kept small: at campaign scale the per-checkpoint span tail
-         is the file-size budget. *)
-      if config.flight then begin
-        if not (Obs.enabled ()) then Obs.set_enabled true;
-        Obs.flight_start ~last:8
-          (Filename.concat config.dir
-             (Printf.sprintf "flight-%d.jsonl" (Unix.getpid ())))
-      end;
-      let jpath = shard_journal_path config.dir lo hi in
-      let done_cells = read_shard_journal jpath in
-      let w = Journal.open_writer jpath in
-      let checks = build_checks config in
-      let c11 = List.mem "c11" config.models in
-      let archs = List.map Hwsim.Arch.find config.archs in
-      let limits = if attempt >= 2 then config.reduced else config.limits in
-      for seed = lo to hi - 1 do
-        if not (Hashtbl.mem done_cells seed) then
-          Journal.write_line w
-            (Obs.with_span
-               ~item:("seed:" ^ string_of_int seed)
-               "campaign.seed"
-               (fun () ->
-                 if Obs.flight_active () then
-                   Obs.flight_checkpoint ~reason:"seed-start" ();
-                 if List.mem seed config.poison then Unix._exit 42;
-                 if List.mem seed config.wedge then
-                   while true do
-                     Unix.sleepf 3600.
-                   done;
-                 classify ~checks ~backend:config.backend ~c11 ~archs
-                   ~hw_runs:config.hw_runs ~limits ~size:config.size seed))
-      done;
-      Journal.close w;
-      if Obs.flight_active () then Obs.flight_stop ();
-      0
-    with _ -> worker_exit_uncaught
-  in
-  Unix._exit code
+(* One shard, run by a supervised worker.  Seeds already journalled (by
+   this worker's predecessor, any attempt) are skipped, so a retried
+   shard pays only for the seeds the crash lost.  With the flight
+   recorder armed, every seed forces a checkpoint inside its span, so
+   the poison and wedge chaos hooks — like any real crash — leave a
+   post-mortem whose open [campaign.seed] span names the victim. *)
+let run_shard config ~lo ~hi ~attempt () =
+  let jpath = shard_journal_path config.dir lo hi in
+  let done_cells = read_shard_journal jpath in
+  let w = Journal.open_writer jpath in
+  let checks = build_checks config in
+  let c11 = List.mem "c11" config.models in
+  let archs = List.map Hwsim.Arch.find config.archs in
+  let limits = if attempt >= 2 then config.reduced else config.limits in
+  for seed = lo to hi - 1 do
+    if not (Hashtbl.mem done_cells seed) then
+      Journal.write_line w
+        (Obs.with_span
+           ~item:("seed:" ^ string_of_int seed)
+           "campaign.seed"
+           (fun () ->
+             if Obs.flight_active () then
+               Obs.flight_checkpoint ~reason:"seed-start" ();
+             if List.mem seed config.poison then Unix._exit 42;
+             if List.mem seed config.wedge then
+               while true do
+                 Unix.sleepf 3600.
+               done;
+             classify ~checks ~backend:config.backend ~c11 ~archs
+               ~hw_runs:config.hw_runs ~limits ~size:config.size seed))
+  done;
+  Journal.close w
 
 (* ------------------------------------------------------------------ *)
 (* Split redistribution                                                *)
@@ -710,7 +692,11 @@ let run config =
       (* Force the cat model in the parent: workers inherit the parsed
          model copy-on-write instead of each re-parsing it. *)
       if List.mem "cat" config.models then ignore (Lazy.force Cat.lk);
-      let running : (int, int * int * float) Hashtbl.t = Hashtbl.create 16 in
+      let sup =
+        Supervisor.create
+          ?flight:(if config.flight then Some config.dir else None)
+          ~jobs:config.jobs ()
+      in
       (* Live telemetry: periodic lkmetrics-1 snapshots journalled
          alongside the manifest.  A separate file the miner never reads
          — the chaos byte-equality gates compare mined reports, which
@@ -725,12 +711,15 @@ let run config =
         if not (Hashtbl.mem pending_since (lo, hi)) then
           Hashtbl.replace pending_since (lo, hi) (Unix.gettimeofday ())
       in
+      let pending () =
+        List.filter
+          (fun (s : Manifest.shard) ->
+            match s.state with Manifest.Pending -> true | _ -> false)
+          (Manifest.shards m)
+      in
       List.iter
-        (fun (sh : Manifest.shard) ->
-          match sh.state with
-          | Manifest.Pending -> note_pending sh.lo sh.hi
-          | _ -> ())
-        (Manifest.shards m);
+        (fun (sh : Manifest.shard) -> note_pending sh.lo sh.hi)
+        (pending ());
       let metrics_line () =
         let now = Unix.gettimeofday () in
         let pending, leased, done_, quarantined =
@@ -750,7 +739,7 @@ let run config =
            \"leased\": %d, \"done\": %d, \"quarantined\": %d}, \
            \"latency_us\": %s, \"queue_wait_us\": %s}"
           (now *. 1e6) (now -. t0) !seeds_classified pending
-          (Hashtbl.length running) (Hashtbl.length running) pending leased
+          (Supervisor.running sup) (Supervisor.running sup) pending leased
           done_ quarantined
           (Obs.hist_metrics_json (Obs.hist_snapshot h_shard_wall))
           (Obs.hist_metrics_json (Obs.hist_snapshot h_shard_pending))
@@ -813,90 +802,45 @@ let run config =
                (List.length summary.Manifest.rows))
         end
       in
-      let dispatch_some () =
-        let free = config.jobs - Hashtbl.length running in
-        if free > 0 then
-          List.iteri
-            (fun i (sh : Manifest.shard) ->
-              if i < free then begin
-                let attempt = sh.attempts + 1 in
-                match Unix.fork () with
-                | 0 -> run_worker config ~lo:sh.lo ~hi:sh.hi ~attempt
-                | pid ->
-                    let now = Unix.gettimeofday () in
-                    (match Hashtbl.find_opt pending_since (sh.lo, sh.hi) with
-                    | Some since ->
-                        Obs.Histogram.observe_always h_shard_pending
-                          ((now -. since) *. 1e6);
-                        Hashtbl.remove pending_since (sh.lo, sh.hi)
-                    | None -> ());
-                    Manifest.record m
-                      (Manifest.Lease
-                         { lo = sh.lo; hi = sh.hi; attempt; pid; since = now });
-                    Hashtbl.replace running pid (sh.lo, sh.hi, now)
-              end)
-            (List.filter
-               (fun (s : Manifest.shard) ->
-                 match s.state with Manifest.Pending -> true | _ -> false)
-               (Manifest.shards m))
-      in
-      let reap_once () =
-        match Unix.waitpid [ Unix.WNOHANG ] (-1) with
-        | exception Unix.Unix_error (Unix.ECHILD, _, _) -> false
-        | 0, _ -> false
-        | pid, status ->
-            (match Hashtbl.find_opt running pid with
-            | None -> ()
-            | Some (lo, hi, since) -> (
-                Hashtbl.remove running pid;
-                Obs.Histogram.observe_always h_shard_wall
-                  ((Unix.gettimeofday () -. since) *. 1e6);
-                match status with
-                | Unix.WEXITED 0 -> finalize lo hi
-                | Unix.WEXITED n -> failure lo hi (Printf.sprintf "exit %d" n)
-                | Unix.WSIGNALED s ->
-                    failure lo hi ("signal " ^ Exec.Check.signal_name s)
-                | Unix.WSTOPPED _ -> failure lo hi "stopped"));
-            true
-      in
-      let expire_leases () =
-        let now = Unix.gettimeofday () in
-        let expired =
-          Hashtbl.fold
-            (fun pid (lo, hi, since) acc ->
-              if now -. since > config.lease_timeout then (pid, lo, hi) :: acc
-              else acc)
-            running []
+      (* A lease is the shard's worker: its pid goes into the manifest
+         (so a resume can hunt down an orphan), and [lease_timeout] is
+         the worker's deadline. *)
+      let lease (sh : Manifest.shard) =
+        let attempt = sh.attempts + 1 in
+        let pid =
+          Supervisor.spawn sup ~deadline:config.lease_timeout (sh.lo, sh.hi)
+            (run_shard config ~lo:sh.lo ~hi:sh.hi ~attempt)
         in
-        List.iter
-          (fun (pid, lo, hi) ->
-            (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
-            (try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ());
-            Hashtbl.remove running pid;
-            failure lo hi "lease expired")
-          expired;
-        expired <> []
+        let now = Unix.gettimeofday () in
+        (match Hashtbl.find_opt pending_since (sh.lo, sh.hi) with
+        | Some since ->
+            Obs.Histogram.observe_always h_shard_pending
+              ((now -. since) *. 1e6);
+            Hashtbl.remove pending_since (sh.lo, sh.hi)
+        | None -> ());
+        Manifest.record m
+          (Manifest.Lease { lo = sh.lo; hi = sh.hi; attempt; pid; since = now })
       in
-      let open_work () =
-        Hashtbl.length running > 0
-        || List.exists
-             (fun (s : Manifest.shard) ->
-               match s.state with
-               | Manifest.Pending | Manifest.Leased _ -> true
-               | _ -> false)
-             (Manifest.shards m)
+      let reaped ((lo, hi), secs, exit) =
+        Obs.Histogram.observe_always h_shard_wall (secs *. 1e6);
+        match (exit : unit Supervisor.exit) with
+        | Returned () -> finalize lo hi
+        | Exited n -> failure lo hi (Printf.sprintf "exit %d" n)
+        | Signaled s -> failure lo hi ("signal " ^ Exec.Check.signal_name s)
+        | Deadline -> failure lo hi "lease expired"
+        | Vanished -> failure lo hi "worker vanished"
       in
       let next_metrics = ref (t0 +. config.metrics_interval) in
       let rec loop () =
-        if open_work () then begin
-          dispatch_some ();
-          let progressed = reap_once () in
-          let expired = expire_leases () in
+        let pending = pending () in
+        if pending <> [] || Supervisor.running sup > 0 then begin
+          let free = Supervisor.free sup in
+          List.iteri (fun i sh -> if i < free then lease sh) pending;
+          List.iter reaped (Supervisor.wait sup ~until:!next_metrics ());
           if Unix.gettimeofday () >= !next_metrics then begin
             Journal.write_line metrics_w (metrics_line ());
             next_metrics := Unix.gettimeofday () +. config.metrics_interval
           end;
-          if not (progressed || expired) then Unix.sleepf 0.01;
           loop ()
         end
       in

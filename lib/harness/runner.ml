@@ -109,8 +109,8 @@ let read_file path =
 
 exception Lint_failed of string
 
-let run_item ?(limits = Exec.Budget.default) ?deadline ?(lint = true) ?explainer
-    ?backend ?(oracle = Lkmm.oracle) (item : item) =
+let run_item ?(limits = Exec.Budget.default) ?deadline ?explainer ?backend
+    ?(oracle = Lkmm.oracle) (item : item) =
   let t0 = Unix.gettimeofday () in
   let budget =
     match deadline with
@@ -147,17 +147,16 @@ let run_item ?(limits = Exec.Budget.default) ?deadline ?(lint = true) ?explainer
               | `File p -> Litmus.parse (read_file p))
         in
         Obs.with_span ~item:item.id "lint" (fun () ->
-            if lint then
-              match Litmus.Lint.errors (Litmus.Lint.check_all test) with
-              | [] -> ()
-              | issues ->
-                  raise
-                    (Lint_failed
-                       (String.concat "; "
-                          (List.map
-                             (fun (i : Litmus.Lint.issue) ->
-                               i.Litmus.Lint.message)
-                             issues))));
+            match Litmus.Lint.errors (Litmus.Lint.check_all test) with
+            | [] -> ()
+            | issues ->
+                raise
+                  (Lint_failed
+                     (String.concat "; "
+                        (List.map
+                           (fun (i : Litmus.Lint.issue) ->
+                             i.Litmus.Lint.message)
+                           issues))));
         let r = Exec.Oracle.run ?budget ?explainer ?backend oracle test in
         match r.Exec.Check.verdict with
         | Exec.Check.Unknown (Exec.Check.Budget_exceeded reason) ->
@@ -183,10 +182,10 @@ let run_item ?(limits = Exec.Budget.default) ?deadline ?(lint = true) ?explainer
 
 let summarise = Report.summarise
 
-let run ?limits ?lint ?explainer ?backend ?oracle (items : item list) =
+let run ?limits ?explainer ?backend ?oracle (items : item list) =
   let t0 = Unix.gettimeofday () in
   let entries =
-    List.map (run_item ?limits ?lint ?explainer ?backend ?oracle) items
+    List.map (run_item ?limits ?explainer ?backend ?oracle) items
   in
   summarise ~wall:(Unix.gettimeofday () -. t0) entries
 

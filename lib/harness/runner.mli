@@ -92,8 +92,8 @@ val read_file : string -> string
 (** [run_item ?oracle item] — parse, lint and check one item inside the
     fault barrier.  Never raises.  [limits] defaults to
     {!Exec.Budget.default}; pass {!Exec.Budget.unlimited} to disable
-    budgeting (exceptions are still caught).  [lint] defaults to [true]:
-    lint errors become [Err {cls = Lint; _}] entries.  When the
+    budgeting (exceptions are still caught).  Lint errors become
+    [Err {cls = Lint; _}] entries.  When the
     observability collector is on, the item runs inside an "item" span
     with "parse" and "lint" children (checking opens its own spans).
     [explainer] (forwarded to the check) turns on verdict forensics:
@@ -110,7 +110,6 @@ val read_file : string -> string
 val run_item :
   ?limits:Exec.Budget.limits ->
   ?deadline:float ->
-  ?lint:bool ->
   ?explainer:(Exec.t -> Exec.Explain.t list) ->
   ?backend:Exec.Check.backend ->
   ?oracle:Exec.Oracle.t ->
@@ -122,7 +121,6 @@ val run_item :
     the native LK oracle runs on its batched engine. *)
 val run :
   ?limits:Exec.Budget.limits ->
-  ?lint:bool ->
   ?explainer:(Exec.t -> Exec.Explain.t list) ->
   ?backend:Exec.Check.backend ->
   ?oracle:Exec.Oracle.t ->

@@ -94,41 +94,6 @@ let default =
   }
 
 (* ------------------------------------------------------------------ *)
-(* Models                                                              *)
-(* ------------------------------------------------------------------ *)
-
-(* [mkey] is the model's full identity for cache addressing: the
-   canonical name for built-ins (the binary pins their semantics), the
-   digest of the file's contents for .cat files (edits invalidate). *)
-type model = {
-  mkey : string;
-  oracle : Exec.Oracle.t;
-      (* every engine the model ships; the config's [backend] picks *)
-}
-
-let builtin_models () =
-  let scalar mkey m = { mkey; oracle = Exec.Oracle.of_model m } in
-  let lk = { mkey = "lk"; oracle = Lkmm.oracle } in
-  let lk_cat =
-    {
-      mkey = "lk-cat";
-      oracle = Cat.to_oracle ~name:"LK(cat)" (Cat.parse Cat.Stdmodels.lk);
-    }
-  in
-  [
-    ("lk", lk);
-    ("lkmm", lk);
-    ("linux", lk);
-    ("lk-cat", lk_cat);
-    ("sc", scalar "sc" (module Models.Sc));
-    ("tso", scalar "tso" (module Models.Tso));
-    ("x86", scalar "tso" (module Models.Tso));
-    ("c11", scalar "c11" (module Models.C11));
-    ("c11-psc", scalar "c11-psc" (module Models.C11.Strengthened));
-    ("rc11", scalar "c11-psc" (module Models.C11.Strengthened));
-  ]
-
-(* ------------------------------------------------------------------ *)
 (* Jobs and state                                                      *)
 (* ------------------------------------------------------------------ *)
 
@@ -168,8 +133,8 @@ type conn = {
 
 type t = {
   cfg : config;
-  models : (string, model) Hashtbl.t; (* by name (built-ins) *)
-  cat_models : (string, model) Hashtbl.t; (* by contents digest *)
+  models : (string, Model_table.t) Hashtbl.t; (* by name (built-ins) *)
+  cat_models : (string, Model_table.t) Hashtbl.t; (* by contents digest *)
   cache : Vcache.t;
   mutex : Mutex.t; (* guards queue / slots / completed *)
   cond : Condition.t;
@@ -509,65 +474,26 @@ let resolve_model p name =
                     Error ("cannot parse model: " ^ Printexc.to_string e)
                 | parsed ->
                     let m =
-                      {
-                        mkey = "cat:" ^ digest;
-                        oracle = Cat.to_oracle ~name parsed;
-                      }
+                      Model_table.of_cat ~key:("cat:" ^ digest) name parsed
                     in
                     Hashtbl.replace p.cat_models digest m;
                     Ok m))
       end
       else Error ("unknown model: " ^ name)
 
-let stats_extra p now =
-  let alive =
-    Array.fold_left (fun n s -> if s.alive then n + 1 else n) 0 p.slots
-  in
-  let queued, busy =
-    locked p (fun () ->
-        ( Queue.length p.queue,
-          Array.fold_left
-            (fun n s -> if s.busy <> None then n + 1 else n)
-            0 p.slots ))
-  in
-  let served =
-    String.concat ", "
-      (List.mapi
-         (fun i n -> Printf.sprintf "\"%s\": %d"
-             (Proto.cls_name
-                (List.nth
-                   [ Proto.Ok_; Proto.Fail; Proto.Unknown; Proto.Error;
-                     Proto.Overloaded; Proto.Quarantined ]
-                   i))
-             n)
-         (Array.to_list p.served))
-  in
-  [
-    ("workers", string_of_int alive);
-    ("busy", string_of_int busy);
-    ("queued", string_of_int queued);
-    ("gated", string_of_int (List.length p.gated));
-    ("requests", string_of_int p.n_requests);
-    ("replacements", string_of_int p.replacements);
-    ("quarantined_keys",
-     string_of_int
-       (Hashtbl.fold (fun _ s n -> if s >= 2 then n + 1 else n) p.strikes 0));
-    ("cache_size", string_of_int (Vcache.size p.cache));
-    ("cache_hits", string_of_int (Vcache.hits p.cache));
-    ("cache_misses", string_of_int (Vcache.misses p.cache));
-    ("uptime", Printf.sprintf "%.3f" (now -. p.started_at));
-    ("served", "{" ^ served ^ "}");
-  ]
+(* One reading of the service's gauges, which the [stats] and [metrics]
+   ops both render. *)
+type gauges = {
+  live : int;
+  busy_slots : int;
+  queue_depth : int;
+  gated_retries : int;
+  quarantined_keys : int;
+  served_json : string; (* the served-by-class JSON members *)
+}
 
-(* The [metrics] payload: one self-contained lkmetrics-1 object —
-   counters, gauges and latency/queue-wait percentiles — the same shape
-   {!Campaign}'s periodic snapshots journal, so one schema
-   (ci/metrics.schema.json) validates both surfaces. *)
-let metrics_json p now =
-  let alive =
-    Array.fold_left (fun n s -> if s.alive then n + 1 else n) 0 p.slots
-  in
-  let queued, busy, gated =
+let gauges p =
+  let queue_depth, busy_slots, gated_retries =
     locked p (fun () ->
         ( Queue.length p.queue,
           Array.fold_left
@@ -575,19 +501,45 @@ let metrics_json p now =
             0 p.slots,
           List.length p.gated ))
   in
-  let served =
-    String.concat ", "
-      (List.mapi
-         (fun i n ->
-           Printf.sprintf "\"%s\": %d"
-             (Proto.cls_name
-                (List.nth
-                   [ Proto.Ok_; Proto.Fail; Proto.Unknown; Proto.Error;
-                     Proto.Overloaded; Proto.Quarantined ]
-                   i))
-             n)
-         (Array.to_list p.served))
-  in
+  {
+    live = Array.fold_left (fun n s -> if s.alive then n + 1 else n) 0 p.slots;
+    busy_slots;
+    queue_depth;
+    gated_retries;
+    quarantined_keys =
+      Hashtbl.fold (fun _ s n -> if s >= 2 then n + 1 else n) p.strikes 0;
+    served_json =
+      String.concat ", "
+        (List.map
+           (fun cls ->
+             Printf.sprintf "\"%s\": %d" (Proto.cls_name cls)
+               p.served.(cls_index cls))
+           [ Proto.Ok_; Fail; Unknown; Error; Overloaded; Quarantined ]);
+  }
+
+let stats_extra p now =
+  let g = gauges p in
+  [
+    ("workers", string_of_int g.live);
+    ("busy", string_of_int g.busy_slots);
+    ("queued", string_of_int g.queue_depth);
+    ("gated", string_of_int g.gated_retries);
+    ("requests", string_of_int p.n_requests);
+    ("replacements", string_of_int p.replacements);
+    ("quarantined_keys", string_of_int g.quarantined_keys);
+    ("cache_size", string_of_int (Vcache.size p.cache));
+    ("cache_hits", string_of_int (Vcache.hits p.cache));
+    ("cache_misses", string_of_int (Vcache.misses p.cache));
+    ("uptime", Printf.sprintf "%.3f" (now -. p.started_at));
+    ("served", "{" ^ g.served_json ^ "}");
+  ]
+
+(* The [metrics] payload: one self-contained lkmetrics-1 object —
+   counters, gauges and latency/queue-wait percentiles — the same shape
+   {!Campaign}'s periodic snapshots journal, so one schema
+   (ci/metrics.schema.json) validates both surfaces. *)
+let metrics_json p now =
+  let g = gauges p in
   Printf.sprintf
     "{\"schema\": \"lkmetrics-1\", \"ts_us\": %.1f, \"uptime_s\": %.3f, \
      \"requests\": %d, \"queue_depth\": %d, \"gated\": %d, \
@@ -597,11 +549,11 @@ let metrics_json p now =
      %s, \"queue_wait_us\": %s}"
     (Obs.now_us ())
     (now -. p.started_at)
-    p.n_requests queued gated alive busy p.replacements
-    (Hashtbl.fold (fun _ s n -> if s >= 2 then n + 1 else n) p.strikes 0)
+    p.n_requests g.queue_depth g.gated_retries g.live g.busy_slots
+    p.replacements g.quarantined_keys
     (Exec.Check.backend_to_string p.cfg.backend)
     (Vcache.size p.cache) (Vcache.hits p.cache) (Vcache.misses p.cache)
-    served
+    g.served_json
     (Obs.hist_metrics_json (Obs.hist_snapshot h_latency))
     (Obs.hist_metrics_json (Obs.hist_snapshot h_queue_wait))
 
@@ -688,8 +640,8 @@ let handle_line p conn line ~request_shutdown =
         | Proto.Check c -> (
             match resolve_model p c.model with
             | Error msg -> err ~id:req_id msg
-            | Ok m -> (
-                let vkey = Vcache.key ~model_key:m.mkey ~source:c.test in
+            | Ok (m : Model_table.t) -> (
+                let vkey = Vcache.key ~model_key:m.key ~source:c.test in
                 if quarantined p vkey then
                   respond p conn.cid ~cls:Proto.Quarantined
                     (Proto.response_line ~id:req_id ~cls:Proto.Quarantined
@@ -797,22 +749,20 @@ let warmup p =
   let item =
     { Runner.id = "warmup"; source = `Text warmup_test; expected = None }
   in
-  List.iter
-    (fun name ->
-      match Hashtbl.find_opt p.models name with
-      | Some m ->
-          ignore
-            (Runner.run_item
-               ~limits:(Exec.Budget.limits ~timeout:10. ())
-               ~backend:p.cfg.backend ~oracle:m.oracle item)
-      | None -> ())
-    [ "lk"; "lk-cat"; "sc"; "tso"; "c11"; "c11-psc" ]
+  Hashtbl.iter
+    (fun name (m : Model_table.t) ->
+      if name = m.key then
+        ignore
+          (Runner.run_item
+             ~limits:(Exec.Budget.limits ~timeout:10. ())
+             ~backend:p.cfg.backend ~oracle:m.oracle item))
+    p.models
 
 let create cfg =
   let models = Hashtbl.create 16 in
   List.iter
     (fun (n, m) -> Hashtbl.replace models n m)
-    (builtin_models ());
+    (Model_table.builtins ());
   let wake_r, wake_w = Unix.pipe () in
   Unix.set_nonblock wake_w;
   {

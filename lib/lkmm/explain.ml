@@ -48,106 +48,30 @@ let pp_execution_verdict ppf (x : Exec.t) =
    explainer detects violations cheaply via {!Axioms} and delegates the
    cycle extraction and provenance decomposition to the generic cat
    engine on the shipped lk.cat — native verdicts get cat-level
-   explanations for free.
-
-   If the two ever diverged (a cat explanation missing for a natively
-   violated axiom), the fallback below still explains the violation
-   from the native context alone: the shortest cycle in the axiom's
-   relation, each edge labelled by the strongest base relation that
-   contains it.  Both paths re-validate; [Exec.Explain.Invalid] is a
-   hard error. *)
+   explanations for free.  A natively violated axiom that lk.cat does
+   not explain means the two models diverged: that raises
+   [Exec.Explain.Invalid], a hard error, like an explanation that fails
+   its own re-validation. *)
 
 module E = Exec.Explain
-
-(* Preference order for native edge labels: external communication
-   first (the herd convention), then internal, then derived. *)
-let native_label_rels (c : Relations.ctx) =
-  [
-    ("rfe", c.x.Exec.rfe);
-    ("rfi", c.x.Exec.rfi);
-    ("coe", c.x.Exec.coe);
-    ("coi", c.x.Exec.coi);
-    ("fre", c.x.Exec.fre);
-    ("fri", c.x.Exec.fri);
-    ("ppo", c.ppo);
-    ("po-loc", c.x.Exec.po_loc);
-    ("po", c.x.Exec.po);
-    ("rmw", c.x.Exec.rmw);
-    ("prop", c.prop);
-    ("hb", c.hb);
-    ("pb", c.pb);
-    ("gp", c.gp);
-    ("rscs", c.rscs);
-    ("rcu-path", c.rcu_path);
-  ]
-
-let native_resolve c name =
-  List.assoc_opt name (native_label_rels c)
-
-let native_explain (x : Exec.t) (c : Relations.ctx) axiom =
-  let rels = native_label_rels c in
-  let label a b fallback =
-    match List.find_opt (fun (_, r) -> Rel.mem a b r) rels with
-    | Some (n, _) -> n
-    | None -> fallback
-  in
-  let fallback_label = Axioms.to_string axiom in
-  let step (a, b) =
-    let l = label a b fallback_label in
-    { E.src = a; dst = b; label = l;
-      prims = [ { E.p_src = a; p_dst = b; p_label = l } ] }
-  in
-  let rel = Axioms.relation c axiom in
-  let kind, pairs =
-    match axiom with
-    | Axioms.At ->
-        (E.Nonempty, Rel.to_list rel)
-    | Axioms.Rcu ->
-        ( E.Irreflexive,
-          match List.find_opt (fun (a, b) -> a = b) (Rel.to_list rel) with
-          | Some p -> [ p ]
-          | None -> [] )
-    | Axioms.Scpv | Axioms.Hb | Axioms.Pb -> (
-        ( E.Acyclic,
-          match Rel.find_cycle rel with
-          | Some cycle ->
-              let rec consecutive = function
-                | a :: (b :: _ as rest) -> (a, b) :: consecutive rest
-                | _ -> []
-              in
-              consecutive cycle
-          | None -> [] ))
-  in
-  match pairs with
-  | [] -> None
-  | _ ->
-      let steps = List.map step pairs in
-      let t =
-        {
-          E.check = Axioms.to_string axiom;
-          kind;
-          steps;
-          events = E.events_of_steps x.Exec.events steps;
-        }
-      in
-      E.validate ~resolve:(native_resolve c) t;
-      Some t
 
 (* [explain_execution x] is the native model's verdict forensics: one
    validated explanation per violated axiom, [] iff [x] is consistent. *)
 let explain_execution (x : Exec.t) : E.t list =
-  let c = Relations.make_cached x in
-  match Axioms.violations c with
+  match Axioms.violations (Relations.make_cached x) with
   | [] -> []
-  | native ->
+  | native -> (
       let es = Cat.Explain.explain_execution (Lazy.force Cat.lk) x in
       let named = List.map (fun (e : E.t) -> e.E.check) es in
-      let missing =
-        List.filter
-          (fun a -> not (List.mem (Axioms.to_string a) named))
-          native
-      in
-      es @ List.filter_map (native_explain x c) missing
+      match
+        List.filter (fun a -> not (List.mem (Axioms.to_string a) named)) native
+      with
+      | [] -> es
+      | missing ->
+          raise
+            (E.Invalid
+               ("lk.cat explains no violation of "
+               ^ String.concat ", " (List.map Axioms.to_string missing))))
 
 (* An explainer for {!Exec.Check.run}'s [?explainer]. *)
 let explainer : Exec.t -> E.t list = explain_execution

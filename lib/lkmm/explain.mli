@@ -5,9 +5,9 @@
     that detect violations natively via {!Axioms} and delegate cycle
     extraction plus provenance decomposition to the generic cat engine
     on the shipped lk.cat (the two define the same relations under the
-    same names).  If the models ever diverged, a native fallback still
-    explains the violated axiom from the {!Relations.ctx} alone.  Both
-    paths re-validate; {!Exec.Explain.Invalid} is a hard error. *)
+    same names).  Explanations re-validate, and a natively violated
+    axiom lk.cat does not explain raises {!Exec.Explain.Invalid}: both
+    are hard errors. *)
 
 type violation = {
   axiom : Axioms.name;
@@ -27,7 +27,9 @@ val pp_execution_verdict : Format.formatter -> Exec.t -> unit
 val pp_test_verdict : Format.formatter -> Litmus.Ast.t -> unit
 
 (** [explain_execution x] is one validated {!Exec.Explain.t} per
-    violated axiom; [[]] iff [x] is consistent. *)
+    violated axiom; [[]] iff [x] is consistent.  Raises
+    {!Exec.Explain.Invalid} when lk.cat explains fewer axioms than the
+    native model finds violated. *)
 val explain_execution : Exec.t -> Exec.Explain.t list
 
 (** {!explain_execution}, for {!Exec.Check.run}'s [?explainer]. *)

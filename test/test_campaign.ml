@@ -265,6 +265,24 @@ let test_wedge_lease_expiry () =
       | _ -> Alcotest.fail "expected exactly one quarantined shard"));
   rm_rf dir
 
+(* The orchestrator waits only on its own workers: a child the caller
+   started before the campaign, and which exits while it runs, is still
+   the caller's to reap afterwards. *)
+let test_foreign_child_untouched () =
+  let pid =
+    Unix.create_process "sleep" [| "sleep"; "0.05" |] Unix.stdin Unix.stdout
+      Unix.stderr
+  in
+  let dir = tmpdir () in
+  ignore (run_json (config ~seeds:(0, 40_000) ~shard:5_000 dir));
+  (match Unix.waitpid [] pid with
+  | _, Unix.WEXITED 0 -> ()
+  | _ -> Alcotest.fail "the caller's child did not exit cleanly"
+  | exception Unix.Unix_error (e, _, _) ->
+      Alcotest.failf "the campaign reaped the caller's child: %s"
+        (Unix.error_message e));
+  rm_rf dir
+
 (* ------------------------------------------------------------------ *)
 (* Disagreement analysis                                               *)
 (* ------------------------------------------------------------------ *)
@@ -366,6 +384,8 @@ let () =
             test_poison_quarantine;
           Alcotest.test_case "wedge trips the lease" `Slow
             test_wedge_lease_expiry;
+          Alcotest.test_case "caller's children untouched" `Quick
+            test_foreign_child_untouched;
         ] );
       ( "mining",
         [ Alcotest.test_case "disagreement kinds" `Quick test_kinds ] );

@@ -182,12 +182,35 @@ let test_runner_lint () =
     "C lint\n{ x=0; }\nP0(int *x) {\n  rcu_read_lock();\n  WRITE_ONCE(x, 1);\n}\nexists (x=1)"
   in
   let report = R.run [ item "lint" bad None ] in
-  (match (List.hd report.R.entries).R.status with
+  match (List.hd report.R.entries).R.status with
   | R.Err { cls = R.Lint; _ } -> ()
-  | s -> Alcotest.failf "expected lint error: %s" (Fmt.str "%a" R.pp_status s));
-  (* with linting off the test checks normally *)
-  let report = R.run ~lint:false [ item "lint" bad None ] in
-  Alcotest.(check int) "lint off passes" 1 report.R.n_pass
+  | s -> Alcotest.failf "expected lint error: %s" (Fmt.str "%a" R.pp_status s)
+
+(* Every front end resolves model names through one table; the cache
+   keys must not move, or journalled verdict caches go stale. *)
+let test_model_names () =
+  let module T = Harness.Model_table in
+  let names =
+    [ "lk"; "LKMM"; "linux"; "lk-cat"; "sc"; "tso"; "x86"; "c11"; "c11-psc";
+      "rc11" ]
+  in
+  Alcotest.(check (list (pair string string)))
+    "cache keys and display names"
+    [
+      ("lk", "LK"); ("lk", "LK"); ("lk", "LK"); ("lk-cat", "LK(cat)");
+      ("sc", "SC"); ("tso", "TSO"); ("tso", "TSO"); ("c11", "C11");
+      ("c11-psc", "C11+psc"); ("c11-psc", "C11+psc");
+    ]
+    (List.map
+       (fun n ->
+         let m = T.find n in
+         (m.T.key, m.T.display))
+       names);
+  Alcotest.(check (list string)) "builtins name the same models"
+    (List.map String.lowercase_ascii names)
+    (List.map fst (T.builtins ()));
+  Alcotest.check_raises "unknown name" (Failure "unknown model: nope")
+    (fun () -> ignore (T.find "nope"))
 
 let test_runner_json () =
   let report =
@@ -282,6 +305,7 @@ let () =
           Alcotest.test_case "exit precedence" `Quick
             test_runner_exit_precedence;
           Alcotest.test_case "lint" `Quick test_runner_lint;
+          Alcotest.test_case "model names" `Quick test_model_names;
           Alcotest.test_case "json" `Quick test_runner_json;
           Alcotest.test_case "acceptance" `Slow test_runner_acceptance;
         ] );

@@ -438,6 +438,39 @@ let test_pool_merges_workers () =
   in
   Alcotest.(check int) "worker candidate counters merged" expected merged
 
+(* Campaign shard workers go through the same supervisor: every seed's
+   span and every worker's counters come back over the result pipe. *)
+let test_campaign_merges_workers () =
+  with_collector @@ fun () ->
+  let dir = Filename.temp_file "obs_campaign" "" in
+  Sys.remove dir;
+  let config =
+    {
+      Harness.Campaign.default with
+      Harness.Campaign.dir;
+      seed_lo = 0;
+      seed_hi = 400;
+      shard_size = 100;
+      models = [ "lk" ];
+    }
+  in
+  (match Harness.Campaign.run config with
+  | Ok _ -> ()
+  | Error e -> Alcotest.fail e);
+  Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+  Unix.rmdir dir;
+  let seeds =
+    List.filter (fun s -> s.Obs.name = "campaign.seed") (Obs.spans ())
+  in
+  Alcotest.(check int) "one campaign.seed span per seed" 400
+    (List.length seeds);
+  Alcotest.(check bool) "seed spans carry worker pids" true
+    (List.for_all (fun s -> s.Obs.tid > 0) seeds);
+  Alcotest.(check bool) "worker check counters merged" true
+    (Option.value ~default:0
+       (List.assoc_opt "check.candidates" (Obs.counters ()))
+    > 0)
+
 (* A pool worker SIGKILLed mid-item forfeits its result-pipe dump; the
    flight recorder's item-start checkpoint is the only evidence left.
    The injected worker kills itself the way the watchdog would. *)
@@ -556,6 +589,8 @@ let () =
         [
           Alcotest.test_case "merges worker collectors" `Quick
             test_pool_merges_workers;
+          Alcotest.test_case "campaign merges worker collectors" `Quick
+            test_campaign_merges_workers;
           Alcotest.test_case "flight post-mortem survives SIGKILL" `Quick
             test_pool_flight_postmortem;
         ] );

@@ -17,31 +17,6 @@ let usage () =
     "usage: explain_report [-o DIR] [-model MODEL] [-j N] TEST.litmus...";
   exit 124
 
-(* lk (native) plus the cat-engine models; mirrors herd_lk's table. *)
-let model_and_explainer name :
-    Exec.Oracle.t * (Exec.t -> Exec.Explain.t list) =
-  match String.lowercase_ascii name with
-  | "lk" | "lkmm" | "linux" -> (Lkmm.oracle, Lkmm.Explain.explainer)
-  | "lk-cat" ->
-      let m = Lazy.force Cat.lk in
-      (Cat.to_oracle ~name:"LK(cat)" m, Cat.explainer m)
-  | "sc" ->
-      let m = Cat.parse Cat.Stdmodels.sc in
-      (Cat.to_oracle ~name:"SC" m, Cat.explainer m)
-  | "tso" | "x86" ->
-      let m = Cat.parse Cat.Stdmodels.tso in
-      (Cat.to_oracle ~name:"TSO" m, Cat.explainer m)
-  | "c11" ->
-      let m = Cat.parse Cat.Stdmodels.c11 in
-      (Cat.to_oracle ~name:"C11" m, Cat.explainer m)
-  | "c11-psc" | "rc11" ->
-      let m = Cat.parse Cat.Stdmodels.c11_psc in
-      (Cat.to_oracle ~name:"C11+psc" m, Cat.explainer m)
-  | other when Filename.check_suffix other ".cat" ->
-      let m = Cat.load_file name in
-      (Cat.to_oracle ~name m, Cat.explainer m)
-  | other -> failwith ("unknown model: " ^ other)
-
 let html_escape s =
   let buf = Buffer.create (String.length s + 16) in
   String.iter
@@ -86,7 +61,8 @@ let () =
   parse (List.tl (Array.to_list Sys.argv));
   let files = List.rev !files in
   if files = [] then usage ();
-  let factory, explainer = model_and_explainer !model in
+  let m = Harness.Model_table.find !model in
+  let factory = m.oracle and explainer = Harness.Model_table.explainer m in
   let items =
     List.map
       (fun path ->
