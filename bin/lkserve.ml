@@ -1,6 +1,6 @@
 (* lkserve: checking-as-a-service — a daemon answering litmus-check
-   requests over a Unix socket, on a domain-based worker pool with a
-   journal-backed verdict cache.
+   requests over a Unix socket, on reusable forked worker processes
+   with a journal-backed verdict cache.
 
      lkserve --socket /tmp/lk.sock --workers 4        # run the daemon
      lkserve --socket /tmp/lk.sock --cache-journal cache.jsonl
@@ -19,7 +19,7 @@ let socket_arg =
   Arg.(value & opt string "lkserve.sock" & info [ "socket" ] ~docv:"PATH" ~doc)
 
 let workers_arg =
-  let doc = "Worker domains checking requests concurrently." in
+  let doc = "Worker processes checking requests concurrently." in
   Arg.(value & opt int 2 & info [ "workers" ] ~docv:"N" ~doc)
 
 let queue_arg =
@@ -39,7 +39,7 @@ let default_timeout_arg =
 let wedge_grace_arg =
   let doc =
     "Seconds past its request's deadline before a busy worker is declared \
-     wedged and abandoned."
+     wedged, killed and replaced."
   in
   Arg.(value & opt float 2.0 & info [ "wedge-grace" ] ~docv:"SECONDS" ~doc)
 
@@ -285,12 +285,9 @@ let main socket workers queue default_timeout wedge_grace cache_journal fsync
               default_timeout;
               max_line;
               wedge_grace;
-              max_replacements = 32;
               cache_journal;
               fsync;
               chaos_ops;
-              retries = 1;
-              backoff = 0.05;
               backend;
               flight_dir;
               flight_interval;

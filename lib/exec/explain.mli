@@ -56,4 +56,3 @@ val event_label : t -> int -> string
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string
 val to_json : t -> string
-val json_escape : string -> string

@@ -26,9 +26,9 @@
    chaos gates compare interrupted-and-resumed runs against
    uninterrupted ground truth for byte equality.  It also defuses the
    one unavoidable race: an orphaned worker (orchestrator died between
-   [fork] and the lease record) sharing a shard journal with its
-   replacement writes byte-identical lines, and a torn interleave is
-   dropped by the tolerant reader and re-run. *)
+   handing it the shard and the lease record) sharing a shard journal
+   with its replacement writes byte-identical lines, and a torn
+   interleave is dropped by the tolerant reader and re-run. *)
 
 module Json = Journal.Json
 
@@ -695,7 +695,8 @@ let run config =
       let sup =
         Supervisor.create
           ?flight:(if config.flight then Some config.dir else None)
-          ~jobs:config.jobs ()
+          ~jobs:config.jobs
+          (fun (lo, hi, attempt) -> run_shard config ~lo ~hi ~attempt ())
       in
       (* Live telemetry: periodic lkmetrics-1 snapshots journalled
          alongside the manifest.  A separate file the miner never reads
@@ -739,7 +740,8 @@ let run config =
            \"leased\": %d, \"done\": %d, \"quarantined\": %d}, \
            \"latency_us\": %s, \"queue_wait_us\": %s}"
           (now *. 1e6) (now -. t0) !seeds_classified pending
-          (Supervisor.running sup) (Supervisor.running sup) pending leased
+          (Supervisor.running sup + Supervisor.free sup)
+          (Supervisor.running sup) pending leased
           done_ quarantined
           (Obs.hist_metrics_json (Obs.hist_snapshot h_shard_wall))
           (Obs.hist_metrics_json (Obs.hist_snapshot h_shard_pending))
@@ -808,8 +810,8 @@ let run config =
       let lease (sh : Manifest.shard) =
         let attempt = sh.attempts + 1 in
         let pid =
-          Supervisor.spawn sup ~deadline:config.lease_timeout (sh.lo, sh.hi)
-            (run_shard config ~lo:sh.lo ~hi:sh.hi ~attempt)
+          Supervisor.submit sup ~deadline:config.lease_timeout
+            (sh.lo, sh.hi, attempt)
         in
         let now = Unix.gettimeofday () in
         (match Hashtbl.find_opt pending_since (sh.lo, sh.hi) with
@@ -821,7 +823,7 @@ let run config =
         Manifest.record m
           (Manifest.Lease { lo = sh.lo; hi = sh.hi; attempt; pid; since = now })
       in
-      let reaped ((lo, hi), secs, exit) =
+      let reaped ((lo, hi, _), secs, exit) =
         Obs.Histogram.observe_always h_shard_wall (secs *. 1e6);
         match (exit : unit Supervisor.exit) with
         | Returned () -> finalize lo hi
@@ -845,6 +847,7 @@ let run config =
         end
       in
       loop ();
+      Supervisor.close sup;
       (* One final snapshot so even sub-interval campaigns leave a
          non-empty metrics journal. *)
       Journal.write_line metrics_w (metrics_line ());

@@ -202,22 +202,6 @@ module Json = struct
      integers printed without a point).  Lets a tool extract one member
      of a line — lkserve --metrics-dump, obs_report --postmortem-json —
      and print it as JSON again. *)
-  let escape s =
-    let buf = Buffer.create (String.length s + 8) in
-    String.iter
-      (fun ch ->
-        match ch with
-        | '"' -> Buffer.add_string buf "\\\""
-        | '\\' -> Buffer.add_string buf "\\\\"
-        | '\n' -> Buffer.add_string buf "\\n"
-        | '\r' -> Buffer.add_string buf "\\r"
-        | '\t' -> Buffer.add_string buf "\\t"
-        | ch when Char.code ch < 0x20 ->
-            Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code ch))
-        | ch -> Buffer.add_char buf ch)
-      s;
-    Buffer.contents buf
-
   let rec to_string = function
     | Null -> "null"
     | Bool b -> if b then "true" else "false"
@@ -225,13 +209,14 @@ module Json = struct
         if Float.is_integer f && Float.abs f < 1e15 then
           Printf.sprintf "%.0f" f
         else Printf.sprintf "%g" f
-    | Str s -> "\"" ^ escape s ^ "\""
+    | Str s -> "\"" ^ Obs.json_escape s ^ "\""
     | Arr vs -> "[" ^ String.concat ", " (List.map to_string vs) ^ "]"
     | Obj kvs ->
         "{"
         ^ String.concat ", "
             (List.map
-               (fun (k, v) -> "\"" ^ escape k ^ "\": " ^ to_string v)
+               (fun (k, v) ->
+                 "\"" ^ Obs.json_escape k ^ "\": " ^ to_string v)
                kvs)
         ^ "}"
 end

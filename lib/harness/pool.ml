@@ -3,18 +3,17 @@
    {!Runner.run_item}'s fault barrier is cooperative: it catches
    exceptions and budget trips, but a segfault, a stack overflow in an
    un-instrumented path, a runaway allocation or a genuine hang is
-   beyond it.  The pool gives every item its own process through
-   {!Supervisor} and keeps only its policy here: the deadline derived
-   from the budget, the worker's heap cap, crash retry with backoff,
-   the journal and resume, the SIGTERM drain, and the mapping of every
-   worker exit to a {!Report.entry}. *)
+   beyond it.  The pool checks items on {!Supervisor}'s reusable
+   worker processes and keeps only its policy here: the deadline
+   derived from the budget, the worker's heap cap, crash retry with
+   backoff, the journal and resume, the SIGTERM drain, and the mapping
+   of every worker exit to a {!Report.entry}. *)
 
 type config = {
   jobs : int; (* concurrent workers (>= 1) *)
   limits : Exec.Budget.limits; (* per-item cooperative budget *)
   mem_limit_mb : int option; (* hard heap cap enforced in the worker *)
   retries : int; (* attempts after a crash (default 1) *)
-  backoff : float; (* seconds before the first crash retry, doubling *)
   flight_dir : string option; (* crash flight recorder in every worker *)
 }
 
@@ -24,7 +23,6 @@ let default =
     limits = Exec.Budget.default;
     mem_limit_mb = None;
     retries = 1;
-    backoff = 0.05;
     flight_dir = None;
   }
 
@@ -77,16 +75,24 @@ let run ?(config = default) ?worker ?journal ?resume ?explainer ?backend
   let deadline =
     Option.map (fun t -> (2. *. t) +. 1.) limits.Exec.Budget.timeout
   in
-  (* Runs in the worker.  The Gc alarm is checked at the end of every
+  (* Runs in a worker.  The Gc alarm is checked at the end of every
      major collection, so it catches runaway allocation even in code
-     that never ticks a budget; with the flight recorder armed, the
-     item's id is on disk before any work happens. *)
-  let job (item : Runner.item) () =
+     that never ticks a budget; a worker arms it at its first item and
+     runs a full major collection before each item, so a trip is
+     charged to the item that allocated, not to its predecessor's
+     garbage.  With the flight recorder armed, the item's id is on disk
+     before any work happens. *)
+  let alarm = ref false in
+  let job { item; _ } =
     Option.iter
       (fun mb ->
-        ignore
-          (Gc.create_alarm (fun () ->
-               if Exec.Budget.heap_mb () > mb then Unix._exit exit_mem_cap)))
+        if not !alarm then begin
+          alarm := true;
+          ignore
+            (Gc.create_alarm (fun () ->
+                 if Exec.Budget.heap_mb () > mb then Unix._exit exit_mem_cap))
+        end;
+        Gc.full_major ())
       config.mem_limit_mb;
     if Obs.flight_active () then
       Obs.with_span ~item:item.Runner.id "pool.item" (fun () ->
@@ -140,12 +146,12 @@ let run ?(config = default) ?worker ?journal ?resume ?explainer ?backend
              (Exec.Budget.Timed_out (Option.value ~default:0. deadline)))
     | Vanished -> final (err "worker vanished (ECHILD)")
     | Signaled _ when q.attempt < config.retries ->
-        let delay = config.backoff *. (2. ** float_of_int q.attempt) in
         Some
           {
             q with
             attempt = q.attempt + 1;
-            not_before = Unix.gettimeofday () +. delay;
+            not_before =
+              Unix.gettimeofday () +. Supervisor.retry_delay (q.attempt + 1);
           }
     | Signaled s ->
         final
@@ -167,14 +173,14 @@ let run ?(config = default) ?worker ?journal ?resume ?explainer ?backend
   let restore s prev =
     match prev with Some b -> (try Sys.set_signal s b with _ -> ()) | None -> ()
   in
-  let sup = Supervisor.create ?flight:config.flight_dir ~jobs:config.jobs () in
+  let sup = Supervisor.create ?flight:config.flight_dir ~jobs:config.jobs job in
   let rec loop queue =
     if (!drain = None && queue <> []) || Supervisor.running sup > 0 then begin
       let now = Unix.gettimeofday () in
       let ready, gated = List.partition (fun q -> q.not_before <= now) queue in
       let rec fill = function
         | q :: rest when !drain = None && Supervisor.free sup > 0 ->
-            ignore (Supervisor.spawn sup ?deadline q (job q.item));
+            ignore (Supervisor.submit sup ?deadline q);
             fill rest
         | rest -> rest
       in
@@ -192,6 +198,7 @@ let run ?(config = default) ?worker ?journal ?resume ?explainer ?backend
              if Hashtbl.mem recycled_ids item.Runner.id then None
              else Some { item; attempt = 0; not_before = 0. })
            items));
+  Supervisor.close sup;
   Option.iter Journal.close jw;
   (match !drain with
   | Some s ->

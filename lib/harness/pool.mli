@@ -1,5 +1,6 @@
-(** Process-isolated parallel checking: each item in its own forked
-    worker ({!Supervisor}), up to [jobs] concurrently.
+(** Process-isolated parallel checking: items run on [jobs] reusable
+    forked workers ({!Supervisor}), and a crash, deadline kill or
+    heap-cap exit ends only the worker it happened in.
     {!Runner.run_item}'s fault barrier is cooperative; the pool contains
     what it cannot — segfaults, runaway allocation, genuine hangs:
 
@@ -9,7 +10,8 @@
     - a [Gc]-alarm heap cap in the worker turns runaway allocation into
       a classified entry before the kernel's OOM killer is involved;
     - a worker dying on a signal is reaped as [Err {cls = Crash _}] and
-      retried with exponential backoff (the retry marked [retried]);
+      retried after {!Supervisor.retry_delay} (the retry marked
+      [retried]);
     - with a journal, entries are appended and flushed as they arrive;
       resuming recycles journalled items without re-running them;
     - SIGTERM/SIGINT mid-run trigger a graceful drain: dispatching
@@ -32,7 +34,6 @@ type config = {
   limits : Exec.Budget.limits;  (** per-item cooperative budget *)
   mem_limit_mb : int option;  (** hard heap cap enforced in the worker *)
   retries : int;  (** attempts after a crash (default 1) *)
-  backoff : float;  (** seconds before the first crash retry, doubling *)
   flight_dir : string option;
       (** arm the crash flight recorder in every forked worker
           ({!Supervisor.create}): a deadline SIGKILL forfeits the
@@ -55,7 +56,8 @@ val run :
   Runner.item list ->
   Report.t
 (** [run ?config ?worker ?journal ?resume ?explainer ?oracle items] —
-    check every item in its own process and summarise.  [worker]
+    check every item on the pool's worker processes and summarise.
+    [worker]
     overrides the per-item computation (tests inject crashing
     workers); the default is {!Runner.run_item} under the config's
     budget, with the heap cap folded into the budget so cooperative

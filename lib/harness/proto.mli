@@ -73,7 +73,7 @@ type cls =
   | Fail  (** verdict contradicts the request's [expected] *)
   | Unknown  (** budget gave out — deadline, event/candidate caps *)
   | Error  (** classified failure: parse error, malformed request,
-              oversized line, duplicate id, unrecoverable worker loss *)
+              oversized line, duplicate id *)
   | Overloaded  (** rejected at admission: queue at bound, nothing ran *)
   | Quarantined  (** poison request: killed two workers, or matches the
                     fingerprint of one that did *)

@@ -166,21 +166,7 @@ let pp ppf r =
     r.n_pass r.n_fail r.n_error r.n_crash r.n_gave_up r.wall
 
 (* Minimal JSON emission (no JSON library in the tree). *)
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+let json_escape = Obs.json_escape
 
 (* Reports and journal lines carry this version so downstream consumers
    can detect format changes; bump on any incompatible field change

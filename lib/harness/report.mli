@@ -80,7 +80,7 @@ val pp : t Fmt.t
 (** Version stamped into JSON reports and journal lines. *)
 val schema_version : int
 
-(** JSON string escaping shared by the report and journal writers. *)
+(** JSON string escaping: {!Obs.json_escape}. *)
 val json_escape : string -> string
 
 val entry_to_json : entry -> string

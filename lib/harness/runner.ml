@@ -198,7 +198,6 @@ let exit_code = Report.exit_code
 let pp_status = Report.pp_status
 let pp_entry = Report.pp_entry
 let pp = Report.pp
-let json_escape = Report.json_escape
 let schema_version = Report.schema_version
 let entry_to_json = Report.entry_to_json
 let to_json = Report.to_json

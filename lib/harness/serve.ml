@@ -1,12 +1,15 @@
-(* Checking-as-a-service: a long-running daemon on OCaml 5 domains.
+(* Checking-as-a-service: a long-running daemon on forked workers.
 
    The batch tools ({!Pool}, herd_lk) pay per-invocation costs on
    every run: process startup, model construction, cold static-prefix
    caches.  The daemon pays them once — models are compiled eagerly at
-   startup in the main domain (forcing every shared [lazy], which is
-   not domain-safe to race on), workers are domains sharing them
-   directly (no fork, no marshalling), and the per-domain static-prefix
-   caches ({!Lkmm.Relations}'s DLS slot) stay warm across requests.
+   startup, before {!Supervisor} forks the workers, so every worker
+   inherits them warm, and a worker serves request after request with
+   its static-prefix caches ({!Lkmm.Relations}) kept warm.  A request
+   crosses to a worker as plain data (test source, model name,
+   deadline); its entry comes back over the worker's pipe.  The daemon
+   itself is one thread: one select loop over the socket, the clients
+   and the workers' result pipes.
 
    Robustness is the point, not an afterthought; the moving parts:
 
@@ -20,19 +23,14 @@
      queued counts, and a slow request degrades to a structured
      [Unknown], never a stuck worker.
 
-   - {b Supervision.}  Domains cannot be killed from outside, so the
-     supervisor practises abandon-and-replace: each worker slot carries
-     an epoch; a worker still busy past its job's deadline plus a grace
-     period is abandoned (epoch bumped — its eventual completion is
-     dropped on the mismatch and its loop exits) and a fresh domain
-     takes the slot.  A worker whose job raises through the fault
-     barrier dies and is replaced the same way.  Replacements are
-     bounded; a daemon that exhausts them runs degraded rather than
-     looping.
+   - {b Supervision.}  A worker is a process, so it can be stopped: the
+     supervisor SIGKILLs a worker still busy past its job's deadline
+     plus a grace period, and replaces any worker that dies — killed,
+     wedged, crashed or out of memory.
 
    - {b Retry and quarantine.}  A request in flight on a lost worker is
-     retried once after an exponential backoff.  A request that costs
-     two workers is poison: it is answered [quarantined], and any
+     retried once, after {!Supervisor.retry_delay}.  A request that
+     costs two workers is poison: it is answered [quarantined], and any
      future request with the same fingerprint (cache key) is rejected
      at admission without touching a worker.
 
@@ -56,13 +54,10 @@ type config = {
   limits : Exec.Budget.limits;
   default_timeout : float; (* seconds; request deadline when client gives none *)
   max_line : int; (* bytes; longer request lines are rejected *)
-  wedge_grace : float; (* seconds past deadline before a worker is abandoned *)
-  max_replacements : int;
+  wedge_grace : float; (* seconds past deadline before a worker is killed *)
   cache_journal : string option;
   fsync : bool;
   chaos_ops : bool; (* accept chaos_kill / chaos_wedge *)
-  retries : int; (* retries after a worker loss *)
-  backoff : float; (* seconds before the first retry, doubling *)
   backend : Exec.Check.backend;
       (* checking engine for every job: [Enum] is the scalar reference
          evaluation (no planes) *)
@@ -82,12 +77,9 @@ let default =
     default_timeout = 10.;
     max_line = 1 lsl 20;
     wedge_grace = 2.0;
-    max_replacements = 32;
     cache_journal = None;
     fsync = false;
     chaos_ops = false;
-    retries = 1;
-    backoff = 0.05;
     backend = Exec.Check.Batch;
     flight_dir = None;
     flight_interval = 0.5;
@@ -99,6 +91,9 @@ let default =
 
 type chaos = No_chaos | Kill | Wedge of float
 
+(* A job crosses to a worker as plain data: the model travels by name,
+   and a .cat model with its source too, since the worker may have been
+   forked before the daemon first compiled it. *)
 type job = {
   req_id : string;
   trace : string; (* distributed-trace id; the req_id unless the client
@@ -106,21 +101,13 @@ type job = {
   t_admit : float; (* admission time on the obs clock, microseconds *)
   conn_id : int;
   test : string;
-  oracle : Exec.Oracle.t;
+  model : string; (* a built-in's name or a .cat file's path *)
+  cat : string option; (* the .cat file's contents *)
   expected : Exec.Check.verdict option;
   deadline : float; (* absolute, Unix time *)
   vkey : string; (* content fingerprint — cache and quarantine key *)
   chaos : chaos;
   mutable attempts : int; (* worker losses suffered so far *)
-}
-
-type outcome = Done of Report.entry | Lost of string
-
-type slot = {
-  sid : int;
-  mutable epoch : int;
-  mutable busy : job option;
-  mutable alive : bool; (* current-epoch occupant is running *)
 }
 
 type conn = {
@@ -136,18 +123,13 @@ type t = {
   models : (string, Model_table.t) Hashtbl.t; (* by name (built-ins) *)
   cat_models : (string, Model_table.t) Hashtbl.t; (* by contents digest *)
   cache : Vcache.t;
-  mutex : Mutex.t; (* guards queue / slots / completed *)
-  cond : Condition.t;
+  sup : (job, Report.entry) Supervisor.t;
   queue : job Queue.t;
-  mutable stopping : bool;
-  slots : slot array;
-  mutable completed : (job * outcome) list;
-  mutable replacements : int;
+  mutable stopping : bool; (* draining: admissions and accepts refused *)
+  mutable replacements : int; (* workers lost to a job, each replaced *)
   strikes : (string, int) Hashtbl.t; (* vkey -> worker losses *)
   mutable gated : (float * job) list; (* backoff: ready-at, job *)
   conns : (int, conn) Hashtbl.t;
-  wake_r : Unix.file_descr;
-  wake_w : Unix.file_descr;
   served : int array; (* responses by Proto.cls *)
   mutable n_requests : int;
   started_at : float;
@@ -161,22 +143,6 @@ let cls_index : Proto.cls -> int = function
   | Proto.Overloaded -> 4
   | Proto.Quarantined -> 5
 
-let locked p f =
-  Mutex.lock p.mutex;
-  match f () with
-  | v ->
-      Mutex.unlock p.mutex;
-      v
-  | exception e ->
-      Mutex.unlock p.mutex;
-      raise e
-
-(* Wake the main select loop (self-pipe trick); the write end is
-   non-blocking — a full pipe already guarantees a pending wake-up. *)
-let wake p =
-  try ignore (Unix.write p.wake_w (Bytes.of_string "w") 0 1)
-  with Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
-
 (* ------------------------------------------------------------------ *)
 (* Workers                                                             *)
 (* ------------------------------------------------------------------ *)
@@ -186,8 +152,6 @@ let wake p =
    real p50/p95/p99 on a daemon that never switched tracing on. *)
 let h_latency = Obs.Histogram.make "serve.latency_us"
 let h_queue_wait = Obs.Histogram.make "serve.queue_wait_us"
-
-exception Chaos_killed
 
 let gave_up_entry job reason =
   {
@@ -199,101 +163,46 @@ let gave_up_entry job reason =
     result = None;
   }
 
-(* The per-job computation, inside the worker domain.  Exceptions
-   escaping this function kill the worker (deliberately, for [Kill];
-   accidentally, for anything {!Runner.run_item}'s barrier missed) —
-   the supervisor replaces the domain and retries the job. *)
-let run_job cfg job =
-  match job.chaos with
-  | Kill -> raise Chaos_killed
-  | Wedge s ->
-      (* A genuine wedge: hold the slot without ticking any budget.  If
-         the supervisor abandons us meanwhile, the completion below is
-         dropped on the epoch mismatch. *)
-      Unix.sleepf s;
-      gave_up_entry job (Exec.Budget.Timed_out s)
-  | No_chaos ->
-      if Unix.gettimeofday () >= job.deadline then
-        (* Deadline spent in the queue (or a zero-deadline request):
-           answer without running. *)
-        gave_up_entry job
-          (Exec.Budget.Timed_out
-             (Option.value ~default:0. cfg.limits.Exec.Budget.timeout))
-      else
-        let entry =
-          Runner.run_item ~limits:cfg.limits ~deadline:job.deadline
-            ~backend:cfg.backend ~oracle:job.oracle
-            { Runner.id = job.req_id; source = `Text job.test;
-              expected = job.expected }
-        in
-        { entry with Report.retried = job.attempts > 0 }
-
-let rec worker_loop p slot epoch =
-  Mutex.lock p.mutex;
-  let rec next () =
-    if slot.epoch <> epoch then None (* abandoned: let the slot go *)
-    else if not (Queue.is_empty p.queue) then Some (Queue.pop p.queue)
-    else if p.stopping then None
-    else begin
-      Condition.wait p.cond p.mutex;
-      next ()
-    end
-  in
-  match next () with
+(* A .cat model by its contents, compiled once per process: by the
+   daemon at admission, by a worker at its first job naming it. *)
+let cat_model cat_models name src =
+  let digest = Digest.to_hex (Digest.string src) in
+  match Hashtbl.find_opt cat_models digest with
+  | Some m -> m
   | None ->
-      Mutex.unlock p.mutex
-  | Some job -> (
-      slot.busy <- Some job;
-      Mutex.unlock p.mutex;
-      (* Queue wait (cumulative since admission) and the check itself,
-         both on the request's trace.  The forced checkpoint means a
-         worker lost to this job — killed, wedged, OOMed — has already
-         left the victim's trace id on disk. *)
-      let t_dequeue = Obs.now_us () in
-      Obs.Histogram.observe_always h_queue_wait (t_dequeue -. job.t_admit);
-      Obs.record ~item:job.trace ~start_us:job.t_admit
-        ~dur_us:(t_dequeue -. job.t_admit) "serve.queue";
-      let run () =
-        Obs.with_span ~item:job.trace "serve.check" (fun () ->
-            if Obs.flight_active () then
-              Obs.flight_checkpoint ~reason:"job-start" ();
-            run_job p.cfg job)
-      in
-      match run () with
-      | entry ->
-          let mine =
-            locked p (fun () ->
-                if slot.epoch = epoch then begin
-                  slot.busy <- None;
-                  p.completed <- (job, Done entry) :: p.completed;
-                  true
-                end
-                else false)
-          in
-          wake p;
-          if mine then worker_loop p slot epoch
-      | exception e ->
-          (* This domain is done for; report the loss so the supervisor
-             replaces the slot and deals with the job. *)
-          let why =
-            match e with
-            | Chaos_killed -> "worker killed (chaos)"
-            | e -> "worker died: " ^ Printexc.to_string e
-          in
-          locked p (fun () ->
-              if slot.epoch = epoch then begin
-                slot.busy <- None;
-                slot.alive <- false;
-                p.completed <- (job, Lost why) :: p.completed
-              end);
-          wake p)
+      let m = Model_table.of_cat ~key:("cat:" ^ digest) name (Cat.parse src) in
+      Hashtbl.replace cat_models digest m;
+      m
 
-let spawn_worker p slot =
-  slot.epoch <- slot.epoch + 1;
-  slot.alive <- true;
-  slot.busy <- None;
-  let epoch = slot.epoch in
-  ignore (Domain.spawn (fun () -> worker_loop p slot epoch))
+(* The per-job computation, inside a worker process.  The forced
+   checkpoint means a worker lost to this job — killed, wedged, OOMed —
+   has already left the victim's trace id on disk.  The chaos ops
+   really lose the worker: [Kill] SIGKILLs it, [Wedge] holds it without
+   ticking any budget until the supervisor does. *)
+let run_job cfg models cat_models job =
+  Obs.with_span ~item:job.trace "serve.check" (fun () ->
+      if Obs.flight_active () then
+        Obs.flight_checkpoint ~reason:"job-start" ();
+      match job.chaos with
+      | Kill ->
+          Unix.kill (Unix.getpid ()) Sys.sigkill;
+          assert false
+      | Wedge s ->
+          Unix.sleepf s;
+          gave_up_entry job (Exec.Budget.Timed_out s)
+      | No_chaos ->
+          let (m : Model_table.t) =
+            match job.cat with
+            | Some src -> cat_model cat_models job.model src
+            | None -> Hashtbl.find models (String.lowercase_ascii job.model)
+          in
+          let entry =
+            Runner.run_item ~limits:cfg.limits ~deadline:job.deadline
+              ~backend:cfg.backend ~oracle:m.oracle
+              { Runner.id = job.req_id; source = `Text job.test;
+                expected = job.expected }
+          in
+          { entry with Report.retried = job.attempts > 0 })
 
 (* ------------------------------------------------------------------ *)
 (* Responses                                                           *)
@@ -365,14 +274,19 @@ let respond_entry p job ?(cache = false) entry =
        ~trace:job.trace ~cache ~entry ())
 
 (* ------------------------------------------------------------------ *)
-(* Supervision: losses, retries, quarantine, replacement               *)
+(* Supervision: losses, retries, quarantine, dispatch                  *)
 (* ------------------------------------------------------------------ *)
 
 let quarantined p vkey =
   match Hashtbl.find_opt p.strikes vkey with Some s -> s >= 2 | None -> false
 
+(* A job lost its worker (the supervisor has already replaced it).  The
+   fingerprint's first strike retries the job; its second quarantines
+   it.  A job's losses never outnumber its fingerprint's strikes, so
+   the retry is always the first. *)
 let note_loss p now job why =
   job.attempts <- job.attempts + 1;
+  p.replacements <- p.replacements + 1;
   let s = 1 + Option.value ~default:0 (Hashtbl.find_opt p.strikes job.vkey) in
   Hashtbl.replace p.strikes job.vkey s;
   if s >= 2 then begin
@@ -385,153 +299,101 @@ let note_loss p now job why =
                ^ " worker losses")
          ())
   end
-  else if job.attempts <= p.cfg.retries then begin
+  else begin
     (* Same job record, same trace id: the retry is one more hop on the
        request's trace, not a new request. *)
     Obs.event ~item:job.trace "serve.retry";
-    let delay = p.cfg.backoff *. (2. ** float_of_int (job.attempts - 1)) in
-    p.gated <- (now +. delay, job) :: p.gated
-  end
-  else begin
-    Obs.event ~item:job.trace "serve.drop";
-    finish_job_telemetry job;
-    respond p job.conn_id ~cls:Proto.Error
-      (Proto.response_line ~id:job.req_id ~cls:Proto.Error ~trace:job.trace
-         ~msg:(why ^ "; no retries left") ())
+    p.gated <- (now +. Supervisor.retry_delay job.attempts, job) :: p.gated
   end
 
-(* One supervisor pass: abandon wedged workers, replace dead slots,
-   promote backoff-gated retries whose time has come. *)
-let supervise p now =
-  let losses, respawn =
-    locked p (fun () ->
-        let losses = ref [] and respawn = ref [] in
-        Array.iter
-          (fun slot ->
-            (match slot.busy with
-            | Some job when now > job.deadline +. p.cfg.wedge_grace ->
-                (* Busy past deadline + grace: the budget should have
-                   tripped long ago — the worker is wedged.  Abandon the
-                   domain (epoch bump drops its eventual completion). *)
-                slot.epoch <- slot.epoch + 1;
-                slot.busy <- None;
-                slot.alive <- false;
-                losses := (job, "worker wedged past deadline") :: !losses
-            | _ -> ());
-            if (not slot.alive) && p.replacements < p.cfg.max_replacements
-               && not p.stopping
-            then begin
-              p.replacements <- p.replacements + 1;
-              respawn := slot :: !respawn
-            end)
-          p.slots;
-        (* Promote gated retries (Condition has no timed wait; the main
-           loop's tick is the timer). *)
-        let ready, waiting =
-          List.partition (fun (at, _) -> at <= now) p.gated
-        in
-        p.gated <- waiting;
-        List.iter (fun (_, j) -> Queue.push j p.queue) ready;
-        if ready <> [] then Condition.broadcast p.cond;
-        (!losses, !respawn))
-  in
-  List.iter (fun (job, why) -> note_loss p now job why) losses;
-  List.iter
-    (fun slot -> locked p (fun () -> spawn_worker p slot))
-    respawn
+(* One job's end, as the supervisor classified it. *)
+let completed p now (job, _secs, exit) =
+  match (exit : Report.entry Supervisor.exit) with
+  | Supervisor.Returned entry -> respond_entry p job entry
+  | Deadline -> note_loss p now job "worker wedged past deadline"
+  | Signaled s ->
+      note_loss p now job ("worker killed by " ^ Exec.Check.signal_name s)
+  | Exited n ->
+      note_loss p now job (Printf.sprintf "worker exited with code %d" n)
+  | Vanished -> note_loss p now job "worker vanished"
 
-let drain_completions p now =
-  let cs = locked p (fun () ->
-      let cs = List.rev p.completed in
-      p.completed <- [];
-      cs)
-  in
-  List.iter
-    (fun (job, outcome) ->
-      match outcome with
-      | Done entry -> respond_entry p job entry
-      | Lost why -> note_loss p now job why)
-    cs
+(* Promote retries whose backoff has passed, then hand queued jobs to
+   idle workers.  Queue wait (cumulative since admission) lands on the
+   request's trace; a job whose deadline was spent in the queue is
+   answered without running.  A worker is killed [wedge_grace] past its
+   job's deadline. *)
+let dispatch p =
+  let now = Unix.gettimeofday () in
+  let ready, waiting = List.partition (fun (at, _) -> at <= now) p.gated in
+  p.gated <- waiting;
+  List.iter (fun (_, j) -> Queue.push j p.queue) ready;
+  while Supervisor.free p.sup > 0 && not (Queue.is_empty p.queue) do
+    let job = Queue.pop p.queue in
+    let t_dequeue = Obs.now_us () in
+    Obs.Histogram.observe_always h_queue_wait (t_dequeue -. job.t_admit);
+    Obs.record ~item:job.trace ~start_us:job.t_admit
+      ~dur_us:(t_dequeue -. job.t_admit) "serve.queue";
+    if job.chaos = No_chaos && now >= job.deadline then
+      respond_entry p job
+        (gave_up_entry job
+           (Exec.Budget.Timed_out
+              (Option.value ~default:0. p.cfg.limits.Exec.Budget.timeout)))
+    else
+      ignore
+        (Supervisor.submit p.sup
+           ~deadline:(job.deadline +. p.cfg.wedge_grace -. now)
+           job)
+  done
 
 (* ------------------------------------------------------------------ *)
 (* Admission                                                           *)
 (* ------------------------------------------------------------------ *)
 
+(* A model name resolves to its table entry, and a .cat model also to
+   the source its jobs carry to the workers. *)
 let resolve_model p name =
   match Hashtbl.find_opt p.models (String.lowercase_ascii name) with
-  | Some m -> Ok m
+  | Some m -> Ok (m, None)
   | None ->
       if Filename.check_suffix name ".cat" && Sys.file_exists name then begin
         match Runner.read_file name with
         | exception Sys_error e -> Error ("cannot read model: " ^ e)
         | src -> (
-            let digest = Digest.to_hex (Digest.string src) in
-            match Hashtbl.find_opt p.cat_models digest with
-            | Some m -> Ok m
-            | None -> (
-                match Cat.parse src with
-                | exception e ->
-                    Error ("cannot parse model: " ^ Printexc.to_string e)
-                | parsed ->
-                    let m =
-                      Model_table.of_cat ~key:("cat:" ^ digest) name parsed
-                    in
-                    Hashtbl.replace p.cat_models digest m;
-                    Ok m))
+            match cat_model p.cat_models name src with
+            | exception e ->
+                Error ("cannot parse model: " ^ Printexc.to_string e)
+            | m -> Ok (m, Some src))
       end
       else Error ("unknown model: " ^ name)
 
-(* One reading of the service's gauges, which the [stats] and [metrics]
-   ops both render. *)
-type gauges = {
-  live : int;
-  busy_slots : int;
-  queue_depth : int;
-  gated_retries : int;
-  quarantined_keys : int;
-  served_json : string; (* the served-by-class JSON members *)
-}
+let quarantined_keys p =
+  Hashtbl.fold (fun _ s n -> if s >= 2 then n + 1 else n) p.strikes 0
 
-let gauges p =
-  let queue_depth, busy_slots, gated_retries =
-    locked p (fun () ->
-        ( Queue.length p.queue,
-          Array.fold_left
-            (fun n s -> if s.busy <> None then n + 1 else n)
-            0 p.slots,
-          List.length p.gated ))
-  in
-  {
-    live = Array.fold_left (fun n s -> if s.alive then n + 1 else n) 0 p.slots;
-    busy_slots;
-    queue_depth;
-    gated_retries;
-    quarantined_keys =
-      Hashtbl.fold (fun _ s n -> if s >= 2 then n + 1 else n) p.strikes 0;
-    served_json =
-      String.concat ", "
-        (List.map
-           (fun cls ->
-             Printf.sprintf "\"%s\": %d" (Proto.cls_name cls)
-               p.served.(cls_index cls))
-           [ Proto.Ok_; Fail; Unknown; Error; Overloaded; Quarantined ]);
-  }
+(* The served-by-class JSON members, which the [stats] and [metrics]
+   ops both render. *)
+let served_json p =
+  String.concat ", "
+    (List.map
+       (fun cls ->
+         Printf.sprintf "\"%s\": %d" (Proto.cls_name cls)
+           p.served.(cls_index cls))
+       [ Proto.Ok_; Fail; Unknown; Error; Overloaded; Quarantined ])
 
 let stats_extra p now =
-  let g = gauges p in
+  let busy = Supervisor.running p.sup in
   [
-    ("workers", string_of_int g.live);
-    ("busy", string_of_int g.busy_slots);
-    ("queued", string_of_int g.queue_depth);
-    ("gated", string_of_int g.gated_retries);
+    ("workers", string_of_int (busy + Supervisor.free p.sup));
+    ("busy", string_of_int busy);
+    ("queued", string_of_int (Queue.length p.queue));
+    ("gated", string_of_int (List.length p.gated));
     ("requests", string_of_int p.n_requests);
     ("replacements", string_of_int p.replacements);
-    ("quarantined_keys", string_of_int g.quarantined_keys);
+    ("quarantined_keys", string_of_int (quarantined_keys p));
     ("cache_size", string_of_int (Vcache.size p.cache));
     ("cache_hits", string_of_int (Vcache.hits p.cache));
     ("cache_misses", string_of_int (Vcache.misses p.cache));
     ("uptime", Printf.sprintf "%.3f" (now -. p.started_at));
-    ("served", "{" ^ g.served_json ^ "}");
+    ("served", "{" ^ served_json p ^ "}");
   ]
 
 (* The [metrics] payload: one self-contained lkmetrics-1 object —
@@ -539,7 +401,7 @@ let stats_extra p now =
    {!Campaign}'s periodic snapshots journal, so one schema
    (ci/metrics.schema.json) validates both surfaces. *)
 let metrics_json p now =
-  let g = gauges p in
+  let busy = Supervisor.running p.sup in
   Printf.sprintf
     "{\"schema\": \"lkmetrics-1\", \"ts_us\": %.1f, \"uptime_s\": %.3f, \
      \"requests\": %d, \"queue_depth\": %d, \"gated\": %d, \
@@ -549,18 +411,14 @@ let metrics_json p now =
      %s, \"queue_wait_us\": %s}"
     (Obs.now_us ())
     (now -. p.started_at)
-    p.n_requests g.queue_depth g.gated_retries g.live g.busy_slots
-    p.replacements g.quarantined_keys
+    p.n_requests (Queue.length p.queue) (List.length p.gated)
+    (busy + Supervisor.free p.sup)
+    busy p.replacements (quarantined_keys p)
     (Exec.Check.backend_to_string p.cfg.backend)
     (Vcache.size p.cache) (Vcache.hits p.cache) (Vcache.misses p.cache)
-    g.served_json
+    (served_json p)
     (Obs.hist_metrics_json (Obs.hist_snapshot h_latency))
     (Obs.hist_metrics_json (Obs.hist_snapshot h_queue_wait))
-
-let enqueue p job =
-  locked p (fun () ->
-      Queue.push job p.queue;
-      Condition.signal p.cond)
 
 (* Handle one complete request line from [conn]. *)
 let handle_line p conn line ~request_shutdown =
@@ -612,20 +470,22 @@ let handle_line p conn line ~request_shutdown =
                        ~trace ~msg:"fingerprint quarantined" ())
                 else begin
                   Obs.event ~item:trace "serve.admit";
-                  enqueue p
+                  Queue.push
                     {
                       req_id;
                       trace;
                       t_admit;
                       conn_id = conn.cid;
                       test = "";
-                      oracle = Lkmm.oracle;
+                      model = "lk";
+                      cat = None;
                       expected = None;
                       deadline = now +. p.cfg.default_timeout;
                       vkey;
                       chaos;
                       attempts = 0;
                     }
+                    p.queue
                 end)
         in
         match op with
@@ -640,7 +500,7 @@ let handle_line p conn line ~request_shutdown =
         | Proto.Check c -> (
             match resolve_model p c.model with
             | Error msg -> err ~id:req_id msg
-            | Ok (m : Model_table.t) -> (
+            | Ok ((m : Model_table.t), cat) -> (
                 let vkey = Vcache.key ~model_key:m.key ~source:c.test in
                 if quarantined p vkey then
                   respond p conn.cid ~cls:Proto.Quarantined
@@ -663,10 +523,8 @@ let handle_line p conn line ~request_shutdown =
                            ~trace ~cache:true ~entry ())
                   | None ->
                       if p.stopping then overloaded "shutting down"
-                      else if
-                        locked p (fun () -> Queue.length p.queue)
-                        >= p.cfg.queue_bound
-                      then overloaded "queue full"
+                      else if Queue.length p.queue >= p.cfg.queue_bound then
+                        overloaded "queue full"
                       else begin
                         let timeout =
                           match c.timeout_ms with
@@ -674,20 +532,22 @@ let handle_line p conn line ~request_shutdown =
                           | None -> p.cfg.default_timeout
                         in
                         Obs.event ~item:trace "serve.admit";
-                        enqueue p
+                        Queue.push
                           {
                             req_id;
                             trace;
                             t_admit;
                             conn_id = conn.cid;
                             test = c.test;
-                            oracle = m.oracle;
+                            model = c.model;
+                            cat;
                             expected = c.expected;
                             deadline = now +. timeout;
                             vkey;
                             chaos = No_chaos;
                             attempts = 0;
                           }
+                          p.queue
                       end))
       end)
 
@@ -738,13 +598,13 @@ let feed p conn data ~request_shutdown =
 (* ------------------------------------------------------------------ *)
 
 (* A trivial one-thread test: running it through every built-in model at
-   startup forces shared lazies and warms parse tables in the main
-   domain, before any worker domain can race on them. *)
+   startup forces shared lazies and warms parse tables once, before the
+   workers are forked, so every worker inherits them warm. *)
 let warmup_test =
   "C warmup\n\n{ }\n\nP0(int *x) {\n  int r0 = READ_ONCE(*x);\n}\n\n\
    exists (0:r0=1)\n"
 
-let warmup p =
+let warmup cfg models =
   ignore (Lazy.force Cat.lk);
   let item =
     { Runner.id = "warmup"; source = `Text warmup_test; expected = None }
@@ -755,35 +615,32 @@ let warmup p =
         ignore
           (Runner.run_item
              ~limits:(Exec.Budget.limits ~timeout:10. ())
-             ~backend:p.cfg.backend ~oracle:m.oracle item))
-    p.models
+             ~backend:cfg.backend ~oracle:m.oracle item))
+    models
 
 let create cfg =
   let models = Hashtbl.create 16 in
   List.iter
     (fun (n, m) -> Hashtbl.replace models n m)
     (Model_table.builtins ());
-  let wake_r, wake_w = Unix.pipe () in
-  Unix.set_nonblock wake_w;
+  warmup cfg models;
+  let cat_models = Hashtbl.create 8 in
+  let sup =
+    Supervisor.create ?flight:cfg.flight_dir ~jobs:cfg.workers
+      (run_job cfg models cat_models)
+  in
   {
     cfg;
     models;
-    cat_models = Hashtbl.create 8;
+    cat_models;
     cache = Vcache.create ?journal:cfg.cache_journal ~fsync:cfg.fsync ();
-    mutex = Mutex.create ();
-    cond = Condition.create ();
+    sup;
     queue = Queue.create ();
     stopping = false;
-    slots =
-      Array.init (max 1 cfg.workers) (fun sid ->
-          { sid; epoch = 0; busy = None; alive = false });
-    completed = [];
     replacements = 0;
     strikes = Hashtbl.create 16;
     gated = [];
     conns = Hashtbl.create 16;
-    wake_r;
-    wake_w;
     served = Array.make 6 0;
     n_requests = 0;
     started_at = Unix.gettimeofday ();
@@ -804,30 +661,29 @@ let run ?(config = default) () =
   | None -> ());
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   let p = create config in
-  warmup p;
   (* Bind the socket (replacing a stale file from a previous crash). *)
   (try Unix.unlink config.socket with Unix.Unix_error _ -> ());
   let listen_fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   Unix.bind listen_fd (Unix.ADDR_UNIX config.socket);
   Unix.listen listen_fd 64;
-  locked p (fun () -> Array.iter (fun s -> spawn_worker p s) p.slots);
   let stop = ref false in
   let request_shutdown () = stop := true in
   let install s = Sys.set_signal s (Sys.Signal_handle (fun _ -> stop := true)) in
   install Sys.sigterm;
   install Sys.sigint;
   Printf.eprintf "lkserve: listening on %s (%d workers, queue %d%s)\n%!"
-    config.socket (Array.length p.slots) config.queue_bound
+    config.socket
+    (Supervisor.free p.sup)
+    config.queue_bound
     (if config.chaos_ops then ", chaos ops ON" else "");
   let next_cid = ref 0 in
   let buf = Bytes.create 65536 in
-  let draining = ref false in
-  let drain_deadline = ref infinity in
   let running = ref true in
   while !running do
     let fds =
-      listen_fd :: p.wake_r
-      :: Hashtbl.fold (fun _ c acc -> c.fd :: acc) p.conns []
+      listen_fd
+      :: Hashtbl.fold (fun _ c acc -> c.fd :: acc) p.conns
+           (Supervisor.fds p.sup)
     in
     let readable, _, _ =
       match Unix.select fds [] [] 0.05 with
@@ -836,7 +692,7 @@ let run ?(config = default) () =
     in
     let now = Unix.gettimeofday () in
     (* Accept new clients (not while draining). *)
-    if List.mem listen_fd readable && not !draining then begin
+    if List.mem listen_fd readable && not p.stopping then begin
       match Unix.accept listen_fd with
       | fd, _ ->
           incr next_cid;
@@ -846,10 +702,6 @@ let run ?(config = default) () =
               discarding = false }
       | exception Unix.Unix_error _ -> ()
     end;
-    (* Drain wake-ups. *)
-    if List.mem p.wake_r readable then
-      (try ignore (Unix.read p.wake_r buf 0 (Bytes.length buf))
-       with Unix.Unix_error _ -> ());
     (* Client input. *)
     Hashtbl.fold (fun _ c acc -> c :: acc) p.conns []
     |> List.iter (fun c ->
@@ -860,54 +712,29 @@ let run ?(config = default) () =
                  feed p c (Bytes.sub_string buf 0 n) ~request_shutdown
              | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
              | exception Unix.Unix_error _ -> close_conn p c);
-    (* Worker completions, then supervision. *)
-    drain_completions p now;
-    supervise p now;
-    (* Shutdown: reject the queue, finish in-flight work, then leave. *)
-    if !stop && not !draining then begin
-      draining := true;
-      let orphans =
-        locked p (fun () ->
-            p.stopping <- true;
-            Condition.broadcast p.cond;
-            let q = Queue.fold (fun acc j -> j :: acc) [] p.queue in
-            Queue.clear p.queue;
-            List.rev q)
-      in
+    (* Worker completions (a poll: the select above saw them), then
+       dispatch to the idle workers. *)
+    List.iter (completed p now) (Supervisor.wait p.sup ~until:0. ());
+    dispatch p;
+    (* Shutdown: reject the queue and pending retries, finish in-flight
+       work (the supervisor kills it at deadline plus grace), then
+       leave. *)
+    if !stop && not p.stopping then begin
+      p.stopping <- true;
+      let orphans = List.of_seq (Queue.to_seq p.queue) @ List.map snd p.gated in
+      Queue.clear p.queue;
+      p.gated <- [];
       List.iter
         (fun j ->
           respond p j.conn_id ~cls:Proto.Overloaded
             (Proto.response_line ~id:j.req_id ~cls:Proto.Overloaded
                ~trace:j.trace ~msg:"shutting down" ()))
-        orphans;
-      let gated = p.gated in
-      p.gated <- [];
-      List.iter
-        (fun (_, j) ->
-          respond p j.conn_id ~cls:Proto.Overloaded
-            (Proto.response_line ~id:j.req_id ~cls:Proto.Overloaded
-               ~trace:j.trace ~msg:"shutting down" ()))
-        gated;
-      (* Give in-flight work until its own deadline plus grace. *)
-      drain_deadline :=
-        locked p (fun () ->
-            Array.fold_left
-              (fun acc s ->
-                match s.busy with
-                | Some j -> Float.max acc (j.deadline +. config.wedge_grace)
-                | None -> acc)
-              (now +. 0.2) p.slots)
+        orphans
     end;
-    if !draining then begin
-      let idle =
-        locked p (fun () ->
-            p.completed = []
-            && Array.for_all (fun s -> s.busy = None) p.slots)
-      in
-      if idle || now > !drain_deadline then running := false
-    end
+    if p.stopping && Supervisor.running p.sup = 0 && p.gated = [] then
+      running := false
   done;
-  drain_completions p (Unix.gettimeofday ());
+  Supervisor.close p.sup;
   if Obs.flight_active () then Obs.flight_stop ();
   Vcache.close p.cache;
   Hashtbl.iter (fun _ c -> try Unix.close c.fd with Unix.Unix_error _ -> ())

@@ -1,31 +1,34 @@
 (** Checking-as-a-service: a long-running daemon answering {!Proto}
-    requests over a Unix-domain socket, scheduling checks on an OCaml 5
-    domain-based worker pool.  Models are compiled once at startup and
-    shared by all workers (no fork, no marshalling, warm per-domain
-    static-prefix caches); robustness comes from five mechanisms, each
-    mapping a failure mode to a response class:
+    requests over a Unix-domain socket, checking them on reusable
+    forked workers ({!Supervisor}).  Models are compiled once at
+    startup, before the workers are forked, so every worker inherits
+    them warm and keeps its static-prefix caches across requests; a
+    request crosses to a worker as plain data.  Robustness comes from
+    five mechanisms, each mapping a failure mode to a response class:
 
     - bounded queue with admission control — [overloaded], never
       unbounded accumulation;
     - absolute per-request deadlines armed into worker budgets
       ({!Exec.Budget.start_at}) — a slow request degrades to a
       structured [unknown], never a stuck worker;
-    - a supervisor that abandons wedged worker domains (epoch bump:
-      stale completions are dropped, the abandoned loop exits on its
-      own) and replaces dead ones, up to a replacement bound;
-    - retry-once-with-backoff for requests in flight on a lost worker,
-      and [quarantined] for fingerprints that cost two workers;
+    - supervision: a worker still busy past its job's deadline plus a
+      grace period is SIGKILLed, and a worker that dies for any reason
+      is replaced;
+    - a retry after {!Supervisor.retry_delay} for a request in flight
+      on a lost worker, and [quarantined] for fingerprints that cost
+      two workers;
     - a content-addressed, journal-backed verdict cache ({!Vcache})
       that survives [kill -9] and serves repeated requests without
       touching a worker.
 
     SIGTERM/SIGINT (or a [shutdown] request) drain gracefully: queued
     requests are answered [overloaded], in-flight checks finish (up to
-    their deadline plus grace), the cache journal is closed. *)
+    their deadline plus grace), the workers are reaped, the cache
+    journal is closed. *)
 
 type config = {
   socket : string;  (** Unix-domain socket path *)
-  workers : int;  (** worker domains (>= 1) *)
+  workers : int;  (** worker processes (>= 1) *)
   queue_bound : int;  (** max queued requests before [overloaded] *)
   limits : Exec.Budget.limits;  (** per-check budget (timeout clamped
       to the request deadline) *)
@@ -33,36 +36,33 @@ type config = {
       (** request deadline, seconds, when the client sends none *)
   max_line : int;  (** request lines over this many bytes are rejected *)
   wedge_grace : float;
-      (** seconds past its job's deadline before a worker is abandoned *)
-  max_replacements : int;  (** lifetime bound on replacement domains *)
+      (** seconds past its job's deadline before a worker is killed *)
   cache_journal : string option;  (** verdict-cache persistence path *)
   fsync : bool;  (** fsync each cache insertion ({!Journal}) *)
   chaos_ops : bool;  (** accept [chaos_kill]/[chaos_wedge] requests *)
-  retries : int;  (** retries for a request that lost its worker *)
-  backoff : float;  (** seconds before the first retry, doubling *)
   backend : Exec.Check.backend;
       (** checking engine for every job ({!Exec.Oracle.run}): [Batch]
           by default; [Enum] is the scalar reference evaluation (the
           CLI's [--backend enum]); [Sat] the symbolic engine, falling
           back counted where a model ships none *)
   flight_dir : string option;
-      (** arm the crash flight recorder ({!Obs.flight_start}): periodic
-          and per-job checkpoints land in [<dir>/flight-<pid>.jsonl],
-          so a [kill -9], wedge or quarantine leaves a post-mortem
-          ([obs_report --postmortem]); implies enabling the collector *)
+      (** arm the crash flight recorder ({!Obs.flight_start}) in the
+          daemon and in every worker: periodic and per-job checkpoints
+          land in [<dir>/flight-<pid>.jsonl], so a [kill -9], wedge or
+          quarantine leaves a post-mortem ([obs_report --postmortem]);
+          implies enabling the collector *)
   flight_interval : float;
       (** seconds between opportunistic flight checkpoints *)
 }
 
 val default : config
 (** 2 workers, queue 64, 10 s default deadline, 1 MiB lines, 2 s grace,
-    no cache journal, chaos ops off, one retry at 50 ms backoff, flight
-    recorder off. *)
+    no cache journal, chaos ops off, flight recorder off. *)
 
 val run : ?config:config -> unit -> int
-(** Bind the socket, warm the models, spawn the workers and serve until
+(** Warm the models, fork the workers, bind the socket and serve until
     SIGTERM/SIGINT or a [shutdown] request; returns the exit code (0
-    after a clean drain).  Blocks the calling thread; intended as the
+    after a clean drain) once every worker is reaped.  Intended as the
     whole program of [lkserve]. *)
 
 (** Synchronous client for the daemon (used by [lkserve --client], the

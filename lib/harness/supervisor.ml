@@ -1,7 +1,9 @@
-(* Fork supervision (see the interface).  A child's write end of its
+(* Fork supervision (see the interface).  A worker's write end of its
    result pipe is closed only by its exit, so end-of-file on the pipe
-   means the child is gone or about to be: the parent then reaps it
-   with a blocking [waitpid] on that pid, and never polls. *)
+   means the worker is gone or about to be: the parent then reaps it
+   with a blocking [waitpid] on that pid, and never polls.  A value is
+   complete once the buffer holds the whole marshalled message; one
+   job is in flight per worker, so nothing follows it. *)
 
 type 'a exit =
   | Returned of 'a
@@ -10,40 +12,60 @@ type 'a exit =
   | Deadline
   | Vanished
 
-type 'k child = {
-  key : 'k;
-  pid : int;
-  fd : Unix.file_descr; (* nonblocking read end of the result pipe *)
-  buf : Buffer.t; (* the marshalled value, as it streams in *)
-  mutable eof : bool;
+type 'j busy = {
+  job : 'j;
   started : float;
   deadline : float; (* absolute; [infinity] for none *)
   mutable killed : bool;
 }
 
-type ('k, 'a) t = {
-  jobs : int;
+type 'j worker = {
+  pid : int;
+  jobs_w : Unix.file_descr; (* write end of the job pipe *)
+  results : Unix.file_descr; (* nonblocking read end of the result pipe *)
+  buf : Buffer.t; (* the marshalled value, as it streams in *)
+  mutable eof : bool;
+  mutable busy : 'j busy option;
+}
+
+type ('j, 'a) t = {
+  run : 'j -> 'a;
   flight : string option;
   chunk : Bytes.t;
-  mutable children : 'k child list;
+  mutable workers : 'j worker list;
 }
 
 let exit_raised = 3
 let exit_protocol = 98
+let retry_delay n = 0.05 *. (2. ** float_of_int (n - 1))
 
-let create ?flight ~jobs () =
-  { jobs = max 1 jobs; flight; chunk = Bytes.create 65536; children = [] }
+(* In a worker: close every descriptor inherited from the parent but
+   stdio and [keep] — the daemon's socket, its clients, the siblings'
+   pipes (a sibling holding our job pipe's write end would keep us from
+   ever seeing it close).  On Unix a [file_descr] is the descriptor's
+   number. *)
+let close_inherited keep =
+  match Sys.readdir "/proc/self/fd" with
+  | exception Sys_error _ -> ()
+  | names ->
+      Array.iter
+        (fun name ->
+          match int_of_string_opt name with
+          | Some n when n > 2 ->
+              let fd : Unix.file_descr = Obj.magic n in
+              if not (List.mem fd keep) then
+                (try Unix.close fd with Unix.Unix_error _ -> ())
+          | _ -> ())
+        names
 
-let running t = List.length t.children
-let free t = t.jobs - running t
-
-(* In the child: never returns, never runs the parent's [at_exit] hooks
-   or flushes its buffers.  Flight checkpoints keep 8 spans: a campaign
-   worker checkpoints once per seed, so the span tail is the file-size
-   budget. *)
-let child_main t fd run =
+(* In a worker: serve jobs until the job pipe closes; never returns,
+   never runs the parent's [at_exit] hooks or flushes its buffers.
+   Flight checkpoints keep 8 spans: a campaign worker checkpoints once
+   per seed, so the span tail is the file-size budget. *)
+let worker_main t jobs_r results_w =
   let code =
     try
+      close_inherited [ jobs_r; results_w ];
       let send_dump = Obs.enabled () in
       Obs.reset ();
       Option.iter
@@ -52,108 +74,192 @@ let child_main t fd run =
           (try Unix.mkdir dir 0o755 with Unix.Unix_error _ -> ());
           Obs.flight_start ~last:8
             (Filename.concat dir
-               (Printf.sprintf "flight-%d.jsonl" (Unix.getpid ()))))
+               (Printf.sprintf "flight-%d.jsonl" (Unix.getpid ())));
+          Obs.flight_checkpoint ~reason:"worker-start" ())
         t.flight;
-      match run () with
-      | exception _ -> exit_raised
-      | v ->
-          if Obs.flight_active () then Obs.flight_stop ();
-          let dump = if send_dump then Some (Obs.dump ()) else None in
-          let oc = Unix.out_channel_of_descr fd in
-          Marshal.to_channel oc (v, dump) [];
-          flush oc;
-          0
+      let ic = Unix.in_channel_of_descr jobs_r in
+      let oc = Unix.out_channel_of_descr results_w in
+      let rec serve () =
+        match Marshal.from_channel ic with
+        | exception End_of_file ->
+            if Obs.flight_active () then Obs.flight_stop ();
+            0
+        | job -> (
+            Obs.reset ();
+            match t.run job with
+            | exception _ -> exit_raised
+            | v ->
+                let dump = if send_dump then Some (Obs.dump ()) else None in
+                Marshal.to_channel oc (v, dump) [];
+                flush oc;
+                serve ())
+      in
+      serve ()
     with _ -> exit_protocol
   in
   Unix._exit code
 
-let spawn t ?deadline key run =
-  if free t <= 0 then invalid_arg "Supervisor.spawn: no free slot";
-  let r, w = Unix.pipe ~cloexec:true () in
+let fork_worker t =
+  let jobs_r, jobs_w = Unix.pipe ~cloexec:true () in
+  let results, results_w = Unix.pipe ~cloexec:true () in
   flush stdout;
   flush stderr;
   match Unix.fork () with
-  | 0 ->
-      Unix.close r;
-      child_main t w run
+  | 0 -> worker_main t jobs_r results_w
   | pid ->
-      Unix.close w;
-      Unix.set_nonblock r;
-      let now = Unix.gettimeofday () in
-      t.children <-
-        {
-          key;
-          pid;
-          fd = r;
-          buf = Buffer.create 4096;
-          eof = false;
-          started = now;
-          deadline =
-            (match deadline with Some s -> now +. s | None -> infinity);
-          killed = false;
-        }
-        :: t.children;
-      pid
+      Unix.close jobs_r;
+      Unix.close results_w;
+      Unix.set_nonblock results;
+      { pid; jobs_w; results; buf = Buffer.create 4096; eof = false;
+        busy = None }
 
-let read t c =
+let create ?flight ~jobs run =
+  let t = { run; flight; chunk = Bytes.create 65536; workers = [] } in
+  t.workers <- List.init (max 1 jobs) (fun _ -> fork_worker t);
+  t
+
+let running t =
+  List.fold_left (fun n w -> if Option.is_none w.busy then n else n + 1) 0
+    t.workers
+
+let free t = List.length t.workers - running t
+let fds t = List.map (fun w -> w.results) t.workers
+
+let rec waitpid pid =
+  try snd (Unix.waitpid [] pid)
+  with Unix.Unix_error (Unix.EINTR, _, _) -> waitpid pid
+
+(* A dead worker: reap it, classify its job's end if it had one, and
+   put a fresh worker in its place. *)
+let replace t w =
+  Unix.close w.jobs_w;
+  Unix.close w.results;
+  let killed = match w.busy with Some b -> b.killed | None -> false in
+  let exit =
+    match waitpid w.pid with
+    | exception Unix.Unix_error (Unix.ECHILD, _, _) -> Vanished
+    | Unix.WEXITED n -> Exited n
+    | Unix.WSIGNALED _ when killed -> Deadline
+    | Unix.WSIGNALED s | Unix.WSTOPPED s -> Signaled s
+  in
+  t.workers <- fork_worker t :: List.filter (fun x -> x != w) t.workers;
+  exit
+
+(* The job pipe is written blocking: the worker is idle, so it is
+   reading.  A worker that died idle is replaced and the job goes to
+   the next one; SIGPIPE is held off so its death is an [EPIPE]. *)
+let rec submit t ?deadline job =
+  match List.find_opt (fun w -> Option.is_none w.busy) t.workers with
+  | None -> invalid_arg "Supervisor.submit: no idle worker"
+  | Some w ->
+      let msg = Marshal.to_bytes job [] in
+      let pipe = Sys.signal Sys.sigpipe Sys.Signal_ignore in
+      let rec send off =
+        if off < Bytes.length msg then
+          match Unix.single_write w.jobs_w msg off (Bytes.length msg - off) with
+          | n -> send (off + n)
+          | exception Unix.Unix_error (Unix.EINTR, _, _) -> send off
+      in
+      let sent =
+        match send 0 with
+        | () -> true
+        | exception Unix.Unix_error (Unix.EPIPE, _, _) -> false
+      in
+      Sys.set_signal Sys.sigpipe pipe;
+      if not sent then begin
+        ignore (replace t w);
+        submit t ?deadline job
+      end
+      else begin
+        let now = Unix.gettimeofday () in
+        w.busy <-
+          Some
+            {
+              job;
+              started = now;
+              deadline =
+                (match deadline with Some s -> now +. s | None -> infinity);
+              killed = false;
+            };
+        w.pid
+      end
+
+let read t w =
   let rec go () =
-    match Unix.read c.fd t.chunk 0 (Bytes.length t.chunk) with
-    | 0 -> c.eof <- true
+    match Unix.read w.results t.chunk 0 (Bytes.length t.chunk) with
+    | 0 -> w.eof <- true
     | n ->
-        Buffer.add_subbytes c.buf t.chunk 0 n;
+        Buffer.add_subbytes w.buf t.chunk 0 n;
         go ()
     | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ()
   in
   go ()
 
-let rec waitpid pid =
-  try snd (Unix.waitpid [] pid)
-  with Unix.Unix_error (Unix.EINTR, _, _) -> waitpid pid
-
-let reap c =
-  Unix.close c.fd;
-  let exit =
-    match waitpid c.pid with
-    | exception Unix.Unix_error (Unix.ECHILD, _, _) -> Vanished
-    | Unix.WEXITED 0 -> (
-        match Marshal.from_string (Buffer.contents c.buf) 0 with
-        | v, dump ->
-            if Obs.enabled () then Option.iter (Obs.merge ~tid:c.pid) dump;
-            Returned v
-        | exception _ -> Exited 0)
-    | Unix.WEXITED n -> Exited n
-    | Unix.WSIGNALED _ when c.killed -> Deadline
-    | Unix.WSIGNALED s | Unix.WSTOPPED s -> Signaled s
-  in
-  (c.key, Unix.gettimeofday () -. c.started, exit)
+let complete w =
+  let n = Buffer.length w.buf in
+  n >= Marshal.header_size
+  && n
+     >= Marshal.total_size
+          (Bytes.of_string (Buffer.sub w.buf 0 Marshal.header_size))
+          0
 
 let wait t ?(until = infinity) () =
   let next =
     List.fold_left
-      (fun acc c -> if c.killed then acc else Float.min acc c.deadline)
-      until t.children
+      (fun acc w ->
+        match w.busy with
+        | Some b when not b.killed -> Float.min acc b.deadline
+        | _ -> acc)
+      until t.workers
   in
-  if t.children = [] && next = infinity then []
+  if running t = 0 && next = infinity then []
   else begin
     let timeout =
       if next = infinity then -1.
       else Float.max 0. (next -. Unix.gettimeofday ())
     in
-    let fds = List.map (fun c -> c.fd) t.children in
-    (match Unix.select fds [] [] timeout with
+    (match Unix.select (fds t) [] [] timeout with
     | ready, _, _ ->
-        List.iter (fun c -> if List.mem c.fd ready then read t c) t.children
+        List.iter (fun w -> if List.mem w.results ready then read t w) t.workers
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> ());
     let now = Unix.gettimeofday () in
+    let ended = ref [] in
     List.iter
-      (fun c ->
-        if (not c.killed) && now >= c.deadline then begin
-          c.killed <- true;
-          try Unix.kill c.pid Sys.sigkill with Unix.Unix_error _ -> ()
-        end)
-      t.children;
-    let ended, live = List.partition (fun c -> c.eof) t.children in
-    t.children <- live;
-    List.map reap ended
+      (fun w ->
+        match w.busy with
+        | Some b when complete w ->
+            let v, dump = Marshal.from_string (Buffer.contents w.buf) 0 in
+            Buffer.clear w.buf;
+            w.busy <- None;
+            if Obs.enabled () then Option.iter (Obs.merge ~tid:w.pid) dump;
+            ended := (b.job, now -. b.started, Returned v) :: !ended
+        | Some b when (not b.killed) && now >= b.deadline ->
+            b.killed <- true;
+            (try Unix.kill w.pid Sys.sigkill with Unix.Unix_error _ -> ())
+        | _ -> ())
+      t.workers;
+    List.iter
+      (fun w ->
+        if w.eof then
+          let exit = replace t w in
+          Option.iter
+            (fun b -> ended := (b.job, now -. b.started, exit) :: !ended)
+            w.busy)
+      t.workers;
+    List.rev !ended
   end
+
+let close t =
+  List.iter
+    (fun w ->
+      if Option.is_some w.busy then
+        (try Unix.kill w.pid Sys.sigkill with Unix.Unix_error _ -> ());
+      Unix.close w.jobs_w)
+    t.workers;
+  List.iter
+    (fun w ->
+      Unix.close w.results;
+      try ignore (waitpid w.pid) with Unix.Unix_error _ -> ())
+    t.workers;
+  t.workers <- []

@@ -21,7 +21,6 @@
 
 type t = {
   tbl : (string, Report.entry) Hashtbl.t;
-  mutex : Mutex.t;
   writer : Journal.writer option;
   hits : Obs.Counter.t;
   misses : Obs.Counter.t;
@@ -123,48 +122,31 @@ let create ?journal ?(fsync = false)
   in
   {
     tbl;
-    mutex = Mutex.create ();
     writer;
     hits = Obs.Counter.make "serve.cache.hits";
     misses = Obs.Counter.make "serve.cache.misses";
     stores = Obs.Counter.make "serve.cache.stores";
   }
 
-let locked c f =
-  Mutex.lock c.mutex;
-  match f () with
-  | v ->
-      Mutex.unlock c.mutex;
-      v
-  | exception e ->
-      Mutex.unlock c.mutex;
-      raise e
-
 let find c vkey =
-  locked c (fun () ->
-      match Hashtbl.find_opt c.tbl vkey with
-      | Some e ->
-          Obs.Counter.incr_always c.hits;
-          Some e
-      | None ->
-          Obs.Counter.incr_always c.misses;
-          None)
+  match Hashtbl.find_opt c.tbl vkey with
+  | Some e ->
+      Obs.Counter.incr_always c.hits;
+      Some e
+  | None ->
+      Obs.Counter.incr_always c.misses;
+      None
 
 let store c vkey entry =
-  if cacheable entry then
-    locked c (fun () ->
-        if not (Hashtbl.mem c.tbl vkey) then begin
-          Hashtbl.replace c.tbl vkey entry;
-          Obs.Counter.incr_always c.stores;
-          match c.writer with
-          | Some w -> Journal.write_line w (line_of_binding vkey entry)
-          | None -> ()
-        end)
+  if cacheable entry && not (Hashtbl.mem c.tbl vkey) then begin
+    Hashtbl.replace c.tbl vkey entry;
+    Obs.Counter.incr_always c.stores;
+    match c.writer with
+    | Some w -> Journal.write_line w (line_of_binding vkey entry)
+    | None -> ()
+  end
 
-let size c = locked c (fun () -> Hashtbl.length c.tbl)
+let size c = Hashtbl.length c.tbl
 let hits c = Obs.Counter.value c.hits
 let misses c = Obs.Counter.value c.misses
-
-let close c =
-  locked c (fun () ->
-      match c.writer with Some w -> Journal.close w | None -> ())
+let close c = match c.writer with Some w -> Journal.close w | None -> ()

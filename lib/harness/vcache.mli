@@ -12,9 +12,8 @@
     {!Journal.write_line}, and {!create} recovers the file first with
     the same torn-tail tolerance as {!Journal.load} — a daemon killed
     mid-append restarts with every complete insertion and without the
-    torn one.  All operations are mutex-protected (shared across the
-    daemon's domains); hit/miss/store counts surface as the Obs
-    counters [serve.cache.hits]/[.misses]/[.stores]. *)
+    torn one.  Hit/miss/store counts surface as the Obs counters
+    [serve.cache.hits]/[.misses]/[.stores]. *)
 
 type t
 

@@ -217,26 +217,20 @@ let make ?static (x : Exec.t) =
    witnesses of one event structure consecutively, sharing the [events]
    array physically; keying on that identity makes the cache hit for
    every candidate but the structure's first, and a miss merely
-   recomputes — caching is never observable in the results. *)
-(* Domain-local, not global: the checking-as-a-service scheduler runs
-   one check per domain concurrently, and a single shared slot would
-   thrash (every domain evicting the others' entry) and race.  Each
-   domain sees its own candidates consecutively, which is exactly the
-   access pattern the one-slot design wants. *)
-let static_cache : (Exec.Event.t array * static_ctx) option ref Domain.DLS.key
-    =
-  Domain.DLS.new_key (fun () -> ref None)
+   recomputes — caching is never observable in the results.  One slot
+   per process: a process checks one test at a time (the pool, campaigns
+   and the daemon check in forked workers). *)
+let static_cache : (Exec.Event.t array * static_ctx) option ref = ref None
 
 let static_cached (x : Exec.t) =
-  let cache = Domain.DLS.get static_cache in
-  match !cache with
+  match !static_cache with
   | Some (ev, s) when ev == x.events ->
       Obs.Counter.incr c_cache_hits;
       s
   | _ ->
       Obs.Counter.incr c_cache_misses;
       let s = static_of x in
-      cache := Some (x.events, s);
+      static_cache := Some (x.events, s);
       s
 
 let make_cached (x : Exec.t) = make ~static:(static_cached x) x

@@ -89,7 +89,7 @@ type static_ctx = {
 (** [static_of x] computes the static prefix of [x]. *)
 val static_of : Exec.t -> static_ctx
 
-(** [static_cached x] is [static_of x] through the one-slot per-domain
+(** [static_cached x] is [static_of x] through the one-slot per-process
     cache keyed on the physical identity of [x.events]. *)
 val static_cached : Exec.t -> static_ctx
 

@@ -14,19 +14,20 @@
       and the number dropped is reported.  Counters and histograms are
       O(#distinct names).
 
-   3. *Fork-transparent.*  {!Harness.Pool} checks each test in a forked
-      worker; a worker resets the (inherited) collector, records into
-      its own copy, and ships a {!dump} back over the existing result
-      pipe, which the parent {!merge}s — remapping span ids and tagging
-      the worker's spans with its pid — so a [-j N] run produces one
+   3. *Fork-transparent.*  The pool, campaigns and the serve daemon
+      check on {!Harness.Supervisor}'s forked workers; a worker resets
+      the (inherited) collector before each job, records into its own
+      copy, and ships a {!dump} back over the existing result pipe,
+      which the parent {!merge}s — remapping span ids and tagging the
+      worker's spans with its pid — so a [-j N] run produces one
       coherent trace.
 
-   4. *Domain-transparent.*  {!Harness.Serve} checks requests on OCaml 5
-      domains sharing this one collector; counters are atomic, the span
-      ring and registries are guarded by a single mutex taken only in
-      the enabled paths, and the open-span *stack* is domain-local
-      (spans from different domains never nest under each other; each
-      span carries its domain id as [tid], 0 on the main domain so
+   4. *Domain-safe.*  A program recording from several OCaml 5 domains
+      shares this one collector; counters are atomic, the span ring and
+      registries are guarded by a single mutex taken only in the
+      enabled paths, and the open-span *stack* is domain-local (spans
+      from different domains never nest under each other; each span
+      carries its domain id as [tid], 0 on the main domain so
       single-domain traces are unchanged).
 
    Timestamps come from one clamped clock ({!now_us}): microseconds
@@ -104,8 +105,8 @@ let c = { ring = [||]; total = 0; next_id = 0 }
 
 (* Open spans, innermost first — per domain, so concurrent domains each
    keep a well-nested stack and never adopt each other's parents.
-   {!reset} clears the calling domain's stack only (a forked pool worker
-   has exactly one). *)
+   {!reset} clears the calling domain's stack only (a forked worker has
+   exactly one). *)
 let stack_key : span list ref Domain.DLS.key =
   Domain.DLS.new_key (fun () -> ref [])
 
@@ -177,7 +178,7 @@ let with_span ?item name f =
 
 (* Explicitly timed spans and instant events.  The serve daemon
    assembles request-lifecycle spans (admission -> queue wait -> reply)
-   outside any single domain's open-span stack, and marks retry and
+   from timestamps, outside any open-span stack, and marks retry and
    quarantine transitions as zero-duration events on the same trace;
    both are born closed and never touch the DLS stacks. *)
 let record ?(item = "") ?parent ?tid ~start_us ~dur_us name =
@@ -199,8 +200,8 @@ let event ?item name =
 (* ------------------------------------------------------------------ *)
 
 module Counter = struct
-  (* Atomic, not mutable-int: hot-path counters are bumped from every
-     checking domain concurrently and a plain read-modify-write would
+  (* Atomic, not mutable-int: hot-path counters may be bumped from
+     several domains at once and a plain read-modify-write would
      lose increments.  fetch-and-add is one lock-prefixed instruction —
      no mutex on the add path. *)
   type t = { name : string; v : int Atomic.t }
@@ -484,8 +485,8 @@ let merge ?(tid = 0) (d : dump) =
 (* Export                                                              *)
 (* ------------------------------------------------------------------ *)
 
-(* Obs is beneath every other library in the tree, so it carries its own
-   (tiny) JSON string escaper rather than borrowing the harness's. *)
+(* The tree's one JSON string escaper: Obs is beneath every other
+   library, so the others share this one. *)
 let json_escape s =
   let buf = Buffer.create (String.length s + 8) in
   String.iter
@@ -650,7 +651,7 @@ let summary_json () =
 (* Crash flight recorder                                               *)
 (* ------------------------------------------------------------------ *)
 
-(* A SIGKILLed pool worker, a wedged-and-abandoned serve domain and a
+(* A SIGKILLed pool worker, a wedged-and-killed serve worker and a
    poison campaign seed all die without reaching any export path; the
    flight recorder is the post-mortem for exactly those deaths.  While
    armed, the collector appends periodic (and caller-forced) checkpoint
@@ -724,12 +725,16 @@ let () =
       | Some f when now >= f.f_due_us -> flight_checkpoint_u "interval"
       | _ -> ()
 
+(* The previous file is closed before the new one opens: a forked
+   worker re-arming has already closed the descriptor it inherited, and
+   closing that number after the open could close the new file. *)
 let flight_start ?(interval_us = 500_000.) ?(last = 32) path =
-  let oc = open_out_gen [ Open_wronly; Open_creat; Open_append ] 0o644 path in
   locked (fun () ->
-      (match !flight_state with
-      | Some old -> close_out_noerr old.f_oc
-      | None -> ());
+      Option.iter (fun old -> close_out_noerr old.f_oc) !flight_state;
+      flight_state := None;
+      let oc =
+        open_out_gen [ Open_wronly; Open_creat; Open_append ] 0o644 path
+      in
       flight_state :=
         Some
           { f_oc = oc; f_interval_us = interval_us; f_last = max 1 last;

@@ -8,10 +8,10 @@
     histograms accumulate in name-keyed registries that survive
     {!reset}, so [make] at module level is safe.
 
-    The fork boundary: {!Harness.Pool} workers call {!reset} after
-    [fork], record into their own copy of the collector, and return a
-    {!dump} over the result pipe; the parent {!merge}s each dump,
-    remapping span ids and tagging spans with the worker pid. *)
+    The fork boundary: {!Harness.Supervisor}'s workers call {!reset}
+    before each job, record into their own copy of the collector, and
+    return a {!dump} over the result pipe; the parent {!merge}s each
+    dump, remapping span ids and tagging spans with the worker pid. *)
 
 (** {1 Enable switch} *)
 
@@ -51,8 +51,8 @@ val record :
 (** [record ~start_us ~dur_us name] pushes an explicitly timed,
     already-closed span — the serve daemon's request-lifecycle spans
     (admission → queue wait → reply) are assembled this way, outside
-    any one domain's open-span stack.  [tid] defaults to the calling
-    domain; never touches the nesting stacks.  No-op when disabled. *)
+    any open-span stack.  [tid] defaults to the calling domain's id;
+    never touches the nesting stacks.  No-op when disabled. *)
 
 val event : ?item:string -> string -> unit
 (** A zero-duration span at the current instant (retry and quarantine
@@ -140,7 +140,8 @@ val hist_metrics_json : hist_summary -> string
 
 val reset : unit -> unit
 (** Clear spans and zero all counters/histograms in place (registered
-    handles stay valid).  Pool workers call this right after [fork]. *)
+    handles stay valid).  Supervisor workers call this before each
+    job. *)
 
 type dump
 (** Marshal-safe snapshot of the collector (spans, drop count,
@@ -155,6 +156,9 @@ val merge : ?tid:int -> dump -> unit
     and histogram cells add up. *)
 
 (** {1 Export} *)
+
+val json_escape : string -> string
+(** A JSON string literal's contents; the tree's one escaper. *)
 
 val to_jsonl : unit -> string
 (** One JSON object per line: a [meta] line, then [span], [counter] and
@@ -179,7 +183,7 @@ val summary_json : unit -> string
 
 (** {1 Crash flight recorder}
 
-    A SIGKILLed pool worker, a wedged serve domain or a poison campaign
+    A SIGKILLed pool worker, a wedged serve worker or a poison campaign
     seed dies without reaching any export path.  While armed, the
     collector appends checkpoint lines — each a self-contained
     [lkflight-1] JSON object with the last few spans (open ones

@@ -438,6 +438,33 @@ let test_pool_merges_workers () =
   in
   Alcotest.(check int) "worker candidate counters merged" expected merged
 
+(* Workers are reused: with one job slot, every item runs in the same
+   worker process, so all three item spans carry one tid. *)
+let test_pool_reuses_worker () =
+  with_collector @@ fun () ->
+  let items =
+    List.map
+      (fun name ->
+        let e = Harness.Battery.find name in
+        {
+          Harness.Runner.id = name;
+          source = `Text e.Harness.Battery.source;
+          expected = None;
+        })
+      [ "MP+wmb+rmb"; "SB"; "LB" ]
+  in
+  let config = { Harness.Pool.default with Harness.Pool.jobs = 1 } in
+  let report = Harness.Pool.run ~config ~oracle:Lkmm.oracle items in
+  Alcotest.(check int) "all items pass" 3 report.Harness.Runner.n_pass;
+  let item_tids =
+    List.filter_map
+      (fun s -> if s.Obs.name = "item" then Some s.Obs.tid else None)
+      (Obs.spans ())
+  in
+  Alcotest.(check int) "three item spans" 3 (List.length item_tids);
+  Alcotest.(check int) "one worker tid" 1
+    (List.length (List.sort_uniq compare item_tids))
+
 (* Campaign shard workers go through the same supervisor: every seed's
    span and every worker's counters come back over the result pipe. *)
 let test_campaign_merges_workers () =
@@ -589,6 +616,8 @@ let () =
         [
           Alcotest.test_case "merges worker collectors" `Quick
             test_pool_merges_workers;
+          Alcotest.test_case "pool reuses one worker" `Quick
+            test_pool_reuses_worker;
           Alcotest.test_case "campaign merges worker collectors" `Quick
             test_campaign_merges_workers;
           Alcotest.test_case "flight post-mortem survives SIGKILL" `Quick

@@ -36,7 +36,7 @@ let misbehaving (it : R.item) =
   | _ -> normal_worker it
 
 let config jobs =
-  { P.default with P.jobs; limits; backoff = 0.01 }
+  { P.default with P.jobs; limits }
 
 let find_entry report id =
   List.find (fun (e : R.entry) -> e.R.item_id = id) report.R.entries
@@ -74,8 +74,7 @@ let test_order_preserved () =
 
 let test_watchdog_kills_loop () =
   let cfg =
-    { P.default with P.jobs = 2; limits = B.limits ~timeout:0.2 ();
-      backoff = 0.01 }
+    { P.default with P.jobs = 2; limits = B.limits ~timeout:0.2 () }
   in
   let t0 = Unix.gettimeofday () in
   let report =
@@ -105,6 +104,30 @@ let test_mem_cap_contains_oom () =
   | R.Gave_up (B.Heap_exceeded 32) -> ()
   | s -> Alcotest.failf "expected heap cap: %a" R.pp_status s);
   Alcotest.(check int) "healthy item passed" 1 report.R.n_pass
+
+(* Workers are reused, so the heap cap must charge the item that
+   allocated, not its predecessor's garbage: one worker runs an item
+   holding about 48 MB and then one holding about 40 MB, each under the
+   64 MB cap on its own. *)
+let test_mem_cap_charges_allocator () =
+  let holding mb it =
+    let held = List.init mb (fun _ -> Bytes.create (1 lsl 20)) in
+    let e = normal_worker it in
+    ignore (Sys.opaque_identity held);
+    e
+  in
+  let worker (it : R.item) =
+    holding (if it.R.id = "hold48" then 48 else 40) it
+  in
+  let cfg = { P.default with P.jobs = 1; limits; mem_limit_mb = Some 64 } in
+  let report =
+    P.run ~config:cfg ~worker ~oracle
+      [
+        item "hold48" (src "SB") (Some Exec.Check.Allow);
+        item "hold40" (src "MP+wmb+rmb") (Some Exec.Check.Forbid);
+      ]
+  in
+  Alcotest.(check int) "both items pass under the cap" 2 report.R.n_pass
 
 (* A flaky crash: the first attempt dies, the retry succeeds.  The
    cross-attempt state lives in the filesystem because each attempt is
@@ -213,7 +236,7 @@ let test_sigterm_drains_journal () =
       (fun n -> [ item (n ^ "/SB") (src "SB") (Some Exec.Check.Allow) ])
       [ "a"; "b"; "c"; "d"; "e"; "f"; "g"; "h" ]
   in
-  let cfg = { P.default with P.jobs = 2; limits; backoff = 0.01 } in
+  let cfg = { P.default with P.jobs = 2; limits } in
   (* each item sleeps, so SIGTERM lands mid-corpus with items in flight *)
   let slow (it : R.item) =
     Unix.sleepf 0.15;
@@ -271,6 +294,8 @@ let () =
             test_watchdog_kills_loop;
           Alcotest.test_case "mem cap contains OOM" `Slow
             test_mem_cap_contains_oom;
+          Alcotest.test_case "mem cap charges the allocating item" `Quick
+            test_mem_cap_charges_allocator;
         ] );
       ( "retry",
         [

@@ -30,7 +30,6 @@ let base_config socket =
     limits = B.limits ~timeout:5.0 ();
     default_timeout = 5.0;
     wedge_grace = 0.4;
-    backoff = 0.02;
     chaos_ops = true;
   }
 
@@ -311,6 +310,63 @@ let test_flight_postmortem () =
       Alcotest.(check bool) "post-mortem names the victim trace" true
         (List.mem "victim-9" victims))
 
+(* A wedged worker is a process, killed at its deadline: every
+   job-start checkpoint naming the wedged request's trace was written by
+   a worker that no longer exists. *)
+let test_wedge_kills_worker_process () =
+  let dir = Filename.temp_file "serve_wedge" "" in
+  Sys.remove dir;
+  Unix.mkdir dir 0o755;
+  Fun.protect
+    ~finally:(fun () ->
+      Array.iter
+        (fun f -> try Sys.remove (Filename.concat dir f) with Sys_error _ -> ())
+        (Sys.readdir dir);
+      try Unix.rmdir dir with Unix.Unix_error _ -> ())
+    (fun () ->
+      with_daemon
+        ~configure:(fun c ->
+          { c with S.default_timeout = 0.3; wedge_grace = 0.3;
+            flight_dir = Some dir })
+        (fun socket _pid ->
+          let c = connect_retry socket in
+          let r =
+            ok_response "wedge" (S.Client.chaos_wedge ~trace:"wedge-pid" c 30.0)
+          in
+          check_cls "wedge quarantined" Pr.Quarantined r;
+          S.Client.close c;
+          let names_trace ckpt =
+            match J.mem "spans" ckpt with
+            | Some (J.Arr spans) ->
+                List.exists
+                  (fun s ->
+                    Option.bind (J.mem "item" s) J.str = Some "wedge-pid")
+                  spans
+            | _ -> false
+          in
+          let pids =
+            Sys.readdir dir |> Array.to_list
+            |> List.concat_map (fun f ->
+                   Harness.Journal.load_json (Filename.concat dir f))
+            |> List.filter (fun ckpt ->
+                   Option.bind (J.mem "reason" ckpt) J.str = Some "job-start"
+                   && names_trace ckpt)
+            |> List.filter_map (fun ckpt ->
+                   Option.bind (J.mem "pid" ckpt) J.num)
+            |> List.map int_of_float
+          in
+          Alcotest.(check bool) "a job-start checkpoint names the trace" true
+            (pids <> []);
+          List.iter
+            (fun pid ->
+              Alcotest.(check bool)
+                (Printf.sprintf "pid %d no longer exists" pid)
+                true
+                (match Unix.kill pid 0 with
+                | () -> false
+                | exception Unix.Unix_error (Unix.ESRCH, _, _) -> true))
+            pids))
+
 (* ------------------------------------------------------------------ *)
 (* Protocol edges                                                      *)
 (* ------------------------------------------------------------------ *)
@@ -422,6 +478,52 @@ let test_chaos_wedge_detected () =
       check_cls "replacement workers serve" Pr.Ok_ r2;
       S.Client.close c)
 
+(* One request on a raw socket whose receive times out after [secs], so
+   a daemon that never answers fails the test instead of hanging it. *)
+let request_with_timeout socket secs line =
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Fun.protect
+    ~finally:(fun () -> Unix.close fd)
+    (fun () ->
+      Unix.connect fd (Unix.ADDR_UNIX socket);
+      Unix.setsockopt_float fd Unix.SO_RCVTIMEO secs;
+      let msg = Bytes.of_string (line ^ "\n") in
+      ignore (Unix.write fd msg 0 (Bytes.length msg));
+      let buf = Buffer.create 256 and chunk = Bytes.create 4096 in
+      let rec read () =
+        match Unix.read fd chunk 0 (Bytes.length chunk) with
+        | 0 -> Error "connection closed by daemon"
+        | n -> (
+            Buffer.add_subbytes buf chunk 0 n;
+            let got = Buffer.contents buf in
+            match String.index_opt got '\n' with
+            | Some i -> Pr.parse_response (String.sub got 0 i)
+            | None -> read ())
+        | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _)
+          ->
+            Error (Printf.sprintf "no answer within %.0f s" secs)
+      in
+      read ())
+
+(* Every lost worker is replaced, however many: 17 poison requests cost
+   34 workers, and an ordinary check is still answered. *)
+let test_kills_never_exhaust_workers () =
+  with_daemon (fun socket _pid ->
+      let c = connect_retry socket in
+      for i = 1 to 17 do
+        check_cls
+          (Printf.sprintf "kill %d quarantined" i)
+          Pr.Quarantined
+          (ok_response "chaos kill" (S.Client.chaos_kill c))
+      done;
+      S.Client.close c;
+      let r =
+        ok_response "check after 34 worker losses"
+          (request_with_timeout socket 10.
+             (Pr.check_line ~id:"after" ~expected:Exec.Check.Allow (src "SB")))
+      in
+      check_cls "service still answers" Pr.Ok_ r)
+
 (* ------------------------------------------------------------------ *)
 (* Restart recovery                                                    *)
 (* ------------------------------------------------------------------ *)
@@ -516,6 +618,8 @@ let () =
             test_trace_stable_across_supervision;
           Alcotest.test_case "flight post-mortem after chaos kill" `Slow
             test_flight_postmortem;
+          Alcotest.test_case "wedged worker's process is gone" `Slow
+            test_wedge_kills_worker_process;
         ] );
       ( "protocol",
         [
@@ -532,6 +636,8 @@ let () =
             test_chaos_kill_quarantines;
           Alcotest.test_case "wedged workers: abandon and replace" `Slow
             test_chaos_wedge_detected;
+          Alcotest.test_case "17 kills leave the daemon serving" `Slow
+            test_kills_never_exhaust_workers;
         ] );
       ( "restart",
         [

@@ -152,7 +152,7 @@ let crashy_worker (it : R.item) =
 
 let crash_check t =
   S.isolated_check
-    ~config:{ P.default with P.limits = limits; backoff = 0.01 }
+    ~config:{ P.default with P.limits = limits }
     ~worker:crashy_worker ~oracle t
 
 let test_crash_shrinks_in_isolation () =

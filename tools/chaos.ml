@@ -8,7 +8,7 @@
    cache journalled) and replays corpus tests at it while injecting
    every fault the service claims to survive:
 
-   - chaos_kill / chaos_wedge requests that cost worker domains;
+   - chaos_kill / chaos_wedge requests that kill worker processes;
    - malformed, oversized and deadline-zero requests;
    - pipelined bursts past the admission queue bound;
    - kill -9 of the whole daemon, truncation of the cache journal at a
@@ -142,8 +142,9 @@ let ground_truth () =
 let socket = Filename.temp_file "chaos" ".sock"
 let journal = Filename.temp_file "chaos" ".jsonl"
 
-(* every daemon incarnation writes flight-<pid>.jsonl here; the post-run
-   audit asserts each injected kill/wedge left a post-mortem naming it *)
+(* every daemon incarnation and each of its workers writes
+   flight-<pid>.jsonl here; the post-run audit asserts each injected
+   kill/wedge left a post-mortem naming it *)
 let flight_dir =
   let d = Filename.temp_file "chaos" ".flight" in
   Sys.remove d;
@@ -160,7 +161,6 @@ let config =
     default_timeout = 2.0;
     max_line = 1 lsl 16;
     wedge_grace = 0.4;
-    backoff = 0.02;
     cache_journal = Some journal;
     chaos_ops = true;
     backend = !backend;
@@ -695,8 +695,8 @@ let () =
   in
   reap 100;
   (* post-mortem audit: every dispatched kill/wedge must be named, by
-     its trace id, in some checkpoint of some incarnation's flight
-     journal — the crash left readable evidence *)
+     its trace id, in some checkpoint of some flight journal — the
+     crash left readable evidence *)
   let items = flight_span_items flight_dir in
   let missing_pm =
     List.filter (fun tr -> not (List.mem tr items)) !injected_traces
