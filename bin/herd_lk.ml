@@ -16,8 +16,9 @@
 open Cmdliner
 
 (* Per-entry console output, preserving the classic verdict line for
-   completed checks. *)
-let print_entry model_name outcomes (e : Harness.Runner.entry) =
+   completed checks; [listing] gives the outcomes to print under it, if
+   asked for. *)
+let print_entry model_name listing (e : Harness.Runner.entry) =
   (match (e.Harness.Runner.status, e.Harness.Runner.result) with
   | Harness.Runner.Pass v, Some r ->
       Fmt.pr "Test %s: %a under %s (%d candidate executions, %d consistent)@."
@@ -39,15 +40,14 @@ let print_entry model_name outcomes (e : Harness.Runner.entry) =
   | Harness.Runner.Pass v, None ->
       Fmt.pr "Test %s: %a under %s@." e.Harness.Runner.item_id
         Exec.Check.pp_verdict v model_name);
-  (if outcomes then
-     match e.Harness.Runner.result with
-     | Some r ->
-         List.iter
-           (fun (o, matches) ->
-             Fmt.pr "  %a %s@." Exec.pp_outcome o
-               (if matches then "<- condition" else ""))
-           r.Exec.Check.outcomes
-     | None -> ());
+  (match (listing, e.Harness.Runner.result) with
+  | Some outcomes_of, Some r ->
+      List.iter
+        (fun (o, matches) ->
+          Fmt.pr "  %a %s@." Exec.pp_outcome o
+            (if matches then "<- condition" else ""))
+        (outcomes_of r)
+  | _ -> ());
   match e.Harness.Runner.result with
   | Some r when r.Exec.Check.explanations <> [] ->
       List.iter
@@ -270,9 +270,30 @@ let main model verbose outcomes dot explain explain_diff_spec builtin timeout
             | `Ast t -> Litmus.to_string t)
           items
       in
+      (* The SAT engine answers the existential question only: its
+         result carries the witness outcome alone.  The listing then
+         comes from the enumerative engine, as
+         [Exec.Oracle.allowed_outcomes] does; the verdict line stays
+         the solver's. *)
+      let listing source =
+        if not outcomes then None
+        else
+          Some
+            (fun (r : Exec.Check.result) ->
+              if r.Exec.Check.backend <> Exec.Check.Sat then
+                r.Exec.Check.outcomes
+              else
+                let budget =
+                  if Exec.Budget.is_unlimited limits then None
+                  else Some (Exec.Budget.start limits)
+                in
+                (Exec.Oracle.run ?budget ~backend:Exec.Check.Batch oracle
+                   (Litmus.parse source))
+                  .Exec.Check.outcomes)
+      in
       List.iter2
         (fun (e : Harness.Runner.entry) source ->
-          print_entry mname outcomes e;
+          print_entry mname (listing source) e;
           (if verbose && mname = "LK" then
              match e.Harness.Runner.result with
              | Some _ -> (

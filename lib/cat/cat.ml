@@ -49,31 +49,32 @@ let h_replay = Obs.Histogram.make "cat.replay_us"
     test's deadline).
 
     The model is compiled once ({!Interp.compile}) and its static
-    prefix — every binding depending only on the event structure, not
-    on the rf/co witness — is evaluated once per event structure and
-    reused across the candidates sharing it.  The enumeration yields
-    all witnesses of one event structure consecutively with a physically
-    shared [events] array, so one slot keyed on that array's identity,
-    shared by both engines, hits for all but the first candidate of
-    each structure.  Prefix replay reproduces {!Interp.run} exactly.
-    The batched engine decides up to 63 pairwise static-compatible
-    witnesses per pass ({!Interp.run_with_prefix_batched}), taking
-    statics from the first; it ignores [~coherent], since cat models
-    re-check their coherence axiom even on prefiltered candidates.  No
-    symbolic engine yet — a [Sat] request falls back enumeratively,
-    counted, per {!Exec.Oracle.run}. *)
+    prefix — every binding depending only on the shape's statics, not
+    on the rf/co witness or on read values — is evaluated once per
+    static shape and reused across the candidates sharing it.  The
+    enumeration shares one {!Exec.shape} physically across every
+    witness of every event structure of that shape, so one slot keyed
+    on the shape's identity, shared by both engines, hits for all but
+    the first candidate of each run of a shape.  Prefix replay
+    reproduces {!Interp.run} exactly.  The batched engine decides up to
+    63 witnesses of one shape per pass
+    ({!Interp.run_with_prefix_batched}), taking statics from the first;
+    it ignores [~coherent], since cat models re-check their coherence
+    axiom even on prefiltered candidates.  No symbolic engine yet — a
+    [Sat] request falls back enumeratively, counted, per
+    {!Exec.Oracle.run}. *)
 let to_oracle ~name (model : model) : Exec.Oracle.t =
   let compiled = Interp.compile model in
-  let slot : (Exec.Event.t array * Interp.prefix) option ref = ref None in
+  let slot : (Exec.shape * Interp.prefix) option ref = ref None in
   let prefix_of budget (x : Exec.t) =
     match !slot with
-    | Some (ev, p) when ev == x.Exec.events ->
+    | Some (sh, p) when sh == x.Exec.shape ->
         Obs.Counter.incr c_cache_hits;
         p
     | _ ->
         Obs.Counter.incr c_cache_misses;
         let p = Interp.prefix ?budget compiled (Interp.env_of_execution x) in
-        slot := Some (x.Exec.events, p);
+        slot := Some (x.Exec.shape, p);
         p
   in
   Exec.Oracle.make ~name

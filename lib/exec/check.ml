@@ -17,8 +17,8 @@ module type MODEL = sig
   val consistent : Execution.t -> bool
 end
 
-(* A batched consistency oracle: all candidates are pairwise
-   {!Execution.static_compatible}, so the model may take every
+(* A batched consistency oracle: all candidates share one shape (so are
+   pairwise {!Execution.static_compatible}), and the model may take every
    witness-independent part from [xs.(0)]; bit c of the result must
    equal [consistent xs.(c)], for every c in [mask] (bits outside
    [mask] are ignored).  [~coherent]
@@ -196,31 +196,15 @@ let run_exn ?budget ?batch ?explainer (module M : MODEL) (test : Litmus.Ast.t)
                   end)
                 stream
           | Some batch_fn ->
-              (* Buffer up to 63 pairwise static-compatible candidates —
-                 within one event structure they share the events array
-                 physically, and across enumeration-adjacent structures
-                 of the same test the statics usually coincide (the
-                 structures branch only on read values) — then decide
-                 the prefilter and the model for the whole buffer in
-                 word-parallel passes over candidate-major bit planes,
-                 and tally in enumeration order.  Compatibility is
-                 checked against the newest buffered candidate
-                 (transitivity covers the rest), memoised per event-
-                 array pair so each structure boundary costs one deep
-                 comparison. *)
-              let memo = ref None in
-              let compatible (y : Execution.t) (x : Execution.t) =
-                y.Execution.events == x.Execution.events
-                ||
-                match !memo with
-                | Some (ea, eb, r)
-                  when ea == y.Execution.events && eb == x.Execution.events ->
-                    r
-                | _ ->
-                    let r = Execution.static_compatible y x in
-                    memo := Some (y.Execution.events, x.Execution.events, r);
-                    r
-              in
+              (* Buffer up to 63 candidates of one shape — all the
+                 witnesses of one event structure, and enumeration-
+                 adjacent structures of the test that differ only in
+                 read values — then decide the prefilter and the model
+                 for the whole buffer in word-parallel passes over
+                 candidate-major bit planes, and tally in enumeration
+                 order.  The buffer is flushed where the shape changes:
+                 one physical comparison per candidate, and the same
+                 cut {!Execution.static_compatible} makes. *)
               let buf = ref [] and len = ref 0 in
               let flush () =
                 if !len > 0 then begin
@@ -249,7 +233,8 @@ let run_exn ?budget ?batch ?explainer (module M : MODEL) (test : Litmus.Ast.t)
                   Obs.Counter.incr c_candidates;
                   Option.iter Budget.tick budget;
                   (match !buf with
-                  | y :: _ when not (compatible y x) -> flush ()
+                  | (y : Execution.t) :: _ when y.shape != x.Execution.shape ->
+                      flush ()
                   | _ -> ());
                   buf := x :: !buf;
                   incr len;

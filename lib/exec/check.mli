@@ -14,7 +14,8 @@ module type MODEL = sig
   val consistent : Execution.t -> bool
 end
 
-(** A batched consistency oracle.  All candidates of [xs] are pairwise
+(** A batched consistency oracle.  All candidates of [xs] share one
+    shape ({!Execution.shape}), so are pairwise
     {!Execution.static_compatible} — the model may take every
     witness-independent part (events up to values, static relations,
     event-class sets) from [xs.(0)]; bit [c] of the result must equal
@@ -69,7 +70,10 @@ type result = {
       (** a consistent execution matching the condition, if any *)
   outcomes : (Execution.outcome * bool) list;
       (** observable outcomes of consistent executions; the flag marks
-          outcomes satisfying the condition *)
+          outcomes satisfying the condition.  The enumerative engines
+          list every one; the SAT engine answers only whether the
+          condition is observable, and fills this with its witness's
+          outcome alone (empty on Forbid) *)
   counterexample : Execution.t option;
       (** with [?explainer] and a Forbid verdict: the candidate the
           explanations describe — a condition-satisfying candidate the
@@ -117,11 +121,12 @@ val unknown :
     [?explainer] the streaming loop is unchanged up to one option test
     per rejected candidate.
 
-    With [?batch], candidates are buffered — up to 63 pairwise
-    {!Execution.static_compatible} ones, which spans enumeration-
-    adjacent event structures when they differ only in read values —
-    and decided by word-parallel passes over candidate-major bit
-    planes: the sc-per-location prefilter through
+    With [?batch], candidates are buffered — up to 63 of one shape,
+    which spans enumeration-adjacent event structures when they differ
+    only in read values; the buffer is flushed where the shape changes,
+    the cut {!Execution.static_compatible} defines — and decided by
+    word-parallel passes over candidate-major bit planes: the
+    sc-per-location prefilter through
     {!Execution.coherent_mask} and the model through the given
     {!batch_fn} (called with [~coherent:true]); the buffer is then
     tallied in enumeration order, so every observable of the result

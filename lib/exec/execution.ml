@@ -5,6 +5,36 @@
 
 module Iset = Rel.Iset
 
+(* The statics of one static shape: everything a candidate's models
+   read that depends neither on the rf/co witness nor on the values
+   reads return.  A shape is the events up to their values (id, thread,
+   direction, location, annotation) plus the dependency and rmw pairs;
+   event structures that differ only in read values share one shape,
+   built on the first of them and shared physically by every skeleton
+   and candidate after it. *)
+type shape = {
+  sh_po : Rel.t;
+  sh_addr : Rel.t;
+  sh_data : Rel.t;
+  sh_ctrl : Rel.t;
+  sh_rmw : Rel.t;
+  sh_universe : Iset.t;
+  sh_loc_r : Rel.t;
+  sh_int_r : Rel.t;
+  sh_ext_r : Rel.t;
+  sh_id_r : Rel.t;
+  sh_po_loc : Rel.t;
+  sh_crit : Rel.t;
+  sh_reads : Iset.t;
+  sh_writes : Iset.t;
+  sh_fences : Iset.t;
+  sh_mem : Iset.t;
+  sh_init_ws : Iset.t;
+  sh_co_writes : (string * int * int list) list;
+      (* per location, in declaration order: the initialising write and
+         the non-init writes (in event-id order) *)
+}
+
 type t = {
   test : Litmus.Ast.t;
   events : Event.t array; (* indexed by event id *)
@@ -37,6 +67,7 @@ type t = {
   mem : Iset.t; (* R union W *)
   init_ws : Iset.t;
   crit : Rel.t; (* outermost rcu_read_lock -> matching rcu_read_unlock *)
+  shape : shape; (* where the witness-independent fields above come from *)
 }
 
 let event t id = t.events.(id)
@@ -86,56 +117,68 @@ let compute_crit (events : Event.t array) =
       acc')
     by_tid Rel.empty
 
-(* The witness-independent part of a candidate: everything determined by
-   the event structure (events + po), shared by all rf/co witnesses of
-   one structure and so computed once per structure, not per candidate. *)
-type structure = {
-  st_universe : Iset.t;
-  st_loc_r : Rel.t;
-  st_int_r : Rel.t;
-  st_ext_r : Rel.t;
-  st_id_r : Rel.t;
-  st_po_loc : Rel.t;
-  st_crit : Rel.t;
-  st_reads : Iset.t;
-  st_writes : Iset.t;
-  st_fences : Iset.t;
-  st_mem : Iset.t;
-  st_init_ws : Iset.t;
-}
-
 let set_of events p =
   Array.fold_left
     (fun acc (e : Event.t) -> if p e then Iset.add e.id acc else acc)
     Iset.empty events
 
-let structure_of (events : Event.t array) po =
+(* The shape of a structure from its events (values are never read) and
+   its threads' Sem candidates, whose dependency pairs are re-based to
+   global event ids. *)
+let shape_of globals (events : Event.t array) (chosen : Sem.candidate list) =
   let n = Array.length events in
-  let universe = Iset.of_range 0 (n - 1) in
+  let deps field =
+    let rec go base acc = function
+      | [] -> Rel.of_list acc
+      | (c : Sem.candidate) :: rest ->
+          go
+            (base + List.length c.events)
+            (List.rev_append
+               (List.map (fun (x, y) -> (base + x, base + y)) (field c))
+               acc)
+            rest
+    in
+    go (List.length globals) [] chosen
+  in
+  let same_thread i j =
+    events.(i).Event.tid >= 0 && events.(i).Event.tid = events.(j).Event.tid
+  in
+  (* po: total within each thread; ids follow program order *)
+  let po = Rel.init n (fun i j -> i < j && same_thread i j) in
   let loc_r =
     Rel.init n (fun i j ->
         let e1 = events.(i) and e2 = events.(j) in
         i <> j && Event.is_mem e1 && Event.is_mem e2 && e1.loc = e2.loc)
   in
-  let same_thread i j =
-    events.(i).Event.tid >= 0 && events.(i).Event.tid = events.(j).Event.tid
-  in
-  let int_r = Rel.init n (fun i j -> i <> j && same_thread i j) in
-  let ext_r = Rel.init n (fun i j -> i <> j && not (same_thread i j)) in
-  let id_r = Rel.init n ( = ) in
   {
-    st_universe = universe;
-    st_loc_r = loc_r;
-    st_int_r = int_r;
-    st_ext_r = ext_r;
-    st_id_r = id_r;
-    st_po_loc = Rel.inter po loc_r;
-    st_crit = compute_crit events;
-    st_reads = set_of events Event.is_read;
-    st_writes = set_of events Event.is_write;
-    st_fences = set_of events Event.is_fence;
-    st_mem = set_of events Event.is_mem;
-    st_init_ws = set_of events Event.is_init;
+    sh_po = po;
+    sh_addr = deps (fun c -> c.addr);
+    sh_data = deps (fun c -> c.data);
+    sh_ctrl = deps (fun c -> c.ctrl);
+    sh_rmw = deps (fun c -> c.rmw);
+    sh_universe = Iset.of_range 0 (n - 1);
+    sh_loc_r = loc_r;
+    sh_int_r = Rel.init n (fun i j -> i <> j && same_thread i j);
+    sh_ext_r = Rel.init n (fun i j -> i <> j && not (same_thread i j));
+    sh_id_r = Rel.init n ( = );
+    sh_po_loc = Rel.inter po loc_r;
+    sh_crit = compute_crit events;
+    sh_reads = set_of events Event.is_read;
+    sh_writes = set_of events Event.is_write;
+    sh_fences = set_of events Event.is_fence;
+    sh_mem = set_of events Event.is_mem;
+    sh_init_ws = set_of events Event.is_init;
+    (* the init writes come first, one per global in declaration order *)
+    sh_co_writes =
+      List.mapi
+        (fun init_id x ->
+          ( x,
+            init_id,
+            Array.to_list events
+            |> List.filter (fun (w : Event.t) ->
+                   Event.is_write w && (not (Event.is_init w)) && w.loc = x)
+            |> List.map (fun (w : Event.t) -> w.id) ))
+        globals;
   }
 
 (* fr = rf⁻¹;co minus identity, built row by row: rf gives each read
@@ -145,8 +188,8 @@ let structure_of (events : Event.t array) po =
 let fr_of ~co rf =
   Rel.fold (fun w r fr -> Rel.set_row_from ~src:co w r fr) rf Rel.empty
 
-let build ?coi ?coe test events st po addr data ctrl rmw rf co final_regs =
-  let int_r = st.st_int_r and ext_r = st.st_ext_r in
+let build ?coi ?coe test events sh rf co final_regs =
+  let int_r = sh.sh_int_r and ext_r = sh.sh_ext_r in
   let fr = fr_of ~co rf in
   let rfi = Rel.inter rf int_r in
   let rfe = Rel.inter rf ext_r in
@@ -158,15 +201,15 @@ let build ?coi ?coe test events st po addr data ctrl rmw rf co final_regs =
   {
     test;
     events;
-    po;
-    addr;
-    data;
-    ctrl;
-    rmw;
+    po = sh.sh_po;
+    addr = sh.sh_addr;
+    data = sh.sh_data;
+    ctrl = sh.sh_ctrl;
+    rmw = sh.sh_rmw;
     rf;
     co;
     final_regs;
-    universe = st.st_universe;
+    universe = sh.sh_universe;
     fr;
     rfi;
     rfe;
@@ -175,17 +218,18 @@ let build ?coi ?coe test events st po addr data ctrl rmw rf co final_regs =
     fri;
     fre;
     com;
-    po_loc = st.st_po_loc;
+    po_loc = sh.sh_po_loc;
     int_r;
     ext_r;
-    loc_r = st.st_loc_r;
-    id_r = st.st_id_r;
-    reads = st.st_reads;
-    writes = st.st_writes;
-    fences = st.st_fences;
-    mem = st.st_mem;
-    init_ws = st.st_init_ws;
-    crit = st.st_crit;
+    loc_r = sh.sh_loc_r;
+    id_r = sh.sh_id_r;
+    reads = sh.sh_reads;
+    writes = sh.sh_writes;
+    fences = sh.sh_fences;
+    mem = sh.sh_mem;
+    init_ws = sh.sh_init_ws;
+    crit = sh.sh_crit;
+    shape = sh;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -332,170 +376,165 @@ let seq_product ?(tick = fun () -> ()) lists =
     lists (Seq.return [])
 
 let c_structures = Obs.Counter.make "exec.structures"
+let c_shapes = Obs.Counter.make "exec.shapes"
 let c_events = Obs.Counter.make "exec.events"
+
+(* One thread's Sem candidates, each paired with its shape number: equal
+   numbers iff equal events up to values and equal dependency and rmw
+   pairs.  The pairs are sorted and de-duplicated because [Rel.of_list]
+   forgets order and multiplicity, so equal keys are exactly equal
+   relations. *)
+let number_shapes (cands : Sem.candidate list) =
+  let numbers = Hashtbl.create 8 in
+  List.map
+    (fun (c : Sem.candidate) ->
+      let key =
+        ( List.map
+            (fun (pe : Sem.proto_event) -> (pe.dir, pe.loc, pe.annot))
+            c.events,
+          List.sort_uniq compare c.addr,
+          List.sort_uniq compare c.data,
+          List.sort_uniq compare c.ctrl,
+          List.sort_uniq compare c.rmw )
+      in
+      match Hashtbl.find_opt numbers key with
+      | Some i -> (i, c)
+      | None ->
+          let i = Hashtbl.length numbers in
+          Hashtbl.add numbers key i;
+          (i, c))
+    cands
 
 (* The per-structure skeleton: everything the enumeration derives from
    one event structure before any rf/co witness is chosen.  Both
    backends consume it — the enumerator takes the cartesian product of
-   [sk_rf_choices] with the per-location coherence orders over
-   [sk_co_writes], the solver turns the same two fields into one-hot
-   rf variables and boolean order constraints. *)
+   [sk_rf_choices] with the per-location coherence orders over the
+   shape's writes, the solver turns the same two into one-hot rf
+   variables and boolean order constraints. *)
 type skeleton = {
   sk_test : Litmus.Ast.t;
+  sk_shape : shape;
   sk_events : Event.t array;
-  sk_po : Rel.t;
-  sk_addr : Rel.t;
-  sk_data : Rel.t;
-  sk_ctrl : Rel.t;
-  sk_rmw : Rel.t;
   sk_final_regs : (int * string * int) list;
-  sk_st : structure;
   sk_rf_choices : (int * int) list list;
       (* per read, in event-id order: its candidate (writer, read)
          edges — same location, same value *)
-  sk_co_writes : (string * int * int list) list;
-      (* per location, in declaration order: the initialising write
-         and the non-init writes (in event-id order) *)
 }
 
+let co_writes sk = sk.sk_shape.sh_co_writes
+
+(* A structure's shape is the tuple of its threads' shape numbers: the
+   thread partition and every event id follow from the per-thread event
+   lists, so equal tuples give equal statics, and unequal ones unequal
+   statics ({!static_compatible}).  Each tuple's shape is built on its
+   first structure. *)
 let skeletons ?budget (test : Litmus.Ast.t) =
   let per_thread =
     Obs.with_span ~item:test.name "sem" (fun () ->
-        thread_candidate_lists test)
+        List.map number_shapes (thread_candidate_lists test))
   in
   Option.iter Budget.check_time budget;
   let globals = Litmus.Ast.globals test in
   let n_init = List.length globals in
+  let init_events =
+    List.mapi
+      (fun i x ->
+        {
+          Event.id = i;
+          tid = -1;
+          dir = Event.W;
+          loc = x;
+          v = Litmus.Ast.init_value test x;
+          annot = Event.Init;
+        })
+      globals
+  in
+  let shapes = Hashtbl.create 8 in
   Seq.map
-    (fun (chosen : Sem.candidate list) ->
+    (fun numbered ->
+      let chosen = List.map snd numbered in
+      let n_events =
+        List.fold_left
+          (fun acc (c : Sem.candidate) -> acc + List.length c.events)
+          n_init chosen
+      in
       Obs.Counter.incr c_structures;
-      if Obs.enabled () then
-        Obs.Counter.add c_events
-          (n_init
-          + List.fold_left
-              (fun acc (c : Sem.candidate) -> acc + List.length c.events)
-              0 chosen);
-      Option.iter
-        (fun b ->
-          Budget.check_events b
-            (n_init
-            + List.fold_left
-                (fun acc (c : Sem.candidate) -> acc + List.length c.events)
-                0 chosen))
-        budget;
-      (* Assemble events: init writes first, then threads in order. *)
-      let events = ref [] in
-      let addr = ref []
-      and data = ref []
-      and ctrl = ref []
-      and rmw = ref [] in
-      List.iteri
-        (fun i x ->
-          events :=
-            {
-              Event.id = i;
-              tid = -1;
-              dir = Event.W;
-              loc = x;
-              v = Litmus.Ast.init_value test x;
-              annot = Event.Init;
-            }
-            :: !events)
-        globals;
-      let base = ref n_init in
-      List.iteri
-        (fun tid (c : Sem.candidate) ->
-          let b = !base in
-          List.iteri
-            (fun i (pe : Sem.proto_event) ->
-              let id = b + i in
-              events :=
+      Obs.Counter.add c_events n_events;
+      Option.iter (fun b -> Budget.check_events b n_events) budget;
+      (* init writes first, then threads in order; ids follow *)
+      let thread_events =
+        List.concat
+          (List.mapi
+             (fun tid (c : Sem.candidate) ->
+               List.map (fun pe -> (tid, pe)) c.events)
+             chosen)
+      in
+      let events =
+        Array.of_list
+          (init_events
+          @ List.mapi
+              (fun i (tid, (pe : Sem.proto_event)) ->
                 {
-                  Event.id;
+                  Event.id = n_init + i;
                   tid;
                   dir = pe.dir;
                   loc = pe.loc;
                   v = pe.v;
                   annot = pe.annot;
-                }
-                :: !events)
-            c.events;
-          let remap acc ps =
-            List.rev_append (List.map (fun (x, y) -> (b + x, b + y)) ps) acc
-          in
-          addr := remap !addr c.addr;
-          data := remap !data c.data;
-          ctrl := remap !ctrl c.ctrl;
-          rmw := remap !rmw c.rmw;
-          base := b + List.length c.events)
-        chosen;
-      (* ids were handed out in order, newest first in the list *)
-      let events = Array.of_list (List.rev !events) in
-      (* po: total within each thread; ids follow program order *)
-      let po =
-        Rel.init (Array.length events) (fun i j ->
-            i < j && events.(i).Event.tid >= 0
-            && events.(i).Event.tid = events.(j).Event.tid)
+                })
+              thread_events)
       in
-      let final_regs =
-        List.concat
-          (List.mapi
-             (fun tid (c : Sem.candidate) ->
-               List.map (fun (r, v) -> (tid, r, v)) c.regs)
-             chosen)
+      let key = List.map fst numbered in
+      let sh =
+        match Hashtbl.find_opt shapes key with
+        | Some sh -> sh
+        | None ->
+            let sh = shape_of globals events chosen in
+            Obs.Counter.incr c_shapes;
+            Hashtbl.add shapes key sh;
+            sh
       in
-      (* Enumerate rf: each read takes its value from a same-location,
-         same-value write. *)
-      let all_reads =
-        Array.to_list events |> List.filter Event.is_read
-      in
-      let all_writes = Array.to_list events |> List.filter Event.is_write in
-      let writes_for (r : Event.t) =
-        List.filter
-          (fun (w : Event.t) -> w.loc = r.loc && w.v = r.v)
-          all_writes
-      in
-      let per_read_writes =
-        List.map
-          (fun r -> List.map (fun w -> (w.Event.id, r.Event.id)) (writes_for r))
-          all_reads
-      in
-      (* Enumerate co: per location, all total orders of the non-init
-         writes, after the initialising write. *)
-      let ws_by_loc =
-        List.map
-          (fun x ->
-            ( x,
-              Array.to_list events
-              |> List.filter (fun (w : Event.t) ->
-                     Event.is_write w && (not (Event.is_init w)) && w.loc = x)
-              |> List.map (fun (w : Event.t) -> w.id) ))
-          globals
-      in
-      let init_id x =
-        let rec find i = if (events.(i)).Event.loc = x then i else find (i + 1) in
-        find 0
+      (* rf: each read takes its value from a same-location, same-value
+         write, in event-id order (the init write first) *)
+      let rf_choices =
+        Array.fold_right
+          (fun (r : Event.t) acc ->
+            if not (Event.is_read r) then acc
+            else
+              let ws =
+                match
+                  List.find_opt
+                    (fun (x, _, _) -> String.equal x r.loc)
+                    sh.sh_co_writes
+                with
+                | Some (_, init_id, ws) -> init_id :: ws
+                | None -> []
+              in
+              List.filter_map
+                (fun w ->
+                  if events.(w).Event.v = r.v then Some (w, r.id) else None)
+                ws
+              :: acc)
+          events []
       in
       {
         sk_test = test;
+        sk_shape = sh;
         sk_events = events;
-        sk_po = po;
-        sk_addr = Rel.of_list !addr;
-        sk_data = Rel.of_list !data;
-        sk_ctrl = Rel.of_list !ctrl;
-        sk_rmw = Rel.of_list !rmw;
-        sk_final_regs = final_regs;
-        sk_st = structure_of events po;
-        sk_rf_choices = per_read_writes;
-        sk_co_writes = List.map (fun (x, ws) -> (x, init_id x, ws)) ws_by_loc;
+        sk_final_regs =
+          List.concat
+            (List.mapi
+               (fun tid (c : Sem.candidate) ->
+                 List.map (fun (r, v) -> (tid, r, v)) c.regs)
+               chosen);
+        sk_rf_choices = rf_choices;
       })
     (seq_product per_thread)
 
-(* A candidate from a decoded witness: the structure's derived statics
-   are shared with every enumerated candidate of the same skeleton. *)
+(* A candidate from a decoded witness: the shape's statics are shared
+   with every enumerated candidate of the same shape. *)
 let instantiate sk ~rf ~co =
-  build sk.sk_test sk.sk_events sk.sk_st sk.sk_po sk.sk_addr sk.sk_data
-    sk.sk_ctrl sk.sk_rmw rf co sk.sk_final_regs
+  build sk.sk_test sk.sk_events sk.sk_shape rf co sk.sk_final_regs
 
 (* Coherence from per-location total orders (event-id lists, co order):
    the initialising write first, then the listed writes in order. *)
@@ -515,10 +554,38 @@ let co_of_orders sk orders =
                   rest
           in
           pairs acc order)
-    Rel.empty sk.sk_co_writes
+    Rel.empty (co_writes sk)
 
 let of_test_seq ?budget (test : Litmus.Ast.t) =
   let tick () = Option.iter Budget.tick budget in
+  (* Per shape, its coherence choices with their coi/coe, built on the
+     first structure of the shape that has any candidate.  Per-location
+     orders are few (factorial in the writes per location, which the
+     claim below bounds), so the product is materialised. *)
+  let co_table = ref [] in
+  let co_choices sh =
+    match List.assq_opt sh !co_table with
+    | Some choices -> choices
+    | None ->
+        let choices =
+          cartesian_product ~tick
+            (List.map
+               (fun (_, init_id, ws) ->
+                 List.map
+                   (fun order ->
+                     tick ();
+                     List.fold_left
+                       (fun acc w -> Rel.add init_id w acc)
+                       order ws)
+                   (Rel.linear_extensions ws))
+               sh.sh_co_writes)
+          |> List.map (fun co_parts ->
+                 let co = List.fold_left Rel.union Rel.empty co_parts in
+                 (co, Rel.inter co sh.sh_int_r, Rel.inter co sh.sh_ext_r))
+        in
+        co_table := (sh, choices) :: !co_table;
+        choices
+  in
   Seq.concat_map
     (fun sk ->
       let per_read_writes = sk.sk_rf_choices in
@@ -536,42 +603,23 @@ let of_test_seq ?budget (test : Litmus.Ast.t) =
             List.fold_left
               (fun acc (_, _, ws) ->
                 Budget.sat_mul acc (Budget.sat_fact (List.length ws)))
-              1 sk.sk_co_writes
+              1 (co_writes sk)
           in
           Budget.claim b (Budget.sat_mul n_rf n_co))
         budget;
-      (* Per-location coherence orders are few (factorial in the writes
-         per location, which the claim above already bounded), so their
-         product is materialised once; the rf choices stream.  The co
-         choices are the *outer* loop, so coi/coe are computed once per
-         coherence order. *)
-      let co_choices =
-        cartesian_product ~tick
-          (List.map
-             (fun (_, init_id, ws) ->
-               List.map
-                 (fun order ->
-                   tick ();
-                   List.fold_left
-                     (fun acc w -> Rel.add init_id w acc)
-                     order ws)
-                 (Rel.linear_extensions ws))
-             sk.sk_co_writes)
-      in
-      let st = sk.sk_st in
-      Seq.concat_map
-        (fun co_parts ->
-          let co = List.fold_left Rel.union Rel.empty co_parts in
-          let coi = Rel.inter co st.st_int_r
-          and coe = Rel.inter co st.st_ext_r in
-          Seq.map
-            (fun rf_pairs ->
-              Option.iter Budget.count_candidate budget;
-              build ~coi ~coe sk.sk_test sk.sk_events st sk.sk_po sk.sk_addr
-                sk.sk_data sk.sk_ctrl sk.sk_rmw (Rel.of_list rf_pairs) co
-                sk.sk_final_regs)
-            (seq_product ~tick per_read_writes))
-        (List.to_seq co_choices))
+      (* a read with no same-value writer: no candidate at all *)
+      if List.exists (( = ) []) per_read_writes then Seq.empty
+      else
+        (* The co choices are the *outer* loop, the rf choices stream. *)
+        Seq.concat_map
+          (fun (co, coi, coe) ->
+            Seq.map
+              (fun rf_pairs ->
+                Option.iter Budget.count_candidate budget;
+                build ~coi ~coe sk.sk_test sk.sk_events sk.sk_shape
+                  (Rel.of_list rf_pairs) co sk.sk_final_regs)
+              (seq_product ~tick per_read_writes))
+          (List.to_seq (co_choices sk.sk_shape)))
     (skeletons ?budget test)
 
 let of_test ?budget test = List.of_seq (of_test_seq ?budget test)

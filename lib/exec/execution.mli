@@ -11,6 +11,18 @@
 
 module Iset = Rel.Iset
 
+(** The statics of one static shape: po, addr, data, ctrl, rmw, every
+    relation and event set derived from them (loc, int, ext, id,
+    po-loc, crit, R, W, F, M, IW) and the per-location writes the
+    coherence orders range over.  A shape is the events up to their
+    values (id, thread, direction, location, annotation) plus the
+    dependency and rmw pairs.  {!skeletons} builds each shape once, on
+    its first event structure, and every later structure and candidate
+    of that shape shares it physically — so within one enumeration,
+    physical equality of shapes is {!static_compatible}.  Plain data:
+    candidates carrying it marshal and compare structurally. *)
+type shape
+
 type t = {
   test : Litmus.Ast.t;
   events : Event.t array;  (** indexed by event id *)
@@ -42,6 +54,8 @@ type t = {
   mem : Iset.t;  (** reads and writes *)
   init_ws : Iset.t;
   crit : Rel.t;  (** outermost rcu_read_lock -> matching rcu_read_unlock *)
+  shape : shape;
+      (** the shape every witness-independent field above comes from *)
 }
 
 val event : t -> int -> Event.t
@@ -59,45 +73,42 @@ val initial_domain : Litmus.Ast.t -> int list
 
 val thread_candidate_lists : Litmus.Ast.t -> Sem.candidate list list
 
-(** The witness-independent part of a candidate, shared by all rf/co
-    witnesses of one event structure (abstract; carried inside
-    {!skeleton} so decoded witnesses share derived statics with
-    enumerated ones). *)
-type structure
-
 (** One event structure plus its witness choice space: the raw material
-    both checking backends consume.  The enumerative engine takes the
-    cartesian product of [sk_rf_choices] with the linear extensions of
-    [sk_co_writes]; the symbolic engine ({!Solve}) turns the same two
-    fields into one-hot rf variables and boolean order constraints. *)
+    both checking backends consume.  It keeps only what is per
+    structure — events with their values, final registers and the rf
+    choices — and points at its {!shape} for everything else.  The
+    enumerative engine takes the cartesian product of [sk_rf_choices]
+    with the linear extensions of {!co_writes}; the symbolic engine
+    ({!Solve}) turns the same two into one-hot rf variables and boolean
+    order constraints. *)
 type skeleton = {
   sk_test : Litmus.Ast.t;
+  sk_shape : shape;
   sk_events : Event.t array;
-  sk_po : Rel.t;
-  sk_addr : Rel.t;
-  sk_data : Rel.t;
-  sk_ctrl : Rel.t;
-  sk_rmw : Rel.t;
   sk_final_regs : (int * string * int) list;
-  sk_st : structure;
   sk_rf_choices : (int * int) list list;
       (** per read, in event-id order: its candidate (writer, read)
           edges — same location, same value *)
-  sk_co_writes : (string * int * int list) list;
-      (** per location, in declaration order: the location, its
-          initialising write and the non-init writes (event-id order) *)
 }
+
+(** [co_writes sk] — per location, in declaration order: the location,
+    its initialising write and the non-init writes (event-id order).  A
+    property of the shape. *)
+val co_writes : skeleton -> (string * int * int list) list
 
 (** [skeletons ?budget test] enumerates the event structures of a test
     (per-thread symbolic runs branching over read values), before any
-    witness is chosen.  With a budget, forcing the sequence applies the
+    witness is chosen.  Each thread's runs are numbered by shape once;
+    a structure's shape is the tuple of its threads' numbers, and its
+    statics are built on the first structure of that tuple and shared
+    by the rest.  With a budget, forcing the sequence applies the
     per-structure event-count check. *)
 val skeletons : ?budget:Budget.t -> Litmus.Ast.t -> skeleton Seq.t
 
 (** [instantiate sk ~rf ~co] builds the candidate execution of [sk]
     with the given witness, in which [rf] gives each read exactly one
-    writer; derived statics are shared with every other candidate of
-    the same skeleton. *)
+    writer; its statics are [sk]'s shape, shared with every other
+    candidate of that shape. *)
 val instantiate : skeleton -> rf:Rel.t -> co:Rel.t -> t
 
 (** [co_of_orders sk orders] assembles a coherence relation from
@@ -114,8 +125,10 @@ val co_of_orders : skeleton -> (string * int list) list -> Rel.t
     pre-check on the rf/co product size fails explosions before anything
     is materialised).
 
-    Coherence choices are the outer loop and rf choices the inner one.
-    Each candidate's from-reads relation is built row by row: rf being
+    Coherence choices are the outer loop and rf choices the inner one;
+    each shape's coherence choices (co with its coi and coe) are built
+    once per enumeration.  Each candidate's from-reads relation is
+    built row by row: rf being
     functional per read, a read's fr row is exactly its writer's co row
     (the same construction {!instantiate} uses). *)
 val of_test_seq : ?budget:Budget.t -> Litmus.Ast.t -> t Seq.t
@@ -135,8 +148,9 @@ val coherent : t -> bool
     equal; the models consume nothing else that is witness-independent,
     values being strictly per-candidate (conditions, outcomes).  An
     equivalence, so a stream checked pairwise stays pairwise
-    compatible.  Candidates of one event structure share their event
-    array physically and are compatible for free. *)
+    compatible.  The reference definition of "same statics": within one
+    enumeration it holds iff [a.shape == b.shape], the identity
+    {!Check}'s batching and the models' static caches use instead. *)
 val static_compatible : t -> t -> bool
 
 (** [coherent_mask ~mask xs] decides {!coherent} for up to 63

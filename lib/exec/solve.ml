@@ -450,7 +450,7 @@ let encode_structure ~scpv (sk : Execution.skeleton) =
               triples rest
         in
         triples ws)
-      sk.Execution.sk_co_writes;
+      (Execution.co_writes sk);
     (* fr: rf^-1 ; co, per read over its candidate writers *)
     let fr = Sym.make n in
     List.iter
@@ -518,7 +518,7 @@ let asserted_cond (sk : Execution.skeleton) =
     match
       List.find_opt
         (fun (x', _, _) -> String.equal x x')
-        sk.Execution.sk_co_writes
+        (Execution.co_writes sk)
     with
     | None | Some (_, _, []) -> Known (Litmus.Ast.init_value test x = v)
     | Some (_, _, ws) ->
@@ -610,7 +610,7 @@ let decode (enc : encoded) =
             (fun a b ->
               if a = b then 0 else if value e.co.(a).(b) then -1 else 1)
             ws ))
-      sk.Execution.sk_co_writes
+      (Execution.co_writes sk)
   in
   let co = Execution.co_of_orders sk orders in
   Execution.instantiate sk ~rf ~co

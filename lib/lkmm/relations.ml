@@ -8,8 +8,8 @@
    *dynamic* remainder built on rf, co and their derivatives.  [static_of]
    computes the prefix; [make ?static] reuses a previously computed one,
    and [make_cached] keys a one-slot cache on the physical identity of
-   [x.events], which the enumeration shares across all witnesses of one
-   event structure. *)
+   [x.shape], which the enumeration shares across all witnesses of every
+   event structure of one static shape. *)
 
 module Iset = Rel.Iset
 
@@ -213,24 +213,26 @@ let make ?static (x : Exec.t) =
     rcu_path;
   }
 
-(* One-slot static-prefix cache.  The enumeration yields all rf/co
-   witnesses of one event structure consecutively, sharing the [events]
-   array physically; keying on that identity makes the cache hit for
-   every candidate but the structure's first, and a miss merely
+(* One-slot static-prefix cache.  The prefix reads only the shape's
+   statics (events up to values, po, dependencies, crit), and the
+   enumeration shares one shape physically across every witness of
+   every structure of that shape, consecutive structures of a test
+   usually among them; keying on that identity makes the cache hit for
+   every candidate but the shape's first run, and a miss merely
    recomputes — caching is never observable in the results.  One slot
    per process: a process checks one test at a time (the pool, campaigns
    and the daemon check in forked workers). *)
-let static_cache : (Exec.Event.t array * static_ctx) option ref = ref None
+let static_cache : (Exec.shape * static_ctx) option ref = ref None
 
 let static_cached (x : Exec.t) =
   match !static_cache with
-  | Some (ev, s) when ev == x.events ->
+  | Some (sh, s) when sh == x.shape ->
       Obs.Counter.incr c_cache_hits;
       s
   | _ ->
       Obs.Counter.incr c_cache_misses;
       let s = static_of x in
-      static_cache := Some (x.events, s);
+      static_cache := Some (x.shape, s);
       s
 
 let make_cached (x : Exec.t) = make ~static:(static_cached x) x

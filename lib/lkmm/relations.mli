@@ -90,7 +90,9 @@ type static_ctx = {
 val static_of : Exec.t -> static_ctx
 
 (** [static_cached x] is [static_of x] through the one-slot per-process
-    cache keyed on the physical identity of [x.events]. *)
+    cache keyed on the physical identity of [x.shape]: every candidate
+    of every event structure of one static shape hits it after the
+    first, including the SAT engine's per-structure representatives. *)
 val static_cached : Exec.t -> static_ctx
 
 (** [make ?static x] computes every relation of the model on execution
@@ -100,10 +102,8 @@ val static_cached : Exec.t -> static_ctx
     rf/co may differ). *)
 val make : ?static:static_ctx -> Exec.t -> ctx
 
-(** [make_cached x] is [make x] through a one-slot static-prefix cache
-    keyed on the physical identity of [x.events], which the streaming
-    enumeration shares across all witnesses of one event structure.
-    Results are identical to [make x]. *)
+(** [make_cached x] is [make x] through {!static_cached}.  Results are
+    identical to [make x]. *)
 val make_cached : Exec.t -> ctx
 
 (** [consistent_mask ~coherent ~mask xs] decides the LK model for up to

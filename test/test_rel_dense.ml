@@ -440,6 +440,152 @@ let test_fr_definition () =
     (Printf.sprintf "%d SAT witnesses checked" !witnesses)
     true (!witnesses > 50)
 
+(* Statics once per shape: every skeleton's shared statics must be
+   exactly those of an unshared per-structure build ({!Statics_ref}),
+   and two candidates of one enumeration share a shape iff
+   {!Exec.static_compatible} holds.  Over the corpus, the battery, the
+   diygen sample and one hand-written test whose structures have the
+   same events up to values but different dependencies: the branch
+   picks which read's register the write to z stores, so a shape key
+   that ignored dependency pairs would hand one structure the other's
+   data edge. *)
+let shape_deps =
+  Litmus.parse
+    {|C shape-deps
+
+{ }
+
+P0(int *x, int *y, int *z) {
+  int r0 = READ_ONCE(*x);
+  int r1 = READ_ONCE(*y);
+  int r2 = 0;
+  if ((r0 == 1)) {
+    r2 = r0;
+  } else {
+    r2 = r1;
+  }
+  WRITE_ONCE(*z, r2);
+}
+
+P1(int *x, int *y) {
+  WRITE_ONCE(*y, 1);
+  WRITE_ONCE(*x, 1);
+}
+
+exists (0:r0=1 /\ 0:r1=0)
+|}
+
+let shape_sample () =
+  Cpu_ratio.sample_tests 1
+  @ List.map
+      (fun (e : Harness.Battery.entry) ->
+        (e.Harness.Battery.name, Harness.Battery.test_of e))
+      Harness.Battery.all
+  @ Lazy.force diygen_tests
+  @ [ ("shape-deps", shape_deps) ]
+
+(* The names of the statics on which a skeleton differs from its
+   reference build. *)
+let statics_mismatches (sk : Exec.skeleton) (r : Statics_ref.statics) =
+  let x = Exec.instantiate sk ~rf:Rel.empty ~co:Rel.empty in
+  List.filter_map
+    (fun (name, same) -> if same then None else Some name)
+    [
+      ("events", sk.sk_events = r.events);
+      ("po", Rel.equal x.po r.po);
+      ("addr", Rel.equal x.addr r.addr);
+      ("data", Rel.equal x.data r.data);
+      ("ctrl", Rel.equal x.ctrl r.ctrl);
+      ("rmw", Rel.equal x.rmw r.rmw);
+      ("universe", Rel.Iset.equal x.universe r.universe);
+      ("loc", Rel.equal x.loc_r r.loc_r);
+      ("int", Rel.equal x.int_r r.int_r);
+      ("ext", Rel.equal x.ext_r r.ext_r);
+      ("id", Rel.equal x.id_r r.id_r);
+      ("po-loc", Rel.equal x.po_loc r.po_loc);
+      ("crit", Rel.equal x.crit r.crit);
+      ("R", Rel.Iset.equal x.reads r.reads);
+      ("W", Rel.Iset.equal x.writes r.writes);
+      ("F", Rel.Iset.equal x.fences r.fences);
+      ("M", Rel.Iset.equal x.mem r.mem);
+      ("IW", Rel.Iset.equal x.init_ws r.init_ws);
+      ("co writes", Exec.co_writes sk = r.co_writes);
+      ("final registers", sk.sk_final_regs = r.final_regs);
+      ("rf choices", sk.sk_rf_choices = r.rf_choices);
+    ]
+
+let test_statics_per_shape () =
+  let structures = ref 0 and shapes = ref 0 in
+  List.iter
+    (fun (file, test) ->
+      let sks = List.of_seq (Exec.skeletons test) in
+      let refs = Statics_ref.structures test in
+      Alcotest.(check int)
+        (file ^ ": structures, shared vs reference build")
+        (List.length refs) (List.length sks);
+      List.iteri
+        (fun i (sk, r) ->
+          Alcotest.(check (list string))
+            (Printf.sprintf "%s: structure %d statics differing from the \
+                             reference build" file i)
+            [] (statics_mismatches sk r))
+        (List.combine sks refs);
+      (* shapes built = classes of static_compatible over the structures *)
+      let was = Obs.enabled () in
+      Obs.set_enabled true;
+      Obs.reset ();
+      let reps =
+        List.map
+          (fun sk -> Exec.instantiate sk ~rf:Rel.empty ~co:Rel.empty)
+          (List.of_seq (Exec.skeletons test))
+      in
+      let built =
+        Option.value ~default:0 (List.assoc_opt "exec.shapes" (Obs.counters ()))
+      in
+      Obs.set_enabled was;
+      let classes =
+        List.fold_left
+          (fun classes x ->
+            if List.exists (Exec.static_compatible x) classes then classes
+            else x :: classes)
+          [] reps
+      in
+      Alcotest.(check int)
+        (file ^ ": shapes built = static_compatible classes")
+        (List.length classes) built;
+      structures := !structures + List.length sks;
+      shapes := !shapes + built;
+      (* one enumeration: each candidate against the first candidate of
+         every structure (a structure's candidates are consecutive and
+         share its events array) *)
+      let xs = List.of_seq (Exec.of_test_seq test) in
+      let firsts =
+        List.fold_left
+          (fun acc (x : Exec.t) ->
+            match acc with
+            | (y : Exec.t) :: _ when y.events == x.events -> acc
+            | _ -> x :: acc)
+          [] xs
+      in
+      let bad = ref 0 in
+      List.iter
+        (fun (x : Exec.t) ->
+          List.iter
+            (fun (y : Exec.t) ->
+              let same = x.shape == y.shape in
+              if same <> Exec.static_compatible x y then incr bad)
+            firsts)
+        xs;
+      Alcotest.(check int)
+        (file ^ ": candidate pairs where shape identity and \
+                 static_compatible disagree")
+        0 !bad)
+    (shape_sample ());
+  Alcotest.(check bool)
+    (Printf.sprintf "%d structures share %d shapes" !structures !shapes)
+    true
+    (!shapes < !structures)
+
 (* Run the model anyway on every candidate the prefilter rejects: none
    may be consistent, under the native axioms or the cat interpreter —
    the executable form of the soundness argument (an sc-per-location
@@ -491,5 +637,7 @@ let () =
           Alcotest.test_case "batch engines decide coherence" `Quick
             test_batch_decides_coherence;
           Alcotest.test_case "fr is rf^-1;co" `Quick test_fr_definition;
+          Alcotest.test_case "statics once per shape" `Quick
+            test_statics_per_shape;
         ] );
     ]

@@ -169,9 +169,19 @@ let profile path =
           (100. *. float_of_int v /. float_of_int (max 1 total)))
       failing
   end;
+  let counter n = List.assoc_opt n !counters in
+  (* event structures against the static shapes their statics were
+     built for: one shape serves every structure that differs from
+     another only in read values *)
+  (match (counter "exec.structures", counter "exec.shapes") with
+  | Some s, Some sh ->
+      Printf.printf "\nEvent structures:\n";
+      Printf.printf "  %-28s %12d\n  %-28s %12d\n  %-28s %12.2f\n"
+        "structures" s "shapes" sh "structures per shape"
+        (float_of_int s /. float_of_int (Stdlib.max 1 sh))
+  | _ -> ());
   (* batched evaluation: occupancy is a plane count, not a duration, so
      it gets its own table (and stays out of the µs-labelled one) *)
-  let counter n = List.assoc_opt n !counters in
   let occupancy =
     List.find_opt (fun (n, _, _, _) -> n = "check.batch.occupancy") !hists
   in
