@@ -330,7 +330,8 @@ let thread_candidate_lists test =
   (* Two rounds: the first shrinks the read domains to the values actually
      written per location; the second accounts for writes whose value became
      expressible only once reads were so constrained.  Grow-only from round
-     one on, so this terminates. *)
+     one on, so this terminates.  Domains that did not change would give
+     [prev] again. *)
   let rec go prev rounds =
     let tbl = written prev in
     let changed = ref false in
@@ -340,8 +341,10 @@ let thread_candidate_lists test =
         if not (Iset.equal s old) then changed := true;
         Hashtbl.replace value_tbl x s)
       tbl;
-    let next = compute () in
-    if !changed && rounds > 0 then go next (rounds - 1) else next
+    if not !changed then prev
+    else
+      let next = compute () in
+      if rounds > 0 then go next (rounds - 1) else next
   in
   go (compute ()) 4
 

@@ -8,7 +8,7 @@
      antisymmetry by literal sign, totality by construction, and
      transitivity as one clause per cyclic orientation of each
      unordered triple of writes (forbidding that 3-cycle);
-   - fr: derived, [fr(r,w') <- rf(w,r) /\ co(w,w')];
+   - fr: derived, [fr = rf^-1 ; co];
    - the sc-per-location check (acyclic po-loc | rf | co | fr), which
      doubles as the coherence prefilter and the native model's Scpv,
      as Herding Cats' five coherence patterns over each po-loc pair
@@ -26,6 +26,11 @@
    - the model's axioms, contributed by an [axioms] callback over the
      {!Sym} combinators (native LKMM: [Lkmm.Symbolic]).
 
+   A symbolic relation ({!Sym.t}) is not a matrix of literals but its
+   may/must projections plus literals created on demand, so the CNF is
+   the cone of the asserted axioms: an entry nothing reaches costs no
+   variable and no clause.
+
    None of it is built for a structure the condition refutes: the
    condition is first evaluated over the skeleton's constants in
    three-valued logic ({!asserted_cond}), and a structure whose
@@ -34,23 +39,23 @@
 
    Every derived relation of the LK chain is *monotone* in rf and co
    (nothing negates a dynamic relation — only static relations are
-   subtracted or intersected), so auxiliary variables carry one-sided
-   "support" clauses only: components true force the derived entry
-   true, making every auxiliary at least its least fixpoint in any
-   model.  The axioms are all negative (acyclicity, irreflexivity,
-   emptiness), so deciding them against these over-approximations is
-   exact — a real violation forces the asserted-false literal true, and
-   a genuinely consistent witness extends to a model by valuing every
-   auxiliary exactly at its least fixpoint.  No refinement loop is
-   needed.
+   subtracted or intersected), so the projections are exact (an entry
+   is [T] on must pairs and [F] outside may in every assignment) and
+   auxiliary variables carry one-sided "support" clauses only:
+   components true force the derived entry true, making every
+   auxiliary at least its least fixpoint in any model.  The axioms are
+   all negative (acyclicity, irreflexivity, emptiness), so deciding
+   them against these over-approximations is exact — a real violation
+   forces the asserted-false literal true, and a genuinely consistent
+   witness extends to a model by valuing every auxiliary exactly at its
+   least fixpoint.  No refinement loop is needed.
 
    Acyclicity of the model's relations (hb, pb) is encoded through
-   reachability witnesses — transitive-closure variables restricted,
-   via {!Rel}'s dense-bitset closures, to pairs with a may-path back
-   (the strongly-connected cycle core); pairs with no may-reachability
-   get no variable at all, and edges closing a must-path are asserted
-   false up front (closure-based unreachability and implied-literal
-   preprocessing).
+   reachability witnesses: ¬t(x,x) for the transitive-closure entries,
+   whose demand stays inside x's strongly connected component of the
+   may-relation.  A must-cycle is the empty clause, and a self-loop or
+   an edge closing a must-path back is asserted false up front and
+   left out of the closure.
 
    [run] asks the existential question directly — "is there a
    consistent candidate matching the condition?" — decodes any model
@@ -91,20 +96,8 @@ let or_support ctx lits =
         List.iter (fun l -> clause ctx [ neg l; z ]) lits;
         z
 
-(* Support-only conjunction: forced true when every member is. *)
-let and_support ctx lits =
-  if List.exists (function F -> true | T | L _ -> false) lits then F
-  else
-    match List.filter (function T -> false | F | L _ -> true) lits with
-    | [] -> T
-    | [ l ] -> l
-    | lits ->
-        let z = fresh ctx in
-        clause ctx (z :: List.map neg lits);
-        z
-
-(* [or_support]/[and_support] on two members, without the lists: the
-   same variables and clauses, allocation-free. *)
+(* Support-only disjunction and conjunction on two members, without
+   the lists: allocation-free. *)
 let or2 ctx a b =
   match (a, b) with
   | T, _ | _, T -> T
@@ -148,161 +141,147 @@ let assert_lit ctx l = clause ctx [ l ]
 (* ------------------------------------------------------------------ *)
 
 module Sym = struct
-  type t = lit3 array array
+  (* A relation over [0, n) given by its projections: [T] on [must],
+     [F] outside [may], and on a pair of [may ∖ must] the literal
+     [lit x y], created when something first asks for it. *)
+  type t = { n : int; may : Rel.t; must : Rel.t; lit : int -> int -> lit3 }
 
-  let make n = Array.make_matrix n n F
-  let entry (a : t) x y = a.(x).(y)
+  let may a = a.may
+  let must a = a.must
 
-  let const ctx r =
-    let a = make ctx.n in
-    Rel.iter (fun x y -> a.(x).(y) <- T) r;
+  let entry a x y =
+    if not (Rel.mem x y a.may) then F
+    else if Rel.mem x y a.must then T
+    else a.lit x y
+
+  let leaf (ctx : ctx) ~may ~must lit = { n = ctx.n; may; must; lit }
+
+  (* no pair lies in may ∖ must *)
+  let const ctx r = leaf ctx ~may:r ~must:r (fun _ _ -> assert false)
+
+  (* An n × n literal table, allocated on the first demand; 0 marks an
+     entry not yet created. *)
+  let table n = lazy (Array.make (n * n) 0)
+
+  (* [make x y] gives the literal of a [may ∖ must] pair, from entries
+     of the operands; memoised. *)
+  let derived (ctx : ctx) ~may ~must make =
+    let tbl = table ctx.n in
+    let lit x y =
+      let tbl = Lazy.force tbl and i = (x * ctx.n) + y in
+      match tbl.(i) with
+      | 0 ->
+          let l = make x y in
+          (match l with L v -> tbl.(i) <- v | F | T -> ());
+          l
+      | v -> L v
+    in
+    leaf ctx ~may ~must lit
+
+  let define (ctx : ctx) ~may ~must support =
+    let tbl = table ctx.n in
+    let rec a =
+      {
+        n = ctx.n;
+        may;
+        must;
+        lit =
+          (fun x y ->
+            let tbl = Lazy.force tbl and i = (x * ctx.n) + y in
+            match tbl.(i) with
+            | 0 ->
+                (* memoised before its clauses, which may ask for it *)
+                let v = Sat.Solver.new_var ctx.s in
+                tbl.(i) <- v;
+                support a x y (L v);
+                L v
+            | v -> L v);
+      }
+    in
     a
 
-  (* Projections: the pairs that may hold in some assignment, and the
-     pairs that hold in every assignment.  {!Rel}'s dense bitsets then
-     run the closure-based preprocessing on these. *)
-  let may_of (a : t) =
-    Rel.init (Array.length a) (fun x y ->
-        match a.(x).(y) with F -> false | T | L _ -> true)
+  (* The chain is monotone, so each projection is the scalar operator
+     on the operands' projections. *)
+  let union ctx a b =
+    derived ctx ~may:(Rel.union a.may b.may) ~must:(Rel.union a.must b.must)
+      (fun x y -> or2 ctx (entry a x y) (entry b x y))
 
-  let must_of (a : t) =
-    Rel.init (Array.length a) (fun x y ->
-        match a.(x).(y) with T -> true | F | L _ -> false)
+  let inter ctx a b =
+    derived ctx ~may:(Rel.inter a.may b.may) ~must:(Rel.inter a.must b.must)
+      (fun x y -> and2 ctx (entry a x y) (entry b x y))
 
-  let union ctx (a : t) (b : t) : t =
-    Array.init ctx.n (fun x ->
-        Array.init ctx.n (fun y -> or2 ctx a.(x).(y) b.(x).(y)))
+  let inter_const a r =
+    { a with may = Rel.inter a.may r; must = Rel.inter a.must r }
 
-  let inter ctx (a : t) (b : t) : t =
-    Array.init ctx.n (fun x ->
-        Array.init ctx.n (fun y -> and2 ctx a.(x).(y) b.(x).(y)))
+  let diff_const a r =
+    { a with may = Rel.diff a.may r; must = Rel.diff a.must r }
 
-  let inter_const (a : t) r : t =
-    Array.mapi
-      (fun x row -> Array.mapi (fun y e -> if Rel.mem x y r then e else F) row)
-      a
+  (* a ; b — disjunction over the middle events of row x of may(a) and
+     column z of may(b). *)
+  let seq ctx a b =
+    let cols = lazy (Rel.inverse b.may) in
+    derived ctx ~may:(Rel.seq a.may b.may) ~must:(Rel.seq a.must b.must)
+      (fun x z ->
+        let terms = ref [] in
+        Rel.iter_row_inter
+          (fun y -> terms := and2 ctx (entry a x y) (entry b y z) :: !terms)
+          a.may x (Lazy.force cols) z;
+        or_support ctx !terms)
 
-  let diff_const (a : t) r : t =
-    Array.mapi
-      (fun x row -> Array.mapi (fun y e -> if Rel.mem x y r then F else e) row)
-      a
+  let inverse a =
+    {
+      a with
+      may = Rel.inverse a.may;
+      must = Rel.inverse a.must;
+      lit = (fun x y -> a.lit y x);
+    }
 
-  (* a ; b — disjunction over middle events of pairwise conjunctions. *)
-  let seq ctx (a : t) (b : t) : t =
-    let n = ctx.n in
-    let terms = Array.make_matrix n n [] in
-    for x = 0 to n - 1 do
-      for y = 0 to n - 1 do
-        match a.(x).(y) with
-        | F -> ()
-        | axy ->
-            for z = 0 to n - 1 do
-              match b.(y).(z) with
-              | F -> ()
-              | byz -> terms.(x).(z) <- and2 ctx axy byz :: terms.(x).(z)
-            done
-      done
-    done;
-    Array.init n (fun x -> Array.init n (fun z -> or_support ctx terms.(x).(z)))
+  (* Transitive closure with support-only reachability witnesses: the
+     variable of t(x,z) gets a base clause from the edge (x,z) and a
+     step clause t(x,y) ; a(y,z) for each middle event y of the
+     may-closure, asking only for entries of row x.  y = x repeats the
+     base clause and y = z is a tautology. *)
+  let plus ctx a =
+    let may = Rel.transitive_closure a.may in
+    let cols = lazy (Rel.inverse a.may) in
+    define ctx ~may ~must:(Rel.transitive_closure a.must) (fun t x z v ->
+        clause ctx [ neg (entry a x z); v ];
+        Rel.iter_row_inter
+          (fun y ->
+            if y <> x && y <> z then
+              clause ctx [ neg (entry t x y); neg (entry a y z); v ])
+          may x (Lazy.force cols) z)
 
-  let inverse (a : t) : t =
-    let n = Array.length a in
-    Array.init n (fun x -> Array.init n (fun y -> a.(y).(x)))
+  let id n = Rel.id_of_list (List.init n Fun.id)
 
-  (* Transitive closure with support-only reachability witnesses,
-     restricted to the may-closure (unreachable pairs stay [F] and get
-     no variable); pairs already connected by must-edges alone are [T]
-     outright. *)
-  let plus ctx (a : t) : t =
-    let may = may_of a and must = must_of a in
-    let may_plus = Rel.transitive_closure may in
-    let must_plus = Rel.transitive_closure must in
-    let r = make ctx.n in
-    Rel.iter
-      (fun x y -> r.(x).(y) <- (if Rel.mem x y must_plus then T else fresh ctx))
-      may_plus;
-    (* base: an edge forces its closure entry *)
-    Array.iteri
-      (fun x row ->
-        Array.iteri
-          (fun y e ->
-            match (e, r.(x).(y)) with
-            | F, _ | _, T -> ()
-            | e, t -> clause ctx [ neg e; t ])
-          row)
-      a;
-    (* step: t(x,y) ; edge(y,z) forces t(x,z) *)
-    Rel.iter
-      (fun x y ->
-        Array.iteri
-          (fun z e ->
-            if e <> F && r.(x).(z) <> T then
-              clause ctx [ neg r.(x).(y); neg e; r.(x).(z) ])
-          a.(y))
-      may_plus;
-    r
+  let opt a =
+    let id = id a.n in
+    { a with may = Rel.union a.may id; must = Rel.union a.must id }
 
-  let opt (a : t) : t =
-    let b = Array.map Array.copy a in
-    for x = 0 to Array.length b - 1 do
-      b.(x).(x) <- T
-    done;
-    b
+  let star ctx a = opt (plus ctx a)
 
-  let star ctx (a : t) : t = opt (plus ctx a)
-
-  let is_static_empty (a : t) = Array.for_all (Array.for_all (( = ) F)) a
-
-  (* acyclic a: no diagonal entry of the closure may hold.  Preprocessed
-     on the dense-bitset projections — a must-cycle kills the instance
-     outright, an edge whose endpoints already close a must-path is an
-     implied false literal, and closure variables are introduced only
-     for edges with a may-path back (edges with no return path cannot
-     lie on any cycle and are dropped before the closure is built). *)
-  let assert_acyclic ctx (a : t) =
-    let may = may_of a in
-    if not (Rel.is_empty may) then begin
-      let must_plus = Rel.transitive_closure (must_of a) in
-      if not (Rel.is_irreflexive must_plus) then clause ctx []
-      else begin
-        let may_plus = Rel.transitive_closure may in
-        (* self-loops can never be allowed *)
-        for x = 0 to ctx.n - 1 do
-          match a.(x).(x) with F -> () | e -> clause ctx [ neg e ]
-        done;
-        (* implied literals: an edge closing a must-path back is false *)
-        Array.iteri
-          (fun x row ->
-            Array.iteri
-              (fun y e ->
-                match e with
-                | L _ when x <> y && Rel.mem y x must_plus ->
-                    clause ctx [ neg e ]
-                | _ -> ())
-              row)
-          a;
-        (* cycle core: keep an edge iff a may return path exists *)
-        let core =
-          Array.init ctx.n (fun x ->
-              Array.init ctx.n (fun y ->
-                  if x <> y && Rel.mem y x may_plus then a.(x).(y) else F))
-        in
-        if not (is_static_empty core) then begin
-          let t = plus ctx core in
-          for x = 0 to ctx.n - 1 do
-            match t.(x).(x) with F -> () | e -> clause ctx [ neg e ]
-          done
-        end
-      end
-    end
-
-  let assert_irreflexive ctx (a : t) =
-    for x = 0 to ctx.n - 1 do
-      match a.(x).(x) with F -> () | e -> clause ctx [ neg e ]
+  let assert_irreflexive ctx a =
+    for x = 0 to a.n - 1 do
+      clause ctx [ neg (entry a x x) ]
     done
 
-  let assert_empty ctx (a : t) =
-    Array.iter (Array.iter (function F -> () | e -> clause ctx [ neg e ])) a
+  (* acyclic a: no diagonal entry of the closure may hold.  The demand
+     from t(x,x) stays inside x's strongly connected component of
+     may(a).  A must-cycle is one empty clause, and a self-loop or an
+     edge closing a must-path back is a false literal outright, left
+     out of the closure. *)
+  let assert_acyclic ctx a =
+    let must_plus = Rel.transitive_closure a.must in
+    if not (Rel.is_irreflexive must_plus) then clause ctx []
+    else begin
+      let back = Rel.union (Rel.inverse must_plus) (id a.n) in
+      let implied = Rel.inter (Rel.diff a.may a.must) back in
+      Rel.iter (fun x y -> clause ctx [ neg (a.lit x y) ]) implied;
+      assert_irreflexive ctx (plus ctx (diff_const a implied))
+    end
+
+  let assert_empty ctx a =
+    Rel.iter (fun x y -> clause ctx [ neg (entry a x y) ]) a.may
 end
 
 (* ------------------------------------------------------------------ *)
@@ -348,17 +327,18 @@ let assert_scpv ctx (sk : Execution.skeleton) po_loc (co : Sym.t) rf_vars =
       | [] -> ())
     rf_vars;
   let dir x = sk.Execution.sk_events.(x).Event.dir in
+  let co = Sym.entry co in
   Rel.iter
     (fun a b ->
       match (dir a, dir b) with
-      | Event.W, Event.W -> (* coWW *) clause ctx [ co.(a).(b) ]
+      | Event.W, Event.W -> (* coWW *) clause ctx [ co a b ]
       | Event.R, Event.W ->
           (* coRW1 (w = b) and coRW2: a's write is co-before b *)
-          List.iter (fun (w, v) -> clause ctx [ neg v; co.(w).(b) ]) writers.(a)
+          List.iter (fun (w, v) -> clause ctx [ neg v; co w b ]) writers.(a)
       | Event.W, Event.R ->
           (* coWR: b reads a or a co-later write *)
           List.iter
-            (fun (w, v) -> if w <> a then clause ctx [ neg v; co.(a).(w) ])
+            (fun (w, v) -> if w <> a then clause ctx [ neg v; co a w ])
             writers.(b)
       | Event.R, Event.R ->
           (* coRR: reads of two writes see them in co order *)
@@ -366,7 +346,7 @@ let assert_scpv ctx (sk : Execution.skeleton) po_loc (co : Sym.t) rf_vars =
             (fun (w1, v1) ->
               List.iter
                 (fun (w2, v2) ->
-                  if w1 <> w2 then clause ctx [ neg v1; neg v2; co.(w1).(w2) ])
+                  if w1 <> w2 then clause ctx [ neg v1; neg v2; co w1 w2 ])
                 writers.(b))
             writers.(a)
       | _ -> ())
@@ -378,22 +358,22 @@ let encode_structure ~scpv (sk : Execution.skeleton) =
     let rep = Execution.instantiate sk ~rf:Rel.empty ~co:Rel.empty in
     let n = Array.length sk.Execution.sk_events in
     let ctx = { s = Sat.Solver.create (); n } in
+    (* the leaves' literal tables: the variable of each open pair *)
+    let rf_tbl = Array.make (n * n) 0 and co_tbl = Array.make (n * n) 0 in
+    let lit tbl x y = L tbl.((x * n) + y) in
     (* rf: one-hot per read *)
-    let rf = Sym.make n in
     let rf_vars =
       List.map
         (fun choices ->
           match choices with
-          | [ (w, r) ] ->
-              rf.(w).(r) <- T;
-              [ (w, r, T) ]
+          | [ (w, r) ] -> [ (w, r, T) ]
           | choices ->
               let lits =
                 List.map
                   (fun (w, r) ->
-                    let v = fresh ctx in
-                    rf.(w).(r) <- v;
-                    (w, r, v))
+                    let v = Sat.Solver.new_var ctx.s in
+                    rf_tbl.((w * n) + r) <- v;
+                    (w, r, L v))
                   choices
               in
               clause ctx (List.map (fun (_, _, v) -> v) lits);
@@ -409,20 +389,31 @@ let encode_structure ~scpv (sk : Execution.skeleton) =
               lits)
         sk.Execution.sk_rf_choices
     in
+    let rf =
+      Sym.leaf ctx
+        ~may:(Rel.of_list (List.concat sk.Execution.sk_rf_choices))
+        ~must:
+          (Rel.of_list
+             (List.concat_map
+                (function [ wr ] -> [ wr ] | _ -> [])
+                sk.Execution.sk_rf_choices))
+        (lit rf_tbl)
+    in
     (* co: per-location pairwise order variables; the initialising write
        is first by construction, transitivity by clauses over triples *)
-    let co = Sym.make n in
+    let co_may = ref [] and co_must = ref [] in
     List.iter
       (fun (_x, init_id, ws) ->
-        List.iter (fun w -> co.(init_id).(w) <- T) ws;
+        List.iter (fun w -> co_must := (init_id, w) :: !co_must) ws;
         let rec pairs = function
           | [] -> ()
           | w :: rest ->
               List.iter
                 (fun w' ->
-                  let v = fresh ctx in
-                  co.(w).(w') <- v;
-                  co.(w').(w) <- neg v)
+                  let v = Sat.Solver.new_var ctx.s in
+                  co_tbl.((w * n) + w') <- v;
+                  co_tbl.((w' * n) + w) <- -v;
+                  co_may := (w, w') :: (w', w) :: !co_may)
                 rest;
               pairs rest
         in
@@ -430,8 +421,9 @@ let encode_structure ~scpv (sk : Execution.skeleton) =
         (* transitivity: co(a,b) /\ co(b,c) -> co(a,c) forbids the
            3-cycle a b c, and each unordered triple has two cyclic
            orientations — one clause each *)
+        let co = lit co_tbl in
         let cycle a b c =
-          clause ctx [ neg co.(a).(b); neg co.(b).(c); neg co.(c).(a) ]
+          clause ctx [ neg (co a b); neg (co b c); neg (co c a) ]
         in
         let rec triples = function
           | [] -> ()
@@ -451,24 +443,13 @@ let encode_structure ~scpv (sk : Execution.skeleton) =
         in
         triples ws)
       (Execution.co_writes sk);
-    (* fr: rf^-1 ; co, per read over its candidate writers *)
-    let fr = Sym.make n in
-    List.iter
-      (fun choices ->
-        match choices with
-        | [] -> ()
-        | (_, r) :: _ ->
-            for w' = 0 to n - 1 do
-              let terms =
-                List.filter_map
-                  (fun (w, _) ->
-                    if co.(w).(w') = F then None
-                    else Some (and_support ctx [ rf.(w).(r); co.(w).(w') ]))
-                  choices
-              in
-              fr.(r).(w') <- or_support ctx terms
-            done)
-      sk.Execution.sk_rf_choices;
+    let co =
+      Sym.leaf ctx
+        ~may:(Rel.of_list (!co_must @ !co_may))
+        ~must:(Rel.of_list !co_must) (lit co_tbl)
+    in
+    (* fr = rf^-1 ; co, exactly: co has no diagonal *)
+    let fr = Sym.seq ctx (Sym.inverse rf) co in
     let e = { ctx; rep; rf; co; fr } in
     if scpv then assert_scpv ctx sk rep.Execution.po_loc co rf_vars;
     Some { e; sk; rf_vars }
@@ -572,7 +553,8 @@ let encode_cond (enc : encoded) cond =
                    (and_full ctx
                       (List.filter_map
                          (fun w' ->
-                           if w' = w then None else Some e.co.(w').(w))
+                           if w' = w then None
+                           else Some (Sym.entry e.co w' w))
                          ws)))
              ws)
     | Not3 c -> neg (lit c)
@@ -608,7 +590,9 @@ let decode (enc : encoded) =
         ( x,
           List.sort
             (fun a b ->
-              if a = b then 0 else if value e.co.(a).(b) then -1 else 1)
+              if a = b then 0
+              else if value (Sym.entry e.co a b) then -1
+              else 1)
             ws ))
       (Execution.co_writes sk)
   in
@@ -696,7 +680,8 @@ let run_exn ?budget ~conflicts ~decisions ~axioms (module M : Check.MODEL)
           Option.map
             (fun enc ->
               encode_cond enc cond;
-              if with_axioms then axioms enc.e;
+              if with_axioms then
+                Obs.with_span "solve.axioms" (fun () -> axioms enc.e);
               enc)
             (encode_structure ~scpv sk))
     with

@@ -8,17 +8,19 @@
     The whole LK derivation chain is monotone in rf and co, so derived
     relations carry one-sided "support" clauses only, and the
     (all-negative) axioms are decided exactly against those
-    over-approximations — no refinement loop.  A SAT answer is decoded
-    back to an {!Execution.t} and re-validated through the scalar
-    model; re-validation failure is a hard {!Spurious} error, never a
-    verdict. *)
+    over-approximations — no refinement loop.  A symbolic relation is
+    its may/must projections plus literals created on demand ({!Sym}),
+    so the CNF holds only the cone of the asserted axioms.  A SAT
+    answer is decoded back to an {!Execution.t} and re-validated
+    through the scalar model; re-validation failure is a hard
+    {!Spurious} error, never a verdict. *)
 
 (** A symbolic truth value: statically false, statically true, or a
     solver literal. *)
 type lit3 = F | T | L of int
 
 (** A solver under construction: the CDCL instance and the event count
-    (symbolic relations are [n × n] matrices). *)
+    (symbolic relations are over [[0, n)]). *)
 type ctx = { s : Sat.Solver.t; n : int }
 
 (** A decoded witness failed scalar re-validation — an encoder or
@@ -32,38 +34,46 @@ val neg : lit3 -> lit3
     statically, [F] members drop out; all-[F] is the empty clause). *)
 val clause : ctx -> lit3 list -> unit
 
-val fresh : ctx -> lit3
-
-(** Support-only connectives (sound for the monotone derivation chain):
-    the result is forced true by its definition, not equivalent to
-    it. *)
-val or_support : ctx -> lit3 list -> lit3
-
-val and_support : ctx -> lit3 list -> lit3
-
 (** Two-sided (Tseitin) connectives, for formulas under negation. *)
 val or_full : ctx -> lit3 list -> lit3
 
 val and_full : ctx -> lit3 list -> lit3
 val assert_lit : ctx -> lit3 -> unit
 
-(** Symbolic relations: [n × n] matrices of {!lit3}, with the cat-style
-    combinators the axiom callbacks are written in.  All derived
-    operators emit support-only clauses; closures and the acyclicity
-    assertion preprocess on the {!Rel} dense-bitset may/must
-    projections (implied literals, unreachability pruning, cycle-core
-    restriction). *)
+(** Symbolic relations, with the cat-style combinators the axiom
+    callbacks are written in.  A relation is its may- and
+    must-projections ({!Rel} bitsets, each computed by the scalar
+    operator on the operands' projections) plus a literal for each pair
+    of [may ∖ must], created on demand: only when an assertion, or the
+    clauses of an entry already created, asks for it.  The CNF is then
+    the cone of the asserted axioms.  Derived entries carry
+    support-only clauses. *)
 module Sym : sig
-  type t = lit3 array array
-
-  val make : int -> t
-  val entry : t -> int -> int -> lit3
-  val const : ctx -> Rel.t -> t
+  type t
 
   (** The pairs possibly/necessarily in the relation. *)
-  val may_of : t -> Rel.t
+  val may : t -> Rel.t
 
-  val must_of : t -> Rel.t
+  val must : t -> Rel.t
+
+  (** [entry a x y]: [T] on [must a], [F] outside [may a], else the
+      pair's literal (created, with its clauses, on the first call). *)
+  val entry : t -> int -> int -> lit3
+
+  (** [leaf ctx ~may ~must lit] ([must ⊆ may]) gives each pair of
+      [may ∖ must] the literal [lit x y], which must create no
+      clauses. *)
+  val leaf : ctx -> may:Rel.t -> must:Rel.t -> (int -> int -> lit3) -> t
+
+  (** [define ctx ~may ~must support] gives each pair of [may ∖ must],
+      on demand, a fresh variable [v], memoised before
+      [support self x y v] emits the clauses that force it true; those
+      may ask for entries of [self], so recursive definitions (least
+      fixpoints) terminate. *)
+  val define :
+    ctx -> may:Rel.t -> must:Rel.t -> (t -> int -> int -> lit3 -> unit) -> t
+
+  val const : ctx -> Rel.t -> t
   val union : ctx -> t -> t -> t
   val inter : ctx -> t -> t -> t
 
@@ -76,7 +86,6 @@ module Sym : sig
   val plus : ctx -> t -> t
   val opt : t -> t
   val star : ctx -> t -> t
-  val is_static_empty : t -> bool
   val assert_acyclic : ctx -> t -> unit
   val assert_irreflexive : ctx -> t -> unit
   val assert_empty : ctx -> t -> unit
@@ -85,7 +94,10 @@ end
 (** What an axioms callback sees: the context, a representative
     execution of the structure (empty witness — its static relations
     and event sets are those of every candidate of the structure) and
-    the symbolic witness relations. *)
+    the symbolic witness relations.  Symbolic relations hold closures
+    over the solver under construction: they stay local to one
+    encoding, and nothing a result, witness, journal or pipe carries
+    holds one. *)
 type enc = {
   ctx : ctx;
   rep : Execution.t;

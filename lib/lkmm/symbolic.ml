@@ -13,12 +13,19 @@
    [Axioms.consistent] is what the corpus-agreement suite in
    [test/test_sat.ml] exercises.
 
+   Each combinator computes its may- and must-projections with {!Rel}
+   operations and leaves its literals to demand (see {!Exec.Solve.Sym}):
+   the chain below builds projections, and only the entries an axiom
+   reaches become variables and clauses.
+
    The recursive rcu-path is tied off concretely: its may- and
    must-projections are least fixpoints of the same six-rule step
-   computed in {!Rel}, and one variable per may-pair receives a support
-   clause for every rule instance — the symbolic relation is then at
-   least the concrete rcu-path of any assignment, which is exactly what
-   the irreflexivity assertion needs. *)
+   computed in {!Rel}, and a pair of may ∖ must, once the irreflexivity
+   assertion or another pair's clauses ask for it, gets a variable with
+   a support clause for every rule instance that derives it — the
+   symbolic relation is then at least the concrete rcu-path of any
+   assignment on every pair asked for, which is exactly what the
+   irreflexivity assertion needs. *)
 
 module S = Exec.Solve
 module Sym = Exec.Solve.Sym
@@ -43,60 +50,44 @@ let rcu_lfp g r =
   in
   go g
 
-(* Symbolic rcu-path: [T] at must-fixpoint pairs, a fresh variable at
-   the remaining may-fixpoint pairs, with one support clause per rule
-   instance over may-supported tuples. *)
+(* Symbolic rcu-path: [T] at must-fixpoint pairs, [F] outside the
+   may-fixpoint, and at each remaining pair, once asked for, a fresh
+   variable with one support clause per instance of the six rules that
+   derives it from may-supported tuples. *)
 let rcu_path ctx gp_link rscs_link =
-  let may_g = Sym.may_of gp_link and may_r = Sym.may_of rscs_link in
+  let may_g = Sym.may gp_link and may_r = Sym.may rscs_link in
   let may_p = rcu_lfp may_g may_r in
-  let must_p = rcu_lfp (Sym.must_of gp_link) (Sym.must_of rscs_link) in
-  let p = Sym.make ctx.S.n in
-  Rel.iter
-    (fun x y ->
-      p.(x).(y) <- (if Rel.mem x y must_p then S.T else S.fresh ctx))
-    may_p;
-  let support body x z = S.clause ctx (List.map S.neg body @ [ p.(x).(z) ]) in
-  (* gp-link <= p *)
-  Rel.iter (fun x y -> support [ Sym.entry gp_link x y ] x y) may_g;
-  (* p ; p <= p *)
-  Rel.iter
-    (fun x y ->
-      Rel.iter
-        (fun y' z -> if y = y' then support [ p.(x).(y); p.(y).(z) ] x z)
-        may_p)
-    may_p;
-  (* gp-link ; rscs-link <= p  and symmetrically *)
-  let seq2 a ma b mb =
-    Rel.iter
-      (fun x y ->
-        Rel.iter
-          (fun y' z ->
-            if y = y' then support [ Sym.entry a x y; Sym.entry b y z ] x z)
-          mb)
-      ma
-  in
-  seq2 gp_link may_g rscs_link may_r;
-  seq2 rscs_link may_r gp_link may_g;
-  (* gp-link ; p ; rscs-link <= p  and symmetrically *)
-  let seq3 a ma b mb =
-    Rel.iter
-      (fun x y ->
-        Rel.iter
-          (fun y' z ->
-            if y = y' then
-              Rel.iter
-                (fun z' w ->
-                  if z = z' then
-                    support
-                      [ Sym.entry a x y; p.(y).(z); Sym.entry b z w ]
-                      x w)
-                mb)
-          may_p)
-      ma
-  in
-  seq3 gp_link may_g rscs_link may_r;
-  seq3 rscs_link may_r gp_link may_g;
-  p
+  let must_p = rcu_lfp (Sym.must gp_link) (Sym.must rscs_link) in
+  (* columns, for the rule instances that end at a given pair *)
+  let cols_g = Rel.inverse may_g
+  and cols_r = Rel.inverse may_r
+  and cols_p = Rel.inverse may_p in
+  let g = Sym.entry gp_link and r = Sym.entry rscs_link in
+  Sym.define ctx ~may:may_p ~must:must_p (fun path x z v ->
+      let p = Sym.entry path in
+      let support body = S.clause ctx (v :: List.map S.neg body) in
+      (* gp-link <= p *)
+      support [ g x z ];
+      (* p ; p <= p  (a tautology through y = x or y = z) *)
+      Rel.iter_row_inter
+        (fun y -> if y <> x && y <> z then support [ p x y; p y z ])
+        may_p x cols_p z;
+      (* gp-link ; rscs-link <= p  and symmetrically *)
+      Rel.iter_row_inter (fun y -> support [ g x y; r y z ]) may_g x cols_r z;
+      Rel.iter_row_inter (fun y -> support [ r x y; g y z ]) may_r x cols_g z;
+      (* gp-link ; p ; rscs-link <= p  and symmetrically *)
+      Rel.iter_row
+        (fun y ->
+          Rel.iter_row_inter
+            (fun y' -> support [ g x y; p y y'; r y' z ])
+            may_p y cols_r z)
+        may_g x;
+      Rel.iter_row
+        (fun y ->
+          Rel.iter_row_inter
+            (fun y' -> support [ r x y; p y y'; g y' z ])
+            may_p y cols_g z)
+        may_r x)
 
 (* The axioms callback: Scpv is already asserted by the encoder (it
    doubles as the coherence prefilter), so this contributes At, Hb, Pb

@@ -485,6 +485,25 @@ let linear_extensions elems =
   in
   List.map order_of_list (perms elems)
 
+(* The row primitives, bounds-checked for callers outside the module. *)
+let iter_row f t i = if i >= 0 && i < t.n then iter_row f t i
+
+(* The meeting points of row [x] of [t1] and row [z] of [t2]: one
+   word-AND per 63 events. *)
+let iter_row_inter f t1 x t2 z =
+  if x >= 0 && x < t1.n && z >= 0 && z < t2.n then begin
+    let b1 = x * t1.w and b2 = z * t2.w in
+    for wi = 0 to min t1.w t2.w - 1 do
+      let word = ref (t1.bits.(b1 + wi) land t2.bits.(b2 + wi)) in
+      let off = wi * bpw in
+      while !word <> 0 do
+        let b = !word land - !word in
+        f (off + ntz b);
+        word := !word lxor b
+      done
+    done
+  end
+
 let pp ppf t =
   Fmt.pf ppf "{%a}"
     Fmt.(list ~sep:(any "; ") (pair ~sep:(any "->") int int))

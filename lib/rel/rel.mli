@@ -57,6 +57,17 @@ val diff : t -> t -> t
 val filter : (int -> int -> bool) -> t -> t
 val fold : (int -> int -> 'a -> 'a) -> t -> 'a -> 'a
 val iter : (int -> int -> unit) -> t -> unit
+
+(** [iter_row f t x] calls [f y] for every [(x, y)] in [t], in
+    increasing order of [y]. *)
+val iter_row : (int -> unit) -> t -> int -> unit
+
+(** [iter_row_inter f t1 x t2 z] calls [f y], in increasing order, for
+    every [y] with [(x, y)] in [t1] and [(z, y)] in [t2] — one word-AND
+    per 63 events.  With [t2] the inverse of [r], the [y] are the
+    middle events of [(x, z)] in [t1 ; r]. *)
+val iter_row_inter : (int -> unit) -> t -> int -> t -> int -> unit
+
 val exists : (int -> int -> bool) -> t -> bool
 val for_all : (int -> int -> bool) -> t -> bool
 

@@ -96,6 +96,33 @@ let prop_closures_agree =
            (D.reflexive_transitive_closure ~universe:u d)
            (S.reflexive_transitive_closure ~universe:u s))
 
+(* The row primitives the symbolic relations compose with, at rows
+   inside, on and past the edge of the universe. *)
+let prop_rows_agree =
+  QCheck2.Test.make ~name:"row primitives agree with the reference"
+    ~count:2000 gen_input (fun (n, ps1, ps2) ->
+      let d1 = D.of_list ps1 and d2 = D.of_list ps2 in
+      let s1 = S.of_list ps1 and s2 = S.of_list ps2 in
+      let collect iter =
+        let acc = ref [] in
+        iter (fun y -> acc := y :: !acc);
+        List.rev !acc
+      in
+      let row s x =
+        List.filter_map (fun (a, b) -> if a = x then Some b else None)
+          (S.to_list s)
+      in
+      let probes = [ 0; n / 2; n - 1; n ] in
+      List.for_all
+        (fun x ->
+          collect (fun f -> D.iter_row f d1 x) = row s1 x
+          && List.for_all
+               (fun z ->
+                 collect (fun f -> D.iter_row_inter f d1 x d2 z)
+                 = List.filter (fun y -> S.mem z y s2) (row s1 x))
+               probes)
+        probes)
+
 let prop_cyclicity_agrees =
   QCheck2.Test.make ~name:"acyclicity, cycles and sorts agree" ~count:2000
     gen_input (fun (n, ps1, _) ->
@@ -619,6 +646,7 @@ let () =
           [
             prop_ops_agree;
             prop_closures_agree;
+            prop_rows_agree;
             prop_cyclicity_agrees;
             prop_linear_extensions_agree;
             prop_batch_ops_agree;

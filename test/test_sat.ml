@@ -433,6 +433,65 @@ let with_counters f =
       let count name = Option.value ~default:0 (List.assoc_opt name counters) in
       (r, count))
 
+(* lkbench's sat-large pool: diy cycles of sizes 6 and 7 padded with
+   two bystander writers (n ≈ 20–30 events), whose golden verdicts come
+   from uncapped batch enumeration, and the scaled budget-breakers,
+   decided by construction.  Read in place, never written. *)
+let sat_pool () =
+  match
+    List.find_opt Sys.file_exists
+      [ "../../../lkbench/sat_pool"; "lkbench/sat_pool" ]
+  with
+  | None -> Alcotest.fail "lkbench/sat_pool not found"
+  | Some dir ->
+      Harness.Runner.read_file (Filename.concat dir "POOL")
+      |> String.split_on_char '\n'
+      |> List.filter_map (fun line ->
+             if line = "" || line.[0] = '#' then None
+             else
+               match String.split_on_char ' ' line with
+               | [ file; verdict; origin ] ->
+                   Some
+                     ( file,
+                       verdict,
+                       origin,
+                       Litmus.parse
+                         (Harness.Runner.read_file (Filename.concat dir file))
+                     )
+               | _ -> Alcotest.failf "bad POOL line: %s" line)
+
+let test_pool_agreement () =
+  let pool = sat_pool () in
+  Alcotest.(check int) "padded cycles with batch verdicts" 22
+    (List.length (List.filter (fun (_, _, o, _) -> o = "batch") pool));
+  List.iter
+    (fun (file, golden, origin, t) ->
+      Alcotest.(check string)
+        (Printf.sprintf "%s sat = golden (%s)" file origin)
+        golden
+        (Exec.Check.verdict_to_string (sat_check t).Exec.Check.verdict))
+    pool
+
+(* The CNF the main pass hands the solver, summed over the corpus and
+   the pool: a deterministic guard against re-inflating the encoding.
+   The eager n × n encoding (every entry of every derived relation a
+   variable with its support clauses, closures over the cycle core)
+   took 11,809 variables and 33,430 clauses here (corpus 3,038 / 7,142;
+   pool 8,771 / 26,288); the demand-driven one takes the figures
+   pinned below. *)
+let test_cnf_ceiling () =
+  let tests =
+    corpus_tests () @ List.map (fun (_, _, _, t) -> t) (sat_pool ())
+  in
+  let (), count =
+    with_counters (fun () -> List.iter (fun t -> ignore (sat_check t)) tests)
+  in
+  let vars = count "solve.vars" and clauses = count "solve.clauses" in
+  Alcotest.(check bool) (Printf.sprintf "%d variables <= ceiling" vars) true
+    (vars <= 2678);
+  Alcotest.(check bool) (Printf.sprintf "%d clauses <= ceiling" clauses) true
+    (clauses <= 10087)
+
 (* MP with a second writer of x, so a condition on x's final value is
    left to the coherence order.  z is written by no thread and r9 is
    set by no thread. *)
@@ -672,10 +731,207 @@ let test_sat_fallback_counted () =
       Alcotest.(check bool) "fallback flagged" true s.Exec.Check.fallback
   | None -> Alcotest.fail "fallback result carries no sat stats"
 
+(* ------------------------------------------------------------------ *)
+(* Sym against Rel under every assignment                              *)
+(* ------------------------------------------------------------------ *)
+
+module Sym = Exec.Solve.Sym
+
+(* A leaf entry: statically false, statically true, or leaf variable
+   [i]. *)
+type entry = Ef | Et | Ev of int
+
+type expr =
+  | Leaf of int
+  | Union of expr * expr
+  | Inter of expr * expr
+  | Seq of expr * expr
+  | Inverse of expr
+  | Plus of expr
+  | Star of expr
+  | Opt of expr
+  | Inter_const of expr * (int * int) list
+  | Diff_const of expr * (int * int) list
+
+(* [n] events, [nvars] leaf variables, up to three leaf relations and
+   one expression over them. *)
+type sym_case = {
+  n : int;
+  nvars : int;
+  leaves : entry array array array;
+  expr : expr;
+}
+
+let gen_sym_case =
+  QCheck.Gen.(
+    int_range 1 6 >>= fun n ->
+    int_range 1 6 >>= fun nvars ->
+    int_range 1 3 >>= fun nleaves ->
+    let entry =
+      frequency
+        [
+          (3, return Ef);
+          (1, return Et);
+          (3, map (fun i -> Ev i) (int_bound (nvars - 1)));
+        ]
+    in
+    let leaf = map (fun i -> Leaf i) (int_bound (nleaves - 1)) in
+    let const =
+      list_size (int_bound (n * n))
+        (pair (int_bound (n - 1)) (int_bound (n - 1)))
+    in
+    let rec expr depth =
+      if depth = 0 then leaf
+      else
+        let sub = expr (depth - 1) in
+        frequency
+          [
+            (2, leaf);
+            (2, map2 (fun a b -> Union (a, b)) sub sub);
+            (2, map2 (fun a b -> Inter (a, b)) sub sub);
+            (3, map2 (fun a b -> Seq (a, b)) sub sub);
+            (1, map (fun a -> Inverse a) sub);
+            (2, map (fun a -> Plus a) sub);
+            (1, map (fun a -> Star a) sub);
+            (1, map (fun a -> Opt a) sub);
+            (1, map2 (fun a r -> Inter_const (a, r)) sub const);
+            (1, map2 (fun a r -> Diff_const (a, r)) sub const);
+          ]
+    in
+    array_repeat nleaves (array_repeat n (array_repeat n entry))
+    >>= fun leaves ->
+    expr 4 >|= fun expr -> { n; nvars; leaves; expr })
+
+let print_sym_case c =
+  let pairs r =
+    String.concat " " (List.map (fun (x, y) -> Printf.sprintf "%d%d" x y) r)
+  in
+  let rec pp = function
+    | Leaf i -> Printf.sprintf "l%d" i
+    | Union (a, b) -> Printf.sprintf "(%s | %s)" (pp a) (pp b)
+    | Inter (a, b) -> Printf.sprintf "(%s & %s)" (pp a) (pp b)
+    | Seq (a, b) -> Printf.sprintf "(%s ; %s)" (pp a) (pp b)
+    | Inverse a -> Printf.sprintf "%s^-1" (pp a)
+    | Plus a -> Printf.sprintf "%s+" (pp a)
+    | Star a -> Printf.sprintf "%s*" (pp a)
+    | Opt a -> Printf.sprintf "%s?" (pp a)
+    | Inter_const (a, r) -> Printf.sprintf "(%s & {%s})" (pp a) (pairs r)
+    | Diff_const (a, r) -> Printf.sprintf "(%s \\ {%s})" (pp a) (pairs r)
+  in
+  let leaf tbl =
+    String.concat "/"
+      (Array.to_list
+         (Array.map
+            (fun row ->
+              String.concat ""
+                (Array.to_list
+                   (Array.map
+                      (function Ef -> "." | Et -> "1" | Ev i -> string_of_int i)
+                      row)))
+            tbl))
+  in
+  Printf.sprintf "n=%d vars=%d leaves=[%s] expr=%s" c.n c.nvars
+    (String.concat "; " (Array.to_list (Array.map leaf c.leaves)))
+    (pp c.expr)
+
+let arb_sym_case = QCheck.make ~print:print_sym_case gen_sym_case
+
+(* The relation [c.expr] denotes when leaf variable [i] is [sigma.(i)]. *)
+let rel_eval c sigma =
+  let universe = Rel.Iset.of_range 0 (c.n - 1) in
+  let rec go = function
+    | Leaf i ->
+        Rel.init c.n (fun x y ->
+            match c.leaves.(i).(x).(y) with
+            | Ef -> false
+            | Et -> true
+            | Ev v -> sigma.(v))
+    | Union (a, b) -> Rel.union (go a) (go b)
+    | Inter (a, b) -> Rel.inter (go a) (go b)
+    | Seq (a, b) -> Rel.seq (go a) (go b)
+    | Inverse a -> Rel.inverse (go a)
+    | Plus a -> Rel.transitive_closure (go a)
+    | Star a -> Rel.reflexive_transitive_closure ~universe (go a)
+    | Opt a -> Rel.reflexive_closure ~universe (go a)
+    | Inter_const (a, r) -> Rel.inter (go a) (Rel.of_list r)
+    | Diff_const (a, r) -> Rel.diff (go a) (Rel.of_list r)
+  in
+  go c.expr
+
+(* A fresh encoding of [c.expr]: the solver context, the leaf variables
+   and the symbolic relation. *)
+let sym_encode c =
+  let ctx = { Exec.Solve.s = Sat.Solver.create (); n = c.n } in
+  let vars =
+    Array.init c.nvars (fun _ -> Exec.Solve.L (Sat.Solver.new_var ctx.s))
+  in
+  let leaf tbl =
+    let pairs keep = Rel.init c.n (fun x y -> keep tbl.(x).(y)) in
+    Sym.leaf ctx
+      ~may:(pairs (function Ef -> false | Et | Ev _ -> true))
+      ~must:(pairs (function Et -> true | Ef | Ev _ -> false))
+      (fun x y ->
+        match tbl.(x).(y) with Ev v -> vars.(v) | Ef | Et -> assert false)
+  in
+  let rec go = function
+    | Leaf i -> leaf c.leaves.(i)
+    | Union (a, b) -> Sym.union ctx (go a) (go b)
+    | Inter (a, b) -> Sym.inter ctx (go a) (go b)
+    | Seq (a, b) -> Sym.seq ctx (go a) (go b)
+    | Inverse a -> Sym.inverse (go a)
+    | Plus a -> Sym.plus ctx (go a)
+    | Star a -> Sym.star ctx (go a)
+    | Opt a -> Sym.opt (go a)
+    | Inter_const (a, r) -> Sym.inter_const (go a) (Rel.of_list r)
+    | Diff_const (a, r) -> Sym.diff_const (go a) (Rel.of_list r)
+  in
+  (ctx, vars, go c.expr)
+
+(* For every assignment sigma of the leaf variables: the projections
+   bracket the relation sigma gives (must ⊆ it ⊆ may), and the CNF with
+   the leaves fixed to sigma and an assertion applied is satisfiable
+   iff that relation passes the matching check. *)
+let prop_sym_agrees_with_rel c =
+  let _, _, s = sym_encode c in
+  let may = Sym.may s and must = Sym.must s in
+  let checks =
+    [
+      (Sym.assert_acyclic, Rel.is_acyclic);
+      (Sym.assert_irreflexive, Rel.is_irreflexive);
+      (Sym.assert_empty, Rel.is_empty);
+    ]
+  in
+  List.for_all
+    (fun bits ->
+      let sigma = Array.init c.nvars (fun i -> bits land (1 lsl i) <> 0) in
+      let r = rel_eval c sigma in
+      Rel.subset must r && Rel.subset r may
+      && List.for_all
+           (fun (assert_, holds) ->
+             let ctx, vars, s = sym_encode c in
+             assert_ ctx s;
+             Array.iteri
+               (fun i v ->
+                 Exec.Solve.clause ctx
+                   [ (if sigma.(i) then v else Exec.Solve.neg v) ])
+               vars;
+             Sat.Solver.solve ctx.Exec.Solve.s = Sat.Solver.Sat = holds r)
+           checks)
+    (List.init (1 lsl c.nvars) Fun.id)
+
+let sym_cases =
+  [
+    QCheck_alcotest.to_alcotest ~long:false
+      (QCheck.Test.make ~count:300
+         ~name:"Sym brackets Rel under every assignment" arb_sym_case
+         prop_sym_agrees_with_rel);
+  ]
+
 let () =
   Alcotest.run "sat"
     [
       ("cdcl-vs-dpll", qcheck_cases);
+      ("sym-vs-rel", sym_cases);
       ( "cdcl",
         [
           Alcotest.test_case "pigeonhole search is pinned" `Quick
@@ -703,6 +959,13 @@ let () =
             test_mp_refutes;
           Alcotest.test_case "CNF counters cover the main pass" `Quick
             test_cnf_counters;
+        ] );
+      ( "sat-large pool",
+        [
+          Alcotest.test_case "sat agrees with the golden verdicts" `Quick
+            test_pool_agreement;
+          Alcotest.test_case "CNF ceiling over corpus and pool" `Slow
+            test_cnf_ceiling;
         ] );
       ( "forensics",
         [

@@ -235,6 +235,19 @@ let profile path =
            (float_of_int v /. float_of_int encoded)
            (float_of_int c /. float_of_int encoded)
      | _ -> ());
+     (* the model's axioms callback, nested in each solve.encode *)
+     (match
+        (Hashtbl.find_opt phases "solve.axioms",
+         Hashtbl.find_opt phases "solve.encode")
+      with
+     | Some ax, Some enc ->
+         Printf.printf
+           "  %-28s %12.1f%% of solve.encode (%.1f / %.1f us mean)\n"
+           "axioms callback"
+           (100. *. ax.total /. Float.max 1e-9 enc.total)
+           (ax.total /. float_of_int (Stdlib.max 1 ax.count))
+           (enc.total /. float_of_int (Stdlib.max 1 enc.count))
+     | _ -> ());
      (match counter "solve.conflicts" with
      | Some c -> Printf.printf "  %-28s %12d\n" "conflicts" c
      | None -> ());
