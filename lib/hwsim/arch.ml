@@ -28,6 +28,8 @@ type t = {
   p_stale : float; (* chance a read uses the stale snapshot (Alpha) *)
 }
 
+(* Each profile adds to a weaker one: x86 buffers stores, ARM and Power
+   also drain them out of order and read early, Alpha also reads stale. *)
 let sc =
   {
     name = "SC";
@@ -40,65 +42,21 @@ let sc =
     p_stale = 0.;
   }
 
-let x86 =
-  {
-    name = "X86";
-    store_buffer = true;
-    fifo_drain = true;
-    early_reads = false;
-    alpha_stale = false;
-    p_prefetch = 0.;
-    p_drain = 0.35;
-    p_stale = 0.;
-  }
+let x86 = { sc with name = "X86"; store_buffer = true; p_drain = 0.35 }
 
 let armv7 =
   {
+    x86 with
     name = "ARMv7";
-    store_buffer = true;
     fifo_drain = false;
     early_reads = true;
-    alpha_stale = false;
     p_prefetch = 0.25;
     p_drain = 0.3;
-    p_stale = 0.;
   }
 
-let armv8 =
-  {
-    name = "ARMv8";
-    store_buffer = true;
-    fifo_drain = false;
-    early_reads = true;
-    alpha_stale = false;
-    p_prefetch = 0.35;
-    p_drain = 0.3;
-    p_stale = 0.;
-  }
-
-let power8 =
-  {
-    name = "Power8";
-    store_buffer = true;
-    fifo_drain = false;
-    early_reads = true;
-    alpha_stale = false;
-    p_prefetch = 0.45;
-    p_drain = 0.25;
-    p_stale = 0.;
-  }
-
-let alpha =
-  {
-    name = "Alpha";
-    store_buffer = true;
-    fifo_drain = false;
-    early_reads = true;
-    alpha_stale = true;
-    p_prefetch = 0.35;
-    p_drain = 0.3;
-    p_stale = 0.35;
-  }
+let armv8 = { armv7 with name = "ARMv8"; p_prefetch = 0.35 }
+let power8 = { armv7 with name = "Power8"; p_prefetch = 0.45; p_drain = 0.25 }
+let alpha = { armv8 with name = "Alpha"; alpha_stale = true; p_stale = 0.35 }
 
 (* The Table 5 hardware columns. *)
 let table5 = [ power8; armv8; armv7; x86 ]

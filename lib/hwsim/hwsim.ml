@@ -17,32 +17,14 @@ type stats = {
   outcomes : (Exec.outcome * int) list; (* histogram *)
 }
 
-(* Extract an {!Exec.outcome}-compatible assoc list from a run, so that
-   simulator results are directly comparable with model verdicts. *)
-let outcome_of_run (test : Litmus.Ast.t) (r : Machine.run_result) :
-    Exec.outcome =
-  List.map
-    (function
-      | `Reg (tid, reg) ->
-          ( Printf.sprintf "%d:%s" tid reg,
-            List.fold_left
-              (fun acc (tid', reg', v) ->
-                if tid = tid' && reg = reg' then v else acc)
-              0 r.Machine.regs )
-      | `Mem x -> (x, try List.assoc x r.Machine.mem with Not_found -> 0))
-    (Exec.observables test)
+let name = function `Reg (tid, reg) -> Printf.sprintf "%d:%s" tid reg | `Mem x -> x
 
-let eval_cond (test : Litmus.Ast.t) (r : Machine.run_result) =
-  let reg_val tid reg =
-    List.fold_left
-      (fun acc (tid', reg', v) -> if tid = tid' && reg = reg' then v else acc)
-      0 r.Machine.regs
-  in
-  let mem_val x = try List.assoc x r.Machine.mem with Not_found -> 0 in
+(* Whether [test]'s condition holds of the observables' values. *)
+let holds (test : Litmus.Ast.t) value =
   let atom = function
     | Litmus.Ast.Reg_eq (tid, reg, cv) ->
-        reg_val tid reg = Litmus.Ast.cvalue_to_int test cv
-    | Litmus.Ast.Mem_eq (x, cv) -> mem_val x = Litmus.Ast.cvalue_to_int test cv
+        value (`Reg (tid, reg)) = Litmus.Ast.cvalue_to_int test cv
+    | Litmus.Ast.Mem_eq (x, cv) -> value (`Mem x) = Litmus.Ast.cvalue_to_int test cv
   in
   let rec go = function
     | Litmus.Ast.Atom a -> atom a
@@ -53,44 +35,61 @@ let eval_cond (test : Litmus.Ast.t) (r : Machine.run_result) =
   in
   go test.cond
 
+let eval_cond (test : Litmus.Ast.t) (r : Machine.run_result) =
+  holds test (function
+    | `Reg (tid, reg) ->
+        List.fold_left
+          (fun acc (tid', reg', v) -> if tid = tid' && reg = reg' then v else acc)
+          0 r.Machine.regs
+    | `Mem x -> Option.value ~default:0 (List.assoc_opt x r.Machine.mem))
+
 (* [run_test arch ~runs ~seed test] executes [test] [runs] times on the
    simulated architecture and reports how often the condition matched —
-   one cell of Table 5. *)
+   one cell of Table 5.  Runs are histogrammed on the observables' values;
+   each distinct one becomes an {!Exec.outcome} (comparable with model
+   verdicts) and is checked against the condition once. *)
 let run_test (arch : Arch.t) ?(runs = 10_000) ?(seed = 42)
     (test : Litmus.Ast.t) =
-  let prog = Kir.of_litmus test in
-  let rng = Random.State.make [| seed |] in
-  let hist = Hashtbl.create 16 in
-  let matched = ref 0 and total = ref 0 in
-  for _ = 1 to runs do
-    match Machine.run ~rng arch prog with
-    | None -> () (* aborted run (step cap); not counted *)
-    | Some r ->
-        incr total;
-        if eval_cond test r then incr matched;
-        let o = outcome_of_run test r in
-        Hashtbl.replace hist o (1 + Option.value ~default:0 (Hashtbl.find_opt hist o))
-  done;
-  {
-    arch = arch.Arch.name;
-    total = !total;
-    matched = !matched;
-    outcomes =
-      List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) hist []);
-  }
+  Obs.with_span ~item:test.name "hwsim.run" (fun () ->
+      let prog = Machine.compile (Kir.of_litmus test) in
+      let obs = Exec.observables test in
+      let observe = Machine.observe prog obs in
+      let rng = Random.State.make [| seed |] in
+      let hist = Hashtbl.create 16 in
+      for _ = 1 to runs do
+        match Machine.run ~rng arch prog with
+        | None -> () (* aborted run (step cap); not counted *)
+        | Some st ->
+            let k = observe st in
+            Hashtbl.replace hist k (1 + Option.value ~default:0 (Hashtbl.find_opt hist k))
+      done;
+      let outcomes =
+        Hashtbl.fold
+          (fun k n acc -> (List.combine (List.map name obs) (Array.to_list k), n) :: acc)
+          hist []
+      in
+      let count p = List.fold_left (fun acc (o, n) -> if p o then acc + n else acc) 0 outcomes in
+      {
+        arch = arch.Arch.name;
+        total = count (Fun.const true);
+        matched = count (fun o -> holds test (fun x -> List.assoc (name x) o));
+        outcomes = List.sort compare outcomes;
+      })
 
 (* [run_program arch ~runs ~seed prog] histograms the raw final states of an
    arbitrary IR program (used for the Figure 15 / Theorem 2 study). *)
 let run_program (arch : Arch.t) ?(runs = 1_000) ?(seed = 42)
     (prog : Kir.program) =
-  let rng = Random.State.make [| seed |] in
-  let results = ref [] and aborted = ref 0 in
-  for _ = 1 to runs do
-    match Machine.run ~rng arch prog with
-    | None -> incr aborted
-    | Some r -> results := r :: !results
-  done;
-  (List.rev !results, !aborted)
+  Obs.with_span ~item:prog.Kir.name "hwsim.run" (fun () ->
+      let p = Machine.compile prog in
+      let rng = Random.State.make [| seed |] in
+      let results = ref [] and aborted = ref 0 in
+      for _ = 1 to runs do
+        match Machine.run ~rng arch p with
+        | None -> incr aborted
+        | Some st -> results := Machine.result st :: !results
+      done;
+      (List.rev !results, !aborted))
 
 (* ------------------------------------------------------------------ *)
 (* Retry-until-stable sampling                                         *)

@@ -20,30 +20,17 @@
     grace periods that wait for the critical sections active at their
     start, and a callback thread for [call_rcu]/[rcu_barrier]. *)
 
-type buf_entry = { key : string; v : int; release : bool; group : int }
+(** A program in slot form, for any number of runs. *)
+type prog
 
-type wait = Wait_gp of (int * int) list
-    (** threads (with their unlock epochs) that were inside a read-side
-        critical section when the grace period began *)
+val compile : Kir.program -> prog
 
-type thread = {
-  tid : int;
-  regs : (string, int) Hashtbl.t;
-  floors : (string, int) Hashtbl.t;  (** per-location coherence floor *)
-  stale : (string, int * int) Hashtbl.t;  (** Alpha snapshot *)
-  mutable conts : Kir.stmt list;
-  mutable buf : buf_entry list;  (** store buffer, oldest first *)
-  mutable group : int;  (** current smp_wmb group *)
-  mutable nesting : int;  (** RCU read-side nesting depth *)
-  mutable epoch : int;  (** bumped at each outermost rcu_read_unlock *)
-  mutable waiting : wait option;  (** blocked in synchronize_rcu *)
-  mutable stall : int;  (** remaining preemption / msleep steps *)
-}
-
+(** A machine state; {!run} returns the final one. *)
 type state
 
 (** Raised when a program dereferences a value that is not the address of
-    a global, or similar execution errors. *)
+    a global, indexes an array outside its declared length, or similar
+    execution errors. *)
 exception Stuck of string
 
 type run_result = {
@@ -56,5 +43,17 @@ type run_result = {
 val max_steps : int
 
 (** [run ~rng arch prog] executes [prog] once to completion under the
-    architecture profile; [None] if the step cap was hit. *)
-val run : ?rng:Random.State.t -> Arch.t -> Kir.program -> run_result option
+    architecture profile; [None] if the step cap was hit.  The order and
+    count of its draws from [rng] are fixed: a seeded run's result
+    depends on the seed alone.  Each run bumps the [hwsim.runs],
+    [hwsim.steps] and [hwsim.aborted] counters. *)
+val run : rng:Random.State.t -> Arch.t -> prog -> state option
+
+(** Each thread's assigned registers, and every location initialised or
+    written. *)
+val result : state -> run_result
+
+(** [observe prog obs] resolves the observables once; the function it
+    returns reads their values (0 if never written) from a state. *)
+val observe :
+  prog -> [ `Mem of string | `Reg of int * string ] list -> state -> int array

@@ -179,11 +179,13 @@ let test_soundness_generated () =
 (* Machine bookkeeping on hand-written IR programs                     *)
 (* ------------------------------------------------------------------ *)
 
-let run_ir ?(arch = Hwsim.Arch.power8) ?(seed = 9) prog =
-  match
-    Hwsim.Machine.run ~rng:(Random.State.make [| seed |]) arch prog
-  with
-  | Some r -> r
+let run_machine ?(arch = Hwsim.Arch.power8) ?(seed = 9) prog =
+  Hwsim.Machine.run ~rng:(Random.State.make [| seed |]) arch
+    (Hwsim.Machine.compile prog)
+
+let run_ir ?arch ?seed prog =
+  match run_machine ?arch ?seed prog with
+  | Some st -> Hwsim.Machine.result st
   | None -> Alcotest.fail "machine aborted"
 
 let reg (r : Hwsim.Machine.run_result) tid name =
@@ -296,14 +298,37 @@ let test_machine_native_gp_waits () =
       (reg r 0 "r1" = 1 && reg r 0 "r2" = 0)
   done
 
+(* a program that can never finish *)
+let livelock = base_prog [ [ Kir.While (Kir.Int 1, [ Kir.Skip ]) ] ]
+
 let test_machine_abort_on_livelock () =
-  (* a program that can never finish hits the step cap and aborts *)
-  let p =
-    base_prog [ [ Kir.While (Kir.Int 1, [ Kir.Skip ]) ] ]
-  in
+  (* it hits the step cap and aborts *)
+  let p = livelock in
   Alcotest.(check bool) "aborts" true
-    (Hwsim.Machine.run ~rng:(Random.State.make [| 1 |]) Hwsim.Arch.x86 p
-    = None)
+    (run_machine ~seed:1 ~arch:Hwsim.Arch.x86 p = None)
+
+let test_machine_array_bounds () =
+  (* an index outside the declared length is stuck, as a bad pointer is *)
+  let prog body = { (base_prog [ body ]) with Kir.arrays = [ ("a", 2) ] } in
+  let stuck what body =
+    match run_machine (prog body) with
+    | exception Hwsim.Machine.Stuck _ -> ()
+    | _ -> Alcotest.failf "%s: expected Stuck" what
+  in
+  let read loc = Kir.Read (Litmus.Ast.R_once, "r", loc) in
+  stuck "write past the end"
+    [ Kir.Write (Litmus.Ast.W_once, Kir.Arr ("a", Kir.Int 2), Kir.Int 1) ];
+  stuck "negative index"
+    [ Kir.Assign ("i", Kir.Int (-1)); read (Kir.Arr ("a", Kir.Reg "i")) ];
+  stuck "undeclared array" [ read (Kir.Arr ("b", Kir.Int 0)) ];
+  stuck "bad pointer" [ Kir.Assign ("p", Kir.Int 7); read (Kir.Deref "p") ];
+  let r =
+    run_ir
+      (prog [ Kir.Write (Litmus.Ast.W_once, Kir.Arr ("a", Kir.Int 1), Kir.Int 5) ])
+  in
+  Alcotest.(check (list (pair string int)))
+    "cells in bounds" [ ("a[0]", 0); ("a[1]", 5) ]
+    (List.sort compare r.Hwsim.Machine.mem)
 
 let test_outcome_extraction () =
   let t = battery "MP" in
@@ -318,6 +343,183 @@ let test_outcome_extraction () =
     (fun (o, _) ->
       Alcotest.(check (list string)) "keys align" model_keys (List.map fst o))
     s.Hwsim.outcomes
+
+(* ------------------------------------------------------------------ *)
+(* Seeded results, pinned                                              *)
+(* ------------------------------------------------------------------ *)
+
+(* A seeded run is a pure function of (profile, runs, seed, program), so
+   these digests pin the machine's results: a change that moves any
+   random draw, in its order or its count, fails here.  The digests are
+   of a canonical text rendering (registers and memory sorted), not of
+   Marshal output, which also encodes physical sharing. *)
+
+let render_stats (s : Hwsim.stats) =
+  let outcome o =
+    String.concat "," (List.map (fun (k, v) -> Printf.sprintf "%s=%d" k v) o)
+  in
+  Printf.sprintf "%s %d/%d %s" s.Hwsim.arch s.Hwsim.matched s.Hwsim.total
+    (String.concat " "
+       (List.map
+          (fun (o, n) -> Printf.sprintf "%s:%d" (outcome o) n)
+          s.Hwsim.outcomes))
+
+let render_results (results, aborted) =
+  let run (r : Hwsim.Machine.run_result) =
+    String.concat " "
+      (List.map
+         (fun (t, n, v) -> Printf.sprintf "%d:%s=%d" t n v)
+         (List.sort compare r.Hwsim.Machine.regs)
+      @ "|"
+        :: List.map
+             (fun (x, v) -> Printf.sprintf "%s=%d" x v)
+             (List.sort compare r.Hwsim.Machine.mem))
+  in
+  String.concat "\n" (Printf.sprintf "aborted %d" aborted :: List.map run results)
+
+let digest lines = Digest.to_hex (Digest.string (String.concat "\n" lines))
+
+(* The first 300 tests diygen realises from seed 0 on the campaign's
+   vocabulary at size 6, each run at its own seed, as a campaign does. *)
+let diy_sample () =
+  let rec go acc n seed =
+    if n = 300 then List.rev acc
+    else
+      match
+        Diygen.test_of_seed ~vocabulary:Diygen.Edge.core_vocabulary ~size:6
+          seed
+      with
+      | None -> go acc n (seed + 1)
+      | Some t -> go ((seed, t) :: acc) (n + 1) (seed + 1)
+  in
+  go [] 0 0
+
+(* Callbacks queued inside a reader's critical section and released
+   together: after the unlock both threads sleep, so the pending callbacks
+   are promoted, one a step, while every thread in play is stalled.  The
+   empty bodies leave the callback thread idle, so a promotion that comes
+   late changes which threads are in play. *)
+let callback_burst =
+  let nop = Kir.Call_rcu [] in
+  {
+    Kir.name = "call-rcu-burst";
+    init = [];
+    arrays = [];
+    addr_table = [];
+    threads =
+      [
+        [
+          Kir.Fence Litmus.Ast.F_rcu_lock;
+          Kir.Sleep;
+          Kir.Read (Litmus.Ast.R_once, "r1", Kir.Var "x");
+          Kir.Fence Litmus.Ast.F_rcu_unlock;
+          Kir.Sleep;
+        ];
+        [
+          Kir.Write (Litmus.Ast.W_once, Kir.Var "x", Kir.Int 1);
+          nop; nop; nop; nop;
+          Kir.Sleep;
+          Kir.Rcu_barrier;
+        ];
+      ];
+  }
+
+let pinned_inputs () =
+  let tests =
+    List.concat_map
+      (fun e ->
+        let t = Harness.Battery.test_of e in
+        List.map
+          (fun arch -> render_stats (Hwsim.run_test arch ~runs:200 ~seed:5 t))
+          Hwsim.Arch.all)
+      Harness.Battery.all
+  in
+  let diygen =
+    List.map
+      (fun (seed, t) ->
+        t.Litmus.Ast.name ^ " "
+        ^ render_stats (Hwsim.run_test Hwsim.Arch.power8 ~runs:100 ~seed t))
+      (diy_sample ())
+  in
+  let rcu_impl =
+    List.concat_map
+      (fun name ->
+        let p = Kir.of_litmus (battery name) in
+        List.concat_map
+          (fun variant ->
+            let p = Kir.Rcu_impl.transform ~variant p in
+            List.map
+              (fun arch ->
+                render_results (Hwsim.run_program arch ~runs:100 ~seed:11 p))
+              [ Hwsim.Arch.power8; Hwsim.Arch.armv8; Hwsim.Arch.x86 ])
+          [ Kir.Rcu_impl.Full; Kir.Rcu_impl.No_wait; Kir.Rcu_impl.No_reader_mb ])
+      [ "RCU-MP"; "RCU-deferred-free" ]
+  in
+  let call_rcu =
+    List.concat_map
+      (fun second ->
+        let p = Call_rcu.program ~second ~deferred:true () in
+        List.map
+          (fun arch ->
+            render_results (Hwsim.run_program arch ~runs:300 ~seed:3 p))
+          Hwsim.Arch.all)
+      [ false; true ]
+  in
+  let burst =
+    List.map
+      (fun arch ->
+        render_results (Hwsim.run_program arch ~runs:300 ~seed:3 callback_burst))
+      Hwsim.Arch.all
+  in
+  [ ("battery", tests); ("diygen", diygen); ("rcu-impl", rcu_impl);
+    ("call-rcu", call_rcu); ("call-rcu-burst", burst) ]
+
+let test_pinned_results () =
+  Alcotest.(check (list (pair string string)))
+    "digests"
+    [
+      ("battery", "1c8de776f96101811c8a9f8e8f5db9ba");
+      ("diygen", "5e636d10385f8ad8f711a14ff0886412");
+      ("rcu-impl", "31b6d67e9dfe3f7371aae049363eafba");
+      ("call-rcu", "7523185565678299d344bbdd9260c102");
+      ("call-rcu-burst", "38f70cf048b30c11381e321b2b06588b");
+    ]
+    (List.map (fun (name, lines) -> (name, digest lines)) (pinned_inputs ()))
+
+(* The production probe over the same inputs: one hwsim.run span per
+   run_test/run_program call, and hwsim.runs, hwsim.steps and
+   hwsim.aborted bumped once per run.  Steps count every scheduler step,
+   the idle ones the machine skips in one jump included, so the figure
+   equals the one the step-by-step scheduler gives with the same
+   counter. *)
+let test_probe_counters () =
+  Obs.reset ();
+  Obs.set_enabled true;
+  Fun.protect
+    ~finally:(fun () -> Obs.set_enabled false)
+    (fun () ->
+      ignore (pinned_inputs ());
+      ignore (Hwsim.run_program Hwsim.Arch.x86 ~runs:1 livelock));
+  let spans =
+    List.length
+      (List.filter (fun (s : Obs.span) -> s.Obs.name = "hwsim.run") (Obs.spans ()))
+  in
+  let count n = Option.value ~default:0 (List.assoc_opt n (Obs.counters ())) in
+  Alcotest.(check (list (pair string int)))
+    "probe"
+    [
+      ("spans", 625);
+      ("runs", 94_801);
+      ("steps", 2_988_595 + Hwsim.Machine.max_steps + 1);
+      ("aborted", 1);
+    ]
+    [
+      ("spans", spans);
+      ("runs", count "hwsim.runs");
+      ("steps", count "hwsim.steps");
+      ("aborted", count "hwsim.aborted");
+    ];
+  Obs.reset ()
 
 let () =
   Alcotest.run "hwsim"
@@ -366,7 +568,13 @@ let () =
             test_machine_native_gp_waits;
           Alcotest.test_case "livelock abort" `Quick
             test_machine_abort_on_livelock;
+          Alcotest.test_case "array bounds" `Quick test_machine_array_bounds;
           Alcotest.test_case "outcome extraction" `Quick
             test_outcome_extraction;
+        ] );
+      ( "pinned",
+        [
+          Alcotest.test_case "seeded results" `Slow test_pinned_results;
+          Alcotest.test_case "probe counters" `Slow test_probe_counters;
         ] );
     ]

@@ -163,40 +163,18 @@ let test_broken_impls_caught () =
 (* call_rcu / rcu_barrier (asynchronous grace periods, Section 7)      *)
 (* ------------------------------------------------------------------ *)
 
-(* A deferred-free via call_rcu: the callback (the "free", writing y)
-   must not become visible inside an RSCS that read the old data. *)
-let call_rcu_program ~deferred =
-  {
-    Kir.name = "call-rcu-deferred-free";
-    init = [];
-    arrays = [];
-    addr_table = [];
-    threads =
-      [
-        [
-          Kir.Fence Litmus.Ast.F_rcu_lock;
-          Kir.Read (Litmus.Ast.R_once, "r1", Kir.Var "x");
-          Kir.Read (Litmus.Ast.R_once, "r2", Kir.Var "y");
-          Kir.Fence Litmus.Ast.F_rcu_unlock;
-        ];
-        [ Kir.Write (Litmus.Ast.W_once, Kir.Var "x", Kir.Int 1) ]
-        @ (if deferred then
-             [ Kir.Call_rcu
-                 [ Kir.Write (Litmus.Ast.W_once, Kir.Var "y", Kir.Int 1) ] ]
-           else [ Kir.Write (Litmus.Ast.W_once, Kir.Var "y", Kir.Int 1) ])
-        @ [ Kir.Rcu_barrier; Kir.Read (Litmus.Ast.R_once, "done", Kir.Var "y") ];
-      ];
-  }
-
 let reg_of (r : Hwsim.Machine.run_result) tid name =
   List.fold_left
     (fun acc (t, n, v) -> if t = tid && n = name then v else acc)
     0 r.Hwsim.Machine.regs
 
+(* A deferred-free via call_rcu ({!Call_rcu.program}): the callback (the
+   "free", writing y) must not become visible inside an RSCS that read
+   the old data. *)
 let test_call_rcu_guarantee () =
   let results, aborted =
     Hwsim.run_program Hwsim.Arch.power8 ~runs:1500 ~seed:3
-      (call_rcu_program ~deferred:true)
+      (Call_rcu.program ~deferred:true ())
   in
   Alcotest.(check int) "no aborts" 0 aborted;
   List.iter
@@ -210,7 +188,7 @@ let test_call_rcu_needed () =
      catch a missing grace period *)
   let results, _ =
     Hwsim.run_program Hwsim.Arch.power8 ~runs:1500 ~seed:3
-      (call_rcu_program ~deferred:false)
+      (Call_rcu.program ~deferred:false ())
   in
   Alcotest.(check bool) "immediate free is observable" true
     (List.exists
@@ -220,7 +198,7 @@ let test_call_rcu_needed () =
 let test_rcu_barrier_waits () =
   let results, _ =
     Hwsim.run_program Hwsim.Arch.power8 ~runs:300 ~seed:5
-      (call_rcu_program ~deferred:true)
+      (Call_rcu.program ~deferred:true ())
   in
   List.iter
     (fun r ->

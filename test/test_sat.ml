@@ -472,6 +472,26 @@ let test_pool_agreement () =
         (Exec.Check.verdict_to_string (sat_check t).Exec.Check.verdict))
     pool
 
+(* The paper battery (Table 5 and the extras): every test's golden LK
+   verdict under the SAT backend, with no enumerative fallback — the
+   RCU tests among them reach the encoding of rcu-path. *)
+let test_battery_agreement () =
+  Alcotest.(check int) "battery size" 48 (List.length Harness.Battery.all);
+  List.iter
+    (fun (e : Harness.Battery.entry) ->
+      let r = sat_check (Harness.Battery.test_of e) in
+      Alcotest.(check string)
+        (e.Harness.Battery.name ^ " sat = golden")
+        (Exec.Check.verdict_to_string e.Harness.Battery.lk)
+        (Exec.Check.verdict_to_string r.Exec.Check.verdict);
+      Alcotest.(check bool)
+        (e.Harness.Battery.name ^ " no fallback")
+        false
+        (match r.Exec.Check.sat with
+        | Some s -> s.Exec.Check.fallback
+        | None -> true))
+    Harness.Battery.all
+
 (* The CNF the main pass hands the solver, summed over the corpus and
    the pool: a deterministic guard against re-inflating the encoding.
    The eager n × n encoding (every entry of every derived relation a
@@ -943,6 +963,8 @@ let () =
         [
           Alcotest.test_case "sat agrees with golden + batch" `Slow
             test_corpus_agreement;
+          Alcotest.test_case "paper battery sat = golden" `Quick
+            test_battery_agreement;
         ] );
       ( "generated",
         [

@@ -180,6 +180,25 @@ let profile path =
         "structures" s "shapes" sh "structures per shape"
         (float_of_int s /. float_of_int (Stdlib.max 1 sh))
   | _ -> ());
+  (* the hardware simulator: runs (aborted at the step cap), scheduler
+     steps (idle ones included) and time per run, from the hwsim.run
+     spans (one per run_test / run_program call) *)
+  (match counter "hwsim.runs" with
+  | Some runs ->
+      let steps = Option.value ~default:0 (counter "hwsim.steps")
+      and aborted = Option.value ~default:0 (counter "hwsim.aborted")
+      and us =
+        Option.fold ~none:0. ~some:(fun p -> p.total)
+          (Hashtbl.find_opt phases "hwsim.run")
+      in
+      Printf.printf "\nHardware simulator:\n";
+      Printf.printf "  %-10s %10s %12s %10s %10s\n" "" "runs" "steps" "steps/run"
+        "us/run";
+      Printf.printf "  %-10s %10d %12d %10.1f %10.2f%s\n" "hwsim" runs steps
+        (float_of_int steps /. float_of_int (Stdlib.max 1 runs))
+        (us /. float_of_int (Stdlib.max 1 runs))
+        (if aborted > 0 then Printf.sprintf " (%d aborted)" aborted else "")
+  | None -> ());
   (* batched evaluation: occupancy is a plane count, not a duration, so
      it gets its own table (and stays out of the µs-labelled one) *)
   let occupancy =
