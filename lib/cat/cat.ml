@@ -3,7 +3,8 @@
 
    - {!Ast}, {!Lexer}, {!Parser}: the language (see {!Stdmodels} for the
      supported dialect);
-   - {!Interp}: evaluation against one candidate execution;
+   - {!Interp}: evaluation against one candidate execution, or a batch
+     of them in bit planes;
    - {!Stdmodels}: the shipped models (lk.cat, sc.cat, tso.cat, c11.cat,
      c11-psc.cat). *)
 
@@ -56,12 +57,13 @@ let h_replay = Obs.Histogram.make "cat.replay_us"
     witness of every event structure of that shape, so one slot keyed
     on the shape's identity, shared by both engines, hits for all but
     the first candidate of each run of a shape.  Prefix replay
-    reproduces {!Interp.run} exactly.  The batched engine decides up to
-    63 witnesses of one shape per pass
-    ({!Interp.run_with_prefix_batched}), taking statics from the first;
-    it ignores [~coherent], since cat models re-check their coherence
-    axiom even on prefiltered candidates.  No symbolic engine yet — a
-    [Sat] request falls back enumeratively, counted, per
+    reproduces {!Interp.run} exactly.  Both engines replay with
+    {!Interp.run_with_prefix}: the scalar one on one candidate, the
+    batched one on up to 63 witnesses of one shape per pass, taking
+    statics from the first ({!Interp.env_of_executions}).  The batched
+    engine ignores [~coherent], since cat models re-check their
+    coherence axiom even on prefiltered candidates.  No symbolic engine
+    yet — a [Sat] request falls back enumeratively, counted, per
     {!Exec.Oracle.run}. *)
 let to_oracle ~name (model : model) : Exec.Oracle.t =
   let compiled = Interp.compile model in
@@ -86,15 +88,14 @@ let to_oracle ~name (model : model) : Exec.Oracle.t =
           let env = Interp.env_of_execution x in
           let prefix = prefix_of budget x in
           let t0 = if Obs.enabled () then Obs.now_us () else 0. in
-          let outcomes = Interp.run_with_prefix ?budget prefix env in
+          let live = Interp.run_with_prefix ?budget prefix env in
           if Obs.enabled () then
             Obs.Histogram.observe h_replay (Obs.now_us () -. t0);
-          List.for_all (fun (o : Interp.outcome) -> o.holds) outcomes
+          live <> 0
       end : Exec.Check.MODEL))
     ~batch:(fun budget ~coherent:_ ~mask (xs : Exec.t array) ->
       let prefix = prefix_of budget xs.(0) in
-      let benv = Interp.benv_of_executions ~mask xs in
-      Interp.run_with_prefix_batched ?budget prefix benv)
+      Interp.run_with_prefix ?budget prefix (Interp.env_of_executions ~mask xs))
     ()
 
 (** [explainer ?budget model] is a verdict-forensics hook for

@@ -81,15 +81,6 @@ type replayed = {
       (* failed checks, with the environment at their program point *)
 }
 
-let check_holds env kind e =
-  match kind with
-  | Ast.Acyclic -> Rel.is_acyclic (Interp.as_rel (Interp.eval env e))
-  | Ast.Irreflexive -> Rel.is_irreflexive (Interp.as_rel (Interp.eval env e))
-  | Ast.Is_empty -> (
-      match Interp.eval env e with
-      | Interp.Vset s -> Iset.is_empty s
-      | v -> Rel.is_empty (Interp.as_rel v))
-
 let replay ?budget (model : Ast.t) env0 =
   let defs = Hashtbl.create 64 in
   let failed = ref [] in
@@ -108,7 +99,7 @@ let replay ?budget (model : Ast.t) env0 =
             env'
         | Ast.Check (kind, e, name) ->
             Option.iter Exec.Budget.tick budget;
-            if not (check_holds env kind e) then
+            if Interp.check env kind e = 0 then
               failed := (kind, e, name, env) :: !failed;
             env)
       env0 model.Ast.stmts
@@ -400,7 +391,7 @@ let resolver env name =
   match Interp.lookup env name with
   | Interp.Vrel r -> Some r
   | Interp.Vset s -> Some (Rel.id_of_set s)
-  | Interp.Vfun _ -> None
+  | Interp.Vplanes _ | Interp.Vfun _ -> None
   | exception Interp.Type_error _ -> None
 
 let step defs env checked a b =

@@ -1,15 +1,31 @@
 (* Interpreter for the cat subset: evaluates a model's statements against
-   the base relations of one candidate execution, in the style of the herd
-   simulator. *)
+   the base relations of candidate executions, in the style of the herd
+   simulator.
+
+   One evaluator serves one candidate and a batch of up to 63 alike.  A
+   relation that varies across the candidates of a batch — the witness
+   relations and everything computed from them — is a value of
+   candidate-major bit planes ({!Rel.Batch}); every other value is
+   shared by all of them.  Each operator applies the scalar [Rel]
+   operation when no operand is a plane, and otherwise the [Rel.Batch]
+   one, broadcasting scalar operands into the live planes.  A single
+   candidate is the batch of one with no planes. *)
 
 module Iset = Rel.Iset
+module B = Rel.Batch
 
 type value =
   | Vset of Iset.t
   | Vrel of Rel.t
-  | Vfun of string list * Ast.expr * env
+  | Vplanes of B.t (* relation-valued, one plane per candidate *)
+  | Vfun of string list * Ast.expr * (string * value) list
 
-and env = { universe : Iset.t; bindings : (string * value) list }
+and env = {
+  universe : Iset.t;
+  n : int; (* events per candidate: the shared universe size *)
+  mask : int; (* live candidates: where broadcasts land, checks decide *)
+  bindings : (string * value) list;
+}
 
 exception Type_error of string
 
@@ -25,12 +41,29 @@ let bind env x v = { env with bindings = (x, v) :: env.bindings }
 let as_rel = function
   | Vrel r -> r
   | Vset s -> Rel.id_of_set s
+  | Vplanes _ -> invalid_arg "Interp.as_rel: bit planes"
   | Vfun _ -> raise (Type_error "function used as a relation")
 
+(* The dialect has no relation-to-set operator, so planes are always
+   relation-valued: a plane in set position is the scalar evaluator's
+   relation in set position, with the same error. *)
 let as_set = function
   | Vset s -> s
-  | Vrel _ -> raise (Type_error "relation used as a set")
+  | Vrel _ | Vplanes _ -> raise (Type_error "relation used as a set")
   | Vfun _ -> raise (Type_error "function used as a set")
+
+let planes env = function
+  | Vplanes p -> p
+  | v -> B.broadcast ~n:env.n ~mask:env.mask (as_rel v)
+
+let unop f fb = function
+  | Vplanes p -> Vplanes (fb p)
+  | v -> Vrel (f (as_rel v))
+
+let binop env f fb v1 v2 =
+  match (v1, v2) with
+  | Vplanes _, _ | _, Vplanes _ -> Vplanes (fb (planes env v1) (planes env v2))
+  | _ -> Vrel (f (as_rel v1) (as_rel v2))
 
 let rec eval env (e : Ast.expr) =
   match e with
@@ -39,40 +72,55 @@ let rec eval env (e : Ast.expr) =
   | Ast.Union (a, b) -> (
       match (eval env a, eval env b) with
       | Vset s1, Vset s2 -> Vset (Iset.union s1 s2)
-      | v1, v2 -> Vrel (Rel.union (as_rel v1) (as_rel v2)))
+      | v1, v2 -> binop env Rel.union B.union v1 v2)
   | Ast.Inter (a, b) -> (
       match (eval env a, eval env b) with
       | Vset s1, Vset s2 -> Vset (Iset.inter s1 s2)
-      | v1, v2 -> Vrel (Rel.inter (as_rel v1) (as_rel v2)))
+      | v1, v2 -> binop env Rel.inter B.inter v1 v2)
   | Ast.Diff (a, b) -> (
       match (eval env a, eval env b) with
       | Vset s1, Vset s2 -> Vset (Iset.diff s1 s2)
-      | v1, v2 -> Vrel (Rel.diff (as_rel v1) (as_rel v2)))
-  | Ast.Seq (a, b) -> Vrel (Rel.seq (as_rel (eval env a)) (as_rel (eval env b)))
+      | v1, v2 -> binop env Rel.diff B.diff v1 v2)
+  | Ast.Seq (a, b) -> binop env Rel.seq B.seq (eval env a) (eval env b)
   | Ast.Cartesian (a, b) ->
       Vrel (Rel.cartesian (as_set (eval env a)) (as_set (eval env b)))
-  | Ast.Inverse a -> Vrel (Rel.inverse (as_rel (eval env a)))
-  | Ast.Plus a -> Vrel (Rel.transitive_closure (as_rel (eval env a)))
+  | Ast.Inverse a -> unop Rel.inverse B.inverse (eval env a)
+  | Ast.Plus a -> unop Rel.transitive_closure B.transitive_closure (eval env a)
   | Ast.Star a ->
-      Vrel
-        (Rel.reflexive_transitive_closure ~universe:env.universe
-           (as_rel (eval env a)))
+      unop
+        (Rel.reflexive_transitive_closure ~universe:env.universe)
+        (B.reflexive_transitive_closure ~mask:env.mask)
+        (eval env a)
   | Ast.Opt a ->
-      Vrel (Rel.reflexive_closure ~universe:env.universe (as_rel (eval env a)))
+      unop
+        (Rel.reflexive_closure ~universe:env.universe)
+        (B.reflexive_closure ~mask:env.mask)
+        (eval env a)
   | Ast.Complement a -> (
       match eval env a with
       | Vset s -> Vset (Iset.diff env.universe s)
-      | v -> Vrel (Rel.complement ~universe:env.universe (as_rel v)))
+      | v ->
+          unop
+            (Rel.complement ~universe:env.universe)
+            (B.complement ~mask:env.mask) v)
   | Ast.Bracket a -> Vrel (Rel.id_of_set (as_set (eval env a)))
   | Ast.App (f, arg) -> (
       match lookup env f with
-      | Vfun ([ p ], body, closure_env) ->
-          eval (bind closure_env p (eval env arg)) body
+      | Vfun ([ p ], body, closure) ->
+          (* the definition's bindings, the caller's candidates *)
+          eval { env with bindings = (p, eval env arg) :: closure } body
       | Vfun (ps, _, _) ->
           raise
             (Type_error
                (Printf.sprintf "%s expects %d arguments" f (List.length ps)))
       | _ -> raise (Type_error (f ^ " is not a function")))
+
+(* Equality for the Kleene convergence test: plane-wise as soon as one
+   side varies per candidate. *)
+let equal env v1 v2 =
+  match (v1, v2) with
+  | Vplanes _, _ | _, Vplanes _ -> B.equal (planes env v1) (planes env v2)
+  | _ -> Rel.equal (as_rel v1) (as_rel v2)
 
 (* Evaluate one let group; recursive groups are solved by Kleene iteration
    from empty relations (cat's rec is a least fixed point of monotone
@@ -88,7 +136,7 @@ let eval_let ?budget env bindings is_rec =
       (fun env' (name, params, body) ->
         match params with
         | [] -> bind env' name (eval env body)
-        | ps -> bind env' name (Vfun (ps, body, env)))
+        | ps -> bind env' name (Vfun (ps, body, env.bindings)))
       env bindings
   else begin
     let names = List.map (fun (n, _, _) -> n) bindings in
@@ -103,7 +151,7 @@ let eval_let ?budget env bindings is_rec =
           bind acc name (eval e body))
         e bindings
     in
-    let values e = List.map (fun n -> as_rel (lookup e n)) names in
+    let values e = List.map (lookup e) names in
     let rec go e n =
       if n > 1000 then raise (Type_error "rec definition did not converge");
       Option.iter Exec.Budget.check_time budget;
@@ -112,25 +160,25 @@ let eval_let ?budget env bindings is_rec =
       (* [n + 1], not [n]: the round counter must actually advance for the
          1000-round allowance to mean anything (an unbudgeted divergent
          model previously looped forever here) *)
-      if List.for_all2 Rel.equal (values e) (values e') then e'
+      if List.for_all2 (equal env) (values e) (values e') then e'
       else go e' (n + 1)
     in
     go start 0
   end
 
-type outcome = { check_name : string; kind : Ast.check_kind; holds : bool }
+(* The live candidates on which a check holds. *)
+let check env kind e =
+  let decide holds = if holds then env.mask else 0 in
+  match (kind, eval env e) with
+  | Ast.Acyclic, Vplanes p -> B.acyclic_mask ~mask:env.mask p
+  | Ast.Irreflexive, Vplanes p -> B.irreflexive_mask ~mask:env.mask p
+  | Ast.Is_empty, Vplanes p -> B.empty_mask ~mask:env.mask p
+  | Ast.Acyclic, v -> decide (Rel.is_acyclic (as_rel v))
+  | Ast.Irreflexive, v -> decide (Rel.is_irreflexive (as_rel v))
+  | Ast.Is_empty, Vset s -> decide (Iset.is_empty s)
+  | Ast.Is_empty, v -> decide (Rel.is_empty (as_rel v))
 
-let run_check env kind e name =
-  let holds =
-    match kind with
-    | Ast.Acyclic -> Rel.is_acyclic (as_rel (eval env e))
-    | Ast.Irreflexive -> Rel.is_irreflexive (as_rel (eval env e))
-    | Ast.Is_empty -> (
-        match eval env e with
-        | Vset s -> Iset.is_empty s
-        | v -> Rel.is_empty (as_rel v))
-  in
-  { check_name = Option.value ~default:"(unnamed)" name; kind; holds }
+type outcome = { check_name : string; kind : Ast.check_kind; holds : bool }
 
 (* Run all statements; returns the outcome of every constraint.  With a
    budget, the deadline is probed between statements and inside recursive
@@ -143,7 +191,8 @@ let run ?budget (model : Ast.t) env =
         go (eval_let ?budget env bs is_rec) acc rest
     | Ast.Check (kind, e, name) :: rest ->
         Option.iter Exec.Budget.tick budget;
-        go env (run_check env kind e name :: acc) rest
+        let check_name = Option.value ~default:"(unnamed)" name in
+        go env ({ check_name; kind; holds = check env kind e <> 0 } :: acc) rest
   in
   go env [] model.stmts
 
@@ -170,17 +219,60 @@ let run ?budget (model : Ast.t) env =
 
 module Sset = Set.Make (String)
 
-(* The predefined names that depend on the execution witness (rf, co). *)
-let witness_names =
-  [ "rf"; "co"; "fr"; "rfi"; "rfe"; "coi"; "coe"; "fri"; "fre"; "com" ]
+(* The predefined names that depend on the execution witness (rf, co),
+   with their relation in a candidate. *)
+let witness : (string * (Exec.t -> Rel.t)) list =
+  [
+    ("rf", fun x -> x.rf);
+    ("co", fun x -> x.co);
+    ("fr", fun x -> x.fr);
+    ("rfi", fun x -> x.rfi);
+    ("rfe", fun x -> x.rfe);
+    ("coi", fun x -> x.coi);
+    ("coe", fun x -> x.coe);
+    ("fri", fun x -> x.fri);
+    ("fre", fun x -> x.fre);
+    ("com", fun x -> x.com);
+  ]
+
+let witness_names = List.map fst witness
 
 (* Every other predefined name is a function of the event structure. *)
-let structural_names =
+let structural : (string * (Exec.t -> value)) list =
+  let set (f : Exec.t -> Iset.t) x = Vset (f x)
+  and rel (f : Exec.t -> Rel.t) x = Vrel (f x) in
+  let annot a x = Vset (Exec.events_where x (fun e -> e.Exec.Event.annot = a)) in
   [
-    "_"; "W"; "R"; "M"; "F"; "IW"; "Once"; "Acquire"; "Release"; "Rmb";
-    "Wmb"; "Mb"; "Rb-dep"; "Sync"; "Rcu-lock"; "Rcu-unlock"; "po"; "addr";
-    "data"; "ctrl"; "rmw"; "po-loc"; "loc"; "int"; "ext"; "id"; "crit";
+    ("_", set (fun x -> x.universe));
+    ("W", set (fun x -> x.writes));
+    ("R", set (fun x -> x.reads));
+    ("M", set (fun x -> x.mem));
+    ("F", set (fun x -> x.fences));
+    ("IW", set (fun x -> x.init_ws));
+    ("Once", annot Exec.Event.Once);
+    ("Acquire", annot Exec.Event.Acquire);
+    ("Release", annot Exec.Event.Release);
+    ("Rmb", annot Exec.Event.Rmb);
+    ("Wmb", annot Exec.Event.Wmb);
+    ("Mb", annot Exec.Event.Mb);
+    ("Rb-dep", annot Exec.Event.Rb_dep);
+    ("Sync", annot Exec.Event.Sync_rcu);
+    ("Rcu-lock", annot Exec.Event.Rcu_lock);
+    ("Rcu-unlock", annot Exec.Event.Rcu_unlock);
+    ("po", rel (fun x -> x.po));
+    ("addr", rel (fun x -> x.addr));
+    ("data", rel (fun x -> x.data));
+    ("ctrl", rel (fun x -> x.ctrl));
+    ("rmw", rel (fun x -> x.rmw));
+    ("po-loc", rel (fun x -> x.po_loc));
+    ("loc", rel (fun x -> x.loc_r));
+    ("int", rel (fun x -> x.int_r));
+    ("ext", rel (fun x -> x.ext_r));
+    ("id", rel (fun x -> x.id_r));
+    ("crit", rel (fun x -> x.crit));
   ]
+
+let structural_names = List.map fst structural
 
 let rec free_ids acc = function
   | Ast.Id x -> Sset.add x acc
@@ -196,11 +288,13 @@ let rec free_ids acc = function
 type compiled = {
   model : Ast.t;
   static_stmt : bool array; (* per statement, in source order *)
+  last_check : int; (* index of the model's last check, or -1 *)
 }
 
 let compile (model : Ast.t) =
   let static_stmt = Array.make (List.length model.stmts) false in
   let static = ref (Sset.of_list structural_names) in
+  let last_check = ref (-1) in
   List.iteri
     (fun i stmt ->
       match stmt with
@@ -225,15 +319,16 @@ let compile (model : Ast.t) =
                 if stmt_static then Sset.add n s else Sset.remove n s)
               !static names
       | Ast.Check (_, e, _) ->
+          last_check := i;
           static_stmt.(i) <- Sset.subset (free_ids Sset.empty e) !static)
     model.stmts;
-  { model; static_stmt }
+  { model; static_stmt; last_check = !last_check }
 
 type prefix = {
   compiled : compiled;
   lets : (string * value) list array;
       (* for a static Let at index i: its bindings, innermost first *)
-  checks : outcome option array; (* for a static Check at index i *)
+  checks : bool array; (* for a static Check at index i: whether it holds *)
 }
 
 let rec first_n n l =
@@ -246,7 +341,7 @@ let rec first_n n l =
 let prefix ?budget compiled env =
   Obs.with_span "prefix-eval" (fun () ->
       let n = List.length compiled.model.stmts in
-      let lets = Array.make n [] and checks = Array.make n None in
+      let lets = Array.make n [] and checks = Array.make n false in
       let env = ref env in
       List.iteri
         (fun i stmt ->
@@ -258,368 +353,69 @@ let prefix ?budget compiled env =
                 env := eval_let ?budget !env bs is_rec;
                 lets.(i) <-
                   first_n (List.length !env.bindings - before) !env.bindings
-            | Ast.Check (kind, e, name) ->
-                checks.(i) <- Some (run_check !env kind e name)
+            | Ast.Check (kind, e, _) -> checks.(i) <- check !env kind e <> 0
           end)
         compiled.model.stmts;
       { compiled; lets; checks })
 
+let c_early = Obs.Counter.make "cat.batch.early_exit"
+
+(* Replay the statement list: static lets and checks come from the
+   prefix, the dynamic remainder is evaluated.  Returns the live
+   candidates that satisfy every check.  Statements are never skipped —
+   a model raises its [Type_error] whatever the candidates — but the
+   live mask shrinks as checks fail, so later broadcasts and closures
+   stop paying for decided candidates (their planes zero out and the
+   kernels skip zero words). *)
 let run_with_prefix ?budget { compiled; lets; checks } env =
-  let rec go i env acc = function
-    | [] -> List.rev acc
-    | stmt :: rest ->
-        if compiled.static_stmt.(i) then
-          match stmt with
-          | Ast.Let _ ->
-              let env =
-                List.fold_right (fun (n, v) e -> bind e n v) lets.(i) env
-              in
-              go (i + 1) env acc rest
-          | Ast.Check _ -> (
-              match checks.(i) with
-              | Some o -> go (i + 1) env (o :: acc) rest
-              | None -> assert false)
-        else
-          match stmt with
-          | Ast.Let (bs, is_rec) ->
-              Option.iter Exec.Budget.tick budget;
-              go (i + 1) (eval_let ?budget env bs is_rec) acc rest
-          | Ast.Check (kind, e, name) ->
-              Option.iter Exec.Budget.tick budget;
-              go (i + 1) env (run_check env kind e name :: acc) rest
-  in
-  go 0 env [] compiled.model.stmts
-
-(* ------------------------------------------------------------------ *)
-(* Batched evaluation of the dynamic suffix                            *)
-(* ------------------------------------------------------------------ *)
-
-(* Up to 63 pairwise static-compatible candidates
-   ({!Exec.Execution.static_compatible}), evaluated at once: the
-   witness relations (rf, co and derivatives) become candidate-major
-   bit planes ({!Rel.Batch}) and every operator of the dynamic suffix
-   runs word-parallel across all planes; static bindings ride along as
-   ordinary scalar values ([Bval]) and are broadcast into planes only
-   at the point an operator mixes them with a witness-dependent
-   operand.
-
-   The value domain is total for the supported dialect: the language
-   has no relation-to-set operator, so a witness-dependent value is
-   always relation-valued — anywhere a set is required ([Bracket],
-   [Cartesian]), a [Bplanes] operand is a type error in the scalar
-   interpreter too, and the batched evaluator raises the same
-   {!Type_error}.  Differential equivalence with the scalar path over
-   the corpus and the randomized suite is the correctness contract. *)
-
-module B = Rel.Batch
-
-type bvalue =
-  | Bval of value (* identical in every candidate (static) *)
-  | Bplanes of B.t (* relation-valued, varying per candidate *)
-  | Bfun of string list * Ast.expr * benv
-
-and benv = {
-  b_n : int; (* events per candidate: the shared universe size *)
-  b_mask : int; (* planes still undecided; broadcasts target these *)
-  b_univ : Iset.t;
-  b_bindings : (string * bvalue) list;
-}
-
-let lookup_b benv x =
-  match List.assoc_opt x benv.b_bindings with
-  | Some v -> v
-  | None -> raise (Type_error ("unbound identifier " ^ x))
-
-let bind_b benv x v = { benv with b_bindings = (x, v) :: benv.b_bindings }
-
-(* A scalar closure environment, lifted: its bindings are static. *)
-let benv_of_env benv (env : env) =
-  {
-    benv with
-    b_univ = env.universe;
-    b_bindings = List.map (fun (n, v) -> (n, Bval v)) env.bindings;
-  }
-
-let promote benv = function
-  | Bval v -> B.broadcast ~n:benv.b_n ~mask:benv.b_mask (as_rel v)
-  | Bplanes p -> p
-  | Bfun _ -> raise (Type_error "function used as a relation")
-
-let as_set_b = function
-  | Bval v -> as_set v
-  | Bplanes _ -> raise (Type_error "relation used as a set")
-  | Bfun _ -> raise (Type_error "function used as a set")
-
-let rec eval_b benv (e : Ast.expr) =
-  match e with
-  | Ast.Id x -> lookup_b benv x
-  | Ast.Empty_rel -> Bval (Vrel Rel.empty)
-  | Ast.Union (a, b) -> (
-      match (eval_b benv a, eval_b benv b) with
-      | Bval (Vset s1), Bval (Vset s2) -> Bval (Vset (Iset.union s1 s2))
-      | Bval v1, Bval v2 -> Bval (Vrel (Rel.union (as_rel v1) (as_rel v2)))
-      | v1, v2 -> Bplanes (B.union (promote benv v1) (promote benv v2)))
-  | Ast.Inter (a, b) -> (
-      match (eval_b benv a, eval_b benv b) with
-      | Bval (Vset s1), Bval (Vset s2) -> Bval (Vset (Iset.inter s1 s2))
-      | Bval v1, Bval v2 -> Bval (Vrel (Rel.inter (as_rel v1) (as_rel v2)))
-      | v1, v2 -> Bplanes (B.inter (promote benv v1) (promote benv v2)))
-  | Ast.Diff (a, b) -> (
-      match (eval_b benv a, eval_b benv b) with
-      | Bval (Vset s1), Bval (Vset s2) -> Bval (Vset (Iset.diff s1 s2))
-      | Bval v1, Bval v2 -> Bval (Vrel (Rel.diff (as_rel v1) (as_rel v2)))
-      | v1, v2 -> Bplanes (B.diff (promote benv v1) (promote benv v2)))
-  | Ast.Seq (a, b) -> (
-      match (eval_b benv a, eval_b benv b) with
-      | Bval v1, Bval v2 -> Bval (Vrel (Rel.seq (as_rel v1) (as_rel v2)))
-      | v1, v2 -> Bplanes (B.seq (promote benv v1) (promote benv v2)))
-  | Ast.Cartesian (a, b) ->
-      Bval
-        (Vrel
-           (Rel.cartesian
-              (as_set_b (eval_b benv a))
-              (as_set_b (eval_b benv b))))
-  | Ast.Inverse a -> (
-      match eval_b benv a with
-      | Bval v -> Bval (Vrel (Rel.inverse (as_rel v)))
-      | v -> Bplanes (B.inverse (promote benv v)))
-  | Ast.Plus a -> (
-      match eval_b benv a with
-      | Bval v -> Bval (Vrel (Rel.transitive_closure (as_rel v)))
-      | v -> Bplanes (B.transitive_closure (promote benv v)))
-  | Ast.Star a -> (
-      match eval_b benv a with
-      | Bval v ->
-          Bval
-            (Vrel
-               (Rel.reflexive_transitive_closure ~universe:benv.b_univ
-                  (as_rel v)))
-      | v ->
-          Bplanes
-            (B.reflexive_transitive_closure ~mask:benv.b_mask
-               (promote benv v)))
-  | Ast.Opt a -> (
-      match eval_b benv a with
-      | Bval v ->
-          Bval (Vrel (Rel.reflexive_closure ~universe:benv.b_univ (as_rel v)))
-      | v -> Bplanes (B.reflexive_closure ~mask:benv.b_mask (promote benv v)))
-  | Ast.Complement a -> (
-      match eval_b benv a with
-      | Bval (Vset s) -> Bval (Vset (Iset.diff benv.b_univ s))
-      | Bval v ->
-          Bval (Vrel (Rel.complement ~universe:benv.b_univ (as_rel v)))
-      | v -> Bplanes (B.complement ~mask:benv.b_mask (promote benv v)))
-  | Ast.Bracket a -> Bval (Vrel (Rel.id_of_set (as_set_b (eval_b benv a))))
-  | Ast.App (f, arg) -> (
-      match lookup_b benv f with
-      | Bval (Vfun ([ p ], body, closure_env)) ->
-          eval_b
-            (bind_b (benv_of_env benv closure_env) p (eval_b benv arg))
-            body
-      | Bfun ([ p ], body, closure_benv) ->
-          eval_b (bind_b closure_benv p (eval_b benv arg)) body
-      | Bval (Vfun (ps, _, _)) | Bfun (ps, _, _) ->
-          raise
-            (Type_error
-               (Printf.sprintf "%s expects %d arguments" f (List.length ps)))
-      | _ -> raise (Type_error (f ^ " is not a function")))
-
-(* Plane-wise equality, for the Kleene convergence test; [Bfun]s never
-   appear (scalar [rec] rejects function bindings the same way). *)
-let bvalue_equal benv v1 v2 =
-  match (v1, v2) with
-  | Bval a, Bval b -> Rel.equal (as_rel a) (as_rel b)
-  | (Bval _ | Bplanes _), (Bval _ | Bplanes _) ->
-      B.equal (promote benv v1) (promote benv v2)
-  | _ -> raise (Type_error "function used as a relation")
-
-let eval_let_b ?budget benv bindings is_rec =
-  if not is_rec then
-    List.fold_left
-      (fun benv' (name, params, body) ->
-        match params with
-        | [] -> bind_b benv' name (eval_b benv body)
-        | ps -> bind_b benv' name (Bfun (ps, body, benv)))
-      benv bindings
-  else begin
-    let names = List.map (fun (n, _, _) -> n) bindings in
-    let start =
-      List.fold_left
-        (fun e n -> bind_b e n (Bval (Vrel Rel.empty)))
-        benv names
-    in
-    let step e =
-      List.fold_left
-        (fun acc (name, params, body) ->
-          if params <> [] then
-            raise (Type_error "recursive functions are not supported");
-          bind_b acc name (eval_b e body))
-        e bindings
-    in
-    let values e = List.map (fun n -> lookup_b e n) names in
-    let rec go e n =
-      if n > 1000 then raise (Type_error "rec definition did not converge");
-      Option.iter Exec.Budget.check_time budget;
-      Obs.Counter.incr c_fixpoint;
-      let e' = step e in
-      if List.for_all2 (bvalue_equal benv) (values e) (values e') then e'
-      else go e' (n + 1)
-    in
-    go start 0
-  end
-
-(* One check, decided for every live plane at once: the mask of planes
-   (within [b_mask]) where it holds. *)
-let run_check_b benv kind e =
-  match (kind, eval_b benv e) with
-  | _, Bfun _ -> raise (Type_error "function used as a relation")
-  | Ast.Acyclic, Bval v ->
-      if Rel.is_acyclic (as_rel v) then benv.b_mask else 0
-  | Ast.Acyclic, Bplanes p -> B.acyclic_mask ~mask:benv.b_mask p
-  | Ast.Irreflexive, Bval v ->
-      if Rel.is_irreflexive (as_rel v) then benv.b_mask else 0
-  | Ast.Irreflexive, Bplanes p -> B.irreflexive_mask ~mask:benv.b_mask p
-  | Ast.Is_empty, Bval (Vset s) ->
-      if Iset.is_empty s then benv.b_mask else 0
-  | Ast.Is_empty, Bval v -> if Rel.is_empty (as_rel v) then benv.b_mask else 0
-  | Ast.Is_empty, Bplanes p -> B.empty_mask ~mask:benv.b_mask p
-
-let c_batch_early = Obs.Counter.make "cat.batch.early_exit"
-
-(* Replay the statement list for a whole batch: static lets and checks
-   come from the prefix (lifted to [Bval] / all-or-nothing masks), the
-   dynamic remainder evaluates over planes.  Returns the mask of planes
-   satisfying every check.  Statements are never skipped — a model that
-   would raise [Type_error] on the scalar path raises here too — but
-   the live mask shrinks as checks fail, so later broadcasts and
-   closures stop paying for decided candidates (their planes zero out
-   and the kernels skip zero words). *)
-let run_with_prefix_batched ?budget { compiled; lets; checks } benv =
-  let last_check =
-    let rec go i last = function
-      | [] -> last
-      | Ast.Check _ :: rest -> go (i + 1) i rest
-      | Ast.Let _ :: rest -> go (i + 1) last rest
-    in
-    go 0 (-1) compiled.model.stmts
-  in
-  let rec go i benv acc = function
-    | [] -> acc
-    | stmt :: rest ->
-        let live benv m =
-          (* planes decided before the final check are early exits *)
-          let acc' = acc land m in
-          if i <> last_check && acc' <> acc then
-            Obs.Counter.incr c_batch_early;
-          (* keep evaluating with the shrunk mask: broadcasts target
-             only still-live planes *)
-          go (i + 1) { benv with b_mask = acc' } acc' rest
+  let rec go i env = function
+    | [] -> env.mask
+    | Ast.Let (bs, is_rec) :: rest ->
+        let env =
+          if compiled.static_stmt.(i) then
+            List.fold_right (fun (n, v) e -> bind e n v) lets.(i) env
+          else begin
+            Option.iter Exec.Budget.tick budget;
+            eval_let ?budget env bs is_rec
+          end
         in
-        if compiled.static_stmt.(i) then
-          match stmt with
-          | Ast.Let _ ->
-              let benv =
-                List.fold_right
-                  (fun (n, v) e -> bind_b e n (Bval v))
-                  lets.(i) benv
-              in
-              go (i + 1) benv acc rest
-          | Ast.Check _ -> (
-              match checks.(i) with
-              | Some o -> live benv (if o.holds then benv.b_mask else 0)
-              | None -> assert false)
-        else begin
-          match stmt with
-          | Ast.Let (bs, is_rec) ->
-              Option.iter Exec.Budget.tick budget;
-              go (i + 1) (eval_let_b ?budget benv bs is_rec) acc rest
-          | Ast.Check (kind, e, _) ->
-              Option.iter Exec.Budget.tick budget;
-              live benv (run_check_b benv kind e)
-        end
+        go (i + 1) env rest
+    | Ast.Check (kind, e, _) :: rest ->
+        let holds =
+          if compiled.static_stmt.(i) then
+            if checks.(i) then env.mask else 0
+          else begin
+            Option.iter Exec.Budget.tick budget;
+            check env kind e
+          end
+        in
+        (* candidates decided before the final check are early exits *)
+        if i <> compiled.last_check then
+          Obs.Counter.add c_early (B.popcount (env.mask land lnot holds));
+        go (i + 1) { env with mask = holds } rest
   in
-  go 0 benv benv.b_mask compiled.model.stmts
+  go 0 env compiled.model.stmts
 
 (* ------------------------------------------------------------------ *)
-(* The predefined environment of a candidate execution                 *)
+(* The predefined environment of candidate executions                  *)
 (* ------------------------------------------------------------------ *)
 
-let env_of_execution (x : Exec.t) =
-  let set p = Exec.events_where x p in
-  let annot a = set (fun e -> e.Exec.Event.annot = a) in
-  let bindings =
-    [
-      ("_", Vset x.universe);
-      ("W", Vset x.writes);
-      ("R", Vset x.reads);
-      ("M", Vset x.mem);
-      ("F", Vset x.fences);
-      ("IW", Vset x.init_ws);
-      ("Once", Vset (annot Exec.Event.Once));
-      ("Acquire", Vset (annot Exec.Event.Acquire));
-      ("Release", Vset (annot Exec.Event.Release));
-      ("Rmb", Vset (annot Exec.Event.Rmb));
-      ("Wmb", Vset (annot Exec.Event.Wmb));
-      ("Mb", Vset (annot Exec.Event.Mb));
-      ("Rb-dep", Vset (annot Exec.Event.Rb_dep));
-      ("Sync", Vset (annot Exec.Event.Sync_rcu));
-      ("Rcu-lock", Vset (annot Exec.Event.Rcu_lock));
-      ("Rcu-unlock", Vset (annot Exec.Event.Rcu_unlock));
-      ("po", Vrel x.po);
-      ("addr", Vrel x.addr);
-      ("data", Vrel x.data);
-      ("ctrl", Vrel x.ctrl);
-      ("rmw", Vrel x.rmw);
-      ("rf", Vrel x.rf);
-      ("co", Vrel x.co);
-      ("fr", Vrel x.fr);
-      ("rfi", Vrel x.rfi);
-      ("rfe", Vrel x.rfe);
-      ("coi", Vrel x.coi);
-      ("coe", Vrel x.coe);
-      ("fri", Vrel x.fri);
-      ("fre", Vrel x.fre);
-      ("com", Vrel x.com);
-      ("po-loc", Vrel x.po_loc);
-      ("loc", Vrel x.loc_r);
-      ("int", Vrel x.int_r);
-      ("ext", Vrel x.ext_r);
-      ("id", Vrel x.id_r);
-      ("crit", Vrel x.crit);
-    ]
-  in
-  { universe = x.universe; bindings }
-
-(* The batched counterpart: one shared event structure, up to 63
-   witnesses.  Structural bindings come from candidate 0 (identical in
-   every candidate by construction); the witness relations become
-   candidate-major bit planes. *)
-let benv_of_executions ~mask (xs : Exec.t array) =
-  let x0 = xs.(0) in
-  let n = Array.length x0.Exec.events in
-  let dyn f = Bplanes (B.of_rels ~n ~mask (Array.map f xs)) in
-  let env = env_of_execution x0 in
-  let static =
-    List.filter (fun (nm, _) -> not (List.mem nm witness_names)) env.bindings
-  in
-  let planes =
-    [
-      ("rf", dyn (fun x -> x.Exec.rf));
-      ("co", dyn (fun x -> x.Exec.co));
-      ("fr", dyn (fun x -> x.Exec.fr));
-      ("rfi", dyn (fun x -> x.Exec.rfi));
-      ("rfe", dyn (fun x -> x.Exec.rfe));
-      ("coi", dyn (fun x -> x.Exec.coi));
-      ("coe", dyn (fun x -> x.Exec.coe));
-      ("fri", dyn (fun x -> x.Exec.fri));
-      ("fre", dyn (fun x -> x.Exec.fre));
-      ("com", dyn (fun x -> x.Exec.com));
-    ]
-  in
+let env_of ~mask (x : Exec.t) witness_value =
   {
-    b_n = n;
-    b_mask = mask;
-    b_univ = env.universe;
-    b_bindings =
-      planes @ List.map (fun (nm, v) -> (nm, Bval v)) static;
+    universe = x.universe;
+    n = Array.length x.events;
+    mask;
+    bindings =
+      List.map witness_value witness
+      @ List.map (fun (nm, f) -> (nm, f x)) structural;
   }
+
+let env_of_execution x = env_of ~mask:1 x (fun (nm, f) -> (nm, Vrel (f x)))
+
+(* One shared event structure, up to 63 witnesses: structural bindings
+   come from candidate 0 (identical in every candidate by construction),
+   the witness relations become candidate-major bit planes. *)
+let env_of_executions ~mask (xs : Exec.t array) =
+  let n = Array.length xs.(0).events in
+  env_of ~mask xs.(0) (fun (nm, f) ->
+      (nm, Vplanes (B.of_rels ~n ~mask (Array.map f xs))))

@@ -1,20 +1,39 @@
 (** Interpreter for the cat subset: evaluates a model's statements against
-    the base relations of one candidate execution, herd-style.
+    the base relations of candidate executions, herd-style.
 
     Values are sets of events, relations, or (unapplied) functions; sets
     appearing in relation position are coerced to identities, as with the
     bracket form [[S]].  Recursive definitions are solved by Kleene
     iteration from the empty relation (cat's [rec] is a least fixed point
-    of monotone equations). *)
+    of monotone equations).
+
+    One evaluator decides one candidate or up to 63 pairwise
+    static-compatible ones ({!Exec.Execution.static_compatible}) at once.
+    An environment carries the candidates' shared event count and the
+    mask of those still live; a relation that varies across them is a
+    value of candidate-major bit planes ({!Rel.Batch}).  Each operator
+    applies the [Rel] operation when no operand is a plane, and the
+    [Rel.Batch] one otherwise, with scalar operands broadcast into the
+    live planes.  A single candidate ({!env_of_execution}) is the batch
+    of one and never builds a plane.  The code being one, a model raises
+    the same {!Type_error} at the same statement on both. *)
 
 module Iset = Rel.Iset
 
 type value =
   | Vset of Iset.t
   | Vrel of Rel.t
-  | Vfun of string list * Ast.expr * env
+  | Vplanes of Rel.Batch.t  (** relation-valued, one plane per candidate *)
+  | Vfun of string list * Ast.expr * (string * value) list
+      (** parameters, body and the bindings of its definition; the body
+          runs on the caller's candidates *)
 
-and env = { universe : Iset.t; bindings : (string * value) list }
+and env = {
+  universe : Iset.t;
+  n : int;  (** events per candidate: the shared universe size *)
+  mask : int;  (** live candidates: where broadcasts land, checks decide *)
+  bindings : (string * value) list;
+}
 
 (** Raised on unbound identifiers, arity mismatches, or set/relation
     confusion ([empty W * po], a function used as a relation, ...). *)
@@ -22,7 +41,11 @@ exception Type_error of string
 
 val lookup : env -> string -> value
 val bind : env -> string -> value -> env
+
+(** The relation of a set or relation value.  Raises [Invalid_argument]
+    on planes, which only a batch of candidates holds. *)
 val as_rel : value -> Rel.t
+
 val as_set : value -> Iset.t
 val eval : env -> Ast.expr -> value
 
@@ -34,16 +57,21 @@ val eval_let :
   ?budget:Exec.Budget.t ->
   env -> (string * string list * Ast.expr) list -> bool -> env
 
+(** [check env kind e] is the mask of [env]'s live candidates on which
+    the check [kind e] holds ([env.mask] or [0] for one candidate). *)
+val check : env -> Ast.check_kind -> Ast.expr -> int
+
 type outcome = {
   check_name : string;  (** the [as name] label, or ["(unnamed)"] *)
   kind : Ast.check_kind;
   holds : bool;
 }
 
-(** [run ?budget model env] executes all statements; returns every
-    constraint's outcome in source order.  With a budget, the deadline is
-    probed between statements and on every Kleene iteration of recursive
-    definitions, raising {!Exec.Budget.Exceeded} when it passes. *)
+(** [run ?budget model env] executes all statements on one candidate;
+    returns every constraint's outcome in source order.  With a budget,
+    the deadline is probed between statements and on every Kleene
+    iteration of recursive definitions, raising {!Exec.Budget.Exceeded}
+    when it passes. *)
 val run : ?budget:Exec.Budget.t -> Ast.t -> env -> outcome list
 
 (** {1 Static-prefix evaluation}
@@ -55,7 +83,7 @@ val run : ?budget:Exec.Budget.t -> Ast.t -> env -> outcome list
     candidate.  [compile] performs that dependency analysis once per
     model, [prefix] evaluates the static statements against one
     candidate, and [run_with_prefix] replays the statement list reusing
-    the prefix — producing exactly {!run}'s outcomes. *)
+    the prefix — deciding exactly what {!run} decides. *)
 
 (** The predefined names that depend on the execution witness. *)
 val witness_names : string list
@@ -81,58 +109,25 @@ val prefix : ?budget:Exec.Budget.t -> compiled -> env -> prefix
 (** [run_with_prefix ?budget p env] replays all statements in source
     order against [env], binding static definitions and reusing static
     check outcomes from [p] instead of re-evaluating them.  [env] must
-    come from a candidate sharing the event structure [p] was built
-    from; the result then equals [run compiled.model env]. *)
-val run_with_prefix :
-  ?budget:Exec.Budget.t -> prefix -> env -> outcome list
-
-(** {1 Batched evaluation}
-
-    The dynamic suffix for up to 63 pairwise static-compatible
-    witnesses ({!Exec.Execution.static_compatible}) at once: witness
-    relations become candidate-major bit planes
-    ({!Rel.Batch}) and every operator runs word-parallel across all
-    planes; static bindings ride along as scalar values, broadcast into
-    planes only where an operator mixes them with a witness-dependent
-    operand.  Observationally equivalent to replaying
-    {!run_with_prefix} per candidate — including {!Type_error}s: the
-    dialect has no relation-to-set operator, so plane-valued values are
-    always relations, and set positions reject them exactly where the
-    scalar evaluator does. *)
-
-(** A value in the batched evaluator. *)
-type bvalue =
-  | Bval of value  (** identical in every candidate (static) *)
-  | Bplanes of Rel.Batch.t  (** relation-valued, varying per candidate *)
-  | Bfun of string list * Ast.expr * benv
-
-and benv = {
-  b_n : int;  (** events per candidate: the shared universe size *)
-  b_mask : int;  (** planes still undecided; broadcasts target these *)
-  b_univ : Iset.t;
-  b_bindings : (string * bvalue) list;
-}
-
-val eval_b : benv -> Ast.expr -> bvalue
-
-(** [run_with_prefix_batched ?budget p benv] replays all statements for
-    a whole batch, pulling static bindings and check outcomes from [p]
-    and evaluating the dynamic remainder over planes.  Returns the mask
-    of planes (within [benv.b_mask]) satisfying every check.  The live
-    mask shrinks as checks fail — decided planes zero out and stop
-    paying for later statements — but no statement is skipped, so
-    models that raise on the scalar path raise here too. *)
-val run_with_prefix_batched : ?budget:Exec.Budget.t -> prefix -> benv -> int
-
-(** [benv_of_executions ~mask xs] is the batched counterpart of
-    {!env_of_execution}: structural bindings from [xs.(0)] (identical in
-    every candidate by construction), witness relations stacked into bit
-    planes covering the candidates of [mask]. *)
-val benv_of_executions : mask:int -> Exec.t array -> benv
+    come from candidates sharing the event structure [p] was built from.
+    Returns the live candidates satisfying every check: candidate [c]'s
+    bit is set iff every outcome of [run compiled.model] on it holds.
+    The live mask shrinks after each failed check, so decided candidates
+    stop costing work, but no statement is skipped.  Each check but the
+    model's last adds the candidates it decides to the
+    [cat.batch.early_exit] counter. *)
+val run_with_prefix : ?budget:Exec.Budget.t -> prefix -> env -> int
 
 (** The predefined cat environment of an execution: the event sets ([_],
     [W], [R], [M], [F], [IW], and one per annotation), the base relations
     ([po], [addr], [data], [ctrl], [rmw], [rf], [co]), the usual derived
     ones ([fr], [rfi]/[rfe], [coi]/[coe], [fri]/[fre], [com], [po-loc],
-    [loc], [int], [ext], [id]) and the RCU [crit] matching. *)
+    [loc], [int], [ext], [id]) and the RCU [crit] matching.  One live
+    candidate. *)
 val env_of_execution : Exec.t -> env
+
+(** [env_of_executions ~mask xs] is the environment of the candidates
+    [xs] that [mask] selects: structural bindings from [xs.(0)]
+    (identical in every candidate by construction), witness relations
+    stacked into bit planes. *)
+val env_of_executions : mask:int -> Exec.t array -> env

@@ -258,14 +258,6 @@ module B = Rel.Batch
 
 let c_batch_early = Obs.Counter.make "lkmm.batch.early_exit"
 
-let popcount m =
-  let c = ref 0 and m = ref m in
-  while !m <> 0 do
-    incr c;
-    m := !m land (!m - 1)
-  done;
-  !c
-
 let consistent_mask ~coherent ~mask (xs : Exec.t array) =
   let x0 = xs.(0) in
   let s = static_cached x0 in
@@ -274,7 +266,7 @@ let consistent_mask ~coherent ~mask (xs : Exec.t array) =
   let dyn ~mask f = B.of_rels ~n ~mask (Array.map f xs) in
   let live = ref mask in
   let settle ~last m =
-    if not last then Obs.Counter.add c_batch_early (popcount (!live land lnot m));
+    if not last then Obs.Counter.add c_batch_early (B.popcount (!live land lnot m));
     live := !live land m
   in
   (* Scpv: acyclic (po-loc | com) — exactly the sc-per-location

@@ -541,6 +541,8 @@ module Batch = struct
     else if k = width then -1
     else (1 lsl k) - 1
 
+  let popcount = popcount
+
   let batch_words = Obs.Counter.make "rel.batch.words"
 
   type t = {

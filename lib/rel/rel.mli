@@ -170,6 +170,9 @@ module Batch : sig
   (** [full_mask k] has the low [k] bits set ([0 <= k <= width]). *)
   val full_mask : int -> int
 
+  (** [popcount mask] is the number of planes [mask] selects. *)
+  val popcount : int -> int
+
   val n : t -> int
 
   (** The batch of [n]² empty planes. *)

@@ -240,6 +240,210 @@ let test_cat_native_agreement_generated () =
         (Exec.of_test t))
     tests
 
+(* ------------------------------------------------------------------ *)
+(* Random models: the batched engine decides as the scalar one         *)
+(* ------------------------------------------------------------------ *)
+
+module A = Cat.Ast
+
+let set_names =
+  [ "_"; "W"; "R"; "M"; "F"; "IW"; "Once"; "Acquire"; "Release"; "Rmb";
+    "Wmb"; "Mb"; "Rb-dep"; "Sync"; "Rcu-lock"; "Rcu-unlock" ]
+
+let predefined_rels =
+  I.witness_names
+  @ [ "po"; "addr"; "data"; "ctrl"; "rmw"; "po-loc"; "loc"; "int"; "ext";
+      "id"; "crit" ]
+
+let gen_set sets =
+  let open QCheck2.Gen in
+  fix (fun self n ->
+      let two op = map2 op (self (n / 2)) (self (n / 2)) in
+      if n <= 0 then map (fun s -> A.Id s) (oneofl sets)
+      else
+        frequency
+          [
+            (3, self 0);
+            (1, two (fun a b -> A.Union (a, b)));
+            (1, two (fun a b -> A.Inter (a, b)));
+            (1, two (fun a b -> A.Diff (a, b)));
+            (1, map (fun a -> A.Complement a) (self (n - 1)));
+          ])
+
+(* Relation expressions over the predefined names, the model's own
+   [defined] names (drawn more often, so that the checks reach the
+   recursive and applied definitions) and the sets [sets], using every
+   operator of the dialect; [app] adds applications of the unary [f]. *)
+let gen_rel ?(app = false) ~sets defined =
+  let open QCheck2.Gen in
+  let ids names = map (fun r -> A.Id r) (oneofl names) in
+  fix (fun self n ->
+      let leaf =
+        frequency
+          ([
+             (6, ids (defined @ predefined_rels));
+             (1, pure A.Empty_rel);
+             (1, map (fun s -> A.Bracket s) (gen_set sets 1));
+           ]
+          @ if defined = [] then [] else [ (3, ids defined) ])
+      in
+      let two op = map2 op (self (n / 2)) (self (n / 2)) in
+      let one op = map op (self (n - 1)) in
+      if n <= 0 then leaf
+      else
+        frequency
+          ([
+             (3, leaf);
+             (2, two (fun a b -> A.Union (a, b)));
+             (1, two (fun a b -> A.Inter (a, b)));
+             (1, two (fun a b -> A.Diff (a, b)));
+             (3, two (fun a b -> A.Seq (a, b)));
+             ( 1,
+               map2
+                 (fun a b -> A.Cartesian (a, b))
+                 (gen_set sets 1) (gen_set sets 1) );
+             (1, one (fun a -> A.Inverse a));
+             (1, one (fun a -> A.Plus a));
+             (1, one (fun a -> A.Star a));
+             (1, one (fun a -> A.Opt a));
+             (2, one (fun a -> A.Complement a));
+             (1, map (fun s -> A.Bracket s) (gen_set sets (n - 1)));
+           ]
+          @ if app then [ (2, one (fun a -> A.App ("f", a))) ] else []))
+
+(* The name [x] combined with an expression, on either side of an
+   operator that keeps [x]'s edges relevant. *)
+let gen_with x gen =
+  let open QCheck2.Gen in
+  let x = A.Id x in
+  let* e = gen in
+  oneofl [ A.Seq (x, e); A.Seq (e, x); A.Inter (x, e); A.Diff (x, e) ]
+
+(* One ill-typed subterm, so that the message does not depend on which
+   operand an engine coerces first. *)
+let type_errors =
+  [
+    A.Bracket (A.Id "rf");
+    A.Cartesian (A.Id "W", A.Seq (A.Id "po", A.Id "co"));
+    A.Id "nonsuch";
+    A.Id "f";
+    A.App ("a", A.Id "rf");
+  ]
+
+(* A set [s], a relation [a], a function [f] of one relation, a
+   recursive [p] monotone in itself, [f] applied to a witness-dependent
+   argument, then one check of each kind in random order, each on a
+   witness relation combined with an expression over all of them (an
+   [empty] check may take a set instead).  One model in ten carries a
+   type error. *)
+let gen_model =
+  let open QCheck2.Gen in
+  let sets = "s" :: set_names in
+  let* s = gen_set set_names 2 in
+  let* a = gen_rel ~sets [] 3 in
+  let* f = gen_with "x" (gen_rel ~sets [ "a" ] 2) in
+  let* base = gen_rel ~sets [ "a" ] 2 in
+  let* step =
+    let p = A.Id "p" and e = gen_rel ~sets [ "a" ] 1 in
+    oneof
+      [
+        map (fun e -> A.Seq (p, e)) e;
+        map (fun e -> A.Seq (e, p)) e;
+        map (fun e -> A.Inter (p, e)) e;
+        map (fun e -> A.Diff (p, e)) e;
+        pure (A.Seq (p, p));
+        pure (A.Plus (A.Inverse p));
+      ]
+  in
+  let* arg = gen_with "rf" (gen_rel ~sets [ "a" ] 2) in
+  let* kinds = shuffle_l [ A.Acyclic; A.Irreflexive; A.Is_empty ] in
+  let* bodies =
+    list_repeat 3
+      (let* w = oneofl I.witness_names in
+       gen_with w (gen_rel ~app:true ~sets [ "a"; "p"; "b" ] 3))
+  in
+  let* set_body = option ~ratio:0.25 (gen_set sets 3) in
+  let* error = option ~ratio:0.1 (oneofl type_errors) in
+  let checks =
+    List.mapi
+      (fun i (kind, e) ->
+        let e =
+          match (kind, set_body) with A.Is_empty, Some s -> s | _ -> e
+        in
+        let e =
+          match error with Some bad when i = 2 -> A.Union (bad, e) | _ -> e
+        in
+        A.Check (kind, e, Some (Printf.sprintf "c%d" i)))
+      (List.combine kinds bodies)
+  in
+  pure
+    {
+      A.title = "random";
+      stmts =
+        [
+          A.Let ([ ("s", [], s) ], false);
+          A.Let ([ ("a", [], a) ], false);
+          A.Let ([ ("f", [ "x" ], f) ], false);
+          A.Let ([ ("p", [], A.Union (base, step)) ], true);
+          A.Let ([ ("b", [], A.App ("f", arg)) ], false);
+        ]
+        @ checks;
+    }
+
+let print_model (m : A.t) =
+  let stmt = function
+    | A.Let (bs, is_rec) ->
+        (if is_rec then "let rec " else "let ")
+        ^ String.concat " and "
+            (List.map
+               (fun (n, ps, e) ->
+                 (if ps = [] then n
+                  else Printf.sprintf "%s(%s)" n (String.concat ", " ps))
+                 ^ " = " ^ Cat.Explain.render e)
+               bs)
+    | A.Check (kind, e, name) ->
+        (match kind with
+        | A.Acyclic -> "acyclic "
+        | A.Irreflexive -> "irreflexive "
+        | A.Is_empty -> "empty ")
+        ^ Cat.Explain.render e
+        ^ Option.fold ~none:"" ~some:(( ^ ) " as ") name
+  in
+  String.concat "\n" (List.map stmt m.stmts)
+
+(* Four threads, release and rmb, RCU, an rmw with incoherent
+   candidates, and three writers to one location. *)
+let random_model_tests =
+  lazy
+    (List.map
+       (fun n -> Harness.Battery.test_of (Harness.Battery.find n))
+       [ "IRIW"; "WRC+po-rel+rmb"; "RCU+2rscs+2gp"; "SB+xchg-mb"; "Z6-0" ])
+
+let engine_key oracle test backend =
+  match Exec.Oracle.run ~backend oracle test with
+  | (r : Exec.Check.result) ->
+      Ok
+        ( (r.verdict, r.n_candidates, r.n_prefiltered, r.n_consistent),
+          (r.n_matching, r.outcomes),
+          Option.map
+            (fun (x : Exec.t) -> (Rel.to_list x.rf, Rel.to_list x.co))
+            r.witness )
+  | exception I.Type_error msg -> Error msg
+
+(* Every result key, or the same type error, from both engines: the
+   batched engine evaluates planes under every operator, with
+   static-to-plane broadcasts, inside a function body and a fixpoint,
+   and after a check has shrunk the live mask. *)
+let prop_random_models =
+  QCheck2.Test.make ~name:"batched = scalar on random models" ~count:400
+    ~print:print_model gen_model (fun model ->
+      let oracle = Cat.to_oracle ~name:"random" model in
+      List.for_all
+        (fun test ->
+          engine_key oracle test Exec.Check.Enum
+          = engine_key oracle test Exec.Check.Batch)
+        (Lazy.force random_model_tests))
+
 let () =
   Alcotest.run "cat"
     [
@@ -280,4 +484,5 @@ let () =
           Alcotest.test_case "cat = native (generated)" `Slow
             test_cat_native_agreement_generated;
         ] );
+      ("engines", [ QCheck_alcotest.to_alcotest prop_random_models ]);
     ]

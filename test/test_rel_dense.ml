@@ -330,9 +330,16 @@ let test_corpus_agreement () =
         (native.verdict = cat_cached.verdict))
     (Cpu_ratio.sample_tests 11)
 
+(* Every shipped cat model, as the CLIs package it. *)
+let cat_oracles =
+  lazy
+    (List.map
+       (fun (name, _, src) -> (name, Cat.to_oracle ~name (Cat.parse src)))
+       Cat.Stdmodels.all)
+
 (* Batched evaluation must be invisible in the results, down to witness
    identity — the correctness contract of the batched path — for the
-   native axioms and the cat interpreter. *)
+   native axioms and every shipped cat model. *)
 let witness_rels (x : Exec.t option) =
   Option.map (fun (x : Exec.t) -> (Rel.to_list x.rf, Rel.to_list x.co)) x
 
@@ -349,7 +356,7 @@ let test_batched_agreement () =
             (Printf.sprintf "%s: %s agrees batched vs scalar" file what)
             true
             (on Exec.Check.Enum = on Exec.Check.Batch))
-        [ ("native", Lkmm.oracle); ("cat", Lazy.force Cpu_ratio.lk_cat) ])
+        (("native", Lkmm.oracle) :: Lazy.force cat_oracles))
     (Cpu_ratio.sample_tests 11)
 
 (* lkbench times only the batched engine, so the scalar one is gated
@@ -430,7 +437,54 @@ let test_batch_decides_coherence () =
         (Printf.sprintf "%s: %d incoherent candidates reach the batch engine"
            what !incoherent)
         true (!incoherent > 100))
-    [ ("native", Lkmm.oracle); ("cat", Lazy.force Cpu_ratio.lk_cat) ]
+    (("native", Lkmm.oracle) :: Lazy.force cat_oracles)
+
+(* [cat.batch.early_exit] counts candidates, not checks: each check but
+   the model's last adds the live candidates it rejects.  Over every
+   structure of a corpus sample, incoherent candidates included, lk.cat's
+   batch engine must count exactly the candidates whose first failing
+   check in the direct interpreter's outcome list is not the last. *)
+let test_cat_early_exit () =
+  let model = Lazy.force Cat.lk in
+  let batch = Option.get (Lazy.force Cpu_ratio.lk_cat).Exec.Oracle.batch None in
+  let last = List.length (Cat.check_names model) - 1 in
+  let chunks =
+    List.concat_map
+      (fun (_, test) -> structure_chunks test)
+      (Cpu_ratio.sample_tests 3)
+  in
+  let early (x : Exec.t) =
+    match
+      List.find_index
+        (fun (o : Cat.Interp.outcome) -> not o.holds)
+        (Cat.outcomes model x)
+    with
+    | Some i -> i < last
+    | None -> false
+  in
+  let expected =
+    List.fold_left
+      (fun n xs -> Array.fold_left (fun n x -> if early x then n + 1 else n) n xs)
+      0 chunks
+  in
+  let was = Obs.enabled () in
+  Obs.set_enabled true;
+  Obs.reset ();
+  List.iter
+    (fun xs ->
+      let mask = Rel.Batch.full_mask (Array.length xs) in
+      ignore (batch ~coherent:false ~mask xs))
+    chunks;
+  let counted =
+    Option.value ~default:0
+      (List.assoc_opt "cat.batch.early_exit" (Obs.counters ()))
+  in
+  Obs.set_enabled was;
+  Alcotest.(check int) "candidates decided before the last check" expected
+    counted;
+  Alcotest.(check bool)
+    (Printf.sprintf "%d candidates decided early" expected)
+    true (expected > 100)
 
 (* fr = rf⁻¹;co minus identity, the definition the library builds row by
    row instead: on every enumerated candidate, and on every witness the
@@ -664,6 +718,8 @@ let () =
             test_prefilter_soundness;
           Alcotest.test_case "batch engines decide coherence" `Quick
             test_batch_decides_coherence;
+          Alcotest.test_case "cat early exits count candidates" `Quick
+            test_cat_early_exit;
           Alcotest.test_case "fr is rf^-1;co" `Quick test_fr_definition;
           Alcotest.test_case "statics once per shape" `Quick
             test_statics_per_shape;
