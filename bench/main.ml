@@ -5,6 +5,10 @@
      dune exec bench/main.exe             # everything
      dune exec bench/main.exe -- quick    # smaller simulation counts
 
+   It exits 1 when any section departs from the paper: a Table 5 shape
+   mismatch, an ISSUE or UNSOUND line, a Theorem 1 violation or a
+   native/cat disagreement.
+
    Experiments (see DESIGN.md for the index):
      table3/table4  primitive -> event mappings
      table5         model verdicts vs simulated hardware vs C11
@@ -21,6 +25,14 @@ let rcu_runs = if quick then 300 else 1_500
 
 let section title =
   Fmt.pr "@.==================== %s ====================@." title
+
+(* Every departure from the paper a section finds is printed through
+   [depart], and any makes the run exit 1. *)
+let departures = ref 0
+
+let depart fmt =
+  incr departures;
+  Fmt.pr fmt
 
 (* ------------------------------------------------------------------ *)
 (* Tables 3 and 4: primitives and their events                         *)
@@ -80,7 +92,7 @@ let table5 () =
   | [] -> Fmt.pr "@.shape check against the paper's Table 5: OK@."
   | issues ->
       Fmt.pr "@.shape issues:@.";
-      List.iter (Fmt.pr "  %s@.") issues);
+      List.iter (depart "  %s@.") issues);
   rows
 
 (* ------------------------------------------------------------------ *)
@@ -92,7 +104,7 @@ let figures () =
   Fmt.pr "%a" Harness.Figures.pp ();
   match Harness.Figures.issues () with
   | [] -> Fmt.pr "figure verdicts match the paper: OK@."
-  | issues -> List.iter (Fmt.pr "ISSUE: %s@.") issues
+  | issues -> List.iter (depart "ISSUE: %s@.") issues
 
 (* ------------------------------------------------------------------ *)
 (* Theorem 1                                                           *)
@@ -126,7 +138,8 @@ let theorem1 () =
   Fmt.pr
     "checked on %d candidate executions (battery + generated, incl. \
      synchronize_rcu edges): %d violations@."
-    !total !bad
+    !total !bad;
+  if !bad > 0 then incr departures
 
 (* ------------------------------------------------------------------ *)
 (* Figures 15/16: the RCU implementation                               *)
@@ -141,7 +154,7 @@ let fig15 () =
       Fmt.pr
         "faithful Figure-15 implementation: forbidden outcomes never \
          observed (Theorem 2); broken variants exhibit them@."
-  | issues -> List.iter (Fmt.pr "ISSUE: %s@.") issues);
+  | issues -> List.iter (depart "ISSUE: %s@.") issues);
   results
 
 (* ------------------------------------------------------------------ *)
@@ -166,10 +179,10 @@ let diy_sweep () =
   Fmt.pr "%a@." Harness.Sweep.pp stats;
   (match Harness.Sweep.strength_issues tests with
   | [] -> Fmt.pr "model-strength ordering SC >= TSO >= LK: OK@."
-  | issues -> List.iter (Fmt.pr "ISSUE: %s@.") issues);
+  | issues -> List.iter (depart "ISSUE: %s@.") issues);
   (match stats.Harness.Sweep.unsound with
   | [] -> Fmt.pr "simulator soundness over the sweep: OK@."
-  | l -> List.iter (fun (t, a) -> Fmt.pr "UNSOUND: %s on %s@." t a) l);
+  | l -> List.iter (fun (t, a) -> depart "UNSOUND: %s on %s@." t a) l);
   tests
 
 let c11_delta tests =
@@ -213,7 +226,8 @@ let ablation_cat () =
             incr mismatches)
         (Exec.of_test (Harness.Battery.test_of e)))
     Harness.Battery.all;
-  Fmt.pr "%d executions, %d native/cat disagreements@." !execs !mismatches
+  Fmt.pr "%d executions, %d native/cat disagreements@." !execs !mismatches;
+  if !mismatches > 0 then incr departures
 
 (* Model-variant ablations: surgical edits to lk.cat flip exactly the
    verdicts they should (see examples/custom_model.ml). *)
@@ -261,4 +275,6 @@ let () =
   c11_delta tests;
   ablation_cat ();
   ablation_variants ();
-  Fmt.pr "@.bench: all experiments complete@."
+  Fmt.pr "@.bench: all experiments complete; departures from the paper: %d@."
+    !departures;
+  if !departures > 0 then exit 1

@@ -4,7 +4,7 @@
      herd_lk test.litmus                 # LK model (native)
      herd_lk -model c11 test.litmus      # a shipped model
      herd_lk -model my.cat test.litmus   # any cat file
-     herd_lk -v test.litmus              # verdict + witness explanation
+     herd_lk -v test.litmus              # verdict + explanation (--explain)
      herd_lk -outcomes test.litmus       # all observable outcomes
      herd_lk --timeout 5 huge.litmus     # budgeted: Unknown, not a hang
      herd_lk --json *.litmus             # machine-readable batch report
@@ -248,7 +248,8 @@ let main model verbose outcomes dot explain explain_diff_spec builtin timeout
       jobs > 1 || mem_limit <> None || journal <> None || resume <> None
     in
     let explainer =
-      if explain then Some (Harness.Model_table.explainer model) else None
+      if explain || verbose then Some (Harness.Model_table.explainer model)
+      else None
     in
     let report =
       if use_pool then
@@ -294,12 +295,6 @@ let main model verbose outcomes dot explain explain_diff_spec builtin timeout
       List.iter2
         (fun (e : Harness.Runner.entry) source ->
           print_entry mname (listing source) e;
-          (if verbose && mname = "LK" then
-             match e.Harness.Runner.result with
-             | Some _ -> (
-                 try Fmt.pr "%a@." Lkmm.Explain.pp_test_verdict (Litmus.parse source)
-                 with _ -> ())
-             | None -> ());
           match dot with Some p -> write_dot p e source | None -> ())
         report.Harness.Runner.entries sources;
       if List.length items > 1 then Fmt.pr "%a@." Harness.Runner.pp report
@@ -317,7 +312,7 @@ let model_arg =
            tso, c11, c11-psc, or a .cat file.")
 
 let verbose_arg =
-  Arg.(value & flag & info [ "v" ] ~doc:"Explain forbidden tests (LK only).")
+  Arg.(value & flag & info [ "v" ] ~doc:"Short for --explain.")
 
 let outcomes_arg =
   Arg.(value & flag & info [ "outcomes" ] ~doc:"Print observable outcomes.")

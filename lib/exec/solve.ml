@@ -24,7 +24,7 @@
    - the final-state condition's undecided residue, Tseitin-encoded
      over the co-maximality literals of each location's writes;
    - the model's axioms, contributed by an [axioms] callback over the
-     {!Sym} combinators (native LKMM: [Lkmm.Symbolic]).
+     {!Sym} combinators (native LKMM: [Lkmm.Relations.sat_axioms]).
 
    A symbolic relation ({!Sym.t}) is not a matrix of literals but its
    may/must projections plus literals created on demand, so the CNF is

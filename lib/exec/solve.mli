@@ -108,7 +108,7 @@ type enc = {
 
 (** A model's axioms as clauses: called once per encoded structure,
     after rf/co/fr well-formedness and Scpv are already asserted.
-    The native LKMM callback lives in [Lkmm.Symbolic]. *)
+    The native LKMM callback is [Lkmm.Relations.sat_axioms]. *)
 type axioms = enc -> unit
 
 (** The type of a ready-to-run symbolic engine, as carried by

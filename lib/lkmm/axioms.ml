@@ -15,14 +15,14 @@ let to_string = function
 (* The relation each axiom constrains, for explanations. *)
 let relation (c : Relations.ctx) = function
   | Scpv -> Rel.union c.x.po_loc c.x.com
-  | At -> Rel.inter c.x.rmw (Rel.seq c.x.fre c.x.coe)
+  | At -> c.at
   | Hb -> c.hb
   | Pb -> c.pb
   | Rcu -> c.rcu_path
 
 let holds (c : Relations.ctx) = function
   | Scpv -> Rel.is_acyclic (Rel.union c.x.po_loc c.x.com)
-  | At -> Rel.is_empty (Rel.inter c.x.rmw (Rel.seq c.x.fre c.x.coe))
+  | At -> Rel.is_empty c.at
   | Hb -> Rel.is_acyclic c.hb
   | Pb -> Rel.is_acyclic c.pb
   | Rcu -> Rel.is_irreflexive c.rcu_path

@@ -1,7 +1,8 @@
 (* The Linux-kernel memory model — the paper's primary contribution.
 
    - {!Relations}: the relations of Figure 8 and Figure 12 (ppo, prop, hb,
-     pb, gp, rscs, rcu-path, ...), computed per candidate execution;
+     pb, gp, rscs, rcu-path, ...), written once and evaluated per
+     candidate, per batch of bit planes and as CNF;
    - {!Axioms}: the constraints of Figure 3 plus the RCU axiom;
    - {!Rcu}: the fundamental law of RCU (Section 4.1) and the Theorem-1
      equivalence check;
@@ -12,7 +13,6 @@ module Relations = Relations
 module Axioms = Axioms
 module Rcu = Rcu
 module Explain = Explain
-module Symbolic = Symbolic
 
 let name = Model.name
 let consistent = Model.consistent
@@ -24,10 +24,10 @@ let consistent = Model.consistent
 let consistent_mask : Exec.Check.batch_fn = Relations.consistent_mask
 
 (** The symbolic engine: the candidate space as CNF under
-    {!Symbolic.axioms}, decided by [lib/sat]'s CDCL core, witnesses
+    {!Relations.sat_axioms}, decided by [lib/sat]'s CDCL core, witnesses
     re-validated through the scalar {!Model}. *)
 let solve : Exec.Solve.solve_fn =
-  Exec.Solve.make ~axioms:Symbolic.axioms (module Model)
+  Exec.Solve.make ~axioms:Relations.sat_axioms (module Model)
 
 (** The LK model as a checking oracle: all three engines (scalar,
     bit-plane batched, symbolic), selected per request by

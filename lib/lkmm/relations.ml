@@ -1,15 +1,21 @@
 (* The relations of the LK memory model, exactly as defined in Figure 8 and
-   Figure 12 of the paper.  Everything is computed once per candidate
-   execution into a [ctx] record.
+   Figure 12 of the paper.
 
    The definitions split into a *static* prefix — relations determined by
    the event structure alone (po, dependencies, fences, RCU critical
    sections), identical for every rf/co witness of one structure — and a
    *dynamic* remainder built on rf, co and their derivatives.  [static_of]
-   computes the prefix; [make ?static] reuses a previously computed one,
-   and [make_cached] keys a one-slot cache on the physical identity of
-   [x.shape], which the enumeration shares across all witnesses of every
-   event structure of one static shape. *)
+   computes the prefix, and [static_cached] keys a one-slot cache on the
+   physical identity of [x.shape], which the enumeration shares across
+   all witnesses of every event structure of one static shape.
+
+   The dynamic remainder, the chain from rfi-rel-acq through hb, pb, link
+   and rcu-path plus At's [rmw & (fre ; coe)], is written once below,
+   over a record of the operations it uses ({!ops}), and instantiated by
+   each engine: [make] over {!Rel} (one candidate, every relation kept in
+   a [ctx] record), [consistent_mask] over {!Rel.Batch} planes (up to 63
+   candidates, decided axiom by axiom) and [sat_axioms] over
+   {!Exec.Solve.Sym} (the CNF of a whole event structure). *)
 
 module Iset = Rel.Iset
 
@@ -50,6 +56,8 @@ type ctx = {
   crit : Rel.t; (* outermost rcu_read_lock -> matching unlock *)
   gp : Rel.t;
   rscs : Rel.t;
+  (* Figure 3 *)
+  at : Rel.t; (* rmw & (fre ; coe) *)
   (* Figure 8 *)
   dep : Rel.t;
   rwdep : Rel.t;
@@ -127,64 +135,138 @@ let static_of (x : Exec.t) =
     s_fence = fence;
   }
 
-let make ?static (x : Exec.t) =
-  let s = match static with Some s -> s | None -> static_of x in
-  let ( |>> ) = Rel.seq in
-  let universe = x.universe in
-  let star r = Rel.reflexive_transitive_closure ~universe r in
-  let opt r = Rel.reflexive_closure ~universe r in
-  let rfi_rel_acq = s.rel_id |>> x.rfi |>> s.acq_id in
-  (* Figure 8, the witness-dependent remainder *)
-  let overwrite = Rel.union x.co x.fr in
-  let to_w = Rel.union s.s_rwdep (Rel.inter overwrite x.int_r) in
-  let rrdep = Rel.union x.addr (s.s_dep |>> x.rfi) in
-  let strong_rrdep = Rel.inter (Rel.transitive_closure rrdep) s.s_rb_dep in
-  let to_r = Rel.union strong_rrdep rfi_rel_acq in
+(* ------------------------------------------------------------------ *)
+(* The chain, once                                                     *)
+(* ------------------------------------------------------------------ *)
+
+(* The operations the dynamic remainder is written in, over one engine's
+   representation ['r] of a relation: a static relation as a constant,
+   union, sequence, intersection and difference with a static relation,
+   and the three closures. *)
+type 'r ops = {
+  const : Rel.t -> 'r;
+  union : 'r -> 'r -> 'r;
+  seq : 'r -> 'r -> 'r;
+  inter : 'r -> Rel.t -> 'r;
+  diff : 'r -> Rel.t -> 'r;
+  plus : 'r -> 'r;
+  star : 'r -> 'r;
+  opt : 'r -> 'r;
+}
+
+(* The Figure 8 relations the chain derives up to hb. *)
+type 'r fig8 = {
+  rfi_rel_acq : 'r;
+  overwrite : 'r;
+  to_w : 'r;
+  rrdep : 'r;
+  strong_rrdep : 'r;
+  to_r : 'r;
+  ppo : 'r;
+  cumul_fence : 'r;
+  prop : 'r;
+  hb : 'r;
+}
+
+(* At: empty (rmw & (fre ; coe)) *)
+let at o (x : Exec.t) ~fre ~coe = o.inter (o.seq fre coe) x.rmw
+
+(* Figure 8, the witness-dependent remainder, from rfi, rfe, co and fr.
+   Sequences nest to the right; the symbolic encoding follows the
+   nesting, the other engines' results do not depend on it. *)
+let fig8 o s (x : Exec.t) ~rfi ~rfe ~co ~fr =
+  let rfi_rel_acq = o.seq (o.const s.rel_id) (o.seq rfi (o.const s.acq_id)) in
+  let overwrite = o.union co fr in
+  let to_w = o.union (o.const s.s_rwdep) (o.inter overwrite x.int_r) in
+  let rrdep = o.union (o.const x.addr) (o.seq (o.const s.s_dep) rfi) in
+  let strong_rrdep = o.inter (o.plus rrdep) s.s_rb_dep in
+  let to_r = o.union strong_rrdep rfi_rel_acq in
   let ppo =
-    star rrdep |>> Rel.union to_r (Rel.union to_w s.s_fence)
+    o.seq (o.star rrdep) (o.union to_r (o.union to_w (o.const s.s_fence)))
   in
   (* A-cumul(r) := rfe? ; r *)
-  let a_cumul r = opt x.rfe |>> r in
   let cumul_fence =
-    Rel.union (a_cumul (Rel.union s.s_strong_fence s.s_po_rel)) s.s_wmb
+    o.union
+      (o.seq (o.opt rfe) (o.const (Rel.union s.s_strong_fence s.s_po_rel)))
+      (o.const s.s_wmb)
   in
   let prop =
-    opt (Rel.inter overwrite x.ext_r) |>> star cumul_fence |>> opt x.rfe
+    o.seq
+      (o.opt (o.inter overwrite x.ext_r))
+      (o.seq (o.star cumul_fence) (o.opt rfe))
   in
-  let hb =
-    Rel.union
-      (Rel.inter (Rel.diff prop x.id_r) x.int_r)
-      (Rel.union ppo x.rfe)
-  in
-  let pb = prop |>> s.s_strong_fence |>> star hb in
-  (* Figure 12 *)
-  let link = star hb |>> star pb |>> prop in
-  let gp_link = s.s_gp |>> link in
-  let rscs_link = s.s_rscs |>> link in
-  (* rec rcu-path, by Kleene iteration of its monotone defining equation *)
-  let rcu_path =
-    let step p =
-      List.fold_left Rel.union gp_link
+  let hb = o.union (o.inter (o.diff prop x.id_r) x.int_r) (o.union ppo rfe) in
+  {
+    rfi_rel_acq;
+    overwrite;
+    to_w;
+    rrdep;
+    strong_rrdep;
+    to_r;
+    ppo;
+    cumul_fence;
+    prop;
+    hb;
+  }
+
+(* pb := prop ; strong-fence ; hb^* *)
+let pb o s ~prop ~hb_star =
+  o.seq prop (o.seq (o.const s.s_strong_fence) hb_star)
+
+(* link := hb^* ; pb^* ; prop, and gp-link, rscs-link *)
+let links o s ~hb_star ~pb ~prop =
+  let link = o.seq hb_star (o.seq (o.star pb) prop) in
+  (link, o.seq (o.const s.s_gp) link, o.seq (o.const s.s_rscs) link)
+
+(* rec rcu-path := gp-link | rcu-path ; rcu-path | gp-link ; rscs-link
+   | rscs-link ; gp-link | gp-link ; rcu-path ; rscs-link
+   | rscs-link ; rcu-path ; gp-link, by Kleene iteration of its monotone
+   defining equation from gp-link *)
+let rcu_path o ~equal ~gp_link:g ~rscs_link:r =
+  let rec go p =
+    Obs.Counter.incr c_fixpoint;
+    let next =
+      List.fold_left o.union g
         [
-          p |>> p;
-          gp_link |>> rscs_link;
-          rscs_link |>> gp_link;
-          gp_link |>> p |>> rscs_link;
-          rscs_link |>> p |>> gp_link;
+          o.seq p p;
+          o.seq g r;
+          o.seq r g;
+          o.seq g (o.seq p r);
+          o.seq r (o.seq p g);
         ]
     in
-    let rec go p =
-      Obs.Counter.incr c_fixpoint;
-      let next = step p in
-      if Rel.equal next p then p else go next
-    in
-    go gp_link
+    if equal next p then p else go next
   in
+  go g
+
+(* ------------------------------------------------------------------ *)
+(* Scalar: every relation of one candidate                             *)
+(* ------------------------------------------------------------------ *)
+
+let rel_ops universe =
+  {
+    const = Fun.id;
+    union = Rel.union;
+    seq = Rel.seq;
+    inter = Rel.inter;
+    diff = Rel.diff;
+    plus = Rel.transitive_closure;
+    star = Rel.reflexive_transitive_closure ~universe;
+    opt = Rel.reflexive_closure ~universe;
+  }
+
+let make ?static (x : Exec.t) =
+  let s = match static with Some s -> s | None -> static_of x in
+  let o = rel_ops x.universe in
+  let f = fig8 o s x ~rfi:x.rfi ~rfe:x.rfe ~co:x.co ~fr:x.fr in
+  let hb_star = o.star f.hb in
+  let pb = pb o s ~prop:f.prop ~hb_star in
+  let link, gp_link, rscs_link = links o s ~hb_star ~pb ~prop:f.prop in
   {
     x;
     acq_po = s.s_acq_po;
     po_rel = s.s_po_rel;
-    rfi_rel_acq;
+    rfi_rel_acq = f.rfi_rel_acq;
     rmb = s.s_rmb;
     wmb = s.s_wmb;
     mb = s.s_mb;
@@ -193,24 +275,25 @@ let make ?static (x : Exec.t) =
     crit = x.crit;
     gp = s.s_gp;
     rscs = s.s_rscs;
+    at = at o x ~fre:x.fre ~coe:x.coe;
     dep = s.s_dep;
     rwdep = s.s_rwdep;
-    overwrite;
-    to_w;
-    rrdep;
-    strong_rrdep;
-    to_r;
+    overwrite = f.overwrite;
+    to_w = f.to_w;
+    rrdep = f.rrdep;
+    strong_rrdep = f.strong_rrdep;
+    to_r = f.to_r;
     strong_fence = s.s_strong_fence;
     fence = s.s_fence;
-    ppo;
-    cumul_fence;
-    prop;
-    hb;
+    ppo = f.ppo;
+    cumul_fence = f.cumul_fence;
+    prop = f.prop;
+    hb = f.hb;
     pb;
     link;
     gp_link;
     rscs_link;
-    rcu_path;
+    rcu_path = rcu_path o ~equal:Rel.equal ~gp_link ~rscs_link;
   }
 
 (* One-slot static-prefix cache.  The prefix reads only the shape's
@@ -238,16 +321,15 @@ let static_cached (x : Exec.t) =
 let make_cached (x : Exec.t) = make ~static:(static_cached x) x
 
 (* ------------------------------------------------------------------ *)
-(* Batched evaluation                                                  *)
+(* Batched: up to 63 candidates in bit planes                          *)
 (* ------------------------------------------------------------------ *)
 
-(* The same dynamic remainder, for up to 63 pairwise static-compatible
-   witnesses at once: every witness-dependent relation is stacked into
-   candidate-major bit planes ({!Rel.Batch}) and the Figure 8 chain
-   runs word-parallel across all of them, with the static prefix —
-   equal across the batch by {!Exec.Execution.static_compatible} —
-   broadcast from the first candidate's cache entry.  The axioms are decided in Figure 3
-   order, and after each one the surviving-plane mask shrinks — decided
+(* Every witness-dependent relation is stacked into candidate-major bit
+   planes ({!Rel.Batch}) and the chain runs word-parallel across all of
+   them, with the static prefix — equal across the batch by
+   {!Exec.Execution.static_compatible} — broadcast from the first
+   candidate's cache entry.  The axioms are decided in Figure 3 order,
+   and after each one the surviving-plane mask shrinks — decided
    candidates are dropped from the remaining work entirely (the At
    stage restricts its inputs, the Hb/Pb/Rcu chain is built only for
    planes that survived At, and Pb/Rcu inputs are re-restricted), which
@@ -262,8 +344,21 @@ let consistent_mask ~coherent ~mask (xs : Exec.t array) =
   let x0 = xs.(0) in
   let s = static_cached x0 in
   let n = Array.length x0.Exec.events in
-  let bc ~mask r = B.broadcast ~n ~mask r in
   let dyn ~mask f = B.of_rels ~n ~mask (Array.map f xs) in
+  (* the operations over the planes of [mask], constants broadcast *)
+  let ops mask =
+    let bc r = B.broadcast ~n ~mask r in
+    {
+      const = bc;
+      union = B.union;
+      seq = B.seq;
+      inter = (fun a r -> B.inter a (bc r));
+      diff = (fun a r -> B.diff a (bc r));
+      plus = B.transitive_closure;
+      star = B.reflexive_transitive_closure ~mask;
+      opt = B.reflexive_closure ~mask;
+    }
+  in
   let live = ref mask in
   let settle ~last m =
     if not last then Obs.Counter.add c_batch_early (B.popcount (!live land lnot m));
@@ -276,85 +371,143 @@ let consistent_mask ~coherent ~mask (xs : Exec.t array) =
     settle ~last:false
       (B.acyclic_mask ~mask:!live
          (B.union
-            (bc ~mask:!live x0.Exec.po_loc)
+            (B.broadcast ~n ~mask:!live x0.Exec.po_loc)
             (dyn ~mask:!live (fun x -> x.Exec.com))));
-  (* At: empty (rmw & (fre ; coe)) *)
-  if !live <> 0 then
-    settle ~last:false
-      (B.empty_mask ~mask:!live
-         (B.inter
-            (bc ~mask:!live x0.Exec.rmw)
-            (B.seq
-               (dyn ~mask:!live (fun x -> x.Exec.fre))
-               (dyn ~mask:!live (fun x -> x.Exec.coe)))));
-  (* Hb, Pb and Rcu share the Figure 8 chain. *)
   if !live <> 0 then begin
     let lm = !live in
-    let bc r = bc ~mask:lm r and dyn f = dyn ~mask:lm f in
-    let ( |>> ) = B.seq in
-    let star r = B.reflexive_transitive_closure ~mask:lm r in
-    let opt r = B.reflexive_closure ~mask:lm r in
-    let rfi = dyn (fun x -> x.Exec.rfi) in
-    let rfe = dyn (fun x -> x.Exec.rfe) in
-    let overwrite =
-      B.union (dyn (fun x -> x.Exec.co)) (dyn (fun x -> x.Exec.fr))
+    settle ~last:false
+      (B.empty_mask ~mask:lm
+         (at (ops lm) x0
+            ~fre:(dyn ~mask:lm (fun x -> x.Exec.fre))
+            ~coe:(dyn ~mask:lm (fun x -> x.Exec.coe))))
+  end;
+  if !live <> 0 then begin
+    let lm = !live in
+    let dyn f = dyn ~mask:lm f in
+    let f =
+      fig8 (ops lm) s x0
+        ~rfi:(dyn (fun x -> x.Exec.rfi))
+        ~rfe:(dyn (fun x -> x.Exec.rfe))
+        ~co:(dyn (fun x -> x.Exec.co))
+        ~fr:(dyn (fun x -> x.Exec.fr))
     in
-    let int_b = bc x0.Exec.int_r in
-    let rfi_rel_acq = bc s.rel_id |>> rfi |>> bc s.acq_id in
-    let to_w = B.union (bc s.s_rwdep) (B.inter overwrite int_b) in
-    let rrdep = B.union (bc x0.Exec.addr) (bc s.s_dep |>> rfi) in
-    let strong_rrdep =
-      B.inter (B.transitive_closure rrdep) (bc s.s_rb_dep)
-    in
-    let to_r = B.union strong_rrdep rfi_rel_acq in
-    let ppo = star rrdep |>> B.union to_r (B.union to_w (bc s.s_fence)) in
-    let cumul_fence =
-      B.union
-        (opt rfe |>> bc (Rel.union s.s_strong_fence s.s_po_rel))
-        (bc s.s_wmb)
-    in
-    let prop =
-      opt (B.inter overwrite (bc x0.Exec.ext_r))
-      |>> star cumul_fence |>> opt rfe
-    in
-    let hb =
-      B.union
-        (B.inter (B.diff prop (bc x0.Exec.id_r)) int_b)
-        (B.union ppo rfe)
-    in
-    settle ~last:false (B.acyclic_mask ~mask:lm hb);
+    settle ~last:false (B.acyclic_mask ~mask:lm f.hb);
     if !live <> 0 then begin
       let lm = !live in
-      let prop = B.restrict ~mask:lm prop in
-      let hb = B.restrict ~mask:lm hb in
-      let pb = prop |>> bc s.s_strong_fence |>> star hb in
+      let o = ops lm and r = B.restrict ~mask:lm in
+      let prop = r f.prop in
+      let hb_star = o.star (r f.hb) in
+      let pb = pb o s ~prop ~hb_star in
       settle ~last:false (B.acyclic_mask ~mask:lm pb);
       if !live <> 0 then begin
         let lm = !live in
-        let link =
-          star (B.restrict ~mask:lm hb)
-          |>> star (B.restrict ~mask:lm pb)
-          |>> B.restrict ~mask:lm prop
+        let o = ops lm and r = B.restrict ~mask:lm in
+        let _, gp_link, rscs_link =
+          links o s ~hb_star:(r hb_star) ~pb:(r pb) ~prop:(r prop)
         in
-        let gp_link = bc s.s_gp |>> link in
-        let rscs_link = bc s.s_rscs |>> link in
-        let step p =
-          List.fold_left B.union gp_link
-            [
-              p |>> p;
-              gp_link |>> rscs_link;
-              rscs_link |>> gp_link;
-              gp_link |>> p |>> rscs_link;
-              rscs_link |>> p |>> gp_link;
-            ]
-        in
-        let rec go p =
-          Obs.Counter.incr c_fixpoint;
-          let next = step p in
-          if B.equal next p then p else go next
-        in
-        settle ~last:true (B.irreflexive_mask ~mask:lm (go gp_link))
+        settle ~last:true
+          (B.irreflexive_mask ~mask:lm
+             (rcu_path o ~equal:B.equal ~gp_link ~rscs_link))
       end
     end
   end;
   !live
+
+(* ------------------------------------------------------------------ *)
+(* Symbolic: the axioms as CNF                                         *)
+(* ------------------------------------------------------------------ *)
+
+(* The chain over the symbolic witness relations of one event structure.
+   The static prefix is taken from the representative execution and
+   enters as constants; only the dynamic remainder becomes clauses.
+   Because the whole chain is monotone in rf and co and the axioms are
+   negative, the support-only encoding is exact (see [lib/exec/solve.ml]);
+   exactness against the scalar [Axioms.consistent] is what the
+   agreement suites in [test/test_sat.ml] exercise. *)
+
+module S = Exec.Solve
+module Sym = Exec.Solve.Sym
+
+(* Symbolic rcu-path, tied off concretely: [T] on the must-fixpoint,
+   [F] outside the may-fixpoint (both least fixpoints of the scalar
+   step), and at each remaining pair, once asked for, a fresh variable
+   with one support clause per instance of the six rules that derives
+   it from may-supported tuples — at least the concrete rcu-path of any
+   assignment on every pair asked for, which is exactly what the
+   irreflexivity assertion needs. *)
+let sym_rcu_path ctx universe gp_link rscs_link =
+  let may_g = Sym.may gp_link and may_r = Sym.may rscs_link in
+  let lfp g r =
+    rcu_path (rel_ops universe) ~equal:Rel.equal ~gp_link:g ~rscs_link:r
+  in
+  let may_p = lfp may_g may_r in
+  let must_p = lfp (Sym.must gp_link) (Sym.must rscs_link) in
+  (* columns, for the rule instances that end at a given pair *)
+  let cols_g = Rel.inverse may_g
+  and cols_r = Rel.inverse may_r
+  and cols_p = Rel.inverse may_p in
+  let g = Sym.entry gp_link and r = Sym.entry rscs_link in
+  Sym.define ctx ~may:may_p ~must:must_p (fun path x z v ->
+      let p = Sym.entry path in
+      let support body = S.clause ctx (v :: List.map S.neg body) in
+      (* gp-link <= p *)
+      support [ g x z ];
+      (* p ; p <= p  (a tautology through y = x or y = z) *)
+      Rel.iter_row_inter
+        (fun y -> if y <> x && y <> z then support [ p x y; p y z ])
+        may_p x cols_p z;
+      (* gp-link ; rscs-link <= p  and symmetrically *)
+      Rel.iter_row_inter (fun y -> support [ g x y; r y z ]) may_g x cols_r z;
+      Rel.iter_row_inter (fun y -> support [ r x y; g y z ]) may_r x cols_g z;
+      (* gp-link ; p ; rscs-link <= p  and symmetrically *)
+      Rel.iter_row
+        (fun y ->
+          Rel.iter_row_inter
+            (fun y' -> support [ g x y; p y y'; r y' z ])
+            may_p y cols_r z)
+        may_g x;
+      Rel.iter_row
+        (fun y ->
+          Rel.iter_row_inter
+            (fun y' -> support [ r x y; p y y'; g y' z ])
+            may_p y cols_g z)
+        may_r x)
+
+(* Scpv is already asserted by the encoder (it doubles as the coherence
+   prefilter), so this contributes At, Hb, Pb and Rcu. *)
+let sat_axioms (e : S.enc) =
+  let ctx = e.S.ctx and x = e.S.rep in
+  let s = static_cached x in
+  let o =
+    {
+      const = Sym.const ctx;
+      union = Sym.union ctx;
+      seq = Sym.seq ctx;
+      inter = Sym.inter_const;
+      diff = Sym.diff_const;
+      plus = Sym.plus ctx;
+      star = Sym.star ctx;
+      opt = Sym.opt;
+    }
+  in
+  let ext r = Sym.inter_const r x.Exec.ext_r in
+  Sym.assert_empty ctx (at o x ~fre:(ext e.S.fr) ~coe:(ext e.S.co));
+  let f =
+    fig8 o s x
+      ~rfi:(Sym.inter_const e.S.rf x.Exec.int_r)
+      ~rfe:(ext e.S.rf) ~co:e.S.co ~fr:e.S.fr
+  in
+  Sym.assert_acyclic ctx f.hb;
+  (* Pb and Rcu both vanish without a strong fence: pb has a
+     strong-fence factor, and gp (hence gp-link, hence rcu-path) is a
+     sub-relation of one. *)
+  if not (Rel.is_empty s.s_strong_fence) then begin
+    let hb_star = o.star f.hb in
+    let pb = pb o s ~prop:f.prop ~hb_star in
+    Sym.assert_acyclic ctx pb;
+    if not (Rel.is_empty s.s_gp) then begin
+      let _, gp_link, rscs_link = links o s ~hb_star ~pb ~prop:f.prop in
+      Sym.assert_irreflexive ctx
+        (sym_rcu_path ctx x.Exec.universe gp_link rscs_link)
+    end
+  end

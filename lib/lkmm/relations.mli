@@ -1,5 +1,9 @@
 (** The relations of the LK memory model — Figure 8 and Figure 12 of the
-    paper, computed once per candidate execution into a {!ctx} record.
+    paper.  Their witness-dependent part is written once, over the
+    operations it uses, and evaluated by three engines: {!make} over
+    {!Rel} (one candidate, into a {!ctx} record), {!consistent_mask}
+    over {!Rel.Batch} planes and {!sat_axioms} over
+    {!Exec.Solve.Sym}.
 
     Every field name matches the paper's (OCaml-ised: [to-w] is [to_w],
     [rcu-path] is [rcu_path]).  The definitions, for reference:
@@ -42,6 +46,8 @@ type ctx = {
   crit : Rel.t;  (** outermost rcu_read_lock -> matching unlock *)
   gp : Rel.t;
   rscs : Rel.t;
+  (* Figure 3 *)
+  at : Rel.t;  (** rmw & (fre ; coe), empty under the At axiom *)
   (* Figure 8 *)
   dep : Rel.t;
   rwdep : Rel.t;
@@ -66,25 +72,8 @@ type ctx = {
 
 (** The witness-independent prefix of the model: relations determined by
     the event structure alone (po, dependencies, fences, gp, rscs),
-    identical for every rf/co witness of one structure.  Concrete so the
-    symbolic backend ({!Symbolic}) can enter them as constants. *)
-type static_ctx = {
-  acq_id : Rel.t;  (** identity over read-acquires *)
-  rel_id : Rel.t;  (** identity over write-releases *)
-  s_acq_po : Rel.t;
-  s_po_rel : Rel.t;
-  s_rmb : Rel.t;
-  s_wmb : Rel.t;
-  s_mb : Rel.t;
-  s_rb_dep : Rel.t;
-  s_sync : Iset.t;
-  s_gp : Rel.t;
-  s_rscs : Rel.t;
-  s_dep : Rel.t;
-  s_rwdep : Rel.t;
-  s_strong_fence : Rel.t;
-  s_fence : Rel.t;
-}
+    identical for every rf/co witness of one structure. *)
+type static_ctx
 
 (** [static_of x] computes the static prefix of [x]. *)
 val static_of : Exec.t -> static_ctx
@@ -120,3 +109,12 @@ val make_cached : Exec.t -> ctx
     decided (the caller ran the sc-per-location prefilter, which is the
     same check). *)
 val consistent_mask : coherent:bool -> mask:int -> Exec.t array -> int
+
+(** [sat_axioms] is the model's axioms callback for {!Exec.Solve}: At,
+    Hb, Pb and Rcu as CNF over the symbolic witness relations of one
+    event structure (the encoder asserts Scpv), with the static prefix
+    entered as constants.  Pb is skipped without a strong fence and Rcu
+    without a grace period; rcu-path is tied off with one support clause
+    per rule instance between the least fixpoints of its may- and
+    must-projections. *)
+val sat_axioms : Exec.Solve.axioms

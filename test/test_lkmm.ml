@@ -321,30 +321,45 @@ let test_struct_rcu_path_needs_gps () =
 
 let test_explain_forbidden () =
   let c = weak_ctx (battery "SB+mbs") in
-  let vs = Lkmm.Explain.violations_of c in
-  Alcotest.(check bool) "exactly the pb violation" true
-    (List.length vs = 1
-    && (List.hd vs).Lkmm.Explain.axiom = Lkmm.Axioms.Pb
-    && List.length (List.hd vs).Lkmm.Explain.cycle >= 2)
+  match Lkmm.Explain.explain_execution c.x with
+  | [ e ] ->
+      Alcotest.(check string) "the pb violation"
+        (Lkmm.Axioms.to_string Lkmm.Axioms.Pb)
+        e.Exec.Explain.check;
+      Alcotest.(check bool) "with a cycle" true (e.Exec.Explain.steps <> [])
+  | es -> Alcotest.failf "expected one explanation, got %d" (List.length es)
 
 let test_explain_cycle_is_real () =
   List.iter
     (fun name ->
       let c = weak_ctx (battery name) in
       List.iter
-        (fun (v : Lkmm.Explain.violation) ->
-          let rel = Lkmm.Axioms.relation c v.axiom in
-          let rec edges = function
-            | a :: (b :: _ as rest) -> Rel.mem a b rel && edges rest
-            | _ -> true
+        (fun (e : Exec.Explain.t) ->
+          let axiom =
+            List.find
+              (fun a -> Lkmm.Axioms.to_string a = e.check)
+              Lkmm.Axioms.all
           in
-          match v.axiom with
+          let rel = Lkmm.Axioms.relation c axiom in
+          let steps = e.steps in
+          let closes =
+            List.for_all2
+              (fun (s : Exec.Explain.step) (s' : Exec.Explain.step) ->
+                s.dst = s'.src)
+              steps
+              (List.tl steps @ [ List.hd steps ])
+          in
+          match axiom with
           | Lkmm.Axioms.At -> ()
           | _ ->
               Alcotest.(check bool)
                 (name ^ ": explanation cycle has real edges")
-                true (edges v.cycle))
-        (Lkmm.Explain.violations_of c))
+                true
+                (closes
+                && List.for_all
+                     (fun (s : Exec.Explain.step) -> Rel.mem s.src s.dst rel)
+                     steps))
+        (Lkmm.Explain.explain_execution c.x))
     [ "SB+mbs"; "MP+wmb+rmb"; "PeterZ"; "LB+ctrl+mb"; "RWC+mbs" ]
 
 (* ------------------------------------------------------------------ *)

@@ -258,13 +258,22 @@ let manifest dir =
            | [ file; lk; _c11 ] -> Some (file, lk)
            | _ -> Alcotest.failf "bad manifest line: %s" line)
 
-let sat_check ?(backend = Exec.Check.Sat) t =
+let sat_check ?(backend = Exec.Check.Sat) ?(oracle = Lkmm.oracle) t =
   Exec.Oracle.run ~budget:(Exec.Budget.start Exec.Budget.default) ~backend
-    Lkmm.oracle t
+    oracle t
 
-(* Every corpus test: the symbolic verdict must equal both the golden
-   manifest verdict and the batched engine's, with zero fallbacks (the
-   native oracle ships a solver) and solver counters present. *)
+(* All three native engines evaluate one definition of the LK chain, so
+   lk.cat, run by the cat interpreter, is the reference independent of
+   it. *)
+let lk_cat = lazy (Cat.to_oracle ~name:"LK(cat)" (Lazy.force Cat.lk))
+
+let cat_check t =
+  sat_check ~backend:Exec.Check.Batch ~oracle:(Lazy.force lk_cat) t
+
+(* Every corpus test: the symbolic verdict must equal the golden
+   manifest verdict, the batched engine's and lk.cat's, with zero
+   fallbacks (the native oracle ships a solver) and solver counters
+   present. *)
 let test_corpus_agreement () =
   match corpus_dir with
   | None -> Alcotest.fail "corpus directory not found"
@@ -291,6 +300,9 @@ let test_corpus_agreement () =
           let b = sat_check ~backend:Exec.Check.Batch t in
           Alcotest.(check string) (file ^ " sat = batch")
             (Exec.Check.verdict_to_string b.Exec.Check.verdict)
+            (Exec.Check.verdict_to_string r.Exec.Check.verdict);
+          Alcotest.(check string) (file ^ " native = lk.cat")
+            (Exec.Check.verdict_to_string (cat_check t).Exec.Check.verdict)
             (Exec.Check.verdict_to_string r.Exec.Check.verdict))
         entries
 
@@ -351,15 +363,72 @@ let coherence_shapes =
         (product atoms))
     shapes
 
-(* A fixed generated set: the coherence shapes, every size-4 cycle over
-   the core vocabulary, and 300 seeded samples each of sizes 5 and 6
-   over the full one (fences, dependencies, release/acquire). *)
+(* RCU cycles through an rf edge their structure leaves open: a second
+   grace-period or critical-section thread writes the value the cycle
+   reads, so the read's writer is a CNF variable and the RCU axiom rests
+   on rcu-path's support clauses, not on its must-fixpoint (the
+   battery's RCU tests fix rf and co by their read values). *)
+let rcu_open_rf =
+  let gp_writer i =
+    Printf.sprintf
+      "P%d(int *x, int *y) { WRITE_ONCE(*x, 1); synchronize_rcu(); \
+       WRITE_ONCE(*y, 1); }"
+      i
+  in
+  let rscs_2w name first second cond =
+    Printf.sprintf
+      "C %s\n\
+       { }\n\
+       P0(int *x, int *y) { rcu_read_lock(); int r1 = READ_ONCE(*%s); int \
+       r2 = READ_ONCE(*%s); rcu_read_unlock(); }\n\
+       %s\n\
+       %s\n\
+       exists (%s)\n"
+      name first second (gp_writer 1) (gp_writer 2) cond
+  in
+  (* A cycle of grace-period ('g': read, synchronize_rcu, write) and
+     critical-section ('r': read and write in one) threads in the order
+     [word], each reading the previous one's write, and a twin of each
+     thread of [doubled]. *)
+  let cycle word doubled =
+    let n = String.length word in
+    let thread tid i =
+      let a = Printf.sprintf "a%d" i
+      and b = Printf.sprintf "a%d" ((i + 1) mod n) in
+      let read = Printf.sprintf "int r0 = READ_ONCE(*%s);" a
+      and write = Printf.sprintf "WRITE_ONCE(*%s, 1);" b in
+      Printf.sprintf "P%d(int *%s, int *%s) { %s }" tid a b
+        (if word.[i] = 'g' then
+           Printf.sprintf "%s synchronize_rcu(); %s" read write
+         else Printf.sprintf "rcu_read_lock(); %s %s rcu_read_unlock();" read
+             write)
+    in
+    let threads = List.init n Fun.id @ doubled in
+    Printf.sprintf "C RCU-%s+2w\n{ }\n%s\nexists (%s)\n" word
+      (String.concat "\n" (List.mapi thread threads))
+      (String.concat " /\\ "
+         (List.mapi (fun tid _ -> Printf.sprintf "%d:r0=1" tid) threads))
+  in
+  List.map Litmus.parse
+    [
+      rscs_2w "RCU-MP+2w" "y" "x" "0:r1=1 /\\ 0:r2=0";
+      rscs_2w "RCU-deferred-free+2w" "x" "y" "0:r1=0 /\\ 0:r2=1";
+      cycle "rgrg" [ 3 ];
+      (* every derivation of this violation applies p ; p <= p across an
+         open edge, even granting gp-link ; gp-link <= gp-link *)
+      cycle "gggrrgrr" [ 0; 4 ];
+    ]
+
+(* A fixed generated set: the coherence shapes, the open-rf RCU cycles,
+   every size-4 cycle over the core vocabulary, and 300 seeded samples
+   each of sizes 5 and 6 over the full one (fences, dependencies,
+   release/acquire). *)
 let generated =
   lazy
     (let sampled size =
        Diygen.sample ~rng:(Random.State.make [| size |]) ~count:300 size
      in
-     coherence_shapes
+     coherence_shapes @ rcu_open_rf
      @ Diygen.generate ~vocabulary:Diygen.Edge.core_vocabulary 4
      @ sampled 5 @ sampled 6)
 
@@ -401,17 +470,18 @@ let test_coherence_only () =
   Alcotest.(check bool) "some Forbid" true (!allow < List.length tests)
 
 (* The native LK oracle on the generated set: the solver's verdict must
-   equal the batched engine's, as on the corpus. *)
+   equal the batched engine's and lk.cat's, as on the corpus. *)
 let test_generated_agreement () =
   let tests = Lazy.force generated in
   Alcotest.(check bool) "generated set is substantial" true
     (List.length tests > 500);
   List.iter
     (fun (t : Litmus.Ast.t) ->
+      let v r = Exec.Check.verdict_to_string r.Exec.Check.verdict in
       let r = sat_check t and b = sat_check ~backend:Exec.Check.Batch t in
-      Alcotest.(check string) (t.Litmus.Ast.name ^ " sat = batch")
-        (Exec.Check.verdict_to_string b.Exec.Check.verdict)
-        (Exec.Check.verdict_to_string r.Exec.Check.verdict))
+      Alcotest.(check string) (t.Litmus.Ast.name ^ " sat = batch") (v b) (v r);
+      Alcotest.(check string) (t.Litmus.Ast.name ^ " native = lk.cat")
+        (v (cat_check t)) (v r))
     tests
 
 (* ------------------------------------------------------------------ *)
