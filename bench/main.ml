@@ -215,14 +215,18 @@ let c11_delta tests =
 
 let ablation_cat () =
   section "Ablation: native LK model vs cat-interpreted lk.cat";
-  let lk_cat = Cat.parse Cat.Stdmodels.lk in
+  let (module Lk_cat : Exec.Check.MODEL) =
+    Exec.Oracle.model
+      (Cat.to_oracle ~name:"LK(cat)" (Cat.parse Cat.Stdmodels.lk))
+      ()
+  in
   let mismatches = ref 0 and execs = ref 0 in
   List.iter
     (fun (e : Harness.Battery.entry) ->
       List.iter
         (fun x ->
           incr execs;
-          if Lkmm.consistent x <> Cat.consistent lk_cat x then
+          if Lkmm.consistent x <> Lk_cat.consistent x then
             incr mismatches)
         (Exec.of_test (Harness.Battery.test_of e)))
     Harness.Battery.all;

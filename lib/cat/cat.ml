@@ -3,8 +3,8 @@
 
    - {!Ast}, {!Lexer}, {!Parser}: the language (see {!Stdmodels} for the
      supported dialect);
-   - {!Interp}: evaluation against one candidate execution, or a batch
-     of them in bit planes;
+   - {!Interp}: compilation of a model to slot form, and evaluation
+     against one candidate execution or a batch of them in bit planes;
    - {!Stdmodels}: the shipped models (lk.cat, sc.cat, tso.cat, c11.cat,
      c11-psc.cat). *)
 
@@ -29,17 +29,6 @@ let load_file path =
   close_in ic;
   parse src
 
-(** [outcomes ?budget model x] evaluates every constraint of [model] on
-    the candidate execution [x]; [?budget] bounds the interpretation
-    wall-clock (see {!Interp.run}). *)
-let outcomes ?budget (model : model) (x : Exec.t) =
-  Interp.run ?budget model (Interp.env_of_execution x)
-
-(** [consistent ?budget model x] holds iff [x] satisfies all of [model]'s
-    constraints. *)
-let consistent ?budget (model : model) (x : Exec.t) =
-  List.for_all (fun (o : Interp.outcome) -> o.holds) (outcomes ?budget model x)
-
 let c_cache_hits = Obs.Counter.make "cat.cache.hits"
 let c_cache_misses = Obs.Counter.make "cat.cache.misses"
 let h_replay = Obs.Histogram.make "cat.replay_us"
@@ -49,19 +38,20 @@ let h_replay = Obs.Histogram.make "cat.replay_us"
     budget-indexed per request (the fixpoint interpreter shares the
     test's deadline).
 
-    The model is compiled once ({!Interp.compile}) and its static
-    prefix — every binding depending only on the shape's statics, not
-    on the rf/co witness or on read values — is evaluated once per
-    static shape and reused across the candidates sharing it.  The
-    enumeration shares one {!Exec.shape} physically across every
-    witness of every event structure of that shape, so one slot keyed
-    on the shape's identity, shared by both engines, hits for all but
-    the first candidate of each run of a shape.  Prefix replay
-    reproduces {!Interp.run} exactly.  Both engines replay with
-    {!Interp.run_with_prefix}: the scalar one on one candidate, the
-    batched one on up to 63 witnesses of one shape per pass, taking
-    statics from the first ({!Interp.env_of_executions}).  The batched
-    engine ignores [~coherent], since cat models re-check their
+    The model is compiled when the oracle is built ({!Interp.compile}):
+    every name is resolved to a slot and each statement classified
+    static or dynamic.  Its static prefix — the slot array after every
+    statement depending only on the shape's statics, not on the rf/co
+    witness or on read values — is evaluated once per static shape and
+    copied for each candidate or batch of that shape, with the witness
+    slots the model reads filled in.  The enumeration shares one {!Exec.shape}
+    physically across every witness of every event structure of that
+    shape, so one slot keyed on the shape's identity, shared by both
+    engines, hits for all but the first candidate of each run of a
+    shape.  Both engines replay with {!Interp.run_with_prefix}: the
+    scalar one on one candidate ({!Interp.candidate}), the batched one
+    on up to 63 witnesses of one shape per pass ({!Interp.batch}).  The
+    batched engine ignores [~coherent], since cat models re-check their
     coherence axiom even on prefiltered candidates.  No symbolic engine
     yet — a [Sat] request falls back enumeratively, counted, per
     {!Exec.Oracle.run}. *)
@@ -75,7 +65,7 @@ let to_oracle ~name (model : model) : Exec.Oracle.t =
         p
     | _ ->
         Obs.Counter.incr c_cache_misses;
-        let p = Interp.prefix ?budget compiled (Interp.env_of_execution x) in
+        let p = Interp.prefix ?budget compiled x in
         slot := Some (x.Exec.shape, p);
         p
   in
@@ -85,8 +75,8 @@ let to_oracle ~name (model : model) : Exec.Oracle.t =
         let name = name
 
         let consistent (x : Exec.t) =
-          let env = Interp.env_of_execution x in
           let prefix = prefix_of budget x in
+          let env = Interp.candidate prefix x in
           let t0 = if Obs.enabled () then Obs.now_us () else 0. in
           let live = Interp.run_with_prefix ?budget prefix env in
           if Obs.enabled () then
@@ -95,7 +85,7 @@ let to_oracle ~name (model : model) : Exec.Oracle.t =
       end : Exec.Check.MODEL))
     ~batch:(fun budget ~coherent:_ ~mask (xs : Exec.t array) ->
       let prefix = prefix_of budget xs.(0) in
-      Interp.run_with_prefix ?budget prefix (Interp.env_of_executions ~mask xs))
+      Interp.run_with_prefix ?budget prefix (Interp.batch prefix ~mask xs))
     ()
 
 (** [explainer ?budget model] is a verdict-forensics hook for
@@ -108,8 +98,3 @@ let check_names = Explain.check_names
 
 (** The shipped LK model (lk.cat), parsed. *)
 let lk = lazy (parse Stdmodels.lk)
-
-(** [check_lk test] runs [test] against the cat-interpreted LK model
-    through {!to_oracle}'s batched engine. *)
-let check_lk test =
-  Exec.Oracle.run (to_oracle ~name:"LK(cat)" (Lazy.force lk)) test

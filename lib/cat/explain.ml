@@ -10,11 +10,14 @@
    dependency edges.
 
    The decomposition is semantic, not syntactic: at every AST node the
-   engine re-evaluates the relevant sub-expressions (in the environment
-   the definition was evaluated in, so shadowing and [let rec]
-   fixpoints resolve exactly as the interpreter resolved them) and
-   follows the operand that actually contains the edge.  A [Union]
-   picks the matching side; a [Seq] finds a midpoint; [Plus]/[Star]
+   engine re-evaluates the relevant sub-expressions and follows the
+   operand that actually contains the edge.  A sub-expression is
+   compiled by the interpreter's own resolver in the scope of its
+   program point (a definition's body in the scope it was compiled in,
+   so shadowing and [let rec] fixpoints resolve exactly as the
+   interpreter resolved them) and evaluated on the slot array of one
+   replay of the model, which holds every program point's values.  A
+   [Union] picks the matching side; a [Seq] finds a midpoint; [Plus]/[Star]
    find a shortest path through the base relation and decompose each
    hop; [Inverse] decomposes the flipped edge and tags labels with
    [^-1]; an [Id] bound by a [let] recurses into its body (guarded
@@ -35,6 +38,10 @@
 module E = Exec.Explain
 module Iset = Rel.Iset
 module Sset = Set.Make (String)
+
+(* A program point: the names it sees, and the replayed slots (grown by
+   the parameters of the applications decomposed on the way to it). *)
+type point = { scope : Interp.scope; env : Interp.env }
 
 (* ------------------------------------------------------------------ *)
 (* Rendering cat expressions (for opaque labels)                       *)
@@ -63,65 +70,40 @@ and atom e =
   | _ -> "(" ^ render e ^ ")"
 
 (* ------------------------------------------------------------------ *)
-(* Statement replay: outcomes plus a definition table                  *)
+(* Statement replay: one environment for every program point           *)
 (* ------------------------------------------------------------------ *)
 
-(* For decomposition each defined name needs its body *and* the
-   environment that body was evaluated in: the pre-group environment
-   for plain lets (also the closure environment of function
-   definitions), the post-fixpoint environment for [let rec] — at the
-   fixpoint, value(name) = eval(body, fixpoint env), so any edge of the
-   value is derivable from the body there. *)
-type def = { params : string list; body : Ast.expr; denv : Interp.env }
-
-type replayed = {
-  env : Interp.env; (* after all statements *)
-  defs : (string, def) Hashtbl.t;
-  failed : (Ast.check_kind * Ast.expr * string option * Interp.env) list;
-      (* failed checks, with the environment at their program point *)
-}
-
-let replay ?budget (model : Ast.t) env0 =
-  let defs = Hashtbl.create 64 in
-  let failed = ref [] in
-  let env =
-    List.fold_left
-      (fun env stmt ->
-        match stmt with
-        | Ast.Let (bs, is_rec) ->
-            Option.iter Exec.Budget.tick budget;
-            let env' = Interp.eval_let ?budget env bs is_rec in
-            List.iter
-              (fun (n, params, body) ->
-                Hashtbl.replace defs n
-                  { params; body; denv = (if is_rec then env' else env) })
-              bs;
-            env'
-        | Ast.Check (kind, e, name) ->
-            Option.iter Exec.Budget.tick budget;
-            if Interp.check env kind e = 0 then
-              failed := (kind, e, name, env) :: !failed;
-            env)
-      env0 model.Ast.stmts
+(* The compiled model run once on [x]: after the replay each slot holds
+   the one value its program point wrote, so a scope at any program
+   point and this environment evaluate what the interpreter evaluated
+   there.  Returns the environment and the failed checks, each with the
+   scope at its program point. *)
+let replay ?budget c (model : Ast.t) x =
+  let env = Interp.env_of_execution c x in
+  let holds = Interp.run ?budget c env in
+  let failed =
+    List.concat
+      (List.mapi
+         (fun i stmt ->
+           match stmt with
+           | Ast.Check (kind, e, name) when not holds.(i) ->
+               [ (kind, e, name, { scope = Interp.scope_at c i; env }) ]
+           | _ -> [])
+         model.Ast.stmts)
   in
-  { env; defs; failed = List.rev !failed }
+  (env, failed)
 
 (* ------------------------------------------------------------------ *)
 (* Decomposition into primitive edges                                  *)
 (* ------------------------------------------------------------------ *)
 
-(* The predefined relation names decomposition terminates on.  [com] is
-   predefined too, but splits informatively into rf/co/fr. *)
-let primitive_names =
-  Sset.of_list (Interp.witness_names @ Interp.structural_names)
-
-let try_rel env e =
-  match Interp.as_rel (Interp.eval env e) with
+let try_rel pt e =
+  match Interp.as_rel (Interp.eval_expr pt.env pt.scope e) with
   | r -> Some r
   | exception Interp.Type_error _ -> None
 
-let mem_of env e a b =
-  match try_rel env e with Some r -> Rel.mem a b r | None -> false
+let mem_of pt e a b =
+  match try_rel pt e with Some r -> Rel.mem a b r | None -> false
 
 (* Shortest path [a; ...; b] (at least one edge) through [rel], or
    [None].  Handles a = b (a proper cycle through [a]). *)
@@ -188,7 +170,7 @@ let productive visiting prims =
    genuine progress (the Seq split of [rcu-path ; rcu-path] hands each
    half a shorter edge), while the same name on the same edge means the
    recursion made no progress and must stop. *)
-let rec decompose defs ~visiting ~depth env (e : Ast.expr) a b :
+let rec decompose ~visiting ~depth pt (e : Ast.expr) a b :
     E.prim list =
   let opaque () = [ { E.p_src = a; p_dst = b; p_label = render e } ] in
   if depth > max_depth then opaque ()
@@ -196,21 +178,18 @@ let rec decompose defs ~visiting ~depth env (e : Ast.expr) a b :
     match e with
     | Ast.Id "com" ->
         (* predefined rf | co | fr: split for herd-style labels *)
-        let pick n = mem_of env (Ast.Id n) a b in
+        let pick n = mem_of pt (Ast.Id n) a b in
         let l = if pick "rf" then "rf" else if pick "co" then "co" else "fr" in
         [ { E.p_src = a; p_dst = b; p_label = l } ]
-    | Ast.Id x when Sset.mem x primitive_names ->
-        [ { E.p_src = a; p_dst = b; p_label = x } ]
     | Ast.Id x -> (
-        match Hashtbl.find_opt defs x with
-        | Some { params = []; body; denv }
-          when not (List.mem (x, a, b) visiting) ->
-            decompose defs
+        match Interp.definition pt.scope x with
+        | Some (body, scope) when not (List.mem (x, a, b) visiting) ->
+            decompose
               ~visiting:((x, a, b) :: visiting)
-              ~depth:(depth + 1) denv body a b
+              ~depth:(depth + 1) { pt with scope } body a b
         | _ ->
-            (* unproductive revisit, parameter, or unknown: opaque, but
-               a bound name still validates by membership *)
+            (* predefined, unproductive revisit, function or unknown:
+               opaque, but a bound name still validates by membership *)
             [ { E.p_src = a; p_dst = b; p_label = x } ])
     | Ast.Empty_rel -> opaque ()
     | Ast.Union (l, r) -> (
@@ -221,8 +200,8 @@ let rec decompose defs ~visiting ~depth env (e : Ast.expr) a b :
            a later branch ([gp-link ; rscs-link]) carries the real
            derivation *)
         let try_branch e' =
-          if mem_of env e' a b then
-            Some (decompose defs ~visiting ~depth:(depth + 1) env e' a b)
+          if mem_of pt e' a b then
+            Some (decompose ~visiting ~depth:(depth + 1) pt e' a b)
           else None
         in
         match try_branch l with
@@ -237,13 +216,13 @@ let rec decompose defs ~visiting ~depth env (e : Ast.expr) a b :
     | Ast.Inter (l, r) ->
         (* both operands contain the edge; decompose the more telling
            one (more primitives — [rmw & (fre ; coe)] shows fre;coe) *)
-        let dl = decompose defs ~visiting ~depth:(depth + 1) env l a b
-        and dr = decompose defs ~visiting ~depth:(depth + 1) env r a b in
+        let dl = decompose ~visiting ~depth:(depth + 1) pt l a b
+        and dr = decompose ~visiting ~depth:(depth + 1) pt r a b in
         if List.length dr > List.length dl then dr else dl
     | Ast.Diff (l, _) ->
-        decompose defs ~visiting ~depth:(depth + 1) env l a b
+        decompose ~visiting ~depth:(depth + 1) pt l a b
     | Ast.Seq (l, r) -> (
-        match (try_rel env l, try_rel env r) with
+        match (try_rel pt l, try_rel pt r) with
         | Some rl, Some rr -> (
             (* candidate midpoints m with (a,m) in l and (m,b) in r,
                strict ones (distinct from both endpoints) first: a
@@ -257,8 +236,8 @@ let rec decompose defs ~visiting ~depth env (e : Ast.expr) a b :
               List.partition (fun m -> m <> a && m <> b) (List.rev !mids)
             in
             let split m =
-              decompose defs ~visiting ~depth:(depth + 1) env l a m
-              @ decompose defs ~visiting ~depth:(depth + 1) env r m b
+              decompose ~visiting ~depth:(depth + 1) pt l a m
+              @ decompose ~visiting ~depth:(depth + 1) pt r m b
             in
             let rec try_mids fallback budget = function
               | [] -> (
@@ -277,7 +256,7 @@ let rec decompose defs ~visiting ~depth env (e : Ast.expr) a b :
             try_mids None 8 (strict @ degen))
         | _ -> opaque ())
     | Ast.Inverse inner ->
-        decompose defs ~visiting ~depth:(depth + 1) env inner b a
+        decompose ~visiting ~depth:(depth + 1) pt inner b a
         |> List.rev_map (fun (p : E.prim) ->
                {
                  E.p_src = p.E.p_dst;
@@ -288,14 +267,13 @@ let rec decompose defs ~visiting ~depth env (e : Ast.expr) a b :
         (* the reflexive part always covers (a, a) *)
         [ { E.p_src = a; p_dst = b; p_label = "id" } ]
     | Ast.Plus inner | Ast.Star inner -> (
-        match try_rel env inner with
+        match try_rel pt inner with
         | Some base -> (
             match bfs_path base a b with
             | Some path ->
                 let rec hops = function
                   | x :: (y :: _ as rest) ->
-                      decompose defs ~visiting ~depth:(depth + 1) env inner
-                        x y
+                      decompose ~visiting ~depth:(depth + 1) pt inner x y
                       @ hops rest
                   | _ -> []
                 in
@@ -303,27 +281,22 @@ let rec decompose defs ~visiting ~depth env (e : Ast.expr) a b :
             | None -> opaque ())
         | None -> opaque ())
     | Ast.Opt inner ->
-        if mem_of env inner a b then
-          decompose defs ~visiting ~depth:(depth + 1) env inner a b
+        if mem_of pt inner a b then
+          decompose ~visiting ~depth:(depth + 1) pt inner a b
         else [ { E.p_src = a; p_dst = b; p_label = "id" } ]
     | Ast.Cartesian _ | Ast.Complement _ -> opaque ()
     | Ast.Bracket _ -> [ { E.p_src = a; p_dst = b; p_label = render e } ]
+    | Ast.App (f, _) when List.mem (f, a, b) visiting -> opaque ()
     | Ast.App (f, arg) -> (
-        match Hashtbl.find_opt defs f with
-        | Some { params = [ p ]; body; denv }
-          when not (List.mem (f, a, b) visiting) -> (
-            match Interp.eval env arg with
-            | v ->
-                (* bind the parameter's *value* for membership tests and
-                   register its *expression* as a definition, so the
-                   body's decomposition recurses into the argument *)
-                let env_b = Interp.bind denv p v in
-                let defs' = Hashtbl.copy defs in
-                Hashtbl.replace defs' p { params = []; body = arg; denv = env };
-                decompose defs' ~visiting:((f, a, b) :: visiting)
-                  ~depth:(depth + 1) env_b body a b
-            | exception Interp.Type_error _ -> opaque ())
-        | _ -> opaque ())
+        (* the body, in its definition's scope, with the parameter bound
+           to the argument's value for membership tests and defined by
+           the argument's expression, so that the body's decomposition
+           recurses into the argument *)
+        match Interp.inline pt.env pt.scope f arg with
+        | Some (body, scope, env) ->
+            decompose ~visiting:((f, a, b) :: visiting) ~depth:(depth + 1)
+              { scope; env } body a b
+        | None | (exception Interp.Type_error _) -> opaque ())
 
 (* ------------------------------------------------------------------ *)
 (* Herd-style edge labels for the witness steps                        *)
@@ -349,17 +322,16 @@ let rec mentions n = function
       mentions n a
   | Ast.App (f, arg) -> f = n || mentions n arg
 
-let rec branch_label defs ~visiting env (e : Ast.expr) a b =
+let rec branch_label ~visiting pt (e : Ast.expr) a b =
   match e with
   | Ast.Id "com" ->
-      let pick n = mem_of env (Ast.Id n) a b in
+      let pick n = mem_of pt (Ast.Id n) a b in
       if pick "rf" then "rf" else if pick "co" then "co" else "fr"
-  | Ast.Id x when Sset.mem x primitive_names -> x
   | Ast.Id x -> (
-      match Hashtbl.find_opt defs x with
-      | Some { params = []; body = Ast.Union _ as body; denv }
-        when not (Sset.mem x visiting) ->
-          branch_label defs ~visiting:(Sset.add x visiting) denv body a b
+      match Interp.definition pt.scope x with
+      | Some ((Ast.Union _ as body), scope) when not (Sset.mem x visiting) ->
+          branch_label ~visiting:(Sset.add x visiting) { pt with scope } body
+            a b
       | _ -> x)
   | Ast.Union _ -> (
       let rec flat = function
@@ -367,12 +339,12 @@ let rec branch_label defs ~visiting env (e : Ast.expr) a b =
         | e' -> [ e' ]
       in
       let self e' = Sset.exists (fun n -> mentions n e') visiting in
-      let matching = List.filter (fun e' -> mem_of env e' a b) (flat e) in
+      let matching = List.filter (fun e' -> mem_of pt e' a b) (flat e) in
       match
         ( List.find_opt (fun e' -> not (self e')) matching,
           matching )
       with
-      | Some e', _ | None, e' :: _ -> branch_label defs ~visiting env e' a b
+      | Some e', _ | None, e' :: _ -> branch_label ~visiting pt e' a b
       | None, [] -> render e)
   | _ -> render e
 
@@ -387,26 +359,27 @@ let kind_of = function
   | Ast.Irreflexive -> E.Irreflexive
   | Ast.Is_empty -> E.Nonempty
 
-let resolver env name =
-  match Interp.lookup env name with
+(* A name's relation at a program point. *)
+let resolver pt name =
+  match Interp.eval_expr pt.env pt.scope (Ast.Id name) with
   | Interp.Vrel r -> Some r
   | Interp.Vset s -> Some (Rel.id_of_set s)
-  | Interp.Vplanes _ | Interp.Vfun _ -> None
+  | Interp.Vplanes _ | Interp.Vfun -> None
   | exception Interp.Type_error _ -> None
 
-let step defs env checked a b =
+let step pt checked a b =
   {
     E.src = a;
     dst = b;
-    label = branch_label defs ~visiting:Sset.empty env checked a b;
-    prims = decompose defs ~visiting:[] ~depth:0 env checked a b;
+    label = branch_label ~visiting:Sset.empty pt checked a b;
+    prims = decompose ~visiting:[] ~depth:0 pt checked a b;
   }
 
 let rec consecutive = function
   | a :: (b :: _ as rest) -> (a, b) :: consecutive rest
   | _ -> []
 
-let build (x : Exec.t) defs (kind, e, name, env) =
+let build (x : Exec.t) (kind, e, name, pt) =
   let name = Option.value ~default:"(unnamed)" name in
   let finish steps =
     let t =
@@ -417,24 +390,24 @@ let build (x : Exec.t) defs (kind, e, name, env) =
         events = E.events_of_steps x.Exec.events steps;
       }
     in
-    E.validate ~resolve:(resolver env) t;
+    E.validate ~resolve:(resolver pt) t;
     Some t
   in
   match kind with
   | Ast.Acyclic -> (
-      let r = Interp.as_rel (Interp.eval env e) in
+      let r = Interp.as_rel (Interp.eval_expr pt.env pt.scope e) in
       match Rel.find_cycle r with
       | None -> None (* cannot happen for a failed acyclic check *)
       | Some cycle ->
-          finish (List.map (fun (a, b) -> step defs env e a b) (consecutive cycle))
+          finish (List.map (fun (a, b) -> step pt e a b) (consecutive cycle))
       )
   | Ast.Irreflexive -> (
-      let r = Interp.as_rel (Interp.eval env e) in
+      let r = Interp.as_rel (Interp.eval_expr pt.env pt.scope e) in
       match List.find_opt (fun (a, b) -> a = b) (Rel.to_list r) with
       | None -> None
-      | Some (a, _) -> finish [ step defs env e a a ])
+      | Some (a, _) -> finish [ step pt e a a ])
   | Ast.Is_empty -> (
-      match Interp.eval env e with
+      match Interp.eval_expr pt.env pt.scope e with
       | Interp.Vset s ->
           let label = render e in
           Iset.elements s
@@ -445,29 +418,27 @@ let build (x : Exec.t) defs (kind, e, name, env) =
       | v ->
           let pairs = Rel.to_list (Interp.as_rel v) in
           List.filteri (fun i _ -> i < max_empty_pairs) pairs
-          |> List.map (fun (a, b) -> step defs env e a b)
+          |> List.map (fun (a, b) -> step pt e a b)
           |> finish)
 
 (* ------------------------------------------------------------------ *)
 (* Entry points                                                        *)
 (* ------------------------------------------------------------------ *)
 
-(* [explain_execution ?budget model x] explains every failed check of
-   [model] on the candidate [x]; [] iff [x] is consistent. *)
-let explain_execution ?budget (model : Ast.t) (x : Exec.t) =
-  let { defs; failed; _ } = replay ?budget model (Interp.env_of_execution x) in
-  List.filter_map (build x defs) failed
-
-(* An explainer for {!Exec.Check.run}'s [?explainer]. *)
+(* [explainer ?budget model] compiles [model] once; the function it
+   returns explains every failed check of the model on a candidate, []
+   iff the candidate is consistent. *)
 let explainer ?budget (model : Ast.t) : Exec.t -> E.t list =
- fun x -> explain_execution ?budget model x
+  let c = Interp.compile model in
+  fun x -> List.filter_map (build x) (snd (replay ?budget c model x))
 
 (* A membership resolver over [model]'s full environment on [x] (every
    primitive and defined relation name), for re-validating explanations
    outside the engine. *)
 let resolver ?budget (model : Ast.t) (x : Exec.t) =
-  let { env; _ } = replay ?budget model (Interp.env_of_execution x) in
-  resolver env
+  let c = Interp.compile model in
+  let env, _ = replay ?budget c model x in
+  resolver { scope = Interp.scope_at c (List.length model.Ast.stmts); env }
 
 (* The [as] names of a model's checks, in source order (for
    [--explain-diff]). *)

@@ -16,14 +16,11 @@
     mismatch raises {!Exec.Explain.Invalid} (a hard error — never a
     silently wrong witness). *)
 
-(** Explanations for every failed check of [model] on [x]; [[]] iff [x]
-    is consistent.  [?budget] bounds the statement replay like
-    {!Interp.run}. *)
-val explain_execution :
-  ?budget:Exec.Budget.t -> Ast.t -> Exec.t -> Exec.Explain.t list
-
-(** [explainer ?budget model] packages {!explain_execution} for
-    {!Exec.Check.run}'s [?explainer] argument. *)
+(** [explainer ?budget model] compiles [model] once ({!Interp.compile})
+    and returns a verdict-forensics hook for {!Exec.Check.run}'s
+    [?explainer]: the explanations of every failed check of [model] on
+    a candidate, [[]] iff it is consistent.  [?budget] bounds each
+    statement replay like {!Interp.run}. *)
 val explainer :
   ?budget:Exec.Budget.t -> Ast.t -> Exec.t -> Exec.Explain.t list
 

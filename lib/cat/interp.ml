@@ -1,6 +1,18 @@
-(* Interpreter for the cat subset: evaluates a model's statements against
-   the base relations of candidate executions, in the style of the herd
-   simulator.
+(* Interpreter for the cat subset, in slot form: a model is compiled once
+   into code whose every name is resolved to a slot of an array
+   environment, then evaluated against the base relations of candidate
+   executions, in the style of the herd simulator.
+
+   Compilation gives the 37 predefined names fixed slots and every [let]
+   binding a slot of its own, so shadowing is settled before anything
+   runs.  A function is not a run-time value: its body is inlined at
+   each call site, in the scope of its definition, with its parameter
+   bound to a slot that holds the argument.  A name that does not
+   resolve compiles to a node that raises the interpreter's error when
+   it is evaluated, so a faulty model fails at the statement that uses
+   the name, on every engine.  Each slot is written by one program
+   point only, so the array after a replay is an environment for every
+   program point at once.
 
    One evaluator serves one candidate and a batch of up to 63 alike.  A
    relation that varies across the candidates of a batch — the witness
@@ -13,28 +25,22 @@
 
 module Iset = Rel.Iset
 module B = Rel.Batch
+module Smap = Map.Make (String)
 
 type value =
   | Vset of Iset.t
   | Vrel of Rel.t
   | Vplanes of B.t (* relation-valued, one plane per candidate *)
-  | Vfun of string list * Ast.expr * (string * value) list
+  | Vfun
 
-and env = {
+type env = {
   universe : Iset.t;
   n : int; (* events per candidate: the shared universe size *)
   mask : int; (* live candidates: where broadcasts land, checks decide *)
-  bindings : (string * value) list;
+  slots : value array;
 }
 
 exception Type_error of string
-
-let lookup env x =
-  match List.assoc_opt x env.bindings with
-  | Some v -> v
-  | None -> raise (Type_error ("unbound identifier " ^ x))
-
-let bind env x v = { env with bindings = (x, v) :: env.bindings }
 
 (* Sets appearing where a relation is expected become identities, the
    usual [S] coercion. *)
@@ -42,7 +48,7 @@ let as_rel = function
   | Vrel r -> r
   | Vset s -> Rel.id_of_set s
   | Vplanes _ -> invalid_arg "Interp.as_rel: bit planes"
-  | Vfun _ -> raise (Type_error "function used as a relation")
+  | Vfun -> raise (Type_error "function used as a relation")
 
 (* The dialect has no relation-to-set operator, so planes are always
    relation-valued: a plane in set position is the scalar evaluator's
@@ -50,7 +56,7 @@ let as_rel = function
 let as_set = function
   | Vset s -> s
   | Vrel _ | Vplanes _ -> raise (Type_error "relation used as a set")
-  | Vfun _ -> raise (Type_error "function used as a set")
+  | Vfun -> raise (Type_error "function used as a set")
 
 let planes env = function
   | Vplanes p -> p
@@ -65,55 +71,70 @@ let binop env f fb v1 v2 =
   | Vplanes _, _ | _, Vplanes _ -> Vplanes (fb (planes env v1) (planes env v2))
   | _ -> Vrel (f (as_rel v1) (as_rel v2))
 
-let rec eval env (e : Ast.expr) =
-  match e with
-  | Ast.Id x -> lookup env x
-  | Ast.Empty_rel -> Vrel Rel.empty
-  | Ast.Union (a, b) -> (
+(* ------------------------------------------------------------------ *)
+(* Compiled expressions and their evaluation                           *)
+(* ------------------------------------------------------------------ *)
+
+type code =
+  | Slot of int
+  | Const of value (* [0], or a function named where a value is expected *)
+  | Fail of string (* a name that does not resolve, a bad application *)
+  | Union of code * code
+  | Inter of code * code
+  | Diff of code * code
+  | Seq of code * code
+  | Cartesian of code * code
+  | Inverse of code
+  | Plus of code
+  | Star of code
+  | Opt of code
+  | Complement of code
+  | Bracket of code
+  | App of int * code * code (* parameter slot, argument, inlined body *)
+
+let rec eval env = function
+  | Slot i -> env.slots.(i)
+  | Const v -> v
+  | Fail msg -> raise (Type_error msg)
+  | Union (a, b) -> (
       match (eval env a, eval env b) with
       | Vset s1, Vset s2 -> Vset (Iset.union s1 s2)
       | v1, v2 -> binop env Rel.union B.union v1 v2)
-  | Ast.Inter (a, b) -> (
+  | Inter (a, b) -> (
       match (eval env a, eval env b) with
       | Vset s1, Vset s2 -> Vset (Iset.inter s1 s2)
       | v1, v2 -> binop env Rel.inter B.inter v1 v2)
-  | Ast.Diff (a, b) -> (
+  | Diff (a, b) -> (
       match (eval env a, eval env b) with
       | Vset s1, Vset s2 -> Vset (Iset.diff s1 s2)
       | v1, v2 -> binop env Rel.diff B.diff v1 v2)
-  | Ast.Seq (a, b) -> binop env Rel.seq B.seq (eval env a) (eval env b)
-  | Ast.Cartesian (a, b) ->
+  | Seq (a, b) -> binop env Rel.seq B.seq (eval env a) (eval env b)
+  | Cartesian (a, b) ->
       Vrel (Rel.cartesian (as_set (eval env a)) (as_set (eval env b)))
-  | Ast.Inverse a -> unop Rel.inverse B.inverse (eval env a)
-  | Ast.Plus a -> unop Rel.transitive_closure B.transitive_closure (eval env a)
-  | Ast.Star a ->
+  | Inverse a -> unop Rel.inverse B.inverse (eval env a)
+  | Plus a -> unop Rel.transitive_closure B.transitive_closure (eval env a)
+  | Star a ->
       unop
         (Rel.reflexive_transitive_closure ~universe:env.universe)
         (B.reflexive_transitive_closure ~mask:env.mask)
         (eval env a)
-  | Ast.Opt a ->
+  | Opt a ->
       unop
         (Rel.reflexive_closure ~universe:env.universe)
         (B.reflexive_closure ~mask:env.mask)
         (eval env a)
-  | Ast.Complement a -> (
+  | Complement a -> (
       match eval env a with
       | Vset s -> Vset (Iset.diff env.universe s)
       | v ->
           unop
             (Rel.complement ~universe:env.universe)
             (B.complement ~mask:env.mask) v)
-  | Ast.Bracket a -> Vrel (Rel.id_of_set (as_set (eval env a)))
-  | Ast.App (f, arg) -> (
-      match lookup env f with
-      | Vfun ([ p ], body, closure) ->
-          (* the definition's bindings, the caller's candidates *)
-          eval { env with bindings = (p, eval env arg) :: closure } body
-      | Vfun (ps, _, _) ->
-          raise
-            (Type_error
-               (Printf.sprintf "%s expects %d arguments" f (List.length ps)))
-      | _ -> raise (Type_error (f ^ " is not a function")))
+  | Bracket a -> Vrel (Rel.id_of_set (as_set (eval env a)))
+  | App (p, arg, body) ->
+      (* the argument, then the body on the caller's candidates *)
+      env.slots.(p) <- eval env arg;
+      eval env body
 
 (* Equality for the Kleene convergence test: plane-wise as soon as one
    side varies per candidate. *)
@@ -121,50 +142,6 @@ let equal env v1 v2 =
   match (v1, v2) with
   | Vplanes _, _ | _, Vplanes _ -> B.equal (planes env v1) (planes env v2)
   | _ -> Rel.equal (as_rel v1) (as_rel v2)
-
-(* Evaluate one let group; recursive groups are solved by Kleene iteration
-   from empty relations (cat's rec is a least fixed point of monotone
-   equations).  [?budget] bounds the iteration wall-clock: each Kleene
-   step probes the deadline, so a pathological model gives up instead of
-   spinning its full 1000-round allowance on big relations. *)
-
-let c_fixpoint = Obs.Counter.make "cat.fixpoint_iters"
-
-let eval_let ?budget env bindings is_rec =
-  if not is_rec then
-    List.fold_left
-      (fun env' (name, params, body) ->
-        match params with
-        | [] -> bind env' name (eval env body)
-        | ps -> bind env' name (Vfun (ps, body, env.bindings)))
-      env bindings
-  else begin
-    let names = List.map (fun (n, _, _) -> n) bindings in
-    let start =
-      List.fold_left (fun e n -> bind e n (Vrel Rel.empty)) env names
-    in
-    let step e =
-      List.fold_left
-        (fun acc (name, params, body) ->
-          if params <> [] then
-            raise (Type_error "recursive functions are not supported");
-          bind acc name (eval e body))
-        e bindings
-    in
-    let values e = List.map (lookup e) names in
-    let rec go e n =
-      if n > 1000 then raise (Type_error "rec definition did not converge");
-      Option.iter Exec.Budget.check_time budget;
-      Obs.Counter.incr c_fixpoint;
-      let e' = step e in
-      (* [n + 1], not [n]: the round counter must actually advance for the
-         1000-round allowance to mean anything (an unbudgeted divergent
-         model previously looped forever here) *)
-      if List.for_all2 (equal env) (values e) (values e') then e'
-      else go e' (n + 1)
-    in
-    go start 0
-  end
 
 (* The live candidates on which a check holds. *)
 let check env kind e =
@@ -178,49 +155,12 @@ let check env kind e =
   | Ast.Is_empty, Vset s -> decide (Iset.is_empty s)
   | Ast.Is_empty, v -> decide (Rel.is_empty (as_rel v))
 
-type outcome = { check_name : string; kind : Ast.check_kind; holds : bool }
-
-(* Run all statements; returns the outcome of every constraint.  With a
-   budget, the deadline is probed between statements and inside recursive
-   fixpoints (raising {!Exec.Budget.Exceeded}). *)
-let run ?budget (model : Ast.t) env =
-  let rec go env acc = function
-    | [] -> List.rev acc
-    | Ast.Let (bs, is_rec) :: rest ->
-        Option.iter Exec.Budget.tick budget;
-        go (eval_let ?budget env bs is_rec) acc rest
-    | Ast.Check (kind, e, name) :: rest ->
-        Option.iter Exec.Budget.tick budget;
-        let check_name = Option.value ~default:"(unnamed)" name in
-        go env ({ check_name; kind; holds = check env kind e <> 0 } :: acc) rest
-  in
-  go env [] model.stmts
-
 (* ------------------------------------------------------------------ *)
-(* Static-prefix evaluation                                            *)
+(* The predefined names                                                *)
 (* ------------------------------------------------------------------ *)
-
-(* Candidate executions of one litmus test share their event structure
-   (events, po, addr, data, ctrl, rmw and every predefined set) across
-   all rf/co witnesses; only rf, co and their derivatives change.  A
-   binding whose free identifiers never reach a witness-dependent name
-   therefore has the same value for every candidate, and can be computed
-   once per event structure instead of once per candidate.
-
-   [compile] finds those bindings, once per model: a statement is static
-   iff every free identifier of its bodies is static at that program
-   point, starting from the predefined environment minus the witness
-   relations, and tracking shadowing (rebinding a name with a dynamic
-   definition makes later uses dynamic).  [prefix] evaluates the static
-   statements against one candidate's environment; [run_with_prefix]
-   then replays the statement list in source order, pulling static
-   bindings and static check outcomes from the prefix and evaluating
-   only the dynamic remainder, so results are identical to {!run}. *)
-
-module Sset = Set.Make (String)
 
 (* The predefined names that depend on the execution witness (rf, co),
-   with their relation in a candidate. *)
+   with their relation in a candidate: slots 0-9. *)
 let witness : (string * (Exec.t -> Rel.t)) list =
   [
     ("rf", fun x -> x.rf);
@@ -235,9 +175,8 @@ let witness : (string * (Exec.t -> Rel.t)) list =
     ("com", fun x -> x.com);
   ]
 
-let witness_names = List.map fst witness
-
-(* Every other predefined name is a function of the event structure. *)
+(* Every other predefined name is a function of the event structure:
+   slots 10-36. *)
 let structural : (string * (Exec.t -> value)) list =
   let set (f : Exec.t -> Iset.t) x = Vset (f x)
   and rel (f : Exec.t -> Rel.t) x = Vrel (f x) in
@@ -272,150 +211,437 @@ let structural : (string * (Exec.t -> value)) list =
     ("crit", rel (fun x -> x.crit));
   ]
 
+let witness_names = List.map fst witness
 let structural_names = List.map fst structural
+let witness_rel = Array.of_list (List.map snd witness)
+let n_witness = Array.length witness_rel
 
-let rec free_ids acc = function
-  | Ast.Id x -> Sset.add x acc
-  | Ast.Empty_rel -> acc
-  | Ast.Union (a, b) | Ast.Inter (a, b) | Ast.Diff (a, b) | Ast.Seq (a, b)
-  | Ast.Cartesian (a, b) ->
-      free_ids (free_ids acc a) b
-  | Ast.Inverse a | Ast.Plus a | Ast.Star a | Ast.Opt a | Ast.Complement a
-  | Ast.Bracket a ->
-      free_ids acc a
-  | Ast.App (f, arg) -> free_ids (Sset.add f acc) arg
+(* ------------------------------------------------------------------ *)
+(* Compilation                                                         *)
+(* ------------------------------------------------------------------ *)
+
+(* What a name denotes at a program point.  [static] is the
+   classification of the statement that bound it: computable from the
+   event structure alone, or witness-dependent.  A value's [def] is the
+   expression it was computed from and the scope that expression was
+   compiled in (for a [let rec], the scope after the group), for
+   {!Explain}; predefined names have none. *)
+type binding =
+  | Val of {
+      slot : int;
+      static : bool;
+      def : (Ast.expr * scope Lazy.t) option;
+    }
+  | Fun of {
+      params : string list;
+      body : Ast.expr;
+      scope : scope; (* of the definition *)
+      static : bool;
+    }
+
+and scope = binding Smap.t
+
+let predefined =
+  List.fold_left
+    (fun (s, i) x ->
+      let v = Val { slot = i; static = i >= n_witness; def = None } in
+      (Smap.add x v s, i + 1))
+    (Smap.empty, 0)
+    (witness_names @ structural_names)
+  |> fst
+
+type ctx = {
+  mutable next : int; (* the next free slot *)
+  mutable dynamic : bool;
+      (* a name resolved since the statement began is witness-dependent
+         or unbound: the statement is not static *)
+  reads : bool array; (* the witness slots resolved *)
+}
+
+let new_ctx next = { next; dynamic = false; reads = Array.make n_witness false }
+
+let fresh ctx =
+  let s = ctx.next in
+  ctx.next <- s + 1;
+  s
+
+let note ctx static = if not static then ctx.dynamic <- true
+
+(* A parameter bound to an argument: the function the argument denotes,
+   if it denotes one, else the slot its value goes to. *)
+let param ~slot arg scope arg_fun =
+  match arg_fun with
+  | Some f -> f
+  | None -> Val { slot; static = true; def = Some (arg, Lazy.from_val scope) }
+
+(* [compile_expr ctx scope e] is [e]'s code, and the function [e] denotes
+   when it denotes one (a function's name, or an application whose
+   inlined body denotes one).  Every name [e] mentions is noted in
+   [ctx], the arguments of failing applications included, so that a
+   statement is static exactly when every name it mentions is. *)
+let rec compile_expr ctx scope (e : Ast.expr) =
+  let one k a = (k (code ctx scope a), None)
+  and two k a b =
+    let a = code ctx scope a in
+    (k a (code ctx scope b), None)
+  in
+  match e with
+  | Ast.Id x -> (
+      match Smap.find_opt x scope with
+      | Some (Val { slot; static; _ }) ->
+          note ctx static;
+          if slot < n_witness then ctx.reads.(slot) <- true;
+          (Slot slot, None)
+      | Some (Fun { static; _ } as f) ->
+          note ctx static;
+          (Const Vfun, Some f)
+      | None ->
+          ctx.dynamic <- true;
+          (Fail ("unbound identifier " ^ x), None))
+  | Ast.Empty_rel -> (Const (Vrel Rel.empty), None)
+  | Ast.Union (a, b) -> two (fun a b -> Union (a, b)) a b
+  | Ast.Inter (a, b) -> two (fun a b -> Inter (a, b)) a b
+  | Ast.Diff (a, b) -> two (fun a b -> Diff (a, b)) a b
+  | Ast.Seq (a, b) -> two (fun a b -> Seq (a, b)) a b
+  | Ast.Cartesian (a, b) -> two (fun a b -> Cartesian (a, b)) a b
+  | Ast.Inverse a -> one (fun a -> Inverse a) a
+  | Ast.Plus a -> one (fun a -> Plus a) a
+  | Ast.Star a -> one (fun a -> Star a) a
+  | Ast.Opt a -> one (fun a -> Opt a) a
+  | Ast.Complement a -> one (fun a -> Complement a) a
+  | Ast.Bracket a -> one (fun a -> Bracket a) a
+  | Ast.App (f, arg) -> (
+      let fail static msg =
+        note ctx static;
+        ignore (code ctx scope arg);
+        (Fail msg, None)
+      in
+      match Smap.find_opt f scope with
+      | Some (Fun { params = [ p ]; body; scope = fscope; static }) ->
+          note ctx static;
+          let arg_code, arg_fun = compile_expr ctx scope arg in
+          let slot = fresh ctx in
+          let fscope = Smap.add p (param ~slot arg scope arg_fun) fscope in
+          let body_code, body_fun = compile_expr ctx fscope body in
+          (App (slot, arg_code, body_code), body_fun)
+      | Some (Fun { params; static; _ }) ->
+          fail static
+            (Printf.sprintf "%s expects %d arguments" f (List.length params))
+      | Some (Val { static; _ }) -> fail static (f ^ " is not a function")
+      | None -> fail false ("unbound identifier " ^ f))
+
+and code ctx scope e = fst (compile_expr ctx scope e)
+
+(* Whether a function body is static where it is defined: every name it
+   mentions but its parameters is.  Compiled on a scratch context, and
+   the code dropped — the body is compiled again at each call site. *)
+let static_body scope params body =
+  let probe = new_ctx 0 in
+  let scope =
+    List.fold_left
+      (fun s p ->
+        Smap.add p (Val { slot = fresh probe; static = true; def = None }) s)
+      scope params
+  in
+  ignore (compile_expr probe scope body);
+  not probe.dynamic
+
+type op =
+  | Let of (int * code) list (* each slot gets its body's value, in order *)
+  | Let_rec of (int * code) list (* the least fixpoint, by Kleene iteration *)
+  | Check of Ast.check_kind * code
+
+(* One [let] group: the bodies are compiled in the scope before it, a
+   function is only recorded.  A name bound to an expression denoting a
+   function stays that function (with this statement's classification). *)
+let compile_let ctx scope bs =
+  let bodies =
+    List.map
+      (fun (x, params, body) ->
+        match params with
+        | [] -> (x, `Value (body, compile_expr ctx scope body))
+        | ps ->
+            if not (static_body scope ps body) then ctx.dynamic <- true;
+            (x, `Fun (ps, body)))
+      bs
+  in
+  let static = not ctx.dynamic in
+  let defs = ref [] in
+  let after =
+    List.fold_left
+      (fun s (x, b) ->
+        let bound =
+          match b with
+          | `Fun (params, body) -> Fun { params; body; scope; static }
+          | `Value (body, (c, f)) -> (
+              let slot = fresh ctx in
+              defs := (slot, c) :: !defs;
+              match f with
+              | Some (Fun f) -> Fun { f with static }
+              | _ ->
+                  let def = Some (body, Lazy.from_val scope) in
+                  Val { slot; static; def })
+        in
+        Smap.add x bound s)
+      scope bodies
+  in
+  (Let (List.rev !defs), after)
+
+(* A [let rec] group: every name, functions included, is a slot that
+   starts empty; the bodies see the group's own slots.  A function's
+   body raises when evaluated, as recursive functions are not
+   supported. *)
+let compile_rec ctx scope bs =
+  let slots = List.map (fun _ -> fresh ctx) bs in
+  let inner =
+    List.fold_left2
+      (fun s (x, _, _) slot ->
+        Smap.add x (Val { slot; static = true; def = None }) s)
+      scope bs slots
+  in
+  let defs =
+    List.map2
+      (fun (_, params, body) slot ->
+        match params with
+        | [] -> (slot, code ctx inner body)
+        | ps ->
+            if not (static_body inner ps body) then ctx.dynamic <- true;
+            (slot, Fail "recursive functions are not supported"))
+      bs slots
+  in
+  let static = not ctx.dynamic in
+  let rec after =
+    lazy
+      (List.fold_left2
+         (fun s (x, _, body) slot ->
+           Smap.add x (Val { slot; static; def = Some (body, after) }) s)
+         scope bs slots)
+  in
+  (Let_rec defs, Lazy.force after)
 
 type compiled = {
-  model : Ast.t;
-  static_stmt : bool array; (* per statement, in source order *)
+  ops : op array; (* one per statement, in source order *)
+  static_stmt : bool array;
+  scopes : scope array;
+      (* [scopes.(i)]: the names statement [i] sees; the last entry,
+         those after every statement *)
   last_check : int; (* index of the model's last check, or -1 *)
+  nslots : int;
+  reads : int list; (* the witness slots some statement reads *)
 }
 
 let compile (model : Ast.t) =
-  let static_stmt = Array.make (List.length model.stmts) false in
-  let static = ref (Sset.of_list structural_names) in
+  let ctx = new_ctx (n_witness + List.length structural) in
+  let stmts = Array.of_list model.stmts in
+  let scopes = Array.make (Array.length stmts + 1) predefined in
+  let static_stmt = Array.make (Array.length stmts) false in
   let last_check = ref (-1) in
-  List.iteri
-    (fun i stmt ->
-      match stmt with
-      | Ast.Let (bs, is_rec) ->
-          let names = List.map (fun (n, _, _) -> n) bs in
-          let stmt_static =
-            List.for_all
-              (fun (_, params, body) ->
-                let frees = free_ids Sset.empty body in
-                let frees =
-                  List.fold_right Sset.remove params
-                    (if is_rec then List.fold_right Sset.remove names frees
-                     else frees)
-                in
-                Sset.subset frees !static)
-              bs
-          in
-          static_stmt.(i) <- stmt_static;
-          static :=
-            List.fold_left
-              (fun s n ->
-                if stmt_static then Sset.add n s else Sset.remove n s)
-              !static names
-      | Ast.Check (_, e, _) ->
-          last_check := i;
-          static_stmt.(i) <- Sset.subset (free_ids Sset.empty e) !static)
-    model.stmts;
-  { model; static_stmt; last_check = !last_check }
-
-type prefix = {
-  compiled : compiled;
-  lets : (string * value) list array;
-      (* for a static Let at index i: its bindings, innermost first *)
-  checks : bool array; (* for a static Check at index i: whether it holds *)
-}
-
-let rec first_n n l =
-  if n = 0 then []
-  else
-    match l with
-    | x :: rest -> x :: first_n (n - 1) rest
-    | [] -> invalid_arg "first_n"
-
-let prefix ?budget compiled env =
-  Obs.with_span "prefix-eval" (fun () ->
-      let n = List.length compiled.model.stmts in
-      let lets = Array.make n [] and checks = Array.make n false in
-      let env = ref env in
-      List.iteri
-        (fun i stmt ->
-          if compiled.static_stmt.(i) then begin
-            Option.iter Exec.Budget.tick budget;
-            match stmt with
-            | Ast.Let (bs, is_rec) ->
-                let before = List.length !env.bindings in
-                env := eval_let ?budget !env bs is_rec;
-                lets.(i) <-
-                  first_n (List.length !env.bindings - before) !env.bindings
-            | Ast.Check (kind, e, _) -> checks.(i) <- check !env kind e <> 0
-          end)
-        compiled.model.stmts;
-      { compiled; lets; checks })
-
-let c_early = Obs.Counter.make "cat.batch.early_exit"
-
-(* Replay the statement list: static lets and checks come from the
-   prefix, the dynamic remainder is evaluated.  Returns the live
-   candidates that satisfy every check.  Statements are never skipped —
-   a model raises its [Type_error] whatever the candidates — but the
-   live mask shrinks as checks fail, so later broadcasts and closures
-   stop paying for decided candidates (their planes zero out and the
-   kernels skip zero words). *)
-let run_with_prefix ?budget { compiled; lets; checks } env =
-  let rec go i env = function
-    | [] -> env.mask
-    | Ast.Let (bs, is_rec) :: rest ->
-        let env =
-          if compiled.static_stmt.(i) then
-            List.fold_right (fun (n, v) e -> bind e n v) lets.(i) env
-          else begin
-            Option.iter Exec.Budget.tick budget;
-            eval_let ?budget env bs is_rec
-          end
+  let ops =
+    Array.mapi
+      (fun i stmt ->
+        ctx.dynamic <- false;
+        let scope = scopes.(i) in
+        let op, after =
+          match stmt with
+          | Ast.Let (bs, false) -> compile_let ctx scope bs
+          | Ast.Let (bs, true) -> compile_rec ctx scope bs
+          | Ast.Check (kind, e, _) ->
+              last_check := i;
+              (Check (kind, code ctx scope e), scope)
         in
-        go (i + 1) env rest
-    | Ast.Check (kind, e, _) :: rest ->
-        let holds =
-          if compiled.static_stmt.(i) then
-            if checks.(i) then env.mask else 0
-          else begin
-            Option.iter Exec.Budget.tick budget;
-            check env kind e
-          end
-        in
-        (* candidates decided before the final check are early exits *)
-        if i <> compiled.last_check then
-          Obs.Counter.add c_early (B.popcount (env.mask land lnot holds));
-        go (i + 1) { env with mask = holds } rest
+        static_stmt.(i) <- not ctx.dynamic;
+        scopes.(i + 1) <- after;
+        op)
+      stmts
   in
-  go 0 env compiled.model.stmts
+  {
+    ops;
+    static_stmt;
+    scopes;
+    last_check = !last_check;
+    nslots = ctx.next;
+    reads = List.filter (fun s -> ctx.reads.(s)) (List.init n_witness Fun.id);
+  }
 
 (* ------------------------------------------------------------------ *)
-(* The predefined environment of candidate executions                  *)
+(* Running statements                                                  *)
 (* ------------------------------------------------------------------ *)
 
-let env_of ~mask (x : Exec.t) witness_value =
+(* Recursive groups are solved by Kleene iteration from empty relations
+   (cat's rec is a least fixed point of monotone equations), every body
+   evaluated on the previous round's values.  [?budget] bounds the
+   iteration wall-clock: each Kleene step probes the deadline, so a
+   pathological model gives up instead of spinning its full 1000-round
+   allowance on big relations. *)
+
+let c_fixpoint = Obs.Counter.make "cat.fixpoint_iters"
+
+let define ?budget env = function
+  | Let defs -> List.iter (fun (slot, c) -> env.slots.(slot) <- eval env c) defs
+  | Let_rec defs ->
+      List.iter (fun (slot, _) -> env.slots.(slot) <- Vrel Rel.empty) defs;
+      let rec go n =
+        if n > 1000 then raise (Type_error "rec definition did not converge");
+        Option.iter Exec.Budget.check_time budget;
+        Obs.Counter.incr c_fixpoint;
+        let next = List.map (fun (_, c) -> eval env c) defs in
+        let converged =
+          List.for_all2
+            (fun (slot, _) v -> equal env env.slots.(slot) v)
+            defs next
+        in
+        List.iter2 (fun (slot, _) v -> env.slots.(slot) <- v) defs next;
+        if not converged then go (n + 1)
+      in
+      go 0
+  | Check _ -> ()
+
+(* An environment with no slot filled yet.  Compilation orders every
+   write of a slot before its reads; a slot read too early would hold
+   [Vfun], whose every use raises. *)
+let blank c (x : Exec.t) ~mask =
   {
     universe = x.universe;
     n = Array.length x.events;
     mask;
-    bindings =
-      List.map witness_value witness
-      @ List.map (fun (nm, f) -> (nm, f x)) structural;
+    slots = Array.make c.nslots Vfun;
   }
 
-let env_of_execution x = env_of ~mask:1 x (fun (nm, f) -> (nm, Vrel (f x)))
+let fill_structural env (x : Exec.t) =
+  List.iteri (fun i (_, f) -> env.slots.(n_witness + i) <- f x) structural
 
-(* One shared event structure, up to 63 witnesses: structural bindings
-   come from candidate 0 (identical in every candidate by construction),
-   the witness relations become candidate-major bit planes. *)
-let env_of_executions ~mask (xs : Exec.t array) =
-  let n = Array.length xs.(0).events in
-  env_of ~mask xs.(0) (fun (nm, f) ->
-      (nm, Vplanes (B.of_rels ~n ~mask (Array.map f xs))))
+let env_of_execution c (x : Exec.t) =
+  let env = blank c x ~mask:1 in
+  fill_structural env x;
+  Array.iteri (fun i f -> env.slots.(i) <- Vrel (f x)) witness_rel;
+  env
+
+(* Every statement in source order; with a budget, the deadline is
+   probed between statements and inside recursive fixpoints. *)
+let run ?budget c env =
+  Array.map
+    (fun op ->
+      Option.iter Exec.Budget.tick budget;
+      match op with
+      | Check (kind, e) -> check env kind e <> 0
+      | op ->
+          define ?budget env op;
+          true)
+    c.ops
+
+(* ------------------------------------------------------------------ *)
+(* Static-prefix evaluation                                            *)
+(* ------------------------------------------------------------------ *)
+
+(* Candidate executions of one litmus test share their event structure
+   (events, po, addr, data, ctrl, rmw and every predefined set) across
+   all rf/co witnesses, and every structure of one static shape shares
+   it too; only rf, co and their derivatives change.  A statement
+   [compile] classified static — every name it mentions is static where
+   it stands — therefore has the same value for every candidate of a
+   shape.  [prefix] runs the static statements once per shape, on an
+   array with the structural slots filled; that array is the prototype
+   every candidate and batch of the shape copies, filling in the
+   witness slots the model reads, before [run_with_prefix] replays the
+   dynamic remainder.  Results are identical to {!run}. *)
+
+type prefix = {
+  compiled : compiled;
+  proto : env; (* the slots after the static statements *)
+  checks : bool array; (* for a static check at index i: whether it holds *)
+}
+
+let prefix ?budget c (x : Exec.t) =
+  Obs.with_span "prefix-eval" (fun () ->
+      let env = blank c x ~mask:1 in
+      fill_structural env x;
+      let checks = Array.make (Array.length c.ops) false in
+      Array.iteri
+        (fun i op ->
+          if c.static_stmt.(i) then begin
+            Option.iter Exec.Budget.tick budget;
+            match op with
+            | Check (kind, e) -> checks.(i) <- check env kind e <> 0
+            | op -> define ?budget env op
+          end)
+        c.ops;
+      { compiled = c; proto = env; checks })
+
+(* A copy of the prototype, with the witness slots the model reads. *)
+let instance p ~mask witness_value =
+  let slots = Array.copy p.proto.slots in
+  List.iter
+    (fun s -> slots.(s) <- witness_value witness_rel.(s))
+    p.compiled.reads;
+  { p.proto with mask; slots }
+
+let candidate p (x : Exec.t) = instance p ~mask:1 (fun f -> Vrel (f x))
+
+let batch p ~mask (xs : Exec.t array) =
+  instance p ~mask (fun f ->
+      Vplanes (B.of_rels ~n:p.proto.n ~mask (Array.map f xs)))
+
+let c_early = Obs.Counter.make "cat.batch.early_exit"
+
+(* Replay the statement list: static lets are already in the array,
+   static checks come from the prefix, the dynamic remainder is
+   evaluated.  Returns the live candidates that satisfy every check.
+   Statements are never skipped — a model raises its [Type_error]
+   whatever the candidates — but the live mask shrinks as checks fail,
+   so later broadcasts and closures stop paying for decided candidates
+   (their planes zero out and the kernels skip zero words). *)
+let run_with_prefix ?budget { compiled = c; checks; _ } env =
+  let env = ref env in
+  Array.iteri
+    (fun i op ->
+      let static = c.static_stmt.(i) in
+      if not static then Option.iter Exec.Budget.tick budget;
+      match op with
+      | Check (kind, e) ->
+          let holds =
+            if static then if checks.(i) then !env.mask else 0
+            else check !env kind e
+          in
+          (* candidates decided before the final check are early exits *)
+          if i <> c.last_check then
+            Obs.Counter.add c_early (B.popcount (!env.mask land lnot holds));
+          env := { !env with mask = holds }
+      | op -> if not static then define ?budget !env op)
+    c.ops;
+  !env.mask
+
+(* ------------------------------------------------------------------ *)
+(* Program points, for explanations                                    *)
+(* ------------------------------------------------------------------ *)
+
+let scope_at c i = c.scopes.(i)
+
+let definition scope x =
+  match Smap.find_opt x scope with
+  | Some (Val { def = Some (body, s); _ }) -> Some (body, Lazy.force s)
+  | _ -> None
+
+(* Code compiled outside [compile] numbers its parameter slots past the
+   model's; the environment grows to hold them. *)
+let extend env ctx =
+  let len = Array.length env.slots in
+  if ctx.next = len then env
+  else
+    let fresh = Array.make (ctx.next - len) Vfun in
+    { env with slots = Array.append env.slots fresh }
+
+let eval_expr env scope e =
+  let ctx = new_ctx (Array.length env.slots) in
+  let c = code ctx scope e in
+  eval (extend env ctx) c
+
+let inline env scope f arg =
+  match Smap.find_opt f scope with
+  | Some (Fun { params = [ p ]; body; scope = fscope; _ }) ->
+      let ctx = new_ctx (Array.length env.slots) in
+      let arg_code, arg_fun = compile_expr ctx scope arg in
+      let slot = fresh ctx in
+      let env = extend env ctx in
+      env.slots.(slot) <- eval env arg_code;
+      Some (body, Smap.add p (param ~slot arg scope arg_fun) fscope, env)
+  | _ -> None

@@ -1,11 +1,15 @@
-(** Interpreter for the cat subset: evaluates a model's statements against
-    the base relations of candidate executions, herd-style.
+(** Interpreter for the cat subset, in slot form.
 
-    Values are sets of events, relations, or (unapplied) functions; sets
-    appearing in relation position are coerced to identities, as with the
-    bracket form [[S]].  Recursive definitions are solved by Kleene
-    iteration from the empty relation (cat's [rec] is a least fixed point
-    of monotone equations).
+    {!compile} resolves every name of a model once: the 37 predefined
+    names get fixed slots of an array environment, every [let] binding
+    a slot of its own (so shadowing is settled at compile time), and a
+    function's body is inlined at each call site, in the scope of its
+    definition, with its parameter bound to a slot holding the argument.
+    Evaluation reads [env.slots.(i)].  Values are sets of events or
+    relations; sets appearing in relation position are coerced to
+    identities, as with the bracket form [[S]].  Recursive definitions
+    are solved by Kleene iteration from the empty relation (cat's [rec]
+    is a least fixed point of monotone equations).
 
     One evaluator decides one candidate or up to 63 pairwise
     static-compatible ones ({!Exec.Execution.static_compatible}) at once.
@@ -14,9 +18,9 @@
     value of candidate-major bit planes ({!Rel.Batch}).  Each operator
     applies the [Rel] operation when no operand is a plane, and the
     [Rel.Batch] one otherwise, with scalar operands broadcast into the
-    live planes.  A single candidate ({!env_of_execution}) is the batch
-    of one and never builds a plane.  The code being one, a model raises
-    the same {!Type_error} at the same statement on both. *)
+    live planes.  A single candidate ({!candidate}) is the batch of one
+    and never builds a plane.  The code being one, a model raises the
+    same {!Type_error} at the same statement on both. *)
 
 module Iset = Rel.Iset
 
@@ -24,110 +28,113 @@ type value =
   | Vset of Iset.t
   | Vrel of Rel.t
   | Vplanes of Rel.Batch.t  (** relation-valued, one plane per candidate *)
-  | Vfun of string list * Ast.expr * (string * value) list
-      (** parameters, body and the bindings of its definition; the body
-          runs on the caller's candidates *)
+  | Vfun
+      (** a function named where a value is expected: any use of it as a
+          relation or a set raises *)
 
-and env = {
-  universe : Iset.t;
-  n : int;  (** events per candidate: the shared universe size *)
-  mask : int;  (** live candidates: where broadcasts land, checks decide *)
-  bindings : (string * value) list;
-}
+(** The slot array of a compiled model, with the candidates' shared
+    event count and the mask of those still live. *)
+type env
 
 (** Raised on unbound identifiers, arity mismatches, or set/relation
-    confusion ([empty W * po], a function used as a relation, ...). *)
+    confusion ([empty W * po], a function used as a relation, ...).  A
+    model with such a fault still compiles; the error is raised when the
+    faulty expression is evaluated. *)
 exception Type_error of string
-
-val lookup : env -> string -> value
-val bind : env -> string -> value -> env
 
 (** The relation of a set or relation value.  Raises [Invalid_argument]
     on planes, which only a batch of candidates holds. *)
 val as_rel : value -> Rel.t
 
-val as_set : value -> Iset.t
-val eval : env -> Ast.expr -> value
-
-(** [eval_let ?budget env bindings is_rec] evaluates one [let] group
-    (Kleene iteration when [is_rec]) and returns the extended
-    environment.  Exposed for {!Explain}, which replays a model's
-    statements to record where each name was defined. *)
-val eval_let :
-  ?budget:Exec.Budget.t ->
-  env -> (string * string list * Ast.expr) list -> bool -> env
-
-(** [check env kind e] is the mask of [env]'s live candidates on which
-    the check [kind e] holds ([env.mask] or [0] for one candidate). *)
-val check : env -> Ast.check_kind -> Ast.expr -> int
-
-type outcome = {
-  check_name : string;  (** the [as name] label, or ["(unnamed)"] *)
-  kind : Ast.check_kind;
-  holds : bool;
-}
-
-(** [run ?budget model env] executes all statements on one candidate;
-    returns every constraint's outcome in source order.  With a budget,
-    the deadline is probed between statements and on every Kleene
-    iteration of recursive definitions, raising {!Exec.Budget.Exceeded}
-    when it passes. *)
-val run : ?budget:Exec.Budget.t -> Ast.t -> env -> outcome list
-
-(** {1 Static-prefix evaluation}
-
-    Candidate executions of one litmus test share their event structure
-    across all rf/co witnesses; a binding whose free identifiers never
-    reach a witness-dependent name has the same value for every
-    candidate and can be evaluated once per test instead of once per
-    candidate.  [compile] performs that dependency analysis once per
-    model, [prefix] evaluates the static statements against one
-    candidate, and [run_with_prefix] replays the statement list reusing
-    the prefix — deciding exactly what {!run} decides. *)
-
 (** The predefined names that depend on the execution witness. *)
 val witness_names : string list
 
-(** The predefined names determined by the event structure alone. *)
-val structural_names : string list
-
-(** A model with each statement classified static (computable from the
-    event structure alone) or dynamic. *)
+(** A model in slot form, each statement classified static (computable
+    from the event structure alone: every name it mentions is static
+    where it stands) or dynamic. *)
 type compiled
 
 val compile : Ast.t -> compiled
 
-(** The values of a [compiled] model's static statements, for one event
-    structure. *)
+(** The environment of one candidate with every predefined name filled
+    in: the event sets ([_], [W], [R], [M], [F], [IW], and one per
+    annotation), the base relations ([po], [addr], [data], [ctrl],
+    [rmw], [rf], [co]), the usual derived ones ([fr], [rfi]/[rfe],
+    [coi]/[coe], [fri]/[fre], [com], [po-loc], [loc], [int], [ext],
+    [id]) and the RCU [crit] matching. *)
+val env_of_execution : compiled -> Exec.t -> env
+
+(** [run ?budget compiled env] executes every statement in source order
+    on [env], filling its slots; element [i] of the result is whether
+    statement [i] holds ([true] for a [let]).  With a budget, the
+    deadline is probed between statements and on every Kleene
+    iteration of recursive definitions, raising {!Exec.Budget.Exceeded}
+    when it passes. *)
+val run : ?budget:Exec.Budget.t -> compiled -> env -> bool array
+
+(** {1 Static-prefix evaluation}
+
+    Candidate executions of one static shape share their event
+    structure across all rf/co witnesses, so a static statement has the
+    same value for all of them.  {!prefix} runs the static statements
+    once per shape; the array it leaves is the prototype that
+    {!candidate} and {!batch} copy, filling in the witness slots the
+    model reads, and {!run_with_prefix} replays the dynamic remainder —
+    deciding exactly what {!run} decides. *)
+
 type prefix
 
-(** [prefix ?budget compiled env] evaluates the static statements in
-    source order (skipping dynamic ones, which by construction no static
-    statement depends on). *)
-val prefix : ?budget:Exec.Budget.t -> compiled -> env -> prefix
+(** [prefix ?budget compiled x] evaluates the static statements in
+    source order on [x]'s event structure (skipping dynamic ones, which
+    by construction no static statement depends on). *)
+val prefix : ?budget:Exec.Budget.t -> compiled -> Exec.t -> prefix
+
+(** The environment of one candidate of the prefix's shape. *)
+val candidate : prefix -> Exec.t -> env
+
+(** [batch p ~mask xs] is the environment of the candidates [xs] of the
+    prefix's shape that [mask] selects, their witness relations stacked
+    into bit planes — only those the model reads. *)
+val batch : prefix -> mask:int -> Exec.t array -> env
 
 (** [run_with_prefix ?budget p env] replays all statements in source
-    order against [env], binding static definitions and reusing static
-    check outcomes from [p] instead of re-evaluating them.  [env] must
-    come from candidates sharing the event structure [p] was built from.
-    Returns the live candidates satisfying every check: candidate [c]'s
-    bit is set iff every outcome of [run compiled.model] on it holds.
-    The live mask shrinks after each failed check, so decided candidates
-    stop costing work, but no statement is skipped.  Each check but the
-    model's last adds the candidates it decides to the
+    order against [env] (from {!candidate} or {!batch} of [p]),
+    reusing static check outcomes from [p] instead of re-evaluating
+    them.  Returns the live candidates satisfying every check:
+    candidate [c]'s bit is set iff every check of {!run} on it holds.
+    The live mask shrinks after each failed check, so decided
+    candidates stop costing work, but no statement is skipped.  Each
+    check but the model's last adds the candidates it decides to the
     [cat.batch.early_exit] counter. *)
 val run_with_prefix : ?budget:Exec.Budget.t -> prefix -> env -> int
 
-(** The predefined cat environment of an execution: the event sets ([_],
-    [W], [R], [M], [F], [IW], and one per annotation), the base relations
-    ([po], [addr], [data], [ctrl], [rmw], [rf], [co]), the usual derived
-    ones ([fr], [rfi]/[rfe], [coi]/[coe], [fri]/[fre], [com], [po-loc],
-    [loc], [int], [ext], [id]) and the RCU [crit] matching.  One live
-    candidate. *)
-val env_of_execution : Exec.t -> env
+(** {1 Program points}
 
-(** [env_of_executions ~mask xs] is the environment of the candidates
-    [xs] that [mask] selects: structural bindings from [xs.(0)]
-    (identical in every candidate by construction), witness relations
-    stacked into bit planes. *)
-val env_of_executions : mask:int -> Exec.t array -> env
+    After {!run}, each slot holds the one value its program point
+    wrote, so the environment answers for every program point; a scope
+    says which slot a name denotes at one of them. *)
+
+type scope
+
+(** [scope_at compiled i] is the scope statement [i] is compiled in;
+    with [i] the number of statements, the scope after the last. *)
+val scope_at : compiled -> int -> scope
+
+(** [definition scope x] is the expression the value named [x] was
+    computed from and the scope it was compiled in (for a [let rec],
+    the scope after the group) — [None] for predefined names,
+    functions and unbound names. *)
+val definition : scope -> string -> (Ast.expr * scope) option
+
+(** [eval_expr env scope e] compiles [e] in [scope] and evaluates it on
+    [env]; parameters of inlined applications get slots past [env]'s,
+    on a copy. *)
+val eval_expr : env -> scope -> Ast.expr -> value
+
+(** [inline env scope f arg] is [f(arg)] with [f]'s body exposed: the
+    body, its definition scope with the parameter bound to [arg] (whose
+    own definition is [arg] in [scope]), and an environment holding the
+    argument's value — [None] unless [f] is a one-parameter function.
+    Raises {!Type_error} when [arg] does. *)
+val inline :
+  env -> scope -> string -> Ast.expr -> (Ast.expr * scope * env) option

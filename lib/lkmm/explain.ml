@@ -12,13 +12,15 @@
 
 module E = Exec.Explain
 
+let cat_explainer = lazy (Cat.Explain.explainer (Lazy.force Cat.lk))
+
 (* [explain_execution x] is the native model's verdict forensics: one
    validated explanation per violated axiom, [] iff [x] is consistent. *)
 let explain_execution (x : Exec.t) : E.t list =
   match Axioms.violations (Relations.make_cached x) with
   | [] -> []
   | native -> (
-      let es = Cat.Explain.explain_execution (Lazy.force Cat.lk) x in
+      let es = Lazy.force cat_explainer x in
       let named = List.map (fun (e : E.t) -> e.E.check) es in
       match
         List.filter (fun a -> not (List.mem (Axioms.to_string a) named)) native

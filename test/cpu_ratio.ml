@@ -38,6 +38,24 @@ let battery ~native ~cat () =
       ignore (Sys.opaque_identity (cat t)))
     (Lazy.force slice)
 
+(* A fixed computation to time the checker against: hashing, allocation
+   and sorting, none of it the checker's code, so no change to the
+   program moves it.  A copy of lkbench's [reference]
+   (lkbench/common.ml), since test/ cannot link lkbench/. *)
+let reference () =
+  let x = ref 12345 in
+  for _ = 1 to 4 do
+    let h = Hashtbl.create 1024 in
+    for i = 0 to 9_999 do
+      x := ((!x * 1103515245) + 12345) land 0x3fffffff;
+      Hashtbl.replace h (!x land 0x3fff) (i, !x)
+    done;
+    let l =
+      List.sort compare (List.init 10_000 (fun i -> (i * 7919) land 0xffff))
+    in
+    ignore (Sys.opaque_identity (Hashtbl.length h + List.length l))
+  done
+
 let cpu f =
   let t0 = Sys.time () in
   f ();

@@ -13,7 +13,17 @@ let sample_exec =
        (Litmus.parse
           "C s\n{ x=0; }\nP0(int *x) { WRITE_ONCE(x, 1); }\nP1(int *x, int *y) { int r1 = READ_ONCE(x); WRITE_ONCE(y, r1); }\nexists (1:r1=1)"))
 
-let env = I.env_of_execution sample_exec
+(* Every check's name and outcome on [x], through the compiled model. *)
+let outcomes (model : Cat.Ast.t) x =
+  let c = I.compile model in
+  let holds = I.run c (I.env_of_execution c x) in
+  List.concat
+    (List.mapi
+       (fun i -> function
+         | Cat.Ast.Check (_, _, name) ->
+             [ (Option.value ~default:"(unnamed)" name, holds.(i)) ]
+         | Cat.Ast.Let _ -> [])
+       model.stmts)
 
 (* ------------------------------------------------------------------ *)
 (* Lexer / parser                                                      *)
@@ -86,9 +96,7 @@ let test_error_positions () =
 (* Interpreter semantics                                               *)
 (* ------------------------------------------------------------------ *)
 
-let run_checks src =
-  I.run (parse_model src) env
-  |> List.map (fun (o : I.outcome) -> (o.check_name, o.holds))
+let run_checks src = outcomes (parse_model src) sample_exec
 
 let test_acyclic_check () =
   Alcotest.(check (list (pair string bool)))
@@ -152,15 +160,17 @@ let test_complement () =
     (run_checks "\"t\"\nempty (_ * _) \\ ~0 as c")
 
 let test_unbound_identifier () =
-  match I.run (parse_model "\"t\"\nempty nonsuch as c") env with
+  match outcomes (parse_model "\"t\"\nempty nonsuch as c") sample_exec with
   | exception I.Type_error _ -> ()
   | _ -> Alcotest.fail "expected type error"
 
 let test_type_errors () =
-  (match I.run (parse_model "\"t\"\nempty W * po as c") env with
+  (match outcomes (parse_model "\"t\"\nempty W * po as c") sample_exec with
   | exception I.Type_error _ -> ()
   | _ -> Alcotest.fail "relation used as set");
-  match I.run (parse_model "\"t\"\nlet f(r) = r\nempty f as c") env with
+  match
+    outcomes (parse_model "\"t\"\nlet f(r) = r\nempty f as c") sample_exec
+  with
   | exception I.Type_error _ -> ()
   | _ -> Alcotest.fail "function used as relation"
 
@@ -192,15 +202,16 @@ let test_models_dir_in_sync () =
     Cat.Stdmodels.all
 
 let test_lk_cat_named_checks () =
-  let outcomes = Cat.outcomes (Lazy.force Cat.lk) sample_exec in
-  let names = List.map (fun (o : I.outcome) -> o.check_name) outcomes in
+  let outcomes = Cat_ref.outcomes (Lazy.force Cat.lk) sample_exec in
+  let names = List.map (fun (o : Cat_ref.outcome) -> o.check_name) outcomes in
   Alcotest.(check (list string)) "five named axioms"
     [ "sc-per-variable"; "atomicity"; "happens-before"; "propagates-before";
       "rcu" ]
     names
 
 (* Full agreement between cat and native models over every candidate
-   execution of the battery. *)
+   execution of the battery: the compiled scalar engine and the
+   reference interpreter alike. *)
 let test_cat_native_agreement () =
   let pairs =
     [
@@ -215,13 +226,19 @@ let test_cat_native_agreement () =
     (fun (name, src, native) ->
       let cat_model = parse_model src in
       let module N = (val native : Exec.Check.MODEL) in
+      let (module C : Exec.Check.MODEL) =
+        Exec.Oracle.model (Cat.to_oracle ~name cat_model) ()
+      in
       List.iter
         (fun (e : Harness.Battery.entry) ->
           List.iter
             (fun x ->
               Alcotest.(check bool)
                 (Printf.sprintf "%s agrees on %s" name e.name)
-                (N.consistent x) (Cat.consistent cat_model x))
+                (N.consistent x) (C.consistent x);
+              Alcotest.(check bool)
+                (Printf.sprintf "%s reference agrees on %s" name e.name)
+                (N.consistent x) (Cat_ref.consistent cat_model x))
             (Exec.of_test (Harness.Battery.test_of e)))
         Harness.Battery.all)
     pairs
@@ -229,14 +246,18 @@ let test_cat_native_agreement () =
 let test_cat_native_agreement_generated () =
   let rng = Random.State.make [| 5 |] in
   let tests = Diygen.sample ~vocabulary:Diygen.Edge.vocabulary ~rng ~count:25 4 in
-  let lk_cat = parse_model Cat.Stdmodels.lk in
+  let (module Lk_cat : Exec.Check.MODEL) =
+    Exec.Oracle.model
+      (Cat.to_oracle ~name:"LK(cat)" (parse_model Cat.Stdmodels.lk))
+      ()
+  in
   List.iter
     (fun t ->
       List.iter
         (fun x ->
           Alcotest.(check bool)
             (t.Litmus.Ast.name ^ ": cat agrees")
-            (Lkmm.consistent x) (Cat.consistent lk_cat x))
+            (Lkmm.consistent x) (Lk_cat.consistent x))
         (Exec.of_test t))
     tests
 
@@ -334,8 +355,11 @@ let type_errors =
    recursive [p] monotone in itself, [f] applied to a witness-dependent
    argument, then one check of each kind in random order, each on a
    witness relation combined with an expression over all of them (an
-   [empty] check may take a set instead).  One model in ten carries a
-   type error. *)
+   [empty] check may take a set instead).  After the first check, [a]
+   is rebound to an expression over itself and a witness relation: the
+   later checks read the new, dynamic [a], while [f]'s body, inlined in
+   them, still reads the static one of its definition.  One model in
+   ten carries a type error. *)
 let gen_model =
   let open QCheck2.Gen in
   let sets = "s" :: set_names in
@@ -362,6 +386,10 @@ let gen_model =
       (let* w = oneofl I.witness_names in
        gen_with w (gen_rel ~app:true ~sets [ "a"; "p"; "b" ] 3))
   in
+  let* shadow =
+    let* w = oneofl I.witness_names in
+    gen_with "a" (gen_with w (gen_rel ~sets [ "a" ] 1))
+  in
   let* set_body = option ~ratio:0.25 (gen_set sets 3) in
   let* error = option ~ratio:0.1 (oneofl type_errors) in
   let checks =
@@ -387,7 +415,9 @@ let gen_model =
           A.Let ([ ("p", [], A.Union (base, step)) ], true);
           A.Let ([ ("b", [], A.App ("f", arg)) ], false);
         ]
-        @ checks;
+        @ List.hd checks
+          :: A.Let ([ ("a", [], shadow) ], false)
+          :: List.tl checks;
     }
 
 let print_model (m : A.t) =
@@ -444,6 +474,71 @@ let prop_random_models =
           = engine_key oracle test Exec.Check.Batch)
         (Lazy.force random_model_tests))
 
+(* The compiled engines decide every random model as the reference
+   interpreter does, down to the witness, or raise the same type error:
+   names resolved to slots at compile time (a rebound [a] included),
+   functions inlined in their definition's scope, statics run once per
+   shape. *)
+let prop_reference =
+  QCheck2.Test.make ~name:"compiled = reference on random models" ~count:400
+    ~print:print_model gen_model (fun model ->
+      let oracle = Cat.to_oracle ~name:"random" model
+      and reference = Cat_ref.oracle ~name:"random" model in
+      List.for_all
+        (fun test ->
+          let expected = engine_key reference test Exec.Check.Enum in
+          engine_key oracle test Exec.Check.Enum = expected
+          && engine_key oracle test Exec.Check.Batch = expected)
+        (Lazy.force random_model_tests))
+
+(* Function uses the random models do not draw — an alias, a function
+   argument, a function result, a parameter named like a global, a
+   name rebound after a function reads it, [and] groups, shadowed
+   functions — and every type error compilation defers to evaluation:
+   both engines decide each as the reference does, or raise its
+   message. *)
+let edge_models =
+  let same a b = Printf.sprintf "empty (%s \\ %s) | (%s \\ %s)" a b b a in
+  [
+    "let f(x) = x ; po\nlet g = f\n" ^ same "g(rf)" "(rf ; po)" ^ " as c";
+    "let f(x) = x ; po\nlet h(k) = k(rf)\n" ^ same "h(f)" "(rf ; po)" ^ " as c";
+    "let f(x) = x ; po\nlet h(y) = f\nlet g = h(co)\n"
+    ^ same "g(rf)" "(rf ; po)" ^ " as c";
+    "let a = po\nlet f(a) = a ; rf\n" ^ same "f(co)" "(co ; rf)" ^ " as c";
+    "let a = po\nlet f(x) = x ; a\nlet a = co\n"
+    ^ same "f(rf)" "(rf ; po)" ^ " as c\n" ^ same "a" "co" ^ " as d";
+    "let f(x) = x ; po\nlet b = f(rf)\nlet f(x) = x ; co\n"
+    ^ same "b" "(rf ; po)" ^ " as c\n" ^ same "f(fr)" "(fr ; co)" ^ " as d";
+    "let rec a = po | (a ; b) and b = a ; rf\nacyclic a | b as c";
+    "let a = po and b = a\nempty b as c";
+    "let f(x, y) = x\nempty f(po) as c";
+    "let rec f(x) = x\nempty po as c";
+    "let f(x) = x\nlet rec a = po and g = f\nempty a as c";
+    "let f(x) = x\nempty [f] as c";
+    "empty nosuch(po) as c";
+    "let a = po\nempty a(rf) as c";
+    "let h(k) = k(rf)\nempty h(po) as c";
+  ]
+
+let test_edge_models () =
+  List.iter
+    (fun src ->
+      let model = parse_model ("\"edge\"\n" ^ src) in
+      let oracle = Cat.to_oracle ~name:"edge" model
+      and reference = Cat_ref.oracle ~name:"edge" model in
+      List.iter
+        (fun test ->
+          let expected = engine_key reference test Exec.Check.Enum in
+          List.iter
+            (fun backend ->
+              Alcotest.(check bool)
+                (src ^ ": as the reference")
+                true
+                (engine_key oracle test backend = expected))
+            [ Exec.Check.Enum; Exec.Check.Batch ])
+        (Lazy.force random_model_tests))
+    edge_models
+
 let () =
   Alcotest.run "cat"
     [
@@ -484,5 +579,11 @@ let () =
           Alcotest.test_case "cat = native (generated)" `Slow
             test_cat_native_agreement_generated;
         ] );
-      ("engines", [ QCheck_alcotest.to_alcotest prop_random_models ]);
+      ( "engines",
+        List.map QCheck_alcotest.to_alcotest
+          [ prop_random_models; prop_reference ]
+        @ [
+            Alcotest.test_case "compiled = reference on edge models" `Quick
+              test_edge_models;
+          ] );
     ]

@@ -298,11 +298,12 @@ let reference_key (module M : Exec.Check.MODEL) (test : Litmus.Ast.t) =
     !matching,
     List.sort_uniq compare !outcomes )
 
-(* The direct cat interpreter, no compiled model and no prefix cache. *)
+(* The reference cat interpreter, no compiled model and no prefix
+   cache. *)
 let cat_direct : (module Exec.Check.MODEL) =
   (module struct
     let name = "LK(cat), direct"
-    let consistent x = Cat.consistent (Lazy.force Cat.lk) x
+    let consistent x = Cat_ref.consistent (Lazy.force Cat.lk) x
   end)
 
 (* The prefilter and the static-prefix cache must be invisible in the
@@ -381,6 +382,30 @@ let test_scalar_speed () =
     true
     (r <= 2. *. enum_over_batch)
 
+(* The scalar engine's absolute speed: its pass over the corpus slice,
+   under native LK and lk.cat, against {!Cpu_ratio.reference} timed in
+   the same process — so a change that slows both engines alike, which
+   the Enum/Batch ratio cannot see, still fails here.  The ratio may at
+   most double from its value when the cat engines went to slot form:
+   0.95, the median of 12 runs of this case on a 2-vCPU host (range
+   0.79-0.98). *)
+let enum_over_reference = 0.95
+
+let test_scalar_absolute () =
+  let r =
+    Cpu_ratio.median ~base:Cpu_ratio.reference
+      (Cpu_ratio.battery
+         ~native:(Exec.Oracle.run ~backend:Exec.Check.Enum Lkmm.oracle)
+         ~cat:
+           (Exec.Oracle.run ~backend:Exec.Check.Enum
+              (Lazy.force Cpu_ratio.lk_cat)))
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "Enum/reference CPU %.3f <= 2 x %.2f" r
+       enum_over_reference)
+    true
+    (r <= 2. *. enum_over_reference)
+
 (* The candidates of [test] in enumeration order, cut into the chunks a
    batch engine may take: one event structure each (a shared events
    array), at most {!Rel.Batch.width} long. *)
@@ -443,7 +468,7 @@ let test_batch_decides_coherence () =
    the model's last adds the live candidates it rejects.  Over every
    structure of a corpus sample, incoherent candidates included, lk.cat's
    batch engine must count exactly the candidates whose first failing
-   check in the direct interpreter's outcome list is not the last. *)
+   check in the reference interpreter's outcome list is not the last. *)
 let test_cat_early_exit () =
   let model = Lazy.force Cat.lk in
   let batch = Option.get (Lazy.force Cpu_ratio.lk_cat).Exec.Oracle.batch None in
@@ -456,8 +481,8 @@ let test_cat_early_exit () =
   let early (x : Exec.t) =
     match
       List.find_index
-        (fun (o : Cat.Interp.outcome) -> not o.holds)
-        (Cat.outcomes model x)
+        (fun (o : Cat_ref.outcome) -> not o.holds)
+        (Cat_ref.outcomes model x)
     with
     | Some i -> i < last
     | None -> false
@@ -686,7 +711,7 @@ let test_prefilter_soundness () =
             Alcotest.(check bool)
               (file ^ ": prefilter-rejected candidate fails the cat model")
               false
-              (Cat.consistent lk_cat x)
+              (Cat_ref.consistent lk_cat x)
           end)
         (Exec.of_test_seq test))
     (Cpu_ratio.sample_tests 9);
@@ -714,6 +739,8 @@ let () =
             test_batched_agreement;
           Alcotest.test_case "scalar at most 2x its Enum/Batch ratio" `Slow
             test_scalar_speed;
+          Alcotest.test_case "scalar at most 2x its reference ratio" `Slow
+            test_scalar_absolute;
           Alcotest.test_case "prefilter soundness" `Quick
             test_prefilter_soundness;
           Alcotest.test_case "batch engines decide coherence" `Quick
