@@ -188,22 +188,22 @@ let diy_sweep () =
 let c11_delta tests =
   section "Section 5.2: LK vs C11 disagreements over the sweep";
   let disag =
-    List.filter
+    List.filter_map
       (fun t ->
-        Models.C11.applicable t
-        &&
-        let lk = (Exec.Check.run (module Lkmm) t).Exec.Check.verdict in
-        let c11 = (Exec.Check.run (module Models.C11) t).Exec.Check.verdict in
-        lk <> c11)
+        if not (Models.C11.applicable t) then None
+        else
+          match Harness.Table5.check t with
+          | lk, Some c11 when lk.Exec.Check.verdict <> c11.Exec.Check.verdict
+            ->
+              Some (t, lk.verdict, c11.verdict)
+          | _ -> None)
       tests
   in
   Fmt.pr "%d/%d generated tests distinguish LK from C11@." (List.length disag)
     (List.length tests);
   List.iteri
-    (fun i (t : Litmus.Ast.t) ->
+    (fun i ((t : Litmus.Ast.t), lk, c11) ->
       if i < 10 then
-        let lk = (Exec.Check.run (module Lkmm) t).Exec.Check.verdict in
-        let c11 = (Exec.Check.run (module Models.C11) t).Exec.Check.verdict in
         Fmt.pr "  %-45s LK:%-6s C11:%-6s@." t.name
           (Exec.Check.verdict_to_string lk)
           (Exec.Check.verdict_to_string c11))

@@ -63,7 +63,8 @@ let () =
       Fmt.pr "%-20s LK:%-7s no-ctrl-LK:%-7s C11:%s@." name (verdict lk t)
         (verdict no_ctrl t)
         (Exec.Check.verdict_to_string
-           (Exec.Check.run (module Models.C11) t).Exec.Check.verdict))
+           (Exec.Oracle.run (Exec.Oracle.of_model (module Models.C11)) t)
+             .Exec.Check.verdict))
     [ "LB+ctrl+mb"; "LB+datas" ];
   Fmt.pr
     "(without ctrl in rwdep the LK model inherits C11's out-of-thin-air \

@@ -4,7 +4,14 @@
 
    Run with:  dune exec examples/model_comparison.exe *)
 
-let verdict m t = (Exec.Check.run m t).Exec.Check.verdict
+(* The verdicts of [t] under each model of [ms], from one check: one
+   enumeration of [t] serves them all. *)
+let verdicts ms t =
+  List.map
+    (fun r -> r.Exec.Check.verdict)
+    (Exec.Check.run (List.map (fun m -> Exec.Check.model m) ms) t)
+
+let verdict m t = List.hd (verdicts [ m ] t)
 let str = Exec.Check.verdict_to_string
 
 let () =
@@ -14,24 +21,28 @@ let () =
   List.iter
     (fun (e : Harness.Battery.entry) ->
       let t = Harness.Battery.test_of e in
-      let c11, psc =
-        if Models.C11.applicable t then
-          ( str (verdict (module Models.C11) t),
-            str (verdict (module Models.C11.Strengthened) t) )
-        else ("-", "-")
+      let vs =
+        verdicts
+          ((module Models.Sc) :: (module Models.Tso) :: (module Lkmm)
+          ::
+          (if Models.C11.applicable t then
+             [ (module Models.C11); (module Models.C11.Strengthened) ]
+           else []))
+          t
       in
-      Fmt.pr "%-22s %-7s %-7s %-7s %-7s %-8s@." e.name
-        (str (verdict (module Models.Sc) t))
-        (str (verdict (module Models.Tso) t))
-        (str (verdict (module Lkmm) t))
-        c11 psc)
+      let col i = Option.fold ~none:"-" ~some:str (List.nth_opt vs i) in
+      Fmt.pr "%-22s %-7s %-7s %-7s %-7s %-8s@." e.name (col 0) (col 1) (col 2)
+        (col 3) (col 4))
     Harness.Battery.all;
 
   Fmt.pr "@.== The three Section 5.2 discrepancies ==@.";
   let show name expect_lk expect_c11 why =
     let t = Harness.Battery.test_of (Harness.Battery.find name) in
-    let lk = verdict (module Lkmm) t
-    and c11 = verdict (module Models.C11) t in
+    let lk, c11 =
+      match verdicts [ (module Lkmm); (module Models.C11) ] t with
+      | [ lk; c11 ] -> (lk, c11)
+      | _ -> assert false
+    in
     Fmt.pr "%-14s LK:%-6s C11:%-6s  %s%s@." name (str lk) (str c11) why
       (if lk = expect_lk && c11 = expect_c11 then "" else "  (UNEXPECTED)")
   in
@@ -57,19 +68,20 @@ let () =
     @ Diygen.sample ~vocabulary:Diygen.Edge.core_vocabulary ~rng ~count:40 5
   in
   let disagreements =
-    List.filter
+    List.filter_map
       (fun t ->
-        Models.C11.applicable t
-        && verdict (module Models.C11) t <> verdict (module Lkmm) t)
+        if not (Models.C11.applicable t) then None
+        else
+          match verdicts [ (module Lkmm); (module Models.C11) ] t with
+          | [ lk; c11 ] when lk <> c11 -> Some (t, lk, c11)
+          | _ -> None)
       tests
   in
   Fmt.pr "%d generated tests, %d LK/C11 disagreements, e.g.:@."
     (List.length tests)
     (List.length disagreements);
   List.iteri
-    (fun i (t : Litmus.Ast.t) ->
+    (fun i ((t : Litmus.Ast.t), lk, c11) ->
       if i < 8 then
-        Fmt.pr "  %-45s LK:%-6s C11:%-6s@." t.name
-          (str (verdict (module Lkmm) t))
-          (str (verdict (module Models.C11) t)))
+        Fmt.pr "  %-45s LK:%-6s C11:%-6s@." t.name (str lk) (str c11))
     disagreements

@@ -89,7 +89,7 @@ let to_oracle ~name (model : model) : Exec.Oracle.t =
     ()
 
 (** [explainer ?budget model] is a verdict-forensics hook for
-    {!Exec.Check.run}: explanations of every failed check on a rejected
+    {!Exec.Check.model}: explanations of every failed check on a rejected
     candidate (see {!Explain}). *)
 let explainer = Explain.explainer
 

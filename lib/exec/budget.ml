@@ -85,6 +85,11 @@ let start_at ~deadline lim =
   in
   start { lim with timeout }
 
+(* A second engine run inside the same call: the deadline is shared, so
+   one timeout bounds the whole call, and the candidate count starts
+   afresh, so each run's caps trip where they would alone. *)
+let fork b = { b with n_candidates = 0; ticks = 0 }
+
 let candidates_seen b = b.n_candidates
 
 let check_time b =

@@ -52,6 +52,11 @@ val start : limits -> t
     a zero timeout whose first {!check_time} trips. *)
 val start_at : deadline:float -> limits -> t
 
+(** [fork b] — a budget for a second engine run within the call [b]
+    bounds: the same limits and absolute deadline (one timeout bounds
+    the whole call), and a candidate count of its own. *)
+val fork : t -> t
+
 (** Candidate executions materialised so far (partial-progress report). *)
 val candidates_seen : t -> int
 

@@ -98,184 +98,8 @@ type result = {
   sat : sat_stats option; (* solver counters, SAT backend only *)
 }
 
-(* Interpret the test's quantifier over the consistent executions:
-   - exists c  : Allow iff some consistent execution satisfies c;
-   - ~exists c : Allow iff some consistent execution satisfies c
-                 (the quantifier expresses the author's expectation, not a
-                 different question — herd reports Ok/No either way);
-   - forall c  : Allow iff some consistent execution *violates* c.
-   In all cases the verdict answers: "is the distinguishing outcome
-   observable?".
-
-   Candidates are consumed as the enumeration streams them, one at a
-   time: nothing is retained but the counters, the outcome set and the
-   first witness, and candidates failing the sc-per-location prefilter
-   (see {!Execution.coherent}) never reach the model at all. *)
-
-let c_candidates = Obs.Counter.make "check.candidates"
-let c_prefiltered = Obs.Counter.make "check.prefilter.hits"
-let c_consistent = Obs.Counter.make "check.consistent"
-let c_matching = Obs.Counter.make "check.matching"
-let h_prefilter = Obs.Histogram.make "check.prefilter_us"
-let h_model = Obs.Histogram.make "check.model_us"
-let c_batch_flushes = Obs.Counter.make "check.batch.flushes"
-let h_occupancy = Obs.Histogram.make "check.batch.occupancy"
-
-let run_exn ?budget ?batch ?explainer (module M : MODEL) (test : Litmus.Ast.t)
-    =
-  let satisfies x =
-    match test.quant with
-    | Litmus.Ast.Q_exists | Litmus.Ast.Q_not_exists -> Execution.satisfies_cond x
-    | Litmus.Ast.Q_forall -> not (Execution.satisfies_cond x)
-  in
-  let n_candidates = ref 0
-  and n_prefiltered = ref 0
-  and n_consistent = ref 0
-  and n_matching = ref 0 in
-  let witness = ref None and outcomes = ref [] in
-  (* Counterexample retention for forensics, only with an explainer (one
-     option test per rejected candidate otherwise — the explanation-off
-     discipline).  The preferred counterexample is a condition-satisfying
-     candidate the *model* rejected, whose failing checks name the
-     interesting axioms; when every condition-satisfying candidate dies
-     in the prefilter, the first of those stands in (its failure is
-     sc-per-location, and the model's coherence check explains it). *)
-  let track_cex = explainer <> None in
-  let cex = ref None and cex_prefiltered = ref None in
-  (* When tracing, the prefilter test and the model run are each timed
-     per candidate (two clock reads each). *)
-  let tracing = Obs.enabled () in
-  (* Per-candidate tallies, shared verbatim between the scalar loop and
-     the batched flush: the flush walks its buffer in enumeration order
-     calling exactly these, so counters, outcome order, witness and
-     counterexample identity cannot diverge between the two paths. *)
-  let prefiltered x =
-    incr n_prefiltered;
-    Obs.Counter.incr c_prefiltered;
-    if track_cex && !cex_prefiltered = None && satisfies x then
-      cex_prefiltered := Some x
-  in
-  let decided x ok =
-    if ok then begin
-      incr n_consistent;
-      Obs.Counter.incr c_consistent;
-      let sat = satisfies x in
-      outcomes := (Execution.outcome x, sat) :: !outcomes;
-      if sat then begin
-        incr n_matching;
-        Obs.Counter.incr c_matching;
-        if !witness = None then witness := Some x
-      end
-    end
-    else if track_cex && !cex = None && satisfies x then cex := Some x
-  in
-  Obs.with_span ~item:test.name "check" (fun () ->
-      Obs.with_span ~item:test.name "enumerate" (fun () ->
-          let stream = Execution.of_test_seq ?budget test in
-          match batch with
-          | None ->
-              Seq.iter
-                (fun x ->
-                  (* counted as consumed, so the tally is correct however
-                     the stream ends (completion, budget trip, model
-                     failure) *)
-                  incr n_candidates;
-                  Obs.Counter.incr c_candidates;
-                  Option.iter Budget.tick budget;
-                  let t0 = if tracing then Obs.now_us () else 0. in
-                  let keep = Execution.coherent x in
-                  if tracing then
-                    Obs.Histogram.observe h_prefilter (Obs.now_us () -. t0);
-                  if not keep then prefiltered x
-                  else begin
-                    let t1 = if tracing then Obs.now_us () else 0. in
-                    let ok = M.consistent x in
-                    if tracing then
-                      Obs.Histogram.observe h_model (Obs.now_us () -. t1);
-                    decided x ok
-                  end)
-                stream
-          | Some batch_fn ->
-              (* Buffer up to 63 candidates of one shape — all the
-                 witnesses of one event structure, and enumeration-
-                 adjacent structures of the test that differ only in
-                 read values — then decide the prefilter and the model
-                 for the whole buffer in word-parallel passes over
-                 candidate-major bit planes, and tally in enumeration
-                 order.  The buffer is flushed where the shape changes:
-                 one physical comparison per candidate, and the same
-                 cut {!Execution.static_compatible} makes. *)
-              let buf = ref [] and len = ref 0 in
-              let flush () =
-                if !len > 0 then begin
-                  let xs = Array.of_list (List.rev !buf) in
-                  buf := [];
-                  len := 0;
-                  let k = Array.length xs in
-                  let full = Rel.Batch.full_mask k in
-                  Obs.Counter.incr c_batch_flushes;
-                  Obs.Histogram.observe h_occupancy (float_of_int k);
-                  let live = Execution.coherent_mask ~mask:full xs in
-                  let consistent =
-                    if live = 0 then 0 else batch_fn ~coherent:true ~mask:live xs
-                  in
-                  Array.iteri
-                    (fun c x ->
-                      let bit = 1 lsl c in
-                      if live land bit = 0 then prefiltered x
-                      else decided x (consistent land bit <> 0))
-                    xs
-                end
-              in
-              Seq.iter
-                (fun x ->
-                  incr n_candidates;
-                  Obs.Counter.incr c_candidates;
-                  Option.iter Budget.tick budget;
-                  (match !buf with
-                  | (y : Execution.t) :: _ when y.shape != x.Execution.shape ->
-                      flush ()
-                  | _ -> ());
-                  buf := x :: !buf;
-                  incr len;
-                  if !len = Rel.Batch.width then flush ())
-                stream;
-              flush ()));
-  (* Forensics run after enumeration, on the retained counterexample
-     only.  The explainer re-derives the model's checks on it; any
-     [Explain.Invalid] it raises (an explanation that fails its own
-     re-validation) propagates as a hard error — under a budget that
-     means an Unknown (Model_error) verdict and the runner's internal-
-     error exit code, never a silently wrong explanation. *)
-  let counterexample, explanations =
-    match explainer with
-    | Some explain when !n_matching = 0 -> (
-        match (if !cex <> None then !cex else !cex_prefiltered) with
-        | Some x ->
-            let es = explain x in
-            List.iter
-              (fun (e : Explain.t) ->
-                Obs.Counter.incr
-                  (Obs.Counter.make ("explain.check_fail." ^ e.Explain.check)))
-              es;
-            (Some x, es)
-        | None -> (None, []))
-    | _ -> (None, [])
-  in
-  {
-    verdict = (if !n_matching > 0 then Allow else Forbid);
-    n_candidates = !n_candidates;
-    n_prefiltered = !n_prefiltered;
-    n_consistent = !n_consistent;
-    n_matching = !n_matching;
-    witness = !witness;
-    outcomes = List.sort_uniq compare !outcomes;
-    counterexample;
-    explanations;
-    backend = (match batch with None -> Enum | Some _ -> Batch);
-    sat = None;
-  }
-
+(* An empty result with an [Unknown] verdict: a budget trip or an engine
+   failure, with the budget's candidate count of that moment. *)
 let unknown ?budget ?(backend = Enum) ?sat reason =
   {
     verdict = Unknown reason;
@@ -292,25 +116,342 @@ let unknown ?budget ?(backend = Enum) ?sat reason =
     sat;
   }
 
-(* Budgeted checking: budget violations and model failures become
-   [Unknown] results carrying the partial candidate count — a check under
-   a budget never raises.  Without a budget, behaviour (and exceptions)
-   are exactly the pre-budget ones. *)
-let run ?budget ?batch ?explainer (module M : MODEL) (test : Litmus.Ast.t) =
-  let backend = match batch with None -> Enum | Some _ -> Batch in
-  match budget with
-  | None -> run_exn ?batch ?explainer (module M) test
-  | Some b -> (
-      try run_exn ~budget:b ?batch ?explainer (module M) test with
-      | Budget.Exceeded r -> unknown ~budget:b ~backend (Budget_exceeded r)
-      | Stack_overflow ->
-          unknown ~budget:b ~backend (Model_error Stack_overflow)
-      | exn -> unknown ~budget:b ~backend (Model_error exn))
+(* One model of a check: its scalar engine, and optionally its batched
+   engine and an explainer for verdict forensics. *)
+type model = {
+  scalar : (module MODEL);
+  batch : batch_fn option;
+  explainer : (Execution.t -> Explain.t list) option;
+}
+
+let model ?batch ?explainer scalar = { scalar; batch; explainer }
+let backend_of m = match m.batch with None -> Enum | Some _ -> Batch
+
+(* Interpret the test's quantifier over the consistent executions:
+   - exists c  : Allow iff some consistent execution satisfies c;
+   - ~exists c : Allow iff some consistent execution satisfies c
+                 (the quantifier expresses the author's expectation, not a
+                 different question — herd reports Ok/No either way);
+   - forall c  : Allow iff some consistent execution *violates* c.
+   In all cases the verdict answers: "is the distinguishing outcome
+   observable?".
+
+   Candidates are consumed as the enumeration streams them, one at a
+   time: nothing is retained but the counters, the outcome sets and the
+   first witnesses, and candidates failing the sc-per-location prefilter
+   (see {!Execution.coherent}) never reach a model at all.
+
+   One pass serves every model of the call.  The enumeration, the
+   prefilter and, per candidate, the condition test and the outcome key
+   do not depend on the model, so they run once; each model decides the
+   live candidates through its own engine and keeps its own tallies, so
+   its result is the one it gets alone. *)
+
+let c_candidates = Obs.Counter.make "check.candidates"
+let c_prefiltered = Obs.Counter.make "check.prefilter.hits"
+let c_consistent = Obs.Counter.make "check.consistent"
+let c_matching = Obs.Counter.make "check.matching"
+let h_prefilter = Obs.Histogram.make "check.prefilter_us"
+let h_model = Obs.Histogram.make "check.model_us"
+let c_batch_flushes = Obs.Counter.make "check.batch.flushes"
+let h_occupancy = Obs.Histogram.make "check.batch.occupancy"
+
+(* A model's side of the pass. *)
+type tally = {
+  m : model;
+  consistent : Execution.t -> bool;
+  explains : bool; (* [m] has an explainer: retain a counterexample *)
+  mutable mask : int; (* the current flush's consistent bits *)
+  mutable n_consistent : int;
+  mutable n_matching : int;
+  mutable witness : Execution.t option;
+  mutable outcomes : (Execution.outcome * bool) list;
+  mutable cex : Execution.t option;
+  mutable settled : result option; (* the model raised: its Unknown *)
+}
+
+(* Every model of the call has raised: the enumeration stops. *)
+exception All_settled
+
+(* A scalar model's consistent bits among the live candidates [mask] of
+   a batch. *)
+let scalar_mask consistent mask xs =
+  let bits = ref 0 in
+  Array.iteri
+    (fun c x ->
+      if mask land (1 lsl c) <> 0 && consistent x then
+        bits := !bits lor (1 lsl c))
+    xs;
+  !bits
+
+let run ?budget models (test : Litmus.Ast.t) =
+  if models = [] then invalid_arg "Check.run: no model";
+  let satisfies x =
+    match test.quant with
+    | Litmus.Ast.Q_exists | Litmus.Ast.Q_not_exists -> Execution.satisfies_cond x
+    | Litmus.Ast.Q_forall -> not (Execution.satisfies_cond x)
+  in
+  let tallies =
+    Array.of_list
+      (List.map
+         (fun m ->
+           let (module M : MODEL) = m.scalar in
+           {
+             m;
+             consistent = M.consistent;
+             explains = Option.is_some m.explainer;
+             mask = 0;
+             n_consistent = 0;
+             n_matching = 0;
+             witness = None;
+             outcomes = [];
+             cex = None;
+             settled = None;
+           })
+         models)
+  in
+  let n_models = Array.length tallies in
+  let unsettled = ref n_models in
+  let n_candidates = ref 0 and n_prefiltered = ref 0 in
+  (* Counterexample retention for forensics, only for a model with an
+     explainer (one option test per rejected candidate otherwise — the
+     explanation-off discipline).  The preferred counterexample is a
+     condition-satisfying candidate the *model* rejected, whose failing
+     checks name the interesting axioms; when every condition-satisfying
+     candidate dies in the prefilter, the first of those stands in (its
+     failure is sc-per-location, and the model's coherence check
+     explains it).  That one does not depend on the model. *)
+  let track_cex = Array.exists (fun t -> t.explains) tallies in
+  let cex_prefiltered = ref None in
+  (* When tracing, the prefilter and each model's run are timed: per
+     candidate on the scalar path, per buffer on the batched one. *)
+  let tracing = Obs.enabled () in
+  (* The condition test and the outcome key of the current candidate,
+     each computed when a model first needs it (the key is kept only
+     when another model may need it too); [fresh] moves to the next
+     candidate. *)
+  let candidate = ref 0 and sat_memo = ref (-1) in
+  let key_of = ref (-1) and key_memo = ref [] in
+  let fresh () =
+    incr candidate;
+    sat_memo := -1
+  in
+  let sat x =
+    if !sat_memo < 0 then sat_memo := Bool.to_int (satisfies x);
+    !sat_memo = 1
+  in
+  let key x =
+    if n_models = 1 then Execution.outcome x
+    else if !key_of = !candidate then !key_memo
+    else begin
+      key_memo := Execution.outcome x;
+      key_of := !candidate;
+      !key_memo
+    end
+  in
+  (* A model that raises settles alone, as [Unknown (Model_error _)] at
+     the budget's count of that moment; the others go on.  A budget trip
+     is the whole call's, and without a budget the exception
+     propagates. *)
+  let fail t exn =
+    match (budget, exn) with
+    | None, _ | Some _, Budget.Exceeded _ ->
+        Printexc.raise_with_backtrace exn (Printexc.get_raw_backtrace ())
+    | Some b, _ ->
+        t.settled <-
+          Some (unknown ~budget:b ~backend:(backend_of t.m) (Model_error exn));
+        decr unsettled;
+        if !unsettled = 0 then raise All_settled
+  in
+  (* Per-candidate tallies, shared verbatim between the scalar loop and
+     the batched flush: the flush walks its buffer in enumeration order
+     calling exactly these, so counters, outcome order, witness and
+     counterexample identity cannot diverge between the two paths. *)
+  let prefiltered x =
+    incr n_prefiltered;
+    Obs.Counter.incr c_prefiltered;
+    if track_cex && Option.is_none !cex_prefiltered && sat x then
+      cex_prefiltered := Some x
+  in
+  let decided t x ok =
+    if ok then begin
+      t.n_consistent <- t.n_consistent + 1;
+      Obs.Counter.incr c_consistent;
+      let s = sat x in
+      t.outcomes <- (key x, s) :: t.outcomes;
+      if s then begin
+        t.n_matching <- t.n_matching + 1;
+        Obs.Counter.incr c_matching;
+        if Option.is_none t.witness then t.witness <- Some x
+      end
+    end
+    else if t.explains && Option.is_none t.cex && sat x then t.cex <- Some x
+  in
+  (* counted as consumed, so the tally is correct however the stream
+     ends (completion, budget trip, every model failing) *)
+  let consume () =
+    incr n_candidates;
+    Obs.Counter.incr c_candidates;
+    Option.iter Budget.tick budget
+  in
+  let scalar x =
+    consume ();
+    fresh ();
+    let t0 = if tracing then Obs.now_us () else 0. in
+    let keep = Execution.coherent x in
+    if tracing then Obs.Histogram.observe h_prefilter (Obs.now_us () -. t0);
+    if not keep then prefiltered x
+    else
+      for i = 0 to n_models - 1 do
+        let t = tallies.(i) in
+        if Option.is_none t.settled then begin
+          let t1 = if tracing then Obs.now_us () else 0. in
+          match t.consistent x with
+          | ok ->
+              if tracing then
+                Obs.Histogram.observe h_model (Obs.now_us () -. t1);
+              decided t x ok
+          | exception e -> fail t e
+        end
+      done
+  in
+  (* Buffer up to 63 candidates of one shape — all the witnesses of one
+     event structure, and enumeration-adjacent structures of the test
+     that differ only in read values — then decide the prefilter once
+     and each model for the whole buffer in word-parallel passes over
+     candidate-major bit planes (a model without a batched engine runs
+     its scalar one on the live candidates), and tally in enumeration
+     order.  The buffer is flushed where the shape changes: one physical
+     comparison per candidate, and the same cut
+     {!Execution.static_compatible} makes. *)
+  let buf = ref [] and len = ref 0 in
+  let flush () =
+    if !len > 0 then begin
+      let xs = Array.of_list (List.rev !buf) in
+      buf := [];
+      len := 0;
+      let k = Array.length xs in
+      Obs.Counter.incr c_batch_flushes;
+      Obs.Histogram.observe h_occupancy (float_of_int k);
+      let t0 = if tracing then Obs.now_us () else 0. in
+      let live = Execution.coherent_mask ~mask:(Rel.Batch.full_mask k) xs in
+      if tracing then Obs.Histogram.observe h_prefilter (Obs.now_us () -. t0);
+      if live <> 0 then
+        for i = 0 to n_models - 1 do
+          let t = tallies.(i) in
+          if Option.is_none t.settled then begin
+            let t1 = if tracing then Obs.now_us () else 0. in
+            match
+              match t.m.batch with
+              | Some batch_fn -> batch_fn ~coherent:true ~mask:live xs
+              | None -> scalar_mask t.consistent live xs
+            with
+            | mask ->
+                if tracing then
+                  Obs.Histogram.observe h_model (Obs.now_us () -. t1);
+                t.mask <- mask
+            | exception e -> fail t e
+          end
+        done;
+      Array.iteri
+        (fun c x ->
+          fresh ();
+          if live land (1 lsl c) = 0 then prefiltered x
+          else
+            for i = 0 to n_models - 1 do
+              let t = tallies.(i) in
+              if Option.is_none t.settled then
+                decided t x (t.mask land (1 lsl c) <> 0)
+            done)
+        xs
+    end
+  in
+  let buffer (x : Execution.t) =
+    consume ();
+    (match !buf with
+    | (y : Execution.t) :: _ when y.shape != x.shape -> flush ()
+    | _ -> ());
+    buf := x :: !buf;
+    incr len;
+    if !len = Rel.Batch.width then flush ()
+  in
+  (* With a budget, a trip or an enumeration failure settles every model
+     not yet settled; the models' explainers do not run. *)
+  let stopped =
+    match
+      Obs.with_span ~item:test.name "check" (fun () ->
+          Obs.with_span ~item:test.name "enumerate" (fun () ->
+              let stream = Execution.of_test_seq ?budget test in
+              if List.exists (fun m -> Option.is_some m.batch) models then begin
+                Seq.iter buffer stream;
+                flush ()
+              end
+              else Seq.iter scalar stream))
+    with
+    | () | (exception All_settled) -> None
+    | exception Budget.Exceeded r when Option.is_some budget ->
+        Some (Budget_exceeded r)
+    | exception e when Option.is_some budget -> Some (Model_error e)
+  in
+  (* Forensics run after enumeration, on the retained counterexample
+     only.  The explainer re-derives the model's checks on it; any
+     [Explain.Invalid] it raises (an explanation that fails its own
+     re-validation) propagates as a hard error — under a budget that
+     means an Unknown (Model_error) verdict and the runner's internal-
+     error exit code, never a silently wrong explanation. *)
+  let forensics t =
+    match t.m.explainer with
+    | Some explain when t.n_matching = 0 -> (
+        match if Option.is_some t.cex then t.cex else !cex_prefiltered with
+        | Some x ->
+            let es = explain x in
+            List.iter
+              (fun (e : Explain.t) ->
+                Obs.Counter.incr
+                  (Obs.Counter.make ("explain.check_fail." ^ e.Explain.check)))
+              es;
+            (Some x, es)
+        | None -> (None, []))
+    | _ -> (None, [])
+  in
+  let finish t (counterexample, explanations) =
+    {
+      verdict = (if t.n_matching > 0 then Allow else Forbid);
+      n_candidates = !n_candidates;
+      n_prefiltered = !n_prefiltered;
+      n_consistent = t.n_consistent;
+      n_matching = t.n_matching;
+      witness = t.witness;
+      outcomes = List.sort_uniq compare t.outcomes;
+      counterexample;
+      explanations;
+      backend = backend_of t.m;
+      sat = None;
+    }
+  in
+  let result t =
+    let backend = backend_of t.m in
+    match (t.settled, stopped, budget) with
+    | Some r, _, _ -> r
+    | None, Some reason, _ -> unknown ?budget ~backend reason
+    | None, None, None -> finish t (forensics t)
+    | None, None, Some b -> (
+        match forensics t with
+        | f -> finish t f
+        | exception Budget.Exceeded r ->
+            unknown ~budget:b ~backend (Budget_exceeded r)
+        | exception e -> unknown ~budget:b ~backend (Model_error e))
+  in
+  List.map result (Array.to_list tallies)
 
 (* The set of observable outcomes under the model, ignoring the
    condition (used to compare models with operational simulators): the
-   outcome projection of {!run_exn}'s loop.  May raise {!Budget.Exceeded}
-   when budgeted. *)
-let allowed_outcomes ?budget ?batch (module M : MODEL) (test : Litmus.Ast.t) =
-  (run_exn ?budget ?batch (module M) test).outcomes
-  |> List.map fst |> List.sort_uniq compare
+   outcome projection of {!run}'s loop, raising what settled it. *)
+let allowed_outcomes ?budget ?batch m (test : Litmus.Ast.t) =
+  match run ?budget [ model ?batch m ] test with
+  | [ { verdict = Unknown (Budget_exceeded r); _ } ] ->
+      raise (Budget.Exceeded r)
+  | [ { verdict = Unknown (Model_error e); _ } ] -> raise e
+  | rs ->
+      List.concat_map (fun (r : result) -> List.map fst r.outcomes) rs
+      |> List.sort_uniq compare

@@ -93,56 +93,83 @@ val unknown :
   ?budget:Budget.t -> ?backend:backend -> ?sat:sat_stats ->
   unknown_reason -> result
 
-(** [run (module M) test] streams the candidate executions of [test],
-    filters them through [M.consistent] and interprets the quantifier:
-    for [exists]/[~exists] the verdict asks whether some consistent
-    execution satisfies the condition body, for [forall] whether some
-    consistent execution violates it.  Candidates are consumed one at a
-    time as the enumeration produces them (nothing retains the full
-    list), and [n_candidates] counts them as consumed.
+(** One model of a check: its scalar engine, and optionally its batched
+    engine and an explainer for verdict forensics. *)
+type model = {
+  scalar : (module MODEL);
+  batch : batch_fn option;
+  explainer : (Execution.t -> Explain.t list) option;
+}
+
+val model :
+  ?batch:batch_fn -> ?explainer:(Execution.t -> Explain.t list) ->
+  (module MODEL) -> model
+
+(** [run models test] checks [test] under every model of the non-empty
+    list [models] in one pass over its candidates, and returns one
+    result per model, in order.  Each result equals the one its model
+    gets alone ([run [m] test]): the enumeration, the prefilter and,
+    per candidate, the condition test and the outcome key do not depend
+    on the model and are done once; each model decides the live
+    candidates through its own engine and keeps its own tallies,
+    witness, counterexample and [backend].
+
+    Per model, the candidates are streamed, filtered through the model
+    and the quantifier interpreted: for [exists]/[~exists] the verdict
+    asks whether some consistent execution satisfies the condition body,
+    for [forall] whether some consistent execution violates it.
+    Candidates are consumed one at a time as the enumeration produces
+    them (nothing retains the full list), and [n_candidates] counts
+    them as consumed.
 
     Candidates failing the sc-per-location check ({!Execution.coherent})
-    are rejected — and tallied in [n_prefiltered] — without running the
+    are rejected — and tallied in [n_prefiltered] — without running a
     model.  This is sound for any model that enforces coherence, which
     every shipped model does.
 
-    With [?budget], the check never raises: budget violations and model
-    failures yield an [Unknown] verdict whose [n_candidates] counts the
-    partial progress.  Without a budget, exceptions propagate as
-    before.
+    With [?budget], the call never raises, and the budget bounds the
+    whole call: a candidate or event cap trips at the candidate where a
+    one-model call would, and a wall-clock timeout covers every model's
+    work, so each model not yet settled gets [Unknown] with the same
+    partial [n_candidates].  A model that raises settles alone, as
+    [Unknown (Model_error _)] with the budget's count at that moment;
+    the other models go on, and the enumeration stops once every model
+    has raised.  Without a budget, exceptions propagate as before.
 
-    With [?explainer] (verdict forensics), the first condition-
-    satisfying candidate the model rejects is retained — preferring one
-    that reached the model over one the prefilter killed — and, when the
-    verdict comes out Forbid, handed to the explainer; its validated
-    explanations ride in [explanations].  The explainer raising
-    {!Explain.Invalid} is a hard error: under a budget it surfaces as
-    [Unknown (Model_error _)], otherwise it propagates.  Without
-    [?explainer] the streaming loop is unchanged up to one option test
-    per rejected candidate.
+    With an explainer (verdict forensics), a model's first
+    condition-satisfying candidate that it rejects is retained —
+    preferring one that reached the model over one the prefilter
+    killed — and, when its verdict comes out Forbid, handed to the
+    explainer; the validated explanations ride in [explanations].  The
+    explainer raising {!Explain.Invalid} is a hard error: under a
+    budget it surfaces as that model's [Unknown (Model_error _)],
+    otherwise it propagates.  Without an explainer the streaming loop
+    is unchanged up to one option test per rejected candidate.
 
-    With [?batch], candidates are buffered — up to 63 of one shape,
-    which spans enumeration-adjacent event structures when they differ
-    only in read values; the buffer is flushed where the shape changes,
-    the cut {!Execution.static_compatible} defines — and decided by
+    When no model has a batched engine, each candidate is prefiltered
+    and decided as it arrives ([Enum], the reference engine).
+    Otherwise candidates are buffered — up to 63 of one shape, which
+    spans enumeration-adjacent event structures when they differ only
+    in read values; the buffer is flushed where the shape changes, the
+    cut {!Execution.static_compatible} defines — and decided by
     word-parallel passes over candidate-major bit planes: the
-    sc-per-location prefilter through
-    {!Execution.coherent_mask} and the model through the given
-    {!batch_fn} (called with [~coherent:true]); the buffer is then
-    tallied in enumeration order, so every observable of the result
+    sc-per-location prefilter once per buffer through
+    {!Execution.coherent_mask}, and each model through its
+    {!batch_fn} (called with [~coherent:true]) or, without one, its
+    scalar [consistent] on the live candidates.  The buffer is then
+    tallied in enumeration order, so every observable of a result
     (counters, outcomes, witness and counterexample identity) matches
-    the scalar path's. *)
-val run :
-  ?budget:Budget.t -> ?batch:batch_fn ->
-  ?explainer:(Execution.t -> Explain.t list) -> (module MODEL) ->
-  Litmus.Ast.t -> result
+    the scalar path's.  A model without a batched engine decides a
+    buffer's candidates when it is flushed, so its model error can
+    settle after a budget trip that its scalar run would not reach. *)
+val run : ?budget:Budget.t -> model list -> Litmus.Ast.t -> result list
 
 (** The observable outcomes allowed by the model, ignoring the
     condition; used to compare models with the operational simulators.
     The outcome projection of {!run}'s loop, so it streams, prefilters
     and batches alike.  Raises {!Budget.Exceeded} when a budget is given
-    and trips (callers decide how to report partial soundness
-    information). *)
+    and trips, and the model's exception when it fails (callers decide
+    how to report partial soundness information). *)
 val allowed_outcomes :
   ?budget:Budget.t -> ?batch:batch_fn -> (module MODEL) -> Litmus.Ast.t ->
   Execution.outcome list

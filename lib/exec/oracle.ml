@@ -32,33 +32,76 @@ let make ~name ~model ?batch ?solve () = { name; model; batch; solve }
 let name t = t.name
 let model t ?budget () = t.model budget
 
-let run ?budget ?explainer ?(backend = Check.Batch) t test =
-  let enumerate batch =
-    Check.run ?budget ?batch ?explainer (t.model budget) test
-  in
+(* The model an oracle contributes to {!Check.run} under an enumerative
+   request: its batched engine unless [Enum] asks for the reference. *)
+let check_model ?budget ?explainer ~backend t =
+  Check.model ?explainer
+    ?batch:
+      (match backend with
+      | Check.Enum -> None
+      | Check.Batch | Check.Sat -> Option.map (fun mk -> mk budget) t.batch)
+    (t.model budget)
+
+(* Every oracle of [entries] on one test, results in order.  An
+   enumerative request is one {!Check.run} over all of them.  Under
+   [Sat], an oracle with a solver solves on its own, and the others
+   share one enumeration on the scalar engine, each flagged as a
+   fallback.  In a call of several oracles each engine run counts its
+   candidates under its own {!Budget.fork}, so its caps trip where they
+   would alone. *)
+let run_entries ?budget ~backend entries test =
   match backend with
-  | Check.Sat -> (
-      match t.solve with
-      | Some solve -> solve ?budget ?explainer test
-      | None ->
-          (* requested symbolically, shipped enumeratively: fall back,
-             loudly enough for reports to show it *)
-          Obs.Counter.incr c_fallback;
-          {
-            (enumerate None) with
-            Check.sat =
-              Some { Check.conflicts = 0; decisions = 0; fallback = true };
-          })
-  | Check.Batch -> enumerate (Option.map (fun mk -> mk budget) t.batch)
-  | Check.Enum -> enumerate None
+  | Check.Enum | Check.Batch ->
+      Check.run ?budget
+        (List.map
+           (fun (t, explainer) -> check_model ?budget ?explainer ~backend t)
+           entries)
+        test
+  | Check.Sat ->
+      let budget () =
+        match entries with
+        | [ _ ] -> budget
+        | _ -> Option.map Budget.fork budget
+      in
+      let shared =
+        match List.filter (fun (t, _) -> Option.is_none t.solve) entries with
+        | [] -> ref []
+        | enumerated ->
+            let budget = budget () in
+            ref
+              (Check.run ?budget
+                 (List.map
+                    (fun (t, explainer) ->
+                      check_model ?budget ?explainer ~backend:Check.Enum t)
+                    enumerated)
+                 test)
+      in
+      List.map
+        (fun (t, explainer) ->
+          match t.solve with
+          | Some solve -> solve ?budget:(budget ()) ?explainer test
+          | None ->
+              (* requested symbolically, shipped enumeratively: fall
+                 back, loudly enough for reports to show it *)
+              let r = List.hd !shared in
+              shared := List.tl !shared;
+              Obs.Counter.incr c_fallback;
+              {
+                r with
+                Check.sat =
+                  Some { Check.conflicts = 0; decisions = 0; fallback = true };
+              })
+        entries
+
+let run ?budget ?explainer ?(backend = Check.Batch) t test =
+  List.hd (run_entries ?budget ~backend [ (t, explainer) ] test)
+
+let run_all ?budget ?(backend = Check.Batch) ts test =
+  run_entries ?budget ~backend (List.map (fun t -> (t, None)) ts) test
 
 (* Model-allowed outcomes, through the oracle's enumerative engines
    (the symbolic engine answers the per-test existential question, not
    the all-outcomes one; [Sat] requests degrade to the batched path). *)
 let allowed_outcomes ?budget ?(backend = Check.Batch) t test =
-  let batch =
-    match backend with
-    | Check.Enum -> None
-    | Check.Batch | Check.Sat -> Option.map (fun mk -> mk budget) t.batch
-  in
-  Check.allowed_outcomes ?budget ?batch (t.model budget) test
+  let { Check.scalar; batch; _ } = check_model ?budget ~backend t in
+  Check.allowed_outcomes ?budget ?batch scalar test

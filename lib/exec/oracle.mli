@@ -52,7 +52,8 @@ val model : t -> ?budget:Budget.t -> unit -> (module Check.MODEL)
     - [Enum]: the scalar path — the reference engine.
 
     [?explainer] forwards to {!Check.run} on the enumerative paths and
-    to the symbolic engine. *)
+    to the symbolic engine.  [run t test] is [run_all [t] test]'s one
+    result. *)
 val run :
   ?budget:Budget.t ->
   ?explainer:(Execution.t -> Explain.t list) ->
@@ -60,6 +61,25 @@ val run :
   t ->
   Litmus.Ast.t ->
   Check.result
+
+(** [run_all ts test] checks [test] under every oracle of the non-empty
+    list [ts] and returns their results in order, each equal to
+    [run]'s for that oracle.  On the enumerative backends it is one
+    {!Check.run}: one enumeration and one prefilter per test, each
+    oracle deciding the live candidates through its own engine for the
+    request (a scalar-only oracle in a [Batch] call runs its scalar
+    model on the live candidates of each buffer).  Under [Sat], an
+    oracle with a solver runs it on its own, and the others share one
+    enumeration on the scalar engine, each flagged as a fallback and
+    counted in [sat.fallback].  One budget bounds the call: its timeout
+    covers every oracle, and each engine run's candidate caps trip
+    where that run's would alone (see {!Check.run}). *)
+val run_all :
+  ?budget:Budget.t ->
+  ?backend:backend_request ->
+  t list ->
+  Litmus.Ast.t ->
+  Check.result list
 
 (** Model-allowed outcomes through the oracle (enumerative engines
     only: the symbolic engine answers the per-test existential question,

@@ -122,19 +122,28 @@ let verdict_str = function
   | Exec.Check.Forbid -> "Forbid"
   | Exec.Check.Unknown _ -> "Unknown"
 
-let check_verdict ?backend limits oracle t =
-  match
-    if Exec.Budget.is_unlimited limits then Exec.Oracle.run ?backend oracle t
-    else
-      Exec.Oracle.run ?backend ~budget:(Exec.Budget.start limits) oracle t
-  with
-  | r -> verdict_str r.Exec.Check.verdict
-  | exception _ -> "Unknown"
+(* A test's model columns in one call, so one enumeration serves them
+   all.  The call always runs under a budget, even an unlimited one, so
+   a model that raises costs only its own column ("Unknown"). *)
+let check_verdicts ~backend limits oracles t =
+  match oracles with
+  | [] -> []
+  | _ -> (
+      match
+        Exec.Oracle.run_all ~backend ~budget:(Exec.Budget.start limits)
+          oracles t
+      with
+      | rs -> List.map (fun r -> verdict_str r.Exec.Check.verdict) rs
+      | exception _ -> List.map (fun _ -> "Unknown") oracles)
 
-(* The axiomatic columns, built once per worker: the packaged cat
+let c11_oracle = Exec.Oracle.of_model (module Models.C11)
+
+(* The lk and cat columns, built once per worker: the packaged cat
    oracle carries a one-slot prefix cache that must live across the
-   whole shard, not per test.  The config's [backend] picks each
-   column's engine ([Batch] by default). *)
+   whole shard, not per test.  The config's [backend] is the request
+   for every model column ([Batch] by default); the c11 column has only
+   its scalar model, which a batched call runs on each buffer's live
+   candidates. *)
 let build_checks config =
   List.filter_map
     (function
@@ -152,20 +161,14 @@ let classify ~checks ~backend ~c11 ~archs ~hw_runs ~limits ~size seed =
   | None -> Printf.sprintf "{\"seed\": %d, \"test\": null}" seed
   | Some t ->
       let t0 = Unix.gettimeofday () in
+      let c11_applies = c11 && Models.C11.applicable t in
+      let columns =
+        checks @ if c11_applies then [ ("c11", c11_oracle) ] else []
+      in
       let v =
-        List.map
-          (fun (name, oracle) -> (name, check_verdict ~backend limits oracle t))
-          checks
-        @ (if c11 then
-             [
-               ( "c11",
-                 if Models.C11.applicable t then
-                   check_verdict limits
-                     (Exec.Oracle.of_model (module Models.C11))
-                     t
-                 else "-" );
-             ]
-           else [])
+        List.combine (List.map fst columns)
+          (check_verdicts ~backend limits (List.map snd columns) t)
+        @ (if c11 && not c11_applies then [ ("c11", "-") ] else [])
         @ List.map
             (fun (arch : Hwsim.Arch.t) ->
               ( "hw:" ^ arch.Hwsim.Arch.name,

@@ -64,16 +64,26 @@ let all =
     };
   ]
 
-let pp_one ppf (f : figure) =
+(* A figure's test, its LK result with forensics, and its C11 verdict
+   beside the paper's where the paper gives one, from one check. *)
+let check (f : figure) =
   let test = Battery.test_of f.entry in
+  let lk, c11 = Table5.check ~explainer:Lkmm.Explain.explainer test in
+  ( test,
+    lk,
+    match (c11, f.entry.c11) with
+    | Some got, Some expected -> Some (got.Exec.Check.verdict, expected)
+    | _ -> None )
+
+let pp_one ppf (f : figure) =
+  let test, lk, c11 = check f in
   Fmt.pf ppf "@[<v>--- Figure %s: %s ---@,%s@,LK: %a@,"
-    f.id f.entry.name f.caption Lkmm.Explain.pp_test_verdict test;
-  (match f.entry.c11 with
-  | Some expected when Models.C11.applicable test ->
-      let got = (Exec.Check.run (module Models.C11) test).Exec.Check.verdict in
+    f.id f.entry.name f.caption (Lkmm.Explain.pp_result test) lk;
+  Option.iter
+    (fun (got, expected) ->
       Fmt.pf ppf "C11: %a (paper: %a)@," Exec.Check.pp_verdict got
-        Exec.Check.pp_verdict expected
-  | _ -> ());
+        Exec.Check.pp_verdict expected)
+    c11;
   Fmt.pf ppf "@]"
 
 let pp ppf () = List.iter (pp_one ppf) all
@@ -82,18 +92,12 @@ let pp ppf () = List.iter (pp_one ppf) all
 let issues () =
   List.filter_map
     (fun f ->
-      let test = Battery.test_of f.entry in
-      let lk = (Exec.Check.run (module Lkmm) test).Exec.Check.verdict in
-      if lk <> f.entry.lk then
+      let _, lk, c11 = check f in
+      if lk.Exec.Check.verdict <> f.entry.lk then
         Some (Printf.sprintf "figure %s: LK verdict differs" f.id)
       else
-        match f.entry.c11 with
-        | Some expected when Models.C11.applicable test ->
-            let got =
-              (Exec.Check.run (module Models.C11) test).Exec.Check.verdict
-            in
-            if got <> expected then
-              Some (Printf.sprintf "figure %s: C11 verdict differs" f.id)
-            else None
+        match c11 with
+        | Some (got, expected) when got <> expected ->
+            Some (Printf.sprintf "figure %s: C11 verdict differs" f.id)
         | _ -> None)
     all

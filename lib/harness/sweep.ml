@@ -17,14 +17,21 @@ type stats = {
   unknown : (string * string) list; (* test, reason: checks that gave up *)
 }
 
-(* A budgeted run: fresh budget per test so one explosion cannot eat the
-   whole sweep's allowance.  Checks go through {!Exec.Oracle.run}, so
-   [?backend] picks each model's engine (the LK oracle ships all
-   three; the scalar comparison models resolve to their only one). *)
-let budgeted_run ?limits ?backend oracle t =
-  match limits with
-  | None -> Exec.Oracle.run ?backend oracle t
-  | Some l -> Exec.Oracle.run ?backend ~budget:(Exec.Budget.start l) oracle t
+(* A test's verdicts under [oracles], from one call: fresh budget per
+   test so one explosion cannot eat the whole sweep's allowance.  Checks
+   go through {!Exec.Oracle.run_all}, so [?backend] is each model's
+   request (the LK oracle ships all three engines; the scalar
+   comparison models resolve to their only one). *)
+let verdicts ?limits ?backend oracles t =
+  List.map
+    (fun r -> r.Exec.Check.verdict)
+    (Exec.Oracle.run_all ?backend
+       ?budget:(Option.map Exec.Budget.start limits)
+       oracles t)
+
+let sc_oracle = Exec.Oracle.of_model (module Models.Sc)
+let tso_oracle = Exec.Oracle.of_model (module Models.Tso)
+let c11_oracle = Exec.Oracle.of_model (module Models.C11)
 
 let classify ?limits ?backend ?(archs = [ Hwsim.Arch.power8; Hwsim.Arch.x86 ])
     ?(runs = 300) ?(seed = 5) tests =
@@ -37,8 +44,15 @@ let classify ?limits ?backend ?(archs = [ Hwsim.Arch.power8; Hwsim.Arch.x86 ])
   and unknown = ref [] in
   List.iter
     (fun (t : Litmus.Ast.t) ->
-      let lk =
-        (budgeted_run ?limits ?backend Lkmm.oracle t).Exec.Check.verdict
+      let lk, sc, c11 =
+        match
+          verdicts ?limits ?backend
+            (Lkmm.oracle :: sc_oracle
+            :: (if Models.C11.applicable t then [ c11_oracle ] else []))
+            t
+        with
+        | lk :: sc :: c11 -> (lk, sc, List.nth_opt c11 0)
+        | _ -> assert false
       in
       (match lk with
       | Exec.Check.Allow -> incr lk_allow
@@ -47,20 +61,12 @@ let classify ?limits ?backend ?(archs = [ Hwsim.Arch.power8; Hwsim.Arch.x86 ])
           incr lk_unknown;
           unknown :=
             (t.name, Exec.Check.unknown_reason_to_string r) :: !unknown);
-      (match
-         (budgeted_run ?limits (Exec.Oracle.of_model (module Models.Sc)) t)
-           .Exec.Check.verdict
-       with
+      (match sc with
       | Exec.Check.Forbid -> incr sc_forbid
       | Exec.Check.Allow | Exec.Check.Unknown _ -> ());
-      (if Models.C11.applicable t then
-         let c11 =
-           (budgeted_run ?limits (Exec.Oracle.of_model (module Models.C11)) t)
-             .Exec.Check.verdict
-         in
-         match (c11, lk) with
-         | Exec.Check.Unknown _, _ | _, Exec.Check.Unknown _ -> ()
-         | _ -> if c11 <> lk then incr c11_disagree);
+      (match (c11, lk) with
+      | None, _ | Some (Exec.Check.Unknown _), _ | _, Exec.Check.Unknown _ -> ()
+      | Some c11, _ -> if c11 <> lk then incr c11_disagree);
       match lk with
       | Exec.Check.Unknown _ ->
           (* the model gave up: soundness of the simulators against it is
@@ -107,11 +113,14 @@ let pp ppf s =
 let strength_issues ?limits ?backend tests =
   List.concat_map
     (fun (t : Litmus.Ast.t) ->
-      let v o = (budgeted_run ?limits o t).Exec.Check.verdict in
-      let sc = v (Exec.Oracle.of_model (module Models.Sc))
-      and tso = v (Exec.Oracle.of_model (module Models.Tso))
-      and lk =
-        (budgeted_run ?limits ?backend Lkmm.oracle t).Exec.Check.verdict
+      let sc, tso, lk =
+        match
+          verdicts ?limits ?backend
+            [ sc_oracle; tso_oracle; Lkmm.oracle ]
+            t
+        with
+        | [ sc; tso; lk ] -> (sc, tso, lk)
+        | _ -> assert false
       in
       (if sc = Exec.Check.Allow && tso = Exec.Check.Forbid then
          [ Printf.sprintf "%s: SC allows but TSO forbids" t.name ]

@@ -12,14 +12,25 @@ type row = {
   hw_expected : string list; (* archs the paper observed the outcome on *)
 }
 
+(* The LK and C11 columns of a test in one check on the scalar
+   engines; C11 only where it applies. *)
+let check ?explainer test =
+  let rs =
+    Exec.Check.run
+      (Exec.Check.model ?explainer (module Lkmm)
+      ::
+      (if Models.C11.applicable test then
+         [ Exec.Check.model (module Models.C11) ]
+       else []))
+      test
+  in
+  (List.hd rs, List.nth_opt rs 1)
+
 let row_of_entry ?(runs = 5_000) ?(seed = 7) (e : Battery.entry) =
   let test = Battery.test_of e in
-  let lk = (Exec.Check.run (module Lkmm) test).Exec.Check.verdict in
-  let c11 =
-    if Models.C11.applicable test then
-      Some (Exec.Check.run (module Models.C11) test).Exec.Check.verdict
-    else None
-  in
+  let lk, c11 = check test in
+  let verdict (r : Exec.Check.result) = r.verdict in
+  let lk = verdict lk and c11 = Option.map verdict c11 in
   let hw =
     List.map
       (fun arch ->

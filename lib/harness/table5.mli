@@ -12,6 +12,14 @@ type row = {
   hw_expected : string list;  (** archs the paper observed the outcome on *)
 }
 
+(** [check ?explainer test] is [test]'s LK result (with [explainer]'s
+    forensics) and, when C11 applies to it, its C11 result, from one
+    {!Exec.Check.run} on the scalar engines. *)
+val check :
+  ?explainer:(Exec.t -> Exec.Explain.t list) ->
+  Litmus.Ast.t ->
+  Exec.Check.result * Exec.Check.result option
+
 val row_of_entry : ?runs:int -> ?seed:int -> Battery.entry -> row
 
 (** One row per Table 5 battery entry. *)

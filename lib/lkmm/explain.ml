@@ -32,16 +32,16 @@ let explain_execution (x : Exec.t) : E.t list =
                ("lk.cat explains no violation of "
                ^ String.concat ", " (List.map Axioms.to_string missing))))
 
-(* An explainer for {!Exec.Check.run}'s [?explainer]. *)
+(* An explainer for {!Exec.Check.model}'s [?explainer]. *)
 let explainer : Exec.t -> E.t list = explain_execution
 
 (* The axiom names, matching lk.cat's [as] labels (for --explain-diff). *)
 let check_names = List.map Axioms.to_string Axioms.all
 
-(* Explain a whole test: the verdict plus, for a Forbid, why the
-   counterexample the check retained is rejected. *)
-let pp_test_verdict ppf (test : Litmus.Ast.t) =
-  let r = Exec.Check.run ~explainer (module Model) test in
+(* Explain a whole test from its result under the model with
+   [explainer]: the verdict plus, for a Forbid, why the counterexample
+   the check retained is rejected. *)
+let pp_result (test : Litmus.Ast.t) ppf (r : Exec.Check.result) =
   Fmt.pf ppf "@[<v>%s: %a (%d candidate executions, %d consistent)"
     test.name Exec.Check.pp_verdict r.verdict r.n_candidates r.n_consistent;
   (match (r.verdict, r.counterexample) with
@@ -49,3 +49,8 @@ let pp_test_verdict ppf (test : Litmus.Ast.t) =
       Fmt.pf ppf "@,no candidate execution matches the condition"
   | _ -> List.iter (Fmt.pf ppf "@,%a" E.pp) r.explanations);
   Fmt.pf ppf "@]"
+
+let pp_test_verdict ppf test =
+  pp_result test ppf
+    (List.hd
+       (Exec.Check.run [ Exec.Check.model ~explainer (module Model) ] test))

@@ -12,12 +12,17 @@
     native model finds violated. *)
 val explain_execution : Exec.t -> Exec.Explain.t list
 
-(** {!explain_execution}, for {!Exec.Check.run}'s [?explainer]. *)
+(** {!explain_execution}, for {!Exec.Check.model}'s [?explainer]. *)
 val explainer : Exec.t -> Exec.Explain.t list
 
 (** The axiom names, matching lk.cat's [as] labels. *)
 val check_names : string list
 
-(** Check the whole test with {!explainer} and print the verdict, plus
-    the explanations of the counterexample of a Forbid. *)
+(** [pp_result test ppf r] prints [r], the model's result for [test]
+    with {!explainer}: the verdict, plus the explanations of the
+    counterexample of a Forbid. *)
+val pp_result : Litmus.Ast.t -> Exec.Check.result Fmt.t
+
+(** Check the whole test with {!explainer} and print it as
+    {!pp_result} does. *)
 val pp_test_verdict : Format.formatter -> Litmus.Ast.t -> unit

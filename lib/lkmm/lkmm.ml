@@ -20,7 +20,7 @@ let consistent = Model.consistent
 (** [consistent_mask] is the model's batched consistency oracle — up to
     63 static-compatible witnesses decided per word-parallel pass
     (see {!Relations.consistent_mask}); plug it into
-    [Exec.Check.run ~batch]. *)
+    [Exec.Check.model ~batch]. *)
 let consistent_mask : Exec.Check.batch_fn = Relations.consistent_mask
 
 (** The symbolic engine: the candidate space as CNF under

@@ -6,6 +6,9 @@ module E = Exec.Event
 
 let parse = Litmus.parse
 
+(* A check of one model: {!Exec.Check.run} with a list of one. *)
+let run1 ?budget m t = List.hd (Exec.Check.run ?budget [ Exec.Check.model m ] t)
+
 let execs src = Exec.of_test (parse src)
 
 let one_thread body =
@@ -278,12 +281,12 @@ let test_computed_write_values () =
     parse
       "C cv\n{ }\nP0(int *x, int *y) { int r1 = READ_ONCE(x); WRITE_ONCE(y, r1 + 1); }\nP1(int *x, int *y) { WRITE_ONCE(x, 1); int r2 = READ_ONCE(y); }\nexists (1:r2=2)"
   in
-  let r = Exec.Check.run (module Models.Sc) t in
+  let r = run1 (module Models.Sc) t in
   Alcotest.(check bool) "2 = 1+1 reachable" true
     (r.Exec.Check.verdict = Exec.Check.Allow)
 
 let test_check_quantifiers () =
-  let allow src = (Exec.Check.run (module Models.Sc) (parse src)).Exec.Check.verdict in
+  let allow src = (run1 (module Models.Sc) (parse src)).Exec.Check.verdict in
   let base = "C q\n{ }\nP0(int *x) { WRITE_ONCE(x, 1); }\n" in
   Alcotest.(check bool) "exists sat" true (allow (base ^ "exists (x=1)") = Exec.Check.Allow);
   Alcotest.(check bool) "exists unsat" true (allow (base ^ "exists (x=2)") = Exec.Check.Forbid);
@@ -293,7 +296,7 @@ let test_check_quantifiers () =
 
 let test_outcomes_cover_condition () =
   let t = parse Harness.Battery.(find "SB").source in
-  let r = Exec.Check.run (module Models.Sc) t in
+  let r = run1 (module Models.Sc) t in
   (* SC allows 3 of the 4 SB outcomes; the weak one is absent *)
   Alcotest.(check int) "SC outcomes of SB" 3 (List.length r.Exec.Check.outcomes);
   Alcotest.(check bool) "no weak outcome" true
@@ -325,7 +328,7 @@ let test_budget_saturating () =
 
 let test_budget_timeout () =
   let b = B.start (B.limits ~timeout:0.0 ()) in
-  let r = Exec.Check.run ~budget:b (module Models.Sc) (parse sb_src) in
+  let r = run1 ~budget:b (module Models.Sc) (parse sb_src) in
   match budget_reason r with
   | Some (B.Timed_out _) -> ()
   | _ -> Alcotest.failf "expected Timed_out, got %s"
@@ -333,7 +336,7 @@ let test_budget_timeout () =
 
 let test_budget_candidates () =
   let b = B.start (B.limits ~max_candidates:1 ()) in
-  let r = Exec.Check.run ~budget:b (module Models.Sc) (parse sb_src) in
+  let r = run1 ~budget:b (module Models.Sc) (parse sb_src) in
   match budget_reason r with
   | Some (B.Too_many_candidates 1) -> ()
   | _ -> Alcotest.failf "expected Too_many_candidates, got %s"
@@ -341,7 +344,7 @@ let test_budget_candidates () =
 
 let test_budget_events () =
   let b = B.start (B.limits ~max_events:2 ()) in
-  let r = Exec.Check.run ~budget:b (module Models.Sc) (parse sb_src) in
+  let r = run1 ~budget:b (module Models.Sc) (parse sb_src) in
   match budget_reason r with
   | Some (B.Too_many_events (_, 2)) -> ()
   | _ -> Alcotest.failf "expected Too_many_events, got %s"
@@ -358,9 +361,9 @@ let test_budget_happy_path () =
   List.iter
     (fun name ->
       let t = parse Harness.Battery.(find name).source in
-      let plain = (Exec.Check.run (module Models.Sc) t).Exec.Check.verdict in
+      let plain = (run1 (module Models.Sc) t).Exec.Check.verdict in
       let budgeted =
-        (Exec.Check.run ~budget:(B.start B.default) (module Models.Sc) t)
+        (run1 ~budget:(B.start B.default) (module Models.Sc) t)
           .Exec.Check.verdict
       in
       Alcotest.(check bool) (name ^ " verdict unchanged") true

@@ -14,7 +14,10 @@ let lk_cat = lazy (Lazy.force Cat.lk)
 
 let run_explained ?(native = false) test =
   if native then
-    Exec.Check.run ~explainer:Lkmm.Explain.explainer (module Lkmm) test
+    List.hd
+      (Exec.Check.run
+         [ Exec.Check.model ~explainer:Lkmm.Explain.explainer (module Lkmm) ]
+         test)
   else
     let model = Lazy.force lk_cat in
     Exec.Oracle.run ~backend:Exec.Check.Enum
@@ -207,7 +210,9 @@ let test_validator_rejects_tampering () =
    must carry none even with an explainer. *)
 let test_check_plumbing () =
   let forbidden = battery "SB+mbs" in
-  let r = Exec.Check.run (module Lkmm) forbidden in
+  let r =
+    List.hd (Exec.Check.run [ Exec.Check.model (module Lkmm) ] forbidden)
+  in
   Alcotest.(check bool) "no explainer, no explanations" true
     (r.Exec.Check.explanations = [] && r.Exec.Check.counterexample = None);
   let allowed = battery "SB" in
@@ -261,7 +266,9 @@ let test_explain_overhead () =
       else None
     in
     Cpu_ratio.battery
-      ~native:(Exec.Check.run ?explainer:native_ex (module Lkmm))
+      ~native:
+        (Exec.Check.run
+           [ Exec.Check.model ?explainer:native_ex (module Lkmm) ])
       ~cat:
         (Exec.Oracle.run ~backend:Exec.Check.Enum ?explainer:cat_ex
            (Lazy.force Cpu_ratio.lk_cat))

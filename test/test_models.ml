@@ -4,7 +4,8 @@
 
 let parse = Litmus.parse
 let battery name = Harness.Battery.test_of (Harness.Battery.find name)
-let verdict m t = (Exec.Check.run m t).Exec.Check.verdict
+let verdict m t =
+  (List.hd (Exec.Check.run [ Exec.Check.model m ] t)).Exec.Check.verdict
 let allow = Exec.Check.Allow
 let forbid = Exec.Check.Forbid
 

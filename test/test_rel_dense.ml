@@ -315,7 +315,9 @@ let test_corpus_agreement () =
   let cat = Lazy.force Cpu_ratio.lk_cat in
   List.iter
     (fun (file, test) ->
-      let native = Exec.Check.run (module Lkmm) test in
+      let native =
+        List.hd (Exec.Check.run [ Exec.Check.model (module Lkmm) ] test)
+      in
       Alcotest.(check bool)
         (file ^ ": native verdicts agree with the unfiltered reference")
         true
@@ -324,7 +326,9 @@ let test_corpus_agreement () =
       Alcotest.(check bool)
         (file ^ ": cat verdicts agree with the direct interpreter")
         true
-        (result_key cat_cached = result_key (Exec.Check.run cat_direct test));
+        (result_key cat_cached
+        = result_key
+            (List.hd (Exec.Check.run [ Exec.Check.model cat_direct ] test)));
       Alcotest.(check bool)
         (file ^ ": native and cat verdicts agree")
         true
@@ -359,6 +363,201 @@ let test_batched_agreement () =
             (on Exec.Check.Enum = on Exec.Check.Batch))
         (("native", Lkmm.oracle) :: Lazy.force cat_oracles))
     (Cpu_ratio.sample_tests 11)
+
+(* One call over several models must be invisible in each model's
+   result: [Check.run ms] equals, model by model, [Check.run [m]], down
+   to the engine, witness and counterexample identity and the
+   explanations. *)
+let shared_key (r : Exec.Check.result) =
+  ( full_key r,
+    r.backend,
+    witness_rels r.counterexample,
+    List.map Exec.Explain.to_string r.explanations )
+
+(* The models a test is compared under, as (name, oracle, explainer):
+   native LK, each shipped cat model, SC, and native C11 where it
+   applies. *)
+let model_pool test =
+  (("native", Lkmm.oracle, Some Lkmm.Explain.explainer)
+  :: List.map2
+       (fun (what, oracle) (_, _, src) ->
+         (what, oracle, Some (Cat.Explain.explainer (Cat.parse src))))
+       (Lazy.force cat_oracles) Cat.Stdmodels.all)
+  @ [ ("SC", Exec.Oracle.of_model (module Models.Sc), None) ]
+  @
+  if Models.C11.applicable test then
+    [ ("C11", Exec.Oracle.of_model (module Models.C11), None) ]
+  else []
+
+(* An oracle's model for [Check.run] on [backend]. *)
+let check_model ?explainer backend (o : Exec.Oracle.t) =
+  Exec.Check.model ?explainer
+    ?batch:
+      (if backend = Exec.Check.Enum then None
+       else Option.map (fun mk -> mk None) o.Exec.Oracle.batch)
+    (Exec.Oracle.model o ())
+
+let rec first_conjunct = function
+  | Litmus.Ast.And (c, _) -> first_conjunct c
+  | c -> c
+
+(* The corpus sample, the battery, and the battery with each condition
+   cut to its first conjunct: then many candidates match, and models of
+   different strength meet their first witness at different ones. *)
+let shared_tests () =
+  Cpu_ratio.sample_tests 11
+  @ List.concat_map
+      (fun (e : Harness.Battery.entry) ->
+        let t = Harness.Battery.test_of e in
+        [
+          (e.Harness.Battery.name, t);
+          ( e.Harness.Battery.name ^ " (first conjunct)",
+            { t with cond = first_conjunct t.cond } );
+        ])
+      Harness.Battery.all
+
+(* Model lists drawn from the pool: all of it with the explainers, and
+   all of it reversed without them (the scalar-only models first). *)
+let test_shared_agreement () =
+  List.iter
+    (fun (file, test) ->
+      let pool = model_pool test in
+      List.iter
+        (fun backend ->
+          List.iter
+            (fun (explain, pool) ->
+              let model (_, o, ex) =
+                check_model ?explainer:(if explain then ex else None) backend o
+              in
+              let shared = Exec.Check.run (List.map model pool) test in
+              List.iter2
+                (fun ((what, _, _) as m) r ->
+                  Alcotest.(check bool)
+                    (Printf.sprintf "%s: %s on %s%s, shared = single" file what
+                       (Exec.Check.backend_to_string backend)
+                       (if explain then " explained" else ""))
+                    true
+                    (shared_key r
+                    = shared_key (List.hd (Exec.Check.run [ model m ] test))))
+                pool shared)
+            [ (true, pool); (false, List.rev pool) ])
+        [ Exec.Check.Enum; Exec.Check.Batch ])
+    (shared_tests ())
+
+let corpus_test file =
+  List.assoc file (Cpu_ratio.sample_tests 1)
+
+(* A budget is the call's: a candidate cap trips at the candidate where
+   each one-model call trips (here the claim for the next structure,
+   after 48 of the test's 120 candidates), and every model reports that
+   count. *)
+let test_shared_budget () =
+  let test = corpus_test "Coe-Coe-Coe-MbdWW-MbdWR-Fre.litmus" in
+  let pool = model_pool test in
+  let cap = 50 in
+  List.iter
+    (fun backend ->
+      let budget () =
+        Exec.Budget.start (Exec.Budget.limits ~max_candidates:cap ())
+      in
+      let models = List.map (fun (_, o, _) -> check_model backend o) pool in
+      let shared = Exec.Check.run ~budget:(budget ()) models test in
+      List.iter2
+        (fun m (r : Exec.Check.result) ->
+          let single =
+            List.hd (Exec.Check.run ~budget:(budget ()) [ m ] test)
+          in
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: Unknown at the cap"
+               (Exec.Check.backend_to_string backend))
+            true
+            (r.verdict
+             = Exec.Check.Unknown
+                 (Exec.Check.Budget_exceeded
+                    (Exec.Budget.Too_many_candidates cap))
+            && r.n_candidates > 0);
+          Alcotest.(check bool) "shared = single under the cap" true
+            (shared_key r = shared_key single))
+        models shared)
+    [ Exec.Check.Enum; Exec.Check.Batch ]
+
+(* A model that raises on the [k]-th candidate it decides. *)
+let raising k : (module Exec.Check.MODEL) =
+  let seen = ref 0 in
+  (module struct
+    let name = "raising"
+
+    let consistent x =
+      incr seen;
+      if !seen = k then failwith "raising model" else Lkmm.consistent x
+  end)
+
+(* A model error settles its model alone: it gets
+   [Unknown (Model_error _)] and every other model of the call its
+   one-model result.  Without a budget the error propagates. *)
+let test_shared_model_error () =
+  let test = Harness.Battery.test_of (Harness.Battery.find "IRIW+mbs") in
+  let budget () = Exec.Budget.start Exec.Budget.unlimited in
+  List.iter
+    (fun backend ->
+      let others =
+        List.map (fun (_, o, _) -> check_model backend o) (model_pool test)
+      in
+      let models =
+        List.hd others :: Exec.Check.model (raising 3) :: List.tl others
+      in
+      match Exec.Check.run ~budget:(budget ()) models test with
+      | lk :: failed :: rest ->
+          Alcotest.(check bool)
+            (Exec.Check.backend_to_string backend
+            ^ ": the raising model's Unknown")
+            true
+            (failed.verdict
+            = Exec.Check.Unknown
+                (Exec.Check.Model_error (Failure "raising model")));
+          List.iter2
+            (fun m (r : Exec.Check.result) ->
+              Alcotest.(check bool) "the others go on" true
+                (shared_key r
+                = shared_key
+                    (List.hd (Exec.Check.run ~budget:(budget ()) [ m ] test))))
+            others (lk :: rest);
+          Alcotest.check_raises "no budget: it propagates"
+            (Failure "raising model") (fun () ->
+              ignore
+                (Exec.Check.run
+                   (List.hd others :: [ Exec.Check.model (raising 3) ])
+                   test))
+      | _ -> Alcotest.fail "one result per model")
+    [ Exec.Check.Enum; Exec.Check.Batch ]
+
+(* The oracle-level entry on every backend, [Sat] included: each
+   result equals that oracle's own [Oracle.run] under the same limits
+   (a candidate cap equal to the largest sample test's count). *)
+let test_run_all () =
+  let budget () =
+    Exec.Budget.start (Exec.Budget.limits ~max_candidates:120 ())
+  in
+  List.iter
+    (fun (file, test) ->
+      let oracles = List.map (fun (_, o, _) -> o) (model_pool test) in
+      List.iter
+        (fun backend ->
+          let shared =
+            Exec.Oracle.run_all ~budget:(budget ()) ~backend oracles test
+          in
+          List.iter2
+            (fun o (r : Exec.Check.result) ->
+              let single = Exec.Oracle.run ~budget:(budget ()) ~backend o test in
+              Alcotest.(check bool)
+                (Printf.sprintf "%s: %s on %s, run_all = run" file
+                   (Exec.Oracle.name o)
+                   (Exec.Check.backend_to_string backend))
+                true
+                (shared_key r = shared_key single && r.sat = single.sat))
+            oracles shared)
+        [ Exec.Check.Enum; Exec.Check.Batch; Exec.Check.Sat ])
+    (Cpu_ratio.sample_tests 23 @ [ ("large", corpus_test "Coe-Coe-Coe-MbdWW-MbdWR-Fre.litmus") ])
 
 (* lkbench times only the batched engine, so the scalar one is gated
    here, by its CPU time relative to batched on the corpus slice under
@@ -737,6 +936,13 @@ let () =
             test_corpus_agreement;
           Alcotest.test_case "batched vs scalar agreement" `Quick
             test_batched_agreement;
+          Alcotest.test_case "shared call = one-model calls" `Quick
+            test_shared_agreement;
+          Alcotest.test_case "shared call under a tripping budget" `Quick
+            test_shared_budget;
+          Alcotest.test_case "shared call with a raising model" `Quick
+            test_shared_model_error;
+          Alcotest.test_case "Oracle.run_all = Oracle.run" `Quick test_run_all;
           Alcotest.test_case "scalar at most 2x its Enum/Batch ratio" `Slow
             test_scalar_speed;
           Alcotest.test_case "scalar at most 2x its reference ratio" `Slow

@@ -17,16 +17,12 @@ let () =
       let o = open_out path in
       output_string o (Litmus.to_string t);
       close_out o;
-      let lk = (Exec.Check.run (module Lkmm) t).Exec.Check.verdict in
-      let c11 =
-        if Models.C11.applicable t then
-          Exec.Check.verdict_to_string
-            (Exec.Check.run (module Models.C11) t).Exec.Check.verdict
-        else "-"
+      let lk, c11 = Harness.Table5.check t in
+      let verdict (r : Exec.Check.result) =
+        Exec.Check.verdict_to_string r.verdict
       in
-      Printf.fprintf oc "%s %s %s\n" file
-        (Exec.Check.verdict_to_string lk)
-        c11)
+      Printf.fprintf oc "%s %s %s\n" file (verdict lk)
+        (Option.fold ~none:"-" ~some:verdict c11))
     tests;
   close_out oc;
   Printf.printf "wrote %d corpus tests\n" (List.length tests)
