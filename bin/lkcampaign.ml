@@ -67,7 +67,9 @@ let lease_arg =
   Arg.(
     value & opt float 300.
     & info [ "lease-timeout" ] ~docv:"SECONDS"
-        ~doc:"SIGKILL and requeue a shard worker after this long.")
+        ~doc:
+          "SIGKILL a shard worker after this long; its retry gets as \
+           long again.")
 
 let max_rows_arg =
   Arg.(
@@ -252,10 +254,10 @@ let status_main dir =
       List.iter
         (fun (sh : Harness.Manifest.shard) ->
           match sh.state with
-          | Harness.Manifest.Leased { attempt; pid; _ } ->
-              Printf.printf "  leased %s attempt %d pid %d\n"
+          | Harness.Manifest.Leased { since } ->
+              Printf.printf "  leased %s since %.3f\n"
                 (Harness.Manifest.shard_id sh.lo sh.hi)
-                attempt pid
+                since
           | Harness.Manifest.Quarantined { attempts; error } ->
               Printf.printf "  quarantined %s after %d attempts: %s\n"
                 (Harness.Manifest.shard_id sh.lo sh.hi)

@@ -148,6 +148,11 @@ let invert_label l =
 
 let max_depth = 400
 
+(* Calls to [decompose] per witness step: through [rcu-path] the
+   backtracking grows exponentially on RCU cycles of three links.  The
+   corpus needs at most 96 on lk.cat; 10,000 take about 20 ms. *)
+let max_work = 10_000
+
 (* A decomposition is unproductive when it contains a prim produced by
    the recursion guard: the same definition name on the same edge as a
    frame already on the decomposition stack. *)
@@ -161,7 +166,8 @@ let productive visiting prims =
 (* [decompose] returns a primitive path from [a] to [b], assuming
    (a, b) is an edge of [eval env e] (the caller established that by
    membership).  [opaque] is the safety net everywhere: an edge we
-   cannot (or choose not to) split becomes one primitive carrying the
+   cannot (or choose not to) split, or meet once [fuel] (the step's
+   remaining calls) is spent, becomes one primitive carrying the
    rendered expression — named opaque edges still re-validate by
    membership, rendered ones structurally.
 
@@ -170,10 +176,11 @@ let productive visiting prims =
    genuine progress (the Seq split of [rcu-path ; rcu-path] hands each
    half a shorter edge), while the same name on the same edge means the
    recursion made no progress and must stop. *)
-let rec decompose ~visiting ~depth pt (e : Ast.expr) a b :
+let rec decompose ~fuel ~visiting ~depth pt (e : Ast.expr) a b :
     E.prim list =
   let opaque () = [ { E.p_src = a; p_dst = b; p_label = render e } ] in
-  if depth > max_depth then opaque ()
+  decr fuel;
+  if depth > max_depth || !fuel < 0 then opaque ()
   else
     match e with
     | Ast.Id "com" ->
@@ -184,7 +191,7 @@ let rec decompose ~visiting ~depth pt (e : Ast.expr) a b :
     | Ast.Id x -> (
         match Interp.definition pt.scope x with
         | Some (body, scope) when not (List.mem (x, a, b) visiting) ->
-            decompose
+            decompose ~fuel
               ~visiting:((x, a, b) :: visiting)
               ~depth:(depth + 1) { pt with scope } body a b
         | _ ->
@@ -201,7 +208,7 @@ let rec decompose ~visiting ~depth pt (e : Ast.expr) a b :
            derivation *)
         let try_branch e' =
           if mem_of pt e' a b then
-            Some (decompose ~visiting ~depth:(depth + 1) pt e' a b)
+            Some (decompose ~fuel ~visiting ~depth:(depth + 1) pt e' a b)
           else None
         in
         match try_branch l with
@@ -216,11 +223,11 @@ let rec decompose ~visiting ~depth pt (e : Ast.expr) a b :
     | Ast.Inter (l, r) ->
         (* both operands contain the edge; decompose the more telling
            one (more primitives — [rmw & (fre ; coe)] shows fre;coe) *)
-        let dl = decompose ~visiting ~depth:(depth + 1) pt l a b
-        and dr = decompose ~visiting ~depth:(depth + 1) pt r a b in
+        let dl = decompose ~fuel ~visiting ~depth:(depth + 1) pt l a b
+        and dr = decompose ~fuel ~visiting ~depth:(depth + 1) pt r a b in
         if List.length dr > List.length dl then dr else dl
     | Ast.Diff (l, _) ->
-        decompose ~visiting ~depth:(depth + 1) pt l a b
+        decompose ~fuel ~visiting ~depth:(depth + 1) pt l a b
     | Ast.Seq (l, r) -> (
         match (try_rel pt l, try_rel pt r) with
         | Some rl, Some rr -> (
@@ -236,8 +243,8 @@ let rec decompose ~visiting ~depth pt (e : Ast.expr) a b :
               List.partition (fun m -> m <> a && m <> b) (List.rev !mids)
             in
             let split m =
-              decompose ~visiting ~depth:(depth + 1) pt l a m
-              @ decompose ~visiting ~depth:(depth + 1) pt r m b
+              decompose ~fuel ~visiting ~depth:(depth + 1) pt l a m
+              @ decompose ~fuel ~visiting ~depth:(depth + 1) pt r m b
             in
             let rec try_mids fallback budget = function
               | [] -> (
@@ -256,7 +263,7 @@ let rec decompose ~visiting ~depth pt (e : Ast.expr) a b :
             try_mids None 8 (strict @ degen))
         | _ -> opaque ())
     | Ast.Inverse inner ->
-        decompose ~visiting ~depth:(depth + 1) pt inner b a
+        decompose ~fuel ~visiting ~depth:(depth + 1) pt inner b a
         |> List.rev_map (fun (p : E.prim) ->
                {
                  E.p_src = p.E.p_dst;
@@ -273,7 +280,7 @@ let rec decompose ~visiting ~depth pt (e : Ast.expr) a b :
             | Some path ->
                 let rec hops = function
                   | x :: (y :: _ as rest) ->
-                      decompose ~visiting ~depth:(depth + 1) pt inner x y
+                      decompose ~fuel ~visiting ~depth:(depth + 1) pt inner x y
                       @ hops rest
                   | _ -> []
                 in
@@ -282,7 +289,7 @@ let rec decompose ~visiting ~depth pt (e : Ast.expr) a b :
         | None -> opaque ())
     | Ast.Opt inner ->
         if mem_of pt inner a b then
-          decompose ~visiting ~depth:(depth + 1) pt inner a b
+          decompose ~fuel ~visiting ~depth:(depth + 1) pt inner a b
         else [ { E.p_src = a; p_dst = b; p_label = "id" } ]
     | Ast.Cartesian _ | Ast.Complement _ -> opaque ()
     | Ast.Bracket _ -> [ { E.p_src = a; p_dst = b; p_label = render e } ]
@@ -294,7 +301,7 @@ let rec decompose ~visiting ~depth pt (e : Ast.expr) a b :
            recurses into the argument *)
         match Interp.inline pt.env pt.scope f arg with
         | Some (body, scope, env) ->
-            decompose ~visiting:((f, a, b) :: visiting) ~depth:(depth + 1)
+            decompose ~fuel ~visiting:((f, a, b) :: visiting) ~depth:(depth + 1)
               { scope; env } body a b
         | None | (exception Interp.Type_error _) -> opaque ())
 
@@ -372,7 +379,8 @@ let step pt checked a b =
     E.src = a;
     dst = b;
     label = branch_label ~visiting:Sset.empty pt checked a b;
-    prims = decompose ~visiting:[] ~depth:0 pt checked a b;
+    prims =
+      decompose ~fuel:(ref max_work) ~visiting:[] ~depth:0 pt checked a b;
   }
 
 let rec consecutive = function

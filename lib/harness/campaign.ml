@@ -11,12 +11,14 @@
    recoverable, and a resumed campaign mines a report byte-identical
    to an uninterrupted run (the chaos suite gates on this).
 
-   Failure ladder per shard: attempt 1 runs the full budget; a worker
-   failure (crash, non-zero exit, lease expiry) requeues with
-   [failed = true] and attempt 2 runs the reduced budget; a second
-   failure bisects the shard (children restart the ladder), narrowing
-   crashes down to the poison seed, whose singleton shard is
-   quarantined after its own two strikes — reported, never dropped.
+   Failure ladder per shard: a shard is one {!Supervisor} job, whose
+   deadline is the lease timeout.  The supervisor runs a shard whose
+   worker is lost (crash, non-zero exit, lease expiry) once more; that
+   retry runs the seed its predecessor died on under the reduced
+   budget, and every later seed under the full one.  A shard lost twice
+   is bisected (the halves start afresh), narrowing crashes down to the
+   poison seed, whose singleton shard is quarantined when it is lost
+   twice — reported, never dropped.
 
    Determinism: per-seed classification is a pure function of
    (config, seed) as long as the budgets carry no wall-clock timeout
@@ -25,9 +27,9 @@
    output is fully sorted with no time fields.  This is what lets the
    chaos gates compare interrupted-and-resumed runs against
    uninterrupted ground truth for byte equality.  It also defuses the
-   one unavoidable race: an orphaned worker (orchestrator died between
-   handing it the shard and the lease record) sharing a shard journal
-   with its replacement writes byte-identical lines, and a torn
+   one unavoidable race: a worker orphaned by a dead orchestrator exits
+   by itself within about a second, and until then, sharing a shard
+   journal with its replacement, it writes byte-identical lines; a torn
    interleave is dropped by the tolerant reader and re-run. *)
 
 module Json = Journal.Json
@@ -46,8 +48,8 @@ type config = {
   models : string list; (* subset of "lk", "cat", "c11" *)
   archs : string list; (* hwsim profiles, by Arch.find name *)
   hw_runs : int; (* operational runs per test per arch *)
-  limits : Exec.Budget.limits; (* attempt 1 *)
-  reduced : Exec.Budget.limits; (* attempt >= 2 *)
+  limits : Exec.Budget.limits; (* every seed but a retry's first *)
+  reduced : Exec.Budget.limits; (* the seed a lost worker died on *)
   lease_timeout : float; (* seconds before a straggler is SIGKILLed *)
   max_rows : int; (* disagreement rows kept per shard *)
   explain : bool; (* attach forensics to mined Forbid-side patterns *)
@@ -331,21 +333,26 @@ let h_shard_wall = Obs.Histogram.make "campaign.shard_wall_us"
 let h_shard_pending = Obs.Histogram.make "campaign.shard_pending_us"
 
 (* One shard, run by a supervised worker.  Seeds already journalled (by
-   this worker's predecessor, any attempt) are skipped, so a retried
-   shard pays only for the seeds the crash lost.  With the flight
+   a predecessor) are skipped, so a retried or resumed shard pays only
+   for the seeds it lost.  A retry ([attempt] 2) runs the first seed
+   missing from the journal — the one its predecessor died on — under
+   the reduced budget, and every later seed under the full one, so no
+   seed that never cost a worker is re-budgeted.  With the flight
    recorder armed, every seed forces a checkpoint inside its span, so
    the poison and wedge chaos hooks — like any real crash — leave a
    post-mortem whose open [campaign.seed] span names the victim. *)
-let run_shard config ~lo ~hi ~attempt () =
+let run_shard config ~attempt (lo, hi) =
   let jpath = shard_journal_path config.dir lo hi in
   let done_cells = read_shard_journal jpath in
   let w = Journal.open_writer jpath in
   let checks = build_checks config in
   let c11 = List.mem "c11" config.models in
   let archs = List.map Hwsim.Arch.find config.archs in
-  let limits = if attempt >= 2 then config.reduced else config.limits in
+  let reduce = ref (attempt >= 2) in
   for seed = lo to hi - 1 do
-    if not (Hashtbl.mem done_cells seed) then
+    if not (Hashtbl.mem done_cells seed) then begin
+      let limits = if !reduce then config.reduced else config.limits in
+      reduce := false;
       Journal.write_line w
         (Obs.with_span
            ~item:("seed:" ^ string_of_int seed)
@@ -360,6 +367,7 @@ let run_shard config ~lo ~hi ~attempt () =
                done;
              classify ~checks ~backend:config.backend ~c11 ~archs
                ~hw_runs:config.hw_runs ~limits ~size:config.size seed))
+    end
   done;
   Journal.close w
 
@@ -575,7 +583,7 @@ let quarantined_to_json (sh : Manifest.shard) =
   let attempts, error =
     match sh.state with
     | Manifest.Quarantined { attempts; error } -> (attempts, error)
-    | _ -> (sh.attempts, "")
+    | _ -> (0, "")
   in
   Printf.sprintf
     "{\"id\": \"%s\", \"lo\": %d, \"hi\": %d, \"attempts\": %d, \"error\": \
@@ -649,47 +657,19 @@ let report_to_text r =
 (* Orchestrator                                                        *)
 (* ------------------------------------------------------------------ *)
 
-let read_file path =
-  let ic = open_in_bin path in
-  let s = In_channel.input_all ic in
-  close_in_noerr ic;
-  s
-
-(* A lease's pid is only worth killing if it is still alive *and* runs
-   our own binary (an orphaned worker is a fork of the orchestrator):
-   recycled pids belonging to unrelated processes are left alone. *)
-let stale_worker_alive pid =
-  pid > 0
-  &&
-  match Unix.kill pid 0 with
-  | () -> (
-      match
-        ( read_file (Printf.sprintf "/proc/%d/cmdline" pid),
-          read_file "/proc/self/cmdline" )
-      with
-      | a, b -> a = b
-      | exception Sys_error _ -> false)
-  | exception Unix.Unix_error _ -> false
-
 let run config =
   ensure_dir config.dir;
   match Manifest.open_ (manifest_path config.dir) (spec_of_config config) with
   | Error e -> Error e
   | Ok m ->
-      (* Resume: leases held by a dead orchestrator's workers are
-         requeued without escalating the ladder — the worker never got
-         to fail — after killing any orphan still running (two writers
-         on one journal would be benign but wasteful). *)
+      (* Resume: a lease still open was held by a dead orchestrator's
+         worker, which exits by itself ({!Supervisor}); the shard goes
+         back to Pending and restarts at attempt 1. *)
       List.iter
         (fun (sh : Manifest.shard) ->
           match sh.state with
-          | Manifest.Leased { pid; _ } ->
-              if stale_worker_alive pid then (
-                (try Unix.kill pid Sys.sigkill
-                 with Unix.Unix_error _ -> ());
-                try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ());
-              Manifest.record m
-                (Manifest.Requeue { lo = sh.lo; hi = sh.hi; failed = false })
+          | Manifest.Leased _ ->
+              Manifest.record m (Manifest.Requeue { lo = sh.lo; hi = sh.hi })
           | _ -> ())
         (Manifest.shards m);
       (* Force the cat model in the parent: workers inherit the parsed
@@ -699,7 +679,7 @@ let run config =
         Supervisor.create
           ?flight:(if config.flight then Some config.dir else None)
           ~jobs:config.jobs
-          (fun (lo, hi, attempt) -> run_shard config ~lo ~hi ~attempt ())
+          (run_shard config)
       in
       (* Live telemetry: periodic lkmetrics-1 snapshots journalled
          alongside the manifest.  A separate file the miner never reads
@@ -743,48 +723,36 @@ let run config =
            \"leased\": %d, \"done\": %d, \"quarantined\": %d}, \
            \"latency_us\": %s, \"queue_wait_us\": %s}"
           (now *. 1e6) (now -. t0) !seeds_classified pending
-          (Supervisor.running sup + Supervisor.free sup)
-          (Supervisor.running sup) pending leased
+          (Supervisor.busy sup + Supervisor.free sup)
+          (Supervisor.busy sup) pending leased
           done_ quarantined
           (Obs.hist_metrics_json (Obs.hist_snapshot h_shard_wall))
           (Obs.hist_metrics_json (Obs.hist_snapshot h_shard_pending))
       in
-      let shard_of lo hi =
-        List.find
-          (fun (s : Manifest.shard) -> s.lo = lo && s.hi = hi)
-          (Manifest.shards m)
-      in
-      let failure lo hi err =
-        Manifest.record m (Manifest.Requeue { lo; hi; failed = true });
-        note_pending lo hi;
-        let sh = shard_of lo hi in
-        if sh.attempts >= 2 then
-          if hi - lo <= 1 then begin
-            Manifest.record m
-              (Manifest.Quarantine { lo; hi; attempts = sh.attempts; error = err });
-            Hashtbl.remove pending_since (lo, hi);
-            (try Sys.remove (shard_journal_path config.dir lo hi)
-             with Sys_error _ -> ());
-            config.log
-              (Printf.sprintf "shard %s quarantined after %d attempts: %s"
-                 (Manifest.shard_id lo hi) sh.attempts err)
-          end
-          else begin
-            let mid = lo + ((hi - lo) / 2) in
-            redistribute config.dir ~lo ~hi ~mid;
-            Manifest.record m (Manifest.Split { lo; hi; mid });
-            Hashtbl.remove pending_since (lo, hi);
-            note_pending lo mid;
-            note_pending mid hi;
-            config.log
-              (Printf.sprintf "shard %s split at %d after %d failures (%s)"
-                 (Manifest.shard_id lo hi) mid sh.attempts err)
-          end
-        else
+      (* A shard lost twice splits in two; a singleton is quarantined. *)
+      let lost lo hi err =
+        if hi - lo <= 1 then begin
+          Manifest.record m
+            (Manifest.Quarantine { lo; hi; attempts = 2; error = err });
+          (try Sys.remove (shard_journal_path config.dir lo hi)
+           with Sys_error _ -> ());
           config.log
-            (Printf.sprintf "shard %s failed (%s), retrying reduced"
+            (Printf.sprintf "shard %s quarantined after 2 attempts: %s"
                (Manifest.shard_id lo hi) err)
+        end
+        else begin
+          let mid = lo + ((hi - lo) / 2) in
+          redistribute config.dir ~lo ~hi ~mid;
+          Manifest.record m (Manifest.Split { lo; hi; mid });
+          note_pending lo mid;
+          note_pending mid hi;
+          config.log
+            (Printf.sprintf "shard %s split at %d after 2 failures (%s)"
+               (Manifest.shard_id lo hi) mid err)
+        end
       in
+      (* A returned shard is complete unless seeds are missing from its
+         journal (a torn line); then it is requeued like a stale lease. *)
       let finalize lo hi =
         let jpath = shard_journal_path config.dir lo hi in
         let cells = read_shard_journal jpath in
@@ -792,7 +760,13 @@ let run config =
         for s = lo to hi - 1 do
           if not (Hashtbl.mem cells s) then complete := false
         done;
-        if not !complete then failure lo hi "incomplete shard journal"
+        if not !complete then begin
+          Manifest.record m (Manifest.Requeue { lo; hi });
+          note_pending lo hi;
+          config.log
+            (Printf.sprintf "shard %s returned incomplete, requeued"
+               (Manifest.shard_id lo hi))
+        end
         else begin
           let summary = summarise config ~lo ~hi cells in
           seeds_classified := !seeds_classified + (hi - lo);
@@ -807,15 +781,10 @@ let run config =
                (List.length summary.Manifest.rows))
         end
       in
-      (* A lease is the shard's worker: its pid goes into the manifest
-         (so a resume can hunt down an orphan), and [lease_timeout] is
-         the worker's deadline. *)
+      (* A lease is the shard's job; [lease_timeout] is the deadline of
+         each of its attempts. *)
       let lease (sh : Manifest.shard) =
-        let attempt = sh.attempts + 1 in
-        let pid =
-          Supervisor.submit sup ~deadline:config.lease_timeout
-            (sh.lo, sh.hi, attempt)
-        in
+        Supervisor.submit sup ~deadline:config.lease_timeout (sh.lo, sh.hi);
         let now = Unix.gettimeofday () in
         (match Hashtbl.find_opt pending_since (sh.lo, sh.hi) with
         | Some since ->
@@ -824,16 +793,17 @@ let run config =
             Hashtbl.remove pending_since (sh.lo, sh.hi)
         | None -> ());
         Manifest.record m
-          (Manifest.Lease { lo = sh.lo; hi = sh.hi; attempt; pid; since = now })
+          (Manifest.Lease { lo = sh.lo; hi = sh.hi; since = now })
       in
-      let reaped ((lo, hi, _), secs, exit) =
+      let reaped ((lo, hi), secs, exit) =
         Obs.Histogram.observe_always h_shard_wall (secs *. 1e6);
         match (exit : unit Supervisor.exit) with
         | Returned () -> finalize lo hi
-        | Exited n -> failure lo hi (Printf.sprintf "exit %d" n)
-        | Signaled s -> failure lo hi ("signal " ^ Exec.Check.signal_name s)
-        | Deadline -> failure lo hi "lease expired"
-        | Vanished -> failure lo hi "worker vanished"
+        | Lost (_, Exited n) -> lost lo hi (Printf.sprintf "exit %d" n)
+        | Lost (_, Signaled s) ->
+            lost lo hi ("signal " ^ Exec.Check.signal_name s)
+        | Lost (_, Deadline) -> lost lo hi "lease expired"
+        | Lost (_, Vanished) -> lost lo hi "worker vanished"
       in
       let next_metrics = ref (t0 +. config.metrics_interval) in
       let rec loop () =

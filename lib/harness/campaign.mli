@@ -13,9 +13,10 @@
     resumed campaign's mined report is byte-identical to an
     uninterrupted run's.
 
-    Failure ladder: full budget, then one reduced-budget retry, then
-    bisection down to the poison seed, whose singleton shard is
-    quarantined after two strikes — reported, never dropped. *)
+    Failure ladder: a shard is one {!Supervisor} job, whose retry runs
+    the seed the lost worker died on under the reduced budget; a shard
+    lost twice is bisected down to the poison seed, whose singleton
+    shard is quarantined when lost twice — reported, never dropped. *)
 
 type config = {
   dir : string;  (** manifest, shard journals and report live here *)
@@ -27,9 +28,9 @@ type config = {
   models : string list;  (** subset of ["lk"], ["cat"], ["c11"] *)
   archs : string list;  (** hwsim profiles, by {!Hwsim.Arch.find} name *)
   hw_runs : int;  (** operational runs per test per arch *)
-  limits : Exec.Budget.limits;  (** attempt 1 *)
-  reduced : Exec.Budget.limits;  (** attempt >= 2 *)
-  lease_timeout : float;  (** seconds before a straggler is SIGKILLed *)
+  limits : Exec.Budget.limits;  (** every seed but the one below *)
+  reduced : Exec.Budget.limits;  (** a retry's first seed *)
+  lease_timeout : float;  (** seconds before an attempt is SIGKILLed *)
   max_rows : int;  (** disagreement rows kept per shard *)
   explain : bool;  (** attach forensics to mined Forbid-side patterns *)
   backend : Exec.Check.backend;
@@ -57,7 +58,6 @@ val default : config
 
 val spec_of_config : config -> Manifest.spec
 val manifest_path : string -> string
-val shard_journal_path : string -> int -> int -> string
 
 (** {1 Mining} *)
 
@@ -115,6 +115,3 @@ type cell = { test : string option; v : (string * string) list; time : float }
 
 val kinds_of_verdicts : (string * string) list -> string list
 val severity_of_kind : string -> int
-
-val read_shard_journal : string -> (int, cell) Hashtbl.t
-(** Last-wins per seed, torn lines dropped. *)

@@ -13,7 +13,7 @@
    Line shapes:
 
      {"manifest_version": 1, "spec": {"size": 4, "seed_lo": 0, ...}}
-     {"ev": "lease", "lo": 0, "hi": 128, "attempt": 1, "pid": 7, ...}
+     {"ev": "lease", "lo": 0, "hi": 128, "since": 1760000000.000}
      {"ev": "requeue", "lo": 0, "hi": 128}
      {"ev": "split", "lo": 0, "hi": 128, "mid": 64}
      {"ev": "done", "lo": 0, "hi": 128, "summary": {...}}
@@ -26,7 +26,9 @@
    ignored with the same tolerance as garbage lines.  [done] events
    embed the shard's compacted verdict summary, which is what lets the
    orchestrator delete per-shard result journals (the disk-budget
-   guard) without losing the campaign's mining inputs. *)
+   guard) without losing the campaign's mining inputs.  Older
+   manifests also carry a lease's [attempt] and [pid] and a requeue's
+   [failed]; replay ignores them. *)
 
 module Json = Journal.Json
 
@@ -66,15 +68,15 @@ type summary = {
 
 type state =
   | Pending
-  | Leased of { attempt : int; pid : int; since : float }
+  | Leased of { since : float }
   | Done of summary
   | Quarantined of { attempts : int; error : string }
 
-type shard = { lo : int; hi : int; attempts : int; state : state }
+type shard = { lo : int; hi : int; state : state }
 
 type event =
-  | Lease of { lo : int; hi : int; attempt : int; pid : int; since : float }
-  | Requeue of { lo : int; hi : int; failed : bool }
+  | Lease of { lo : int; hi : int; since : float }
+  | Requeue of { lo : int; hi : int }
   | Split of { lo : int; hi : int; mid : int }
   | Completed of { lo : int; hi : int; summary : summary }
   | Quarantine of { lo : int; hi : int; attempts : int; error : string }
@@ -124,15 +126,12 @@ let summary_to_json s =
     (String.concat ", " (List.map row_to_json s.rows))
 
 let line_of_event = function
-  | Lease { lo; hi; attempt; pid; since } ->
+  | Lease { lo; hi; since } ->
       Printf.sprintf
-        "{\"ev\": \"lease\", \"lo\": %d, \"hi\": %d, \"attempt\": %d, \
-         \"pid\": %d, \"since\": %.3f}"
-        lo hi attempt pid since
-  | Requeue { lo; hi; failed } ->
-      Printf.sprintf
-        "{\"ev\": \"requeue\", \"lo\": %d, \"hi\": %d, \"failed\": %b}" lo hi
-        failed
+        "{\"ev\": \"lease\", \"lo\": %d, \"hi\": %d, \"since\": %.3f}" lo hi
+        since
+  | Requeue { lo; hi } ->
+      Printf.sprintf "{\"ev\": \"requeue\", \"lo\": %d, \"hi\": %d}" lo hi
   | Split { lo; hi; mid } ->
       Printf.sprintf
         "{\"ev\": \"split\", \"lo\": %d, \"hi\": %d, \"mid\": %d}" lo hi mid
@@ -213,16 +212,9 @@ let event_of_json j =
   let* hi = int_mem "hi" j in
   match ev with
   | "lease" ->
-      let* attempt = int_mem "attempt" j in
-      let pid = Option.value ~default:0 (int_mem "pid" j) in
       let since = Option.value ~default:0. (num_mem "since" j) in
-      Some (Lease { lo; hi; attempt; pid; since })
-  | "requeue" ->
-      let failed =
-        Option.value ~default:false
-          (Option.bind (Json.mem "failed" j) Json.bool_)
-      in
-      Some (Requeue { lo; hi; failed })
+      Some (Lease { lo; hi; since })
+  | "requeue" -> Some (Requeue { lo; hi })
   | "split" ->
       let* mid = int_mem "mid" j in
       if lo < mid && mid < hi then Some (Split { lo; hi; mid }) else None
@@ -244,7 +236,7 @@ let initial_shards spec =
   let rec go lo =
     if lo < spec.seed_hi then begin
       let hi = min (lo + spec.shard_size) spec.seed_hi in
-      Hashtbl.replace tbl (lo, hi) { lo; hi; attempts = 0; state = Pending };
+      Hashtbl.replace tbl (lo, hi) { lo; hi; state = Pending };
       go hi
     end
   in
@@ -254,45 +246,23 @@ let initial_shards spec =
 (* Events naming an unknown shard range are ignored — the same
    tolerance the journal readers give torn lines, and what makes a
    truncated manifest replay to a consistent prefix of the run. *)
-let apply shards = function
-  | Lease { lo; hi; attempt; pid; since } ->
-      Option.iter
-        (fun sh ->
-          Hashtbl.replace shards (lo, hi)
-            { sh with state = Leased { attempt; pid; since } })
-        (Hashtbl.find_opt shards (lo, hi))
-  | Requeue { lo; hi; failed } ->
-      (* [failed] escalates the degradation ladder; a requeue after
-         orchestrator death does not — the worker never got to fail, and
-         resumed campaigns must classify exactly as uninterrupted ones *)
-      Option.iter
-        (fun sh ->
-          Hashtbl.replace shards (lo, hi)
-            {
-              sh with
-              attempts = (sh.attempts + if failed then 1 else 0);
-              state = Pending;
-            })
-        (Hashtbl.find_opt shards (lo, hi))
+let apply shards ev =
+  let set lo hi state =
+    if Hashtbl.mem shards (lo, hi) then
+      Hashtbl.replace shards (lo, hi) { lo; hi; state }
+  in
+  match ev with
+  | Lease { lo; hi; since } -> set lo hi (Leased { since })
+  | Requeue { lo; hi } -> set lo hi Pending
   | Split { lo; hi; mid } ->
       if Hashtbl.mem shards (lo, hi) then begin
         Hashtbl.remove shards (lo, hi);
-        Hashtbl.replace shards (lo, mid)
-          { lo; hi = mid; attempts = 0; state = Pending };
-        Hashtbl.replace shards (mid, hi)
-          { lo = mid; hi; attempts = 0; state = Pending }
+        Hashtbl.replace shards (lo, mid) { lo; hi = mid; state = Pending };
+        Hashtbl.replace shards (mid, hi) { lo = mid; hi; state = Pending }
       end
-  | Completed { lo; hi; summary } ->
-      Option.iter
-        (fun sh ->
-          Hashtbl.replace shards (lo, hi) { sh with state = Done summary })
-        (Hashtbl.find_opt shards (lo, hi))
+  | Completed { lo; hi; summary } -> set lo hi (Done summary)
   | Quarantine { lo; hi; attempts; error } ->
-      Option.iter
-        (fun sh ->
-          Hashtbl.replace shards (lo, hi)
-            { sh with attempts; state = Quarantined { attempts; error } })
-        (Hashtbl.find_opt shards (lo, hi))
+      set lo hi (Quarantined { attempts; error })
 
 (* ------------------------------------------------------------------ *)
 (* Creation, loading, recording                                        *)

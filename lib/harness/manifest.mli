@@ -7,7 +7,9 @@
     (appended through {!Journal.write_line}), so a [kill -9] at any
     byte offset loses at most the line being written; {!load} replays
     the surviving prefix with the same torn-tail tolerance as every
-    other journal in the tree. *)
+    other journal in the tree.  A lease names no worker and no attempt:
+    the {!Supervisor} owns the retry, and an orphaned worker exits by
+    itself. *)
 
 (** The campaign's identity: generator config plus seed interval.  Two
     manifests with different specs describe different campaigns — shard
@@ -46,21 +48,19 @@ type summary = {
 
 type state =
   | Pending
-  | Leased of { attempt : int; pid : int; since : float }
+  | Leased of { since : float }  (** handed to a worker at [since] *)
   | Done of summary
   | Quarantined of { attempts : int; error : string }
+      (** a singleton lost by [attempts] workers; [error] says how the
+          last one was lost *)
 
-(** [attempts] counts {e failed} worker attempts — the degradation
-    ladder's escalation level, not the number of leases: a lease
-    abandoned by orchestrator death requeues without escalating, so a
-    resumed campaign classifies exactly as an uninterrupted one. *)
-type shard = { lo : int; hi : int; attempts : int; state : state }
+type shard = { lo : int; hi : int; state : state }
 
 type event =
-  | Lease of { lo : int; hi : int; attempt : int; pid : int; since : float }
-  | Requeue of { lo : int; hi : int; failed : bool }
-      (** back to Pending; [failed] bumps [attempts] (worker failure),
-          [not failed] leaves the ladder untouched (abandoned lease) *)
+  | Lease of { lo : int; hi : int; since : float }
+  | Requeue of { lo : int; hi : int }
+      (** back to Pending: a stale lease on resume, or a shard whose
+          worker returned with seeds missing from its journal *)
   | Split of { lo : int; hi : int; mid : int }
       (** replace \[lo,hi) by \[lo,mid) and \[mid,hi), both Pending *)
   | Completed of { lo : int; hi : int; summary : summary }
@@ -77,7 +77,9 @@ val create : string -> spec -> t
 
 val load : string -> (t, string) result
 (** Replay a manifest read-only (no writer; {!record} raises).  Events
-    naming unknown shard ranges and unparseable lines are dropped.
+    naming unknown shard ranges and unparseable lines are dropped, and
+    so are the fields older manifests carry (a lease's [attempt] and
+    [pid], a requeue's [failed]).
     [Error] when the file is missing or its header never hit the
     disk. *)
 
@@ -95,10 +97,3 @@ val shards : t -> shard list
 (** All shards, sorted by [lo]. *)
 
 val close : t -> unit
-
-(** JSON helpers reused by {!Campaign}'s mined report. *)
-
-val row_to_json : row -> string
-val summary_to_json : summary -> string
-val summary_of_json : Journal.Json.t -> summary option
-val row_of_json : Journal.Json.t -> row option

@@ -5,15 +5,15 @@
    un-instrumented path, a runaway allocation or a genuine hang is
    beyond it.  The pool checks items on {!Supervisor}'s reusable
    worker processes and keeps only its policy here: the deadline
-   derived from the budget, the worker's heap cap, crash retry with
-   backoff, the journal and resume, the SIGTERM drain, and the mapping
-   of every worker exit to a {!Report.entry}. *)
+   derived from the budget, the worker's heap cap, the journal and
+   resume, the SIGTERM drain, and the mapping of every returned or lost
+   item to a {!Report.entry}.  The supervisor retries a lost item once;
+   the pool sees only its second loss. *)
 
 type config = {
   jobs : int; (* concurrent workers (>= 1) *)
   limits : Exec.Budget.limits; (* per-item cooperative budget *)
   mem_limit_mb : int option; (* hard heap cap enforced in the worker *)
-  retries : int; (* attempts after a crash (default 1) *)
   flight_dir : string option; (* crash flight recorder in every worker *)
 }
 
@@ -22,19 +22,12 @@ let default =
     jobs = 2;
     limits = Exec.Budget.default;
     mem_limit_mb = None;
-    retries = 1;
     flight_dir = None;
   }
 
 (* The worker's Gc alarm exits with this code when the heap passes the
    cap; the parent maps it back to [Heap_exceeded]. *)
 let exit_mem_cap = 97
-
-type queued = {
-  item : Runner.item;
-  attempt : int; (* 0 = first run, 1 = first retry, ... *)
-  not_before : float; (* crash-retry backoff gate *)
-}
 
 (* [run ?config ?worker ?journal ?resume ?oracle items]:
 
@@ -51,12 +44,13 @@ type queued = {
      place).
 
    SIGTERM/SIGINT during the run trigger a graceful drain: dispatching
-   stops, in-flight workers are reaped and their entries journalled,
-   the journal is flushed and closed, and the process exits with the
-   conventional 128+signal code (143 for SIGTERM, 130 for SIGINT) —
-   so an interrupted [--journal] run is always resumable with no item
-   half-recorded.  The previous handlers are restored on a normal
-   return, so library callers outside a run keep their own behavior. *)
+   stops, the items the supervisor holds (retries included) finish and
+   are journalled, the journal is flushed and closed, and the process
+   exits with the conventional 128+signal code (143 for SIGTERM, 130
+   for SIGINT) — so an interrupted [--journal] run is always resumable
+   with no item half-recorded.  The previous handlers are restored on a
+   normal return, so library callers outside a run keep their own
+   behavior. *)
 let run ?(config = default) ?worker ?journal ?resume ?explainer ?backend
     ?(oracle = Lkmm.oracle) (items : Runner.item list) =
   let t0 = Unix.gettimeofday () in
@@ -81,9 +75,10 @@ let run ?(config = default) ?worker ?journal ?resume ?explainer ?backend
      runs a full major collection before each item, so a trip is
      charged to the item that allocated, not to its predecessor's
      garbage.  With the flight recorder armed, the item's id is on disk
-     before any work happens. *)
+     before any work happens.  An entry returned by a retry is marked
+     [retried]. *)
   let alarm = ref false in
-  let job { item; _ } =
+  let job ~attempt (item : Runner.item) =
     Option.iter
       (fun mb ->
         if not !alarm then begin
@@ -94,11 +89,14 @@ let run ?(config = default) ?worker ?journal ?resume ?explainer ?backend
         end;
         Gc.full_major ())
       config.mem_limit_mb;
-    if Obs.flight_active () then
-      Obs.with_span ~item:item.Runner.id "pool.item" (fun () ->
-          Obs.flight_checkpoint ~reason:"item-start" ();
-          worker item)
-    else worker item
+    let e =
+      if Obs.flight_active () then
+        Obs.with_span ~item:item.Runner.id "pool.item" (fun () ->
+            Obs.flight_checkpoint ~reason:"item-start" ();
+            worker item)
+      else worker item
+    in
+    { e with Runner.retried = attempt > 1 }
   in
   let recycled =
     match resume with
@@ -111,23 +109,21 @@ let run ?(config = default) ?worker ?journal ?resume ?explainer ?backend
     recycled;
   let jw = Option.map Journal.open_writer journal in
   let fresh = ref [] in
-  (* A worker's exit becomes its final entry, or a retry after a crash
-     below the retry cap (gated by exponential backoff). *)
-  let reaped (q, secs, exit) =
+  (* An item's end becomes its entry: the returned one, or one
+     classified by the second of its two losses. *)
+  let reaped ((item : Runner.item), secs, exit) =
     let finish (e : Runner.entry) =
-      let e = { e with Runner.retried = q.attempt > 0 } in
       Option.iter (fun w -> Journal.write w e) jw;
-      fresh := e :: !fresh;
-      None
+      fresh := e :: !fresh
     in
     let final status =
       finish
         {
-          Runner.item_id = q.item.Runner.id;
+          Runner.item_id = item.Runner.id;
           status;
           time = secs;
           n_candidates = 0;
-          retried = false;
+          retried = true;
           result = None;
         }
     in
@@ -136,24 +132,17 @@ let run ?(config = default) ?worker ?journal ?resume ?explainer ?backend
     in
     match (exit : Runner.entry Supervisor.exit) with
     | Returned e -> finish e
-    | Exited n when n = exit_mem_cap ->
+    | Lost (_, Exited n) when n = exit_mem_cap ->
         let mb = Option.value ~default:0 config.mem_limit_mb in
         final (Runner.Gave_up (Exec.Budget.Heap_exceeded mb))
-    | Exited n -> final (err (Printf.sprintf "worker exited with code %d" n))
-    | Deadline ->
+    | Lost (_, Exited n) ->
+        final (err (Printf.sprintf "worker exited with code %d" n))
+    | Lost (_, Deadline) ->
         final
           (Runner.Gave_up
              (Exec.Budget.Timed_out (Option.value ~default:0. deadline)))
-    | Vanished -> final (err "worker vanished (ECHILD)")
-    | Signaled _ when q.attempt < config.retries ->
-        Some
-          {
-            q with
-            attempt = q.attempt + 1;
-            not_before =
-              Unix.gettimeofday () +. Supervisor.retry_delay (q.attempt + 1);
-          }
-    | Signaled s ->
+    | Lost (_, Vanished) -> final (err "worker vanished (ECHILD)")
+    | Lost (_, Signaled s) ->
         final
           (Runner.Err
              {
@@ -176,33 +165,28 @@ let run ?(config = default) ?worker ?journal ?resume ?explainer ?backend
   let sup = Supervisor.create ?flight:config.flight_dir ~jobs:config.jobs job in
   let rec loop queue =
     if (!drain = None && queue <> []) || Supervisor.running sup > 0 then begin
-      let now = Unix.gettimeofday () in
-      let ready, gated = List.partition (fun q -> q.not_before <= now) queue in
       let rec fill = function
-        | q :: rest when !drain = None && Supervisor.free sup > 0 ->
-            ignore (Supervisor.submit sup ?deadline q);
+        | item :: rest when !drain = None && Supervisor.free sup > 0 ->
+            Supervisor.submit sup ?deadline item;
             fill rest
         | rest -> rest
       in
-      let queue = fill ready @ gated in
-      let until =
-        List.fold_left (fun t q -> Float.min t q.not_before) infinity gated
-      in
-      loop (List.filter_map reaped (Supervisor.wait sup ~until ()) @ queue)
+      let queue = fill queue in
+      List.iter reaped (Supervisor.wait sup ());
+      loop queue
     end
   in
   Obs.with_span "pool" (fun () ->
       loop
-        (List.filter_map
+        (List.filter
            (fun (item : Runner.item) ->
-             if Hashtbl.mem recycled_ids item.Runner.id then None
-             else Some { item; attempt = 0; not_before = 0. })
+             not (Hashtbl.mem recycled_ids item.Runner.id))
            items));
   Supervisor.close sup;
   Option.iter Journal.close jw;
   (match !drain with
   | Some s ->
-      (* every in-flight worker was reaped and journalled; exit with the
+      (* every item the supervisor held was journalled; exit with the
          conventional interrupted-by-signal code so callers and scripts
          can tell a drained run from a completed one.  (The latch holds
          OCaml's portable signal number, which is negative — map it back

@@ -9,14 +9,18 @@
       as [Gave_up (Timed_out _)];
     - a [Gc]-alarm heap cap in the worker turns runaway allocation into
       a classified entry before the kernel's OOM killer is involved;
-    - a worker dying on a signal is reaped as [Err {cls = Crash _}] and
-      retried after {!Supervisor.retry_delay} (the retry marked
-      [retried]);
+    - a lost item (deadline kill, heap-cap exit, signal, any other
+      exit) is retried once by the {!Supervisor}; an entry returned by
+      the retry is marked [retried], and a second loss is classified
+      like the first would have been — [Gave_up (Timed_out _)],
+      [Gave_up (Heap_exceeded _)], [Err {cls = Crash _}] or an
+      internal [Err] — and marked [retried] too;
     - with a journal, entries are appended and flushed as they arrive;
       resuming recycles journalled items without re-running them;
     - SIGTERM/SIGINT mid-run trigger a graceful drain: dispatching
-      stops, in-flight workers are reaped and journalled (deadlines
-      stay armed, so a wedged worker cannot hang the drain), the
+      stops, the items the supervisor holds (retries included) finish
+      and are journalled (deadlines stay armed, so a wedged worker
+      cannot hang the drain), the
       journal is flushed and closed, and the process exits 128+signal
       (143 SIGTERM, 130 SIGINT) — an interrupted [--journal] run is
       always resumable.  The previous handlers are restored on normal
@@ -33,7 +37,6 @@ type config = {
   jobs : int;  (** concurrent workers (>= 1) *)
   limits : Exec.Budget.limits;  (** per-item cooperative budget *)
   mem_limit_mb : int option;  (** hard heap cap enforced in the worker *)
-  retries : int;  (** attempts after a crash (default 1) *)
   flight_dir : string option;
       (** arm the crash flight recorder in every forked worker
           ({!Supervisor.create}): a deadline SIGKILL forfeits the
@@ -43,7 +46,7 @@ type config = {
 }
 
 val default : config
-(** 2 jobs, default budget, no heap cap, one retry. *)
+(** 2 jobs, default budget, no heap cap. *)
 
 val run :
   ?config:config ->

@@ -28,11 +28,13 @@
      plus a grace period, and replaces any worker that dies — killed,
      wedged, crashed or out of memory.
 
-   - {b Retry and quarantine.}  A request in flight on a lost worker is
-     retried once, after {!Supervisor.retry_delay}.  A request that
-     costs two workers is poison: it is answered [quarantined], and any
-     future request with the same fingerprint (cache key) is rejected
-     at admission without touching a worker.
+   - {b Quarantine.}  The supervisor runs a request whose worker is
+     lost once more; the daemon only counts the cost.  Each fingerprint
+     (cache key) collects strikes: one for an answer that needed the
+     retry, two for a request lost twice, which is answered
+     [quarantined].  Two strikes quarantine the fingerprint: any future
+     request with it is rejected at admission without touching a
+     worker.
 
    - {b Verdict cache.}  Deterministic verdicts are cached
      content-addressed ({!Vcache}: digest of model identity and test
@@ -107,7 +109,6 @@ type job = {
   deadline : float; (* absolute, Unix time *)
   vkey : string; (* content fingerprint — cache and quarantine key *)
   chaos : chaos;
-  mutable attempts : int; (* worker losses suffered so far *)
 }
 
 type conn = {
@@ -128,7 +129,6 @@ type t = {
   mutable stopping : bool; (* draining: admissions and accepts refused *)
   mutable replacements : int; (* workers lost to a job, each replaced *)
   strikes : (string, int) Hashtbl.t; (* vkey -> worker losses *)
-  mutable gated : (float * job) list; (* backoff: ready-at, job *)
   conns : (int, conn) Hashtbl.t;
   served : int array; (* responses by Proto.cls *)
   mutable n_requests : int;
@@ -159,7 +159,7 @@ let gave_up_entry job reason =
     status = Report.Gave_up reason;
     time = 0.;
     n_candidates = 0;
-    retried = job.attempts > 0;
+    retried = false;
     result = None;
   }
 
@@ -174,35 +174,48 @@ let cat_model cat_models name src =
       Hashtbl.replace cat_models digest m;
       m
 
+(* A request past its absolute deadline, answered without running. *)
+let expired cfg job =
+  gave_up_entry job
+    (Exec.Budget.Timed_out
+       (Option.value ~default:0. cfg.limits.Exec.Budget.timeout))
+
 (* The per-job computation, inside a worker process.  The forced
    checkpoint means a worker lost to this job — killed, wedged, OOMed —
    has already left the victim's trace id on disk.  The chaos ops
    really lose the worker: [Kill] SIGKILLs it, [Wedge] holds it without
-   ticking any budget until the supervisor does. *)
-let run_job cfg models cat_models job =
+   ticking any budget until the supervisor does.  A retry is one more
+   hop on the request's trace, not a new request, and its entry is
+   marked [retried].  A retry's window is fresh, the request's
+   deadline is not: a retry past it ends at once, a check [expired], a
+   chaos op losing its worker again. *)
+let run_job cfg models cat_models ~attempt job =
   Obs.with_span ~item:job.trace "serve.check" (fun () ->
+      if attempt > 1 then Obs.event ~item:job.trace "serve.retry";
       if Obs.flight_active () then
         Obs.flight_checkpoint ~reason:"job-start" ();
-      match job.chaos with
-      | Kill ->
-          Unix.kill (Unix.getpid ()) Sys.sigkill;
-          assert false
-      | Wedge s ->
-          Unix.sleepf s;
-          gave_up_entry job (Exec.Budget.Timed_out s)
-      | No_chaos ->
-          let (m : Model_table.t) =
-            match job.cat with
-            | Some src -> cat_model cat_models job.model src
-            | None -> Hashtbl.find models (String.lowercase_ascii job.model)
-          in
-          let entry =
+      let late = attempt > 1 && Unix.gettimeofday () >= job.deadline in
+      let entry =
+        match (job.chaos, late) with
+        | Kill, _ | Wedge _, true ->
+            Unix.kill (Unix.getpid ()) Sys.sigkill;
+            assert false
+        | Wedge s, false ->
+            Unix.sleepf s;
+            gave_up_entry job (Exec.Budget.Timed_out s)
+        | No_chaos, true -> expired cfg job
+        | No_chaos, false ->
+            let (m : Model_table.t) =
+              match job.cat with
+              | Some src -> cat_model cat_models job.model src
+              | None -> Hashtbl.find models (String.lowercase_ascii job.model)
+            in
             Runner.run_item ~limits:cfg.limits ~deadline:job.deadline
               ~backend:cfg.backend ~oracle:m.oracle
               { Runner.id = job.req_id; source = `Text job.test;
                 expected = job.expected }
-          in
-          { entry with Report.retried = job.attempts > 0 })
+      in
+      { entry with Report.retried = attempt > 1 })
 
 (* ------------------------------------------------------------------ *)
 (* Responses                                                           *)
@@ -274,59 +287,52 @@ let respond_entry p job ?(cache = false) entry =
        ~trace:job.trace ~cache ~entry ())
 
 (* ------------------------------------------------------------------ *)
-(* Supervision: losses, retries, quarantine, dispatch                  *)
+(* Supervision: strikes, quarantine, dispatch                          *)
 (* ------------------------------------------------------------------ *)
 
 let quarantined p vkey =
   match Hashtbl.find_opt p.strikes vkey with Some s -> s >= 2 | None -> false
 
-(* A job lost its worker (the supervisor has already replaced it).  The
-   fingerprint's first strike retries the job; its second quarantines
-   it.  A job's losses never outnumber its fingerprint's strikes, so
-   the retry is always the first. *)
-let note_loss p now job why =
-  job.attempts <- job.attempts + 1;
-  p.replacements <- p.replacements + 1;
-  let s = 1 + Option.value ~default:0 (Hashtbl.find_opt p.strikes job.vkey) in
+(* [n] workers lost to [job] (the supervisor has already replaced
+   them): its fingerprint's strikes after counting them. *)
+let strike p job n =
+  p.replacements <- p.replacements + n;
+  let s = n + Option.value ~default:0 (Hashtbl.find_opt p.strikes job.vkey) in
   Hashtbl.replace p.strikes job.vkey s;
-  if s >= 2 then begin
-    Obs.event ~item:job.trace "serve.quarantine";
-    finish_job_telemetry job;
-    respond p job.conn_id ~cls:Proto.Quarantined
-      (Proto.response_line ~id:job.req_id ~cls:Proto.Quarantined
-         ~trace:job.trace
-         ~msg:(why ^ "; fingerprint quarantined after " ^ string_of_int s
-               ^ " worker losses")
-         ())
-  end
-  else begin
-    (* Same job record, same trace id: the retry is one more hop on the
-       request's trace, not a new request. *)
-    Obs.event ~item:job.trace "serve.retry";
-    p.gated <- (now +. Supervisor.retry_delay job.attempts, job) :: p.gated
-  end
+  s
 
-(* One job's end, as the supervisor classified it. *)
-let completed p now (job, _secs, exit) =
+let why_lost = function
+  | Supervisor.Deadline -> "worker wedged past deadline"
+  | Signaled s -> "worker killed by " ^ Exec.Check.signal_name s
+  | Exited n -> Printf.sprintf "worker exited with code %d" n
+  | Vanished -> "worker vanished"
+
+(* One job's end, as the supervisor classified it: an entry (one strike
+   if it needed the retry), or poison lost twice, named by its first
+   loss (a retry past the deadline loses its worker on purpose). *)
+let completed p (job, _secs, exit) =
   match (exit : Report.entry Supervisor.exit) with
-  | Supervisor.Returned entry -> respond_entry p job entry
-  | Deadline -> note_loss p now job "worker wedged past deadline"
-  | Signaled s ->
-      note_loss p now job ("worker killed by " ^ Exec.Check.signal_name s)
-  | Exited n ->
-      note_loss p now job (Printf.sprintf "worker exited with code %d" n)
-  | Vanished -> note_loss p now job "worker vanished"
+  | Supervisor.Returned entry ->
+      if entry.Report.retried then ignore (strike p job 1);
+      respond_entry p job entry
+  | Lost (first, _) ->
+      let s = strike p job 2 in
+      Obs.event ~item:job.trace "serve.quarantine";
+      finish_job_telemetry job;
+      respond p job.conn_id ~cls:Proto.Quarantined
+        (Proto.response_line ~id:job.req_id ~cls:Proto.Quarantined
+           ~trace:job.trace
+           ~msg:(why_lost first ^ "; fingerprint quarantined after "
+                 ^ string_of_int s ^ " worker losses")
+           ())
 
-(* Promote retries whose backoff has passed, then hand queued jobs to
-   idle workers.  Queue wait (cumulative since admission) lands on the
+(* Hand queued jobs to the idle workers left after the supervisor's due
+   retries.  Queue wait (cumulative since admission) lands on the
    request's trace; a job whose deadline was spent in the queue is
    answered without running.  A worker is killed [wedge_grace] past its
    job's deadline. *)
 let dispatch p =
   let now = Unix.gettimeofday () in
-  let ready, waiting = List.partition (fun (at, _) -> at <= now) p.gated in
-  p.gated <- waiting;
-  List.iter (fun (_, j) -> Queue.push j p.queue) ready;
   while Supervisor.free p.sup > 0 && not (Queue.is_empty p.queue) do
     let job = Queue.pop p.queue in
     let t_dequeue = Obs.now_us () in
@@ -334,15 +340,11 @@ let dispatch p =
     Obs.record ~item:job.trace ~start_us:job.t_admit
       ~dur_us:(t_dequeue -. job.t_admit) "serve.queue";
     if job.chaos = No_chaos && now >= job.deadline then
-      respond_entry p job
-        (gave_up_entry job
-           (Exec.Budget.Timed_out
-              (Option.value ~default:0. p.cfg.limits.Exec.Budget.timeout)))
+      respond_entry p job (expired p.cfg job)
     else
-      ignore
-        (Supervisor.submit p.sup
-           ~deadline:(job.deadline +. p.cfg.wedge_grace -. now)
-           job)
+      Supervisor.submit p.sup
+        ~deadline:(job.deadline +. p.cfg.wedge_grace -. now)
+        job
   done
 
 (* ------------------------------------------------------------------ *)
@@ -380,12 +382,12 @@ let served_json p =
        [ Proto.Ok_; Fail; Unknown; Error; Overloaded; Quarantined ])
 
 let stats_extra p now =
-  let busy = Supervisor.running p.sup in
+  let busy = Supervisor.busy p.sup in
   [
     ("workers", string_of_int (busy + Supervisor.free p.sup));
     ("busy", string_of_int busy);
     ("queued", string_of_int (Queue.length p.queue));
-    ("gated", string_of_int (List.length p.gated));
+    ("gated", string_of_int (Supervisor.retrying p.sup));
     ("requests", string_of_int p.n_requests);
     ("replacements", string_of_int p.replacements);
     ("quarantined_keys", string_of_int (quarantined_keys p));
@@ -401,7 +403,7 @@ let stats_extra p now =
    {!Campaign}'s periodic snapshots journal, so one schema
    (ci/metrics.schema.json) validates both surfaces. *)
 let metrics_json p now =
-  let busy = Supervisor.running p.sup in
+  let busy = Supervisor.busy p.sup in
   Printf.sprintf
     "{\"schema\": \"lkmetrics-1\", \"ts_us\": %.1f, \"uptime_s\": %.3f, \
      \"requests\": %d, \"queue_depth\": %d, \"gated\": %d, \
@@ -411,7 +413,7 @@ let metrics_json p now =
      %s, \"queue_wait_us\": %s}"
     (Obs.now_us ())
     (now -. p.started_at)
-    p.n_requests (Queue.length p.queue) (List.length p.gated)
+    p.n_requests (Queue.length p.queue) (Supervisor.retrying p.sup)
     (busy + Supervisor.free p.sup)
     busy p.replacements (quarantined_keys p)
     (Exec.Check.backend_to_string p.cfg.backend)
@@ -483,7 +485,6 @@ let handle_line p conn line ~request_shutdown =
                       deadline = now +. p.cfg.default_timeout;
                       vkey;
                       chaos;
-                      attempts = 0;
                     }
                     p.queue
                 end)
@@ -545,7 +546,6 @@ let handle_line p conn line ~request_shutdown =
                             deadline = now +. timeout;
                             vkey;
                             chaos = No_chaos;
-                            attempts = 0;
                           }
                           p.queue
                       end))
@@ -639,7 +639,6 @@ let create cfg =
     stopping = false;
     replacements = 0;
     strikes = Hashtbl.create 16;
-    gated = [];
     conns = Hashtbl.create 16;
     served = Array.make 6 0;
     n_requests = 0;
@@ -690,7 +689,6 @@ let run ?(config = default) () =
       | r -> r
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> ([], [], [])
     in
-    let now = Unix.gettimeofday () in
     (* Accept new clients (not while draining). *)
     if List.mem listen_fd readable && not p.stopping then begin
       match Unix.accept listen_fd with
@@ -714,16 +712,15 @@ let run ?(config = default) () =
              | exception Unix.Unix_error _ -> close_conn p c);
     (* Worker completions (a poll: the select above saw them), then
        dispatch to the idle workers. *)
-    List.iter (completed p now) (Supervisor.wait p.sup ~until:0. ());
+    List.iter (completed p) (Supervisor.wait p.sup ~until:0. ());
     dispatch p;
-    (* Shutdown: reject the queue and pending retries, finish in-flight
-       work (the supervisor kills it at deadline plus grace), then
-       leave. *)
+    (* Shutdown: reject the queue, finish what the supervisor holds,
+       retries included (it kills a worker at deadline plus grace),
+       then leave. *)
     if !stop && not p.stopping then begin
       p.stopping <- true;
-      let orphans = List.of_seq (Queue.to_seq p.queue) @ List.map snd p.gated in
+      let orphans = List.of_seq (Queue.to_seq p.queue) in
       Queue.clear p.queue;
-      p.gated <- [];
       List.iter
         (fun j ->
           respond p j.conn_id ~cls:Proto.Overloaded
@@ -731,7 +728,7 @@ let run ?(config = default) () =
                ~trace:j.trace ~msg:"shutting down" ()))
         orphans
     end;
-    if p.stopping && Supervisor.running p.sup = 0 && p.gated = [] then
+    if p.stopping && Supervisor.running p.sup = 0 then
       running := false
   done;
   Supervisor.close p.sup;
@@ -753,30 +750,33 @@ let run ?(config = default) () =
 (* ------------------------------------------------------------------ *)
 
 module Client = struct
-  type t = { ic : in_channel; oc : out_channel; mutable ctr : int }
+  type t = { fd : Unix.file_descr; ic : in_channel; mutable ctr : int }
 
   let connect path =
     let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
     Unix.connect fd (Unix.ADDR_UNIX path);
-    {
-      ic = Unix.in_channel_of_descr fd;
-      oc = Unix.out_channel_of_descr fd;
-      ctr = 0;
-    }
+    { fd; ic = Unix.in_channel_of_descr fd; ctr = 0 }
 
   let fresh_id t =
     t.ctr <- t.ctr + 1;
     Printf.sprintf "c%d" t.ctr
 
+  (* A daemon that went away closes or resets the connection: a write
+     then fails with [EPIPE] (SIGPIPE is held off for it) and is
+     dropped — unbuffered, so nothing waits for a flush at exit — and
+     the read after it is the request's [Error]. *)
   let send t line =
-    output_string t.oc line;
-    output_char t.oc '\n';
-    flush t.oc
+    let b = Bytes.of_string (line ^ "\n") in
+    let pipe = Sys.signal Sys.sigpipe Sys.Signal_ignore in
+    (try ignore (Unix.write t.fd b 0 (Bytes.length b))
+     with Unix.Unix_error _ -> ());
+    Sys.set_signal Sys.sigpipe pipe
 
   let recv t =
     match input_line t.ic with
     | line -> Proto.parse_response line
     | exception End_of_file -> Error "connection closed by daemon"
+    | exception Sys_error e -> Error ("connection lost: " ^ e)
 
   let request t line =
     send t line;
@@ -797,7 +797,5 @@ module Client = struct
   let chaos_wedge ?trace t seconds =
     request t (Proto.chaos_wedge_line ~id:(fresh_id t) ?trace seconds)
 
-  let close t =
-    close_out_noerr t.oc;
-    close_in_noerr t.ic
+  let close t = close_in_noerr t.ic
 end

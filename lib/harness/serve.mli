@@ -12,19 +12,21 @@
       ({!Exec.Budget.start_at}) — a slow request degrades to a
       structured [unknown], never a stuck worker;
     - supervision: a worker still busy past its job's deadline plus a
-      grace period is SIGKILLed, and a worker that dies for any reason
-      is replaced;
-    - a retry after {!Supervisor.retry_delay} for a request in flight
-      on a lost worker, and [quarantined] for fingerprints that cost
-      two workers;
+      grace period is SIGKILLed, a worker that dies for any reason is
+      replaced, and a request whose worker is lost runs once more
+      ({!Supervisor}), ending at once if past its deadline;
+    - [quarantined] for a request lost twice, and strikes per
+      fingerprint — one for an answer that needed the retry, two for a
+      request lost twice — with two strikes quarantining the
+      fingerprint at admission;
     - a content-addressed, journal-backed verdict cache ({!Vcache})
       that survives [kill -9] and serves repeated requests without
       touching a worker.
 
     SIGTERM/SIGINT (or a [shutdown] request) drain gracefully: queued
-    requests are answered [overloaded], in-flight checks finish (up to
-    their deadline plus grace), the workers are reaped, the cache
-    journal is closed. *)
+    requests are answered [overloaded], the checks the supervisor holds
+    finish, retries included (up to their deadline plus grace), the
+    workers are reaped, the cache journal is closed. *)
 
 type config = {
   socket : string;  (** Unix-domain socket path *)
@@ -100,10 +102,11 @@ module Client : sig
   val chaos_wedge : ?trace:string -> t -> float -> (Proto.response, string) result
 
   val send : t -> string -> unit
-  (** Raw line send (protocol-edge tests build their own lines). *)
+  (** Raw line send (protocol-edge tests build their own lines); on a
+      closed or reset connection it is dropped, and {!recv} errs. *)
 
   val recv : t -> (Proto.response, string) result
-  (** Read one response line. *)
+  (** Read one response line; a closed or reset connection is [Error]. *)
 
   val request : t -> string -> (Proto.response, string) result
 

@@ -224,7 +224,7 @@ let fingerprint (e : Runner.entry) =
    build oracles from when the failure can kill its process. *)
 let isolated_check ?(config = Pool.default) ?worker ?(oracle = Lkmm.oracle)
     ?backend ?(expected : Exec.Check.verdict option) (t : Ast.t) =
-  let config = { config with Pool.jobs = 1; retries = 0 } in
+  let config = { config with Pool.jobs = 1 } in
   let item = { Runner.id = t.Ast.name; source = `Ast t; expected } in
   let report = Pool.run ~config ?worker ?backend ~oracle [ item ] in
   List.hd report.Runner.entries

@@ -5,15 +5,15 @@
    complete once the buffer holds the whole marshalled message; one
    job is in flight per worker, so nothing follows it. *)
 
-type 'a exit =
-  | Returned of 'a
-  | Exited of int
-  | Signaled of int
-  | Deadline
-  | Vanished
+type loss = Exited of int | Signaled of int | Deadline | Vanished
+type 'a exit = Returned of 'a | Lost of loss * loss
+
+(* A job the supervisor holds: [window] is the relative deadline every
+   attempt gets, [first] the loss of attempt 1 once there was one. *)
+type 'j held = { job : 'j; window : float option; first : loss option }
 
 type 'j busy = {
-  job : 'j;
+  held : 'j held;
   started : float;
   deadline : float; (* absolute; [infinity] for none *)
   mutable killed : bool;
@@ -29,15 +29,16 @@ type 'j worker = {
 }
 
 type ('j, 'a) t = {
-  run : 'j -> 'a;
+  run : attempt:int -> 'j -> 'a;
   flight : string option;
   chunk : Bytes.t;
   mutable workers : 'j worker list;
+  mutable retries : (float * 'j held) list; (* due time, in due order *)
 }
 
 let exit_raised = 3
 let exit_protocol = 98
-let retry_delay n = 0.05 *. (2. ** float_of_int (n - 1))
+let retry_delay = 0.05
 
 (* In a worker: close every descriptor inherited from the parent but
    stdio and [keep] — the daemon's socket, its clients, the siblings'
@@ -59,12 +60,22 @@ let close_inherited keep =
         names
 
 (* In a worker: serve jobs until the job pipe closes; never returns,
-   never runs the parent's [at_exit] hooks or flushes its buffers.
-   Flight checkpoints keep 8 spans: a campaign worker checkpoints once
-   per seed, so the span tail is the file-size budget. *)
-let worker_main t jobs_r results_w =
+   never runs the parent's [at_exit] hooks or flushes its buffers.  A
+   busy worker cannot see its job pipe close, so a timer (a fork starts
+   with none) asks every 0.2 s whether [parent] is gone; OCaml runs the
+   handler at the next poll point, in a sleep, a channel read or a
+   loop.  Flight checkpoints keep 8 spans: a campaign worker
+   checkpoints once per seed, so the span tail is the file-size
+   budget. *)
+let worker_main t parent jobs_r results_w =
   let code =
     try
+      Sys.set_signal Sys.sigalrm
+        (Sys.Signal_handle
+           (fun _ -> if Unix.getppid () <> parent then Unix._exit 0));
+      ignore
+        (Unix.setitimer Unix.ITIMER_REAL
+           { Unix.it_interval = 0.2; it_value = 0.2 });
       close_inherited [ jobs_r; results_w ];
       let send_dump = Obs.enabled () in
       Obs.reset ();
@@ -84,9 +95,9 @@ let worker_main t jobs_r results_w =
         | exception End_of_file ->
             if Obs.flight_active () then Obs.flight_stop ();
             0
-        | job -> (
+        | attempt, job -> (
             Obs.reset ();
-            match t.run job with
+            match t.run ~attempt job with
             | exception _ -> exit_raised
             | v ->
                 let dump = if send_dump then Some (Obs.dump ()) else None in
@@ -102,10 +113,11 @@ let worker_main t jobs_r results_w =
 let fork_worker t =
   let jobs_r, jobs_w = Unix.pipe ~cloexec:true () in
   let results, results_w = Unix.pipe ~cloexec:true () in
+  let parent = Unix.getpid () in
   flush stdout;
   flush stderr;
   match Unix.fork () with
-  | 0 -> worker_main t jobs_r results_w
+  | 0 -> worker_main t parent jobs_r results_w
   | pid ->
       Unix.close jobs_r;
       Unix.close results_w;
@@ -114,28 +126,31 @@ let fork_worker t =
         busy = None }
 
 let create ?flight ~jobs run =
-  let t = { run; flight; chunk = Bytes.create 65536; workers = [] } in
+  let t =
+    { run; flight; chunk = Bytes.create 65536; workers = []; retries = [] }
+  in
   t.workers <- List.init (max 1 jobs) (fun _ -> fork_worker t);
   t
 
-let running t =
+let busy t =
   List.fold_left (fun n w -> if Option.is_none w.busy then n else n + 1) 0
     t.workers
 
-let free t = List.length t.workers - running t
+let retrying t = List.length t.retries
+let running t = busy t + retrying t
 let fds t = List.map (fun w -> w.results) t.workers
 
 let rec waitpid pid =
   try snd (Unix.waitpid [] pid)
   with Unix.Unix_error (Unix.EINTR, _, _) -> waitpid pid
 
-(* A dead worker: reap it, classify its job's end if it had one, and
+(* A dead worker: reap it, classify its job's loss if it had one, and
    put a fresh worker in its place. *)
 let replace t w =
   Unix.close w.jobs_w;
   Unix.close w.results;
   let killed = match w.busy with Some b -> b.killed | None -> false in
-  let exit =
+  let loss =
     match waitpid w.pid with
     | exception Unix.Unix_error (Unix.ECHILD, _, _) -> Vanished
     | Unix.WEXITED n -> Exited n
@@ -143,16 +158,17 @@ let replace t w =
     | Unix.WSIGNALED s | Unix.WSTOPPED s -> Signaled s
   in
   t.workers <- fork_worker t :: List.filter (fun x -> x != w) t.workers;
-  exit
+  loss
 
 (* The job pipe is written blocking: the worker is idle, so it is
    reading.  A worker that died idle is replaced and the job goes to
    the next one; SIGPIPE is held off so its death is an [EPIPE]. *)
-let rec submit t ?deadline job =
+let rec start t held =
   match List.find_opt (fun w -> Option.is_none w.busy) t.workers with
   | None -> invalid_arg "Supervisor.submit: no idle worker"
   | Some w ->
-      let msg = Marshal.to_bytes job [] in
+      let attempt = if held.first = None then 1 else 2 in
+      let msg = Marshal.to_bytes (attempt, held.job) [] in
       let pipe = Sys.signal Sys.sigpipe Sys.Signal_ignore in
       let rec send off =
         if off < Bytes.length msg then
@@ -168,21 +184,29 @@ let rec submit t ?deadline job =
       Sys.set_signal Sys.sigpipe pipe;
       if not sent then begin
         ignore (replace t w);
-        submit t ?deadline job
+        start t held
       end
       else begin
         let now = Unix.gettimeofday () in
-        w.busy <-
-          Some
-            {
-              job;
-              started = now;
-              deadline =
-                (match deadline with Some s -> now +. s | None -> infinity);
-              killed = false;
-            };
-        w.pid
+        let deadline =
+          match held.window with Some s -> now +. s | None -> infinity
+        in
+        w.busy <- Some { held; started = now; deadline; killed = false }
       end
+
+let submit t ?deadline job = start t { job; window = deadline; first = None }
+
+(* Due retries go first: each takes an idle worker while there is one. *)
+let rec start_due t =
+  match t.retries with
+  | (due, held) :: rest
+    when due <= Unix.gettimeofday () && busy t < List.length t.workers ->
+      t.retries <- rest;
+      start t held;
+      start_due t
+  | _ -> ()
+
+let free t = List.length t.workers - busy t
 
 let read t w =
   let rec go () =
@@ -204,6 +228,8 @@ let complete w =
           (Bytes.of_string (Buffer.sub w.buf 0 Marshal.header_size))
           0
 
+(* A retry's due time bounds the wait only while a worker is idle to
+   take it; otherwise a job's end comes first. *)
 let wait t ?(until = infinity) () =
   let next =
     List.fold_left
@@ -211,7 +237,10 @@ let wait t ?(until = infinity) () =
         match w.busy with
         | Some b when not b.killed -> Float.min acc b.deadline
         | _ -> acc)
-      until t.workers
+      (match t.retries with
+      | (due, _) :: _ when busy t < List.length t.workers -> Float.min until due
+      | _ -> until)
+      t.workers
   in
   if running t = 0 && next = infinity then []
   else begin
@@ -233,20 +262,30 @@ let wait t ?(until = infinity) () =
             Buffer.clear w.buf;
             w.busy <- None;
             if Obs.enabled () then Option.iter (Obs.merge ~tid:w.pid) dump;
-            ended := (b.job, now -. b.started, Returned v) :: !ended
+            ended := (b.held.job, now -. b.started, Returned v) :: !ended
         | Some b when (not b.killed) && now >= b.deadline ->
             b.killed <- true;
             (try Unix.kill w.pid Sys.sigkill with Unix.Unix_error _ -> ())
         | _ -> ())
       t.workers;
+    (* a first loss is held for its retry; a second ends the job *)
     List.iter
       (fun w ->
         if w.eof then
-          let exit = replace t w in
+          let loss = replace t w in
           Option.iter
-            (fun b -> ended := (b.job, now -. b.started, exit) :: !ended)
+            (fun b ->
+              let job = b.held.job in
+              match b.held.first with
+              | None ->
+                  let held = { b.held with first = Some loss } in
+                  t.retries <- t.retries @ [ (now +. retry_delay, held) ]
+              | Some first ->
+                  ended :=
+                    (job, now -. b.started, Lost (first, loss)) :: !ended)
             w.busy)
       t.workers;
+    start_due t;
     List.rev !ended
   end
 
@@ -262,4 +301,5 @@ let close t =
       Unix.close w.results;
       try ignore (waitpid w.pid) with Unix.Unix_error _ -> ())
     t.workers;
-  t.workers <- []
+  t.workers <- [];
+  t.retries <- []

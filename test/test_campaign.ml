@@ -40,7 +40,7 @@ let write_file path s =
    candidate/event budgets — fast enough to resume hundreds of times,
    deterministic enough that every resume must agree to the byte. *)
 let config ?(seeds = (0, 12)) ?(shard = 4) ?(models = [ "lk" ]) ?(jobs = 2)
-    ?(poison = []) ?(wedge = []) ?(lease = 60.) dir =
+    ?(poison = []) ?(wedge = []) ?(lease = 60.) ?(flight = false) dir =
   {
     C.default with
     C.dir;
@@ -55,6 +55,7 @@ let config ?(seeds = (0, 12)) ?(shard = 4) ?(models = [ "lk" ]) ?(jobs = 2)
     lease_timeout = lease;
     poison;
     wedge;
+    flight;
     log = ignore;
   }
 
@@ -73,8 +74,8 @@ let test_manifest_roundtrip () =
   let spec = { M.size = 4; seed_lo = 0; seed_hi = 10; shard_size = 4 } in
   let m = M.create path spec in
   Alcotest.(check int) "initial shards" 3 (List.length (M.shards m));
-  M.record m (M.Lease { lo = 0; hi = 4; attempt = 1; pid = 42; since = 1. });
-  M.record m (M.Requeue { lo = 0; hi = 4; failed = true });
+  M.record m (M.Lease { lo = 0; hi = 4; since = 1. });
+  M.record m (M.Requeue { lo = 0; hi = 4 });
   M.record m (M.Split { lo = 4; hi = 8; mid = 6 });
   let summary =
     {
@@ -110,7 +111,6 @@ let test_manifest_roundtrip () =
       (match (find 0 4).state with
       | M.Pending -> ()
       | _ -> Alcotest.fail "s0-4 should be pending after requeue");
-      Alcotest.(check int) "failed requeue escalated" 1 (find 0 4).M.attempts;
       (match (find 4 6).state with
       | M.Quarantined { attempts = 2; error = "exit 42" } -> ()
       | _ -> Alcotest.fail "s4-6 should be quarantined");
@@ -185,6 +185,128 @@ let test_resume_after_sigkill () =
   Alcotest.(check string) "resumed = uninterrupted" gt (run_json cfg);
   rm_rf dir;
   rm_rf gt_dir
+
+(* A manifest in the previous line format — leases with an attempt and
+   a worker pid, a requeue with [failed] — still replays, and resumes to
+   the uninterrupted report; the pids name no process of ours and are
+   left alone. *)
+let test_old_manifest_resumes () =
+  let gt_dir = tmpdir () in
+  let gt = run_json (config gt_dir) in
+  let lines =
+    String.split_on_char '\n' (read_file (C.manifest_path gt_dir))
+  in
+  let starts p l =
+    String.length l >= String.length p && String.sub l 0 (String.length p) = p
+  in
+  let done_4_8 = List.find (starts "{\"ev\": \"done\", \"lo\": 4,") lines in
+  let dir = tmpdir () in
+  write_file (C.manifest_path dir)
+    (String.concat "\n"
+       [
+         List.hd lines;
+         "{\"ev\": \"lease\", \"lo\": 0, \"hi\": 4, \"attempt\": 1, \"pid\": \
+          1, \"since\": 1.000}";
+         "{\"ev\": \"requeue\", \"lo\": 0, \"hi\": 4, \"failed\": true}";
+         "{\"ev\": \"lease\", \"lo\": 0, \"hi\": 4, \"attempt\": 2, \"pid\": \
+          1, \"since\": 2.000}";
+         "{\"ev\": \"lease\", \"lo\": 4, \"hi\": 8, \"attempt\": 1, \"pid\": \
+          1, \"since\": 3.000}";
+         done_4_8;
+         "{\"ev\": \"lease\", \"lo\": 8, \"hi\": 12, \"attempt\": 1, \"pid\": \
+          1, \"since\": 4.000}";
+         "";
+       ]);
+  (match M.load (C.manifest_path dir) with
+  | Error e -> Alcotest.fail e
+  | Ok m ->
+      Alcotest.(check (list string))
+        "states replayed" [ "leased"; "done"; "leased" ]
+        (List.map
+           (fun (s : M.shard) ->
+             match s.state with
+             | M.Leased _ -> "leased"
+             | M.Done _ -> "done"
+             | M.Pending -> "pending"
+             | M.Quarantined _ -> "quarantined")
+           (M.shards m)));
+  Alcotest.(check string) "resumed = uninterrupted" gt (run_json (config dir));
+  rm_rf dir;
+  rm_rf gt_dir
+
+(* A worker outlives no orchestrator: kill -9 the orchestrator while a
+   worker is wedged in a seed, and every worker that left a flight file
+   exits by itself within 3 s (a zombie, where nothing reaps it, has
+   exited too). *)
+let test_orphans_exit () =
+  let dir = tmpdir () in
+  let wedge = 5 in
+  let cfg = config ~wedge:[ wedge ] ~flight:true dir in
+  flush stdout;
+  flush stderr;
+  let orchestrator =
+    match Unix.fork () with
+    | 0 ->
+        (match C.run cfg with _ -> ());
+        Unix._exit 0
+    | pid -> pid
+  in
+  let flights () =
+    Sys.readdir dir |> Array.to_list
+    |> List.filter_map (fun f ->
+           try Scanf.sscanf f "flight-%d.jsonl%!" (fun pid -> Some (f, pid))
+           with Scanf.Scan_failure _ | Failure _ | End_of_file -> None)
+  in
+  let needle = Printf.sprintf "\"seed:%d\"" wedge in
+  let names_wedge (f, _) =
+    let text = read_file (Filename.concat dir f) in
+    let n = String.length needle in
+    let rec scan i =
+      i + n <= String.length text
+      && (String.sub text i n = needle || scan (i + 1))
+    in
+    scan 0
+  in
+  let rec await deadline =
+    if List.exists names_wedge (flights ()) then true
+    else if Unix.gettimeofday () > deadline then false
+    else begin
+      Unix.sleepf 0.02;
+      await deadline
+    end
+  in
+  let wedged = await (Unix.gettimeofday () +. 20.) in
+  Unix.kill orchestrator Sys.sigkill;
+  ignore (Unix.waitpid [] orchestrator);
+  Alcotest.(check bool) "a flight file names the wedged seed" true wedged;
+  let gone pid =
+    match
+      In_channel.with_open_bin (Printf.sprintf "/proc/%d/stat" pid)
+        In_channel.input_all
+    with
+    | exception Sys_error _ -> true
+    | stat ->
+        (* the state follows the parenthesised command name *)
+        let i = String.rindex stat ')' in
+        stat.[i + 2] = 'Z'
+  in
+  let pids = List.map snd (flights ()) in
+  let rec settle deadline =
+    if List.for_all gone pids || Unix.gettimeofday () > deadline then ()
+    else begin
+      Unix.sleepf 0.05;
+      settle deadline
+    end
+  in
+  settle (Unix.gettimeofday () +. 3.);
+  List.iter
+    (fun pid ->
+      if not (gone pid) then begin
+        (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
+        Alcotest.failf "worker %d outlived its orchestrator by 3 s" pid
+      end)
+    pids;
+  rm_rf dir
 
 (* ------------------------------------------------------------------ *)
 (* Failure ladder: poison and wedge                                    *)
@@ -377,6 +499,10 @@ let () =
             test_resume_at_every_offset;
           Alcotest.test_case "resume after kill -9" `Quick
             test_resume_after_sigkill;
+          Alcotest.test_case "old manifest format resumes" `Quick
+            test_old_manifest_resumes;
+          Alcotest.test_case "orphaned workers exit by themselves" `Quick
+            test_orphans_exit;
         ] );
       ( "ladder",
         [

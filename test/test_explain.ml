@@ -158,6 +158,57 @@ let test_native_explainer () =
         (names rc) (names rn))
     [ "MP+wmb+rmb"; "SB+mbs"; "RCU-MP"; "SB"; "MP" ]
 
+(* An RCU cycle of three links, each thread reading the previous one's
+   write: "ggr" has two grace periods and one critical section.  The
+   decomposition of [rcu-path] backtracks exponentially on these without
+   its per-step work budget; with it each explains within 1 s of CPU
+   under both explainers, and every explanation re-validates and names
+   the [rcu] check. *)
+let rcu_cycle word =
+  let n = String.length word in
+  let thread i =
+    let a = Printf.sprintf "a%d" i
+    and b = Printf.sprintf "a%d" ((i + 1) mod n) in
+    let read = Printf.sprintf "int r0 = READ_ONCE(*%s);" a
+    and write = Printf.sprintf "WRITE_ONCE(*%s, 1);" b in
+    Printf.sprintf "P%d(int *%s, int *%s) { %s }" i a b
+      (if word.[i] = 'g' then
+         Printf.sprintf "%s synchronize_rcu(); %s" read write
+       else
+         Printf.sprintf "rcu_read_lock(); %s %s rcu_read_unlock();" read write)
+  in
+  Litmus.parse
+    (Printf.sprintf "C RCU-%s\n{ }\n%s\nexists (%s)\n" word
+       (String.concat "\n" (List.init n thread))
+       (String.concat " /\\ " (List.init n (Printf.sprintf "%d:r0=1"))))
+
+let test_rcu_three_links () =
+  let model = Lazy.force lk_cat in
+  List.iter
+    (fun word ->
+      List.iter
+        (fun native ->
+          let what =
+            Printf.sprintf "RCU-%s, %s" word
+              (if native then "native" else "lk.cat")
+          in
+          let t0 = Sys.time () in
+          let r = run_explained ~native (rcu_cycle word) in
+          let cpu = Sys.time () -. t0 in
+          Alcotest.(check bool) (what ^ ": within 1 s of CPU") true (cpu < 1.);
+          match (r.Exec.Check.verdict, r.Exec.Check.counterexample) with
+          | Exec.Check.Forbid, Some cex ->
+              let resolve = Cat.Explain.resolver model cex in
+              List.iter (Exec.Explain.validate ~resolve)
+                r.Exec.Check.explanations;
+              Alcotest.(check bool) (what ^ ": names rcu") true
+                (List.exists
+                   (fun (e : Exec.Explain.t) -> e.Exec.Explain.check = "rcu")
+                   r.Exec.Check.explanations)
+          | _ -> Alcotest.failf "%s: expected a Forbid counterexample" what)
+        [ true; false ])
+    [ "ggr"; "grg" ]
+
 (* ------------------------------------------------------------------ *)
 (* Validator tamper detection                                          *)
 (* ------------------------------------------------------------------ *)
@@ -298,6 +349,8 @@ let () =
             test_battery_revalidates;
           Alcotest.test_case "native explainer agrees" `Quick
             test_native_explainer;
+          Alcotest.test_case "three-link RCU cycles explain" `Quick
+            test_rcu_three_links;
         ] );
       ( "validator",
         [

@@ -1,5 +1,6 @@
-(* Tests for Harness.Pool: process isolation, watchdog kills, memory
-   caps, crash classification, retry/backoff and the crash exit code.
+(* Tests for Harness.Pool and its Harness.Supervisor: process
+   isolation, watchdog kills, memory caps, crash classification, the
+   one retry of a lost job and the crash exit code.
 
    Crashes are injected through the pool's [worker] override: a worker
    that kills its own process for designated item ids, and otherwise
@@ -85,10 +86,13 @@ let test_watchdog_kills_loop () =
   (match (find_entry report "loop").R.status with
   | R.Gave_up (B.Timed_out _) -> ()
   | s -> Alcotest.failf "expected watchdog timeout: %a" R.pp_status s);
+  Alcotest.(check bool) "the timed-out item was retried" true
+    (find_entry report "loop").R.retried;
   Alcotest.(check int) "healthy item passed" 1 report.R.n_pass;
   Alcotest.(check int) "budget exit code" 3 (R.exit_code report);
-  (* watchdog = 2 * 0.2 + 1 = 1.4s; well under the 5s this would hang
-     without the watchdog (the loop never returns) *)
+  (* watchdog = 2 * 0.2 + 1 = 1.4s, twice, plus the 0.05s retry delay;
+     well under the 5s this would hang without the watchdog (the loop
+     never returns) *)
   Alcotest.(check bool) "killed promptly" true (wall < 4.0)
 
 let test_mem_cap_contains_oom () =
@@ -196,6 +200,114 @@ let test_agrees_with_runner () =
     (R.exit_code pooled)
 
 (* ------------------------------------------------------------------ *)
+(* The supervisor's ladder                                             *)
+(* ------------------------------------------------------------------ *)
+
+module Sup = Harness.Supervisor
+
+(* Each attempt is a fresh process, so a job notes its attempts (and
+   when each started) in a file. *)
+let attempts_file () =
+  let path = Filename.temp_file "supervisor" ".attempts" in
+  let note attempt =
+    let oc = open_out_gen [ Open_append; Open_creat ] 0o644 path in
+    Printf.fprintf oc "%d %.6f\n" attempt (Unix.gettimeofday ());
+    close_out oc
+  in
+  let read () =
+    let ic = open_in path in
+    let rec go acc =
+      match input_line ic with
+      | l -> go (Scanf.sscanf l "%d %f" (fun a t -> (a, t)) :: acc)
+      | exception End_of_file -> List.rev acc
+    in
+    let notes = go [] in
+    close_in ic;
+    Sys.remove path;
+    notes
+  in
+  Sys.remove path;
+  (note, read)
+
+let run_one run =
+  let sup = Sup.create ~jobs:1 run in
+  Sup.submit sup ();
+  let rec collect () =
+    match Sup.wait sup () with [] -> collect () | ended -> ended
+  in
+  let ended = collect () in
+  Alcotest.(check int) "nothing left running" 0 (Sup.running sup);
+  Sup.close sup;
+  match ended with
+  | [ ((), _, exit) ] -> exit
+  | _ -> Alcotest.fail "expected exactly one ended job"
+
+let test_lost_once () =
+  let note, read = attempts_file () in
+  let exit =
+    run_one (fun ~attempt () ->
+        note attempt;
+        if attempt = 1 then Unix.kill (Unix.getpid ()) Sys.sigkill;
+        attempt)
+  in
+  (match exit with
+  | Sup.Returned 2 -> ()
+  | Sup.Returned n -> Alcotest.failf "returned by attempt %d" n
+  | Sup.Lost _ -> Alcotest.fail "a job lost once must be retried");
+  Alcotest.(check (list int)) "attempts seen" [ 1; 2 ] (List.map fst (read ()))
+
+let test_lost_twice () =
+  let note, read = attempts_file () in
+  let exit =
+    run_one (fun ~attempt () ->
+        note attempt;
+        if attempt = 1 then Unix._exit 7;
+        Unix.kill (Unix.getpid ()) Sys.sigsegv;
+        assert false)
+  in
+  (match exit with
+  | Sup.Lost (Sup.Exited 7, Sup.Signaled s) when s = Sys.sigsegv -> ()
+  | Sup.Lost _ -> Alcotest.fail "both losses, in order"
+  | Sup.Returned () -> Alcotest.fail "a job lost twice cannot return");
+  match read () with
+  | [ (1, lost); (2, retried) ] ->
+      (* attempt 1 noted its time just before dying *)
+      Alcotest.(check bool) "retry waited out its delay" true
+        (retried -. lost >= 0.05)
+  | _ -> Alcotest.fail "expected attempts 1 and 2"
+
+(* One worker: a job is lost, and a slow job takes the replacement
+   before the retry falls due.  The retry then waits for the worker
+   without spinning (the parent stays near idle while the slow job
+   sleeps), and runs as attempt 2 once the worker is free. *)
+let test_due_retry_waits () =
+  let sup =
+    Sup.create ~jobs:1 (fun ~attempt job ->
+        if job = "lost" && attempt = 1 then Unix._exit 1;
+        if job = "slow" then Unix.sleepf 1.;
+        (job, attempt))
+  in
+  Sup.submit sup "lost";
+  Alcotest.(check int) "the first loss is held" 0
+    (List.length (Sup.wait sup ()));
+  Sup.submit sup "slow";
+  let cpu0 = Sys.time () in
+  let rec collect acc =
+    if Sup.running sup = 0 then acc
+    else
+      collect
+        (List.map (fun (_, _, exit) -> exit) (Sup.wait sup ()) @ acc)
+  in
+  let ended = collect [] in
+  let cpu = Sys.time () -. cpu0 in
+  Sup.close sup;
+  Alcotest.(check int) "both jobs ended" 2 (List.length ended);
+  Alcotest.(check bool) "the retry returned as attempt 2" true
+    (List.mem (Sup.Returned ("lost", 2)) ended);
+  Alcotest.(check bool) "the parent waited without spinning" true
+    (cpu < 0.5)
+
+(* ------------------------------------------------------------------ *)
 (* Graceful drain on SIGTERM                                           *)
 (* ------------------------------------------------------------------ *)
 
@@ -301,6 +413,12 @@ let () =
         [
           Alcotest.test_case "flaky crash retried" `Quick
             test_flaky_crash_retried;
+          Alcotest.test_case "supervisor: job lost once" `Quick
+            test_lost_once;
+          Alcotest.test_case "supervisor: job lost twice" `Quick
+            test_lost_twice;
+          Alcotest.test_case "supervisor: a due retry waits" `Quick
+            test_due_retry_waits;
         ] );
       ( "drain",
         [

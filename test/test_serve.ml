@@ -478,6 +478,58 @@ let test_chaos_wedge_detected () =
       check_cls "replacement workers serve" Pr.Ok_ r2;
       S.Client.close c)
 
+(* The request's deadline is absolute, the retry's window is not: a
+   retry that starts past the deadline ends at once, so a wedged request
+   is answered about [wedge_grace] past its deadline, once, and not after
+   a second full window.  Quarantined, and named by its first loss. *)
+let test_wedge_answered_at_deadline () =
+  let timeout = 1.0 and grace = 0.5 in
+  with_daemon
+    ~configure:(fun c ->
+      { c with S.default_timeout = timeout; wedge_grace = grace })
+    (fun socket _pid ->
+      let c = connect_retry socket in
+      let t0 = Unix.gettimeofday () in
+      let r = ok_response "wedge" (S.Client.chaos_wedge c 30.0) in
+      let took = Unix.gettimeofday () -. t0 in
+      check_cls "wedged request quarantined" Pr.Quarantined r;
+      Alcotest.(check bool) "the quarantine names the wedge" true
+        (match r.Pr.rsp_msg with
+        | Some m -> String.starts_with ~prefix:"worker wedged past deadline" m
+        | None -> false);
+      Alcotest.(check bool) "not answered before deadline plus grace" true
+        (took >= timeout +. grace);
+      (* two windows would be 3 s *)
+      Alcotest.(check bool)
+        (Printf.sprintf "answered %.2f s after admission, within 2.25 s" took)
+        true
+        (took < 1.5 *. (timeout +. grace));
+      S.Client.close c)
+
+(* A connection the daemon side resets (here: a listening socket closed
+   with the connection still in its backlog, as when a daemon dies
+   before accepting) is an [Error] from the client, never an
+   exception, on the send and the receive alike. *)
+let test_client_reset () =
+  let socket = tmp ".sock" in
+  Sys.remove socket;
+  let l = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.bind l (Unix.ADDR_UNIX socket);
+  Unix.listen l 4;
+  let c = S.Client.connect socket in
+  Unix.close l;
+  Sys.remove socket;
+  let lost label = function
+    | Error _ -> ()
+    | Ok _ -> Alcotest.failf "%s: a reset connection cannot answer" label
+  in
+  lost "first request" (S.Client.ping c);
+  lost "second request" (S.Client.ping c);
+  (* no unsent bytes are left for a later flush: with SIGPIPE at its
+     default, one would kill this process here *)
+  flush_all ();
+  S.Client.close c
+
 (* One request on a raw socket whose receive times out after [secs], so
    a daemon that never answers fails the test instead of hanging it. *)
 let request_with_timeout socket secs line =
@@ -638,6 +690,10 @@ let () =
             test_chaos_wedge_detected;
           Alcotest.test_case "17 kills leave the daemon serving" `Slow
             test_kills_never_exhaust_workers;
+          Alcotest.test_case "a wedged request is answered at its deadline"
+            `Slow test_wedge_answered_at_deadline;
+          Alcotest.test_case "a reset connection is an error" `Quick
+            test_client_reset;
         ] );
       ( "restart",
         [

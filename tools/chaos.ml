@@ -188,7 +188,14 @@ let flight_span_items dir =
                           spans
                     | _ -> []))
 
+(* The old path goes first: a worker the previous daemon forked just
+   before its kill -9 holds the old listening socket until it closes
+   its inherited descriptors, and a client connecting to the old path in
+   that window is reset when it does.  The client reads such a reset as
+   an unanswered request; unlinking keeps it from counting against the
+   new daemon. *)
 let start_daemon () =
+  (try Sys.remove socket with Sys_error _ -> ());
   flush stdout;
   flush stderr;
   match Unix.fork () with
@@ -445,10 +452,12 @@ let fork_orchestrator cfg =
       Unix._exit code
   | pid -> pid
 
-(* A manifest truncation can erase the Lease record of a live wedge
-   worker, so no resume ever learns its pid: it would sleep forever,
-   holding stdout open.  The whole chaos tree shares a process group so
-   such leaks can be swept before exiting. *)
+(* A worker exits by itself within about a second of its
+   orchestrator's death (Harness.Supervisor), so a kill -9 leaves no
+   orphan behind for long.  The whole chaos tree still shares a process
+   group, and this sweep is the safety net before exiting: anything that
+   outlives its parent anyway — a worker stuck where no OCaml code runs,
+   say — would hold stdout open. *)
 let sweep_orphans () =
   Sys.set_signal Sys.sigterm Sys.Signal_ignore;
   try Unix.kill (-(Unix.getpid ())) Sys.sigterm with Unix.Unix_error _ -> ()
@@ -506,8 +515,8 @@ let campaign_chaos () =
       match Unix.waitpid [ Unix.WNOHANG ] pid with
       | 0, _ ->
           (* mid-flight: shoot the orchestrator (its workers become
-             orphans the next resume must hunt down), then tear the
-             manifest at a random byte offset — a torn write *)
+             orphans and exit by themselves), then tear the manifest at
+             a random byte offset — a torn write *)
           Unix.kill pid Sys.sigkill;
           ignore (Unix.waitpid [] pid);
           incr kills_done;
@@ -634,7 +643,6 @@ let () =
     prerr_endline "chaos: not enough deterministic tests to differentiate";
     exit 124
   end;
-  Sys.remove socket;
   (try Sys.remove journal with Sys_error _ -> ());
   let pid = ref (start_daemon ()) in
   let ctl = ref (connect_retry ()) in
