@@ -14,30 +14,32 @@
    operand that actually contains the edge.  A sub-expression is
    compiled by the interpreter's own resolver in the scope of its
    program point (a definition's body in the scope it was compiled in,
-   so shadowing and [let rec] fixpoints resolve exactly as the
-   interpreter resolved them) and evaluated on the slot array of one
-   replay of the model, which holds every program point's values.  A
-   [Union] picks the matching side; a [Seq] finds a midpoint; [Plus]/[Star]
-   find a shortest path through the base relation and decompose each
-   hop; [Inverse] decomposes the flipped edge and tags labels with
-   [^-1]; an [Id] bound by a [let] recurses into its body (guarded
-   against recursive definitions such as [rcu-path] by a visiting set —
-   a revisited name becomes an opaque primitive, which still
-   re-validates by membership); function application ([A-cumul(r)])
-   substitutes the argument expression for the parameter.  [Cartesian]
-   and [Complement] edges stay opaque: their pairs are not produced by
-   other edges.
+   so shadowing resolves exactly as the interpreter resolved it) and
+   evaluated on the slot array of one replay of the model, which holds
+   every program point's values.  A [Union] takes its first branch
+   holding the edge; a [Seq] its first midpoint; [Plus]/[Star] find a
+   shortest path through the base relation and decompose each hop;
+   [Inverse] decomposes the flipped edge and tags labels with [^-1]; an
+   [Id] bound by a [let] descends into its body; function application
+   ([A-cumul(r)]) substitutes the argument expression for the
+   parameter.  A name bound by a [let rec] ([rcu-path]) is a least
+   fixed point, solved by Kleene iteration from empty relations: an edge
+   that first appears at stage k is in the body evaluated on stage
+   k - 1, where each recursive reference holds an edge of a lower stage.
+   So the descent needs no search and no guard: it ends, and on
+   primitive edges.  The same descent names the step, by the branch it
+   takes through unions.  [Cartesian] and [Complement] edges stay
+   opaque: their pairs are not produced by other edges.
 
    Every explanation is passed through {!Exec.Explain.validate} against
    the model's own environment before it is released — the resolver
    maps relation names back to their evaluated values, so each reported
    edge is re-checked for membership in the relation its label names.
    A failure there raises {!Exec.Explain.Invalid}: a hard error by
-   design (ISSUE 5), never a silently wrong diagram. *)
+   design, never a silently wrong diagram. *)
 
 module E = Exec.Explain
 module Iset = Rel.Iset
-module Sset = Set.Make (String)
 
 (* A program point: the names it sees, and the replayed slots (grown by
    the parameters of the applications decomposed on the way to it). *)
@@ -146,214 +148,121 @@ let invert_label l =
   if Filename.check_suffix l "^-1" then Filename.chop_suffix l "^-1"
   else l ^ "^-1"
 
-let max_depth = 400
+(* The environment in which [x]'s definition holds the edge (a, b): [pt]'s
+   own, unless a [let rec] binds [x]; then the Kleene stage just before
+   the first stage that holds the edge.  Every recursive reference in
+   the body then lands on an edge of a lower stage, so the descent
+   through a recursive definition is well-founded.  [None] when no stage
+   holds the edge. *)
+let body_env stages pt x a b =
+  match stages pt.scope x with
+  | None -> Some pt.env
+  | Some st ->
+      (* stage 0 holds the empty relations *)
+      let rec first k =
+        if k >= Array.length st then None
+        else if mem_of { pt with env = st.(k) } (Ast.Id x) a b then
+          Some st.(k - 1)
+        else first (k + 1)
+      in
+      first 1
 
-(* Calls to [decompose] per witness step: through [rcu-path] the
-   backtracking grows exponentially on RCU cycles of three links.  The
-   corpus needs at most 96 on lk.cat; 10,000 take about 20 ms. *)
-let max_work = 10_000
+let rec consecutive = function
+  | a :: (b :: _ as rest) -> (a, b) :: consecutive rest
+  | _ -> []
 
-(* A decomposition is unproductive when it contains a prim produced by
-   the recursion guard: the same definition name on the same edge as a
-   frame already on the decomposition stack. *)
-let productive visiting prims =
-  not
-    (List.exists
-       (fun (p : E.prim) ->
-         List.mem (p.E.p_label, p.E.p_src, p.E.p_dst) visiting)
-       prims)
+(* [decompose stages pt e a b] names the edge (a, b) of [e] at [pt] and
+   splits it into a path of primitive edges, assuming the edge is in [e]
+   there (the caller established that by membership).  The name is the
+   branch the descent takes through unions and through names defined as
+   unions: checking [hb = ((prop \ id) & int) | ppo | rfe] names each
+   edge "ppo", "rfe" or the rendered first branch.  Below the first
+   other node the name is that node, a defined name or the rendered
+   expression, and [prims] splits the edge on.
 
-(* [decompose] returns a primitive path from [a] to [b], assuming
-   (a, b) is an edge of [eval env e] (the caller established that by
-   membership).  [opaque] is the safety net everywhere: an edge we
-   cannot (or choose not to) split, or meet once [fuel] (the step's
-   remaining calls) is spent, becomes one primitive carrying the
-   rendered expression — named opaque edges still re-validate by
-   membership, rendered ones structurally.
-
-   [visiting] guards recursive definitions by (name, edge), not name
-   alone: [rcu-path] on a *sub*-edge of the one being decomposed is
-   genuine progress (the Seq split of [rcu-path ; rcu-path] hands each
-   half a shorter edge), while the same name on the same edge means the
-   recursion made no progress and must stop. *)
-let rec decompose ~fuel ~visiting ~depth pt (e : Ast.expr) a b :
-    E.prim list =
-  let opaque () = [ { E.p_src = a; p_dst = b; p_label = render e } ] in
-  decr fuel;
-  if depth > max_depth || !fuel < 0 then opaque ()
-  else
-    match e with
-    | Ast.Id "com" ->
-        (* predefined rf | co | fr: split for herd-style labels *)
-        let pick n = mem_of pt (Ast.Id n) a b in
-        let l = if pick "rf" then "rf" else if pick "co" then "co" else "fr" in
-        [ { E.p_src = a; p_dst = b; p_label = l } ]
-    | Ast.Id x -> (
-        match Interp.definition pt.scope x with
-        | Some (body, scope) when not (List.mem (x, a, b) visiting) ->
-            decompose ~fuel
-              ~visiting:((x, a, b) :: visiting)
-              ~depth:(depth + 1) { pt with scope } body a b
-        | _ ->
-            (* predefined, unproductive revisit, function or unknown:
-               opaque, but a bound name still validates by membership *)
-            [ { E.p_src = a; p_dst = b; p_label = x } ])
-    | Ast.Empty_rel -> opaque ()
-    | Ast.Union (l, r) -> (
-        (* prefer a branch whose decomposition makes progress: a
-           recursive definition's trivial branch ([rcu-path ;
-           rcu-path] contains (a,a) as soon as (a,a) is in rcu-path)
-           matches first but decomposes into guard-stopped prims, while
-           a later branch ([gp-link ; rscs-link]) carries the real
-           derivation *)
-        let try_branch e' =
-          if mem_of pt e' a b then
-            Some (decompose ~fuel ~visiting ~depth:(depth + 1) pt e' a b)
-          else None
-        in
-        match try_branch l with
-        | Some dl when productive visiting dl -> dl
-        | dl -> (
-            match try_branch r with
-            | Some dr when productive visiting dr -> dr
-            | dr -> (
-                match (dl, dr) with
-                | Some d, _ | _, Some d -> d
-                | None, None -> opaque ())))
-    | Ast.Inter (l, r) ->
-        (* both operands contain the edge; decompose the more telling
-           one (more primitives — [rmw & (fre ; coe)] shows fre;coe) *)
-        let dl = decompose ~fuel ~visiting ~depth:(depth + 1) pt l a b
-        and dr = decompose ~fuel ~visiting ~depth:(depth + 1) pt r a b in
-        if List.length dr > List.length dl then dr else dl
-    | Ast.Diff (l, _) ->
-        decompose ~fuel ~visiting ~depth:(depth + 1) pt l a b
-    | Ast.Seq (l, r) -> (
-        match (try_rel pt l, try_rel pt r) with
-        | Some rl, Some rr -> (
-            (* candidate midpoints m with (a,m) in l and (m,b) in r,
-               strict ones (distinct from both endpoints) first: a
-               degenerate midpoint hands one half the original edge
-               back, which only a recursion guard can stop *)
-            let mids = ref [] in
-            Rel.iter
-              (fun x y -> if x = a && Rel.mem y b rr then mids := y :: !mids)
-              rl;
-            let strict, degen =
-              List.partition (fun m -> m <> a && m <> b) (List.rev !mids)
-            in
-            let split m =
-              decompose ~fuel ~visiting ~depth:(depth + 1) pt l a m
-              @ decompose ~fuel ~visiting ~depth:(depth + 1) pt r m b
-            in
-            let rec try_mids fallback budget = function
-              | [] -> (
-                  match fallback with Some d -> d | None -> opaque ())
-              | m :: rest ->
-                  if budget = 0 then
-                    match fallback with Some d -> d | None -> split m
-                  else
-                    let d = split m in
-                    if productive visiting d then d
-                    else
-                      try_mids
-                        (if fallback = None then Some d else fallback)
-                        (budget - 1) rest
-            in
-            try_mids None 8 (strict @ degen))
-        | _ -> opaque ())
-    | Ast.Inverse inner ->
-        decompose ~fuel ~visiting ~depth:(depth + 1) pt inner b a
-        |> List.rev_map (fun (p : E.prim) ->
-               {
-                 E.p_src = p.E.p_dst;
-                 p_dst = p.E.p_src;
-                 p_label = invert_label p.E.p_label;
-               })
-    | Ast.Star _ when a = b ->
-        (* the reflexive part always covers (a, a) *)
-        [ { E.p_src = a; p_dst = b; p_label = "id" } ]
-    | Ast.Plus inner | Ast.Star inner -> (
-        match try_rel pt inner with
-        | Some base -> (
-            match bfs_path base a b with
-            | Some path ->
-                let rec hops = function
-                  | x :: (y :: _ as rest) ->
-                      decompose ~fuel ~visiting ~depth:(depth + 1) pt inner x y
-                      @ hops rest
-                  | _ -> []
-                in
-                hops path
-            | None -> opaque ())
-        | None -> opaque ())
-    | Ast.Opt inner ->
-        if mem_of pt inner a b then
-          decompose ~fuel ~visiting ~depth:(depth + 1) pt inner a b
-        else [ { E.p_src = a; p_dst = b; p_label = "id" } ]
-    | Ast.Cartesian _ | Ast.Complement _ -> opaque ()
-    | Ast.Bracket _ -> [ { E.p_src = a; p_dst = b; p_label = render e } ]
-    | Ast.App (f, _) when List.mem (f, a, b) visiting -> opaque ()
-    | Ast.App (f, arg) -> (
-        (* the body, in its definition's scope, with the parameter bound
-           to the argument's value for membership tests and defined by
-           the argument's expression, so that the body's decomposition
-           recurses into the argument *)
-        match Interp.inline pt.env pt.scope f arg with
-        | Some (body, scope, env) ->
-            decompose ~fuel ~visiting:((f, a, b) :: visiting) ~depth:(depth + 1)
-              { scope; env } body a b
-        | None | (exception Interp.Type_error _) -> opaque ())
-
-(* ------------------------------------------------------------------ *)
-(* Herd-style edge labels for the witness steps                        *)
-(* ------------------------------------------------------------------ *)
-
-(* The label of a cycle edge is the branch of the checked relation the
-   edge belongs to: checking [hb = ((prop \ id) & int) | ppo | rfe]
-   labels each edge "ppo", "rfe" or the rendered first branch.  Named
-   definitions are descended only while they keep splitting into
-   unions; the first non-union name ("ppo") is the label herd users
-   expect.  Branches that mention a definition being expanded are
-   deprioritised — [rcu-path ; rcu-path] contains every edge of
-   rcu-path trivially, while [rscs-link ; gp-link] names the actual
-   derivation. *)
-let rec mentions n = function
-  | Ast.Id x -> x = n
-  | Ast.Empty_rel -> false
-  | Ast.Union (a, b) | Ast.Inter (a, b) | Ast.Diff (a, b) | Ast.Seq (a, b)
-  | Ast.Cartesian (a, b) ->
-      mentions n a || mentions n b
-  | Ast.Inverse a | Ast.Plus a | Ast.Star a | Ast.Opt a | Ast.Complement a
-  | Ast.Bracket a ->
-      mentions n a
-  | Ast.App (f, arg) -> f = n || mentions n arg
-
-let rec branch_label ~visiting pt (e : Ast.expr) a b =
+   One descent, no backtracking: a union follows its first branch that
+   holds the edge, a sequence its first midpoint (strict ones, distinct
+   from both endpoints, before degenerate ones), and a name its
+   definition in {!body_env}.  Every step goes to a sub-expression, to
+   an earlier program point, or to a recursive definition's lower
+   stage, so the descent ends, on primitive edges.  [Cartesian] and
+   [Complement] edges stay opaque (one prim carrying the rendered
+   expression): their pairs are not produced by other edges. *)
+let rec decompose stages pt (e : Ast.expr) a b : string * E.prim list =
+  let leaf l = (l, [ { E.p_src = a; p_dst = b; p_label = l } ]) in
   match e with
   | Ast.Id "com" ->
+      (* predefined rf | co | fr: split for herd-style labels *)
       let pick n = mem_of pt (Ast.Id n) a b in
-      if pick "rf" then "rf" else if pick "co" then "co" else "fr"
+      leaf (if pick "rf" then "rf" else if pick "co" then "co" else "fr")
   | Ast.Id x -> (
-      match Interp.definition pt.scope x with
-      | Some ((Ast.Union _ as body), scope) when not (Sset.mem x visiting) ->
-          branch_label ~visiting:(Sset.add x visiting) { pt with scope } body
-            a b
-      | _ -> x)
-  | Ast.Union _ -> (
-      let rec flat = function
-        | Ast.Union (l, r) -> flat l @ flat r
-        | e' -> [ e' ]
-      in
-      let self e' = Sset.exists (fun n -> mentions n e') visiting in
-      let matching = List.filter (fun e' -> mem_of pt e' a b) (flat e) in
-      match
-        ( List.find_opt (fun e' -> not (self e')) matching,
-          matching )
-      with
-      | Some e', _ | None, e' :: _ -> branch_label ~visiting pt e' a b
-      | None, [] -> render e)
-  | _ -> render e
+      match (Interp.definition pt.scope x, body_env stages pt x a b) with
+      | Some ((Ast.Union _ as body), scope), Some env ->
+          decompose stages { scope; env } body a b
+      | Some (body, scope), Some env ->
+          (x, prims stages { scope; env } body a b)
+      | _ ->
+          (* predefined, function or unknown: a bound name still
+             validates by membership *)
+          leaf x)
+  | Ast.Union (l, r) ->
+      decompose stages pt (if mem_of pt l a b then l else r) a b
+  | _ -> (render e, prims stages pt e a b)
+
+and prims stages pt (e : Ast.expr) a b : E.prim list =
+  let prim l = { E.p_src = a; p_dst = b; p_label = l } in
+  let opaque () = [ prim (render e) ] in
+  match e with
+  | Ast.Id _ | Ast.Union _ -> snd (decompose stages pt e a b)
+  | Ast.Empty_rel | Ast.Cartesian _ | Ast.Complement _ | Ast.Bracket _ ->
+      opaque ()
+  | Ast.Inter (l, r) ->
+      (* both operands contain the edge; decompose the more telling
+         one (more primitives — [rmw & (fre ; coe)] shows fre;coe) *)
+      let dl = prims stages pt l a b and dr = prims stages pt r a b in
+      if List.length dr > List.length dl then dr else dl
+  | Ast.Diff (l, _) -> prims stages pt l a b
+  | Ast.Seq (l, r) -> (
+      match (try_rel pt l, try_rel pt r) with
+      | Some rl, Some rr -> (
+          let mids = ref [] in
+          Rel.iter_row
+            (fun m -> if Rel.mem m b rr then mids := m :: !mids)
+            rl a;
+          let mids = List.rev !mids in
+          match (List.find_opt (fun m -> m <> a && m <> b) mids, mids) with
+          | Some m, _ | None, m :: _ ->
+              prims stages pt l a m @ prims stages pt r m b
+          | None, [] -> opaque ())
+      | _ -> opaque ())
+  | Ast.Inverse inner ->
+      prims stages pt inner b a
+      |> List.rev_map (fun (p : E.prim) ->
+             {
+               E.p_src = p.E.p_dst;
+               p_dst = p.E.p_src;
+               p_label = invert_label p.E.p_label;
+             })
+  | Ast.Star _ when a = b ->
+      (* the reflexive part always covers (a, a) *)
+      [ prim "id" ]
+  | Ast.Plus inner | Ast.Star inner -> (
+      match Option.bind (try_rel pt inner) (fun base -> bfs_path base a b) with
+      | Some path ->
+          List.concat_map
+            (fun (x, y) -> prims stages pt inner x y)
+            (consecutive path)
+      | None -> opaque ())
+  | Ast.Opt inner ->
+      if mem_of pt inner a b then prims stages pt inner a b else [ prim "id" ]
+  | Ast.App (f, arg) -> (
+      (* the body, in its definition's scope, with the parameter bound
+         to the argument's value for membership tests and defined by
+         the argument's expression, so that the body's decomposition
+         recurses into the argument *)
+      match Interp.inline pt.env pt.scope f arg with
+      | Some (body, scope, env) -> prims stages { scope; env } body a b
+      | None | (exception Interp.Type_error _) -> opaque ())
 
 (* ------------------------------------------------------------------ *)
 (* Building explanations for one execution                             *)
@@ -374,20 +283,11 @@ let resolver pt name =
   | Interp.Vplanes _ | Interp.Vfun -> None
   | exception Interp.Type_error _ -> None
 
-let step pt checked a b =
-  {
-    E.src = a;
-    dst = b;
-    label = branch_label ~visiting:Sset.empty pt checked a b;
-    prims =
-      decompose ~fuel:(ref max_work) ~visiting:[] ~depth:0 pt checked a b;
-  }
+let step stages pt checked a b =
+  let label, prims = decompose stages pt checked a b in
+  { E.src = a; dst = b; label; prims }
 
-let rec consecutive = function
-  | a :: (b :: _ as rest) -> (a, b) :: consecutive rest
-  | _ -> []
-
-let build (x : Exec.t) (kind, e, name, pt) =
+let build stages (x : Exec.t) (kind, e, name, pt) =
   let name = Option.value ~default:"(unnamed)" name in
   let finish steps =
     let t =
@@ -407,13 +307,14 @@ let build (x : Exec.t) (kind, e, name, pt) =
       match Rel.find_cycle r with
       | None -> None (* cannot happen for a failed acyclic check *)
       | Some cycle ->
-          finish (List.map (fun (a, b) -> step pt e a b) (consecutive cycle))
+          finish
+            (List.map (fun (a, b) -> step stages pt e a b) (consecutive cycle))
       )
   | Ast.Irreflexive -> (
       let r = Interp.as_rel (Interp.eval_expr pt.env pt.scope e) in
       match List.find_opt (fun (a, b) -> a = b) (Rel.to_list r) with
       | None -> None
-      | Some (a, _) -> finish [ step pt e a a ])
+      | Some (a, _) -> finish [ step stages pt e a a ])
   | Ast.Is_empty -> (
       match Interp.eval_expr pt.env pt.scope e with
       | Interp.Vset s ->
@@ -426,7 +327,7 @@ let build (x : Exec.t) (kind, e, name, pt) =
       | v ->
           let pairs = Rel.to_list (Interp.as_rel v) in
           List.filteri (fun i _ -> i < max_empty_pairs) pairs
-          |> List.map (fun (a, b) -> step pt e a b)
+          |> List.map (fun (a, b) -> step stages pt e a b)
           |> finish)
 
 (* ------------------------------------------------------------------ *)
@@ -438,7 +339,9 @@ let build (x : Exec.t) (kind, e, name, pt) =
    iff the candidate is consistent. *)
 let explainer ?budget (model : Ast.t) : Exec.t -> E.t list =
   let c = Interp.compile model in
-  fun x -> List.filter_map (build x) (snd (replay ?budget c model x))
+  fun x ->
+    let env, failed = replay ?budget c model x in
+    List.filter_map (build (Interp.stages env) x) failed
 
 (* A membership resolver over [model]'s full environment on [x] (every
    primitive and defined relation name), for re-validating explanations

@@ -7,9 +7,12 @@
     labelled with the branch of the checked relation it belongs to and
     decomposed — through unions, sequences, closures, inverses, named
     definitions and unary function application — down to primitive
-    rf/co/fr/po/dependency edges.  Recursive definitions ([rcu-path])
-    are guarded by a visiting set: a revisited name stays an opaque
-    primitive, which still re-validates by membership.
+    rf/co/fr/po/dependency edges.  The edge's label is the branch that
+    same descent takes through unions.  A recursive definition
+    ([rcu-path]) is entered at the Kleene stage just before the first
+    that holds the edge ({!Interp.stages}), so each recursive reference
+    in its body holds an edge of a lower stage: one descent, with no
+    search, reaches primitive edges.
 
     Every explanation is checked with {!Exec.Explain.validate} against
     the model's own evaluated relations before it is returned; a

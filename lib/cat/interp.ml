@@ -224,13 +224,15 @@ let n_witness = Array.length witness_rel
    classification of the statement that bound it: computable from the
    event structure alone, or witness-dependent.  A value's [def] is the
    expression it was computed from and the scope that expression was
-   compiled in (for a [let rec], the scope after the group), for
-   {!Explain}; predefined names have none. *)
+   compiled in (for a [let rec], the scope after the group), and
+   [group] the slots and bodies of the [let rec] that binds it ([] for
+   any other name), for {!Explain}; predefined names have no [def]. *)
 type binding =
   | Val of {
       slot : int;
       static : bool;
       def : (Ast.expr * scope Lazy.t) option;
+      group : (int * code) list;
     }
   | Fun of {
       params : string list;
@@ -244,7 +246,9 @@ and scope = binding Smap.t
 let predefined =
   List.fold_left
     (fun (s, i) x ->
-      let v = Val { slot = i; static = i >= n_witness; def = None } in
+      let v =
+        Val { slot = i; static = i >= n_witness; def = None; group = [] }
+      in
       (Smap.add x v s, i + 1))
     (Smap.empty, 0)
     (witness_names @ structural_names)
@@ -272,7 +276,10 @@ let note ctx static = if not static then ctx.dynamic <- true
 let param ~slot arg scope arg_fun =
   match arg_fun with
   | Some f -> f
-  | None -> Val { slot; static = true; def = Some (arg, Lazy.from_val scope) }
+  | None ->
+      Val
+        { slot; static = true; def = Some (arg, Lazy.from_val scope);
+          group = [] }
 
 (* [compile_expr ctx scope e] is [e]'s code, and the function [e] denotes
    when it denotes one (a function's name, or an application whose
@@ -340,7 +347,9 @@ let static_body scope params body =
   let scope =
     List.fold_left
       (fun s p ->
-        Smap.add p (Val { slot = fresh probe; static = true; def = None }) s)
+        Smap.add p
+          (Val { slot = fresh probe; static = true; def = None; group = [] })
+          s)
       scope params
   in
   ignore (compile_expr probe scope body);
@@ -380,7 +389,7 @@ let compile_let ctx scope bs =
               | Some (Fun f) -> Fun { f with static }
               | _ ->
                   let def = Some (body, Lazy.from_val scope) in
-                  Val { slot; static; def })
+                  Val { slot; static; def; group = [] })
         in
         Smap.add x bound s)
       scope bodies
@@ -396,7 +405,7 @@ let compile_rec ctx scope bs =
   let inner =
     List.fold_left2
       (fun s (x, _, _) slot ->
-        Smap.add x (Val { slot; static = true; def = None }) s)
+        Smap.add x (Val { slot; static = true; def = None; group = [] }) s)
       scope bs slots
   in
   let defs =
@@ -414,7 +423,9 @@ let compile_rec ctx scope bs =
     lazy
       (List.fold_left2
          (fun s (x, _, body) slot ->
-           Smap.add x (Val { slot; static; def = Some (body, after) }) s)
+           Smap.add x
+             (Val { slot; static; def = Some (body, after); group = defs })
+             s)
          scope bs slots)
   in
   (Let_rec defs, Lazy.force after)
@@ -476,24 +487,27 @@ let compile (model : Ast.t) =
 
 let c_fixpoint = Obs.Counter.make "cat.fixpoint_iters"
 
+(* [stage] sees the group's slots at each round before the next is
+   evaluated: the empty relations first, the fixpoint last. *)
+let kleene ?budget ?(stage = ignore) env defs =
+  List.iter (fun (slot, _) -> env.slots.(slot) <- Vrel Rel.empty) defs;
+  let rec go n =
+    if n > 1000 then raise (Type_error "rec definition did not converge");
+    Option.iter Exec.Budget.check_time budget;
+    Obs.Counter.incr c_fixpoint;
+    stage env;
+    let next = List.map (fun (_, c) -> eval env c) defs in
+    let converged =
+      List.for_all2 (fun (slot, _) v -> equal env env.slots.(slot) v) defs next
+    in
+    List.iter2 (fun (slot, _) v -> env.slots.(slot) <- v) defs next;
+    if not converged then go (n + 1)
+  in
+  go 0
+
 let define ?budget env = function
   | Let defs -> List.iter (fun (slot, c) -> env.slots.(slot) <- eval env c) defs
-  | Let_rec defs ->
-      List.iter (fun (slot, _) -> env.slots.(slot) <- Vrel Rel.empty) defs;
-      let rec go n =
-        if n > 1000 then raise (Type_error "rec definition did not converge");
-        Option.iter Exec.Budget.check_time budget;
-        Obs.Counter.incr c_fixpoint;
-        let next = List.map (fun (_, c) -> eval env c) defs in
-        let converged =
-          List.for_all2
-            (fun (slot, _) v -> equal env env.slots.(slot) v)
-            defs next
-        in
-        List.iter2 (fun (slot, _) v -> env.slots.(slot) <- v) defs next;
-        if not converged then go (n + 1)
-      in
-      go 0
+  | Let_rec defs -> kleene ?budget env defs
   | Check _ -> ()
 
 (* An environment with no slot filled yet.  Compilation orders every
@@ -620,6 +634,25 @@ let definition scope x =
   match Smap.find_opt x scope with
   | Some (Val { def = Some (body, s); _ }) -> Some (body, Lazy.force s)
   | _ -> None
+
+(* The stages of a group are copies of [env] that differ in the group's
+   slots only, iterated exactly as {!define} iterates; each group's are
+   computed on first demand and kept for the closure's life. *)
+let stages env =
+  let memo = ref [] in
+  fun scope x ->
+    match Smap.find_opt x scope with
+    | Some (Val { group = _ :: _ as defs; _ }) -> (
+        match List.assq_opt defs !memo with
+        | Some st -> Some st
+        | None ->
+            let copy e = { e with slots = Array.copy e.slots } in
+            let acc = ref [] in
+            kleene (copy env) defs ~stage:(fun e -> acc := copy e :: !acc);
+            let st = Array.of_list (List.rev !acc) in
+            memo := (defs, st) :: !memo;
+            Some st)
+    | _ -> None
 
 (* Code compiled outside [compile] numbers its parameter slots past the
    model's; the environment grows to hold them. *)

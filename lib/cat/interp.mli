@@ -126,6 +126,16 @@ val scope_at : compiled -> int -> scope
     functions and unbound names. *)
 val definition : scope -> string -> (Ast.expr * scope) option
 
+(** [stages env scope x] is [None] unless a [let rec] group binds [x]
+    in [scope]; then it is the group's Kleene stages on [env], from the
+    empty relations up to the fixpoint: each an environment that
+    differs from [env] in the group's slots only.  A pair of the group
+    that first appears at stage [k] is in its body evaluated on stage
+    [k - 1], where every recursive reference lands on a pair of a lower
+    stage.  Apply [stages env] once: it computes each group's stages on
+    first demand and keeps them. *)
+val stages : env -> scope -> string -> env array option
+
 (** [eval_expr env scope e] compiles [e] in [scope] and evaluates it on
     [env]; parameters of inlined applications get slots past [env]'s,
     on a copy. *)

@@ -50,8 +50,6 @@ let reason_to_string = function
   | Too_many_candidates m -> Printf.sprintf "more than %d candidate executions" m
   | Heap_exceeded mb -> Printf.sprintf "heap exceeded %dMB" mb
 
-let pp_reason ppf r = Fmt.string ppf (reason_to_string r)
-
 exception Exceeded of reason
 
 type t = {

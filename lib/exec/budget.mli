@@ -35,7 +35,6 @@ type reason =
   | Heap_exceeded of int  (** the heap limit, megabytes *)
 
 val reason_to_string : reason -> string
-val pp_reason : reason Fmt.t
 
 exception Exceeded of reason
 

@@ -78,9 +78,6 @@ let events_where t p =
   |> Seq.filter p
   |> Seq.fold_left (fun acc (e : Event.t) -> Iset.add e.id acc) Iset.empty
 
-(* Events carrying a given annotation. *)
-let with_annot t a = events_where t (fun e -> e.annot = a)
-
 (* ------------------------------------------------------------------ *)
 (* Construction                                                        *)
 (* ------------------------------------------------------------------ *)

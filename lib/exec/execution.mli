@@ -64,9 +64,6 @@ val n_events : t -> int
 (** [events_where t p] is the set of event ids satisfying [p]. *)
 val events_where : t -> (Event.t -> bool) -> Iset.t
 
-(** Events carrying the given annotation. *)
-val with_annot : t -> Event.annot -> Iset.t
-
 (** The candidate read values per location, grown by a fixpoint over
     observed written values (exposed for tests). *)
 val initial_domain : Litmus.Ast.t -> int list

@@ -34,8 +34,8 @@ let kind_to_string = function
 (* One primitive edge of a provenance decomposition.  [label] is a
    primitive relation name ("rf", "po", "addr", ...), a name tagged
    ["^-1"] for inverted edges, ["id"] for reflexive steps, or an
-   opaque rendered sub-expression when decomposition stopped early
-   (recursion guard, complement/cartesian leaves). *)
+   opaque rendered sub-expression where decomposition stops
+   (complement/cartesian leaves). *)
 type prim = { p_src : int; p_dst : int; p_label : string }
 
 (* One edge of the witness.  [label] is the branch of the checked

@@ -355,7 +355,7 @@ let entry_of_line line : Report.entry option =
 (* Writing                                                             *)
 (* ------------------------------------------------------------------ *)
 
-type writer = { oc : out_channel; path : string; fsync : bool }
+type writer = { oc : out_channel; fsync : bool }
 
 (* Append mode: resuming writes into the same journal, so the recycled
    lines stay and the file remains a complete record of the battery.
@@ -369,9 +369,7 @@ let open_writer ?(fsync = false) path =
   let oc =
     open_out_gen [ Open_append; Open_creat; Open_wronly ] 0o644 path
   in
-  { oc; path; fsync }
-
-let writer_path w = w.path
+  { oc; fsync }
 
 (* Raw line append (the verdict cache journals its own line shape
    through the same durability path). *)

@@ -60,8 +60,6 @@ type writer
     crashes, not just process kills, at a per-append cost. *)
 val open_writer : ?fsync:bool -> string -> writer
 
-val writer_path : writer -> string
-
 (** Append one entry and flush: after a hard kill the journal is
     complete up to the last finished item. *)
 val write : writer -> Report.entry -> unit

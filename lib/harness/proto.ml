@@ -58,15 +58,6 @@ type op =
 
 type request = { req_id : string; trace : string option; op : op }
 
-let op_name = function
-  | Check _ -> "check"
-  | Ping -> "ping"
-  | Stats -> "stats"
-  | Metrics -> "metrics"
-  | Shutdown -> "shutdown"
-  | Chaos_kill -> "chaos_kill"
-  | Chaos_wedge _ -> "chaos_wedge"
-
 (* [parse_request line] — [Error msg] on anything malformed; the caller
    answers with class [error].  The request id is recovered even from
    half-malformed lines when possible, so the error response correlates. *)

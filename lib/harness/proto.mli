@@ -42,8 +42,6 @@ type request = {
   op : op;
 }
 
-val op_name : op -> string
-
 (** [Error (msg, id)] on malformed input; [id] is recovered when the
     line parsed far enough to contain one, so the [error] response can
     still correlate. *)

@@ -91,12 +91,6 @@ type report = Report.t = {
 
 let is_crash = Report.is_crash
 
-let of_battery (entries : Battery.entry list) =
-  List.map
-    (fun (e : Battery.entry) ->
-      { id = e.Battery.name; source = `Text e.Battery.source; expected = Some e.Battery.lk })
-    entries
-
 let read_file path =
   let ic = open_in_bin path in
   Fun.protect

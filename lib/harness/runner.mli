@@ -83,9 +83,6 @@ type report = Report.t = {
 (** Whether an entry records a worker crash. *)
 val is_crash : entry -> bool
 
-(** Battery entries as runner items, expecting the battery's LK verdict. *)
-val of_battery : Battery.entry list -> item list
-
 (** Read a whole file (shared by the CLIs). *)
 val read_file : string -> string
 

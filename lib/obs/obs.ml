@@ -11,8 +11,10 @@
    2. *Bounded memory when enabled.*  Spans land in a fixed-capacity
       ring buffer: a pathological test that opens millions of spans
       overwrites its own oldest spans instead of exhausting the heap,
-      and the number dropped is reported.  Counters and histograms are
-      O(#distinct names).
+      and the number dropped is reported.  The ring bounds only the
+      timeline: per-name span totals (count, total, self time, max) are
+      kept as each span closes, so they stay exact.  Totals, counters
+      and histograms are O(#distinct names).
 
    3. *Fork-transparent.*  The pool, campaigns and the serve daemon
       check on {!Harness.Supervisor}'s forked workers; a worker resets
@@ -103,11 +105,15 @@ let dummy =
 
 let c = { ring = [||]; total = 0; next_id = 0 }
 
+(* An open span, with the time of its children closed so far: its self
+   time is its duration minus theirs. *)
+type frame = { span : span; mutable child_us : float }
+
 (* Open spans, innermost first — per domain, so concurrent domains each
    keep a well-nested stack and never adopt each other's parents.
    {!reset} clears the calling domain's stack only (a forked worker has
    exactly one). *)
-let stack_key : span list ref Domain.DLS.key =
+let stack_key : frame list ref Domain.DLS.key =
   Domain.DLS.new_key (fun () -> ref [])
 
 let stack () = Domain.DLS.get stack_key
@@ -122,6 +128,27 @@ let push_span s =
   c.total <- c.total + 1
 
 let dropped () = max 0 (c.total - Array.length c.ring)
+
+(* Per-name totals of the closed spans, updated as each closes and
+   independent of the ring. *)
+type totals = { count : int; total_us : float; self_us : float; max_us : float }
+
+let totals_tbl : (string, totals) Hashtbl.t = Hashtbl.create 32
+
+let add_totals_u name t =
+  Hashtbl.replace totals_tbl name
+    (match Hashtbl.find_opt totals_tbl name with
+    | None -> t
+    | Some u ->
+        {
+          count = u.count + t.count;
+          total_us = u.total_us +. t.total_us;
+          self_us = u.self_us +. t.self_us;
+          max_us = Float.max u.max_us t.max_us;
+        })
+
+let closed ~dur ~self =
+  { count = 1; total_us = dur; self_us = self; max_us = dur }
 
 (* Recorded spans, oldest first (closed or not). *)
 let spans () =
@@ -143,7 +170,7 @@ let flight_tick_u : (float -> unit) ref = ref (fun _ -> ())
 
 let enter ?(item = "") name =
   let stk = stack () in
-  let parent = match !stk with s :: _ -> s.id | [] -> -1 in
+  let parent = match !stk with f :: _ -> f.span.id | [] -> -1 in
   let s =
     locked (fun () ->
         let s =
@@ -154,20 +181,30 @@ let enter ?(item = "") name =
         !flight_tick_u s.start_us;
         s)
   in
-  stk := s :: !stk;
+  stk := { span = s; child_us = 0. } :: !stk;
   s
 
 let exit_span s =
-  s.dur_us <- now_us () -. s.start_us;
+  let dur = now_us () -. s.start_us in
+  s.dur_us <- dur;
   (* tolerate a mismatched exit (an exception path that skipped a pop):
-     pop down to and including [s] if it is on the stack at all *)
+     pop down to and including [s] if it is on the stack at all; what
+     is left on top is then [s]'s parent *)
   let rec pop = function
-    | x :: rest when x == s -> rest
+    | f :: rest when f.span == s -> Some (f, rest)
     | _ :: rest -> pop rest
-    | [] -> []
+    | [] -> None
   in
   let stk = stack () in
-  if List.exists (fun x -> x == s) !stk then stk := pop !stk
+  let self =
+    match pop !stk with
+    | None -> dur
+    | Some (f, rest) ->
+        stk := rest;
+        (match rest with p :: _ -> p.child_us <- p.child_us +. dur | [] -> ());
+        dur -. f.child_us
+  in
+  locked (fun () -> add_totals_u s.name (closed ~dur ~self))
 
 let with_span ?item name f =
   if not !on then f ()
@@ -185,10 +222,11 @@ let record ?(item = "") ?parent ?tid ~start_us ~dur_us name =
   if !on then begin
     let tid = match tid with Some t -> t | None -> (Domain.self () :> int) in
     let parent = Option.value ~default:(-1) parent in
+    let dur = Float.max 0. dur_us in
     locked (fun () ->
         push_span
-          { id = fresh_id (); parent; tid; name; item; start_us;
-            dur_us = Float.max 0. dur_us };
+          { id = fresh_id (); parent; tid; name; item; start_us; dur_us = dur };
+        add_totals_u name (closed ~dur ~self:dur);
         !flight_tick_u (now_us ()))
   end
 
@@ -379,6 +417,7 @@ let reset () =
       c.ring <- [||];
       c.total <- 0;
       c.next_id <- 0;
+      Hashtbl.reset totals_tbl;
       Hashtbl.iter
         (fun _ (ct : Counter.t) -> Atomic.set ct.Counter.v 0)
         Counter.registry;
@@ -397,9 +436,14 @@ let reset () =
 type dump = {
   d_spans : span list; (* oldest first; open spans closed at dump time *)
   d_dropped : int;
+  d_totals : (string * totals) list; (* of the spans closed before the dump *)
   d_counters : (string * int) list;
   d_hists : (string * hist_summary) list;
 }
+
+let totals_u () =
+  Hashtbl.fold (fun name t acc -> (name, t) :: acc) totals_tbl []
+  |> List.sort compare
 
 let spans_u () =
   let cap = Array.length c.ring in
@@ -415,17 +459,16 @@ let dump () =
       {
         d_spans = List.map close (spans_u ());
         d_dropped = dropped ();
+        d_totals = totals_u ();
         d_counters = counters_u ();
         d_hists = histograms_u ();
       })
 
-let empty_dump =
-  { d_spans = []; d_dropped = 0; d_counters = []; d_hists = [] }
-
 (* Fold a worker's dump into this collector.  Span ids are remapped to
    fresh local ids (parent links follow; a parent lost to the worker's
    own ring wrap becomes -1), and every span is tagged with [~tid] so
-   traces distinguish workers.  Counters and histograms add up. *)
+   traces distinguish workers.  Span totals, counters and histograms
+   add up. *)
 let merge ?(tid = 0) (d : dump) =
   (* inlined find-or-create: Counter.make/Histogram.make take the lock,
      which this whole fold already holds *)
@@ -463,6 +506,7 @@ let merge ?(tid = 0) (d : dump) =
           push_span { s with id; parent; tid })
         d.d_spans;
       c.total <- c.total + d.d_dropped (* dropped spans stay counted *);
+      List.iter (fun (name, t) -> add_totals_u name t) d.d_totals;
       List.iter
         (fun (name, v) ->
           let ct = counter name in
@@ -520,8 +564,9 @@ let hist_json (name, h) =
     (json_escape name) h.h_count h.h_sum h.h_min h.h_max buckets
 
 (* The JSONL export: a meta line, then one line per span (oldest first),
-   counter and histogram.  Every line is a complete JSON object with a
-   "type" discriminator, so consumers can stream and skip. *)
+   span name (its totals), counter and histogram.  Every line is a
+   complete JSON object with a "type" discriminator, so consumers can
+   stream and skip. *)
 let to_jsonl () =
   let d = dump () in
   let buf = Buffer.create 4096 in
@@ -535,6 +580,14 @@ let to_jsonl () =
       Buffer.add_string buf
         (Printf.sprintf "{\"type\": \"span\", %s}\n" (span_fields s)))
     d.d_spans;
+  List.iter
+    (fun (name, t) ->
+      Buffer.add_string buf
+        (Printf.sprintf
+           "{\"type\": \"span_total\", \"name\": \"%s\", \"count\": %d, \
+            \"total_us\": %.1f, \"self_us\": %.1f, \"max_us\": %.1f}\n"
+           (json_escape name) t.count t.total_us t.self_us t.max_us))
+    d.d_totals;
   List.iter
     (fun (name, v) ->
       Buffer.add_string buf
@@ -602,22 +655,7 @@ let write_file path content =
 let write_jsonl path = write_file path (to_jsonl ())
 let write_chrome path = write_file path (to_chrome ())
 
-(* Aggregate per-span-name totals, for embedding in runner reports. *)
-let span_totals () =
-  let tbl = Hashtbl.create 16 in
-  List.iter
-    (fun (s : span) ->
-      if s.dur_us >= 0. then begin
-        let n, t =
-          match Hashtbl.find_opt tbl s.name with
-          | Some (n, t) -> (n, t)
-          | None -> (0, 0.)
-        in
-        Hashtbl.replace tbl s.name (n + 1, t +. s.dur_us)
-      end)
-    (spans ());
-  Hashtbl.fold (fun name nt acc -> (name, nt) :: acc) tbl []
-  |> List.sort compare
+let span_totals () = locked totals_u
 
 (* The report-embedded metrics object: counters, per-phase span totals
    and histogram summaries as one JSON value (no trailing newline). *)
@@ -629,9 +667,10 @@ let summary_json () =
   in
   let spans_j =
     span_totals ()
-    |> List.map (fun (n, (count, total)) ->
-           Printf.sprintf "\"%s\": {\"count\": %d, \"total_us\": %.1f}"
-             (json_escape n) count total)
+    |> List.map (fun (n, t) ->
+           Printf.sprintf
+             "\"%s\": {\"count\": %d, \"total_us\": %.1f, \"self_us\": %.1f}"
+             (json_escape n) t.count t.total_us t.self_us)
     |> String.concat ", "
   in
   let hists =

@@ -4,9 +4,11 @@
     points throughout the tree guard on {!enabled}; when the collector
     is off a probe is a load and a branch — no allocation, no clock
     read.  When on, spans land in a fixed-capacity ring buffer (old
-    spans are overwritten, the drop count is reported) and counters and
-    histograms accumulate in name-keyed registries that survive
-    {!reset}, so [make] at module level is safe.
+    spans are overwritten, the drop count is reported); the ring bounds
+    only the timeline, as per-name span totals are kept as each span
+    closes.  Counters and histograms accumulate in name-keyed
+    registries that survive {!reset}, so [make] at module level is
+    safe.
 
     The fork boundary: {!Harness.Supervisor}'s workers call {!reset}
     before each job, record into their own copy of the collector, and
@@ -144,16 +146,16 @@ val reset : unit -> unit
     job. *)
 
 type dump
-(** Marshal-safe snapshot of the collector (spans, drop count,
-    counters, histograms); open spans are closed at dump time. *)
+(** Marshal-safe snapshot of the collector (spans, drop count, span
+    totals, counters, histograms); open spans are closed at dump time,
+    in the spans only. *)
 
 val dump : unit -> dump
-val empty_dump : dump
 
 val merge : ?tid:int -> dump -> unit
 (** Fold a dump into this collector: span ids are remapped to fresh
-    local ids (parents follow), spans are tagged with [tid], counters
-    and histogram cells add up. *)
+    local ids (parents follow), spans are tagged with [tid], span
+    totals, counters and histogram cells add up. *)
 
 (** {1 Export} *)
 
@@ -161,8 +163,9 @@ val json_escape : string -> string
 (** A JSON string literal's contents; the tree's one escaper. *)
 
 val to_jsonl : unit -> string
-(** One JSON object per line: a [meta] line, then [span], [counter] and
-    [hist] lines (a ["type"] field discriminates). *)
+(** One JSON object per line: a [meta] line, then [span], [span_total]
+    (one per span name), [counter] and [hist] lines (a ["type"] field
+    discriminates). *)
 
 val to_chrome : unit -> string
 (** Chrome trace-event JSON ([ph:"X"] complete events, counters as
@@ -174,8 +177,19 @@ val write_jsonl : string -> unit
 val write_chrome : string -> unit
 (** Atomic (temp + rename) write of {!to_chrome}. *)
 
-val span_totals : unit -> (string * (int * float)) list
-(** Per-span-name [(count, total_us)] aggregates, sorted by name. *)
+type totals = {
+  count : int;
+  total_us : float;
+  self_us : float;
+      (** the durations less those of the spans that closed nested
+          directly inside them in this process *)
+  max_us : float;
+}
+
+val span_totals : unit -> (string * totals) list
+(** Per-span-name totals of every span closed since the last {!reset},
+    merged workers' included, sorted by name; exact whatever the ring
+    dropped. *)
 
 val summary_json : unit -> string
 (** One JSON object — counters, per-phase span totals, histogram

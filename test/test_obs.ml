@@ -72,7 +72,47 @@ let test_ring_overflow () =
   done;
   Alcotest.(check int) "ring keeps capacity" 65536
     (List.length (Obs.spans ()));
-  Alcotest.(check int) "overflow counted" 100 (Obs.dropped ())
+  Alcotest.(check int) "overflow counted" 100 (Obs.dropped ());
+  (* the ring bounds the timeline only: totals count every span *)
+  Alcotest.(check int) "totals count every span" n
+    (List.assoc "tick" (Obs.span_totals ())).Obs.count
+
+(* A span's self time is its duration less its closed children's; an
+   explicitly timed span has no children. *)
+let test_self_time () =
+  with_collector @@ fun () ->
+  Obs.with_span "outer" (fun () ->
+      Obs.with_span "inner" (fun () -> Unix.sleepf 0.002);
+      Obs.with_span "inner" (fun () -> ());
+      Unix.sleepf 0.001);
+  Obs.record ~start_us:0. ~dur_us:50. "manual";
+  let totals = Obs.span_totals () in
+  let outer = List.assoc "outer" totals and inner = List.assoc "inner" totals in
+  Alcotest.(check int) "inner count" 2 inner.Obs.count;
+  Alcotest.(check (float 1e-6)) "outer self is total less children"
+    (outer.Obs.total_us -. inner.Obs.total_us)
+    outer.Obs.self_us;
+  Alcotest.(check bool) "outer self covers its own sleep" true
+    (outer.Obs.self_us >= 1000.);
+  Alcotest.(check (float 1e-6)) "a leaf's self is its total" inner.Obs.total_us
+    inner.Obs.self_us;
+  Alcotest.(check bool) "max is the longer inner" true
+    (inner.Obs.max_us >= 2000. && inner.Obs.max_us <= inner.Obs.total_us);
+  let manual = List.assoc "manual" totals in
+  Alcotest.(check (list (float 0.))) "recorded span: total, self, max"
+    [ 50.; 50.; 50. ]
+    [ manual.Obs.total_us; manual.Obs.self_us; manual.Obs.max_us ];
+  (* a dump carries the totals, reset clears them, merges add them up *)
+  let d = Obs.dump () in
+  Obs.reset ();
+  Alcotest.(check int) "reset clears totals" 0
+    (List.length (Obs.span_totals ()));
+  Obs.merge d;
+  Obs.merge d;
+  Alcotest.(check (list (float 0.))) "merged: count, total, self, max"
+    [ 4.; 2. *. inner.Obs.total_us; 2. *. inner.Obs.self_us; inner.Obs.max_us ]
+    (let m = List.assoc "inner" (Obs.span_totals ()) in
+     [ float_of_int m.Obs.count; m.Obs.total_us; m.Obs.self_us; m.Obs.max_us ])
 
 let test_merge () =
   with_collector @@ fun () ->
@@ -213,7 +253,7 @@ let test_jsonl_shape () =
   List.iter
     (fun j ->
       match sfield j "type" with
-      | Some ("meta" | "span" | "counter" | "hist") -> ()
+      | Some ("meta" | "span" | "span_total" | "counter" | "hist") -> ()
       | t ->
           Alcotest.failf "bad line type %s"
             (Option.value ~default:"<none>" t))
@@ -634,6 +674,7 @@ let () =
           Alcotest.test_case "exception safety" `Quick test_exception_safety;
           Alcotest.test_case "disabled is a no-op" `Quick test_disabled_noop;
           Alcotest.test_case "ring overflow" `Quick test_ring_overflow;
+          Alcotest.test_case "span self time" `Quick test_self_time;
           Alcotest.test_case "merge" `Quick test_merge;
         ] );
       ( "golden",

@@ -5,10 +5,12 @@
      obs_report --postmortem FLIGHT.jsonl  # last spans before death
      obs_report --postmortem-json FLIGHT.jsonl   # last checkpoint, raw
 
-   The profile mode aggregates the JSONL metrics stream (spans,
-   counters, histograms) into a per-phase table (time per span name), a
-   per-test table (time per item) and the counter/histogram totals —
-   the quick answer to "where did the run go" without opening Perfetto.
+   The profile mode aggregates the JSONL metrics stream (spans, span
+   totals, counters, histograms) into a per-phase table (time per span
+   name, from the span_total lines, which count every closed span even
+   when the ring dropped some), a per-test table (time per item, from
+   the spans the ring kept) and the counter/histogram totals — the
+   quick answer to "where did the run go" without opening Perfetto.
 
    The validate mode checks a Chrome trace-event file against a JSON
    Schema (the subset used by ci/trace.schema.json: type, properties,
@@ -38,22 +40,28 @@ let read_file path =
 (* Profile mode                                                        *)
 (* ------------------------------------------------------------------ *)
 
-type phase = { mutable count : int; mutable total : float; mutable max : float }
+type phase = {
+  mutable count : int;
+  mutable total : float;
+  mutable self : float;
+  mutable max : float;
+}
 
 let profile path =
   let phases : (string, phase) Hashtbl.t = Hashtbl.create 16 in
   let items : (string, phase) Hashtbl.t = Hashtbl.create 64 in
   let counters = ref [] and hists = ref [] in
   let dropped = ref 0 and n_spans = ref 0 in
+  let phase tbl key =
+    match Hashtbl.find_opt tbl key with
+    | Some p -> p
+    | None ->
+        let p = { count = 0; total = 0.; self = 0.; max = 0. } in
+        Hashtbl.replace tbl key p;
+        p
+  in
   let bump tbl key dur =
-    let p =
-      match Hashtbl.find_opt tbl key with
-      | Some p -> p
-      | None ->
-          let p = { count = 0; total = 0.; max = 0. } in
-          Hashtbl.replace tbl key p;
-          p
-    in
+    let p = phase tbl key in
     p.count <- p.count + 1;
     p.total <- p.total +. dur;
     if dur > p.max then p.max <- dur
@@ -71,19 +79,27 @@ let profile path =
             | exception J.Malformed _ -> ()
             | j -> (
                 match sfield j "type" with
-                | Some "span" ->
-                    incr n_spans;
+                | Some "span" -> (
+                    (* per-test time = the top-level span of each item *)
                     let dur =
                       Option.value ~default:0. (nfield j "dur_us")
                     in
-                    Option.iter
-                      (fun name -> bump phases name dur)
-                      (sfield j "name");
-                    (* per-test time = the top-level span of each item *)
-                    (match (nfield j "parent", sfield j "item") with
+                    match (nfield j "parent", sfield j "item") with
                     | Some p, Some item when p < 0. && item <> "" ->
                         bump items item dur
                     | _ -> ())
+                | Some "span_total" -> (
+                    let num k = Option.value ~default:0. (nfield j k) in
+                    match sfield j "name" with
+                    | Some name ->
+                        let p = phase phases name in
+                        let count = int_of_float (num "count") in
+                        n_spans := !n_spans + count;
+                        p.count <- p.count + count;
+                        p.total <- p.total +. num "total_us";
+                        p.self <- p.self +. num "self_us";
+                        p.max <- Float.max p.max (num "max_us")
+                    | None -> ())
                 | Some "counter" -> (
                     match (sfield j "name", nfield j "value") with
                     | Some n, Some v -> counters := (n, int_of_float v) :: !counters
@@ -112,20 +128,22 @@ let profile path =
     Hashtbl.fold (fun k p acc -> (k, p) :: acc) tbl []
     |> List.sort (fun (_, a) (_, b) -> compare b.total a.total)
   in
-  Printf.printf "Per-phase (all spans, %d total%s):\n" !n_spans
-    (if !dropped > 0 then Printf.sprintf ", %d dropped" !dropped else "");
-  Printf.printf "  %-14s %8s %12s %12s %12s\n" "phase" "count" "total_ms"
-    "mean_us" "max_us";
+  Printf.printf "Per-phase (all spans, %d total):\n" !n_spans;
+  Printf.printf "  %-14s %8s %12s %12s %12s %12s\n" "phase" "count" "total_ms"
+    "self_ms" "mean_us" "max_us";
   List.iter
     (fun (name, p) ->
-      Printf.printf "  %-14s %8d %12.3f %12.1f %12.1f\n" name p.count
-        (p.total /. 1000.)
+      Printf.printf "  %-14s %8d %12.3f %12.3f %12.1f %12.1f\n" name p.count
+        (p.total /. 1000.) (p.self /. 1000.)
         (p.total /. float_of_int (max 1 p.count))
         p.max)
     (rows phases);
   if Hashtbl.length items > 0 then begin
-    Printf.printf "\nPer-test (top-level spans; top 20 of %d):\n"
-      (Hashtbl.length items);
+    Printf.printf "\nPer-test (top-level spans; top 20 of %d%s):\n"
+      (Hashtbl.length items)
+      (if !dropped > 0 then
+         Printf.sprintf ", %d spans dropped from the ring" !dropped
+       else "");
     Printf.printf "  %-45s %8s %12s %7s\n" "test" "spans" "total_ms" "share";
     List.iteri
       (fun i (name, p) ->
