@@ -4,7 +4,7 @@
 
    Every generated test is validated: its condition must identify at least
    one candidate execution (otherwise the cycle was degenerate and the
-   test is dropped). *)
+   test is dropped), decided per event structure by {!realisable}. *)
 
 open Litmus.Ast
 
@@ -244,7 +244,45 @@ let co_atoms all_events =
       | _ -> None)
     locs
 
-let test_of_cycle cycle =
+(* Does some candidate execution of [test] satisfy its condition body?
+   Decided per event structure, with no candidate built.  The condition
+   reads the structure's registers and each location's co-maximal write,
+   and {!Exec.of_test} yields every coherence order of every structure
+   whose reads all have a same-value writer.  So in such a structure any
+   non-init write of a location can be final, independently per
+   location, and a location with no such write keeps its initial value:
+   the condition is satisfiable iff some choice of those final values
+   makes it hold. *)
+let realisable (test : Litmus.Ast.t) =
+  let locs =
+    List.filter_map
+      (function `Mem x -> Some x | `Reg _ -> None)
+      (Exec.observables test)
+  in
+  Seq.exists
+    (fun (sk : Exec.skeleton) ->
+      let finals x =
+        match List.find_opt (fun (y, _, _) -> y = x) (Exec.co_writes sk) with
+        | Some (_, _, (_ :: _ as ws)) ->
+            List.sort_uniq Int.compare
+              (List.map (fun w -> sk.Exec.sk_events.(w).Exec.Event.v) ws)
+        | _ -> [ Litmus.Ast.init_value test x ]
+      in
+      let rec choose mem = function
+        | [] ->
+            Exec.holds test (function
+              | `Reg (tid, r) -> Exec.final_reg sk.Exec.sk_final_regs tid r
+              | `Mem x -> List.assoc x mem)
+        | (x, vs) :: rest ->
+            List.exists (fun v -> choose ((x, v) :: mem) rest) vs
+      in
+      (not (List.mem [] sk.Exec.sk_rf_choices))
+      && choose [] (List.map (fun x -> (x, finals x)) locs))
+    (Exec.skeletons test)
+
+(* The test [cycle] realises, before validation: [None] when the walk
+   or the value assignment fails. *)
+let draft cycle =
   match events_of_cycle cycle with
   | None -> None
   | Some (rotated, evs, n_threads) -> (
@@ -261,17 +299,18 @@ let test_of_cycle cycle =
               (fun acc a -> And (acc, Atom a))
               Ctrue atoms
           in
-          let test =
+          Some
             {
               name = Cycle.name rotated;
               init = [];
               threads = Array.of_list threads;
               quant = Q_exists;
               cond;
-            }
-          in
-          (* validation: the pinned outcome must exist among the candidate
-             executions, else the realisation was degenerate *)
-          let candidates = Exec.of_test test in
-          if List.exists Exec.satisfies_cond candidates then Some test
-          else None)
+            })
+
+(* validation: the pinned outcome must exist among the candidate
+   executions, else the realisation was degenerate *)
+let test_of_cycle cycle =
+  match draft cycle with
+  | Some test when realisable test -> Some test
+  | _ -> None

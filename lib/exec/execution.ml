@@ -700,35 +700,50 @@ let final_mem t x =
   | [] -> Litmus.Ast.init_value t.test x
   | w :: _ -> w.v (* co is total per location, so this is unreachable *)
 
-let reg_value t tid r =
-  List.find_map
-    (fun (tid', r', v) -> if tid = tid' && r = r' then Some v else None)
-    t.final_regs
+(* A register's final value in a (tid, register, value) list; 0 when the
+   thread never assigns it. *)
+let final_reg regs tid r =
+  Option.value ~default:0
+    (List.find_map
+       (fun (tid', r', v) -> if tid = tid' && r = r' then Some v else None)
+       regs)
 
-let eval_atom t = function
-  | Litmus.Ast.Reg_eq (tid, r, cv) ->
-      let expected = Litmus.Ast.cvalue_to_int t.test cv in
-      (match reg_value t tid r with Some v -> v = expected | None -> 0 = expected)
-  | Litmus.Ast.Mem_eq (x, cv) ->
-      final_mem t x = Litmus.Ast.cvalue_to_int t.test cv
+type observable = [ `Mem of string | `Reg of int * string ]
 
-let rec eval_cond t = function
-  | Litmus.Ast.Atom a -> eval_atom t a
-  | Litmus.Ast.Not c -> not (eval_cond t c)
-  | Litmus.Ast.And (a, b) -> eval_cond t a && eval_cond t b
-  | Litmus.Ast.Or (a, b) -> eval_cond t a || eval_cond t b
-  | Litmus.Ast.Ctrue -> true
+(* The one two-valued condition evaluator: does [test]'s condition body
+   hold when each observable has the final value [value] gives it?
+   Candidates, simulator runs and diygen's realisability check all
+   decide the condition here. *)
+let holds (test : Litmus.Ast.t) (value : observable -> int) =
+  let atom = function
+    | Litmus.Ast.Reg_eq (tid, r, cv) ->
+        value (`Reg (tid, r)) = Litmus.Ast.cvalue_to_int test cv
+    | Litmus.Ast.Mem_eq (x, cv) ->
+        value (`Mem x) = Litmus.Ast.cvalue_to_int test cv
+  in
+  let rec go = function
+    | Litmus.Ast.Atom a -> atom a
+    | Litmus.Ast.Not c -> not (go c)
+    | Litmus.Ast.And (a, b) -> go a && go b
+    | Litmus.Ast.Or (a, b) -> go a || go b
+    | Litmus.Ast.Ctrue -> true
+  in
+  go test.cond
+
+let value t = function
+  | `Reg (tid, r) -> final_reg t.final_regs tid r
+  | `Mem x -> final_mem t x
 
 (* Does the final state of this execution satisfy the test's condition
    body?  (The quantifier is interpreted by the checker, not here.) *)
-let satisfies_cond t = eval_cond t t.test.cond
+let satisfies_cond t = holds t.test (value t)
 
 (* The observable outcome of an execution: values of every register and
    location mentioned in the final condition, as a canonical assoc list.
    Two executions with equal outcomes are indistinguishable to the test. *)
 type outcome = (string * int) list
 
-let observables (test : Litmus.Ast.t) =
+let observables (test : Litmus.Ast.t) : observable list =
   let acc = ref [] in
   let add x = if not (List.mem x !acc) then acc := x :: !acc in
   let atom = function
@@ -746,14 +761,12 @@ let observables (test : Litmus.Ast.t) =
   go test.cond;
   List.rev !acc
 
+let observable_name = function
+  | `Reg (tid, r) -> Printf.sprintf "%d:%s" tid r
+  | `Mem x -> x
+
 let outcome t : outcome =
-  List.map
-    (function
-      | `Reg (tid, r) ->
-          ( Printf.sprintf "%d:%s" tid r,
-            Option.value ~default:0 (reg_value t tid r) )
-      | `Mem x -> (x, final_mem t x))
-    (observables t.test)
+  List.map (fun o -> (observable_name o, value t o)) (observables t.test)
 
 let pp_outcome ppf (o : outcome) =
   Fmt.(list ~sep:(any "; ") (pair ~sep:(any "=") string int)) ppf o

@@ -161,7 +161,20 @@ val coherent_mask : mask:int -> t array -> int
     co-maximal write (or the initial value). *)
 val final_mem : t -> string -> int
 
-val reg_value : t -> int -> string -> int option
+(** [final_reg regs tid r] is register [r]'s final value in thread
+    [tid], from a (tid, register, value) list: 0 when unassigned. *)
+val final_reg : (int * string * int) list -> int -> string -> int
+
+(** What a condition reads: a thread's register or a memory location. *)
+type observable = [ `Mem of string | `Reg of int * string ]
+
+(** [holds test value] is the two-valued condition evaluator every
+    engine shares: does [test]'s condition body hold when each
+    observable has the final value [value] gives it?  {!satisfies_cond},
+    the simulator's runs and diygen's realisability check decide the
+    condition here.  (The quantifier is interpreted by {!Check}; the SAT
+    engine's three-valued gate is [Solve]'s own.) *)
+val holds : Litmus.Ast.t -> (observable -> int) -> bool
 
 (** Does the final state satisfy the test's condition body?  (The
     quantifier is interpreted by {!Check}, not here.) *)
@@ -172,8 +185,12 @@ val satisfies_cond : t -> bool
     executions with equal outcomes are indistinguishable to the test. *)
 type outcome = (string * int) list
 
-val observables :
-  Litmus.Ast.t -> [ `Mem of string | `Reg of int * string ] list
+(** The observables of a test's condition, each once, in first-mention
+    order. *)
+val observables : Litmus.Ast.t -> observable list
+
+(** An observable's key in an {!outcome}: ["1:r2"] or ["x"]. *)
+val observable_name : observable -> string
 
 val outcome : t -> outcome
 val pp_outcome : outcome Fmt.t

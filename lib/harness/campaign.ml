@@ -157,7 +157,12 @@ let build_checks config =
 (* One journal line per seed:
      {"seed": 7, "test": null}                      -- walk didn't realise
      {"seed": 8, "test": "...", "time_s": ..,
-      "v": {"lk": "Allow", "cat": "Allow", "c11": "-", "hw:Power8": "obs"}} *)
+      "v": {"lk": "Allow", "cat": "Allow", "c11": "-", "hw:Power8": "obs"}}
+   A hw column is decided by its first observing run: "obs" when one of
+   the [hw_runs] seeded runs satisfies the condition, and the runs after
+   it are never made; "unobs" when none does; "err" when the simulator
+   raises before any run observes it.  An error a later run would raise
+   is not reached, so such a test reads "obs". *)
 let classify ~checks ~backend ~c11 ~archs ~hw_runs ~limits ~size seed =
   match Diygen.test_of_seed ~vocabulary ~size seed with
   | None -> Printf.sprintf "{\"seed\": %d, \"test\": null}" seed
@@ -174,10 +179,12 @@ let classify ~checks ~backend ~c11 ~archs ~hw_runs ~limits ~size seed =
         @ List.map
             (fun (arch : Hwsim.Arch.t) ->
               ( "hw:" ^ arch.Hwsim.Arch.name,
-                (* seeded by the campaign seed: the histogram is a pure
-                   function of (arch, hw_runs, seed, test) *)
-                match Hwsim.run_test arch ~runs:hw_runs ~seed t with
-                | s -> if s.Hwsim.matched > 0 then "obs" else "unobs"
+                (* seeded by the campaign seed, so a pure function of
+                   (arch, hw_runs, seed, test); the runs stop at the
+                   first that observes the condition *)
+                match Hwsim.observes arch ~runs:hw_runs ~seed t with
+                | true -> "obs"
+                | false -> "unobs"
                 | exception _ -> "err" ))
             archs
       in

@@ -17,31 +17,35 @@ type stats = {
   outcomes : (Exec.outcome * int) list; (* histogram *)
 }
 
-let name = function `Reg (tid, reg) -> Printf.sprintf "%d:%s" tid reg | `Mem x -> x
-
-(* Whether [test]'s condition holds of the observables' values. *)
-let holds (test : Litmus.Ast.t) value =
-  let atom = function
-    | Litmus.Ast.Reg_eq (tid, reg, cv) ->
-        value (`Reg (tid, reg)) = Litmus.Ast.cvalue_to_int test cv
-    | Litmus.Ast.Mem_eq (x, cv) -> value (`Mem x) = Litmus.Ast.cvalue_to_int test cv
-  in
-  let rec go = function
-    | Litmus.Ast.Atom a -> atom a
-    | Litmus.Ast.Not c -> not (go c)
-    | Litmus.Ast.And (a, b) -> go a && go b
-    | Litmus.Ast.Or (a, b) -> go a || go b
-    | Litmus.Ast.Ctrue -> true
-  in
-  go test.cond
-
 let eval_cond (test : Litmus.Ast.t) (r : Machine.run_result) =
-  holds test (function
-    | `Reg (tid, reg) ->
-        List.fold_left
-          (fun acc (tid', reg', v) -> if tid = tid' && reg = reg' then v else acc)
-          0 r.Machine.regs
+  Exec.holds test (function
+    | `Reg (tid, reg) -> Exec.final_reg r.Machine.regs tid reg
     | `Mem x -> Option.value ~default:0 (List.assoc_opt x r.Machine.mem))
+
+(* The seeded runs of [test] that {!run_test} and {!observes} share:
+   [runs] runs of one compiled program, drawing from one RNG seeded by
+   [seed], each completed run's observables (in {!Exec.observables}
+   order) handed to [f].  Aborted runs (step cap) are skipped.  The loop
+   ends early at the first run for which [f] returns true, and says
+   whether it did. *)
+let runs_until (arch : Arch.t) ~runs ~seed (test : Litmus.Ast.t) f =
+  Obs.with_span ~item:test.name "hwsim.run" (fun () ->
+      let prog = Machine.compile (Kir.of_litmus test) in
+      let observe = Machine.observe prog (Exec.observables test) in
+      let rng = Random.State.make [| seed |] in
+      let rec go i =
+        i < runs
+        && ((match Machine.run ~rng arch prog with
+            | None -> false
+            | Some st -> f (observe st))
+           || go (i + 1))
+      in
+      go 0)
+
+(* [test]'s condition over a run's observables. *)
+let satisfied (test : Litmus.Ast.t) =
+  let index = List.mapi (fun i o -> (o, i)) (Exec.observables test) in
+  fun k -> Exec.holds test (fun o -> k.(List.assoc o index))
 
 (* [run_test arch ~runs ~seed test] executes [test] [runs] times on the
    simulated architecture and reports how often the condition matched —
@@ -50,31 +54,30 @@ let eval_cond (test : Litmus.Ast.t) (r : Machine.run_result) =
    verdicts) and is checked against the condition once. *)
 let run_test (arch : Arch.t) ?(runs = 10_000) ?(seed = 42)
     (test : Litmus.Ast.t) =
-  Obs.with_span ~item:test.name "hwsim.run" (fun () ->
-      let prog = Machine.compile (Kir.of_litmus test) in
-      let obs = Exec.observables test in
-      let observe = Machine.observe prog obs in
-      let rng = Random.State.make [| seed |] in
-      let hist = Hashtbl.create 16 in
-      for _ = 1 to runs do
-        match Machine.run ~rng arch prog with
-        | None -> () (* aborted run (step cap); not counted *)
-        | Some st ->
-            let k = observe st in
-            Hashtbl.replace hist k (1 + Option.value ~default:0 (Hashtbl.find_opt hist k))
-      done;
-      let outcomes =
-        Hashtbl.fold
-          (fun k n acc -> (List.combine (List.map name obs) (Array.to_list k), n) :: acc)
-          hist []
-      in
-      let count p = List.fold_left (fun acc (o, n) -> if p o then acc + n else acc) 0 outcomes in
-      {
-        arch = arch.Arch.name;
-        total = count (Fun.const true);
-        matched = count (fun o -> holds test (fun x -> List.assoc (name x) o));
-        outcomes = List.sort compare outcomes;
-      })
+  let hist = Hashtbl.create 16 in
+  ignore
+    (runs_until arch ~runs ~seed test (fun k ->
+         Hashtbl.replace hist k (1 + Option.value ~default:0 (Hashtbl.find_opt hist k));
+         false));
+  let names = List.map Exec.observable_name (Exec.observables test) in
+  let count p = Hashtbl.fold (fun k n acc -> if p k then acc + n else acc) hist 0 in
+  {
+    arch = arch.Arch.name;
+    total = count (Fun.const true);
+    matched = count (satisfied test);
+    outcomes =
+      List.sort compare
+        (Hashtbl.fold (fun k n acc -> (List.combine names (Array.to_list k), n) :: acc) hist []);
+  }
+
+(* [observes arch ~runs ~seed test]: does some run of [run_test arch
+   ~runs ~seed test] satisfy the condition?  The same seeded runs in the
+   same draw order, stopping at the first completed run whose observables
+   satisfy it; so it is [(run_test arch ~runs ~seed test).matched > 0]
+   whenever no run raises.  A run after the first observing one is never
+   made, so neither is any error it would raise. *)
+let observes (arch : Arch.t) ~runs ~seed (test : Litmus.Ast.t) =
+  runs_until arch ~runs ~seed test (satisfied test)
 
 (* [run_program arch ~runs ~seed prog] histograms the raw final states of an
    arbitrary IR program (used for the Figure 15 / Theorem 2 study). *)

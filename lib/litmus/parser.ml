@@ -363,7 +363,7 @@ and parse_block_or_stmt c regs =
 (* ------------------------------------------------------------------ *)
 
 let parse_thread c =
-  (* P<k> ( ...ignored params... ) { stmts } *)
+  (* P<k> ( params ) { stmts } *)
   let name = ident c in
   let tid =
     if String.length name >= 2 && name.[0] = 'P' then
@@ -373,21 +373,39 @@ let parse_thread c =
     else fail c "thread header must be P<k>"
   in
   expect c Lexer.LPAR;
-  let rec skip_params depth =
+  (* A parameter is a declaration such as [int *x], named by its last
+     identifier.  Types are not checked, but a location listed twice is
+     an error, as a duplicate parameter is to a C compiler. *)
+  let add seen = function
+    | Some x when List.mem x seen ->
+        fail c (Printf.sprintf "P%d lists location %s twice" tid x)
+    | Some x -> x :: seen
+    | None -> seen
+  in
+  let rec params depth name seen =
     match peek c with
-    | Lexer.RPAR when depth = 0 -> junk c
+    | Lexer.RPAR when depth = 0 ->
+        ignore (add seen name);
+        junk c
+    | Lexer.COMMA when depth = 0 ->
+        let seen = add seen name in
+        junk c;
+        params depth None seen
     | Lexer.RPAR ->
         junk c;
-        skip_params (depth - 1)
+        params (depth - 1) name seen
     | Lexer.LPAR ->
         junk c;
-        skip_params (depth + 1)
+        params (depth + 1) name seen
+    | Lexer.ID x ->
+        junk c;
+        params depth (Some x) seen
     | Lexer.EOF -> fail c "unterminated parameter list"
     | _ ->
         junk c;
-        skip_params depth
+        params depth name seen
   in
-  skip_params 0;
+  params 0 None [];
   expect c Lexer.LBRACE;
   let rec go acc regs =
     match peek c with

@@ -157,6 +157,128 @@ let test_generate_sizes () =
   Alcotest.(check bool) "size 4 has the classics" true (List.length n4 >= 10)
 
 (* ------------------------------------------------------------------ *)
+(* Realisability per event structure                                   *)
+(* ------------------------------------------------------------------ *)
+
+(* The reference for [Realize.realisable]: the validation diygen ran
+   before it, which builds every candidate execution. *)
+let candidate_exists t = List.exists Exec.satisfies_cond (Exec.of_test t)
+
+(* [t] once per atom of its condition, with that atom's value replaced
+   by the least value no thread's write stores in any of [t]'s
+   structures.  That value is usually the initial one: a memory atom
+   then asks for a written location to end with its initial value,
+   which no coherence order gives, and a register atom for a read of
+   the initial value.  So false cases occur. *)
+let unwritten_variants (t : Litmus.Ast.t) =
+  let written =
+    Seq.fold_left
+      (fun acc (sk : Exec.skeleton) ->
+        Array.fold_left
+          (fun acc (e : Exec.Event.t) ->
+            if Exec.Event.is_write e && not (Exec.Event.is_init e) then
+              e.Exec.Event.v :: acc
+            else acc)
+          acc sk.Exec.sk_events)
+      [] (Exec.skeletons t)
+  in
+  let rec least v = if List.mem v written then least (v + 1) else v in
+  let unwritten = Litmus.Ast.VInt (least 0) in
+  (* the condition with its [i]th atom replaced, and its atom count *)
+  let rec go i (c : Litmus.Ast.cond) : Litmus.Ast.cond * int =
+    match c with
+    | Atom (Reg_eq (tid, r, _)) when i = 0 -> (Atom (Reg_eq (tid, r, unwritten)), 1)
+    | Atom (Mem_eq (x, _)) when i = 0 -> (Atom (Mem_eq (x, unwritten)), 1)
+    | Atom _ -> (c, 1)
+    | Ctrue -> (c, 0)
+    | Not c ->
+        let c, n = go i c in
+        (Not c, n)
+    | And (a, b) ->
+        let a, n = go i a in
+        let b, m = go (i - n) b in
+        (And (a, b), n + m)
+    | Or (a, b) ->
+        let a, n = go i a in
+        let b, m = go (i - n) b in
+        (Or (a, b), n + m)
+  in
+  List.init (snd (go (-1) t.cond)) (fun i -> { t with cond = fst (go i t.cond) })
+
+(* The conditions checked per test: its own, each unwritten variant's,
+   the disjunction of those variants, and the negation of each, as a
+   forall body. *)
+let condition_variants (t : Litmus.Ast.t) =
+  let unwritten = unwritten_variants t in
+  let disjunction =
+    match unwritten with
+    | [] -> []
+    | u :: us ->
+        [ { t with cond = List.fold_left (fun c (u : Litmus.Ast.t) -> Litmus.Ast.Or (c, u.cond)) u.cond us } ]
+  in
+  List.concat_map
+    (fun (v : Litmus.Ast.t) ->
+      [ v; { v with quant = Q_forall; cond = Not v.cond } ])
+    ((t :: unwritten) @ disjunction)
+
+(* Every test under each of its condition variants: the per-structure
+   check must equal candidate existence.  Returns how many checks were
+   false. *)
+let check_realisable label tests =
+  List.fold_left
+    (fun n_false (t : Litmus.Ast.t) ->
+      List.fold_left
+        (fun n_false (t : Litmus.Ast.t) ->
+          let expected = candidate_exists t in
+          Alcotest.(check bool)
+            (Printf.sprintf "%s %s: %s" label t.name
+               (Fmt.str "%a" Litmus.Pp.pp_cond t.cond))
+            expected
+            (Diygen.Realize.realisable t);
+          if expected then n_false else n_false + 1)
+        n_false (condition_variants t))
+    0 tests
+
+(* Every cycle that reaches validation, at sizes 3-7 over the full
+   vocabulary, from a fixed seed range. *)
+let test_realisable_cycles () =
+  let drafts =
+    List.concat_map
+      (fun size ->
+        List.filter_map
+          (fun seed ->
+            let rng = Random.State.make [| size; seed |] in
+            match Diygen.random_cycle ~vocabulary:E.vocabulary ~rng size with
+            | Some c when C.sane c -> Diygen.Realize.draft (C.canonical c)
+            | _ -> None)
+          (List.init 3000 Fun.id))
+      [ 3; 4; 5; 6; 7 ]
+  in
+  Alcotest.(check bool) "many drafts" true (List.length drafts > 300);
+  let n_false = check_realisable "cycle" drafts in
+  Alcotest.(check bool) "some are not realisable" true (n_false > 0)
+
+(* Every corpus and battery test. *)
+let test_realisable_corpus () =
+  let corpus =
+    match
+      List.find_opt Sys.file_exists [ "../../../corpus"; "corpus" ]
+    with
+    | None -> Alcotest.fail "corpus directory not found"
+    | Some dir ->
+        Sys.readdir dir |> Array.to_list |> List.sort compare
+        |> List.filter (fun f -> Filename.check_suffix f ".litmus")
+        |> List.map (fun f ->
+               Litmus.parse
+                 (Harness.Runner.read_file (Filename.concat dir f)))
+  in
+  Alcotest.(check bool) "corpus is substantial" true
+    (List.length corpus > 200);
+  let battery = List.map Harness.Battery.test_of Harness.Battery.all in
+  let n_false = check_realisable "test" (corpus @ battery) in
+  Alcotest.(check bool) "some are not realisable" true (n_false > 0)
+
+(* ------------------------------------------------------------------ *)
 (* Deterministic seed-range generation (campaign shards)               *)
 (* ------------------------------------------------------------------ *)
 
@@ -239,5 +361,11 @@ let () =
             test_seed_range_deterministic;
           Alcotest.test_case "canonical per seed" `Quick
             test_seed_denotes_canonical_test;
+        ] );
+      ( "realisability = candidate existence",
+        [
+          Alcotest.test_case "cycles" `Slow test_realisable_cycles;
+          Alcotest.test_case "corpus and battery" `Slow
+            test_realisable_corpus;
         ] );
     ]

@@ -38,7 +38,8 @@ let rcu_cycle word =
     and b = Printf.sprintf "a%d" ((i + 1) mod n) in
     let read = Printf.sprintf "int r0 = READ_ONCE(*%s);" a
     and write = Printf.sprintf "WRITE_ONCE(*%s, 1);" b in
-    Printf.sprintf "P%d(int *%s, int *%s) { %s }" i a b
+    Printf.sprintf "P%d(%s) { %s }" i
+      (if a = b then "int *" ^ a else Printf.sprintf "int *%s, int *%s" a b)
       (if word.[i] = 'g' then
          Printf.sprintf "%s synchronize_rcu(); %s" read write
        else

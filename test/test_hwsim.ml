@@ -521,6 +521,42 @@ let test_probe_counters () =
     ];
   Obs.reset ()
 
+(* Every run of this test deadlocks on a lock no thread releases, so
+   each hits the step cap and is aborted: no run observes anything. *)
+let deadlock =
+  Litmus.parse
+    "C deadlock\n{ }\n\
+     P0(int *s, int *x) { spin_lock(s); WRITE_ONCE(*x, 1); }\n\
+     P1(int *s, int *x) { spin_lock(s); WRITE_ONCE(*x, 1); }\n\
+     exists (x=1)"
+
+(* [observes] is [run_test]'s [matched > 0] on the inputs of "pinned":
+   every battery test under all six profiles, and the diygen tests on
+   Power8.  The deadlock, whose every run is aborted, must not count as
+   observed. *)
+let test_observes_equals_run_test () =
+  let agree label arch ~runs ~seed t =
+    Alcotest.(check bool)
+      (Printf.sprintf "%s on %s" label arch.Hwsim.Arch.name)
+      ((Hwsim.run_test arch ~runs ~seed t).Hwsim.matched > 0)
+      (Hwsim.observes arch ~runs ~seed t)
+  in
+  List.iter
+    (fun (e : Harness.Battery.entry) ->
+      List.iter
+        (fun arch ->
+          agree e.Harness.Battery.name arch ~runs:200 ~seed:5
+            (Harness.Battery.test_of e))
+        Hwsim.Arch.all)
+    Harness.Battery.all;
+  List.iter
+    (fun (seed, t) ->
+      agree t.Litmus.Ast.name Hwsim.Arch.power8 ~runs:100 ~seed t)
+    (diy_sample ());
+  Alcotest.(check int) "the deadlock completes no run" 0
+    (Hwsim.run_test Hwsim.Arch.power8 ~runs:3 ~seed:1 deadlock).Hwsim.total;
+  agree "deadlock" Hwsim.Arch.power8 ~runs:3 ~seed:1 deadlock
+
 let () =
   Alcotest.run "hwsim"
     [
@@ -576,5 +612,10 @@ let () =
         [
           Alcotest.test_case "seeded results" `Slow test_pinned_results;
           Alcotest.test_case "probe counters" `Slow test_probe_counters;
+        ] );
+      ( "observes = run_test",
+        [
+          Alcotest.test_case "pinned inputs" `Slow
+            test_observes_equals_run_test;
         ] );
     ]

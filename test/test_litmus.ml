@@ -237,6 +237,33 @@ let test_error_positions () =
   | exception e -> Alcotest.failf "wrong exception: %s" (Printexc.to_string e)
   | _ -> Alcotest.fail "overflowing literal accepted"
 
+(* A thread naming one location twice among its parameters is rejected
+   with an error naming the location; one naming each location once is
+   not, whatever the declarations look like. *)
+let test_duplicate_parameters () =
+  let src params =
+    Printf.sprintf
+      "C t\n{ }\nP0(%s) { int r0 = READ_ONCE(*x); WRITE_ONCE(*y, 1); }\n\
+       exists (0:r0=1)"
+      params
+  in
+  (match parse (src "int *x, int *y, int *x") with
+  | exception Litmus.Parser.Error (msg, line) ->
+      Alcotest.(check int) "error line" 3 line;
+      Alcotest.(check bool)
+        ("message names the location: " ^ msg)
+        true
+        (String.starts_with ~prefix:"P0 lists location x twice" msg)
+  | exception e -> Alcotest.failf "wrong exception: %s" (Printexc.to_string e)
+  | _ -> Alcotest.fail "duplicate parameter accepted");
+  List.iter
+    (fun params ->
+      match parse (src params) with
+      | t -> Alcotest.(check int) params 1 (Array.length t.threads)
+      | exception e -> Alcotest.failf "%s: %s" params (Printexc.to_string e))
+    [ "int *x, int *y"; "int *y, int *x"; "volatile int *x, int *y";
+      "int *x, spinlock_t *s, int *y" ]
+
 let test_comments () =
   let t =
     parse
@@ -411,6 +438,8 @@ let () =
           Alcotest.test_case "errors" `Quick test_parse_errors;
           Alcotest.test_case "error positions" `Quick test_error_positions;
           Alcotest.test_case "comments" `Quick test_comments;
+          Alcotest.test_case "duplicate parameters" `Quick
+            test_duplicate_parameters;
         ] );
       ( "printer",
         [ Alcotest.test_case "battery roundtrip" `Quick roundtrip_battery ] );

@@ -397,7 +397,8 @@ let rcu_open_rf =
       and b = Printf.sprintf "a%d" ((i + 1) mod n) in
       let read = Printf.sprintf "int r0 = READ_ONCE(*%s);" a
       and write = Printf.sprintf "WRITE_ONCE(*%s, 1);" b in
-      Printf.sprintf "P%d(int *%s, int *%s) { %s }" tid a b
+      Printf.sprintf "P%d(%s) { %s }" tid
+        (if a = b then "int *" ^ a else Printf.sprintf "int *%s, int *%s" a b)
         (if word.[i] = 'g' then
            Printf.sprintf "%s synchronize_rcu(); %s" read write
          else Printf.sprintf "rcu_read_lock(); %s %s rcu_read_unlock();" read
