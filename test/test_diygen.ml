@@ -362,7 +362,7 @@ let () =
           Alcotest.test_case "canonical per seed" `Quick
             test_seed_denotes_canonical_test;
         ] );
-      ( "realisability = candidate existence",
+      ( "realisability",
         [
           Alcotest.test_case "cycles" `Slow test_realisable_cycles;
           Alcotest.test_case "corpus and battery" `Slow
