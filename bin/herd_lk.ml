@@ -271,26 +271,42 @@ let main model verbose outcomes dot explain explain_diff_spec builtin timeout
             | `Ast t -> Litmus.to_string t)
           items
       in
-      (* The SAT engine answers the existential question only: its
-         result carries the witness outcome alone.  The listing then
-         comes from the enumerative engine, as
-         [Exec.Oracle.allowed_outcomes] does; the verdict line stays
-         the solver's. *)
+      (* The listing is every consistent outcome, from the every-
+         candidate stream ([Exec.Oracle.allowed_outcomes]) on every
+         backend: a verdict's own [outcomes] skip the structures the
+         condition refutes, and the SAT engine's hold its witness
+         alone.  An outcome is flagged when it makes the condition
+         observable under the test's quantifier. *)
       let listing source =
         if not outcomes then None
         else
           Some
             (fun (r : Exec.Check.result) ->
-              if r.Exec.Check.backend <> Exec.Check.Sat then
-                r.Exec.Check.outcomes
-              else
-                let budget =
-                  if Exec.Budget.is_unlimited limits then None
-                  else Some (Exec.Budget.start limits)
-                in
-                (Exec.Oracle.run ?budget ~backend:Exec.Check.Batch oracle
-                   (Litmus.parse source))
-                  .Exec.Check.outcomes)
+              match r.Exec.Check.verdict with
+              | Exec.Check.Unknown _ -> []
+              | Exec.Check.Allow | Exec.Check.Forbid ->
+                  let test = Litmus.parse source in
+                  let budget =
+                    if Exec.Budget.is_unlimited limits then None
+                    else Some (Exec.Budget.start limits)
+                  in
+                  let asserted o =
+                    Exec.holds test (fun v ->
+                        List.assoc (Exec.observable_name v) o)
+                    <> (test.Litmus.Ast.quant = Litmus.Ast.Q_forall)
+                  in
+                  match
+                    Exec.Oracle.allowed_outcomes ?budget ~backend oracle test
+                  with
+                  | os -> List.map (fun o -> (o, asserted o)) os
+                  | exception Exec.Budget.Exceeded reason ->
+                      Fmt.pr "  outcomes unknown (%s)@."
+                        (Exec.Budget.reason_to_string reason);
+                      []
+                  | exception e ->
+                      Fmt.pr "  outcomes unknown (model error: %s)@."
+                        (Printexc.to_string e);
+                      [])
       in
       List.iter2
         (fun (e : Harness.Runner.entry) source ->

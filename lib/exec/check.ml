@@ -184,7 +184,9 @@ let scalar_mask consistent mask xs =
     xs;
   !bits
 
-let run ?budget models (test : Litmus.Ast.t) =
+(* The loop over the candidates [enumerate ()] streams: the verdict
+   stream for {!run}, every candidate for {!allowed_outcomes}. *)
+let run_over ?budget ~enumerate models (test : Litmus.Ast.t) =
   if models = [] then invalid_arg "Check.run: no model";
   let satisfies x =
     match test.quant with
@@ -381,7 +383,7 @@ let run ?budget models (test : Litmus.Ast.t) =
     match
       Obs.with_span ~item:test.name "check" (fun () ->
           Obs.with_span ~item:test.name "enumerate" (fun () ->
-              let stream = Execution.of_test_seq ?budget test in
+              let stream = enumerate () in
               if List.exists (fun m -> Option.is_some m.batch) models then begin
                 Seq.iter buffer stream;
                 flush ()
@@ -444,11 +446,22 @@ let run ?budget models (test : Litmus.Ast.t) =
   in
   List.map result (Array.to_list tallies)
 
+(* A verdict reads only candidates the condition gate leaves open: a
+   refuted structure's candidates can be neither witness nor
+   counterexample. *)
+let run ?budget models test =
+  run_over ?budget models test ~enumerate:(fun () ->
+      Execution.of_test_seq ?budget test)
+
 (* The set of observable outcomes under the model, ignoring the
    condition (used to compare models with operational simulators): the
-   outcome projection of {!run}'s loop, raising what settled it. *)
+   outcome projection of the same loop over every candidate, raising
+   what settled it. *)
 let allowed_outcomes ?budget ?batch m (test : Litmus.Ast.t) =
-  match run ?budget [ model ?batch m ] test with
+  match
+    run_over ?budget [ model ?batch m ] test ~enumerate:(fun () ->
+        Execution.candidates ?budget test)
+  with
   | [ { verdict = Unknown (Budget_exceeded r); _ } ] ->
       raise (Budget.Exceeded r)
   | [ { verdict = Unknown (Model_error e); _ } ] -> raise e

@@ -58,20 +58,31 @@ val unknown_reason_to_string : unknown_reason -> string
 val verdict_to_string : verdict -> string
 val pp_verdict : verdict Fmt.t
 
+(** A verdict reads the verdict stream, {!Execution.of_test_seq}: every
+    candidate but those of the event structures the condition gate
+    ({!Execution.asserted_cond}) refutes.  A refuted structure holds no
+    candidate satisfying the condition under the test's quantifier, so
+    the verdict, [n_matching], the witness, the counterexample and the
+    explanations are those of the every-candidate stream
+    ({!Execution.candidates}); the counts below and [outcomes] cover the
+    visited candidates only (report schema version 5 on). *)
 type result = {
   verdict : verdict;
-  n_candidates : int;  (** candidate executions enumerated *)
+  n_candidates : int;
+      (** candidate executions visited: enumerated and not skipped by
+          the condition gate *)
   n_prefiltered : int;
       (** rejected by the sc-per-location prefilter before the model ran
           (a subset of [n_candidates]) *)
-  n_consistent : int;  (** consistent under the model *)
+  n_consistent : int;  (** visited candidates consistent under the model *)
   n_matching : int;  (** consistent and satisfying the condition *)
   witness : Execution.t option;
       (** a consistent execution matching the condition, if any *)
   outcomes : (Execution.outcome * bool) list;
-      (** observable outcomes of consistent executions; the flag marks
-          outcomes satisfying the condition.  The enumerative engines
-          list every one; the SAT engine answers only whether the
+      (** observable outcomes of the visited consistent executions; the
+          flag marks outcomes satisfying the condition, and every one of
+          those is listed.  For every consistent outcome, ask
+          {!allowed_outcomes}.  The SAT engine answers only whether the
           condition is observable, and fills this with its witness's
           outcome alone (empty on Forbid) *)
   counterexample : Execution.t option;
@@ -113,6 +124,14 @@ val model :
     on the model and are done once; each model decides the live
     candidates through its own engine and keeps its own tallies,
     witness, counterexample and [backend].
+
+    The candidates are those of the verdict stream,
+    {!Execution.of_test_seq}: a structure the condition gate refutes is
+    skipped whole, since none of its candidates can be a witness or a
+    counterexample.  So a model that would raise only on a skipped
+    candidate yields a verdict, not [Unknown (Model_error _)], and a
+    candidate cap or timeout trips later than over every candidate, if
+    at all; an event cap or a product-size trip is unchanged.
 
     Per model, the candidates are streamed, filtered through the model
     and the quantifier interpreted: for [exists]/[~exists] the verdict
@@ -166,10 +185,12 @@ val run : ?budget:Budget.t -> model list -> Litmus.Ast.t -> result list
 
 (** The observable outcomes allowed by the model, ignoring the
     condition; used to compare models with the operational simulators.
-    The outcome projection of {!run}'s loop, so it streams, prefilters
-    and batches alike.  Raises {!Budget.Exceeded} when a budget is given
-    and trips, and the model's exception when it fails (callers decide
-    how to report partial soundness information). *)
+    The outcome projection of {!run}'s loop over every candidate
+    ({!Execution.candidates}, not the gated verdict stream), so it
+    streams, prefilters and batches alike.  Raises {!Budget.Exceeded}
+    when a budget is given and trips, and the model's exception when it
+    fails (callers decide how to report partial soundness
+    information). *)
 val allowed_outcomes :
   ?budget:Budget.t -> ?batch:batch_fn -> (module MODEL) -> Litmus.Ast.t ->
   Execution.outcome list

@@ -556,12 +556,93 @@ let co_of_orders sk orders =
           pairs acc order)
     Rel.empty (co_writes sk)
 
-let of_test_seq ?budget (test : Litmus.Ast.t) =
+(* ------------------------------------------------------------------ *)
+(* The condition gate                                                  *)
+(* ------------------------------------------------------------------ *)
+
+(* The condition over one event structure, in three-valued logic.  The
+   structure fixes every register value (an unset register reads 0) and
+   much of the final memory: a location with no non-init write keeps
+   its initial value, a value no write stores is never final, and a
+   lone write is co-last.  [Known b] is a statically decided formula;
+   what stays open is a residue over [Final] atoms, which only the
+   coherence order decides. *)
+type cond3 =
+  | Known of bool
+  | Final of int list * int
+      (* some write of [ws] (a location's non-init writes, at least two)
+         storing [v] is co-maximal *)
+  | Not3 of cond3
+  | And3 of cond3 * cond3
+  | Or3 of cond3 * cond3
+
+let not3 = function Known b -> Known (not b) | c -> Not3 c
+
+let and3 a b =
+  match (a, b) with
+  | Known false, _ | _, Known false -> Known false
+  | Known true, c | c, Known true -> c
+  | a, b -> And3 (a, b)
+
+let or3 a b =
+  match (a, b) with
+  | Known true, _ | _, Known true -> Known true
+  | Known false, c | c, Known false -> c
+  | a, b -> Or3 (a, b)
+
+(* The polarity a verdict asks about — the condition for [exists] and
+   [~exists] (both ask whether it is observable), its negation for
+   [forall] — evaluated over the structure's constants.  [Known false]
+   refutes the structure: none of its candidates can matter to a
+   verdict. *)
+let asserted_cond sk =
+  let test = sk.sk_test in
+  let final_is x v =
+    match
+      List.find_opt (fun (x', _, _) -> String.equal x x') (co_writes sk)
+    with
+    | None | Some (_, _, []) -> Known (Litmus.Ast.init_value test x = v)
+    | Some (_, _, ws) ->
+        (* the init write is co-first, so never final here *)
+        if not (List.exists (fun w -> sk.sk_events.(w).Event.v = v) ws) then
+          Known false
+        else if List.compare_length_with ws 1 = 0 then Known true
+        else Final (ws, v)
+  in
+  let atom = function
+    | Litmus.Ast.Reg_eq (tid, r, cv) ->
+        let v =
+          List.find_map
+            (fun (tid', r', v) -> if tid = tid' && r = r' then Some v else None)
+            sk.sk_final_regs
+        in
+        Known (Option.value ~default:0 v = Litmus.Ast.cvalue_to_int test cv)
+    | Litmus.Ast.Mem_eq (x, cv) -> final_is x (Litmus.Ast.cvalue_to_int test cv)
+  in
+  let rec go = function
+    | Litmus.Ast.Atom a -> atom a
+    | Litmus.Ast.Not c -> not3 (go c)
+    | Litmus.Ast.And (a, b) -> and3 (go a) (go b)
+    | Litmus.Ast.Or (a, b) -> or3 (go a) (go b)
+    | Litmus.Ast.Ctrue -> Known true
+  in
+  let cond = go test.Litmus.Ast.cond in
+  match test.Litmus.Ast.quant with
+  | Litmus.Ast.Q_exists | Litmus.Ast.Q_not_exists -> cond
+  | Litmus.Ast.Q_forall -> not3 cond
+
+let c_cond_refuted = Obs.Counter.make "exec.cond_refuted"
+
+(* Every candidate of the test, or with [~gated] only those of the
+   structures the condition gate leaves open.  The gate runs after a
+   structure is built, counted and claimed, so it moves no event-cap or
+   product-size trip. *)
+let enumerate ~gated ?budget (test : Litmus.Ast.t) =
   let tick () = Option.iter Budget.tick budget in
   (* Per shape, its coherence choices with their coi/coe, built on the
-     first structure of the shape that has any candidate.  Per-location
-     orders are few (factorial in the writes per location, which the
-     claim below bounds), so the product is materialised. *)
+     first structure of the shape whose candidates are enumerated.
+     Per-location orders are few (factorial in the writes per location,
+     which the claim below bounds), so the product is materialised. *)
   let co_table = ref [] in
   let co_choices sh =
     match List.assq_opt sh !co_table with
@@ -609,6 +690,10 @@ let of_test_seq ?budget (test : Litmus.Ast.t) =
         budget;
       (* a read with no same-value writer: no candidate at all *)
       if List.exists (( = ) []) per_read_writes then Seq.empty
+      else if gated && asserted_cond sk = Known false then begin
+        Obs.Counter.incr c_cond_refuted;
+        Seq.empty
+      end
       else
         (* The co choices are the *outer* loop, the rf choices stream. *)
         Seq.concat_map
@@ -622,7 +707,9 @@ let of_test_seq ?budget (test : Litmus.Ast.t) =
           (List.to_seq (co_choices sk.sk_shape)))
     (skeletons ?budget test)
 
-let of_test ?budget test = List.of_seq (of_test_seq ?budget test)
+let candidates ?budget test = enumerate ~gated:false ?budget test
+let of_test_seq ?budget test = enumerate ~gated:true ?budget test
+let of_test ?budget test = List.of_seq (candidates ?budget test)
 
 (* ------------------------------------------------------------------ *)
 (* Coherence prefilter                                                 *)

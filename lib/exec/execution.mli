@@ -3,7 +3,8 @@
     (rf, co), plus every derived relation the models consume, computed
     once at construction.
 
-    {!of_test} enumerates all candidate executions of a litmus test:
+    {!candidates} enumerates all candidate executions of a litmus test
+    ({!of_test_seq} only those a verdict can depend on):
     per-thread symbolic runs branch over read values, then every
     reads-from assignment (same location, same value) and every per-
     location coherence total order is combined.  Consistency is the
@@ -113,7 +114,32 @@ val instantiate : skeleton -> rf:Rel.t -> co:Rel.t -> t
     initialising write first, then the listed writes. *)
 val co_of_orders : skeleton -> (string * int list) list -> Rel.t
 
-(** [of_test_seq ?budget test] enumerates the candidate executions as a
+(** The condition gate: a test's condition over one event structure,
+    in three-valued logic.  The structure fixes every register value
+    and much of the final memory (a location with no non-init write
+    keeps its initial value, a value no write stores is never final, a
+    lone write is co-last); what only the coherence order decides stays
+    open as a residue over [Final] atoms. *)
+type cond3 =
+  | Known of bool  (** statically decided *)
+  | Final of int list * int
+      (** some write of the list (a location's non-init writes, at
+          least two) storing the value is co-maximal *)
+  | Not3 of cond3
+  | And3 of cond3 * cond3
+  | Or3 of cond3 * cond3
+
+(** [asserted_cond sk] is the polarity a verdict asks about — the
+    condition body for [exists] and [~exists], its negation for
+    [forall] — evaluated over [sk]'s constants.  [Known false] refutes
+    the structure: none of its candidates satisfies the condition under
+    the test's quantifier, so none can be a witness, a counterexample
+    or anything else a verdict reports.  The one gate of all three
+    engines: {!of_test_seq} skips a refuted structure's candidates, and
+    [Solve] encodes only the residue of an unrefuted one. *)
+val asserted_cond : skeleton -> cond3
+
+(** [candidates ?budget test] enumerates every candidate execution as a
     lazily-produced sequence: each candidate is materialised only when
     the consumer reaches it, so checking can interleave with enumeration
     and stop early without building the full list.  With a running
@@ -128,9 +154,19 @@ val co_of_orders : skeleton -> (string * int list) list -> Rel.t
     built row by row: rf being
     functional per read, a read's fr row is exactly its writer's co row
     (the same construction {!instantiate} uses). *)
+val candidates : ?budget:Budget.t -> Litmus.Ast.t -> t Seq.t
+
+(** [of_test_seq ?budget test] is the verdict stream: {!candidates}
+    without the candidates of a structure {!asserted_cond} refutes
+    (counted in [exec.cond_refuted]).  The gate runs after a structure
+    has been built, counted ([exec.structures], the event cap) and
+    claimed (the rf/co product pre-check), so an event-cap or
+    product-size trip is where {!candidates} has it; only a candidate
+    or time trip can come later.  {!Check.run} and every verdict
+    consume it; {!Check.allowed_outcomes} consumes {!candidates}. *)
 val of_test_seq : ?budget:Budget.t -> Litmus.Ast.t -> t Seq.t
 
-(** [of_test ?budget test] is [of_test_seq], fully materialised. *)
+(** [of_test ?budget test] is {!candidates}, fully materialised. *)
 val of_test : ?budget:Budget.t -> Litmus.Ast.t -> t list
 
 (** [coherent t] holds iff [po-loc ∪ rf ∪ co ∪ fr] is acyclic —
@@ -172,8 +208,8 @@ type observable = [ `Mem of string | `Reg of int * string ]
     engine shares: does [test]'s condition body hold when each
     observable has the final value [value] gives it?  {!satisfies_cond},
     the simulator's runs and diygen's realisability check decide the
-    condition here.  (The quantifier is interpreted by {!Check}; the SAT
-    engine's three-valued gate is [Solve]'s own.) *)
+    condition here.  (The quantifier is interpreted by {!Check}; the
+    three-valued gate over a whole structure is {!asserted_cond}.) *)
 val holds : Litmus.Ast.t -> (observable -> int) -> bool
 
 (** Does the final state satisfy the test's condition body?  (The

@@ -33,7 +33,8 @@
 
    None of it is built for a structure the condition refutes: the
    condition is first evaluated over the skeleton's constants in
-   three-valued logic ({!asserted_cond}), and a structure whose
+   three-valued logic ({!Execution.asserted_cond}, the gate the
+   enumerative engines' verdict stream shares), and a structure whose
    asserted polarity is statically false is unsatisfiable outright —
    the case that would otherwise end in the empty clause.
 
@@ -459,89 +460,14 @@ let encode_structure ~scpv (sk : Execution.skeleton) =
 (* Condition                                                           *)
 (* ------------------------------------------------------------------ *)
 
-(* The condition over one skeleton, in three-valued logic.  The
-   skeleton fixes every register value (an unset register reads 0) and
-   much of the final memory: a location with no non-init write keeps
-   its initial value, a value no write stores is never final, and a
-   lone write is co-last.  [Known b] is a statically decided formula;
-   what stays open is a residue over [Final] atoms, which only the
-   coherence order decides. *)
-type cond3 =
-  | Known of bool
-  | Final of int list * int
-      (* some write of [ws] (a location's non-init writes, at least two)
-         storing [v] is co-maximal *)
-  | Not3 of cond3
-  | And3 of cond3 * cond3
-  | Or3 of cond3 * cond3
-
-let not3 = function Known b -> Known (not b) | c -> Not3 c
-
-let and3 a b =
-  match (a, b) with
-  | Known false, _ | _, Known false -> Known false
-  | Known true, c | c, Known true -> c
-  | a, b -> And3 (a, b)
-
-let or3 a b =
-  match (a, b) with
-  | Known true, _ | _, Known true -> Known true
-  | Known false, c | c, Known false -> c
-  | a, b -> Or3 (a, b)
-
-(* The polarity the encoder asserts — the condition for [exists] and
-   [~exists] (both ask whether it is observable), its negation for
-   [forall] — evaluated over the skeleton's constants.  [Known false]
-   refutes the structure before anything is encoded. *)
-let asserted_cond (sk : Execution.skeleton) =
-  let test = sk.Execution.sk_test in
-  let final_is x v =
-    match
-      List.find_opt
-        (fun (x', _, _) -> String.equal x x')
-        (Execution.co_writes sk)
-    with
-    | None | Some (_, _, []) -> Known (Litmus.Ast.init_value test x = v)
-    | Some (_, _, ws) ->
-        (* the init write is co-first, so never final here *)
-        if
-          not
-            (List.exists (fun w -> sk.Execution.sk_events.(w).Event.v = v) ws)
-        then Known false
-        else if List.compare_length_with ws 1 = 0 then Known true
-        else Final (ws, v)
-  in
-  let atom = function
-    | Litmus.Ast.Reg_eq (tid, r, cv) ->
-        let v =
-          List.find_map
-            (fun (tid', r', v) -> if tid = tid' && r = r' then Some v else None)
-            sk.Execution.sk_final_regs
-        in
-        Known (Option.value ~default:0 v = Litmus.Ast.cvalue_to_int test cv)
-    | Litmus.Ast.Mem_eq (x, cv) ->
-        final_is x (Litmus.Ast.cvalue_to_int test cv)
-  in
-  let rec go = function
-    | Litmus.Ast.Atom a -> atom a
-    | Litmus.Ast.Not c -> not3 (go c)
-    | Litmus.Ast.And (a, b) -> and3 (go a) (go b)
-    | Litmus.Ast.Or (a, b) -> or3 (go a) (go b)
-    | Litmus.Ast.Ctrue -> Known true
-  in
-  let cond = go test.Litmus.Ast.cond in
-  match test.Litmus.Ast.quant with
-  | Litmus.Ast.Q_exists | Litmus.Ast.Q_not_exists -> cond
-  | Litmus.Ast.Q_forall -> not3 cond
-
-(* Assert the residue of {!asserted_cond}.  A [Final] atom holds iff
-   one of its writes storing the value is co-maximal, i.e. every other
-   write comes co-before it.  Two-sided encoding — residues sit under
-   negation. *)
+(* Assert the residue of {!Execution.asserted_cond}, the gate all three
+   engines share.  A [Final] atom holds iff one of its writes storing
+   the value is co-maximal, i.e. every other write comes co-before it.
+   Two-sided encoding — residues sit under negation. *)
 let encode_cond (enc : encoded) cond =
   let { e; sk; _ } = enc in
   let ctx = e.ctx in
-  let rec lit = function
+  let rec lit : Execution.cond3 -> lit3 = function
     | Known b -> if b then T else F
     | Final (ws, v) ->
         or_full ctx
@@ -671,7 +597,8 @@ let run_exn ?budget ~conflicts ~decisions ~axioms (module M : Check.MODEL)
           };
     }
   in
-  (* Solve one unrefuted structure, [cond] its {!asserted_cond}, under
+  (* Solve one unrefuted structure, [cond] its
+     {!Execution.asserted_cond}, under
      a configuration; [`Sat x] decodes the model (re-validation is the
      caller's business). *)
   let solve_structure ~scpv ~with_axioms sk cond =
@@ -729,7 +656,7 @@ let run_exn ?budget ~conflicts ~decisions ~axioms (module M : Check.MODEL)
          Seq.iter
            (fun sk ->
              Obs.Counter.incr c_structures;
-             match asserted_cond sk with
+             match Execution.asserted_cond sk with
              | Known false ->
                  Obs.Counter.incr c_cond_refuted;
                  Obs.Counter.incr c_unsat

@@ -45,6 +45,15 @@
                 check fell back enumeratively).  Absent on entries
                 without a result, so v3 consumers that ignore unknown
                 fields read v4 documents unchanged.
+   v5           no field is added or renamed, but the per-entry counts
+                ([candidates], [prefiltered], [consistent]) now cover
+                only the candidates a verdict visits: the enumerative
+                engines skip every event structure whose condition is
+                refuted ({!Exec.Execution.of_test_seq}), so the counts
+                of v4 and v5 documents for one test differ.  Verdicts,
+                [matching] and explanations do not.  The verdict cache
+                keys on the version ({!Vcache.key}), so a v4 entry is
+                never served.
 
    The exit-code policy lives here too, because it is a function of the
    report alone: 0 = all pass, 1 = some FAIL, 2 = some ERROR, 3 = some
@@ -171,7 +180,7 @@ let json_escape = Obs.json_escape
 (* Reports and journal lines carry this version so downstream consumers
    can detect format changes; bump on any incompatible field change
    (history in the module header). *)
-let schema_version = 4
+let schema_version = 5
 
 let entry_to_json e =
   let base =

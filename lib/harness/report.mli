@@ -77,7 +77,9 @@ val pp_status : status Fmt.t
 val pp_entry : entry Fmt.t
 val pp : t Fmt.t
 
-(** Version stamped into JSON reports and journal lines. *)
+(** Version stamped into JSON reports and journal lines: 5, since the
+    per-entry counts cover only the candidates a verdict visits
+    ({!Exec.Check.result}); the history is in the implementation. *)
 val schema_version : int
 
 (** JSON string escaping: {!Obs.json_escape}. *)

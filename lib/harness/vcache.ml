@@ -2,8 +2,12 @@
 
    A verdict depends on exactly two things: the test source and the
    model checking it.  The cache key is therefore
-   [Digest (model_key NUL source)] — whitespace-identical resubmissions
-   of the same test under the same model hit, anything else misses.
+   [Digest (schema_version NUL model_key NUL source)] —
+   whitespace-identical resubmissions of the same test under the same
+   model hit, anything else misses.  The report schema version is in
+   the key because an entry carries the check's counts, whose meaning
+   a version bump changes: a journal written under another version
+   serves no entry.
    [model_key] must capture the model's full identity: for built-in
    models the name suffices (the binary pins the semantics); for .cat
    files it must include a digest of the file's contents, which
@@ -28,7 +32,9 @@ type t = {
 }
 
 let key ~model_key ~source =
-  Digest.to_hex (Digest.string (model_key ^ "\x00" ^ source))
+  let version = string_of_int Report.schema_version in
+  Digest.to_hex
+    (Digest.string (String.concat "\x00" [ version; model_key; source ]))
 
 (* The persisted line: the entry's journal line with the cache key
    spliced in as a leading member ({!Journal.entry_of_line} ignores

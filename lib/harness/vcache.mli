@@ -1,8 +1,11 @@
 (** Content-addressed verdict cache for the checking service.
 
-    Keyed on [Digest (model_key NUL source)]: the test's exact source
-    text and the model's full identity ([model_key] must include a
-    contents digest for [.cat]-file models — {!Serve} arranges this).
+    Keyed on [Digest (schema_version NUL model_key NUL source)]: the
+    report schema version ({!Report.schema_version}, so an entry whose
+    counts mean something else is never served), the test's exact
+    source text and the model's full identity ([model_key] must include
+    a contents digest for [.cat]-file models — {!Serve} arranges
+    this).
     Only deterministic outcomes ([Pass]/[Fail] entries) are cached;
     [Gave_up] is budget-relative and [Err] may be transient, so both
     always re-run.
@@ -18,7 +21,8 @@
 type t
 
 val key : model_key:string -> source:string -> string
-(** The cache key: hex digest of model identity and source text. *)
+(** The cache key: hex digest of the schema version, model identity and
+    source text. *)
 
 val create :
   ?journal:string -> ?fsync:bool -> ?compact_threshold:int -> unit -> t

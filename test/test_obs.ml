@@ -159,20 +159,20 @@ let run_fixed ?(name = "MP+wmb+rmb") () =
   in
   List.hd report.Harness.Runner.entries
 
-(* CoRR: the coherence prefilter rejects one of its four candidates, so
-   every counter below has something to count, and a name the collector
-   does not list (never registered, or never bumped) is a failure, not
-   a 0. *)
+(* CoWW: the coherence prefilter rejects one of the two candidates the
+   condition leaves open and LK accepts the other, so every counter
+   below has something to count, and a name the collector does not list
+   (never registered, or never bumped) is a failure, not a 0. *)
 let test_counters_match_result () =
   with_collector @@ fun () ->
-  let entry = run_fixed ~name:"CoRR" () in
+  let entry = run_fixed ~name:"CoWW" () in
   let r = Option.get entry.Harness.Runner.result in
   let counter name =
     match List.assoc_opt name (Obs.counters ()) with
     | Some v -> v
     | None -> Alcotest.failf "the collector lists no counter %s" name
   in
-  Alcotest.(check bool) "CoRR prefilters a candidate" true
+  Alcotest.(check bool) "CoWW prefilters a candidate" true
     (r.Exec.Check.n_prefiltered > 0);
   Alcotest.(check int) "check.candidates = n_candidates"
     r.Exec.Check.n_candidates
@@ -185,6 +185,32 @@ let test_counters_match_result () =
     (counter "check.consistent");
   Alcotest.(check bool) "relation kernel touched words" true
     (counter "rel.words" > 0)
+
+(* MP's condition fixes both of P1's read values, so of its four event
+   structures (one per pair of values read) the condition gate leaves
+   one open, with its one candidate, and refutes three.  The
+   every-candidate stream refutes none and visits all four. *)
+let test_cond_refuted () =
+  let mp = Harness.Battery.test_of (Harness.Battery.find "MP") in
+  let counter name =
+    Option.value ~default:0 (List.assoc_opt name (Obs.counters ()))
+  in
+  with_collector (fun () ->
+      let r = Exec.Oracle.run Lkmm.oracle mp in
+      Alcotest.(check int) "exec.structures" 4 (counter "exec.structures");
+      Alcotest.(check int) "exec.cond_refuted" 3
+        (counter "exec.cond_refuted");
+      Alcotest.(check int) "candidates visited" 1 r.Exec.Check.n_candidates);
+  with_collector (fun () ->
+      let outcomes = Exec.Oracle.allowed_outcomes Lkmm.oracle mp in
+      Alcotest.(check int) "every candidate: exec.structures" 4
+        (counter "exec.structures");
+      Alcotest.(check int) "every candidate: exec.cond_refuted" 0
+        (counter "exec.cond_refuted");
+      Alcotest.(check int) "every candidate: check.candidates" 4
+        (counter "check.candidates");
+      Alcotest.(check int) "LK allows every MP outcome" 4
+        (List.length outcomes))
 
 (* The batched engine times the prefilter and the model once per buffer
    when tracing, as the scalar one does per candidate; with the
@@ -633,7 +659,7 @@ let test_report_metrics_object () =
     Harness.Report.summarise ~wall:entry.Harness.Runner.time [ entry ]
   in
   let doc = J.of_string (Harness.Report.to_json report) in
-  Alcotest.(check (option (float 0.0))) "schema version 4" (Some 4.)
+  Alcotest.(check (option (float 0.0))) "schema version 5" (Some 5.)
     (Option.bind (J.mem "schema_version" doc) J.num);
   match J.mem "metrics" doc with
   | Some (J.Obj _) -> ()
@@ -687,6 +713,8 @@ let () =
           Alcotest.test_case "chrome shape" `Quick test_chrome_shape;
           Alcotest.test_case "report metrics object" `Quick
             test_report_metrics_object;
+          Alcotest.test_case "condition gate counted" `Quick
+            test_cond_refuted;
         ] );
       ( "pool",
         [

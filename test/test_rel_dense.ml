@@ -273,7 +273,8 @@ let result_key (r : Exec.Check.result) =
   (r.verdict, r.n_candidates, r.n_consistent, r.n_matching, r.outcomes)
 
 (* The checker's definition with no prefilter and no batching: every
-   candidate through the scalar model, keyed like {!result_key}. *)
+   candidate of the verdict stream through the scalar model, keyed like
+   {!result_key}. *)
 let reference_key (module M : Exec.Check.MODEL) (test : Litmus.Ast.t) =
   let satisfies x =
     match test.Litmus.Ast.quant with
@@ -448,13 +449,14 @@ let corpus_test file =
   List.assoc file (Cpu_ratio.sample_tests 1)
 
 (* A budget is the call's: a candidate cap trips at the candidate where
-   each one-model call trips (here the claim for the next structure,
-   after 48 of the test's 120 candidates), and every model reports that
-   count. *)
+   each one-model call trips (here the claim for the second structure,
+   after the 24 candidates of the test's one structure the condition
+   leaves open: the claim comes before the gate), and every model
+   reports that count. *)
 let test_shared_budget () =
   let test = corpus_test "Coe-Coe-Coe-MbdWW-MbdWR-Fre.litmus" in
   let pool = model_pool test in
-  let cap = 50 in
+  let cap = 30 in
   List.iter
     (fun backend ->
       let budget () =
@@ -494,9 +496,11 @@ let raising k : (module Exec.Check.MODEL) =
 
 (* A model error settles its model alone: it gets
    [Unknown (Model_error _)] and every other model of the call its
-   one-model result.  Without a budget the error propagates. *)
+   one-model result.  Without a budget the error propagates.  2+2W's
+   verdict stream holds four coherent candidates, so the model decides
+   a third. *)
 let test_shared_model_error () =
-  let test = Harness.Battery.test_of (Harness.Battery.find "IRIW+mbs") in
+  let test = Harness.Battery.test_of (Harness.Battery.find "2+2W") in
   let budget () = Exec.Budget.start Exec.Budget.unlimited in
   List.iter
     (fun backend ->
@@ -605,7 +609,7 @@ let test_scalar_absolute () =
     true
     (r <= 2. *. enum_over_reference)
 
-(* The candidates of [test] in enumeration order, cut into the chunks a
+(* Every candidate of [test] in enumeration order, cut into the chunks a
    batch engine may take: one event structure each (a shared events
    array), at most {!Rel.Batch.width} long. *)
 let structure_chunks test =
@@ -623,7 +627,7 @@ let structure_chunks test =
       cur := x :: !cur;
       incr len;
       if !len = Rel.Batch.width then cut ())
-    (Exec.of_test_seq test);
+    (Exec.candidates test);
   cut ();
   List.rev !chunks
 
@@ -726,7 +730,7 @@ let test_fr_definition () =
         (fun x ->
           incr candidates;
           if wrong x then incr bad)
-        (Exec.of_test_seq test);
+        (Exec.candidates test);
       Alcotest.(check int)
         (file ^ ": enumerated candidates whose fr is not rf^-1;co")
         0 !bad;
@@ -863,7 +867,7 @@ let test_statics_per_shape () =
       (* one enumeration: each candidate against the first candidate of
          every structure (a structure's candidates are consecutive and
          share its events array) *)
-      let xs = List.of_seq (Exec.of_test_seq test) in
+      let xs = Exec.of_test test in
       let firsts =
         List.fold_left
           (fun acc (x : Exec.t) ->
@@ -912,7 +916,7 @@ let test_prefilter_soundness () =
               false
               (Cat_ref.consistent lk_cat x)
           end)
-        (Exec.of_test_seq test))
+        (Exec.candidates test))
     (Cpu_ratio.sample_tests 9);
   Alcotest.(check bool) "sample exercises the prefilter" true (!rejected > 20)
 

@@ -692,6 +692,122 @@ let test_cnf_counters () =
   Alcotest.(check (triple int int int)) "explained = plain" plain
     (cnf ~explainer:Lkmm.Explain.explainer ())
 
+(* What a verdict reports and the gate must not change; candidates of
+   two enumerations compare by events and witness. *)
+let exec_key (x : Exec.t) = (x.events, Rel.to_list x.rf, Rel.to_list x.co)
+
+let verdict_key (r : Exec.Check.result) =
+  ( r.verdict,
+    r.n_matching,
+    Option.map exec_key r.witness,
+    Option.map exec_key r.counterexample,
+    List.map Exec.Explain.to_string r.explanations )
+
+(* The verdict over every candidate, {!Exec.Check.run}'s definition
+   written out with the scalar model and no prefilter or batching: the
+   verdict, [n_matching], the first consistent matching candidate as
+   the witness and, with an explainer and a Forbid, the first
+   condition-satisfying candidate the model rejects (a coherent one
+   first, else an incoherent one) with its explanations. *)
+let every_candidate ?explainer (module M : Exec.Check.MODEL)
+    (t : Litmus.Ast.t) =
+  let asserted x =
+    Exec.satisfies_cond x <> (t.Litmus.Ast.quant = Litmus.Ast.Q_forall)
+  in
+  let matching = ref 0 and witness = ref None in
+  let rejected = ref None and incoherent = ref None in
+  let first r x = if Option.is_none !r then r := Some x in
+  Seq.iter
+    (fun x ->
+      if asserted x then
+        if not (Exec.coherent x) then first incoherent x
+        else if M.consistent x then begin
+          incr matching;
+          first witness x
+        end
+        else first rejected x)
+    (Exec.candidates t);
+  let cex =
+    match explainer with
+    | Some _ when !matching = 0 ->
+        if Option.is_some !rejected then !rejected else !incoherent
+    | _ -> None
+  in
+  ( (if !matching > 0 then Exec.Check.Allow else Exec.Check.Forbid),
+    !matching,
+    Option.map exec_key !witness,
+    Option.map exec_key cex,
+    match (explainer, cex) with
+    | Some explain, Some x -> List.map Exec.Explain.to_string (explain x)
+    | _ -> [] )
+
+(* The gate changes no verdict: over the corpus, the battery and the
+   generated set, each under its own quantifier and under [forall]
+   (the gate refutes on the negated condition there), native LK, lk.cat
+   and C11 on the scalar and the batched engine report from the verdict
+   stream what the every-candidate definition reports — verdict,
+   [n_matching], witness, counterexample and explanations — while the
+   gate refutes some structures and leaves others open. *)
+let test_gate_agreement () =
+  let models =
+    List.map
+      (fun name ->
+        let m = Harness.Model_table.find name in
+        (name, m.oracle, Harness.Model_table.explainer m))
+      [ "lk"; "lk-cat"; "c11" ]
+  in
+  let tests =
+    let base =
+      corpus_tests ()
+      @ List.map Harness.Battery.test_of Harness.Battery.all
+      @ Lazy.force generated
+    in
+    base
+    @ List.map
+        (fun (t : Litmus.Ast.t) -> { t with quant = Litmus.Ast.Q_forall })
+        base
+  in
+  let (), count =
+    with_counters (fun () ->
+        List.iter
+          (fun (t : Litmus.Ast.t) ->
+            List.iter
+              (fun (name, (o : Exec.Oracle.t), explainer) ->
+                if name <> "c11" || Models.C11.applicable t then begin
+                  let scalar = Exec.Oracle.model o () in
+                  let expected = every_candidate ~explainer scalar t in
+                  List.iter
+                    (fun backend ->
+                      let batch =
+                        if backend = Exec.Check.Enum then None
+                        else Option.map (fun mk -> mk None) o.batch
+                      in
+                      let r =
+                        List.hd
+                          (Exec.Check.run
+                             [ Exec.Check.model ?batch ~explainer scalar ]
+                             t)
+                      in
+                      if verdict_key r <> expected then
+                        Alcotest.failf
+                          "%s (%s) under %s on %s: the verdict stream \
+                           disagrees with every candidate"
+                          t.Litmus.Ast.name
+                          (Litmus.Pp.quant_to_string t.Litmus.Ast.quant)
+                          name
+                          (Exec.Check.backend_to_string backend))
+                    [ Exec.Check.Enum; Exec.Check.Batch ]
+                end)
+              models)
+          tests)
+  in
+  let refuted = count "exec.cond_refuted"
+  and structures = count "exec.structures" in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d of %d structures refuted" refuted structures)
+    true
+    (refuted > 0 && refuted < structures)
+
 (* ------------------------------------------------------------------ *)
 (* The forensic pass                                                   *)
 (* ------------------------------------------------------------------ *)
@@ -1059,6 +1175,8 @@ let () =
             test_mp_refutes;
           Alcotest.test_case "CNF counters cover the main pass" `Quick
             test_cnf_counters;
+          Alcotest.test_case "verdict stream = every candidate" `Slow
+            test_gate_agreement;
         ] );
       ( "sat-large pool",
         [

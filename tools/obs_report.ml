@@ -188,14 +188,18 @@ let profile path =
       failing
   end;
   let counter n = List.assoc_opt n !counters in
-  (* event structures against the static shapes their statics were
-     built for: one shape serves every structure that differs from
-     another only in read values *)
+  (* event structures, those whose candidates the condition gate
+     skipped, and the static shapes their statics were built for: one
+     shape serves every structure that differs from another only in
+     read values *)
   (match (counter "exec.structures", counter "exec.shapes") with
   | Some s, Some sh ->
       Printf.printf "\nEvent structures:\n";
-      Printf.printf "  %-28s %12d\n  %-28s %12d\n  %-28s %12.2f\n"
-        "structures" s "shapes" sh "structures per shape"
+      Printf.printf
+        "  %-28s %12d\n  %-28s %12d\n  %-28s %12d\n  %-28s %12.2f\n"
+        "structures" s "refuted by the condition"
+        (Option.value ~default:0 (counter "exec.cond_refuted"))
+        "shapes" sh "structures per shape"
         (float_of_int s /. float_of_int (Stdlib.max 1 sh))
   | _ -> ());
   (* the hardware simulator: runs (aborted at the step cap), scheduler
