@@ -32,20 +32,28 @@ let make ~name ~model ?batch ?solve () = { name; model; batch; solve }
 let name t = t.name
 let model t ?budget () = t.model budget
 
+(* The engine every default names: the scalar enumerator.  Since the
+   condition gate few candidates share a flush, and the closure-free
+   [Rel] kernels decide one candidate faster than a bit-plane pass
+   decides a flush; the batched engine stays as a cross-check. *)
+let default_backend = Check.Enum
+
 (* The model an oracle contributes to {!Check.run} under an enumerative
-   request: its batched engine unless [Enum] asks for the reference. *)
+   request: its batched engine under [Batch], its scalar one otherwise.
+   A [Sat] request that reaches enumeration runs the default engine. *)
 let check_model ?budget ?explainer ~backend t =
+  let backend = if backend = Check.Sat then default_backend else backend in
   Check.model ?explainer
     ?batch:
       (match backend with
-      | Check.Enum -> None
-      | Check.Batch | Check.Sat -> Option.map (fun mk -> mk budget) t.batch)
+      | Check.Batch -> Option.map (fun mk -> mk budget) t.batch
+      | Check.Enum | Check.Sat -> None)
     (t.model budget)
 
 (* Every oracle of [entries] on one test, results in order.  An
    enumerative request is one {!Check.run} over all of them.  Under
    [Sat], an oracle with a solver solves on its own, and the others
-   share one enumeration on the scalar engine, each flagged as a
+   share one enumeration on the default engine, each flagged as a
    fallback.  In a call of several oracles each engine run counts its
    candidates under its own {!Budget.fork}, so its caps trip where they
    would alone. *)
@@ -72,7 +80,7 @@ let run_entries ?budget ~backend entries test =
               (Check.run ?budget
                  (List.map
                     (fun (t, explainer) ->
-                      check_model ?budget ?explainer ~backend:Check.Enum t)
+                      check_model ?budget ?explainer ~backend t)
                     enumerated)
                  test)
       in
@@ -93,15 +101,15 @@ let run_entries ?budget ~backend entries test =
               })
         entries
 
-let run ?budget ?explainer ?(backend = Check.Batch) t test =
+let run ?budget ?explainer ?(backend = default_backend) t test =
   List.hd (run_entries ?budget ~backend [ (t, explainer) ] test)
 
-let run_all ?budget ?(backend = Check.Batch) ts test =
+let run_all ?budget ?(backend = default_backend) ts test =
   run_entries ?budget ~backend (List.map (fun t -> (t, None)) ts) test
 
 (* Model-allowed outcomes, through the oracle's enumerative engines
    (the symbolic engine answers the per-test existential question, not
-   the all-outcomes one; [Sat] requests degrade to the batched path). *)
-let allowed_outcomes ?budget ?(backend = Check.Batch) t test =
+   the all-outcomes one; [Sat] requests degrade to the default engine). *)
+let allowed_outcomes ?budget ?(backend = default_backend) t test =
   let { Check.scalar; batch; _ } = check_model ?budget ~backend t in
   Check.allowed_outcomes ?budget ?batch scalar test

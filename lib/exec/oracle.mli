@@ -42,14 +42,22 @@ val make :
 val name : t -> string
 val model : t -> ?budget:Budget.t -> unit -> (module Check.MODEL)
 
+(** The engine every default names: [Enum].  {!run}, {!run_all} and
+    {!allowed_outcomes} without [?backend], the CLIs' [--backend], the
+    daemon's and the campaign's default configs all read it, and a
+    [Sat] request that falls back to enumeration runs it. *)
+val default_backend : backend_request
+
 (** [run t test] checks [test] through the requested backend (default
-    [Batch], matching the CLIs' default engine):
-    - [Sat]: the symbolic engine if present; otherwise the enumerative
-      path runs, the [sat.fallback] counter ticks, and the result
-      carries [sat = Some {fallback = true; _}];
-    - [Batch]: the batched enumerative path if present, scalar
-      otherwise (the same observables, by {!Check.run}'s contract);
-    - [Enum]: the scalar path — the reference engine.
+    {!default_backend}):
+    - [Sat]: the symbolic engine if present; otherwise the default
+      enumerative engine runs, the [sat.fallback] counter ticks, and
+      the result carries [sat = Some {fallback = true; _}];
+    - [Enum]: the scalar path — one candidate at a time, and the
+      reference engine;
+    - [Batch]: the bit-plane batched path if present, scalar otherwise
+      (the same observables, by {!Check.run}'s contract), kept as a
+      cross-check of the scalar one.
 
     [?explainer] forwards to {!Check.run} on the enumerative paths and
     to the symbolic engine.  [run t test] is [run_all [t] test]'s one
@@ -70,7 +78,7 @@ val run :
     request (a scalar-only oracle in a [Batch] call runs its scalar
     model on the live candidates of each buffer).  Under [Sat], an
     oracle with a solver runs it on its own, and the others share one
-    enumeration on the scalar engine, each flagged as a fallback and
+    enumeration on the default engine, each flagged as a fallback and
     counted in [sat.fallback].  One budget bounds the call: its timeout
     covers every oracle, and each engine run's candidate caps trip
     where that run's would alone (see {!Check.run}). *)
@@ -83,7 +91,7 @@ val run_all :
 
 (** Model-allowed outcomes through the oracle (enumerative engines
     only: the symbolic engine answers the per-test existential question,
-    not the all-outcomes one, so [Sat] requests use the batched path).
+    not the all-outcomes one, so [Sat] requests use the default engine).
     Raises {!Budget.Exceeded} like {!Check.allowed_outcomes}. *)
 val allowed_outcomes :
   ?budget:Budget.t ->

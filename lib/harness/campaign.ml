@@ -81,7 +81,7 @@ let default =
     lease_timeout = 300.;
     max_rows = 64;
     explain = false;
-    backend = Exec.Check.Batch;
+    backend = Exec.Oracle.default_backend;
     poison = [];
     wedge = [];
     flight = false;
@@ -143,9 +143,9 @@ let c11_oracle = Exec.Oracle.of_model (module Models.C11)
 (* The lk and cat columns, built once per worker: the packaged cat
    oracle carries a one-slot prefix cache that must live across the
    whole shard, not per test.  The config's [backend] is the request
-   for every model column ([Batch] by default); the c11 column has only
-   its scalar model, which a batched call runs on each buffer's live
-   candidates. *)
+   for every model column ({!Exec.Oracle.default_backend} by default);
+   the c11 column has only its scalar model, which a batched call runs
+   on each buffer's live candidates. *)
 let build_checks config =
   List.filter_map
     (function

@@ -97,17 +97,17 @@ let backend_conv =
 let backend_arg =
   Arg.(
     value
-    & opt backend_conv Exec.Check.Batch
+    & opt backend_conv Exec.Oracle.default_backend
     & info [ "backend" ] ~docv:"ENGINE"
         ~doc:
-          "Checking engine: $(b,batch) (default) evaluates candidates in \
-           word-parallel bit planes, $(b,enum) one at a time on the scalar \
-           reference path, $(b,sat) solves the candidate space \
-           symbolically (CDCL over a CNF encoding; decoded witnesses are \
-           re-validated through the scalar model).  Verdicts \
-           are identical across engines; a model without the requested \
-           engine falls back enumeratively (counted as sat.fallback for \
-           $(b,sat)).")
+          "Checking engine: $(b,enum) (default) decides candidates one at \
+           a time on the scalar reference path, $(b,batch) evaluates them \
+           in word-parallel bit planes (kept as a cross-check of \
+           $(b,enum)), $(b,sat) solves the candidate space symbolically \
+           (CDCL over a CNF encoding; decoded witnesses are re-validated \
+           through the scalar model).  Verdicts are identical across \
+           engines; a model without the requested engine falls back to \
+           $(b,enum) (counted as sat.fallback for $(b,sat)).")
 
 (* A..B, half-open: the deterministic seed intervals of generated
    sweeps and campaign shards. *)

@@ -37,8 +37,8 @@ val json_arg : bool Term.t
 
 val backend_arg : Exec.Check.backend Term.t
 (** [--backend enum|batch|sat] — the checking engine
-    ({!Exec.Oracle.run}), [batch] by default; verdicts are identical
-    across engines. *)
+    ({!Exec.Oracle.run}), {!Exec.Oracle.default_backend} ([enum]) by
+    default; verdicts are identical across engines. *)
 
 val seed_range_conv : (int * int) Arg.conv
 (** ["A..B"], half-open, [A < B] — deterministic seed intervals. *)

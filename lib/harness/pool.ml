@@ -36,8 +36,8 @@ let exit_mem_cap = 97
      budget, with the heap cap folded into the budget so cooperative
      paths classify allocation blowups before the Gc alarm must;
    - [oracle]/[backend] select the checking oracle and its engine
-     ({!Exec.Oracle.run}; defaults: {!Lkmm.oracle} on its batched
-     engine);
+     ({!Exec.Oracle.run}; defaults: {!Lkmm.oracle} on
+     {!Exec.Oracle.default_backend});
    - [journal] appends each completed entry to a JSONL journal;
    - [resume] recycles entries from an existing journal and runs only
      the missing items (pass the same path as [journal] to extend it in

@@ -68,8 +68,8 @@ val run :
     [explainer] turns on verdict forensics in the default worker;
     explanations and the counterexample marshal back over the result
     pipe with the entry.  [oracle] (default {!Lkmm.oracle}) and
-    [backend] (default [Batch]) select the checking oracle and engine
-    through {!Exec.Oracle.run}.  [journal] appends each completed entry;
-    [resume] recycles entries from an existing journal and runs only
-    the missing items (pass the same path as [journal] to extend it in
-    place). *)
+    [backend] (default {!Exec.Oracle.default_backend}) select the
+    checking oracle and engine through {!Exec.Oracle.run}.  [journal]
+    appends each completed entry; [resume] recycles entries from an
+    existing journal and runs only the missing items (pass the same
+    path as [journal] to extend it in place). *)

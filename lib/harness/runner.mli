@@ -101,9 +101,10 @@ val read_file : string -> string
 
     Engine selection: the item is checked through [oracle] (default:
     {!Lkmm.oracle}) via {!Exec.Oracle.run} under the requested
-    [backend] (default [Batch]; [Enum] is the scalar reference path —
-    what [--backend enum] selects; [Sat] runs the symbolic engine,
-    falling back counted when the oracle ships none). *)
+    [backend] (default {!Exec.Oracle.default_backend}, the scalar
+    reference path [Enum]; [Batch] is the bit-plane cross-check that
+    [--backend batch] selects; [Sat] runs the symbolic engine, falling
+    back counted when the oracle ships none). *)
 val run_item :
   ?limits:Exec.Budget.limits ->
   ?deadline:float ->
@@ -115,7 +116,7 @@ val run_item :
 
 (** [run ?oracle items] — the whole batch, each item through
     {!run_item}.  Same oracle/backend resolution; with nothing given,
-    the native LK oracle runs on its batched engine. *)
+    the native LK oracle runs on the default engine. *)
 val run :
   ?limits:Exec.Budget.limits ->
   ?explainer:(Exec.t -> Exec.Explain.t list) ->

@@ -82,7 +82,7 @@ let default =
     cache_journal = None;
     fsync = false;
     chaos_ops = false;
-    backend = Exec.Check.Batch;
+    backend = Exec.Oracle.default_backend;
     flight_dir = None;
     flight_interval = 0.5;
   }

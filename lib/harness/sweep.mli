@@ -23,7 +23,7 @@ type stats = {
 (** [classify ?limits ?backend ?archs ?runs ?seed tests] runs every
     test under LK, SC and C11 and against the given simulated
     architectures.  [backend] picks the LK oracle's engine
-    ({!Exec.Oracle.run}; default [Batch]). *)
+    ({!Exec.Oracle.run}; default {!Exec.Oracle.default_backend}). *)
 val classify :
   ?limits:Exec.Budget.limits ->
   ?backend:Exec.Check.backend ->

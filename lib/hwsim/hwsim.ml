@@ -167,8 +167,8 @@ let run_test_stable (arch : Arch.t) ?(batch = 2_000) ?(max_batches = 25)
 (* Soundness against a model: every outcome the simulator produced must be
    allowed by the model (the paper's Table 5 claim).  Returns offending
    outcomes, empty = sound.  The model comes as an {!Exec.Oracle.t}, so
-   the outcome enumeration runs on the model's batched engine when it
-   ships one ([?backend] overrides). *)
+   the outcome enumeration runs on {!Exec.Oracle.default_backend}
+   ([?backend] overrides). *)
 let unsound_outcomes ?budget ?backend (oracle : Exec.Oracle.t)
     (test : Litmus.Ast.t) (s : stats) =
   let allowed = Exec.Oracle.allowed_outcomes ?budget ?backend oracle test in

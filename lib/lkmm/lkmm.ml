@@ -38,9 +38,9 @@ let oracle : Exec.Oracle.t =
     ~batch:(fun _ -> consistent_mask)
     ~solve ()
 
-(** [check ?budget test] runs a litmus test against the LK model on its
-    batched engine; with a budget the result may be [Unknown] instead of
-    raising/hanging. *)
+(** [check ?budget test] runs a litmus test against the LK model on the
+    default engine ({!Exec.Oracle.default_backend}); with a budget the
+    result may be [Unknown] instead of raising/hanging. *)
 let check ?budget test = Exec.Oracle.run ?budget oracle test
 
 (** [verdict ?budget test] is the LK verdict for [test]. *)

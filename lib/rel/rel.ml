@@ -20,9 +20,13 @@ module Iset = Iset
 
 let bpw = 63 (* usable bits in an OCaml int *)
 
-(* Words touched by the word-parallel ops, at op granularity: map2 ops
-   charge the result array, composition/closure/acyclicity charge one
-   row per row OR-ed or visited.  Self-guarded: free when Obs is off. *)
+(* Words touched by the word-parallel ops, at op granularity: union,
+   inter, diff and the reflexive closure charge the result array,
+   composition/closure/acyclicity charge one row per row OR-ed or
+   visited.  The charge is a function of the operands alone — an
+   early return charges what the full loop would — so the counter
+   reads the same whatever shortcut a kernel takes.  Self-guarded:
+   free when Obs is off. *)
 let words_touched = Obs.Counter.make "rel.words"
 
 type t = {
@@ -72,7 +76,22 @@ let align t1 t2 =
   let c = max t1.n t2.n in
   (grow c t1, grow c t2)
 
-let is_empty t = Array.for_all (fun w -> w = 0) t.bits
+(* A fresh copy of [t] at capacity [c >= t.n]. *)
+let copy_at c t =
+  if c > t.n then grow c t else { t with bits = Array.copy t.bits }
+
+(* Operands at one row width.  Rows of equal width sit at equal offsets
+   in both arrays, so a flat word loop pairs them up, and the longer
+   array's extra words are the larger capacity's extra rows. *)
+let same_width t1 t2 = if t1.w = t2.w then (t1, t2) else align t1 t2
+
+let is_empty t =
+  let bits = t.bits in
+  let i = ref (Array.length bits - 1) in
+  while !i >= 0 && bits.(!i) = 0 do
+    decr i
+  done;
+  !i < 0
 
 let mem x y t =
   x >= 0 && y >= 0 && x < t.n && y < t.n
@@ -155,7 +174,13 @@ let fold f t acc =
   !acc
 
 let to_list t = List.rev (fold (fun x y acc -> (x, y) :: acc) t [])
-let cardinal t = Array.fold_left (fun acc w -> acc + popcount w) 0 t.bits
+
+let cardinal t =
+  let c = ref 0 in
+  for i = 0 to Array.length t.bits - 1 do
+    c := !c + popcount t.bits.(i)
+  done;
+  !c
 
 let equal t1 t2 =
   let t1, t2 = align t1 t2 in
@@ -171,14 +196,55 @@ let subset t1 t2 =
   in
   go (Array.length t1.bits - 1)
 
-let map2_words op t1 t2 =
-  let t1, t2 = align t1 t2 in
-  Obs.Counter.add words_touched (Array.length t1.bits);
-  { t1 with bits = Array.init (Array.length t1.bits) (fun i -> op t1.bits.(i) t2.bits.(i)) }
+(* The binary operators below return their result at the operands'
+   common capacity [c] and charge its [c] rows of [words c] words.  An
+   operand with no pairs decides the result without a word loop: the
+   other operand, or no pairs, grown to [c]. *)
+let charge_rows c = Obs.Counter.add words_touched (c * words c)
 
-let union = map2_words ( lor )
-let inter = map2_words ( land )
-let diff = map2_words (fun a b -> a land lnot b)
+let union t1 t2 =
+  let c = max t1.n t2.n in
+  charge_rows c;
+  if is_empty t2 then grow c t1
+  else if is_empty t1 then grow c t2
+  else begin
+    let t1, t2 = same_width t1 t2 in
+    let r = copy_at c t1 in
+    let bits = r.bits and b2 = t2.bits in
+    for i = 0 to Array.length b2 - 1 do
+      bits.(i) <- bits.(i) lor b2.(i)
+    done;
+    r
+  end
+
+let inter t1 t2 =
+  let c = max t1.n t2.n in
+  charge_rows c;
+  if is_empty t1 then grow c t1
+  else if is_empty t2 then grow c t2
+  else begin
+    let t1, t2 = same_width t1 t2 in
+    let b1 = t1.bits and b2 = t2.bits in
+    let bits = Array.make (c * t1.w) 0 in
+    for i = 0 to min (Array.length b1) (Array.length b2) - 1 do
+      bits.(i) <- b1.(i) land b2.(i)
+    done;
+    { n = c; w = t1.w; bits }
+  end
+
+let diff t1 t2 =
+  let c = max t1.n t2.n in
+  charge_rows c;
+  if is_empty t1 || is_empty t2 then grow c t1
+  else begin
+    let t1, t2 = same_width t1 t2 in
+    let r = copy_at c t1 in
+    let bits = r.bits and b2 = t2.bits in
+    for i = 0 to Array.length b2 - 1 do
+      bits.(i) <- bits.(i) land lnot b2.(i)
+    done;
+    r
+  end
 
 let filter f t =
   let bits = Array.make (Array.length t.bits) 0 in
@@ -195,9 +261,24 @@ let exists f t =
 let for_all f t = not (exists (fun x y -> not (f x y)) t)
 
 let inverse t =
-  let bits = Array.make (Array.length t.bits) 0 in
-  iter (fun x y -> set_bit bits t.w y x) t;
-  { t with bits }
+  if is_empty t then t
+  else begin
+    let w = t.w and src = t.bits in
+    let bits = Array.make (Array.length src) 0 in
+    for x = 0 to t.n - 1 do
+      let xw = x / bpw and xb = 1 lsl (x mod bpw) in
+      for wi = 0 to w - 1 do
+        let word = ref src.((x * w) + wi) in
+        while !word <> 0 do
+          let b = !word land - !word in
+          let i = (((wi * bpw) + ntz b) * w) + xw in
+          bits.(i) <- bits.(i) lor xb;
+          word := !word lxor b
+        done
+      done
+    done;
+    { t with bits }
+  end
 
 let domain t =
   let acc = ref Iset.empty in
@@ -234,22 +315,42 @@ let range t =
 
 let field t = Iset.union (domain t) (range t)
 
+(* Composition ORs row [j] of [t2] into row [i] for every pair (i, j)
+   of [t1], charging one row of [words c] words per pair; with [t2]
+   empty the charge stands and the rows need no OR. *)
 let seq t1 t2 =
-  let t1, t2 = align t1 t2 in
-  let n = t1.n and w = t1.w in
-  let bits = Array.make (n * w) 0 in
-  for i = 0 to n - 1 do
-    let base = i * w in
-    iter_row
-      (fun j ->
-        Obs.Counter.add words_touched w;
-        let jbase = j * w in
-        for k = 0 to w - 1 do
-          bits.(base + k) <- bits.(base + k) lor t2.bits.(jbase + k)
-        done)
-      t1 i
-  done;
-  { n; w; bits }
+  let c = max t1.n t2.n in
+  if is_empty t1 then grow c t1
+  else if is_empty t2 then begin
+    Obs.Counter.add words_touched (words c * cardinal t1);
+    grow c t2
+  end
+  else begin
+    let t1, t2 = same_width t1 t2 in
+    let w = t1.w and b1 = t1.bits and b2 = t2.bits and n2 = t2.n in
+    let bits = Array.make (c * w) 0 in
+    let pairs = ref 0 in
+    for i = 0 to t1.n - 1 do
+      let base = i * w in
+      for wi = 0 to w - 1 do
+        let word = ref b1.(base + wi) in
+        while !word <> 0 do
+          let b = !word land - !word in
+          let j = (wi * bpw) + ntz b in
+          incr pairs;
+          if j < n2 then begin
+            let jbase = j * w in
+            for k = 0 to w - 1 do
+              bits.(base + k) <- bits.(base + k) lor b2.(jbase + k)
+            done
+          end;
+          word := !word lxor b
+        done
+      done
+    done;
+    Obs.Counter.add words_touched (w * !pairs);
+    { n = c; w; bits }
+  end
 
 let rec seqs = function
   | [] -> invalid_arg "Rel.seqs: empty list"
@@ -268,7 +369,19 @@ let set_row_from ~src j i t =
   { t with bits }
 
 let id_of_list xs = of_list (List.map (fun x -> (x, x)) xs)
-let id_of_set s = id_of_list (Iset.to_list s)
+
+(* The diagonal over [s], set in place in [t]'s fresh array. *)
+let set_diagonal s t = Iset.iter (fun x -> set_bit t.bits t.w x x) s
+
+let id_of_set s =
+  if Iset.is_empty s then empty
+  else begin
+    if Iset.min_elt s < 0 then invalid_arg "Rel: negative event id";
+    let c = Iset.max_elt s + 1 in
+    let t = { n = c; w = words c; bits = Array.make (c * words c) 0 } in
+    set_diagonal s t;
+    t
+  end
 
 (* The bit-vector mask of an integer set, at [w] words. *)
 let mask_of_set w s =
@@ -307,24 +420,40 @@ let restrict s t = restrict_domain s (restrict_range s t)
 
 let transitive_closure t =
   (* Warshall: after round k, paths through intermediates <= k are edges. *)
-  let n = t.n and w = t.w in
-  let bits = Array.copy t.bits in
-  for k = 0 to n - 1 do
-    let kw = k / bpw and kb = 1 lsl (k mod bpw) in
-    let kbase = k * w in
-    for i = 0 to n - 1 do
-      let ibase = i * w in
-      if bits.(ibase + kw) land kb <> 0 then begin
-        Obs.Counter.add words_touched w;
-        for m = 0 to w - 1 do
-          bits.(ibase + m) <- bits.(ibase + m) lor bits.(kbase + m)
-        done
-      end
-    done
-  done;
-  { t with bits }
+  if is_empty t then t
+  else begin
+    let n = t.n and w = t.w in
+    let bits = Array.copy t.bits in
+    let ored = ref 0 in
+    for k = 0 to n - 1 do
+      let kw = k / bpw and kb = 1 lsl (k mod bpw) in
+      let kbase = k * w in
+      for i = 0 to n - 1 do
+        let ibase = i * w in
+        if bits.(ibase + kw) land kb <> 0 then begin
+          incr ored;
+          for m = 0 to w - 1 do
+            bits.(ibase + m) <- bits.(ibase + m) lor bits.(kbase + m)
+          done
+        end
+      done
+    done;
+    Obs.Counter.add words_touched (w * !ored);
+    { t with bits }
+  end
 
-let reflexive_closure ~universe t = union t (id_of_set universe)
+(* [union t (id_of_set universe)], charged as that union, without
+   building the identity. *)
+let reflexive_closure ~universe t =
+  if Iset.is_empty universe then union t empty
+  else begin
+    if Iset.min_elt universe < 0 then invalid_arg "Rel: negative event id";
+    let c = max t.n (Iset.max_elt universe + 1) in
+    charge_rows c;
+    let r = copy_at c t in
+    set_diagonal universe r;
+    r
+  end
 
 let reflexive_transitive_closure ~universe t =
   reflexive_closure ~universe (transitive_closure t)

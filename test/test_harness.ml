@@ -233,6 +233,53 @@ let test_runner_json () =
       "\"error\""; "\"class\""; "\"exit_code\""; "\"wall_s\"";
     ]
 
+(* Enum is the one default engine: an oracle call without [?backend],
+   the daemon's and the campaign's default configs, and herd_lk's
+   [--backend] left unset (its [--json] report on a corpus test) all
+   name it. *)
+let test_default_engine () =
+  let sb = Harness.Battery.test_of (Harness.Battery.find "SB") in
+  let engine r = Exec.Check.backend_to_string r.Exec.Check.backend in
+  Alcotest.(check string) "Oracle.run" "enum"
+    (engine (Exec.Oracle.run Lkmm.oracle sb));
+  List.iter
+    (fun r -> Alcotest.(check string) "Oracle.run_all" "enum" (engine r))
+    (Exec.Oracle.run_all
+       [ Lkmm.oracle; Exec.Oracle.of_model (module Models.C11) ]
+       sb);
+  Alcotest.(check string) "Campaign.default" "enum"
+    (Exec.Check.backend_to_string Harness.Campaign.default.backend);
+  Alcotest.(check string) "Serve.default" "enum"
+    (Exec.Check.backend_to_string Harness.Serve.default.backend);
+  let backend =
+    match
+      Cmdliner.Cmd.eval_value ~argv:[| "herd_lk" |]
+        (Cmdliner.Cmd.v (Cmdliner.Cmd.info "herd_lk") Harness.Cli.backend_arg)
+    with
+    | Ok (`Ok b) -> b
+    | _ -> Alcotest.fail "--backend left unset does not parse"
+  in
+  let dir =
+    Option.get (List.find_opt Sys.file_exists [ "../../../corpus"; "corpus" ])
+  in
+  let json =
+    R.to_json
+      (R.run ~backend
+         [
+           {
+             R.id = "AcqRR-Fre-MbdWW-Rfe.litmus";
+             source = `File (Filename.concat dir "AcqRR-Fre-MbdWW-Rfe.litmus");
+             expected = None;
+           };
+         ])
+  in
+  let needle = "\"backend\": \"enum\"" in
+  let rec contains i =
+    i + String.length needle <= String.length json
+    && (String.sub json i (String.length needle) = needle || contains (i + 1))
+  in
+  Alcotest.(check bool) "herd_lk --json names enum" true (contains 0)
+
 (* The acceptance scenario: an explosive generated test and a corrupted
    corpus file both complete under the runner — Unknown/Error entries,
    no run exceeding its wall-clock budget by more than 2x. *)
@@ -307,6 +354,7 @@ let () =
           Alcotest.test_case "lint" `Quick test_runner_lint;
           Alcotest.test_case "model names" `Quick test_model_names;
           Alcotest.test_case "json" `Quick test_runner_json;
+          Alcotest.test_case "default engine" `Quick test_default_engine;
           Alcotest.test_case "acceptance" `Slow test_runner_acceptance;
         ] );
       ( "rcu-study",

@@ -186,6 +186,23 @@ let test_counters_match_result () =
   Alcotest.(check bool) "relation kernel touched words" true
     (counter "rel.words" > 0)
 
+(* [rel.words] charges a function of each kernel's operands, not of the
+   branch the kernel takes, so traces stay comparable across kernel
+   rewrites and its reading on a fixed check is exact: SB on the scalar
+   engine charges 396 words under native LK and 414 under lk.cat. *)
+let test_rel_words_pinned () =
+  let sb = Harness.Battery.test_of (Harness.Battery.find "SB") in
+  List.iter
+    (fun (what, oracle, words) ->
+      with_collector @@ fun () ->
+      ignore (Exec.Oracle.run ~backend:Exec.Check.Enum oracle sb);
+      Alcotest.(check int) (what ^ ": rel.words") words
+        (Option.value ~default:0 (List.assoc_opt "rel.words" (Obs.counters ()))))
+    [
+      ("LK", Lkmm.oracle, 396);
+      ("lk.cat", Cat.to_oracle ~name:"lk.cat" (Lazy.force Cat.lk), 414);
+    ]
+
 (* MP's condition fixes both of P1's read values, so of its four event
    structures (one per pair of values read) the condition gate leaves
    one open, with its one candidate, and refutes three.  The
@@ -715,6 +732,7 @@ let () =
             test_report_metrics_object;
           Alcotest.test_case "condition gate counted" `Quick
             test_cond_refuted;
+          Alcotest.test_case "rel.words pinned" `Quick test_rel_words_pinned;
         ] );
       ( "pool",
         [

@@ -52,7 +52,7 @@ let kills = ref 6
    sat soak cross-checks the symbolic backend against itself under
    fault injection (verdicts are engine-independent, so any engine's
    truth convicts any engine's daemon) *)
-let backend = ref Exec.Check.Batch
+let backend = ref Exec.Oracle.default_backend
 
 let () =
   let rec parse = function
