@@ -32,10 +32,10 @@ let make ~name ~model ?batch ?solve () = { name; model; batch; solve }
 let name t = t.name
 let model t ?budget () = t.model budget
 
-(* The engine every default names: the scalar enumerator.  Since the
-   condition gate few candidates share a flush, and the closure-free
-   [Rel] kernels decide one candidate faster than a bit-plane pass
-   decides a flush; the batched engine stays as a cross-check. *)
+(* The engine every default names: the scalar enumerator.  Behind the
+   condition gate a flush holds few candidates, and the closure-free
+   [Rel] kernels decide them one at a time faster than a bit-plane pass
+   decides the flush; the batched engine stays as a cross-check. *)
 let default_backend = Check.Enum
 
 (* The model an oracle contributes to {!Check.run} under an enumerative
