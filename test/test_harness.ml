@@ -119,6 +119,14 @@ module B = Exec.Budget
 let item id source expected = { R.id; source = `Text source; expected }
 let src name = (Harness.Battery.find name).Harness.Battery.source
 
+(* Whether [sub] occurs in the report text [json]. *)
+let contains json sub =
+  let n = String.length sub in
+  let rec go i =
+    i + n <= String.length json && (String.sub json i n = sub || go (i + 1))
+  in
+  go 0
+
 let test_runner_statuses () =
   let report =
     R.run
@@ -218,16 +226,9 @@ let test_runner_json () =
       [ item "ok" (src "SB") None; item "bad" "not a litmus test" None ]
   in
   let json = R.to_json report in
-  let contains sub =
-    let n = String.length sub in
-    let rec go i =
-      i + n <= String.length json && (String.sub json i n = sub || go (i + 1))
-    in
-    go 0
-  in
   List.iter
     (fun field ->
-      Alcotest.(check bool) ("json has " ^ field) true (contains field))
+      Alcotest.(check bool) ("json has " ^ field) true (contains json field))
     [
       "\"total\""; "\"entries\""; "\"status\""; "\"pass\"";
       "\"error\""; "\"class\""; "\"exit_code\""; "\"wall_s\"";
@@ -273,12 +274,8 @@ let test_default_engine () =
            };
          ])
   in
-  let needle = "\"backend\": \"enum\"" in
-  let rec contains i =
-    i + String.length needle <= String.length json
-    && (String.sub json i (String.length needle) = needle || contains (i + 1))
-  in
-  Alcotest.(check bool) "herd_lk --json names enum" true (contains 0)
+  Alcotest.(check bool) "herd_lk --json names enum" true
+    (contains json "\"backend\": \"enum\"")
 
 (* The acceptance scenario: an explosive generated test and a corrupted
    corpus file both complete under the runner — Unknown/Error entries,
