@@ -245,14 +245,13 @@ let co_atoms all_events =
     locs
 
 (* Does some candidate execution of [test] satisfy its condition body?
-   Decided per event structure, with no candidate built.  The condition
+   Decided per event structure, with no structure built.  The condition
    reads the structure's registers and each location's co-maximal write,
    and {!Exec.of_test} yields every coherence order of every structure
-   whose reads all have a same-value writer.  So in such a structure any
-   non-init write of a location can be final, independently per
-   location, and a location with no such write keeps its initial value:
-   the condition is satisfiable iff some choice of those final values
-   makes it hold. *)
+   that is not {!Exec.dead}.  So in such a structure any non-init write
+   of a location can be final, independently per location, and a
+   location with no such write keeps its initial value: the condition is
+   satisfiable iff some choice of those final values makes it hold. *)
 let realisable (test : Litmus.Ast.t) =
   let locs =
     List.filter_map
@@ -260,25 +259,23 @@ let realisable (test : Litmus.Ast.t) =
       (Exec.observables test)
   in
   Seq.exists
-    (fun (sk : Exec.skeleton) ->
+    (fun st ->
       let finals x =
-        match List.find_opt (fun (y, _, _) -> y = x) (Exec.co_writes sk) with
-        | Some (_, _, (_ :: _ as ws)) ->
-            List.sort_uniq Int.compare
-              (List.map (fun w -> sk.Exec.sk_events.(w).Exec.Event.v) ws)
-        | _ -> [ Litmus.Ast.init_value test x ]
+        match Exec.structure_writes st x with
+        | [] -> [ Litmus.Ast.init_value test x ]
+        | ws -> List.sort_uniq Int.compare (List.map snd ws)
       in
       let rec choose mem = function
         | [] ->
             Exec.holds test (function
-              | `Reg (tid, r) -> Exec.final_reg sk.Exec.sk_final_regs tid r
+              | `Reg (tid, r) -> Exec.final_reg (Exec.structure_regs st) tid r
               | `Mem x -> List.assoc x mem)
         | (x, vs) :: rest ->
             List.exists (fun v -> choose ((x, v) :: mem) rest) vs
       in
-      (not (List.mem [] sk.Exec.sk_rf_choices))
+      (not (Exec.dead st))
       && choose [] (List.map (fun x -> (x, finals x)) locs))
-    (Exec.skeletons test)
+    (Exec.structures test)
 
 (* The test [cycle] realises, before validation: [None] when the walk
    or the value assignment fails. *)

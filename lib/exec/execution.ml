@@ -82,48 +82,39 @@ let events_where t p =
 (* Construction                                                        *)
 (* ------------------------------------------------------------------ *)
 
-(* crit connects each outermost rcu_read_lock to its matching unlock;
-   nesting is resolved with a per-thread depth counter over po (events are
-   id-ordered within a thread, ids being assigned in program order). *)
-let compute_crit (events : Event.t array) =
-  let by_tid = Hashtbl.create 4 in
+(* crit connects each outermost rcu_read_lock to its matching unlock,
+   in one pass: a thread's events are one block of consecutive ids in
+   program order, so nesting is a depth counter reset at each block. *)
+let crit_of (events : Event.t array) =
+  let pairs = ref [] and tid = ref (-1) and depth = ref 0 and outer = ref 0 in
   Array.iter
     (fun (e : Event.t) ->
-      if e.tid >= 0 then
-        Hashtbl.replace by_tid e.tid
-          (e :: (try Hashtbl.find by_tid e.tid with Not_found -> [])))
+      if e.tid <> !tid then begin
+        tid := e.tid;
+        depth := 0
+      end;
+      match e.annot with
+      | Event.Rcu_lock when e.tid >= 0 ->
+          if !depth = 0 then outer := e.id;
+          incr depth
+      | Event.Rcu_unlock when e.tid >= 0 ->
+          if !depth = 1 then pairs := (!outer, e.id) :: !pairs;
+          (* an unmatched unlock is ignored *)
+          depth := max 0 (!depth - 1)
+      | _ -> ())
     events;
-  Hashtbl.fold
-    (fun _tid rev_events acc ->
-      let thread_events = List.rev rev_events in
-      let acc', _, _ =
-        List.fold_left
-          (fun (acc, depth, outer) (e : Event.t) ->
-            match e.annot with
-            | Event.Rcu_lock ->
-                if depth = 0 then (acc, 1, Some e.id)
-                else (acc, depth + 1, outer)
-            | Event.Rcu_unlock -> (
-                match (depth, outer) with
-                | 1, Some l -> (Rel.add l e.id acc, 0, None)
-                | d, _ when d > 1 -> (acc, d - 1, outer)
-                | _ -> (acc, 0, None) (* unmatched unlock: ignored *))
-            | _ -> (acc, depth, outer))
-          (acc, 0, None) thread_events
-      in
-      acc')
-    by_tid Rel.empty
-
-let set_of events p =
-  Array.fold_left
-    (fun acc (e : Event.t) -> if p e then Iset.add e.id acc else acc)
-    Iset.empty events
+  Rel.of_list !pairs
 
 (* The shape of a structure from its events (values are never read) and
-   its threads' Sem candidates, whose dependency pairs are re-based to
-   global event ids. *)
-let shape_of globals (events : Event.t array) (chosen : Sem.candidate list) =
+   its threads' runs, whose dependency pairs are re-based to global
+   event ids.  [index] numbers the [globals] in declaration order.  The
+   class relations are built from each event's thread and location
+   ({!Rel.of_classes}); the event sets and each location's writes in one
+   pass. *)
+let shape_of ~index globals (events : Event.t array) (runs : Sem.candidate list)
+    =
   let n = Array.length events in
+  let n_init = List.length globals in
   let deps field =
     let rec go base acc = function
       | [] -> Rel.of_list acc
@@ -135,47 +126,56 @@ let shape_of globals (events : Event.t array) (chosen : Sem.candidate list) =
                acc)
             rest
     in
-    go (List.length globals) [] chosen
+    go n_init [] runs
   in
-  let same_thread i j =
-    events.(i).Event.tid >= 0 && events.(i).Event.tid = events.(j).Event.tid
+  (* init writes are in no thread (tid -1): a class of their own each *)
+  let tids = Array.map (fun (e : Event.t) -> e.tid) events in
+  let locs =
+    Array.map
+      (fun (e : Event.t) -> if Event.is_mem e then index e.loc else -1)
+      events
   in
-  (* po: total within each thread; ids follow program order *)
-  let po = Rel.init n (fun i j -> i < j && same_thread i j) in
-  let loc_r =
-    Rel.init n (fun i j ->
-        let e1 = events.(i) and e2 = events.(j) in
-        i <> j && Event.is_mem e1 && Event.is_mem e2 && e1.loc = e2.loc)
-  in
+  let po = Rel.of_classes `Later tids in
+  let loc_r = Rel.of_classes `Same locs in
+  let reads = ref Iset.empty and writes = ref Iset.empty in
+  let fences = ref Iset.empty and mem = ref Iset.empty in
+  let init_ws = ref Iset.empty in
+  let co_writes = Array.make n_init [] in
+  Array.iter
+    (fun (e : Event.t) ->
+      let id = e.id in
+      (match e.dir with
+      | Event.R -> reads := Iset.add id !reads
+      | Event.W ->
+          writes := Iset.add id !writes;
+          if not (Event.is_init e) then
+            co_writes.(locs.(id)) <- id :: co_writes.(locs.(id))
+      | Event.F -> fences := Iset.add id !fences);
+      if Event.is_mem e then mem := Iset.add id !mem;
+      if Event.is_init e then init_ws := Iset.add id !init_ws)
+    events;
+  let universe = Iset.of_range 0 (n - 1) in
   {
     sh_po = po;
     sh_addr = deps (fun c -> c.addr);
     sh_data = deps (fun c -> c.data);
     sh_ctrl = deps (fun c -> c.ctrl);
     sh_rmw = deps (fun c -> c.rmw);
-    sh_universe = Iset.of_range 0 (n - 1);
+    sh_universe = universe;
     sh_loc_r = loc_r;
-    sh_int_r = Rel.init n (fun i j -> i <> j && same_thread i j);
-    sh_ext_r = Rel.init n (fun i j -> i <> j && not (same_thread i j));
-    sh_id_r = Rel.init n ( = );
+    sh_int_r = Rel.of_classes `Same tids;
+    sh_ext_r = Rel.of_classes `Other tids;
+    sh_id_r = Rel.id_of_set universe;
     sh_po_loc = Rel.inter po loc_r;
-    sh_crit = compute_crit events;
-    sh_reads = set_of events Event.is_read;
-    sh_writes = set_of events Event.is_write;
-    sh_fences = set_of events Event.is_fence;
-    sh_mem = set_of events Event.is_mem;
-    sh_init_ws = set_of events Event.is_init;
+    sh_crit = crit_of events;
+    sh_reads = !reads;
+    sh_writes = !writes;
+    sh_fences = !fences;
+    sh_mem = !mem;
+    sh_init_ws = !init_ws;
     (* the init writes come first, one per global in declaration order *)
     sh_co_writes =
-      List.mapi
-        (fun init_id x ->
-          ( x,
-            init_id,
-            Array.to_list events
-            |> List.filter (fun (w : Event.t) ->
-                   Event.is_write w && (not (Event.is_init w)) && w.loc = x)
-            |> List.map (fun (w : Event.t) -> w.id) ))
-        globals;
+      List.mapi (fun init_id x -> (x, init_id, List.rev co_writes.(init_id))) globals;
   }
 
 (* fr = rf⁻¹;co minus identity, built row by row: rf gives each read
@@ -233,15 +233,43 @@ let build ?coi ?coe test events sh rf co final_regs =
 (* Enumeration                                                         *)
 (* ------------------------------------------------------------------ *)
 
+(* A test's globals as Sem and the enumeration read them, computed once
+   per test: {!Litmus.Ast.address_of} re-sorts the globals on every
+   call. *)
+type globals = {
+  names : string array; (* declaration order: the init write of names.(i) is event i *)
+  addresses : (string * int) list;
+  index : (string, int) Hashtbl.t; (* a name's position in [names] *)
+  inits : int array; (* initial values *)
+}
+
+let cvalue addresses = function
+  | Litmus.Ast.VInt n -> n
+  | Litmus.Ast.VAddr x -> Litmus.Ast.address_in addresses x
+
+let globals_of (test : Litmus.Ast.t) =
+  let addresses = Litmus.Ast.addresses test in
+  let names = Array.of_list (List.map fst addresses) in
+  let index = Hashtbl.create (Array.length names) in
+  Array.iteri (fun i x -> Hashtbl.replace index x i) names;
+  let inits =
+    Array.map
+      (fun x ->
+        Option.fold ~none:0 ~some:(cvalue addresses)
+          (List.assoc_opt x test.init))
+      names
+  in
+  { names; addresses; index; inits }
+
 (* Initial read-value domain: everything an expression could syntactically
    produce.  It is grown by a fixpoint over observed written values, so
    data-dependent writes (e.g. WRITE_ONCE(y, r1 + 1)) are covered. *)
-let initial_domain (test : Litmus.Ast.t) =
+let domain_of (test : Litmus.Ast.t) g =
   let consts = ref [ 0; 1 ] in
   let add n = if not (List.mem n !consts) then consts := n :: !consts in
   let rec expr = function
     | Litmus.Ast.Const n -> add n
-    | Litmus.Ast.Addr x -> add (Litmus.Ast.address_of test x)
+    | Litmus.Ast.Addr x -> add (Litmus.Ast.address_in g.addresses x)
     | Litmus.Ast.Reg _ -> ()
     | Litmus.Ast.Binop (_, a, b) ->
         expr a;
@@ -268,14 +296,12 @@ let initial_domain (test : Litmus.Ast.t) =
         List.iter instr b
   in
   Array.iter (List.iter instr) test.threads;
-  List.iter (fun (x, _) -> add (Litmus.Ast.init_value test x)) test.init;
-  List.iter
-    (fun (x, _) -> add (Litmus.Ast.address_of test x))
-    (Litmus.Ast.addresses test);
+  List.iter (fun (x, _) -> add g.inits.(Hashtbl.find g.index x)) test.init;
+  List.iter (fun (_, a) -> add a) g.addresses;
   let rec cond = function
     | Litmus.Ast.Atom (Litmus.Ast.Reg_eq (_, _, v))
     | Litmus.Ast.Atom (Litmus.Ast.Mem_eq (_, v)) ->
-        add (Litmus.Ast.cvalue_to_int test v)
+        add (cvalue g.addresses v)
     | Litmus.Ast.Not c -> cond c
     | Litmus.Ast.And (a, b) | Litmus.Ast.Or (a, b) ->
         cond a;
@@ -285,65 +311,77 @@ let initial_domain (test : Litmus.Ast.t) =
   cond test.cond;
   List.sort_uniq Int.compare !consts
 
+let initial_domain test = domain_of test (globals_of test)
+
 (* Per-thread candidates under a per-location read-value domain, iterated
-   until the set of observed written values stops growing. *)
-let thread_candidate_lists test =
-  let all = initial_domain test in
-  let globals = Litmus.Ast.globals test in
-  let value_tbl : (string, Iset.t) Hashtbl.t = Hashtbl.create 8 in
-  List.iter
-    (fun x ->
-      Hashtbl.replace value_tbl x
-        (Iset.add (Litmus.Ast.init_value test x) (Iset.of_list all)))
-    globals;
-  let domain loc =
-    match Hashtbl.find_opt value_tbl loc with
-    | Some s -> Iset.to_list s
-    | None -> all
+   until the set of observed written values stops growing.  The first
+   round usually only shrinks the domains to the values actually
+   written; the second accounts for writes whose value became
+   expressible only once reads were so constrained.  Grow-only from
+   round one on, so this terminates.
+
+   A round in which no domain gains a value does not re-run Sem: a run
+   is fixed by the values it drew, and Sem draws each location's values
+   in increasing order, earliest draw outermost, so the runs under the
+   smaller domains are exactly the previous round's runs whose drawn
+   values all stay, in the same order. *)
+let candidate_lists (test : Litmus.Ast.t) g =
+  let all = domain_of test g in
+  let n = Array.length g.names in
+  let sets =
+    let all = Iset.of_list all in
+    Array.map (fun v -> Iset.add v all) g.inits
   in
+  let lists = Array.map Iset.elements sets in
+  let domain loc = lists.(Hashtbl.find g.index loc) in
   let compute () =
     Array.to_list test.threads
-    |> List.map (Sem.thread_candidates test domain)
+    |> List.map (Sem.thread_candidates ~addresses:g.addresses domain)
   in
   let written cands =
-    let tbl = Hashtbl.create 8 in
-    List.iter
-      (fun x ->
-        Hashtbl.replace tbl x (Iset.singleton (Litmus.Ast.init_value test x)))
-      globals;
+    let w = Array.map Iset.singleton g.inits in
     List.iter
       (List.iter (fun (c : Sem.candidate) ->
            List.iter
              (fun (pe : Sem.proto_event) ->
-               if pe.dir = Event.W then
-                 Hashtbl.replace tbl pe.loc
-                   (Iset.add pe.v
-                      (try Hashtbl.find tbl pe.loc
-                       with Not_found -> Iset.empty)))
+               if pe.dir = Event.W then begin
+                 let i = Hashtbl.find g.index pe.loc in
+                 w.(i) <- Iset.add pe.v w.(i)
+               end)
              c.events))
       cands;
-    tbl
+    w
   in
-  (* Two rounds: the first shrinks the read domains to the values actually
-     written per location; the second accounts for writes whose value became
-     expressible only once reads were so constrained.  Grow-only from round
-     one on, so this terminates.  Domains that did not change would give
-     [prev] again. *)
+  let kept (c : Sem.candidate) =
+    List.for_all
+      (fun (loc, v) -> Iset.mem v sets.(Hashtbl.find g.index loc))
+      c.drawn
+  in
   let rec go prev rounds =
-    let tbl = written prev in
-    let changed = ref false in
-    Hashtbl.iter
-      (fun x s ->
-        let old = try Hashtbl.find value_tbl x with Not_found -> Iset.empty in
-        if not (Iset.equal s old) then changed := true;
-        Hashtbl.replace value_tbl x s)
-      tbl;
+    let w = written prev in
+    let changed = ref false and grown = ref false in
+    for i = 0 to n - 1 do
+      if not (Iset.equal w.(i) sets.(i)) then begin
+        changed := true;
+        if not (Iset.subset w.(i) sets.(i)) then grown := true
+      end
+    done;
     if not !changed then prev
-    else
-      let next = compute () in
+    else begin
+      Array.iteri
+        (fun i s ->
+          sets.(i) <- s;
+          lists.(i) <- Iset.elements s)
+        w;
+      let next =
+        if !grown then compute () else List.map (List.filter kept) prev
+      in
       if rounds > 0 then go next (rounds - 1) else next
+    end
   in
   go (compute ()) 4
+
+let thread_candidate_lists test = candidate_lists test (globals_of test)
 
 let cartesian_product ?(tick = fun () -> ()) lists =
   List.fold_right
@@ -405,6 +443,152 @@ let number_shapes (cands : Sem.candidate list) =
           (i, c))
     cands
 
+(* One thread run with what deciding a structure reads of it, summarised
+   once per test.  Accesses are (global index, local event id, value),
+   in program order. *)
+type run = {
+  ru_cand : Sem.candidate;
+  ru_shape : int; (* its number_shapes number *)
+  ru_n : int; (* events *)
+  ru_regs : (int * string * int) list; (* (tid, register, value) *)
+  ru_reads : (int * int * int) list;
+  ru_writes : (int * int * int) list;
+}
+
+let runs_of g tid cands =
+  List.map
+    (fun (shape, (c : Sem.candidate)) ->
+      let reads = ref [] and writes = ref [] in
+      List.iteri
+        (fun i (pe : Sem.proto_event) ->
+          match pe.dir with
+          | Event.R -> reads := (Hashtbl.find g.index pe.loc, i, pe.v) :: !reads
+          | Event.W ->
+              writes := (Hashtbl.find g.index pe.loc, i, pe.v) :: !writes
+          | Event.F -> ())
+        c.events;
+      {
+        ru_cand = c;
+        ru_shape = shape;
+        ru_n = List.length c.events;
+        ru_regs = List.map (fun (r, v) -> (tid, r, v)) c.regs;
+        ru_reads = List.rev !reads;
+        ru_writes = List.rev !writes;
+      })
+    (number_shapes cands)
+
+(* What the structures of one enumeration share: the test, its globals
+   with their init writes, and each shape built so far, by the tuple of
+   its threads' shape numbers. *)
+type enumeration = {
+  en_test : Litmus.Ast.t;
+  en_globals : globals;
+  en_init_events : Event.t array;
+  en_shapes : (int list, shape) Hashtbl.t;
+}
+
+(* One event structure before it is built: a run per thread, and what
+   the condition gate, deadness and the candidate claim read. *)
+type structure = {
+  st_en : enumeration;
+  st_runs : run list; (* thread order *)
+  st_n_events : int;
+  st_final_regs : (int * string * int) list;
+  st_writes : (int * int) list array;
+      (* per global: the non-init writes as (event id, value), id order *)
+  st_n_writers : int list;
+      (* per read, in event-id order: its same-value writers, the init
+         write included *)
+}
+
+let structure_of en runs =
+  let g = en.en_globals in
+  let writes = Array.make (Array.length g.names) [] in
+  let base = ref (Array.length g.names) in
+  List.iter
+    (fun r ->
+      let b = !base in
+      List.iter
+        (fun (i, id, v) -> writes.(i) <- (b + id, v) :: writes.(i))
+        r.ru_writes;
+      base := b + r.ru_n)
+    runs;
+  Array.iteri (fun i ws -> writes.(i) <- List.rev ws) writes;
+  let n_writers (i, _, v) =
+    List.fold_left
+      (fun k (_, v') -> if v' = v then k + 1 else k)
+      (if g.inits.(i) = v then 1 else 0)
+      writes.(i)
+  in
+  {
+    st_en = en;
+    st_runs = runs;
+    st_n_events = !base;
+    st_final_regs = List.concat_map (fun r -> r.ru_regs) runs;
+    st_writes = writes;
+    st_n_writers = List.concat_map (fun r -> List.map n_writers r.ru_reads) runs;
+  }
+
+(* A structure's shape is the tuple of its threads' shape numbers: the
+   thread partition and every event id follow from the per-thread event
+   lists, so equal tuples give equal statics, and unequal ones unequal
+   statics ({!static_compatible}).  Each tuple's shape is built on the
+   first of its structures an engine builds.  The sem span covers the
+   runs and their summaries. *)
+let structures ?budget (test : Litmus.Ast.t) =
+  let g, per_thread =
+    Obs.with_span ~item:test.name "sem" (fun () ->
+        let g = globals_of test in
+        (g, List.mapi (runs_of g) (candidate_lists test g)))
+  in
+  Option.iter Budget.check_time budget;
+  let en =
+    {
+      en_test = test;
+      en_globals = g;
+      en_init_events =
+        Array.mapi
+          (fun i x ->
+            {
+              Event.id = i;
+              tid = -1;
+              dir = Event.W;
+              loc = x;
+              v = g.inits.(i);
+              annot = Event.Init;
+            })
+          g.names;
+      en_shapes = Hashtbl.create 8;
+    }
+  in
+  Seq.map
+    (fun runs ->
+      let st = structure_of en runs in
+      Obs.Counter.incr c_structures;
+      Obs.Counter.add c_events st.st_n_events;
+      Option.iter (fun b -> Budget.check_events b st.st_n_events) budget;
+      st)
+    (seq_product per_thread)
+
+let structure_regs st = st.st_final_regs
+
+let structure_writes st x =
+  st.st_writes.(Hashtbl.find st.st_en.en_globals.index x)
+
+(* a read with no same-value writer: no candidate at all *)
+let dead st = List.mem 0 st.st_n_writers
+
+(* The rf choices multiply with the co orders, factorial per location;
+   saturating. *)
+let claim st =
+  let n_rf = List.fold_left Budget.sat_mul 1 st.st_n_writers in
+  let n_co =
+    Array.fold_left
+      (fun acc ws -> Budget.sat_mul acc (Budget.sat_fact (List.length ws)))
+      1 st.st_writes
+  in
+  Budget.sat_mul n_rf n_co
+
 (* The per-structure skeleton: everything the enumeration derives from
    one event structure before any rf/co witness is chosen.  Both
    backends consume it — the enumerator takes the cartesian product of
@@ -423,113 +607,73 @@ type skeleton = {
 
 let co_writes sk = sk.sk_shape.sh_co_writes
 
-(* A structure's shape is the tuple of its threads' shape numbers: the
-   thread partition and every event id follow from the per-thread event
-   lists, so equal tuples give equal statics, and unequal ones unequal
-   statics ({!static_compatible}).  Each tuple's shape is built on its
-   first structure. *)
-let skeletons ?budget (test : Litmus.Ast.t) =
-  let per_thread =
-    Obs.with_span ~item:test.name "sem" (fun () ->
-        List.map number_shapes (thread_candidate_lists test))
+(* every slot of a structure's events array is overwritten *)
+let no_event =
+  { Event.id = -1; tid = -1; dir = Event.F; loc = ""; v = 0; annot = Event.Init }
+
+(* Build a structure: its events (init writes first, then the threads in
+   order; ids follow), its shape, and its rf choices — each read takes
+   its value from a same-location, same-value write, in event-id order
+   (the init write first). *)
+let skeleton st =
+  let en = st.st_en in
+  let g = en.en_globals in
+  let n_init = Array.length g.names in
+  let events = Array.make st.st_n_events no_event in
+  Array.blit en.en_init_events 0 events 0 n_init;
+  let rf_choices = ref [] in
+  ignore
+    (List.fold_left
+       (fun (tid, base) r ->
+         List.iteri
+           (fun i (pe : Sem.proto_event) ->
+             events.(base + i) <-
+               {
+                 Event.id = base + i;
+                 tid;
+                 dir = pe.dir;
+                 loc = pe.loc;
+                 v = pe.v;
+                 annot = pe.annot;
+               })
+           r.ru_cand.events;
+         List.iter
+           (fun (i, id, v) ->
+             let r = base + id in
+             let ws =
+               List.filter_map
+                 (fun (w, v') -> if v' = v then Some (w, r) else None)
+                 st.st_writes.(i)
+             in
+             rf_choices :=
+               (if g.inits.(i) = v then (i, r) :: ws else ws) :: !rf_choices)
+           r.ru_reads;
+         (tid + 1, base + r.ru_n))
+       (0, n_init) st.st_runs);
+  let key = List.map (fun r -> r.ru_shape) st.st_runs in
+  let sh =
+    match Hashtbl.find_opt en.en_shapes key with
+    | Some sh -> sh
+    | None ->
+        let sh =
+          shape_of
+            ~index:(Hashtbl.find g.index)
+            (Array.to_list g.names) events
+            (List.map (fun r -> r.ru_cand) st.st_runs)
+        in
+        Obs.Counter.incr c_shapes;
+        Hashtbl.add en.en_shapes key sh;
+        sh
   in
-  Option.iter Budget.check_time budget;
-  let globals = Litmus.Ast.globals test in
-  let n_init = List.length globals in
-  let init_events =
-    List.mapi
-      (fun i x ->
-        {
-          Event.id = i;
-          tid = -1;
-          dir = Event.W;
-          loc = x;
-          v = Litmus.Ast.init_value test x;
-          annot = Event.Init;
-        })
-      globals
-  in
-  let shapes = Hashtbl.create 8 in
-  Seq.map
-    (fun numbered ->
-      let chosen = List.map snd numbered in
-      let n_events =
-        List.fold_left
-          (fun acc (c : Sem.candidate) -> acc + List.length c.events)
-          n_init chosen
-      in
-      Obs.Counter.incr c_structures;
-      Obs.Counter.add c_events n_events;
-      Option.iter (fun b -> Budget.check_events b n_events) budget;
-      (* init writes first, then threads in order; ids follow *)
-      let thread_events =
-        List.concat
-          (List.mapi
-             (fun tid (c : Sem.candidate) ->
-               List.map (fun pe -> (tid, pe)) c.events)
-             chosen)
-      in
-      let events =
-        Array.of_list
-          (init_events
-          @ List.mapi
-              (fun i (tid, (pe : Sem.proto_event)) ->
-                {
-                  Event.id = n_init + i;
-                  tid;
-                  dir = pe.dir;
-                  loc = pe.loc;
-                  v = pe.v;
-                  annot = pe.annot;
-                })
-              thread_events)
-      in
-      let key = List.map fst numbered in
-      let sh =
-        match Hashtbl.find_opt shapes key with
-        | Some sh -> sh
-        | None ->
-            let sh = shape_of globals events chosen in
-            Obs.Counter.incr c_shapes;
-            Hashtbl.add shapes key sh;
-            sh
-      in
-      (* rf: each read takes its value from a same-location, same-value
-         write, in event-id order (the init write first) *)
-      let rf_choices =
-        Array.fold_right
-          (fun (r : Event.t) acc ->
-            if not (Event.is_read r) then acc
-            else
-              let ws =
-                match
-                  List.find_opt
-                    (fun (x, _, _) -> String.equal x r.loc)
-                    sh.sh_co_writes
-                with
-                | Some (_, init_id, ws) -> init_id :: ws
-                | None -> []
-              in
-              List.filter_map
-                (fun w ->
-                  if events.(w).Event.v = r.v then Some (w, r.id) else None)
-                ws
-              :: acc)
-          events []
-      in
-      {
-        sk_test = test;
-        sk_shape = sh;
-        sk_events = events;
-        sk_final_regs =
-          List.concat
-            (List.mapi
-               (fun tid (c : Sem.candidate) ->
-                 List.map (fun (r, v) -> (tid, r, v)) c.regs)
-               chosen);
-        sk_rf_choices = rf_choices;
-      })
-    (seq_product per_thread)
+  {
+    sk_test = en.en_test;
+    sk_shape = sh;
+    sk_events = events;
+    sk_final_regs = st.st_final_regs;
+    sk_rf_choices = List.rev !rf_choices;
+  }
+
+let skeletons ?budget test = Seq.map skeleton (structures ?budget test)
 
 (* A candidate from a decoded witness: the shape's statics are shared
    with every enumerated candidate of the same shape. *)
@@ -595,29 +739,27 @@ let or3 a b =
    [forall] — evaluated over the structure's constants.  [Known false]
    refutes the structure: none of its candidates can matter to a
    verdict. *)
-let asserted_cond sk =
-  let test = sk.sk_test in
+let asserted_cond st =
+  let test = st.st_en.en_test and g = st.st_en.en_globals in
   let final_is x v =
-    match
-      List.find_opt (fun (x', _, _) -> String.equal x x') (co_writes sk)
-    with
-    | None | Some (_, _, []) -> Known (Litmus.Ast.init_value test x = v)
-    | Some (_, _, ws) ->
+    let i = Hashtbl.find g.index x in
+    match st.st_writes.(i) with
+    | [] -> Known (g.inits.(i) = v)
+    | ws ->
         (* the init write is co-first, so never final here *)
-        if not (List.exists (fun w -> sk.sk_events.(w).Event.v = v) ws) then
-          Known false
+        if not (List.exists (fun (_, v') -> v' = v) ws) then Known false
         else if List.compare_length_with ws 1 = 0 then Known true
-        else Final (ws, v)
+        else Final (List.map fst ws, v)
   in
   let atom = function
     | Litmus.Ast.Reg_eq (tid, r, cv) ->
         let v =
           List.find_map
             (fun (tid', r', v) -> if tid = tid' && r = r' then Some v else None)
-            sk.sk_final_regs
+            st.st_final_regs
         in
-        Known (Option.value ~default:0 v = Litmus.Ast.cvalue_to_int test cv)
-    | Litmus.Ast.Mem_eq (x, cv) -> final_is x (Litmus.Ast.cvalue_to_int test cv)
+        Known (Option.value ~default:0 v = cvalue g.addresses cv)
+    | Litmus.Ast.Mem_eq (x, cv) -> final_is x (cvalue g.addresses cv)
   in
   let rec go = function
     | Litmus.Ast.Atom a -> atom a
@@ -634,9 +776,10 @@ let asserted_cond sk =
 let c_cond_refuted = Obs.Counter.make "exec.cond_refuted"
 
 (* Every candidate of the test, or with [~gated] only those of the
-   structures the condition gate leaves open.  The gate runs after a
-   structure is built, counted and claimed, so it moves no event-cap or
-   product-size trip. *)
+   structures the condition gate leaves open.  Every structure is
+   counted and claimed before it is decided, so the gate moves no
+   event-cap or product-size trip; only the structures whose candidates
+   are enumerated are built. *)
 let enumerate ~gated ?budget (test : Litmus.Ast.t) =
   let tick () = Option.iter Budget.tick budget in
   (* Per shape, its coherence choices with their coi/coe, built on the
@@ -668,33 +811,17 @@ let enumerate ~gated ?budget (test : Litmus.Ast.t) =
         choices
   in
   Seq.concat_map
-    (fun sk ->
-      let per_read_writes = sk.sk_rf_choices in
-      (* Arithmetic pre-check: the rf choices multiply with the co orders
-         (factorial per location); fail before materialising a product
-         that cannot fit in the candidate cap. *)
-      Option.iter
-        (fun b ->
-          let n_rf =
-            List.fold_left
-              (fun acc ws -> Budget.sat_mul acc (List.length ws))
-              1 per_read_writes
-          in
-          let n_co =
-            List.fold_left
-              (fun acc (_, _, ws) ->
-                Budget.sat_mul acc (Budget.sat_fact (List.length ws)))
-              1 (co_writes sk)
-          in
-          Budget.claim b (Budget.sat_mul n_rf n_co))
-        budget;
-      (* a read with no same-value writer: no candidate at all *)
-      if List.exists (( = ) []) per_read_writes then Seq.empty
-      else if gated && asserted_cond sk = Known false then begin
+    (fun st ->
+      (* Arithmetic pre-check: fail before materialising a product that
+         cannot fit in the candidate cap. *)
+      Option.iter (fun b -> Budget.claim b (claim st)) budget;
+      if dead st then Seq.empty
+      else if gated && asserted_cond st = Known false then begin
         Obs.Counter.incr c_cond_refuted;
         Seq.empty
       end
       else
+        let sk = skeleton st in
         (* The co choices are the *outer* loop, the rf choices stream. *)
         Seq.concat_map
           (fun (co, coi, coe) ->
@@ -703,9 +830,9 @@ let enumerate ~gated ?budget (test : Litmus.Ast.t) =
                 Option.iter Budget.count_candidate budget;
                 build ~coi ~coe sk.sk_test sk.sk_events sk.sk_shape
                   (Rel.of_list rf_pairs) co sk.sk_final_regs)
-              (seq_product ~tick per_read_writes))
+              (seq_product ~tick sk.sk_rf_choices))
           (List.to_seq (co_choices sk.sk_shape)))
-    (skeletons ?budget test)
+    (structures ?budget test)
 
 let candidates ?budget test = enumerate ~gated:false ?budget test
 let of_test_seq ?budget test = enumerate ~gated:true ?budget test

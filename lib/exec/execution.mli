@@ -17,11 +17,13 @@ module Iset = Rel.Iset
     po-loc, crit, R, W, F, M, IW) and the per-location writes the
     coherence orders range over.  A shape is the events up to their
     values (id, thread, direction, location, annotation) plus the
-    dependency and rmw pairs.  {!skeletons} builds each shape once, on
-    its first event structure, and every later structure and candidate
-    of that shape shares it physically — so within one enumeration,
-    physical equality of shapes is {!static_compatible}.  Plain data:
-    candidates carrying it marshal and compare structurally. *)
+    dependency and rmw pairs.  {!skeleton} builds each shape once per
+    enumeration, on the first of its structures an engine builds, and
+    every later structure and candidate of that shape shares it
+    physically — so within one enumeration, physical equality of shapes
+    is {!static_compatible}.  [exec.shapes] counts the shapes built: a
+    shape none of whose structures is built is never counted.  Plain
+    data: candidates carrying it marshal and compare structurally. *)
 type shape
 
 type t = {
@@ -69,7 +71,46 @@ val events_where : t -> (Event.t -> bool) -> Iset.t
     observed written values (exposed for tests). *)
 val initial_domain : Litmus.Ast.t -> int list
 
+(** Each thread's Sem runs under the fixpoint's final read-value
+    domains, in Sem's order.  A round whose domains only shrink keeps
+    the previous round's runs whose drawn values stay, instead of
+    running Sem again: the same runs in the same order. *)
 val thread_candidate_lists : Litmus.Ast.t -> Sem.candidate list list
+
+(** One event structure before it is built: one Sem run per thread,
+    with what the three per-structure decisions read — the final
+    registers, each location's non-init writes (event ids and values),
+    each read's count of same-value writers and the event count.  The
+    condition gate ({!asserted_cond}), deadness ({!dead}) and the
+    candidate claim ({!claim}) are decided here; {!skeleton} builds the
+    events, the shape and the rf choices, and each engine builds only
+    the structures it reads. *)
+type structure
+
+(** [structures ?budget test] enumerates the event structures of a test,
+    unbuilt, in the order of the product of the threads' runs (first
+    thread outermost).  Forcing an element counts it ([exec.structures],
+    [exec.events]) and, with a budget, applies the event-count check:
+    every element, whatever an engine later does with it. *)
+val structures : ?budget:Budget.t -> Litmus.Ast.t -> structure Seq.t
+
+(** [structure_regs st] — the final registers, as (tid, register,
+    value), thread by thread. *)
+val structure_regs : structure -> (int * string * int) list
+
+(** [structure_writes st x] — the non-init writes of location [x], as
+    (event id, value) in id order; [[]] for a location no run writes. *)
+val structure_writes : structure -> string -> (int * int) list
+
+(** [dead st] holds iff some read has no same-location, same-value
+    writer: the structure has no candidate at all. *)
+val dead : structure -> bool
+
+(** [claim st] — the structure's candidate count, the product of its
+    reads' writer counts and each location's orders of its non-init
+    writes (saturating): what {!candidates} claims against the
+    candidate cap before it enumerates them.  0 for a dead structure. *)
+val claim : structure -> int
 
 (** One event structure plus its witness choice space: the raw material
     both checking backends consume.  It keeps only what is per
@@ -94,13 +135,13 @@ type skeleton = {
     property of the shape. *)
 val co_writes : skeleton -> (string * int * int list) list
 
-(** [skeletons ?budget test] enumerates the event structures of a test
-    (per-thread symbolic runs branching over read values), before any
-    witness is chosen.  Each thread's runs are numbered by shape once;
-    a structure's shape is the tuple of its threads' numbers, and its
-    statics are built on the first structure of that tuple and shared
-    by the rest.  With a budget, forcing the sequence applies the
-    per-structure event-count check. *)
+(** [skeleton st] builds a structure.  Each thread's runs are numbered
+    by shape once per test; a structure's shape is the tuple of its
+    threads' numbers, and its statics are built on the first structure
+    of that tuple an enumeration builds and shared by the rest. *)
+val skeleton : structure -> skeleton
+
+(** [skeletons ?budget test] is {!structures}, every element built. *)
 val skeletons : ?budget:Budget.t -> Litmus.Ast.t -> skeleton Seq.t
 
 (** [instantiate sk ~rf ~co] builds the candidate execution of [sk]
@@ -129,15 +170,16 @@ type cond3 =
   | And3 of cond3 * cond3
   | Or3 of cond3 * cond3
 
-(** [asserted_cond sk] is the polarity a verdict asks about — the
+(** [asserted_cond st] is the polarity a verdict asks about — the
     condition body for [exists] and [~exists], its negation for
-    [forall] — evaluated over [sk]'s constants.  [Known false] refutes
+    [forall] — evaluated over [st]'s constants.  [Known false] refutes
     the structure: none of its candidates satisfies the condition under
     the test's quantifier, so none can be a witness, a counterexample
     or anything else a verdict reports.  The one gate of all three
     engines: {!of_test_seq} skips a refuted structure's candidates, and
-    [Solve] encodes only the residue of an unrefuted one. *)
-val asserted_cond : skeleton -> cond3
+    [Solve] encodes only the residue of an unrefuted one; neither
+    builds a refuted structure. *)
+val asserted_cond : structure -> cond3
 
 (** [candidates ?budget test] enumerates every candidate execution as a
     lazily-produced sequence: each candidate is materialised only when
@@ -159,11 +201,13 @@ val candidates : ?budget:Budget.t -> Litmus.Ast.t -> t Seq.t
 (** [of_test_seq ?budget test] is the verdict stream: {!candidates}
     without the candidates of a structure {!asserted_cond} refutes
     (counted in [exec.cond_refuted]).  The gate runs after a structure
-    has been built, counted ([exec.structures], the event cap) and
-    claimed (the rf/co product pre-check), so an event-cap or
-    product-size trip is where {!candidates} has it; only a candidate
-    or time trip can come later.  {!Check.run} and every verdict
-    consume it; {!Check.allowed_outcomes} consumes {!candidates}. *)
+    has been counted ([exec.structures], the event cap) and claimed
+    (the rf/co product pre-check), so an event-cap or product-size trip
+    is where {!candidates} has it; only a candidate or time trip can
+    come later.  Only the structures it leaves open are built.
+    {!Check.run} and every verdict consume it;
+    {!Check.allowed_outcomes} consumes {!candidates}, which builds every
+    structure that is not {!dead}. *)
 val of_test_seq : ?budget:Budget.t -> Litmus.Ast.t -> t Seq.t
 
 (** [of_test ?budget test] is {!candidates}, fully materialised. *)

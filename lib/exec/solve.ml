@@ -31,12 +31,13 @@
    the cone of the asserted axioms: an entry nothing reaches costs no
    variable and no clause.
 
-   None of it is built for a structure the condition refutes: the
-   condition is first evaluated over the skeleton's constants in
-   three-valued logic ({!Execution.asserted_cond}, the gate the
-   enumerative engines' verdict stream shares), and a structure whose
-   asserted polarity is statically false is unsatisfiable outright —
-   the case that would otherwise end in the empty clause.
+   None of it is built for a structure the condition refutes, nor the
+   structure itself: the condition is first evaluated over the unbuilt
+   structure's constants in three-valued logic
+   ({!Execution.asserted_cond}, the gate the enumerative engines'
+   verdict stream shares), and a structure whose asserted polarity is
+   statically false is unsatisfiable outright — the case that would
+   otherwise end in the empty clause.
 
    Every derived relation of the LK chain is *monotone* in rf and co
    (nothing negates a dynamic relation — only static relations are
@@ -303,9 +304,7 @@ type enc = {
 
 type axioms = enc -> unit
 
-(* One structure, encoded.  [None] when some read has no candidate
-   writer: the structure contributes zero candidates and is vacuously
-   unsatisfiable. *)
+(* One structure, encoded. *)
 type encoded = {
   e : enc;
   sk : Execution.skeleton;
@@ -353,108 +352,106 @@ let assert_scpv ctx (sk : Execution.skeleton) po_loc (co : Sym.t) rf_vars =
       | _ -> ())
     po_loc
 
+(* [sk] is not {!Execution.dead}: every read has a candidate writer. *)
 let encode_structure ~scpv (sk : Execution.skeleton) =
-  if List.exists (( = ) []) sk.Execution.sk_rf_choices then None
-  else begin
-    let rep = Execution.instantiate sk ~rf:Rel.empty ~co:Rel.empty in
-    let n = Array.length sk.Execution.sk_events in
-    let ctx = { s = Sat.Solver.create (); n } in
-    (* the leaves' literal tables: the variable of each open pair *)
-    let rf_tbl = Array.make (n * n) 0 and co_tbl = Array.make (n * n) 0 in
-    let lit tbl x y = L tbl.((x * n) + y) in
-    (* rf: one-hot per read *)
-    let rf_vars =
-      List.map
-        (fun choices ->
-          match choices with
-          | [ (w, r) ] -> [ (w, r, T) ]
-          | choices ->
-              let lits =
-                List.map
-                  (fun (w, r) ->
-                    let v = Sat.Solver.new_var ctx.s in
-                    rf_tbl.((w * n) + r) <- v;
-                    (w, r, L v))
-                  choices
-              in
-              clause ctx (List.map (fun (_, _, v) -> v) lits);
-              let rec at_most_one = function
-                | [] -> ()
-                | (_, _, v) :: rest ->
-                    List.iter
-                      (fun (_, _, v') -> clause ctx [ neg v; neg v' ])
-                      rest;
-                    at_most_one rest
-              in
-              at_most_one lits;
-              lits)
-        sk.Execution.sk_rf_choices
-    in
-    let rf =
-      Sym.leaf ctx
-        ~may:(Rel.of_list (List.concat sk.Execution.sk_rf_choices))
-        ~must:
-          (Rel.of_list
-             (List.concat_map
-                (function [ wr ] -> [ wr ] | _ -> [])
-                sk.Execution.sk_rf_choices))
-        (lit rf_tbl)
-    in
-    (* co: per-location pairwise order variables; the initialising write
-       is first by construction, transitivity by clauses over triples *)
-    let co_may = ref [] and co_must = ref [] in
-    List.iter
-      (fun (_x, init_id, ws) ->
-        List.iter (fun w -> co_must := (init_id, w) :: !co_must) ws;
-        let rec pairs = function
-          | [] -> ()
-          | w :: rest ->
-              List.iter
-                (fun w' ->
+  let rep = Execution.instantiate sk ~rf:Rel.empty ~co:Rel.empty in
+  let n = Array.length sk.Execution.sk_events in
+  let ctx = { s = Sat.Solver.create (); n } in
+  (* the leaves' literal tables: the variable of each open pair *)
+  let rf_tbl = Array.make (n * n) 0 and co_tbl = Array.make (n * n) 0 in
+  let lit tbl x y = L tbl.((x * n) + y) in
+  (* rf: one-hot per read *)
+  let rf_vars =
+    List.map
+      (fun choices ->
+        match choices with
+        | [ (w, r) ] -> [ (w, r, T) ]
+        | choices ->
+            let lits =
+              List.map
+                (fun (w, r) ->
                   let v = Sat.Solver.new_var ctx.s in
-                  co_tbl.((w * n) + w') <- v;
-                  co_tbl.((w' * n) + w) <- -v;
-                  co_may := (w, w') :: (w', w) :: !co_may)
-                rest;
-              pairs rest
-        in
-        pairs ws;
-        (* transitivity: co(a,b) /\ co(b,c) -> co(a,c) forbids the
-           3-cycle a b c, and each unordered triple has two cyclic
-           orientations — one clause each *)
-        let co = lit co_tbl in
-        let cycle a b c =
-          clause ctx [ neg (co a b); neg (co b c); neg (co c a) ]
-        in
-        let rec triples = function
-          | [] -> ()
-          | a :: rest ->
-              let rec tail = function
-                | [] -> ()
-                | b :: rest' ->
-                    List.iter
-                      (fun c ->
-                        cycle a b c;
-                        cycle a c b)
-                      rest';
-                    tail rest'
-              in
-              tail rest;
-              triples rest
-        in
-        triples ws)
-      (Execution.co_writes sk);
-    let co =
-      Sym.leaf ctx
-        ~may:(Rel.of_list (!co_must @ !co_may))
-        ~must:(Rel.of_list !co_must) (lit co_tbl)
-    in
-    (* fr = rf^-1 ; co, exactly: co has no diagonal *)
-    let fr = Sym.seq ctx (Sym.inverse rf) co in
-    let e = { ctx; rep; rf; co; fr } in
-    if scpv then assert_scpv ctx sk rep.Execution.po_loc co rf_vars;
-    Some { e; sk; rf_vars }
-  end
+                  rf_tbl.((w * n) + r) <- v;
+                  (w, r, L v))
+                choices
+            in
+            clause ctx (List.map (fun (_, _, v) -> v) lits);
+            let rec at_most_one = function
+              | [] -> ()
+              | (_, _, v) :: rest ->
+                  List.iter
+                    (fun (_, _, v') -> clause ctx [ neg v; neg v' ])
+                    rest;
+                  at_most_one rest
+            in
+            at_most_one lits;
+            lits)
+      sk.Execution.sk_rf_choices
+  in
+  let rf =
+    Sym.leaf ctx
+      ~may:(Rel.of_list (List.concat sk.Execution.sk_rf_choices))
+      ~must:
+        (Rel.of_list
+           (List.concat_map
+              (function [ wr ] -> [ wr ] | _ -> [])
+              sk.Execution.sk_rf_choices))
+      (lit rf_tbl)
+  in
+  (* co: per-location pairwise order variables; the initialising write
+     is first by construction, transitivity by clauses over triples *)
+  let co_may = ref [] and co_must = ref [] in
+  List.iter
+    (fun (_x, init_id, ws) ->
+      List.iter (fun w -> co_must := (init_id, w) :: !co_must) ws;
+      let rec pairs = function
+        | [] -> ()
+        | w :: rest ->
+            List.iter
+              (fun w' ->
+                let v = Sat.Solver.new_var ctx.s in
+                co_tbl.((w * n) + w') <- v;
+                co_tbl.((w' * n) + w) <- -v;
+                co_may := (w, w') :: (w', w) :: !co_may)
+              rest;
+            pairs rest
+      in
+      pairs ws;
+      (* transitivity: co(a,b) /\ co(b,c) -> co(a,c) forbids the
+         3-cycle a b c, and each unordered triple has two cyclic
+         orientations — one clause each *)
+      let co = lit co_tbl in
+      let cycle a b c =
+        clause ctx [ neg (co a b); neg (co b c); neg (co c a) ]
+      in
+      let rec triples = function
+        | [] -> ()
+        | a :: rest ->
+            let rec tail = function
+              | [] -> ()
+              | b :: rest' ->
+                  List.iter
+                    (fun c ->
+                      cycle a b c;
+                      cycle a c b)
+                    rest';
+                  tail rest'
+            in
+            tail rest;
+            triples rest
+      in
+      triples ws)
+    (Execution.co_writes sk);
+  let co =
+    Sym.leaf ctx
+      ~may:(Rel.of_list (!co_must @ !co_may))
+      ~must:(Rel.of_list !co_must) (lit co_tbl)
+  in
+  (* fr = rf^-1 ; co, exactly: co has no diagonal *)
+  let fr = Sym.seq ctx (Sym.inverse rf) co in
+  let e = { ctx; rep; rf; co; fr } in
+  if scpv then assert_scpv ctx sk rep.Execution.po_loc co rf_vars;
+  { e; sk; rf_vars }
 
 (* ------------------------------------------------------------------ *)
 (* Condition                                                           *)
@@ -597,79 +594,81 @@ let run_exn ?budget ~conflicts ~decisions ~axioms (module M : Check.MODEL)
           };
     }
   in
-  (* Solve one unrefuted structure, [cond] its
-     {!Execution.asserted_cond}, under
-     a configuration; [`Sat x] decodes the model (re-validation is the
-     caller's business). *)
+  (* Solve one unrefuted structure that is not dead, [cond] its
+     {!Execution.asserted_cond}, under a configuration; [`Sat x] decodes
+     the model (re-validation is the caller's business). *)
   let solve_structure ~scpv ~with_axioms sk cond =
-    match
+    let enc =
       Obs.with_span "solve.encode" (fun () ->
-          Option.map
-            (fun enc ->
-              encode_cond enc cond;
-              if with_axioms then
-                Obs.with_span "solve.axioms" (fun () -> axioms enc.e);
-              enc)
-            (encode_structure ~scpv sk))
+          let enc = encode_structure ~scpv sk in
+          encode_cond enc cond;
+          if with_axioms then
+            Obs.with_span "solve.axioms" (fun () -> axioms enc.e);
+          enc)
+    in
+    let s = enc.e.ctx.s in
+    (* CNF size of the main pass only (the one with the axioms), so
+       it covers the structures [solve.encoded] counts *)
+    if with_axioms then begin
+      Obs.Counter.add c_vars (Sat.Solver.nvars s);
+      Obs.Counter.add c_clauses (Sat.Solver.nclauses s)
+    end;
+    (* CDCL shape, surfaced in obs_report's symbolic table: learned
+       clause lengths and conflict decision levels as histograms,
+       propagation volume as a counter (delta over this call, even
+       when a budget trip aborts the search mid-way). *)
+    let on_learnt len =
+      Obs.Histogram.observe h_learnt_len (float_of_int len);
+      Obs.Histogram.observe h_dlevel
+        (float_of_int (Sat.Solver.decision_level s))
+    in
+    let on_restart () = Obs.Counter.incr c_restarts in
+    let count_propagations () =
+      Obs.Counter.add c_propagations
+        (Sat.Solver.stats s).Sat.Solver.propagations
+    in
+    match
+      Obs.with_span "solve.search" (fun () ->
+          Fun.protect ~finally:count_propagations (fun () ->
+              Sat.Solver.solve ~on_conflict ~on_decision ~on_learnt
+                ~on_restart s))
     with
-    | None -> `Unsat
-    | Some enc -> (
-        let s = enc.e.ctx.s in
-        (* CNF size of the main pass only (the one with the axioms), so
-           it covers the structures [solve.encoded] counts *)
-        if with_axioms then begin
-          Obs.Counter.add c_vars (Sat.Solver.nvars s);
-          Obs.Counter.add c_clauses (Sat.Solver.nclauses s)
-        end;
-        (* CDCL shape, surfaced in obs_report's symbolic table: learned
-           clause lengths and conflict decision levels as histograms,
-           propagation volume as a counter (delta over this call, even
-           when a budget trip aborts the search mid-way). *)
-        let on_learnt len =
-          Obs.Histogram.observe h_learnt_len (float_of_int len);
-          Obs.Histogram.observe h_dlevel
-            (float_of_int (Sat.Solver.decision_level s))
-        in
-        let on_restart () = Obs.Counter.incr c_restarts in
-        let count_propagations () =
-          Obs.Counter.add c_propagations
-            (Sat.Solver.stats s).Sat.Solver.propagations
-        in
-        match
-          Obs.with_span "solve.search" (fun () ->
-              Fun.protect ~finally:count_propagations (fun () ->
-                  Sat.Solver.solve ~on_conflict ~on_decision ~on_learnt
-                    ~on_restart s))
-        with
-        | Sat.Solver.Unsat -> `Unsat
-        | Sat.Solver.Sat ->
-            `Sat (Obs.with_span "solve.decode" (fun () -> decode enc)))
+    | Sat.Solver.Unsat -> `Unsat
+    | Sat.Solver.Sat ->
+        `Sat (Obs.with_span "solve.decode" (fun () -> decode enc))
   in
   Obs.with_span ~item:test.Litmus.Ast.name "solve" (fun () ->
       let found = ref None in
-      (* Structures the condition refutes are done here: encoding one
-         would only end in the empty clause.  The rest are retained for
-         the forensic pass when an explainer will read them (re-running
-         Sem would double-charge the budget). *)
+      (* Structures the condition refutes are done here, unbuilt:
+         encoding one would only end in the empty clause.  A dead one
+         (a read with no candidate writer) is vacuously unsatisfiable,
+         also unbuilt.  The rest are built, and retained for the
+         forensic pass when an explainer will read them (re-running Sem
+         would double-charge the budget). *)
       let seen = ref [] in
       (try
          Seq.iter
-           (fun sk ->
+           (fun st ->
              Obs.Counter.incr c_structures;
-             match Execution.asserted_cond sk with
+             match Execution.asserted_cond st with
              | Known false ->
                  Obs.Counter.incr c_cond_refuted;
                  Obs.Counter.incr c_unsat
              | cond -> (
                  Obs.Counter.incr c_encoded;
-                 if explainer <> None then seen := (sk, cond) :: !seen;
-                 match solve_structure ~scpv:true ~with_axioms:true sk cond with
-                 | `Unsat -> Obs.Counter.incr c_unsat
-                 | `Sat x ->
-                     Obs.Counter.incr c_sat;
-                     found := Some x;
-                     raise Exit))
-           (Execution.skeletons ?budget test)
+                 if Execution.dead st then Obs.Counter.incr c_unsat
+                 else
+                   let sk = Execution.skeleton st in
+                   if explainer <> None then seen := (sk, cond) :: !seen;
+                   match
+                     solve_structure ~scpv:true ~with_axioms:true sk cond
+                   with
+                   | `Unsat -> Obs.Counter.incr c_unsat
+                   | `Sat x ->
+                       Obs.Counter.incr c_sat;
+                       found := Some x;
+                       raise Exit))
+           (Execution.structures ?budget test)
        with Exit -> ());
       match !found with
       | Some x ->

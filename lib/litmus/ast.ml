@@ -163,13 +163,19 @@ let addr_base = 1000
 let addresses t =
   List.mapi (fun i x -> (x, addr_base + i)) (globals t)
 
-let address_of t x =
-  match List.assoc_opt x (addresses t) with
+(* [address_in] and [global_in] look up an [addresses t] list, for
+   callers that compute it once per test: [addresses] sorts the
+   globals on every call. *)
+let address_in addresses x =
+  match List.assoc_opt x addresses with
   | Some a -> a
   | None -> invalid_arg ("Ast.address_of: unknown global " ^ x)
 
-let global_of_address t a =
-  List.find_map (fun (x, a') -> if a = a' then Some x else None) (addresses t)
+let global_in addresses a =
+  List.find_map (fun (x, a') -> if a = a' then Some x else None) addresses
+
+let address_of t x = address_in (addresses t) x
+let global_of_address t a = global_in (addresses t) a
 
 let init_value t x =
   match List.assoc_opt x t.init with

@@ -150,6 +150,43 @@ let init n f =
   done;
   { n; w; bits }
 
+(* Row by row from one member mask per class: a row is its class's
+   mask (or the mask's complement within [0, n)) with bit [x] cleared,
+   and for [`Later] every bit below [x] too. *)
+let of_classes rel classes =
+  let n = Array.length classes in
+  let w = words n in
+  let top = Array.fold_left max (-1) classes in
+  let masks = Array.make ((top + 1) * w) 0 in
+  Array.iteri (fun x c -> if c >= 0 then set_bit masks w c x) classes;
+  (* the valid bits of the last word of a row *)
+  let last = n - ((w - 1) * bpw) in
+  let last_mask = if last = bpw then -1 else (1 lsl last) - 1 in
+  let bits = Array.make (n * w) 0 in
+  for x = 0 to n - 1 do
+    let c = classes.(x) and base = x * w in
+    let xw = x / bpw and xb = x mod bpw in
+    (match rel with
+    | `Same | `Later -> if c >= 0 then Array.blit masks (c * w) bits base w
+    | `Other ->
+        for wi = 0 to w - 1 do
+          let m = if c >= 0 then masks.((c * w) + wi) else 0 in
+          bits.(base + wi) <- lnot m
+        done;
+        bits.(base + w - 1) <- bits.(base + w - 1) land last_mask);
+    match rel with
+    | `Same | `Other ->
+        bits.(base + xw) <- bits.(base + xw) land lnot (1 lsl xb)
+    | `Later ->
+        for wi = 0 to xw - 1 do
+          bits.(base + wi) <- 0
+        done;
+        bits.(base + xw) <-
+          (if xb = bpw - 1 then 0
+           else bits.(base + xw) land ((-1) lsl (xb + 1)))
+  done;
+  { n; w; bits }
+
 (* Iterate the successors of row [i] in increasing order. *)
 let iter_row f t i =
   let base = i * t.w in

@@ -39,6 +39,14 @@ val of_list : (int * int) list -> t
     (no per-pair copy, unlike repeated {!add}). *)
 val init : int -> (int -> int -> bool) -> t
 
+(** [of_classes rel classes] relates distinct [x, y < Array.length
+    classes] by their classes, a negative class standing for a class of
+    its own: [`Same] when [x] and [y] share a class, [`Later] when they
+    do and [x < y], [`Other] when they do not.  {!init} with that
+    predicate, built a row at a time from one member mask per class
+    number up to the largest, so class numbers should be dense. *)
+val of_classes : [ `Same | `Later | `Other ] -> int array -> t
+
 (** Pairs in lexicographic order. *)
 val to_list : t -> (int * int) list
 

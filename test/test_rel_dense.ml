@@ -177,6 +177,27 @@ let prop_linear_extensions_agree =
       sort (List.map D.to_list (D.linear_extensions elems))
       = sort (List.map S.to_list (S.linear_extensions elems)))
 
+(* The class-mask constructor against {!Rel.init} over its predicate:
+   sizes from one event past two row words, classes drawn with a
+   negative one (a class of its own per member) among them. *)
+let prop_of_classes_agrees =
+  QCheck2.Test.make ~name:"of_classes agrees with init" ~count:1000
+    ~print:QCheck2.Print.(array int)
+    QCheck2.Gen.(
+      let* n = int_range 1 130 in
+      let* k = int_range 1 6 in
+      array_size (return n) (int_range (-1) (k - 1)))
+    (fun classes ->
+      let n = Array.length classes in
+      let same x y = x <> y && classes.(x) >= 0 && classes.(x) = classes.(y) in
+      D.equal (D.of_classes `Same classes) (D.init n same)
+      && D.equal
+           (D.of_classes `Later classes)
+           (D.init n (fun x y -> x < y && same x y))
+      && D.equal
+           (D.of_classes `Other classes)
+           (D.init n (fun x y -> x <> y && not (same x y))))
+
 (* ------------------------------------------------------------------ *)
 (* The bit-plane batch kernel against a scalar loop                    *)
 (* ------------------------------------------------------------------ *)
@@ -820,14 +841,31 @@ P1(int *x, int *y) {
 exists (0:r0=1 /\ 0:r1=0)
 |}
 
+(* One thread writes 70 locations and a second reads two of them: 142
+   events, so every row of the statics spans three words. *)
+let wide =
+  let locs = List.init 70 (Printf.sprintf "x%d") in
+  Litmus.parse
+    (Printf.sprintf
+       "C wide\n\n{ }\n\nP0(%s) {\n%s}\n\nP1(int *x0, int *x69) {\n\
+       \  int r0 = READ_ONCE(*x0);\n\
+       \  int r1 = READ_ONCE(*x69);\n\
+        }\n\n\
+        exists (1:r0=1 /\\ 1:r1=0)\n"
+       (String.concat ", " (List.map (fun x -> "int *" ^ x) locs))
+       (String.concat ""
+          (List.map (Printf.sprintf "  WRITE_ONCE(*%s, 1);\n") locs)))
+
+let battery_tests () =
+  List.map
+    (fun (e : Harness.Battery.entry) ->
+      (e.Harness.Battery.name, Harness.Battery.test_of e))
+    Harness.Battery.all
+
 let shape_sample () =
-  Cpu_ratio.sample_tests 1
-  @ List.map
-      (fun (e : Harness.Battery.entry) ->
-        (e.Harness.Battery.name, Harness.Battery.test_of e))
-      Harness.Battery.all
+  Cpu_ratio.sample_tests 1 @ battery_tests ()
   @ Lazy.force diygen_tests
-  @ [ ("shape-deps", shape_deps) ]
+  @ [ ("shape-deps", shape_deps); ("wide", wide) ]
 
 (* The names of the statics on which a skeleton differs from its
    reference build. *)
@@ -931,6 +969,143 @@ let test_statics_per_shape () =
     true
     (!shapes < !structures)
 
+(* lkbench's sat-large pool, read in place: padded diy cycles and the
+   budget-breakers. *)
+let sat_pool_tests () =
+  match
+    List.find_opt Sys.file_exists
+      [ "../../../lkbench/sat_pool"; "lkbench/sat_pool" ]
+  with
+  | None -> Alcotest.fail "lkbench/sat_pool not found"
+  | Some dir ->
+      Sys.readdir dir |> Array.to_list
+      |> List.filter (fun f -> Filename.check_suffix f ".litmus")
+      |> List.sort compare
+      |> List.map (fun f ->
+             ( f,
+               Litmus.parse
+                 (Harness.Runner.read_file (Filename.concat dir f)) ))
+
+(* The gate, deadness and the candidate claim, decided on each unbuilt
+   structure, equal their definitions over the built skeleton
+   ({!Structure_ref}) on every structure of the corpus, the battery, the
+   generated tests and the sat-large pool. *)
+let test_decisions_reference () =
+  let structures = ref 0 and dead = ref 0 and refuted = ref 0 in
+  let residues = ref 0 in
+  List.iter
+    (fun (file, test) ->
+      let bad = ref [] in
+      Seq.iteri
+        (fun i st ->
+          incr structures;
+          let sk = Exec.skeleton st in
+          let cond = Exec.asserted_cond st in
+          if Exec.dead st then incr dead;
+          (match cond with
+          | Known false -> incr refuted
+          | Known true -> ()
+          | _ -> incr residues);
+          List.iter
+            (fun (what, same) ->
+              if not same then bad := Printf.sprintf "%d %s" i what :: !bad)
+            [
+              ("gate", cond = Structure_ref.asserted_cond sk);
+              ("dead", Exec.dead st = Structure_ref.dead sk);
+              ("claim", Exec.claim st = Structure_ref.claim sk);
+              ("registers", Exec.structure_regs st = sk.sk_final_regs);
+            ])
+        (Exec.structures test);
+      Alcotest.(check (list string))
+        (file ^ ": structures deciding otherwise than the reference")
+        [] (List.rev !bad))
+    (Cpu_ratio.sample_tests 1 @ battery_tests ()
+    @ Lazy.force diygen_tests @ sat_pool_tests ());
+  Alcotest.(check bool)
+    (Printf.sprintf "%d structures: %d dead, %d refuted, %d residues"
+       !structures !dead !refuted !residues)
+    true
+    (!dead > 100 && !refuted > 100 && !residues > 10)
+
+(* A data-dependent write in a cycle: each round writes values one
+   above what it read, so the domains grow between rounds and the
+   fixpoint re-runs Sem. *)
+let domain_grows =
+  Litmus.parse
+    {|C domain-grows
+
+{ }
+
+P0(int *x, int *y) {
+  int r0 = READ_ONCE(*x);
+  WRITE_ONCE(*y, r0 + 1);
+}
+
+P1(int *x, int *y) {
+  int r1 = READ_ONCE(*y);
+  WRITE_ONCE(*x, r1 + 1);
+}
+
+exists (0:r0=2 /\ 1:r1=3)
+|}
+
+(* A lock held from the start and never released: no write stores 0 to
+   s, so s's domain shrinks to {1}, yet spin_lock's read of 0 (not
+   drawn from the domain) keeps P0's run. *)
+let lock_held =
+  Litmus.parse
+    {|C lock-held
+
+{ s=1; x=0; }
+
+P0(int *x, int *s) {
+  spin_lock(s);
+  WRITE_ONCE(x, 1);
+}
+
+P1(int *x) {
+  int r0 = READ_ONCE(x);
+}
+
+exists (1:r0=1)
+|}
+
+(* Sem's fixpoint keeps the previous round's runs when the domains only
+   shrink; it must give the runs of re-running Sem every round
+   ({!Structure_ref}), in the same order. *)
+let test_sem_fixpoint_reference () =
+  let tests =
+    Cpu_ratio.sample_tests 1 @ battery_tests ()
+    @ Lazy.force diygen_tests
+    @ [ ("domain-grows", domain_grows); ("lock-held", lock_held) ]
+  in
+  List.iter
+    (fun (file, test) ->
+      Alcotest.(check (list int))
+        (file ^ ": initial domain")
+        (Structure_ref.initial_domain test)
+        (Exec.initial_domain test);
+      Alcotest.(check bool)
+        (file ^ ": runs = re-running Sem every round")
+        true
+        (Exec.thread_candidate_lists test
+        = Structure_ref.thread_candidate_lists test))
+    tests;
+  (* the two added inputs reach what they were written for *)
+  let drawn test =
+    List.concat_map
+      (List.concat_map (fun (c : Exec.Sem.candidate) -> List.map snd c.drawn))
+      (Exec.thread_candidate_lists test)
+  in
+  let initial = Exec.initial_domain domain_grows in
+  Alcotest.(check bool) "domain-grows draws a value of a grown domain" true
+    (List.exists (fun v -> not (List.mem v initial)) (drawn domain_grows));
+  Alcotest.(check (list int)) "lock-held: P0 keeps its run, drawing nothing"
+    [ 0 ]
+    (List.map
+       (fun (c : Exec.Sem.candidate) -> List.length c.drawn)
+       (List.hd (Exec.thread_candidate_lists lock_held)))
+
 (* Run the model anyway on every candidate the prefilter rejects: none
    may be consistent, under the native axioms or the cat interpreter —
    the executable form of the soundness argument (an sc-per-location
@@ -967,6 +1142,7 @@ let () =
             prop_rows_agree;
             prop_cyclicity_agrees;
             prop_linear_extensions_agree;
+            prop_of_classes_agrees;
             prop_batch_ops_agree;
             prop_batch_masks_agree;
           ] );
@@ -996,5 +1172,9 @@ let () =
           Alcotest.test_case "fr is rf^-1;co" `Quick test_fr_definition;
           Alcotest.test_case "statics once per shape" `Quick
             test_statics_per_shape;
+          Alcotest.test_case "decisions on unbuilt structures" `Quick
+            test_decisions_reference;
+          Alcotest.test_case "Sem fixpoint = re-running Sem" `Quick
+            test_sem_fixpoint_reference;
         ] );
     ]

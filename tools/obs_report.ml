@@ -189,9 +189,11 @@ let profile path =
   end;
   let counter n = List.assoc_opt n !counters in
   (* event structures, those whose candidates the condition gate
-     skipped, and the static shapes their statics were built for: one
-     shape serves every structure that differs from another only in
-     read values *)
+     skipped, and the static shapes built: one shape serves every built
+     structure that differs from another only in read values, and a
+     shape is built only for a structure an engine builds (not for one
+     the gate refutes or that has no candidate), so structures per shape
+     built counts the unbuilt ones too *)
   (match (counter "exec.structures", counter "exec.shapes") with
   | Some s, Some sh ->
       Printf.printf "\nEvent structures:\n";
@@ -199,7 +201,7 @@ let profile path =
         "  %-28s %12d\n  %-28s %12d\n  %-28s %12d\n  %-28s %12.2f\n"
         "structures" s "refuted by the condition"
         (Option.value ~default:0 (counter "exec.cond_refuted"))
-        "shapes" sh "structures per shape"
+        "shapes built" sh "structures per shape built"
         (float_of_int s /. float_of_int (Stdlib.max 1 sh))
   | _ -> ());
   (* the hardware simulator: runs (aborted at the step cap), scheduler
