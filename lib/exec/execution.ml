@@ -243,10 +243,6 @@ type globals = {
   inits : int array; (* initial values *)
 }
 
-let cvalue addresses = function
-  | Litmus.Ast.VInt n -> n
-  | Litmus.Ast.VAddr x -> Litmus.Ast.address_in addresses x
-
 let globals_of (test : Litmus.Ast.t) =
   let addresses = Litmus.Ast.addresses test in
   let names = Array.of_list (List.map fst addresses) in
@@ -255,7 +251,7 @@ let globals_of (test : Litmus.Ast.t) =
   let inits =
     Array.map
       (fun x ->
-        Option.fold ~none:0 ~some:(cvalue addresses)
+        Option.fold ~none:0 ~some:(Litmus.Ast.cvalue_in addresses)
           (List.assoc_opt x test.init))
       names
   in
@@ -301,7 +297,7 @@ let domain_of (test : Litmus.Ast.t) g =
   let rec cond = function
     | Litmus.Ast.Atom (Litmus.Ast.Reg_eq (_, _, v))
     | Litmus.Ast.Atom (Litmus.Ast.Mem_eq (_, v)) ->
-        add (cvalue g.addresses v)
+        add (Litmus.Ast.cvalue_in g.addresses v)
     | Litmus.Ast.Not c -> cond c
     | Litmus.Ast.And (a, b) | Litmus.Ast.Or (a, b) ->
         cond a;
@@ -318,20 +314,11 @@ let initial_domain test = domain_of test (globals_of test)
    round usually only shrinks the domains to the values actually
    written; the second accounts for writes whose value became
    expressible only once reads were so constrained.  Grow-only from
-   round one on, so this terminates.
-
-   A round in which no domain gains a value does not re-run Sem: a run
-   is fixed by the values it drew, and Sem draws each location's values
-   in increasing order, earliest draw outermost, so the runs under the
-   smaller domains are exactly the previous round's runs whose drawn
-   values all stay, in the same order. *)
+   round one on, so this terminates.  Domains that did not change would
+   give [prev] again. *)
 let candidate_lists (test : Litmus.Ast.t) g =
-  let all = domain_of test g in
-  let n = Array.length g.names in
-  let sets =
-    let all = Iset.of_list all in
-    Array.map (fun v -> Iset.add v all) g.inits
-  in
+  let all = Iset.of_list (domain_of test g) in
+  let sets = Array.map (fun v -> Iset.add v all) g.inits in
   let lists = Array.map Iset.elements sets in
   let domain loc = lists.(Hashtbl.find g.index loc) in
   let compute () =
@@ -352,30 +339,16 @@ let candidate_lists (test : Litmus.Ast.t) g =
       cands;
     w
   in
-  let kept (c : Sem.candidate) =
-    List.for_all
-      (fun (loc, v) -> Iset.mem v sets.(Hashtbl.find g.index loc))
-      c.drawn
-  in
   let rec go prev rounds =
     let w = written prev in
-    let changed = ref false and grown = ref false in
-    for i = 0 to n - 1 do
-      if not (Iset.equal w.(i) sets.(i)) then begin
-        changed := true;
-        if not (Iset.subset w.(i) sets.(i)) then grown := true
-      end
-    done;
-    if not !changed then prev
+    if Array.for_all2 Iset.equal w sets then prev
     else begin
       Array.iteri
         (fun i s ->
           sets.(i) <- s;
           lists.(i) <- Iset.elements s)
         w;
-      let next =
-        if !grown then compute () else List.map (List.filter kept) prev
-      in
+      let next = compute () in
       if rounds > 0 then go next (rounds - 1) else next
     end
   in
@@ -741,6 +714,7 @@ let or3 a b =
    verdict. *)
 let asserted_cond st =
   let test = st.st_en.en_test and g = st.st_en.en_globals in
+  let cvalue = Litmus.Ast.cvalue_in g.addresses in
   let final_is x v =
     let i = Hashtbl.find g.index x in
     match st.st_writes.(i) with
@@ -758,8 +732,8 @@ let asserted_cond st =
             (fun (tid', r', v) -> if tid = tid' && r = r' then Some v else None)
             st.st_final_regs
         in
-        Known (Option.value ~default:0 v = cvalue g.addresses cv)
-    | Litmus.Ast.Mem_eq (x, cv) -> final_is x (cvalue g.addresses cv)
+        Known (Option.value ~default:0 v = cvalue cv)
+    | Litmus.Ast.Mem_eq (x, cv) -> final_is x (cvalue cv)
   in
   let rec go = function
     | Litmus.Ast.Atom a -> atom a

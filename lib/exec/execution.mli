@@ -71,10 +71,6 @@ val events_where : t -> (Event.t -> bool) -> Iset.t
     observed written values (exposed for tests). *)
 val initial_domain : Litmus.Ast.t -> int list
 
-(** Each thread's Sem runs under the fixpoint's final read-value
-    domains, in Sem's order.  A round whose domains only shrink keeps
-    the previous round's runs whose drawn values stay, instead of
-    running Sem again: the same runs in the same order. *)
 val thread_candidate_lists : Litmus.Ast.t -> Sem.candidate list list
 
 (** One event structure before it is built: one Sem run per thread,

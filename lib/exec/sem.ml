@@ -21,9 +21,6 @@ type candidate = {
   ctrl : (int * int) list;
   rmw : (int * int) list;
   regs : (string * int) list; (* final register values *)
-  drawn : (string * int) list;
-      (* (location, value) of each read value drawn from the domain, in
-         program order *)
 }
 
 type state = {
@@ -32,7 +29,6 @@ type state = {
   env : (string * (int * Iset.t)) list; (* register -> value, read deps *)
   ctrl_ctx : Iset.t; (* reads controlling the current branch *)
   rev_events : proto_event list;
-  rev_drawn : (string * int) list;
   next : int;
   acc_addr : (int * int) list;
   acc_data : (int * int) list;
@@ -86,11 +82,6 @@ let resolve_loc st = function
       Option.map (fun x -> (x, deps)) (global_in st.addresses v)
 
 let emit st proto = ({ st with rev_events = proto :: st.rev_events; next = st.next + 1 }, st.next)
-
-(* The read values of [loc] the run may take, each recorded as drawn. *)
-let draws st loc =
-  List.map (fun v -> ({ st with rev_drawn = (loc, v) :: st.rev_drawn }, v))
-    (st.domain loc)
 
 let add_edges edges st field =
   match field with
@@ -157,7 +148,8 @@ and step st = function
             | X_full -> (Event.Once, Event.Once, true)
           in
           List.map
-            (fun (st, vold) ->
+            (fun vold ->
+              let st = st in
               let st, _ =
                 if full then
                   let st, id = emit st { dir = Event.F; loc = ""; v = 0; annot = Event.Mb } in
@@ -186,7 +178,7 @@ and step st = function
                 st with
                 env = (r, (vold, Iset.singleton rid)) :: List.remove_assoc r st.env;
               })
-            (draws st loc))
+            (st.domain loc))
   | Cmpxchg (k, r, l, old_e, new_e) -> (
       match resolve_loc st l with
       | None -> []
@@ -201,7 +193,7 @@ and step st = function
             | X_full -> (Event.Once, Event.Once, true)
           in
           List.map
-            (fun (st, vread) ->
+            (fun vread ->
               if vread <> v_old then begin
                 (* failure: a plain once read, no ordering, no fences *)
                 let st, rid =
@@ -256,7 +248,7 @@ and step st = function
                     :: List.remove_assoc r st.env;
                 }
               end)
-            (draws st loc))
+            (st.domain loc))
   | Atomic_add_return (k, r, l, e) -> do_atomic_add st ~k ~reg:(Some r) l e
   | Atomic_add (l, e) -> do_atomic_add st ~k:X_relaxed ~reg:None l e
   | Spin_lock l -> (
@@ -310,7 +302,7 @@ and do_atomic_add st ~k ~reg l e =
         | X_full -> (Event.Once, Event.Once, true)
       in
       List.map
-        (fun (st, vold) ->
+        (fun vold ->
           let st, _ =
             if full then
               let st, id =
@@ -349,14 +341,14 @@ and do_atomic_add st ~k ~reg l e =
                   :: List.remove_assoc r st.env;
               }
           | None -> st)
-        (draws st loc)
+        (st.domain loc)
 
 and do_read st annot ~rb_dep r l =
   match resolve_loc st l with
   | None -> []
   | Some (loc, adeps) ->
       List.map
-        (fun (st, v) ->
+        (fun v ->
           let st, id = emit st { dir = Event.R; loc; v; annot } in
           let st = add_edges (edges_from adeps id) st `Addr in
           let st = with_ctrl st id in
@@ -372,7 +364,7 @@ and do_read st annot ~rb_dep r l =
             st with
             env = (r, (v, Iset.singleton id)) :: List.remove_assoc r st.env;
           })
-        (draws st loc)
+        (st.domain loc)
 
 (* All candidates of one thread under the given read-value domain. *)
 let thread_candidates ~addresses domain instrs =
@@ -383,7 +375,6 @@ let thread_candidates ~addresses domain instrs =
       env = [];
       ctrl_ctx = Iset.empty;
       rev_events = [];
-      rev_drawn = [];
       next = 0;
       acc_addr = [];
       acc_data = [];
@@ -400,6 +391,5 @@ let thread_candidates ~addresses domain instrs =
         ctrl = st.acc_ctrl;
         rmw = st.acc_rmw;
         regs = List.map (fun (r, (v, _)) -> (r, v)) st.env;
-        drawn = List.rev st.rev_drawn;
       })
     (explore init instrs)

@@ -22,10 +22,6 @@ type candidate = {
   ctrl : (int * int) list;  (** control dependencies *)
   rmw : (int * int) list;  (** read/write pairs of atomic RMWs *)
   regs : (string * int) list;  (** final register values *)
-  drawn : (string * int) list;
-      (** (location, value) of each read value the run drew from the
-          domain, in program order: a run is fixed by these values.  The
-          read of a [spin_lock], which always reads 0, draws nothing. *)
 }
 
 (** Evaluate a binary operation on concrete values (comparisons and
@@ -35,11 +31,7 @@ val eval_binop : Litmus.Ast.binop -> int -> int -> int
 
 (** [thread_candidates ~addresses domain instrs] is every candidate of
     one thread of a test whose {!Litmus.Ast.addresses} are [addresses],
-    where [domain loc] gives the values a read of [loc] may observe.
-    The candidates come in the order of the domains' values, the
-    earliest draw outermost, so under domains that keep a subsequence of
-    each location's values they are the candidates whose [drawn] values
-    all stay, in the same order. *)
+    where [domain loc] gives the values a read of [loc] may observe. *)
 val thread_candidates :
   addresses:(string * int) list ->
   (string -> int list) ->

@@ -163,9 +163,9 @@ let addr_base = 1000
 let addresses t =
   List.mapi (fun i x -> (x, addr_base + i)) (globals t)
 
-(* [address_in] and [global_in] look up an [addresses t] list, for
-   callers that compute it once per test: [addresses] sorts the
-   globals on every call. *)
+(* [address_in], [global_in] and [cvalue_in] look up an [addresses t]
+   list, for callers that compute it once per test: [addresses] sorts
+   the globals on every call. *)
 let address_in addresses x =
   match List.assoc_opt x addresses with
   | Some a -> a
@@ -173,6 +173,10 @@ let address_in addresses x =
 
 let global_in addresses a =
   List.find_map (fun (x, a') -> if a = a' then Some x else None) addresses
+
+let cvalue_in addresses = function
+  | VInt n -> n
+  | VAddr x -> address_in addresses x
 
 let address_of t x = address_in (addresses t) x
 let global_of_address t a = global_in (addresses t) a
@@ -183,9 +187,11 @@ let init_value t x =
   | Some (VInt n) -> n
   | Some (VAddr y) -> address_of t y
 
+(* An integer needs no address table, and [Exec.holds] calls this for
+   every candidate and simulator run. *)
 let cvalue_to_int t = function
   | VInt n -> n
-  | VAddr x -> address_of t x
+  | VAddr _ as v -> cvalue_in (addresses t) v
 
 let has_rcu t =
   let rec in_instr = function

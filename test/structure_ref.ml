@@ -1,14 +1,8 @@
 (* Reference definitions of what the enumeration decides before it
-   builds a structure, over the built skeleton, and of Sem's read-value
-   fixpoint, re-running Sem every round.  test_rel_dense checks the
-   library's versions against them. *)
+   builds a structure, over the built skeleton.  test_rel_dense checks
+   the library's versions against them. *)
 
-module Iset = Rel.Iset
 module Event = Exec.Event
-
-(* ------------------------------------------------------------------ *)
-(* The three decisions, over a built skeleton                          *)
-(* ------------------------------------------------------------------ *)
 
 let asserted_cond (sk : Exec.skeleton) : Exec.cond3 =
   let test = sk.sk_test in
@@ -69,102 +63,3 @@ let claim (sk : Exec.skeleton) =
     (product
        (fun (_, _, ws) -> Exec.Budget.sat_fact (List.length ws))
        (Exec.co_writes sk))
-
-(* ------------------------------------------------------------------ *)
-(* Sem's fixpoint, re-running Sem every round                          *)
-(* ------------------------------------------------------------------ *)
-
-let initial_domain (test : Litmus.Ast.t) =
-  let consts = ref [ 0; 1 ] in
-  let add n = if not (List.mem n !consts) then consts := n :: !consts in
-  let rec expr : Litmus.Ast.expr -> unit = function
-    | Const n -> add n
-    | Addr x -> add (Litmus.Ast.address_of test x)
-    | Reg _ -> ()
-    | Binop (_, a, b) ->
-        expr a;
-        expr b
-    | Unop (_, a) -> expr a
-  in
-  let rec instr : Litmus.Ast.instr -> unit = function
-    | Read _ | Rcu_dereference _ | Fence _ | Spin_lock _ | Spin_unlock _ -> ()
-    | Write (_, _, e) | Xchg (_, _, _, e) | Assign (_, e) -> expr e
-    | Cmpxchg (_, _, _, e1, e2) ->
-        expr e1;
-        expr e2
-    | Atomic_add_return (_, _, _, e) | Atomic_add (_, e) -> expr e
-    | If (e, a, b) ->
-        expr e;
-        List.iter instr a;
-        List.iter instr b
-  in
-  Array.iter (List.iter instr) test.threads;
-  List.iter (fun (x, _) -> add (Litmus.Ast.init_value test x)) test.init;
-  List.iter
-    (fun (x, _) -> add (Litmus.Ast.address_of test x))
-    (Litmus.Ast.addresses test);
-  let rec cond : Litmus.Ast.cond -> unit = function
-    | Atom (Reg_eq (_, _, v)) | Atom (Mem_eq (_, v)) ->
-        add (Litmus.Ast.cvalue_to_int test v)
-    | Not c -> cond c
-    | And (a, b) | Or (a, b) ->
-        cond a;
-        cond b
-    | Ctrue -> ()
-  in
-  cond test.cond;
-  List.sort_uniq Int.compare !consts
-
-let thread_candidate_lists (test : Litmus.Ast.t) =
-  let all = initial_domain test in
-  let globals = Litmus.Ast.globals test in
-  let addresses = Litmus.Ast.addresses test in
-  let value_tbl : (string, Iset.t) Hashtbl.t = Hashtbl.create 8 in
-  List.iter
-    (fun x ->
-      Hashtbl.replace value_tbl x
-        (Iset.add (Litmus.Ast.init_value test x) (Iset.of_list all)))
-    globals;
-  let domain loc =
-    match Hashtbl.find_opt value_tbl loc with
-    | Some s -> Iset.to_list s
-    | None -> all
-  in
-  let compute () =
-    Array.to_list test.threads
-    |> List.map (Exec.Sem.thread_candidates ~addresses domain)
-  in
-  let written cands =
-    let tbl = Hashtbl.create 8 in
-    List.iter
-      (fun x ->
-        Hashtbl.replace tbl x (Iset.singleton (Litmus.Ast.init_value test x)))
-      globals;
-    List.iter
-      (List.iter (fun (c : Exec.Sem.candidate) ->
-           List.iter
-             (fun (pe : Exec.Sem.proto_event) ->
-               if pe.dir = Event.W then
-                 Hashtbl.replace tbl pe.loc
-                   (Iset.add pe.v
-                      (try Hashtbl.find tbl pe.loc
-                       with Not_found -> Iset.empty)))
-             c.events))
-      cands;
-    tbl
-  in
-  let rec go prev rounds =
-    let tbl = written prev in
-    let changed = ref false in
-    Hashtbl.iter
-      (fun x s ->
-        let old = try Hashtbl.find value_tbl x with Not_found -> Iset.empty in
-        if not (Iset.equal s old) then changed := true;
-        Hashtbl.replace value_tbl x s)
-      tbl;
-    if not !changed then prev
-    else
-      let next = compute () in
-      if rounds > 0 then go next (rounds - 1) else next
-  in
-  go (compute ()) 4

@@ -1,8 +1,7 @@
 (** Reference definitions for the enumeration's unbuilt structures
     ({!Exec.structure}): the condition gate, deadness and the candidate
-    claim decided over the built skeleton, and Sem's read-value fixpoint
-    re-running Sem every round.  test_rel_dense checks the library's
-    versions against them; not used on any hot path. *)
+    claim decided over the built skeleton.  test_rel_dense checks the
+    library's versions against them; not used on any hot path. *)
 
 (** The condition gate over a built skeleton: {!Exec.asserted_cond}'s
     specification. *)
@@ -15,10 +14,3 @@ val dead : Exec.skeleton -> bool
     factorial of its non-init writes (saturating): {!Exec.claim}'s
     specification. *)
 val claim : Exec.skeleton -> int
-
-(** {!Exec.initial_domain}'s specification. *)
-val initial_domain : Litmus.Ast.t -> int list
-
-(** {!Exec.thread_candidate_lists}'s specification: every round of the
-    fixpoint runs Sem again. *)
-val thread_candidate_lists : Litmus.Ast.t -> Exec.Sem.candidate list list

@@ -1027,85 +1027,6 @@ let test_decisions_reference () =
     true
     (!dead > 100 && !refuted > 100 && !residues > 10)
 
-(* A data-dependent write in a cycle: each round writes values one
-   above what it read, so the domains grow between rounds and the
-   fixpoint re-runs Sem. *)
-let domain_grows =
-  Litmus.parse
-    {|C domain-grows
-
-{ }
-
-P0(int *x, int *y) {
-  int r0 = READ_ONCE(*x);
-  WRITE_ONCE(*y, r0 + 1);
-}
-
-P1(int *x, int *y) {
-  int r1 = READ_ONCE(*y);
-  WRITE_ONCE(*x, r1 + 1);
-}
-
-exists (0:r0=2 /\ 1:r1=3)
-|}
-
-(* A lock held from the start and never released: no write stores 0 to
-   s, so s's domain shrinks to {1}, yet spin_lock's read of 0 (not
-   drawn from the domain) keeps P0's run. *)
-let lock_held =
-  Litmus.parse
-    {|C lock-held
-
-{ s=1; x=0; }
-
-P0(int *x, int *s) {
-  spin_lock(s);
-  WRITE_ONCE(x, 1);
-}
-
-P1(int *x) {
-  int r0 = READ_ONCE(x);
-}
-
-exists (1:r0=1)
-|}
-
-(* Sem's fixpoint keeps the previous round's runs when the domains only
-   shrink; it must give the runs of re-running Sem every round
-   ({!Structure_ref}), in the same order. *)
-let test_sem_fixpoint_reference () =
-  let tests =
-    Cpu_ratio.sample_tests 1 @ battery_tests ()
-    @ Lazy.force diygen_tests
-    @ [ ("domain-grows", domain_grows); ("lock-held", lock_held) ]
-  in
-  List.iter
-    (fun (file, test) ->
-      Alcotest.(check (list int))
-        (file ^ ": initial domain")
-        (Structure_ref.initial_domain test)
-        (Exec.initial_domain test);
-      Alcotest.(check bool)
-        (file ^ ": runs = re-running Sem every round")
-        true
-        (Exec.thread_candidate_lists test
-        = Structure_ref.thread_candidate_lists test))
-    tests;
-  (* the two added inputs reach what they were written for *)
-  let drawn test =
-    List.concat_map
-      (List.concat_map (fun (c : Exec.Sem.candidate) -> List.map snd c.drawn))
-      (Exec.thread_candidate_lists test)
-  in
-  let initial = Exec.initial_domain domain_grows in
-  Alcotest.(check bool) "domain-grows draws a value of a grown domain" true
-    (List.exists (fun v -> not (List.mem v initial)) (drawn domain_grows));
-  Alcotest.(check (list int)) "lock-held: P0 keeps its run, drawing nothing"
-    [ 0 ]
-    (List.map
-       (fun (c : Exec.Sem.candidate) -> List.length c.drawn)
-       (List.hd (Exec.thread_candidate_lists lock_held)))
-
 (* Run the model anyway on every candidate the prefilter rejects: none
    may be consistent, under the native axioms or the cat interpreter —
    the executable form of the soundness argument (an sc-per-location
@@ -1174,7 +1095,5 @@ let () =
             test_statics_per_shape;
           Alcotest.test_case "decisions on unbuilt structures" `Quick
             test_decisions_reference;
-          Alcotest.test_case "Sem fixpoint = re-running Sem" `Quick
-            test_sem_fixpoint_reference;
         ] );
     ]
