@@ -296,7 +296,7 @@ let main model verbose outcomes dot explain explain_diff_spec builtin timeout
                     <> (test.Litmus.Ast.quant = Litmus.Ast.Q_forall)
                   in
                   match
-                    Exec.Oracle.allowed_outcomes ?budget ~backend oracle test
+                    Exec.Oracle.allowed_outcomes ?budget oracle test
                   with
                   | os -> List.map (fun o -> (o, asserted o)) os
                   | exception Exec.Budget.Exceeded reason ->

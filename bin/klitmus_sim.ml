@@ -17,7 +17,7 @@
 
 open Cmdliner
 
-let run_one ppf archs runs seed check stable limits backend test =
+let run_one ppf archs runs seed check stable limits test =
   let errors = ref 0 and budget_outs = ref 0 in
   let budget_reason = ref None in
   Fmt.pf ppf "Test %s:@." test.Litmus.Ast.name;
@@ -46,7 +46,7 @@ let run_one ppf archs runs seed check stable limits backend test =
         s.Hwsim.matched s.Hwsim.total
         (match convergence with Some c -> " (" ^ c ^ ")" | None -> "");
       if check then
-        match Hwsim.soundness ?limits ~backend Lkmm.oracle test s with
+        match Hwsim.soundness ?limits Lkmm.oracle test s with
         | Hwsim.Sound ->
             Fmt.pf ppf "  %-7s sound w.r.t. the LK model@." s.Hwsim.arch
         | Hwsim.Unsound bad ->
@@ -65,7 +65,7 @@ let run_one ppf archs runs seed check stable limits backend test =
   (!errors, !budget_outs, !budget_reason)
 
 let main archs runs seed check stable timeout max_candidates journal resume
-    json backend trace metrics files builtin =
+    json trace metrics files builtin =
   Harness.Cli.with_obs ~trace ~metrics @@ fun () ->
   let module R = Harness.Runner in
   let module J = Harness.Journal in
@@ -111,7 +111,7 @@ let main archs runs seed check stable timeout max_candidates journal resume
         let t0 = Unix.gettimeofday () in
         let e, b, reason =
           Obs.with_span ~item:id "item" (fun () ->
-              run_one ppf archs runs seed check stable limits backend test)
+              run_one ppf archs runs seed check stable limits test)
         in
         (* the journalled classification mirrors the exit-code policy:
            unsound = disagreement (fail), budget = gave up, else done *)
@@ -214,7 +214,7 @@ let cmd =
     Term.(
       const main $ archs_arg $ runs_arg $ seed_arg $ check_arg $ stable_arg
       $ C.timeout_arg $ C.max_candidates_arg $ C.journal_arg $ C.resume_arg
-      $ C.json_arg $ C.backend_arg $ C.trace_arg $ C.metrics_arg $ files_arg
+      $ C.json_arg $ C.trace_arg $ C.metrics_arg $ files_arg
       $ builtin_arg)
 
 let () = Harness.Cli.eval ~name:"klitmus_sim" cmd

@@ -4,7 +4,7 @@
    - {!Ast}, {!Lexer}, {!Parser}: the language (see {!Stdmodels} for the
      supported dialect);
    - {!Interp}: compilation of a model to slot form, and evaluation
-     against one candidate execution or a batch of them in bit planes;
+     against one candidate execution;
    - {!Stdmodels}: the shipped models (lk.cat, sc.cat, tso.cat, c11.cat,
      c11-psc.cat). *)
 
@@ -34,27 +34,22 @@ let c_cache_misses = Obs.Counter.make "cat.cache.misses"
 let h_replay = Obs.Histogram.make "cat.replay_us"
 
 (** [to_oracle ~name model] packages a cat model as an
-    {!Exec.Oracle.t} with a scalar and a bit-plane batched engine,
-    budget-indexed per request (the fixpoint interpreter shares the
-    test's deadline).
+    {!Exec.Oracle.t} for the enumerator, budget-indexed per request
+    (the fixpoint interpreter shares the test's deadline).
 
     The model is compiled when the oracle is built ({!Interp.compile}):
     every name is resolved to a slot and each statement classified
     static or dynamic.  Its static prefix — the slot array after every
     statement depending only on the shape's statics, not on the rf/co
     witness or on read values — is evaluated once per static shape and
-    copied for each candidate or batch of that shape, with the witness
-    slots the model reads filled in.  The enumeration shares one {!Exec.shape}
-    physically across every witness of every event structure of that
-    shape, so one slot keyed on the shape's identity, shared by both
-    engines, hits for all but the first candidate of each run of a
-    shape.  Both engines replay with {!Interp.run_with_prefix}: the
-    scalar one on one candidate ({!Interp.candidate}), the batched one
-    on up to 63 witnesses of one shape per pass ({!Interp.batch}).  The
-    batched engine ignores [~coherent], since cat models re-check their
-    coherence axiom even on prefiltered candidates.  No symbolic engine
-    yet — a [Sat] request falls back enumeratively, counted, per
-    {!Exec.Oracle.run}. *)
+    copied for each candidate of that shape ({!Interp.candidate}), with
+    the witness slots the model reads filled in, before
+    {!Interp.run_with_prefix} replays the rest.  The enumeration shares
+    one {!Exec.shape} physically across every witness of every event
+    structure of that shape, so one slot keyed on the shape's identity
+    hits for all but the first candidate of each run of a shape.  No
+    symbolic engine yet — a [Sat] request falls back enumeratively,
+    counted, per {!Exec.Oracle.run}. *)
 let to_oracle ~name (model : model) : Exec.Oracle.t =
   let compiled = Interp.compile model in
   let slot : (Exec.shape * Interp.prefix) option ref = ref None in
@@ -78,14 +73,11 @@ let to_oracle ~name (model : model) : Exec.Oracle.t =
           let prefix = prefix_of budget x in
           let env = Interp.candidate prefix x in
           let t0 = if Obs.enabled () then Obs.now_us () else 0. in
-          let live = Interp.run_with_prefix ?budget prefix env in
+          let holds = Interp.run_with_prefix ?budget prefix env in
           if Obs.enabled () then
             Obs.Histogram.observe h_replay (Obs.now_us () -. t0);
-          live <> 0
+          holds
       end : Exec.Check.MODEL))
-    ~batch:(fun budget ~coherent:_ ~mask (xs : Exec.t array) ->
-      let prefix = prefix_of budget xs.(0) in
-      Interp.run_with_prefix ?budget prefix (Interp.batch prefix ~mask xs))
     ()
 
 (** [explainer ?budget model] is a verdict-forensics hook for

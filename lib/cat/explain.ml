@@ -280,7 +280,7 @@ let resolver pt name =
   match Interp.eval_expr pt.env pt.scope (Ast.Id name) with
   | Interp.Vrel r -> Some r
   | Interp.Vset s -> Some (Rel.id_of_set s)
-  | Interp.Vplanes _ | Interp.Vfun -> None
+  | Interp.Vfun -> None
   | exception Interp.Type_error _ -> None
 
 let step stages pt checked a b =

@@ -12,33 +12,13 @@
    it is evaluated, so a faulty model fails at the statement that uses
    the name, on every engine.  Each slot is written by one program
    point only, so the array after a replay is an environment for every
-   program point at once.
-
-   One evaluator serves one candidate and a batch of up to 63 alike.  A
-   relation that varies across the candidates of a batch — the witness
-   relations and everything computed from them — is a value of
-   candidate-major bit planes ({!Rel.Batch}); every other value is
-   shared by all of them.  Each operator applies the scalar [Rel]
-   operation when no operand is a plane, and otherwise the [Rel.Batch]
-   one, broadcasting scalar operands into the live planes.  A single
-   candidate is the batch of one with no planes. *)
+   program point at once.  One candidate is evaluated at a time. *)
 
 module Iset = Rel.Iset
-module B = Rel.Batch
 module Smap = Map.Make (String)
 
-type value =
-  | Vset of Iset.t
-  | Vrel of Rel.t
-  | Vplanes of B.t (* relation-valued, one plane per candidate *)
-  | Vfun
-
-type env = {
-  universe : Iset.t;
-  n : int; (* events per candidate: the shared universe size *)
-  mask : int; (* live candidates: where broadcasts land, checks decide *)
-  slots : value array;
-}
+type value = Vset of Iset.t | Vrel of Rel.t | Vfun
+type env = { universe : Iset.t; slots : value array }
 
 exception Type_error of string
 
@@ -47,29 +27,15 @@ exception Type_error of string
 let as_rel = function
   | Vrel r -> r
   | Vset s -> Rel.id_of_set s
-  | Vplanes _ -> invalid_arg "Interp.as_rel: bit planes"
   | Vfun -> raise (Type_error "function used as a relation")
 
-(* The dialect has no relation-to-set operator, so planes are always
-   relation-valued: a plane in set position is the scalar evaluator's
-   relation in set position, with the same error. *)
 let as_set = function
   | Vset s -> s
-  | Vrel _ | Vplanes _ -> raise (Type_error "relation used as a set")
+  | Vrel _ -> raise (Type_error "relation used as a set")
   | Vfun -> raise (Type_error "function used as a set")
 
-let planes env = function
-  | Vplanes p -> p
-  | v -> B.broadcast ~n:env.n ~mask:env.mask (as_rel v)
-
-let unop f fb = function
-  | Vplanes p -> Vplanes (fb p)
-  | v -> Vrel (f (as_rel v))
-
-let binop env f fb v1 v2 =
-  match (v1, v2) with
-  | Vplanes _, _ | _, Vplanes _ -> Vplanes (fb (planes env v1) (planes env v2))
-  | _ -> Vrel (f (as_rel v1) (as_rel v2))
+let unop f v = Vrel (f (as_rel v))
+let binop f v1 v2 = Vrel (f (as_rel v1) (as_rel v2))
 
 (* ------------------------------------------------------------------ *)
 (* Compiled expressions and their evaluation                           *)
@@ -99,61 +65,43 @@ let rec eval env = function
   | Union (a, b) -> (
       match (eval env a, eval env b) with
       | Vset s1, Vset s2 -> Vset (Iset.union s1 s2)
-      | v1, v2 -> binop env Rel.union B.union v1 v2)
+      | v1, v2 -> binop Rel.union v1 v2)
   | Inter (a, b) -> (
       match (eval env a, eval env b) with
       | Vset s1, Vset s2 -> Vset (Iset.inter s1 s2)
-      | v1, v2 -> binop env Rel.inter B.inter v1 v2)
+      | v1, v2 -> binop Rel.inter v1 v2)
   | Diff (a, b) -> (
       match (eval env a, eval env b) with
       | Vset s1, Vset s2 -> Vset (Iset.diff s1 s2)
-      | v1, v2 -> binop env Rel.diff B.diff v1 v2)
-  | Seq (a, b) -> binop env Rel.seq B.seq (eval env a) (eval env b)
+      | v1, v2 -> binop Rel.diff v1 v2)
+  | Seq (a, b) -> binop Rel.seq (eval env a) (eval env b)
   | Cartesian (a, b) ->
       Vrel (Rel.cartesian (as_set (eval env a)) (as_set (eval env b)))
-  | Inverse a -> unop Rel.inverse B.inverse (eval env a)
-  | Plus a -> unop Rel.transitive_closure B.transitive_closure (eval env a)
+  | Inverse a -> unop Rel.inverse (eval env a)
+  | Plus a -> unop Rel.transitive_closure (eval env a)
   | Star a ->
-      unop
-        (Rel.reflexive_transitive_closure ~universe:env.universe)
-        (B.reflexive_transitive_closure ~mask:env.mask)
-        (eval env a)
-  | Opt a ->
-      unop
-        (Rel.reflexive_closure ~universe:env.universe)
-        (B.reflexive_closure ~mask:env.mask)
-        (eval env a)
+      unop (Rel.reflexive_transitive_closure ~universe:env.universe) (eval env a)
+  | Opt a -> unop (Rel.reflexive_closure ~universe:env.universe) (eval env a)
   | Complement a -> (
       match eval env a with
       | Vset s -> Vset (Iset.diff env.universe s)
-      | v ->
-          unop
-            (Rel.complement ~universe:env.universe)
-            (B.complement ~mask:env.mask) v)
+      | v -> unop (Rel.complement ~universe:env.universe) v)
   | Bracket a -> Vrel (Rel.id_of_set (as_set (eval env a)))
   | App (p, arg, body) ->
-      (* the argument, then the body on the caller's candidates *)
+      (* the argument, then the body *)
       env.slots.(p) <- eval env arg;
       eval env body
 
-(* Equality for the Kleene convergence test: plane-wise as soon as one
-   side varies per candidate. *)
-let equal env v1 v2 =
-  match (v1, v2) with
-  | Vplanes _, _ | _, Vplanes _ -> B.equal (planes env v1) (planes env v2)
-  | _ -> Rel.equal (as_rel v1) (as_rel v2)
+(* Equality for the Kleene convergence test. *)
+let equal v1 v2 = Rel.equal (as_rel v1) (as_rel v2)
 
-(* The live candidates on which a check holds. *)
+(* Whether a check holds. *)
 let check env kind e =
-  let decide holds = if holds then env.mask else 0 in
   match (kind, eval env e) with
-  | Ast.Acyclic, Vplanes p -> B.acyclic_mask ~mask:env.mask p
-  | Ast.Irreflexive, Vplanes p -> B.irreflexive_mask ~mask:env.mask p
-  | Ast.Is_empty, Vplanes p -> B.empty_mask ~mask:env.mask p
-  | Ast.Acyclic, v -> decide (Rel.is_acyclic (as_rel v))
-  | Ast.Irreflexive, v -> decide (Rel.is_irreflexive (as_rel v))
-  | Ast.Is_empty, Vset s -> decide (Iset.is_empty s)
-  | Ast.Is_empty, v -> decide (Rel.is_empty (as_rel v))
+  | Ast.Acyclic, v -> Rel.is_acyclic (as_rel v)
+  | Ast.Irreflexive, v -> Rel.is_irreflexive (as_rel v)
+  | Ast.Is_empty, Vset s -> Iset.is_empty s
+  | Ast.Is_empty, v -> Rel.is_empty (as_rel v)
 
 (* ------------------------------------------------------------------ *)
 (* The predefined names                                                *)
@@ -436,7 +384,6 @@ type compiled = {
   scopes : scope array;
       (* [scopes.(i)]: the names statement [i] sees; the last entry,
          those after every statement *)
-  last_check : int; (* index of the model's last check, or -1 *)
   nslots : int;
   reads : int list; (* the witness slots some statement reads *)
 }
@@ -446,7 +393,6 @@ let compile (model : Ast.t) =
   let stmts = Array.of_list model.stmts in
   let scopes = Array.make (Array.length stmts + 1) predefined in
   let static_stmt = Array.make (Array.length stmts) false in
-  let last_check = ref (-1) in
   let ops =
     Array.mapi
       (fun i stmt ->
@@ -456,9 +402,7 @@ let compile (model : Ast.t) =
           match stmt with
           | Ast.Let (bs, false) -> compile_let ctx scope bs
           | Ast.Let (bs, true) -> compile_rec ctx scope bs
-          | Ast.Check (kind, e, _) ->
-              last_check := i;
-              (Check (kind, code ctx scope e), scope)
+          | Ast.Check (kind, e, _) -> (Check (kind, code ctx scope e), scope)
         in
         static_stmt.(i) <- not ctx.dynamic;
         scopes.(i + 1) <- after;
@@ -469,7 +413,6 @@ let compile (model : Ast.t) =
     ops;
     static_stmt;
     scopes;
-    last_check = !last_check;
     nslots = ctx.next;
     reads = List.filter (fun s -> ctx.reads.(s)) (List.init n_witness Fun.id);
   }
@@ -498,7 +441,7 @@ let kleene ?budget ?(stage = ignore) env defs =
     stage env;
     let next = List.map (fun (_, c) -> eval env c) defs in
     let converged =
-      List.for_all2 (fun (slot, _) v -> equal env env.slots.(slot) v) defs next
+      List.for_all2 (fun (slot, _) v -> equal env.slots.(slot) v) defs next
     in
     List.iter2 (fun (slot, _) v -> env.slots.(slot) <- v) defs next;
     if not converged then go (n + 1)
@@ -513,19 +456,14 @@ let define ?budget env = function
 (* An environment with no slot filled yet.  Compilation orders every
    write of a slot before its reads; a slot read too early would hold
    [Vfun], whose every use raises. *)
-let blank c (x : Exec.t) ~mask =
-  {
-    universe = x.universe;
-    n = Array.length x.events;
-    mask;
-    slots = Array.make c.nslots Vfun;
-  }
+let blank c (x : Exec.t) =
+  { universe = x.universe; slots = Array.make c.nslots Vfun }
 
 let fill_structural env (x : Exec.t) =
   List.iteri (fun i (_, f) -> env.slots.(n_witness + i) <- f x) structural
 
 let env_of_execution c (x : Exec.t) =
-  let env = blank c x ~mask:1 in
+  let env = blank c x in
   fill_structural env x;
   Array.iteri (fun i f -> env.slots.(i) <- Vrel (f x)) witness_rel;
   env
@@ -537,7 +475,7 @@ let run ?budget c env =
     (fun op ->
       Option.iter Exec.Budget.tick budget;
       match op with
-      | Check (kind, e) -> check env kind e <> 0
+      | Check (kind, e) -> check env kind e
       | op ->
           define ?budget env op;
           true)
@@ -555,9 +493,9 @@ let run ?budget c env =
    it stands — therefore has the same value for every candidate of a
    shape.  [prefix] runs the static statements once per shape, on an
    array with the structural slots filled; that array is the prototype
-   every candidate and batch of the shape copies, filling in the
-   witness slots the model reads, before [run_with_prefix] replays the
-   dynamic remainder.  Results are identical to {!run}. *)
+   every candidate of the shape copies, filling in the witness slots
+   the model reads, before [run_with_prefix] replays the dynamic
+   remainder.  Results are identical to {!run}. *)
 
 type prefix = {
   compiled : compiled;
@@ -567,7 +505,7 @@ type prefix = {
 
 let prefix ?budget c (x : Exec.t) =
   Obs.with_span "prefix-eval" (fun () ->
-      let env = blank c x ~mask:1 in
+      let env = blank c x in
       fill_structural env x;
       let checks = Array.make (Array.length c.ops) false in
       Array.iteri
@@ -575,54 +513,35 @@ let prefix ?budget c (x : Exec.t) =
           if c.static_stmt.(i) then begin
             Option.iter Exec.Budget.tick budget;
             match op with
-            | Check (kind, e) -> checks.(i) <- check env kind e <> 0
+            | Check (kind, e) -> checks.(i) <- check env kind e
             | op -> define ?budget env op
           end)
         c.ops;
       { compiled = c; proto = env; checks })
 
 (* A copy of the prototype, with the witness slots the model reads. *)
-let instance p ~mask witness_value =
+let candidate p (x : Exec.t) =
   let slots = Array.copy p.proto.slots in
-  List.iter
-    (fun s -> slots.(s) <- witness_value witness_rel.(s))
-    p.compiled.reads;
-  { p.proto with mask; slots }
-
-let candidate p (x : Exec.t) = instance p ~mask:1 (fun f -> Vrel (f x))
-
-let batch p ~mask (xs : Exec.t array) =
-  instance p ~mask (fun f ->
-      Vplanes (B.of_rels ~n:p.proto.n ~mask (Array.map f xs)))
-
-let c_early = Obs.Counter.make "cat.batch.early_exit"
+  List.iter (fun s -> slots.(s) <- Vrel (witness_rel.(s) x)) p.compiled.reads;
+  { p.proto with slots }
 
 (* Replay the statement list: static lets are already in the array,
    static checks come from the prefix, the dynamic remainder is
-   evaluated.  Returns the live candidates that satisfy every check.
-   Statements are never skipped — a model raises its [Type_error]
-   whatever the candidates — but the live mask shrinks as checks fail,
-   so later broadcasts and closures stop paying for decided candidates
-   (their planes zero out and the kernels skip zero words). *)
+   evaluated.  Statements are never skipped after a failed check, so a
+   model raises its [Type_error] whatever the candidate. *)
 let run_with_prefix ?budget { compiled = c; checks; _ } env =
-  let env = ref env in
+  let holds = ref true in
   Array.iteri
     (fun i op ->
       let static = c.static_stmt.(i) in
       if not static then Option.iter Exec.Budget.tick budget;
       match op with
       | Check (kind, e) ->
-          let holds =
-            if static then if checks.(i) then !env.mask else 0
-            else check !env kind e
-          in
-          (* candidates decided before the final check are early exits *)
-          if i <> c.last_check then
-            Obs.Counter.add c_early (B.popcount (!env.mask land lnot holds));
-          env := { !env with mask = holds }
-      | op -> if not static then define ?budget !env op)
+          let ok = if static then checks.(i) else check env kind e in
+          holds := !holds && ok
+      | op -> if not static then define ?budget env op)
     c.ops;
-  !env.mask
+  !holds
 
 (* ------------------------------------------------------------------ *)
 (* Program points, for explanations                                    *)

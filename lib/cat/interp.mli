@@ -9,31 +9,19 @@
     relations; sets appearing in relation position are coerced to
     identities, as with the bracket form [[S]].  Recursive definitions
     are solved by Kleene iteration from the empty relation (cat's [rec]
-    is a least fixed point of monotone equations).
-
-    One evaluator decides one candidate or up to 63 pairwise
-    static-compatible ones ({!Exec.Execution.static_compatible}) at once.
-    An environment carries the candidates' shared event count and the
-    mask of those still live; a relation that varies across them is a
-    value of candidate-major bit planes ({!Rel.Batch}).  Each operator
-    applies the [Rel] operation when no operand is a plane, and the
-    [Rel.Batch] one otherwise, with scalar operands broadcast into the
-    live planes.  A single candidate ({!candidate}) is the batch of one
-    and never builds a plane.  The code being one, a model raises the
-    same {!Type_error} at the same statement on both. *)
+    is a least fixed point of monotone equations).  One candidate is
+    evaluated at a time. *)
 
 module Iset = Rel.Iset
 
 type value =
   | Vset of Iset.t
   | Vrel of Rel.t
-  | Vplanes of Rel.Batch.t  (** relation-valued, one plane per candidate *)
   | Vfun
       (** a function named where a value is expected: any use of it as a
           relation or a set raises *)
 
-(** The slot array of a compiled model, with the candidates' shared
-    event count and the mask of those still live. *)
+(** The slot array of a compiled model, over one candidate's events. *)
 type env
 
 (** Raised on unbound identifiers, arity mismatches, or set/relation
@@ -42,8 +30,7 @@ type env
     faulty expression is evaluated. *)
 exception Type_error of string
 
-(** The relation of a set or relation value.  Raises [Invalid_argument]
-    on planes, which only a batch of candidates holds. *)
+(** The relation of a set or relation value: a set is its identity. *)
 val as_rel : value -> Rel.t
 
 (** The predefined names that depend on the execution witness. *)
@@ -78,9 +65,9 @@ val run : ?budget:Exec.Budget.t -> compiled -> env -> bool array
     structure across all rf/co witnesses, so a static statement has the
     same value for all of them.  {!prefix} runs the static statements
     once per shape; the array it leaves is the prototype that
-    {!candidate} and {!batch} copy, filling in the witness slots the
-    model reads, and {!run_with_prefix} replays the dynamic remainder —
-    deciding exactly what {!run} decides. *)
+    {!candidate} copies, filling in the witness slots the model reads,
+    and {!run_with_prefix} replays the dynamic remainder — deciding
+    exactly what {!run} decides. *)
 
 type prefix
 
@@ -92,21 +79,12 @@ val prefix : ?budget:Exec.Budget.t -> compiled -> Exec.t -> prefix
 (** The environment of one candidate of the prefix's shape. *)
 val candidate : prefix -> Exec.t -> env
 
-(** [batch p ~mask xs] is the environment of the candidates [xs] of the
-    prefix's shape that [mask] selects, their witness relations stacked
-    into bit planes — only those the model reads. *)
-val batch : prefix -> mask:int -> Exec.t array -> env
-
 (** [run_with_prefix ?budget p env] replays all statements in source
-    order against [env] (from {!candidate} or {!batch} of [p]),
-    reusing static check outcomes from [p] instead of re-evaluating
-    them.  Returns the live candidates satisfying every check:
-    candidate [c]'s bit is set iff every check of {!run} on it holds.
-    The live mask shrinks after each failed check, so decided
-    candidates stop costing work, but no statement is skipped.  Each
-    check but the model's last adds the candidates it decides to the
-    [cat.batch.early_exit] counter. *)
-val run_with_prefix : ?budget:Exec.Budget.t -> prefix -> env -> int
+    order against [env] (from {!candidate} of [p]), reusing static
+    check outcomes from [p] instead of re-evaluating them: whether
+    every check of {!run} holds.  No statement is skipped after a
+    failed check, so a faulty model raises whatever the candidate. *)
+val run_with_prefix : ?budget:Exec.Budget.t -> prefix -> env -> bool
 
 (** {1 Program points}
 

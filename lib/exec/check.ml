@@ -17,14 +17,8 @@ module type MODEL = sig
   val consistent : Execution.t -> bool
 end
 
-(* A batched consistency oracle: all candidates share one shape (so are
-   pairwise {!Execution.static_compatible}), and the model may take every
-   witness-independent part from [xs.(0)]; bit c of the result must
-   equal [consistent xs.(c)], for every c in [mask] (bits outside
-   [mask] are ignored).  [~coherent]
-   tells the model that every candidate of [mask] already passed the
-   sc-per-location prefilter, so a model whose coherence axiom is
-   exactly that check may skip re-deciding it. *)
+(* The type of [Oracle.t]'s [batch] field, kept with it for lkbench's
+   trace replay until that replay reads lib/obs: no engine has one. *)
 type batch_fn = coherent:bool -> mask:int -> Execution.t array -> int
 
 type unknown_reason =
@@ -37,15 +31,12 @@ type unknown_reason =
 
 type verdict = Allow | Forbid | Unknown of unknown_reason
 
-(* Which checking engine produced a result: the scalar enumerator, the
-   bit-plane batched enumerator, or the symbolic SAT backend.  Recorded
-   in every result (and report entry) so runs are attributable. *)
-type backend = Enum | Batch | Sat
+(* Which checking engine produced a result: the enumerator or the
+   symbolic SAT backend.  Recorded in every result (and report entry)
+   so runs are attributable. *)
+type backend = Enum | Sat
 
-let backend_to_string = function
-  | Enum -> "enum"
-  | Batch -> "batch"
-  | Sat -> "sat"
+let backend_to_string = function Enum -> "enum" | Sat -> "sat"
 
 (* Solver-side counters, present on results that went through (or were
    asked to go through) the SAT backend.  [fallback] marks a result
@@ -116,16 +107,14 @@ let unknown ?budget ?(backend = Enum) ?sat reason =
     sat;
   }
 
-(* One model of a check: its scalar engine, and optionally its batched
-   engine and an explainer for verdict forensics. *)
+(* One model of a check: its engine, and optionally an explainer for
+   verdict forensics. *)
 type model = {
   scalar : (module MODEL);
-  batch : batch_fn option;
   explainer : (Execution.t -> Explain.t list) option;
 }
 
-let model ?batch ?explainer scalar = { scalar; batch; explainer }
-let backend_of m = match m.batch with None -> Enum | Some _ -> Batch
+let model ?explainer scalar = { scalar; explainer }
 
 (* Interpret the test's quantifier over the consistent executions:
    - exists c  : Allow iff some consistent execution satisfies c;
@@ -153,15 +142,12 @@ let c_consistent = Obs.Counter.make "check.consistent"
 let c_matching = Obs.Counter.make "check.matching"
 let h_prefilter = Obs.Histogram.make "check.prefilter_us"
 let h_model = Obs.Histogram.make "check.model_us"
-let c_batch_flushes = Obs.Counter.make "check.batch.flushes"
-let h_occupancy = Obs.Histogram.make "check.batch.occupancy"
 
 (* A model's side of the pass. *)
 type tally = {
   m : model;
   consistent : Execution.t -> bool;
   explains : bool; (* [m] has an explainer: retain a counterexample *)
-  mutable mask : int; (* the current flush's consistent bits *)
   mutable n_consistent : int;
   mutable n_matching : int;
   mutable witness : Execution.t option;
@@ -172,17 +158,6 @@ type tally = {
 
 (* Every model of the call has raised: the enumeration stops. *)
 exception All_settled
-
-(* A scalar model's consistent bits among the live candidates [mask] of
-   a batch. *)
-let scalar_mask consistent mask xs =
-  let bits = ref 0 in
-  Array.iteri
-    (fun c x ->
-      if mask land (1 lsl c) <> 0 && consistent x then
-        bits := !bits lor (1 lsl c))
-    xs;
-  !bits
 
 (* The loop over the candidates [enumerate ()] streams: the verdict
    stream for {!run}, every candidate for {!allowed_outcomes}. *)
@@ -202,7 +177,6 @@ let run_over ?budget ~enumerate models (test : Litmus.Ast.t) =
              m;
              consistent = M.consistent;
              explains = Option.is_some m.explainer;
-             mask = 0;
              n_consistent = 0;
              n_matching = 0;
              witness = None;
@@ -225,8 +199,8 @@ let run_over ?budget ~enumerate models (test : Litmus.Ast.t) =
      explains it).  That one does not depend on the model. *)
   let track_cex = Array.exists (fun t -> t.explains) tallies in
   let cex_prefiltered = ref None in
-  (* When tracing, the prefilter and each model's run are timed: per
-     candidate on the scalar path, per buffer on the batched one. *)
+  (* When tracing, the prefilter and each model's run are timed per
+     candidate. *)
   let tracing = Obs.enabled () in
   (* The condition test and the outcome key of the current candidate,
      each computed when a model first needs it (the key is kept only
@@ -260,15 +234,10 @@ let run_over ?budget ~enumerate models (test : Litmus.Ast.t) =
     | None, _ | Some _, Budget.Exceeded _ ->
         Printexc.raise_with_backtrace exn (Printexc.get_raw_backtrace ())
     | Some b, _ ->
-        t.settled <-
-          Some (unknown ~budget:b ~backend:(backend_of t.m) (Model_error exn));
+        t.settled <- Some (unknown ~budget:b (Model_error exn));
         decr unsettled;
         if !unsettled = 0 then raise All_settled
   in
-  (* Per-candidate tallies, shared verbatim between the scalar loop and
-     the batched flush: the flush walks its buffer in enumeration order
-     calling exactly these, so counters, outcome order, witness and
-     counterexample identity cannot diverge between the two paths. *)
   let prefiltered x =
     incr n_prefiltered;
     Obs.Counter.incr c_prefiltered;
@@ -296,7 +265,7 @@ let run_over ?budget ~enumerate models (test : Litmus.Ast.t) =
     Obs.Counter.incr c_candidates;
     Option.iter Budget.tick budget
   in
-  let scalar x =
+  let visit x =
     consume ();
     fresh ();
     let t0 = if tracing then Obs.now_us () else 0. in
@@ -317,78 +286,13 @@ let run_over ?budget ~enumerate models (test : Litmus.Ast.t) =
         end
       done
   in
-  (* Buffer up to 63 candidates of one shape — all the witnesses of one
-     event structure, and enumeration-adjacent structures of the test
-     that differ only in read values — then decide the prefilter once
-     and each model for the whole buffer in word-parallel passes over
-     candidate-major bit planes (a model without a batched engine runs
-     its scalar one on the live candidates), and tally in enumeration
-     order.  The buffer is flushed where the shape changes: one physical
-     comparison per candidate, and the same cut
-     {!Execution.static_compatible} makes. *)
-  let buf = ref [] and len = ref 0 in
-  let flush () =
-    if !len > 0 then begin
-      let xs = Array.of_list (List.rev !buf) in
-      buf := [];
-      len := 0;
-      let k = Array.length xs in
-      Obs.Counter.incr c_batch_flushes;
-      Obs.Histogram.observe h_occupancy (float_of_int k);
-      let t0 = if tracing then Obs.now_us () else 0. in
-      let live = Execution.coherent_mask ~mask:(Rel.Batch.full_mask k) xs in
-      if tracing then Obs.Histogram.observe h_prefilter (Obs.now_us () -. t0);
-      if live <> 0 then
-        for i = 0 to n_models - 1 do
-          let t = tallies.(i) in
-          if Option.is_none t.settled then begin
-            let t1 = if tracing then Obs.now_us () else 0. in
-            match
-              match t.m.batch with
-              | Some batch_fn -> batch_fn ~coherent:true ~mask:live xs
-              | None -> scalar_mask t.consistent live xs
-            with
-            | mask ->
-                if tracing then
-                  Obs.Histogram.observe h_model (Obs.now_us () -. t1);
-                t.mask <- mask
-            | exception e -> fail t e
-          end
-        done;
-      Array.iteri
-        (fun c x ->
-          fresh ();
-          if live land (1 lsl c) = 0 then prefiltered x
-          else
-            for i = 0 to n_models - 1 do
-              let t = tallies.(i) in
-              if Option.is_none t.settled then
-                decided t x (t.mask land (1 lsl c) <> 0)
-            done)
-        xs
-    end
-  in
-  let buffer (x : Execution.t) =
-    consume ();
-    (match !buf with
-    | (y : Execution.t) :: _ when y.shape != x.shape -> flush ()
-    | _ -> ());
-    buf := x :: !buf;
-    incr len;
-    if !len = Rel.Batch.width then flush ()
-  in
   (* With a budget, a trip or an enumeration failure settles every model
      not yet settled; the models' explainers do not run. *)
   let stopped =
     match
       Obs.with_span ~item:test.name "check" (fun () ->
           Obs.with_span ~item:test.name "enumerate" (fun () ->
-              let stream = enumerate () in
-              if List.exists (fun m -> Option.is_some m.batch) models then begin
-                Seq.iter buffer stream;
-                flush ()
-              end
-              else Seq.iter scalar stream))
+              Seq.iter visit (enumerate ())))
     with
     | () | (exception All_settled) -> None
     | exception Budget.Exceeded r when Option.is_some budget ->
@@ -427,22 +331,20 @@ let run_over ?budget ~enumerate models (test : Litmus.Ast.t) =
       outcomes = List.sort_uniq compare t.outcomes;
       counterexample;
       explanations;
-      backend = backend_of t.m;
+      backend = Enum;
       sat = None;
     }
   in
   let result t =
-    let backend = backend_of t.m in
     match (t.settled, stopped, budget) with
     | Some r, _, _ -> r
-    | None, Some reason, _ -> unknown ?budget ~backend reason
+    | None, Some reason, _ -> unknown ?budget reason
     | None, None, None -> finish t (forensics t)
     | None, None, Some b -> (
         match forensics t with
         | f -> finish t f
-        | exception Budget.Exceeded r ->
-            unknown ~budget:b ~backend (Budget_exceeded r)
-        | exception e -> unknown ~budget:b ~backend (Model_error e))
+        | exception Budget.Exceeded r -> unknown ~budget:b (Budget_exceeded r)
+        | exception e -> unknown ~budget:b (Model_error e))
   in
   List.map result (Array.to_list tallies)
 
@@ -457,9 +359,9 @@ let run ?budget models test =
    condition (used to compare models with operational simulators): the
    outcome projection of the same loop over every candidate, raising
    what settled it. *)
-let allowed_outcomes ?budget ?batch m (test : Litmus.Ast.t) =
+let allowed_outcomes ?budget m (test : Litmus.Ast.t) =
   match
-    run_over ?budget [ model ?batch m ] test ~enumerate:(fun () ->
+    run_over ?budget [ model m ] test ~enumerate:(fun () ->
         Execution.candidates ?budget test)
   with
   | [ { verdict = Unknown (Budget_exceeded r); _ } ] ->

@@ -14,18 +14,9 @@ module type MODEL = sig
   val consistent : Execution.t -> bool
 end
 
-(** A batched consistency oracle.  All candidates of [xs] share one
-    shape ({!Execution.shape}), so are pairwise
-    {!Execution.static_compatible} — the model may take every
-    witness-independent part (events up to values, static relations,
-    event-class sets) from [xs.(0)]; bit [c] of the result must equal
-    [M.consistent xs.(c)] for every [c] set in [mask] (bits outside
-    [mask] are ignored).  [~coherent] asserts that every candidate of
-    [mask] already passed the sc-per-location prefilter, so a model
-    whose coherence axiom is exactly that check may skip re-deciding
-    it.  Differential equivalence with the scalar [consistent] is the
-    correctness contract (exercised by the randomized suite and the
-    corpus-wide agreement checks in test/). *)
+(** The type of {!Oracle.t}'s [batch] field, kept with that field for
+    lkbench's trace replay until it reads [lib/obs]: no engine has
+    one. *)
 type batch_fn = coherent:bool -> mask:int -> Execution.t array -> int
 
 type unknown_reason =
@@ -37,11 +28,12 @@ type unknown_reason =
 
 type verdict = Allow | Forbid | Unknown of unknown_reason
 
-(** The checking engine that produced a result: the scalar enumerator,
-    the bit-plane batched enumerator, or the symbolic SAT backend.
-    Engine selection flows through {!Oracle.t}; the result (and the
-    report entry built from it) records which engine actually ran. *)
-type backend = Enum | Batch | Sat
+(** The checking engine that produced a result: the enumerator, which
+    decides one candidate at a time and is the reference, or the
+    symbolic SAT backend.  Engine selection flows through {!Oracle.t};
+    the result (and the report entry built from it) records which
+    engine actually ran. *)
+type backend = Enum | Sat
 
 val backend_to_string : backend -> string
 
@@ -104,17 +96,15 @@ val unknown :
   ?budget:Budget.t -> ?backend:backend -> ?sat:sat_stats ->
   unknown_reason -> result
 
-(** One model of a check: its scalar engine, and optionally its batched
-    engine and an explainer for verdict forensics. *)
+(** One model of a check: its engine, and optionally an explainer for
+    verdict forensics. *)
 type model = {
   scalar : (module MODEL);
-  batch : batch_fn option;
   explainer : (Execution.t -> Explain.t list) option;
 }
 
 val model :
-  ?batch:batch_fn -> ?explainer:(Execution.t -> Explain.t list) ->
-  (module MODEL) -> model
+  ?explainer:(Execution.t -> Explain.t list) -> (module MODEL) -> model
 
 (** [run models test] checks [test] under every model of the non-empty
     list [models] in one pass over its candidates, and returns one
@@ -131,7 +121,9 @@ val model :
     counterexample.  So a model that would raise only on a skipped
     candidate yields a verdict, not [Unknown (Model_error _)], and a
     candidate cap or timeout trips later than over every candidate, if
-    at all; an event cap or a product-size trip is unchanged.
+    at all: a refuted structure is not claimed against the candidate
+    cap either ({!Execution.of_test_seq}), so only the candidates the
+    stream holds can trip it.  An event cap is unchanged.
 
     Per model, the candidates are streamed, filtered through the model
     and the quantifier interpreted: for [exists]/[~exists] the verdict
@@ -163,34 +155,16 @@ val model :
     explainer raising {!Explain.Invalid} is a hard error: under a
     budget it surfaces as that model's [Unknown (Model_error _)],
     otherwise it propagates.  Without an explainer the streaming loop
-    is unchanged up to one option test per rejected candidate.
-
-    When no model has a batched engine, each candidate is prefiltered
-    and decided as it arrives ([Enum], the reference engine).
-    Otherwise candidates are buffered — up to 63 of one shape, which
-    spans enumeration-adjacent event structures when they differ only
-    in read values; the buffer is flushed where the shape changes, the
-    cut {!Execution.static_compatible} defines — and decided by
-    word-parallel passes over candidate-major bit planes: the
-    sc-per-location prefilter once per buffer through
-    {!Execution.coherent_mask}, and each model through its
-    {!batch_fn} (called with [~coherent:true]) or, without one, its
-    scalar [consistent] on the live candidates.  The buffer is then
-    tallied in enumeration order, so every observable of a result
-    (counters, outcomes, witness and counterexample identity) matches
-    the scalar path's.  A model without a batched engine decides a
-    buffer's candidates when it is flushed, so its model error can
-    settle after a budget trip that its scalar run would not reach. *)
+    is unchanged up to one option test per rejected candidate. *)
 val run : ?budget:Budget.t -> model list -> Litmus.Ast.t -> result list
 
 (** The observable outcomes allowed by the model, ignoring the
     condition; used to compare models with the operational simulators.
     The outcome projection of {!run}'s loop over every candidate
     ({!Execution.candidates}, not the gated verdict stream), so it
-    streams, prefilters and batches alike.  Raises {!Budget.Exceeded}
-    when a budget is given and trips, and the model's exception when it
-    fails (callers decide how to report partial soundness
-    information). *)
+    streams and prefilters alike.  Raises {!Budget.Exceeded} when a
+    budget is given and trips, and the model's exception when it fails
+    (callers decide how to report partial soundness information). *)
 val allowed_outcomes :
-  ?budget:Budget.t -> ?batch:batch_fn -> (module MODEL) -> Litmus.Ast.t ->
+  ?budget:Budget.t -> (module MODEL) -> Litmus.Ast.t ->
   Execution.outcome list

@@ -9,7 +9,7 @@
    - {!Explain}: structured verdict forensics (failing check, minimal
      cycle witness, primitive-edge provenance);
    - {!Solve}: the symbolic SAT backend — the candidate space as CNF;
-   - {!Oracle}: a model's engines (scalar, batched, symbolic) as one
+   - {!Oracle}: a model's engines (enumerative, symbolic) as one
      first-class value, with backend dispatch;
    - {!Dot}: Graphviz export of executions, with explanation overlays. *)
 

@@ -751,9 +751,11 @@ let c_cond_refuted = Obs.Counter.make "exec.cond_refuted"
 
 (* Every candidate of the test, or with [~gated] only those of the
    structures the condition gate leaves open.  Every structure is
-   counted and claimed before it is decided, so the gate moves no
-   event-cap or product-size trip; only the structures whose candidates
-   are enumerated are built. *)
+   counted (the event cap) before it is decided, and claimed against
+   the candidate cap only once it is known to be enumerated: a dead
+   structure has no candidate, and a refuted one none the verdict
+   stream reads.  Only the structures whose candidates are enumerated
+   are built. *)
 let enumerate ~gated ?budget (test : Litmus.Ast.t) =
   let tick () = Option.iter Budget.tick budget in
   (* Per shape, its coherence choices with their coi/coe, built on the
@@ -786,15 +788,15 @@ let enumerate ~gated ?budget (test : Litmus.Ast.t) =
   in
   Seq.concat_map
     (fun st ->
-      (* Arithmetic pre-check: fail before materialising a product that
-         cannot fit in the candidate cap. *)
-      Option.iter (fun b -> Budget.claim b (claim st)) budget;
       if dead st then Seq.empty
       else if gated && asserted_cond st = Known false then begin
         Obs.Counter.incr c_cond_refuted;
         Seq.empty
       end
-      else
+      else begin
+        (* Arithmetic pre-check: fail before materialising a product
+           that cannot fit in the candidate cap. *)
+        Option.iter (fun b -> Budget.claim b (claim st)) budget;
         let sk = skeleton st in
         (* The co choices are the *outer* loop, the rf choices stream. *)
         Seq.concat_map
@@ -805,7 +807,8 @@ let enumerate ~gated ?budget (test : Litmus.Ast.t) =
                 build ~coi ~coe sk.sk_test sk.sk_events sk.sk_shape
                   (Rel.of_list rf_pairs) co sk.sk_final_regs)
               (seq_product ~tick sk.sk_rf_choices))
-          (List.to_seq (co_choices sk.sk_shape)))
+          (List.to_seq (co_choices sk.sk_shape))
+      end)
     (structures ?budget test)
 
 let candidates ?budget test = enumerate ~gated:false ?budget test
@@ -823,16 +826,13 @@ let of_test ?budget test = List.of_seq (candidates ?budget test)
    rejected before the model runs — herd's classic pruning. *)
 let coherent t = Rel.is_acyclic (Rel.union t.po_loc t.com)
 
-(* Can candidates [a] and [b] share one batched evaluation pass?  The
-   models consume events only through their static shape — id, thread,
-   direction, location, annotation — and the static relations; read
-   values feed conditions and outcomes, which are always evaluated per
-   candidate.  So two candidates are batch-compatible iff their events
-   agree up to values and their input statics are equal: every derived
+(* Do [a] and [b] have the same statics?  The models consume events
+   only through their static shape — id, thread, direction, location,
+   annotation — and the static relations; read values feed conditions
+   and outcomes, which are evaluated per candidate.  Every derived
    static (po-loc, int/ext, the event-class sets, crit, ...) is a
-   function of exactly those.  This is componentwise equality, hence an
-   equivalence: comparing each candidate against its predecessor in the
-   stream keeps a whole buffer pairwise compatible. *)
+   function of exactly those, so this componentwise equality is what
+   sharing one shape means; the tests hold [shape] identity to it. *)
 let same_static_event (a : Event.t) (b : Event.t) =
   a.Event.id = b.Event.id && a.Event.tid = b.Event.tid
   && a.Event.dir = b.Event.dir
@@ -853,16 +853,16 @@ let static_compatible a b =
      && Rel.equal a.data b.data && Rel.equal a.ctrl b.ctrl
      && Rel.equal a.rmw b.rmw
 
-(* The same test over a batch of static-compatible candidates: po-loc
-   is witness-independent and equal across the batch (broadcast once
-   from the first), only com varies per plane.  Bit c of the result:
-   candidate c is coherent. *)
+(* Kept for lkbench's trace replay until it reads lib/obs: {!coherent}
+   over the candidates [mask] selects, as a bit mask. *)
 let coherent_mask ~mask (xs : t array) =
-  let x0 = xs.(0) in
-  let n = Array.length x0.events in
-  let po_loc = Rel.Batch.broadcast ~n ~mask x0.po_loc in
-  let com = Rel.Batch.of_rels ~n ~mask (Array.map (fun x -> x.com) xs) in
-  Rel.Batch.acyclic_mask ~mask (Rel.Batch.union po_loc com)
+  let bits = ref 0 in
+  Array.iteri
+    (fun c x ->
+      if mask land (1 lsl c) <> 0 && coherent x then
+        bits := !bits lor (1 lsl c))
+    xs;
+  !bits
 
 (* ------------------------------------------------------------------ *)
 (* Final states                                                        *)

@@ -104,8 +104,10 @@ val dead : structure -> bool
 
 (** [claim st] — the structure's candidate count, the product of its
     reads' writer counts and each location's orders of its non-init
-    writes (saturating): what {!candidates} claims against the
-    candidate cap before it enumerates them.  0 for a dead structure. *)
+    writes (saturating): what the enumeration claims against the
+    candidate cap before it builds the structure's candidates ({!of_test_seq}
+    claims only the structures its gate leaves open).  0 for a dead
+    structure. *)
 val claim : structure -> int
 
 (** One event structure plus its witness choice space: the raw material
@@ -197,10 +199,12 @@ val candidates : ?budget:Budget.t -> Litmus.Ast.t -> t Seq.t
 (** [of_test_seq ?budget test] is the verdict stream: {!candidates}
     without the candidates of a structure {!asserted_cond} refutes
     (counted in [exec.cond_refuted]).  The gate runs after a structure
-    has been counted ([exec.structures], the event cap) and claimed
-    (the rf/co product pre-check), so an event-cap or product-size trip
-    is where {!candidates} has it; only a candidate or time trip can
-    come later.  Only the structures it leaves open are built.
+    has been counted ([exec.structures], the event cap), so an event-cap
+    trip is where {!candidates} has it.  Only the structures it leaves
+    open are claimed against the candidate cap (the rf/co product
+    pre-check) and built, so a candidate-cap trip, product-size or
+    not, comes only from candidates the stream holds: later than in
+    {!candidates}, if at all.
     {!Check.run} and every verdict consume it;
     {!Check.allowed_outcomes} consumes {!candidates}, which builds every
     structure that is not {!dead}. *)
@@ -215,22 +219,18 @@ val of_test : ?budget:Budget.t -> Litmus.Ast.t -> t list
     them; {!Check.run} uses this as a cheap prefilter. *)
 val coherent : t -> bool
 
-(** [static_compatible a b] — may [a] and [b] share one batched
-    evaluation pass?  Holds iff their events agree up to read/written
-    values and their input statics (po, addr, data, ctrl, rmw) are
-    equal; the models consume nothing else that is witness-independent,
-    values being strictly per-candidate (conditions, outcomes).  An
-    equivalence, so a stream checked pairwise stays pairwise
-    compatible.  The reference definition of "same statics": within one
-    enumeration it holds iff [a.shape == b.shape], the identity
-    {!Check}'s batching and the models' static caches use instead. *)
+(** [static_compatible a b] — do [a] and [b] have the same statics?
+    Holds iff their events agree up to read/written values and their
+    input statics (po, addr, data, ctrl, rmw) are equal; the models
+    consume nothing else that is witness-independent, values being
+    strictly per-candidate (conditions, outcomes).  The test reference
+    for "same statics": within one enumeration it holds iff [a.shape ==
+    b.shape], the identity the models' static caches key on. *)
 val static_compatible : t -> t -> bool
 
-(** [coherent_mask ~mask xs] decides {!coherent} for up to 63
-    pairwise {!static_compatible} candidates in a single word-parallel
-    pass over candidate-major bit planes ({!Rel.Batch}): bit [c] of the
-    result is set iff bit [c] of [mask] is set and [xs.(c)] is
-    coherent. *)
+(** [coherent_mask ~mask xs]: bit [c] is set iff bit [c] of [mask] is
+    and [xs.(c)] is {!coherent}.  Kept for lkbench's trace replay until
+    it reads [lib/obs]; nothing in the library calls it. *)
 val coherent_mask : mask:int -> t array -> int
 
 (** [final_mem t x] is the value of [x] after the execution: its

@@ -1,8 +1,7 @@
 (* A checking oracle: one first-class value bundling every engine a
-   model ships — the scalar model (always), the bit-plane batched
-   evaluator (optional) and the symbolic SAT engine (optional) — so
-   engine selection is one [backend] switch at the call site instead of
-   ad-hoc (model, batch_fn) pairing threaded through every layer.
+   model ships — the model the enumerator decides candidates with
+   (always) and the symbolic SAT engine (optional) — so engine
+   selection is one [backend] switch at the call site.
 
    Oracles are constructed once, next to the model they wrap
    ([Lkmm.oracle], [Cat.to_oracle], the operational simulators'
@@ -15,6 +14,8 @@ type t = {
   name : string;  (* the model's name, stable across engines *)
   model : Budget.t option -> (module Check.MODEL);
   batch : (Budget.t option -> Check.batch_fn) option;
+      (* always [None]: kept for lkbench's trace replay until it reads
+         lib/obs *)
   solve : Solve.solve_fn option;
 }
 
@@ -27,28 +28,16 @@ let scalar name model = { name; model; batch = None; solve = None }
 let of_model (module M : Check.MODEL) =
   scalar M.name (fun _ -> (module M : Check.MODEL))
 
-let make ~name ~model ?batch ?solve () = { name; model; batch; solve }
+let make ~name ~model ?solve () = { name; model; batch = None; solve }
 
 let name t = t.name
 let model t ?budget () = t.model budget
 
-(* The engine every default names: the scalar enumerator.  Behind the
-   condition gate a flush holds few candidates, and the closure-free
-   [Rel] kernels decide them one at a time faster than a bit-plane pass
-   decides the flush; the batched engine stays as a cross-check. *)
+(* The engine every default names: the enumerator. *)
 let default_backend = Check.Enum
 
-(* The model an oracle contributes to {!Check.run} under an enumerative
-   request: its batched engine under [Batch], its scalar one otherwise.
-   A [Sat] request that reaches enumeration runs the default engine. *)
-let check_model ?budget ?explainer ~backend t =
-  let backend = if backend = Check.Sat then default_backend else backend in
-  Check.model ?explainer
-    ?batch:
-      (match backend with
-      | Check.Batch -> Option.map (fun mk -> mk budget) t.batch
-      | Check.Enum | Check.Sat -> None)
-    (t.model budget)
+(* The model an oracle contributes to {!Check.run}. *)
+let check_model ?budget ?explainer t = Check.model ?explainer (t.model budget)
 
 (* Every oracle of [entries] on one test, results in order.  An
    enumerative request is one {!Check.run} over all of them.  Under
@@ -59,10 +48,10 @@ let check_model ?budget ?explainer ~backend t =
    would alone. *)
 let run_entries ?budget ~backend entries test =
   match backend with
-  | Check.Enum | Check.Batch ->
+  | Check.Enum ->
       Check.run ?budget
         (List.map
-           (fun (t, explainer) -> check_model ?budget ?explainer ~backend t)
+           (fun (t, explainer) -> check_model ?budget ?explainer t)
            entries)
         test
   | Check.Sat ->
@@ -79,8 +68,7 @@ let run_entries ?budget ~backend entries test =
             ref
               (Check.run ?budget
                  (List.map
-                    (fun (t, explainer) ->
-                      check_model ?budget ?explainer ~backend t)
+                    (fun (t, explainer) -> check_model ?budget ?explainer t)
                     enumerated)
                  test)
       in
@@ -107,9 +95,8 @@ let run ?budget ?explainer ?(backend = default_backend) t test =
 let run_all ?budget ?(backend = default_backend) ts test =
   run_entries ?budget ~backend (List.map (fun t -> (t, None)) ts) test
 
-(* Model-allowed outcomes, through the oracle's enumerative engines
-   (the symbolic engine answers the per-test existential question, not
-   the all-outcomes one; [Sat] requests degrade to the default engine). *)
-let allowed_outcomes ?budget ?(backend = default_backend) t test =
-  let { Check.scalar; batch; _ } = check_model ?budget ~backend t in
-  Check.allowed_outcomes ?budget ?batch scalar test
+(* Model-allowed outcomes, through the enumerator on every backend (the
+   symbolic engine answers the per-test existential question, not the
+   all-outcomes one). *)
+let allowed_outcomes ?budget t test =
+  Check.allowed_outcomes ?budget (t.model budget) test

@@ -1,30 +1,30 @@
 (** A checking oracle: one first-class value bundling every engine a
-    model ships — the scalar model (always), the bit-plane batched
-    evaluator and the symbolic SAT engine (both optional).  Engine
-    selection is a {!Check.backend} request at the call site; the
-    oracle resolves it against what it actually has, falling back
-    (counted, and recorded on the result) when the symbolic engine is
-    requested but absent.
+    model ships — the model the enumerator decides candidates with
+    (always) and the symbolic SAT engine (optional).  Engine selection
+    is a {!Check.backend} request at the call site; the oracle resolves
+    it against what it actually has, falling back (counted, and
+    recorded on the result) when the symbolic engine is requested but
+    absent.
 
-    Oracles replace the old [(model, batch_fn)] pairing that each
-    harness layer re-assembled: construct one next to the model
-    ([Lkmm.oracle], [Cat.to_oracle], …) and pass it as a single value
-    through Runner, Pool, Serve, Campaign, Sweep and the CLIs. *)
+    Construct one next to the model ([Lkmm.oracle], [Cat.to_oracle],
+    …) and pass it as a single value through Runner, Pool, Serve,
+    Campaign, Sweep and the CLIs. *)
 
 type backend_request = Check.backend
 
 type t = {
   name : string;  (** the model's name, stable across engines *)
   model : Budget.t option -> (module Check.MODEL);
-      (** the scalar engine — always present; the budget parameter
-          serves models whose [consistent] ticks it (cat
+      (** the model the enumerator runs — always present; the budget
+          parameter serves models whose [consistent] ticks it (cat
           interpretation) *)
   batch : (Budget.t option -> Check.batch_fn) option;
-      (** the bit-plane batched engine *)
+      (** always [None], and read by nothing in the library: kept for
+          lkbench's trace replay until it reads [lib/obs] *)
   solve : Solve.solve_fn option;  (** the symbolic engine *)
 }
 
-(** [scalar name model] — an oracle with only the scalar engine. *)
+(** [scalar name model] — an oracle with only the enumerative engine. *)
 val scalar : string -> (Budget.t option -> (module Check.MODEL)) -> t
 
 (** [of_model (module M)] — a scalar-only oracle around a
@@ -34,7 +34,6 @@ val of_model : (module Check.MODEL) -> t
 val make :
   name:string ->
   model:(Budget.t option -> (module Check.MODEL)) ->
-  ?batch:(Budget.t option -> Check.batch_fn) ->
   ?solve:Solve.solve_fn ->
   unit ->
   t
@@ -53,11 +52,8 @@ val default_backend : backend_request
     - [Sat]: the symbolic engine if present; otherwise the default
       enumerative engine runs, the [sat.fallback] counter ticks, and
       the result carries [sat = Some {fallback = true; _}];
-    - [Enum]: the scalar path — one candidate at a time, and the
-      reference engine;
-    - [Batch]: the bit-plane batched path if present, scalar otherwise
-      (the same observables, by {!Check.run}'s contract), kept as a
-      cross-check of the scalar one.
+    - [Enum]: the enumerator — one candidate at a time, and the
+      reference engine.
 
     [?explainer] forwards to {!Check.run} on the enumerative paths and
     to the symbolic engine.  [run t test] is [run_all [t] test]'s one
@@ -72,11 +68,9 @@ val run :
 
 (** [run_all ts test] checks [test] under every oracle of the non-empty
     list [ts] and returns their results in order, each equal to
-    [run]'s for that oracle.  On the enumerative backends it is one
-    {!Check.run}: one enumeration and one prefilter per test, each
-    oracle deciding the live candidates through its own engine for the
-    request (a scalar-only oracle in a [Batch] call runs its scalar
-    model on the live candidates of each buffer).  Under [Sat], an
+    [run]'s for that oracle.  Under [Enum] it is one {!Check.run}: one
+    enumeration and one prefilter per test, each oracle deciding the
+    live candidates through its own model.  Under [Sat], an
     oracle with a solver runs it on its own, and the others share one
     enumeration on the default engine, each flagged as a fallback and
     counted in [sat.fallback].  One budget bounds the call: its timeout
@@ -89,13 +83,12 @@ val run_all :
   Litmus.Ast.t ->
   Check.result list
 
-(** Model-allowed outcomes through the oracle (enumerative engines
-    only: the symbolic engine answers the per-test existential question,
-    not the all-outcomes one, so [Sat] requests use the default engine).
-    Raises {!Budget.Exceeded} like {!Check.allowed_outcomes}. *)
+(** Model-allowed outcomes through the oracle's enumerator: the
+    symbolic engine answers the per-test existential question, not the
+    all-outcomes one.  Raises {!Budget.Exceeded} like
+    {!Check.allowed_outcomes}. *)
 val allowed_outcomes :
   ?budget:Budget.t ->
-  ?backend:backend_request ->
   t ->
   Litmus.Ast.t ->
   Execution.outcome list

@@ -143,9 +143,7 @@ let c11_oracle = Exec.Oracle.of_model (module Models.C11)
 (* The lk and cat columns, built once per worker: the packaged cat
    oracle carries a one-slot prefix cache that must live across the
    whole shard, not per test.  The config's [backend] is the request
-   for every model column ({!Exec.Oracle.default_backend} by default);
-   the c11 column has only its scalar model, which a batched call runs
-   on each buffer's live candidates. *)
+   for every model column ({!Exec.Oracle.default_backend} by default). *)
 let build_checks config =
   List.filter_map
     (function

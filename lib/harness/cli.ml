@@ -86,13 +86,7 @@ let json_arg =
           "Emit the batch report as JSON on stdout (the unified \
            schema-versioned report; see README).")
 
-let backend_conv =
-  Arg.enum
-    [
-      ("enum", Exec.Check.Enum);
-      ("batch", Exec.Check.Batch);
-      ("sat", Exec.Check.Sat);
-    ]
+let backend_conv = Arg.enum [ ("enum", Exec.Check.Enum); ("sat", Exec.Check.Sat) ]
 
 let backend_arg =
   Arg.(
@@ -100,14 +94,12 @@ let backend_arg =
     & opt backend_conv Exec.Oracle.default_backend
     & info [ "backend" ] ~docv:"ENGINE"
         ~doc:
-          "Checking engine: $(b,enum) (default) decides candidates one at \
-           a time on the scalar reference path, $(b,batch) evaluates them \
-           in word-parallel bit planes (kept as a cross-check of \
-           $(b,enum)), $(b,sat) solves the candidate space symbolically \
-           (CDCL over a CNF encoding; decoded witnesses are re-validated \
-           through the scalar model).  Verdicts are identical across \
-           engines; a model without the requested engine falls back to \
-           $(b,enum) (counted as sat.fallback for $(b,sat)).")
+          "Checking engine: $(b,enum) (default) enumerates the candidate \
+           executions and decides them one at a time, $(b,sat) solves the \
+           candidate space symbolically (CDCL over a CNF encoding; decoded \
+           witnesses are re-validated through the model).  Verdicts are \
+           identical across engines; a model without a solver falls back \
+           to $(b,enum), counted as sat.fallback.")
 
 (* A..B, half-open: the deterministic seed intervals of generated
    sweeps and campaign shards. *)

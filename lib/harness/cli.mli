@@ -36,7 +36,7 @@ val json_arg : bool Term.t
 (** [--json] — emit the unified {!Report} JSON on stdout. *)
 
 val backend_arg : Exec.Check.backend Term.t
-(** [--backend enum|batch|sat] — the checking engine
+(** [--backend enum|sat] — the checking engine
     ({!Exec.Oracle.run}), {!Exec.Oracle.default_backend} ([enum]) by
     default; verdicts are identical across engines. *)
 

@@ -13,9 +13,9 @@ let of_cat ~key name model =
     cat = Lazy.from_val model;
   }
 
-(* The native LK value carries its batch and SAT engines, the cat
-   interpretation its batch engine, and the other native models stay
-   scalar; each built-in is explained through its shipped cat twin. *)
+(* The native LK value carries its SAT engine, and the cat
+   interpretation and the other native models are enumerative only;
+   each built-in is explained through its shipped cat twin. *)
 let table =
   let native key display m src () =
     {

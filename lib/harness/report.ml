@@ -37,8 +37,9 @@
                 consumers that ignore unknown fields read v3 documents
                 unchanged.
    v4 (this PR) per-entry: when a check result is present it carries
-                [backend] ("enum" | "batch" | "sat" — the engine that
-                produced it, {!Exec.Check.backend}) and, for the SAT
+                [backend] ("enum" | "sat" — the engine that produced
+                it, {!Exec.Check.backend}; reports written before the
+                bit-plane engine was deleted may say "batch") and, for the SAT
                 engine only, a [sat] object ({"conflicts": n,
                 "decisions": n, "fallback": bool} — solver counters,
                 [fallback] true when the model had no solver and the

@@ -101,10 +101,9 @@ val read_file : string -> string
 
     Engine selection: the item is checked through [oracle] (default:
     {!Lkmm.oracle}) via {!Exec.Oracle.run} under the requested
-    [backend] (default {!Exec.Oracle.default_backend}, the scalar
-    reference path [Enum]; [Batch] is the bit-plane cross-check that
-    [--backend batch] selects; [Sat] runs the symbolic engine, falling
-    back counted when the oracle ships none). *)
+    [backend] (default {!Exec.Oracle.default_backend}, the enumerator
+    [Enum]; [Sat] runs the symbolic engine, falling back counted when
+    the oracle ships none). *)
 val run_item :
   ?limits:Exec.Budget.limits ->
   ?deadline:float ->

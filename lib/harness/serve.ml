@@ -60,9 +60,7 @@ type config = {
   cache_journal : string option;
   fsync : bool;
   chaos_ops : bool; (* accept chaos_kill / chaos_wedge *)
-  backend : Exec.Check.backend;
-      (* checking engine for every job: [Enum] is the scalar reference
-         evaluation (no planes) *)
+  backend : Exec.Check.backend; (* checking engine for every job *)
   flight_dir : string option;
       (* arm the crash flight recorder: periodic + per-job checkpoints
          of the obs ring land in <dir>/flight-<pid>.jsonl, so a kill -9,

@@ -44,10 +44,9 @@ type config = {
   chaos_ops : bool;  (** accept [chaos_kill]/[chaos_wedge] requests *)
   backend : Exec.Check.backend;
       (** checking engine for every job ({!Exec.Oracle.run}):
-          {!Exec.Oracle.default_backend}, the scalar [Enum], by
-          default; [Batch] the bit-plane cross-check (the CLI's
-          [--backend batch]); [Sat] the symbolic engine, falling back
-          counted where a model ships none *)
+          {!Exec.Oracle.default_backend}, the enumerator [Enum], by
+          default; [Sat] the symbolic engine, falling back counted
+          where a model ships none *)
   flight_dir : string option;
       (** arm the crash flight recorder ({!Obs.flight_start}) in the
           daemon and in every worker: periodic and per-job checkpoints

@@ -20,8 +20,8 @@ type stats = {
 (* A test's verdicts under [oracles], from one call: fresh budget per
    test so one explosion cannot eat the whole sweep's allowance.  Checks
    go through {!Exec.Oracle.run_all}, so [?backend] is each model's
-   request (the LK oracle ships all three engines; the scalar
-   comparison models resolve to their only one). *)
+   request (the LK oracle ships both engines; the comparison models
+   resolve to their only one). *)
 let verdicts ?limits ?backend oracles t =
   List.map
     (fun r -> r.Exec.Check.verdict)
@@ -76,7 +76,7 @@ let classify ?limits ?backend ?(archs = [ Hwsim.Arch.power8; Hwsim.Arch.x86 ])
           List.iter
             (fun arch ->
               let s = Hwsim.run_test arch ~runs ~seed t in
-              match Hwsim.soundness ?limits ?backend Lkmm.oracle t s with
+              match Hwsim.soundness ?limits Lkmm.oracle t s with
               | Hwsim.Sound -> ()
               | Hwsim.Unsound _ ->
                   unsound := (t.name, arch.Hwsim.Arch.name) :: !unsound

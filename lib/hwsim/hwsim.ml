@@ -166,12 +166,11 @@ let run_test_stable (arch : Arch.t) ?(batch = 2_000) ?(max_batches = 25)
 
 (* Soundness against a model: every outcome the simulator produced must be
    allowed by the model (the paper's Table 5 claim).  Returns offending
-   outcomes, empty = sound.  The model comes as an {!Exec.Oracle.t}, so
-   the outcome enumeration runs on {!Exec.Oracle.default_backend}
-   ([?backend] overrides). *)
-let unsound_outcomes ?budget ?backend (oracle : Exec.Oracle.t)
-    (test : Litmus.Ast.t) (s : stats) =
-  let allowed = Exec.Oracle.allowed_outcomes ?budget ?backend oracle test in
+   outcomes, empty = sound.  The model comes as an {!Exec.Oracle.t},
+   whose enumerator lists the allowed outcomes. *)
+let unsound_outcomes ?budget (oracle : Exec.Oracle.t) (test : Litmus.Ast.t)
+    (s : stats) =
+  let allowed = Exec.Oracle.allowed_outcomes ?budget oracle test in
   List.filter_map
     (fun (o, n) -> if List.mem o allowed then None else Some (o, n))
     s.outcomes
@@ -184,9 +183,9 @@ type soundness =
   | Unsound of (Exec.outcome * int) list
   | Soundness_unknown of Exec.Budget.reason
 
-let soundness ?limits ?backend oracle test s =
+let soundness ?limits oracle test s =
   let budget = Option.map Exec.Budget.start limits in
-  match unsound_outcomes ?budget ?backend oracle test s with
+  match unsound_outcomes ?budget oracle test s with
   | [] -> Sound
   | bad -> Unsound bad
   | exception Exec.Budget.Exceeded r -> Soundness_unknown r

@@ -2,7 +2,7 @@
 
    - {!Relations}: the relations of Figure 8 and Figure 12 (ppo, prop, hb,
      pb, gp, rscs, rcu-path, ...), written once and evaluated per
-     candidate, per batch of bit planes and as CNF;
+     candidate and as CNF;
    - {!Axioms}: the constraints of Figure 3 plus the RCU axiom;
    - {!Rcu}: the fundamental law of RCU (Section 4.1) and the Theorem-1
      equivalence check;
@@ -17,25 +17,17 @@ module Explain = Explain
 let name = Model.name
 let consistent = Model.consistent
 
-(** [consistent_mask] is the model's batched consistency oracle — up to
-    63 static-compatible witnesses decided per word-parallel pass
-    (see {!Relations.consistent_mask}); plug it into
-    [Exec.Check.model ~batch]. *)
-let consistent_mask : Exec.Check.batch_fn = Relations.consistent_mask
-
 (** The symbolic engine: the candidate space as CNF under
     {!Relations.sat_axioms}, decided by [lib/sat]'s CDCL core, witnesses
     re-validated through the scalar {!Model}. *)
 let solve : Exec.Solve.solve_fn =
   Exec.Solve.make ~axioms:Relations.sat_axioms (module Model)
 
-(** The LK model as a checking oracle: all three engines (scalar,
-    bit-plane batched, symbolic), selected per request by
-    {!Exec.Oracle.run}. *)
+(** The LK model as a checking oracle: both engines (enumerative and
+    symbolic), selected per request by {!Exec.Oracle.run}. *)
 let oracle : Exec.Oracle.t =
   Exec.Oracle.make ~name:Model.name
     ~model:(fun _ -> (module Model : Exec.Check.MODEL))
-    ~batch:(fun _ -> consistent_mask)
     ~solve ()
 
 (** [check ?budget test] runs a litmus test against the LK model on the

@@ -13,9 +13,8 @@
    and rcu-path plus At's [rmw & (fre ; coe)], is written once below,
    over a record of the operations it uses ({!ops}), and instantiated by
    each engine: [make] over {!Rel} (one candidate, every relation kept in
-   a [ctx] record), [consistent_mask] over {!Rel.Batch} planes (up to 63
-   candidates, decided axiom by axiom) and [sat_axioms] over
-   {!Exec.Solve.Sym} (the CNF of a whole event structure). *)
+   a [ctx] record) and [sat_axioms] over {!Exec.Solve.Sym} (the CNF of a
+   whole event structure). *)
 
 module Iset = Rel.Iset
 
@@ -319,99 +318,6 @@ let static_cached (x : Exec.t) =
       s
 
 let make_cached (x : Exec.t) = make ~static:(static_cached x) x
-
-(* ------------------------------------------------------------------ *)
-(* Batched: up to 63 candidates in bit planes                          *)
-(* ------------------------------------------------------------------ *)
-
-(* Every witness-dependent relation is stacked into candidate-major bit
-   planes ({!Rel.Batch}) and the chain runs word-parallel across all of
-   them, with the static prefix — equal across the batch by
-   {!Exec.Execution.static_compatible} — broadcast from the first
-   candidate's cache entry.  The axioms are decided in Figure 3 order,
-   and after each one the surviving-plane mask shrinks — decided
-   candidates are dropped from the remaining work entirely (the At
-   stage restricts its inputs, the Hb/Pb/Rcu chain is built only for
-   planes that survived At, and Pb/Rcu inputs are re-restricted), which
-   is work the scalar path cannot skip: [make] computes the whole chain
-   eagerly before any axiom is tested. *)
-
-module B = Rel.Batch
-
-let c_batch_early = Obs.Counter.make "lkmm.batch.early_exit"
-
-let consistent_mask ~coherent ~mask (xs : Exec.t array) =
-  let x0 = xs.(0) in
-  let s = static_cached x0 in
-  let n = Array.length x0.Exec.events in
-  let dyn ~mask f = B.of_rels ~n ~mask (Array.map f xs) in
-  (* the operations over the planes of [mask], constants broadcast *)
-  let ops mask =
-    let bc r = B.broadcast ~n ~mask r in
-    {
-      const = bc;
-      union = B.union;
-      seq = B.seq;
-      inter = (fun a r -> B.inter a (bc r));
-      diff = (fun a r -> B.diff a (bc r));
-      plus = B.transitive_closure;
-      star = B.reflexive_transitive_closure ~mask;
-      opt = B.reflexive_closure ~mask;
-    }
-  in
-  let live = ref mask in
-  let settle ~last m =
-    if not last then Obs.Counter.add c_batch_early (B.popcount (!live land lnot m));
-    live := !live land m
-  in
-  (* Scpv: acyclic (po-loc | com) — exactly the sc-per-location
-     prefilter, so when the caller vouches for coherence it is already
-     decided for every live plane. *)
-  if not coherent then
-    settle ~last:false
-      (B.acyclic_mask ~mask:!live
-         (B.union
-            (B.broadcast ~n ~mask:!live x0.Exec.po_loc)
-            (dyn ~mask:!live (fun x -> x.Exec.com))));
-  if !live <> 0 then begin
-    let lm = !live in
-    settle ~last:false
-      (B.empty_mask ~mask:lm
-         (at (ops lm) x0
-            ~fre:(dyn ~mask:lm (fun x -> x.Exec.fre))
-            ~coe:(dyn ~mask:lm (fun x -> x.Exec.coe))))
-  end;
-  if !live <> 0 then begin
-    let lm = !live in
-    let dyn f = dyn ~mask:lm f in
-    let f =
-      fig8 (ops lm) s x0
-        ~rfi:(dyn (fun x -> x.Exec.rfi))
-        ~rfe:(dyn (fun x -> x.Exec.rfe))
-        ~co:(dyn (fun x -> x.Exec.co))
-        ~fr:(dyn (fun x -> x.Exec.fr))
-    in
-    settle ~last:false (B.acyclic_mask ~mask:lm f.hb);
-    if !live <> 0 then begin
-      let lm = !live in
-      let o = ops lm and r = B.restrict ~mask:lm in
-      let prop = r f.prop in
-      let hb_star = o.star (r f.hb) in
-      let pb = pb o s ~prop ~hb_star in
-      settle ~last:false (B.acyclic_mask ~mask:lm pb);
-      if !live <> 0 then begin
-        let lm = !live in
-        let o = ops lm and r = B.restrict ~mask:lm in
-        let _, gp_link, rscs_link =
-          links o s ~hb_star:(r hb_star) ~pb:(r pb) ~prop:(r prop)
-        in
-        settle ~last:true
-          (B.irreflexive_mask ~mask:lm
-             (rcu_path o ~equal:B.equal ~gp_link ~rscs_link))
-      end
-    end
-  end;
-  !live
 
 (* ------------------------------------------------------------------ *)
 (* Symbolic: the axioms as CNF                                         *)

@@ -1,8 +1,7 @@
 (** The relations of the LK memory model — Figure 8 and Figure 12 of the
     paper.  Their witness-dependent part is written once, over the
-    operations it uses, and evaluated by three engines: {!make} over
-    {!Rel} (one candidate, into a {!ctx} record), {!consistent_mask}
-    over {!Rel.Batch} planes and {!sat_axioms} over
+    operations it uses, and evaluated by two engines: {!make} over
+    {!Rel} (one candidate, into a {!ctx} record) and {!sat_axioms} over
     {!Exec.Solve.Sym}.
 
     Every field name matches the paper's (OCaml-ised: [to-w] is [to_w],
@@ -94,21 +93,6 @@ val make : ?static:static_ctx -> Exec.t -> ctx
 (** [make_cached x] is [make x] through {!static_cached}.  Results are
     identical to [make x]. *)
 val make_cached : Exec.t -> ctx
-
-(** [consistent_mask ~coherent ~mask xs] decides the LK model for up to
-    63 pairwise static-compatible witnesses
-    ({!Exec.Execution.static_compatible}) in one word-parallel pass:
-    the witness-dependent relations are stacked into candidate-major
-    bit planes ({!Rel.Batch}), the static prefix — shared across the
-    batch by the compatibility contract — is broadcast from [xs.(0)]'s
-    cache entry, and the axioms are applied in Figure 3 order with the
-    surviving-plane mask shrinking after each — decided candidates drop
-    out of the remaining work.  Bit [c] of the result is set iff bit
-    [c] of [mask] is and [xs.(c)] is consistent ({!Axioms.consistent}).
-    With [~coherent], the sc-per-variable axiom is taken as already
-    decided (the caller ran the sc-per-location prefilter, which is the
-    same check). *)
-val consistent_mask : coherent:bool -> mask:int -> Exec.t array -> int
 
 (** [sat_axioms] is the model's axioms callback for {!Exec.Solve}: At,
     Hb, Pb and Rcu as CNF over the symbolic witness relations of one

@@ -678,211 +678,16 @@ let pp ppf t =
     Fmt.(list ~sep:(any "; ") (pair ~sep:(any "->") int int))
     (to_list t)
 
-(* ------------------------------------------------------------------ *)
-(* Candidate-major bit planes                                          *)
-(* ------------------------------------------------------------------ *)
-
-(* The scalar rows above pack one relation's successors into 63-bit
-   words, which wastes most of each word on litmus-sized universes
-   (n ≈ 8–16 events).  Candidates of one event structure differ only in
-   their witness relations over the *same* universe, so the batched
-   layout transposes the packing: one word per event *pair* (x, y),
-   bit c meaning "edge (x, y) is present in candidate c".  The algebra
-   then evaluates up to 63 candidates in the same pass, and per-plane
-   masks let decided candidates drop out ([restrict]) so they stop
-   costing work: sequence and closure skip zero pair-words.
-
-   The universe [0, n) is fixed at construction (all candidates of one
-   structure share it); binary operations require equal universes.
-   Operations are persistent, like the scalar ones. *)
+(* The two names lkbench's trace replay still compiles against, kept
+   until that replay reads lib/obs instead: the bit-plane engine they
+   served is gone, and nothing in the library calls them. *)
 module Batch = struct
-  type rel = t
+  let width = bpw
 
-  let width = bpw (* planes per batch: the usable bits of an int *)
-
-  (* All-ones over the low [k] bits.  [k = 63] needs the special case:
-     [1 lsl 63] is out of range for a shift on a 63-bit int, and [-1]
-     is exactly the 63 ones wanted.  ([k = 62] is fine by wraparound:
-     [1 lsl 62] is [min_int] and [min_int - 1] is [max_int], the 62
-     low ones.) *)
+  (* All-ones over the low [k] bits; [k = 63] is [-1], as [1 lsl 63] is
+     out of range for a shift on a 63-bit int. *)
   let full_mask k =
     if k < 0 || k > width then invalid_arg "Batch.full_mask"
     else if k = width then -1
     else (1 lsl k) - 1
-
-  let popcount = popcount
-
-  let batch_words = Obs.Counter.make "rel.batch.words"
-
-  type t = {
-    bn : int; (* universe size: planes are over pairs in [0, bn)² *)
-    planes : int array; (* bn * bn words; pair (x, y) at index x*bn + y *)
-  }
-
-  let n t = t.bn
-  let create ~n = { bn = n; planes = Array.make (n * n) 0 }
-
-  let check2 a b =
-    if a.bn <> b.bn then invalid_arg "Batch: universe size mismatch"
-
-  let of_rels ~n ?mask (rels : rel array) =
-    let k = Array.length rels in
-    if k > width then invalid_arg "Batch.of_rels: more than 63 candidates";
-    let mask = match mask with Some m -> m | None -> full_mask k in
-    let planes = Array.make (n * n) 0 in
-    Array.iteri
-      (fun c r ->
-        let bit = 1 lsl c in
-        if mask land bit <> 0 then
-          iter
-            (fun x y ->
-              if x >= n || y >= n then
-                invalid_arg "Batch.of_rels: id out of universe";
-              planes.((x * n) + y) <- planes.((x * n) + y) lor bit)
-            r)
-      rels;
-    { bn = n; planes }
-
-  (* The lift of a static, witness-independent relation: [r] in every
-     plane of [mask], the empty relation elsewhere. *)
-  let broadcast ~n ~mask (r : rel) =
-    let planes = Array.make (n * n) 0 in
-    iter
-      (fun x y ->
-        if x >= n || y >= n then
-          invalid_arg "Batch.broadcast: id out of universe";
-        planes.((x * n) + y) <- mask)
-      r;
-    { bn = n; planes }
-
-  (* Plane [c], back as a scalar relation (tests, forensics). *)
-  let plane t c =
-    let bit = 1 lsl c in
-    let acc = ref empty in
-    for x = 0 to t.bn - 1 do
-      for y = 0 to t.bn - 1 do
-        if t.planes.((x * t.bn) + y) land bit <> 0 then acc := add x y !acc
-      done
-    done;
-    !acc
-
-  let map2 op a b =
-    check2 a b;
-    Obs.Counter.add batch_words (Array.length a.planes);
-    {
-      a with
-      planes =
-        Array.init (Array.length a.planes) (fun i ->
-            op a.planes.(i) b.planes.(i));
-    }
-
-  let union = map2 ( lor )
-  let inter = map2 ( land )
-  let diff = map2 (fun x y -> x land lnot y)
-
-  (* Relational composition, all planes at once: out(x, z) gets bit c
-     iff some y has (x, y) and (y, z) in plane c.  The inner loop runs
-     only for nonzero (x, y) words, so decided (zeroed) planes and
-     sparse relations cost nothing. *)
-  let seq a b =
-    check2 a b;
-    let n = a.bn in
-    let out = Array.make (n * n) 0 in
-    for x = 0 to n - 1 do
-      let xb = x * n in
-      for y = 0 to n - 1 do
-        let v = a.planes.(xb + y) in
-        if v <> 0 then begin
-          Obs.Counter.add batch_words n;
-          let yb = y * n in
-          for z = 0 to n - 1 do
-            out.(xb + z) <- out.(xb + z) lor (v land b.planes.(yb + z))
-          done
-        end
-      done
-    done;
-    { bn = n; planes = out }
-
-  let inverse t =
-    let n = t.bn in
-    let out = Array.make (n * n) 0 in
-    for x = 0 to n - 1 do
-      for y = 0 to n - 1 do
-        out.((y * n) + x) <- t.planes.((x * n) + y)
-      done
-    done;
-    { bn = n; planes = out }
-
-  (* Warshall over planes: after round k, paths through intermediates
-     <= k are edges — in every plane at once. *)
-  let transitive_closure t =
-    let n = t.bn in
-    let p = Array.copy t.planes in
-    for k = 0 to n - 1 do
-      let kb = k * n in
-      for i = 0 to n - 1 do
-        let ib = i * n in
-        let v = p.(ib + k) in
-        if v <> 0 then begin
-          Obs.Counter.add batch_words n;
-          for j = 0 to n - 1 do
-            p.(ib + j) <- p.(ib + j) lor (v land p.(kb + j))
-          done
-        end
-      done
-    done;
-    { t with planes = p }
-
-  (* The diagonal set in the planes of [mask]: reflexive closure over
-     the full universe [0, n). *)
-  let reflexive_closure ~mask t =
-    let n = t.bn in
-    let p = Array.copy t.planes in
-    for i = 0 to n - 1 do
-      p.((i * n) + i) <- p.((i * n) + i) lor mask
-    done;
-    { t with planes = p }
-
-  let reflexive_transitive_closure ~mask t =
-    reflexive_closure ~mask (transitive_closure t)
-
-  let complement ~mask t =
-    Obs.Counter.add batch_words (Array.length t.planes);
-    { t with planes = Array.map (fun w -> mask land lnot w) t.planes }
-
-  (* Zero the planes outside [mask]: the batched early-exit. *)
-  let restrict ~mask t =
-    Obs.Counter.add batch_words (Array.length t.planes);
-    { t with planes = Array.map (fun w -> w land mask) t.planes }
-
-  let equal a b =
-    a.bn = b.bn
-    &&
-    let rec go i = i < 0 || (a.planes.(i) = b.planes.(i) && go (i - 1)) in
-    go (Array.length a.planes - 1)
-
-  (* Mask of planes in which edge (x, y) is present. *)
-  let mem x y t =
-    if x < 0 || y < 0 || x >= t.bn || y >= t.bn then 0
-    else t.planes.((x * t.bn) + y)
-
-  (* Per-plane decision masks: one bit per candidate, answering the
-     cat-style checks for every plane in one scan. *)
-
-  let nonempty_mask t = Array.fold_left ( lor ) 0 t.planes
-
-  let reflexive_mask t =
-    let n = t.bn in
-    let acc = ref 0 in
-    for i = 0 to n - 1 do
-      acc := !acc lor t.planes.((i * n) + i)
-    done;
-    !acc
-
-  (* Planes whose relation has a cycle: the closure's diagonal. *)
-  let cyclic_mask t = reflexive_mask (transitive_closure t)
-
-  let irreflexive_mask ~mask t = mask land lnot (reflexive_mask t)
-  let acyclic_mask ~mask t = mask land lnot (cyclic_mask t)
-  let empty_mask ~mask t = mask land lnot (nonempty_mask t)
 end

@@ -151,98 +151,13 @@ val linear_extensions : int list -> t list
 
 val pp : t Fmt.t
 
-(** Candidate-major bit planes: up to 63 relations over one small event
-    universe, operated on word-parallel.
-
-    The scalar rows above pack one relation's successors into 63-bit
-    words, wasting most of each word on litmus-sized universes.
-    Candidates of one event structure differ only in their witness
-    relations over the {e same} universe, so this module transposes the
-    packing: one word per event pair [(x, y)], bit [c] meaning "edge
-    [(x, y)] is present in candidate [c]".  The algebra below evaluates
-    all K ≤ 63 candidates in the same pass, and per-plane masks let
-    decided candidates drop out ({!Batch.restrict}) so they stop
-    costing work.
-
-    The universe [[0, n)] is fixed at construction; binary operations
-    require equal universes.  All operations are persistent. *)
+(** What remains of the bit-plane batch kernel: the two names lkbench's
+    trace replay compiles against, kept until that replay reads
+    [lib/obs] instead.  Nothing in the library uses them. *)
 module Batch : sig
-  type rel := t
-
-  type t
-  (** A batch of up to {!width} relation planes over one universe. *)
-
-  (** Planes per batch: 63, the usable bits of an OCaml [int]. *)
+  (** 63, the usable bits of an OCaml [int]. *)
   val width : int
 
   (** [full_mask k] has the low [k] bits set ([0 <= k <= width]). *)
   val full_mask : int -> int
-
-  (** [popcount mask] is the number of planes [mask] selects. *)
-  val popcount : int -> int
-
-  val n : t -> int
-
-  (** The batch of [n]² empty planes. *)
-  val create : n:int -> t
-
-  (** [of_rels ~n ?mask rels] stacks [rels.(c)] into plane [c], keeping
-      only the planes selected by [mask] (default: all).  Raises
-      [Invalid_argument] beyond {!width} relations or on ids outside
-      [[0, n)]. *)
-  val of_rels : n:int -> ?mask:int -> rel array -> t
-
-  (** [broadcast ~n ~mask r] holds the (witness-independent) relation
-      [r] in every plane of [mask], and the empty relation elsewhere. *)
-  val broadcast : n:int -> mask:int -> rel -> t
-
-  (** Plane [c], back as a scalar relation. *)
-  val plane : t -> int -> rel
-
-  val union : t -> t -> t
-  val inter : t -> t -> t
-  val diff : t -> t -> t
-
-  (** Relational composition, per plane; zero pair-words (decided
-      planes, sparse relations) skip the inner loop. *)
-  val seq : t -> t -> t
-
-  val inverse : t -> t
-
-  (** Warshall's closure across all planes at once. *)
-  val transitive_closure : t -> t
-
-  (** [reflexive_closure ~mask t] sets the diagonal in the planes of
-      [mask] — [t?] over the full universe [[0, n)]. *)
-  val reflexive_closure : mask:int -> t -> t
-
-  val reflexive_transitive_closure : mask:int -> t -> t
-
-  (** [complement ~mask t] is universe² \ t in each plane of [mask]. *)
-  val complement : mask:int -> t -> t
-
-  (** [restrict ~mask t] zeroes every plane outside [mask]; the batched
-      early-exit: decided candidates' planes stop costing work. *)
-  val restrict : mask:int -> t -> t
-
-  val equal : t -> t -> bool
-
-  (** [mem x y t] is the mask of planes containing edge [(x, y)]. *)
-  val mem : int -> int -> t -> int
-
-  (** Mask of planes whose relation is non-empty / has a diagonal
-      edge / has a cycle — the cat checks, decided for all planes in
-      one scan. *)
-  val nonempty_mask : t -> int
-
-  val reflexive_mask : t -> int
-  val cyclic_mask : t -> int
-
-  (** The same checks relative to a mask of still-undecided planes:
-      [acyclic_mask ~mask t] is the planes of [mask] whose relation is
-      acyclic, and so on. *)
-  val acyclic_mask : mask:int -> t -> int
-
-  val irreflexive_mask : mask:int -> t -> int
-  val empty_mask : mask:int -> t -> int
 end

@@ -262,7 +262,7 @@ let test_cat_native_agreement_generated () =
     tests
 
 (* ------------------------------------------------------------------ *)
-(* Random models: the batched engine decides as the scalar one         *)
+(* Random models: the compiled engine decides as the reference         *)
 (* ------------------------------------------------------------------ *)
 
 module A = Cat.Ast
@@ -449,8 +449,8 @@ let random_model_tests =
        (fun n -> Harness.Battery.test_of (Harness.Battery.find n))
        [ "IRIW"; "WRC+po-rel+rmb"; "RCU+2rscs+2gp"; "SB+xchg-mb"; "Z6-0" ])
 
-let engine_key oracle test backend =
-  match Exec.Oracle.run ~backend oracle test with
+let engine_key oracle test =
+  match Exec.Oracle.run oracle test with
   | (r : Exec.Check.result) ->
       Ok
         ( (r.verdict, r.n_candidates, r.n_prefiltered, r.n_consistent),
@@ -460,21 +460,7 @@ let engine_key oracle test backend =
             r.witness )
   | exception I.Type_error msg -> Error msg
 
-(* Every result key, or the same type error, from both engines: the
-   batched engine evaluates planes under every operator, with
-   static-to-plane broadcasts, inside a function body and a fixpoint,
-   and after a check has shrunk the live mask. *)
-let prop_random_models =
-  QCheck2.Test.make ~name:"batched = scalar on random models" ~count:400
-    ~print:print_model gen_model (fun model ->
-      let oracle = Cat.to_oracle ~name:"random" model in
-      List.for_all
-        (fun test ->
-          engine_key oracle test Exec.Check.Enum
-          = engine_key oracle test Exec.Check.Batch)
-        (Lazy.force random_model_tests))
-
-(* The compiled engines decide every random model as the reference
+(* The compiled engine decides every random model as the reference
    interpreter does, down to the witness, or raise the same type error:
    names resolved to slots at compile time (a rebound [a] included),
    functions inlined in their definition's scope, statics run once per
@@ -485,18 +471,15 @@ let prop_reference =
       let oracle = Cat.to_oracle ~name:"random" model
       and reference = Cat_ref.oracle ~name:"random" model in
       List.for_all
-        (fun test ->
-          let expected = engine_key reference test Exec.Check.Enum in
-          engine_key oracle test Exec.Check.Enum = expected
-          && engine_key oracle test Exec.Check.Batch = expected)
+        (fun test -> engine_key oracle test = engine_key reference test)
         (Lazy.force random_model_tests))
 
 (* Function uses the random models do not draw — an alias, a function
    argument, a function result, a parameter named like a global, a
    name rebound after a function reads it, [and] groups, shadowed
    functions — and every type error compilation defers to evaluation:
-   both engines decide each as the reference does, or raise its
-   message. *)
+   the compiled engine decides each as the reference does, or raises
+   its message. *)
 let edge_models =
   let same a b = Printf.sprintf "empty (%s \\ %s) | (%s \\ %s)" a b b a in
   [
@@ -528,14 +511,10 @@ let test_edge_models () =
       and reference = Cat_ref.oracle ~name:"edge" model in
       List.iter
         (fun test ->
-          let expected = engine_key reference test Exec.Check.Enum in
-          List.iter
-            (fun backend ->
-              Alcotest.(check bool)
-                (src ^ ": as the reference")
-                true
-                (engine_key oracle test backend = expected))
-            [ Exec.Check.Enum; Exec.Check.Batch ])
+          Alcotest.(check bool)
+            (src ^ ": as the reference")
+            true
+            (engine_key oracle test = engine_key reference test))
         (Lazy.force random_model_tests))
     edge_models
 
@@ -581,7 +560,7 @@ let () =
         ] );
       ( "engines",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_random_models; prop_reference ]
+          [ prop_reference ]
         @ [
             Alcotest.test_case "compiled = reference on edge models" `Quick
               test_edge_models;

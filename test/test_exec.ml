@@ -340,13 +340,40 @@ let test_budget_timeout () =
   | _ -> Alcotest.failf "expected Timed_out, got %s"
            (Exec.Check.verdict_to_string r.Exec.Check.verdict)
 
+(* 2+2W's verdict stream holds four candidates (SB's holds one). *)
 let test_budget_candidates () =
   let b = B.start (B.limits ~max_candidates:1 ()) in
-  let r = run1 ~budget:b (module Models.Sc) (parse sb_src) in
+  let r =
+    run1 ~budget:b (module Models.Sc) (parse Harness.Battery.(find "2+2W").source)
+  in
   match budget_reason r with
   | Some (B.Too_many_candidates 1) -> ()
   | _ -> Alcotest.failf "expected Too_many_candidates, got %s"
            (Exec.Check.verdict_to_string r.Exec.Check.verdict)
+
+(* The cap counts the candidates of the structures the verdict stream
+   enumerates: Coe-Coe-Coe-MbdWW-MbdWR-Fre's condition leaves one of its
+   structures open, with 24 candidates, and refutes the other, which is
+   not claimed, so a cap of 30 decides the test, as the solver does;
+   over every candidate it trips. *)
+let test_budget_claims_open () =
+  let t =
+    List.assoc "Coe-Coe-Coe-MbdWW-MbdWR-Fre.litmus" (Cpu_ratio.sample_tests 1)
+  in
+  let limits = B.limits ~max_candidates:30 () in
+  let r = Lkmm.check ~budget:(B.start limits) t in
+  Alcotest.(check string) "decided under the cap" "Forbid"
+    (Exec.Check.verdict_to_string r.Exec.Check.verdict);
+  Alcotest.(check int) "the verdict stream's candidates" 24
+    r.Exec.Check.n_candidates;
+  Alcotest.(check string) "as the solver decides" "Forbid"
+    (Exec.Check.verdict_to_string
+       (Exec.Oracle.run ~budget:(B.start limits) ~backend:Exec.Check.Sat
+          Lkmm.oracle t)
+         .Exec.Check.verdict);
+  match Exec.of_test ~budget:(B.start limits) t with
+  | _ -> Alcotest.fail "every candidate fits under the cap"
+  | exception B.Exceeded (B.Too_many_candidates 30) -> ()
 
 let test_budget_events () =
   let b = B.start (B.limits ~max_events:2 ()) in
@@ -501,6 +528,8 @@ let () =
             test_budget_saturating;
           Alcotest.test_case "timeout" `Quick test_budget_timeout;
           Alcotest.test_case "candidate cap" `Quick test_budget_candidates;
+          Alcotest.test_case "candidate cap reads the verdict stream" `Quick
+            test_budget_claims_open;
           Alcotest.test_case "event cap" `Quick test_budget_events;
           Alcotest.test_case "enumeration raises" `Quick
             test_budget_enumeration_raises;

@@ -151,9 +151,10 @@ let test_runner_statuses () =
   (* error beats fail in the exit code *)
   Alcotest.(check int) "exit code" 2 (R.exit_code report)
 
+(* 2+2W's verdict stream holds four candidates (SB's holds one). *)
 let test_runner_gave_up () =
   let limits = B.limits ~max_candidates:1 () in
-  let report = R.run ~limits [ item "boom" (src "SB") None ] in
+  let report = R.run ~limits [ item "boom" (src "2+2W") None ] in
   Alcotest.(check int) "n_gave_up" 1 report.R.n_gave_up;
   (match (List.hd report.R.entries).R.status with
   | R.Gave_up (B.Too_many_candidates _) -> ()
@@ -167,7 +168,7 @@ let test_runner_exit_precedence () =
     R.run ~limits:B.unlimited
       [ item "fail" (src "SB") (Some Exec.Check.Forbid) ]
   in
-  let r2 = R.run ~limits [ item "boom" (src "SB") None ] in
+  let r2 = R.run ~limits [ item "boom" (src "2+2W") None ] in
   Alcotest.(check int) "fail alone" 1 (R.exit_code r1);
   Alcotest.(check int) "gave-up alone" 3 (R.exit_code r2);
   (* precedence over a mixed report: fail beats gave-up *)

@@ -184,7 +184,12 @@ let test_counters_match_result () =
     r.Exec.Check.n_consistent
     (counter "check.consistent");
   Alcotest.(check bool) "relation kernel touched words" true
-    (counter "rel.words" > 0)
+    (counter "rel.words" > 0);
+  List.iter
+    (fun name ->
+      Alcotest.(check bool) (name ^ " observed when traced") true
+        (List.mem_assoc name (Obs.histograms ())))
+    [ "check.prefilter_us"; "check.model_us" ]
 
 (* [rel.words] charges a function of each kernel's operands, not of the
    branch the kernel takes, so traces stay comparable across kernel
@@ -228,33 +233,6 @@ let test_cond_refuted () =
         (counter "check.candidates");
       Alcotest.(check int) "LK allows every MP outcome" 4
         (List.length outcomes))
-
-(* The batched engine times the prefilter and the model once per buffer
-   when tracing, as the scalar one does per candidate; with the
-   collector off neither histogram is observed. *)
-let test_batched_probes () =
-  let sb = Harness.Battery.test_of (Harness.Battery.find "SB") in
-  let probes = [ "check.prefilter_us"; "check.model_us" ] in
-  let observed name = List.mem_assoc name (Obs.histograms ()) in
-  let check () =
-    let r = Exec.Oracle.run ~backend:Exec.Check.Batch Lkmm.oracle sb in
-    Alcotest.(check string) "batched engine" "batch"
-      (Exec.Check.backend_to_string r.Exec.Check.backend)
-  in
-  (with_collector @@ fun () ->
-   check ();
-   List.iter
-     (fun name ->
-       Alcotest.(check bool) (name ^ " observed when traced") true
-         (observed name))
-     probes);
-  Obs.reset ();
-  check ();
-  List.iter
-    (fun name ->
-      Alcotest.(check bool) (name ^ " not observed untraced") false
-        (observed name))
-    probes
 
 let test_spans_well_nested () =
   with_collector @@ fun () ->
@@ -724,7 +702,6 @@ let () =
         [
           Alcotest.test_case "counters match result" `Quick
             test_counters_match_result;
-          Alcotest.test_case "batched probes" `Quick test_batched_probes;
           Alcotest.test_case "spans well-nested" `Quick test_spans_well_nested;
           Alcotest.test_case "jsonl shape" `Quick test_jsonl_shape;
           Alcotest.test_case "chrome shape" `Quick test_chrome_shape;

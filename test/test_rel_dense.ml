@@ -4,22 +4,12 @@
    on a corpus sample (verdicts against an unfiltered reference loop and
    the direct cat interpreter), the soundness argument for the prefilter
    made executable (candidates it rejects never satisfy the model), and
-   fr = rf^-1;co on enumerated and SAT-decoded candidates.
-
-   The candidate-major bit-plane kernel ({!Rel.Batch}) gets the same
-   treatment: every batched operator and decision mask against a scalar
-   loop over the planes, randomized over universe size, plane count and
-   mask — plus corpus-wide agreement of the batched and scalar engines,
-   for the native LKMM and the cat interpreter (witness identity
-   included, not just verdicts), and of each batch engine with its
-   scalar model on candidates the prefilter would have removed; and the
-   scalar engine's CPU time against the batched one's.
+   fr = rf^-1;co on enumerated and SAT-decoded candidates, and the
+   enumerator's CPU time against a fixed computation.
 
    Trial tally: the operator suite alone draws 2 relations per trial ×
    5400 trials, the closure/row/cycle suites another 2700 each and the
-   linear-extension suite 500, and the batch suite 2 × 1500 trials of
-   up to 63 planes each (~40k plane comparisons): well over 10k
-   randomized relations. *)
+   linear-extension suite 500: well over 10k randomized relations. *)
 
 module D = Rel
 module S = Rel_ref
@@ -199,119 +189,6 @@ let prop_of_classes_agrees =
            (D.init n (fun x y -> x <> y && not (same x y))))
 
 (* ------------------------------------------------------------------ *)
-(* The bit-plane batch kernel against a scalar loop                    *)
-(* ------------------------------------------------------------------ *)
-
-module B = Rel.Batch
-
-(* (universe size, plane count, mask, per-plane pairs ×2): universes at
-   litmus scale (the kernel packs candidates, not big universes), plane
-   counts up to the full word including the k = 63 [full_mask] edge
-   case, and a random submask so masked variants are exercised with
-   decided planes present. *)
-let gen_batch_input =
-  let open QCheck2.Gen in
-  let* n = oneofl [ 2; 5; 9; 14 ] in
-  let* k = oneofl [ 1; 2; 3; 7; 20; 62; 63 ] in
-  let* mask_bits = int_bound ((1 lsl min k 30) - 1) in
-  let mask = B.full_mask k land lnot mask_bits in
-  let pair = tup2 (int_range 0 (n - 1)) (int_range 0 (n - 1)) in
-  let pairs = list_size (int_range 0 (2 * n)) pair in
-  let plane_list = list_repeat k pairs in
-  tup5 (return n) (return k) (return mask) plane_list plane_list
-
-(* Expected mask of a per-plane predicate, by scalar loop. *)
-let mask_of k pred rels =
-  let m = ref 0 in
-  for c = 0 to k - 1 do
-    if pred rels.(c) then m := !m lor (1 lsl c)
-  done;
-  !m
-
-let prop_batch_ops_agree =
-  QCheck2.Test.make ~name:"batched operators agree with a scalar loop"
-    ~count:1500 gen_batch_input (fun (n, k, _mask, pls1, pls2) ->
-      let rels1 = Array.of_list (List.map D.of_list pls1) in
-      let rels2 = Array.of_list (List.map D.of_list pls2) in
-      let b1 = B.of_rels ~n rels1 and b2 = B.of_rels ~n rels2 in
-      let u = Iset.of_range 0 (n - 1) in
-      let full = B.full_mask k in
-      (* a batched op agrees iff every plane extracts to the scalar
-         op's result on that plane's inputs *)
-      let planes_agree b f =
-        let ok = ref true in
-        for c = 0 to k - 1 do
-          ok := !ok && D.equal (B.plane b c) (f rels1.(c) rels2.(c))
-        done;
-        !ok
-      in
-      planes_agree b1 (fun r _ -> r)
-      && planes_agree (B.union b1 b2) D.union
-      && planes_agree (B.inter b1 b2) D.inter
-      && planes_agree (B.diff b1 b2) D.diff
-      && planes_agree (B.seq b1 b2) D.seq
-      && planes_agree (B.inverse b1) (fun r _ -> D.inverse r)
-      && planes_agree (B.transitive_closure b1) (fun r _ ->
-             D.transitive_closure r)
-      && planes_agree
-           (B.reflexive_closure ~mask:full b1)
-           (fun r _ -> D.reflexive_closure ~universe:u r)
-      && planes_agree
-           (B.reflexive_transitive_closure ~mask:full b1)
-           (fun r _ -> D.reflexive_transitive_closure ~universe:u r)
-      && planes_agree (B.complement ~mask:full b1) (fun r _ ->
-             D.complement ~universe:u r)
-      && B.equal b1 b2 = Array.for_all2 D.equal rels1 rels2)
-
-let prop_batch_masks_agree =
-  QCheck2.Test.make ~name:"batched decision masks agree with a scalar loop"
-    ~count:1500 gen_batch_input (fun (n, k, mask, pls1, _pls2) ->
-      let rels1 = Array.of_list (List.map D.of_list pls1) in
-      let b1 = B.of_rels ~n rels1 in
-      let bm = B.of_rels ~n ~mask rels1 in
-      let is_cyclic r = not (D.is_acyclic r) in
-      let is_reflexive r = not (D.is_irreflexive r) in
-      (* unmasked decision masks *)
-      B.nonempty_mask b1 = mask_of k (fun r -> not (D.is_empty r)) rels1
-      && B.reflexive_mask b1 = mask_of k is_reflexive rels1
-      && B.cyclic_mask b1 = mask_of k is_cyclic rels1
-      (* masked variants answer within the mask only *)
-      && B.acyclic_mask ~mask b1 = mask land mask_of k D.is_acyclic rels1
-      && B.irreflexive_mask ~mask b1
-         = mask land mask_of k D.is_irreflexive rels1
-      && B.empty_mask ~mask b1 = mask land mask_of k D.is_empty rels1
-      (* of_rels ~mask keeps only the masked planes *)
-      && (let ok = ref true in
-          for c = 0 to k - 1 do
-            let expect =
-              if mask land (1 lsl c) <> 0 then rels1.(c) else D.empty
-            in
-            ok := !ok && D.equal (B.plane bm c) expect
-          done;
-          !ok)
-      (* restrict zeroes planes outside the mask *)
-      && (let r = B.restrict ~mask b1 in
-          let ok = ref true in
-          for c = 0 to k - 1 do
-            let expect =
-              if mask land (1 lsl c) <> 0 then rels1.(c) else D.empty
-            in
-            ok := !ok && D.equal (B.plane r c) expect
-          done;
-          !ok)
-      (* broadcast holds the relation in masked planes only *)
-      && (let r0 = if Array.length rels1 > 0 then rels1.(0) else D.empty in
-          let b = B.broadcast ~n ~mask r0 in
-          let ok = ref true in
-          for c = 0 to k - 1 do
-            let expect = if mask land (1 lsl c) <> 0 then r0 else D.empty in
-            ok := !ok && D.equal (B.plane b c) expect
-          done;
-          !ok)
-      (* mem answers per plane *)
-      && B.mem 0 (n - 1) b1 = mask_of k (D.mem 0 (n - 1)) rels1)
-
-(* ------------------------------------------------------------------ *)
 (* Corpus sample: end-to-end agreement and prefilter soundness         *)
 (* ------------------------------------------------------------------ *)
 
@@ -325,9 +202,8 @@ let diygen_tests =
 let result_key (r : Exec.Check.result) =
   (r.verdict, r.n_candidates, r.n_consistent, r.n_matching, r.outcomes)
 
-(* The checker's definition with no prefilter and no batching: every
-   candidate of the verdict stream through the scalar model, keyed like
-   {!result_key}. *)
+(* The checker's definition with no prefilter: every candidate of the
+   verdict stream through the model, keyed like {!result_key}. *)
 let reference_key (module M : Exec.Check.MODEL) (test : Litmus.Ast.t) =
   let satisfies x =
     match test.Litmus.Ast.quant with
@@ -396,25 +272,37 @@ let cat_oracles =
        (fun (name, _, src) -> (name, Cat.to_oracle ~name (Cat.parse src)))
        Cat.Stdmodels.all)
 
-(* Batched evaluation must be invisible in the results, down to witness
-   identity — the correctness contract of the batched path — for the
-   native axioms and every shipped cat model. *)
 let witness_rels (x : Exec.t option) =
   Option.map (fun (x : Exec.t) -> (Rel.to_list x.rf, Rel.to_list x.co)) x
 
 let full_key (r : Exec.Check.result) =
   (result_key r, r.n_prefiltered, witness_rels r.witness)
 
+(* The oracle entry, prefilter and all, must be invisible in the
+   results, down to witness identity, for the native axioms and every
+   shipped cat model: against {!reference_key}, and the witness against
+   the first consistent matching candidate of the verdict stream. *)
 let test_batched_agreement () =
   List.iter
     (fun (file, test) ->
       List.iter
         (fun (what, oracle) ->
-          let on backend = full_key (Exec.Oracle.run ~backend oracle test) in
+          let (module M : Exec.Check.MODEL) = Exec.Oracle.model oracle () in
+          let r = Exec.Oracle.run oracle test in
+          let witness =
+            Seq.find
+              (fun x ->
+                M.consistent x
+                && Exec.satisfies_cond x
+                   <> (test.Litmus.Ast.quant = Litmus.Ast.Q_forall))
+              (Exec.of_test_seq test)
+          in
           Alcotest.(check bool)
-            (Printf.sprintf "%s: %s agrees batched vs scalar" file what)
+            (Printf.sprintf "%s: %s agrees with the unfiltered reference"
+               file what)
             true
-            (on Exec.Check.Enum = on Exec.Check.Batch))
+            (result_key r = reference_key (module M) test
+            && witness_rels r.witness = witness_rels witness))
         (("native", Lkmm.oracle) :: Lazy.force cat_oracles))
     (Cpu_ratio.sample_tests 11)
 
@@ -443,13 +331,9 @@ let model_pool test =
     [ ("C11", Exec.Oracle.of_model (module Models.C11), None) ]
   else []
 
-(* An oracle's model for [Check.run] on [backend]. *)
-let check_model ?explainer backend (o : Exec.Oracle.t) =
-  Exec.Check.model ?explainer
-    ?batch:
-      (if backend = Exec.Check.Enum then None
-       else Option.map (fun mk -> mk None) o.Exec.Oracle.batch)
-    (Exec.Oracle.model o ())
+(* An oracle's model for [Check.run]. *)
+let check_model ?explainer (o : Exec.Oracle.t) =
+  Exec.Check.model ?explainer (Exec.Oracle.model o ())
 
 let rec first_conjunct = function
   | Litmus.Ast.And (c, _) -> first_conjunct c
@@ -477,64 +361,50 @@ let test_shared_agreement () =
     (fun (file, test) ->
       let pool = model_pool test in
       List.iter
-        (fun backend ->
-          List.iter
-            (fun (explain, pool) ->
-              let model (_, o, ex) =
-                check_model ?explainer:(if explain then ex else None) backend o
-              in
-              let shared = Exec.Check.run (List.map model pool) test in
-              List.iter2
-                (fun ((what, _, _) as m) r ->
-                  Alcotest.(check bool)
-                    (Printf.sprintf "%s: %s on %s%s, shared = single" file what
-                       (Exec.Check.backend_to_string backend)
-                       (if explain then " explained" else ""))
-                    true
-                    (shared_key r
-                    = shared_key (List.hd (Exec.Check.run [ model m ] test))))
-                pool shared)
-            [ (true, pool); (false, List.rev pool) ])
-        [ Exec.Check.Enum; Exec.Check.Batch ])
+        (fun (explain, pool) ->
+          let model (_, o, ex) =
+            check_model ?explainer:(if explain then ex else None) o
+          in
+          let shared = Exec.Check.run (List.map model pool) test in
+          List.iter2
+            (fun ((what, _, _) as m) r ->
+              Alcotest.(check bool)
+                (Printf.sprintf "%s: %s%s, shared = single" file what
+                   (if explain then " explained" else ""))
+                true
+                (shared_key r
+                = shared_key (List.hd (Exec.Check.run [ model m ] test))))
+            pool shared)
+        [ (true, pool); (false, List.rev pool) ])
     (shared_tests ())
 
 let corpus_test file =
   List.assoc file (Cpu_ratio.sample_tests 1)
 
 (* A budget is the call's: a candidate cap trips at the candidate where
-   each one-model call trips (here the claim for the second structure,
-   after the 24 candidates of the test's one structure the condition
-   leaves open: the claim comes before the gate), and every model
-   reports that count. *)
+   each one-model call trips (here the claim for the second structure
+   SB+xchg-mb's condition leaves open, after the 3 candidates of the
+   first), and every model reports that count. *)
 let test_shared_budget () =
-  let test = corpus_test "Coe-Coe-Coe-MbdWW-MbdWR-Fre.litmus" in
+  let test = Harness.Battery.test_of (Harness.Battery.find "SB+xchg-mb") in
   let pool = model_pool test in
-  let cap = 30 in
-  List.iter
-    (fun backend ->
-      let budget () =
-        Exec.Budget.start (Exec.Budget.limits ~max_candidates:cap ())
-      in
-      let models = List.map (fun (_, o, _) -> check_model backend o) pool in
-      let shared = Exec.Check.run ~budget:(budget ()) models test in
-      List.iter2
-        (fun m (r : Exec.Check.result) ->
-          let single =
-            List.hd (Exec.Check.run ~budget:(budget ()) [ m ] test)
-          in
-          Alcotest.(check bool)
-            (Printf.sprintf "%s: Unknown at the cap"
-               (Exec.Check.backend_to_string backend))
-            true
-            (r.verdict
-             = Exec.Check.Unknown
-                 (Exec.Check.Budget_exceeded
-                    (Exec.Budget.Too_many_candidates cap))
-            && r.n_candidates > 0);
-          Alcotest.(check bool) "shared = single under the cap" true
-            (shared_key r = shared_key single))
-        models shared)
-    [ Exec.Check.Enum; Exec.Check.Batch ]
+  let cap = 3 in
+  let budget () =
+    Exec.Budget.start (Exec.Budget.limits ~max_candidates:cap ())
+  in
+  let models = List.map (fun (_, o, _) -> check_model o) pool in
+  let shared = Exec.Check.run ~budget:(budget ()) models test in
+  List.iter2
+    (fun m (r : Exec.Check.result) ->
+      let single = List.hd (Exec.Check.run ~budget:(budget ()) [ m ] test) in
+      Alcotest.(check bool) "Unknown at the cap" true
+        (r.verdict
+         = Exec.Check.Unknown
+             (Exec.Check.Budget_exceeded (Exec.Budget.Too_many_candidates cap))
+        && r.n_candidates > 0);
+      Alcotest.(check bool) "shared = single under the cap" true
+        (shared_key r = shared_key single))
+    models shared
 
 (* A model that raises on the [k]-th candidate it decides. *)
 let raising k : (module Exec.Check.MODEL) =
@@ -555,38 +425,29 @@ let raising k : (module Exec.Check.MODEL) =
 let test_shared_model_error () =
   let test = Harness.Battery.test_of (Harness.Battery.find "2+2W") in
   let budget () = Exec.Budget.start Exec.Budget.unlimited in
-  List.iter
-    (fun backend ->
-      let others =
-        List.map (fun (_, o, _) -> check_model backend o) (model_pool test)
-      in
-      let models =
-        List.hd others :: Exec.Check.model (raising 3) :: List.tl others
-      in
-      match Exec.Check.run ~budget:(budget ()) models test with
-      | lk :: failed :: rest ->
-          Alcotest.(check bool)
-            (Exec.Check.backend_to_string backend
-            ^ ": the raising model's Unknown")
-            true
-            (failed.verdict
-            = Exec.Check.Unknown
-                (Exec.Check.Model_error (Failure "raising model")));
-          List.iter2
-            (fun m (r : Exec.Check.result) ->
-              Alcotest.(check bool) "the others go on" true
-                (shared_key r
-                = shared_key
-                    (List.hd (Exec.Check.run ~budget:(budget ()) [ m ] test))))
-            others (lk :: rest);
-          Alcotest.check_raises "no budget: it propagates"
-            (Failure "raising model") (fun () ->
-              ignore
-                (Exec.Check.run
-                   (List.hd others :: [ Exec.Check.model (raising 3) ])
-                   test))
-      | _ -> Alcotest.fail "one result per model")
-    [ Exec.Check.Enum; Exec.Check.Batch ]
+  let others = List.map (fun (_, o, _) -> check_model o) (model_pool test) in
+  let models =
+    List.hd others :: Exec.Check.model (raising 3) :: List.tl others
+  in
+  match Exec.Check.run ~budget:(budget ()) models test with
+  | lk :: failed :: rest ->
+      Alcotest.(check bool) "the raising model's Unknown" true
+        (failed.verdict
+        = Exec.Check.Unknown (Exec.Check.Model_error (Failure "raising model")));
+      List.iter2
+        (fun m (r : Exec.Check.result) ->
+          Alcotest.(check bool) "the others go on" true
+            (shared_key r
+            = shared_key
+                (List.hd (Exec.Check.run ~budget:(budget ()) [ m ] test))))
+        others (lk :: rest);
+      Alcotest.check_raises "no budget: it propagates"
+        (Failure "raising model") (fun () ->
+          ignore
+            (Exec.Check.run
+               (List.hd others :: [ Exec.Check.model (raising 3) ])
+               test))
+  | _ -> Alcotest.fail "one result per model"
 
 (* The oracle-level entry on every backend, [Sat] included: each
    result equals that oracle's own [Oracle.run] under the same limits
@@ -613,38 +474,12 @@ let test_run_all () =
                 true
                 (shared_key r = shared_key single && r.sat = single.sat))
             oracles shared)
-        [ Exec.Check.Enum; Exec.Check.Batch; Exec.Check.Sat ])
+        [ Exec.Check.Enum; Exec.Check.Sat ])
     (Cpu_ratio.sample_tests 23 @ [ ("large", corpus_test "Coe-Coe-Coe-MbdWW-MbdWR-Fre.litmus") ])
 
-(* lkbench's corpus trace replays the batched engine, while production
-   checks on the scalar one, so the scalar engine is gated here too, by
-   its CPU time relative to batched on the corpus slice under native LK
-   and lk.cat.  The ratio may at most double from its value at commit
-   d1e640f: 1.76, the median of 15 runs of this case there on an idle
-   2-vCPU host (range 1.72-1.87).  It read 0.76-0.87 in three runs at
-   the first closure-free kernels and 0.82-0.84 in three at the final
-   ones. *)
-let enum_over_batch = 1.76
-
-let test_scalar_speed () =
-  let battery backend =
-    Cpu_ratio.battery
-      ~native:(Exec.Oracle.run ~backend Lkmm.oracle)
-      ~cat:(Exec.Oracle.run ~backend (Lazy.force Cpu_ratio.lk_cat))
-  in
-  let r =
-    Cpu_ratio.median ~base:(battery Exec.Check.Batch)
-      (battery Exec.Check.Enum)
-  in
-  Alcotest.(check bool)
-    (Printf.sprintf "Enum/Batch CPU %.3f <= 2 x %.2f" r enum_over_batch)
-    true
-    (r <= 2. *. enum_over_batch)
-
-(* The scalar engine's absolute speed: its pass over the corpus slice,
+(* The enumerator's absolute speed: its pass over the corpus slice,
    under native LK and lk.cat, against {!Cpu_ratio.reference} timed in
-   the same process — so a change that slows both engines alike, which
-   the Enum/Batch ratio cannot see, still fails here.  The ratio may at
+   the same process.  The ratio may at
    most double from its value when the cat engines went to slot form:
    0.95, the median of 12 runs of this case on a 2-vCPU host (range
    0.79-0.98).  It read 0.38-0.41 in three runs at the first
@@ -665,111 +500,6 @@ let test_scalar_absolute () =
        enum_over_reference)
     true
     (r <= 2. *. enum_over_reference)
-
-(* Every candidate of [test] in enumeration order, cut into the chunks a
-   batch engine may take: one event structure each (a shared events
-   array), at most {!Rel.Batch.width} long. *)
-let structure_chunks test =
-  let chunks = ref [] and cur = ref [] and len = ref 0 in
-  let cut () =
-    if !cur <> [] then chunks := Array.of_list (List.rev !cur) :: !chunks;
-    cur := [];
-    len := 0
-  in
-  Seq.iter
-    (fun (x : Exec.t) ->
-      (match !cur with
-      | (y : Exec.t) :: _ when y.events != x.events -> cut ()
-      | _ -> ());
-      cur := x :: !cur;
-      incr len;
-      if !len = Rel.Batch.width then cut ())
-    (Exec.candidates test);
-  cut ();
-  List.rev !chunks
-
-(* A batch engine not told that its candidates are coherent must decide
-   coherence itself: with [~coherent:false] and every candidate live,
-   incoherent ones included, each bit equals the scalar model's
-   verdict.  For the native oracle this is the only route into
-   [Relations.consistent_mask]'s Scpv branch. *)
-let test_batch_decides_coherence () =
-  List.iter
-    (fun (what, oracle) ->
-      let (module M : Exec.Check.MODEL) = Exec.Oracle.model oracle () in
-      let batch = Option.get oracle.Exec.Oracle.batch None in
-      let incoherent = ref 0 in
-      List.iter
-        (fun (file, test) ->
-          let disagree = ref 0 in
-          List.iter
-            (fun xs ->
-              let mask = Rel.Batch.full_mask (Array.length xs) in
-              let got = batch ~coherent:false ~mask xs in
-              Array.iteri
-                (fun c x ->
-                  if not (Exec.coherent x) then incr incoherent;
-                  if M.consistent x <> (got land (1 lsl c) <> 0) then
-                    incr disagree)
-                xs)
-            (structure_chunks test);
-          Alcotest.(check int)
-            (Printf.sprintf "%s: %s planes disagreeing with the scalar model"
-               file what)
-            0 !disagree)
-        (Cpu_ratio.sample_tests 3 @ Lazy.force diygen_tests);
-      Alcotest.(check bool)
-        (Printf.sprintf "%s: %d incoherent candidates reach the batch engine"
-           what !incoherent)
-        true (!incoherent > 100))
-    (("native", Lkmm.oracle) :: Lazy.force cat_oracles)
-
-(* [cat.batch.early_exit] counts candidates, not checks: each check but
-   the model's last adds the live candidates it rejects.  Over every
-   structure of a corpus sample, incoherent candidates included, lk.cat's
-   batch engine must count exactly the candidates whose first failing
-   check in the reference interpreter's outcome list is not the last. *)
-let test_cat_early_exit () =
-  let model = Lazy.force Cat.lk in
-  let batch = Option.get (Lazy.force Cpu_ratio.lk_cat).Exec.Oracle.batch None in
-  let last = List.length (Cat.check_names model) - 1 in
-  let chunks =
-    List.concat_map
-      (fun (_, test) -> structure_chunks test)
-      (Cpu_ratio.sample_tests 3)
-  in
-  let early (x : Exec.t) =
-    match
-      List.find_index
-        (fun (o : Cat_ref.outcome) -> not o.holds)
-        (Cat_ref.outcomes model x)
-    with
-    | Some i -> i < last
-    | None -> false
-  in
-  let expected =
-    List.fold_left
-      (fun n xs -> Array.fold_left (fun n x -> if early x then n + 1 else n) n xs)
-      0 chunks
-  in
-  let was = Obs.enabled () in
-  Obs.set_enabled true;
-  Obs.reset ();
-  List.iter
-    (fun xs ->
-      let mask = Rel.Batch.full_mask (Array.length xs) in
-      ignore (batch ~coherent:false ~mask xs))
-    chunks;
-  let counted =
-    Option.value ~default:0
-      (List.assoc_opt "cat.batch.early_exit" (Obs.counters ()))
-  in
-  Obs.set_enabled was;
-  Alcotest.(check int) "candidates decided before the last check" expected
-    counted;
-  Alcotest.(check bool)
-    (Printf.sprintf "%d candidates decided early" expected)
-    true (expected > 100)
 
 (* fr = rf⁻¹;co minus identity, the definition the library builds row by
    row instead: on every enumerated candidate, and on every witness the
@@ -1064,8 +794,6 @@ let () =
             prop_cyclicity_agrees;
             prop_linear_extensions_agree;
             prop_of_classes_agrees;
-            prop_batch_ops_agree;
-            prop_batch_masks_agree;
           ] );
       ( "end-to-end",
         [
@@ -1080,16 +808,10 @@ let () =
           Alcotest.test_case "shared call with a raising model" `Quick
             test_shared_model_error;
           Alcotest.test_case "Oracle.run_all = Oracle.run" `Quick test_run_all;
-          Alcotest.test_case "scalar at most 2x its Enum/Batch ratio" `Slow
-            test_scalar_speed;
           Alcotest.test_case "scalar at most 2x its reference ratio" `Slow
             test_scalar_absolute;
           Alcotest.test_case "prefilter soundness" `Quick
             test_prefilter_soundness;
-          Alcotest.test_case "batch engines decide coherence" `Quick
-            test_batch_decides_coherence;
-          Alcotest.test_case "cat early exits count candidates" `Quick
-            test_cat_early_exit;
           Alcotest.test_case "fr is rf^-1;co" `Quick test_fr_definition;
           Alcotest.test_case "statics once per shape" `Quick
             test_statics_per_shape;

@@ -262,16 +262,16 @@ let sat_check ?(backend = Exec.Check.Sat) ?(oracle = Lkmm.oracle) t =
   Exec.Oracle.run ~budget:(Exec.Budget.start Exec.Budget.default) ~backend
     oracle t
 
-(* All three native engines evaluate one definition of the LK chain, so
+(* Both native engines evaluate one definition of the LK chain, so
    lk.cat, run by the cat interpreter, is the reference independent of
    it. *)
 let lk_cat = lazy (Cat.to_oracle ~name:"LK(cat)" (Lazy.force Cat.lk))
 
 let cat_check t =
-  sat_check ~backend:Exec.Check.Batch ~oracle:(Lazy.force lk_cat) t
+  sat_check ~backend:Exec.Check.Enum ~oracle:(Lazy.force lk_cat) t
 
 (* Every corpus test: the symbolic verdict must equal the golden
-   manifest verdict, the batched engine's and lk.cat's, with zero
+   manifest verdict, the enumerator's and lk.cat's, with zero
    fallbacks (the native oracle ships a solver) and solver counters
    present. *)
 let test_corpus_agreement () =
@@ -297,9 +297,9 @@ let test_corpus_agreement () =
           | None -> Alcotest.failf "%s: sat result carries no sat stats" file);
           Alcotest.(check string) (file ^ " backend tag") "sat"
             (Exec.Check.backend_to_string r.Exec.Check.backend);
-          let b = sat_check ~backend:Exec.Check.Batch t in
-          Alcotest.(check string) (file ^ " sat = batch")
-            (Exec.Check.verdict_to_string b.Exec.Check.verdict)
+          let e = sat_check ~backend:Exec.Check.Enum t in
+          Alcotest.(check string) (file ^ " sat = enum")
+            (Exec.Check.verdict_to_string e.Exec.Check.verdict)
             (Exec.Check.verdict_to_string r.Exec.Check.verdict);
           Alcotest.(check string) (file ^ " native = lk.cat")
             (Exec.Check.verdict_to_string (cat_check t).Exec.Check.verdict)
@@ -478,7 +478,7 @@ let test_coherence_only () =
   Alcotest.(check bool) "some Forbid" true (!allow < List.length tests)
 
 (* The native LK oracle on the generated set: the solver's verdict must
-   equal the batched engine's and lk.cat's, as on the corpus. *)
+   equal the enumerator's and lk.cat's, as on the corpus. *)
 let test_generated_agreement () =
   let tests = Lazy.force generated in
   Alcotest.(check bool) "generated set is substantial" true
@@ -486,8 +486,8 @@ let test_generated_agreement () =
   List.iter
     (fun (t : Litmus.Ast.t) ->
       let v r = Exec.Check.verdict_to_string r.Exec.Check.verdict in
-      let r = sat_check t and b = sat_check ~backend:Exec.Check.Batch t in
-      Alcotest.(check string) (t.Litmus.Ast.name ^ " sat = batch") (v b) (v r);
+      let r = sat_check t and e = sat_check ~backend:Exec.Check.Enum t in
+      Alcotest.(check string) (t.Litmus.Ast.name ^ " sat = enum") (v e) (v r);
       Alcotest.(check string) (t.Litmus.Ast.name ^ " native = lk.cat")
         (v (cat_check t)) (v r))
     tests
@@ -607,8 +607,8 @@ let gate_test quant cond =
 
 (* Each quantifier over a condition the gate decides true on every
    structure, one it decides false on every structure, and ones it
-   leaves to the solver: the SAT verdict must equal the batched
-   engine's, and the counters must show the gate deciding as claimed. *)
+   leaves to the solver: the SAT verdict must equal the enumerator's,
+   and the counters must show the gate deciding as claimed. *)
 let test_quantifiers () =
   let conds =
     [
@@ -626,9 +626,9 @@ let test_quantifiers () =
           let name = Printf.sprintf "%s (%s)" quant cond in
           let t = gate_test quant cond in
           let r, count = with_counters (fun () -> sat_check t) in
-          let b = sat_check ~backend:Exec.Check.Batch t in
-          Alcotest.(check string) (name ^ ": sat = batch")
-            (Exec.Check.verdict_to_string b.Exec.Check.verdict)
+          let e = sat_check ~backend:Exec.Check.Enum t in
+          Alcotest.(check string) (name ^ ": sat = enum")
+            (Exec.Check.verdict_to_string e.Exec.Check.verdict)
             (Exec.Check.verdict_to_string r.Exec.Check.verdict);
           let structures = count "solve.structures"
           and refuted = count "solve.cond_refuted"
@@ -659,9 +659,9 @@ let test_quantifiers () =
 let test_mp_refutes () =
   let mp = Litmus.parse (Harness.Battery.find "MP").Harness.Battery.source in
   let r, count = with_counters (fun () -> sat_check mp) in
-  let b = sat_check ~backend:Exec.Check.Batch mp in
-  Alcotest.(check string) "MP sat = batch"
-    (Exec.Check.verdict_to_string b.Exec.Check.verdict)
+  let e = sat_check ~backend:Exec.Check.Enum mp in
+  Alcotest.(check string) "MP sat = enum"
+    (Exec.Check.verdict_to_string e.Exec.Check.verdict)
     (Exec.Check.verdict_to_string r.Exec.Check.verdict);
   Alcotest.(check bool) "some structure refuted" true
     (count "solve.cond_refuted" > 0);
@@ -704,7 +704,7 @@ let verdict_key (r : Exec.Check.result) =
     List.map Exec.Explain.to_string r.explanations )
 
 (* The verdict over every candidate, {!Exec.Check.run}'s definition
-   written out with the scalar model and no prefilter or batching: the
+   written out with the model and no prefilter: the
    verdict, [n_matching], the first consistent matching candidate as
    the witness and, with an explainer and a Forbid, the first
    condition-satisfying candidate the model rejects (a coherent one
@@ -744,8 +744,8 @@ let every_candidate ?explainer (module M : Exec.Check.MODEL)
 (* The gate changes no verdict: over the corpus, the battery and the
    generated set, each under its own quantifier and under [forall]
    (the gate refutes on the negated condition there), native LK, lk.cat
-   and C11 on the scalar and the batched engine report from the verdict
-   stream what the every-candidate definition reports — verdict,
+   and C11 on the enumerator report from the verdict stream what the
+   every-candidate definition reports — verdict,
    [n_matching], witness, counterexample and explanations — while the
    gate refutes some structures and leaves others open. *)
 let test_gate_agreement () =
@@ -775,28 +775,17 @@ let test_gate_agreement () =
               (fun (name, (o : Exec.Oracle.t), explainer) ->
                 if name <> "c11" || Models.C11.applicable t then begin
                   let scalar = Exec.Oracle.model o () in
-                  let expected = every_candidate ~explainer scalar t in
-                  List.iter
-                    (fun backend ->
-                      let batch =
-                        if backend = Exec.Check.Enum then None
-                        else Option.map (fun mk -> mk None) o.batch
-                      in
-                      let r =
-                        List.hd
-                          (Exec.Check.run
-                             [ Exec.Check.model ?batch ~explainer scalar ]
-                             t)
-                      in
-                      if verdict_key r <> expected then
-                        Alcotest.failf
-                          "%s (%s) under %s on %s: the verdict stream \
-                           disagrees with every candidate"
-                          t.Litmus.Ast.name
-                          (Litmus.Pp.quant_to_string t.Litmus.Ast.quant)
-                          name
-                          (Exec.Check.backend_to_string backend))
-                    [ Exec.Check.Enum; Exec.Check.Batch ]
+                  let r =
+                    List.hd
+                      (Exec.Check.run [ Exec.Check.model ~explainer scalar ] t)
+                  in
+                  if verdict_key r <> every_candidate ~explainer scalar t then
+                    Alcotest.failf
+                      "%s (%s) under %s: the verdict stream disagrees with \
+                       every candidate"
+                      t.Litmus.Ast.name
+                      (Litmus.Pp.quant_to_string t.Litmus.Ast.quant)
+                      name
                 end)
               models)
           tests)
@@ -896,10 +885,10 @@ let expect_verdict name want r =
     (Exec.Check.verdict_to_string r.Exec.Check.verdict)
 
 let test_budget_breakers () =
-  (* enumerative engines trip the default candidate cap on both *)
-  expect_unknown "big-allow batch" (sat_check ~backend:Exec.Check.Batch big_allow);
-  expect_unknown "big-forbid batch"
-    (sat_check ~backend:Exec.Check.Batch big_forbid);
+  (* the enumerator trips the default candidate cap on both *)
+  expect_unknown "big-allow enum" (sat_check ~backend:Exec.Check.Enum big_allow);
+  expect_unknown "big-forbid enum"
+    (sat_check ~backend:Exec.Check.Enum big_forbid);
   (* the solver decides both under the same budget *)
   expect_verdict "big-allow sat" "Allow" (sat_check big_allow);
   expect_verdict "big-forbid sat" "Forbid" (sat_check big_forbid)

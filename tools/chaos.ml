@@ -82,7 +82,6 @@ let () =
         (backend :=
            match v with
            | "enum" -> Exec.Check.Enum
-           | "batch" -> Exec.Check.Batch
            | "sat" -> Exec.Check.Sat
            | _ ->
                prerr_endline ("chaos: unknown backend " ^ v);

@@ -223,31 +223,6 @@ let profile path =
         (us /. float_of_int (Stdlib.max 1 runs))
         (if aborted > 0 then Printf.sprintf " (%d aborted)" aborted else "")
   | None -> ());
-  (* batched evaluation: occupancy is a plane count, not a duration, so
-     it gets its own table (and stays out of the µs-labelled one) *)
-  let occupancy =
-    List.find_opt (fun (n, _, _, _) -> n = "check.batch.occupancy") !hists
-  in
-  (if occupancy <> None || counter "check.batch.flushes" <> None then begin
-     Printf.printf "\nBatched evaluation:\n";
-     (match (counter "check.batch.flushes", occupancy) with
-     | Some f, Some (_, c, sum, max_occ) ->
-         Printf.printf
-           "  %-28s %12d\n  %-28s %12.1f planes/flush (max %.0f)\n"
-           "flushes" f "mean occupancy"
-           (sum /. float_of_int (Stdlib.max 1 c))
-           max_occ
-     | Some f, None -> Printf.printf "  %-28s %12d\n" "flushes" f
-     | None, _ -> ());
-     match (counter "lkmm.batch.early_exit", counter "cat.batch.early_exit")
-     with
-     | None, None -> ()
-     | lk, cat ->
-         let lk = Option.value ~default:0 lk
-         and cat = Option.value ~default:0 cat in
-         Printf.printf "  %-28s %12d (native %d, cat %d)\n"
-           "planes decided early" (lk + cat) lk cat
-   end);
   (* the symbolic backend's own table: per-structure sat/unsat split,
      conflict totals, and the two "should be zero" columns (spurious
      witnesses, counted enumerative fallbacks) *)
@@ -325,18 +300,13 @@ let profile path =
            "enumerative fallbacks" f
      | _ -> ()
    end);
-  (* plane counts, clause lengths and decision levels are not durations:
-     they have their own tables above and stay out of the µs-labelled
-     one *)
+  (* clause lengths and decision levels are not durations: they have
+     their own table above and stay out of the µs-labelled one *)
   let hists =
     ref
       (List.filter
          (fun (n, _, _, _) ->
-           not
-             (List.mem n
-                [
-                  "check.batch.occupancy"; "solve.learnt_len"; "solve.dlevel";
-                ]))
+           not (List.mem n [ "solve.learnt_len"; "solve.dlevel" ]))
          !hists)
   in
   if !hists <> [] then begin
